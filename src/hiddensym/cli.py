@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import itertools
 import json
+import math
 import sys
 
 import numpy as np
@@ -21,7 +22,8 @@ import sympy as sp
 
 from . import algebra, catalog, exprkit, geodesic, killing, sasaki, spin
 from .catalog import CatalogEntry
-from .manifold import Chart, GeometryError, Manifold, TensorField, vector, one_form
+from .manifold import (Chart, GeometryError, Manifold, TensorField, _perm_sign, vector,
+                       one_form)
 
 
 class FileFormatError(Exception):
@@ -67,6 +69,10 @@ def ingest(doc: dict) -> CatalogEntry:
         lo, hi = domain[c]
         box[c] = (float(lo), float(hi))
     params = {k: float(v) for k, v in doc.get("parameters", {}).items()}
+    # json.load accepts NaN and Infinity tokens; a report could not carry them
+    numbers = [v for bounds in box.values() for v in bounds] + list(params.values())
+    if not all(math.isfinite(v) for v in numbers):
+        raise FileFormatError("domain bounds and parameters must be finite")
     signature = tuple(int(s) for s in doc.get("signature", [1] * n))
     allowed = set(coords) | set(params)
 
@@ -136,15 +142,6 @@ def ingest(doc: dict) -> CatalogEntry:
     return entry
 
 
-def _perm_sign(perm) -> int:
-    sign = 1
-    for i in range(len(perm)):
-        for j in range(i + 1, len(perm)):
-            if perm[i] > perm[j]:
-                sign = -sign
-    return sign
-
-
 def _expr_to_source(e) -> str:
     e = sp.sympify(e)
     # the file grammar has no hyperbolics; rewrite them through exp
@@ -204,9 +201,10 @@ def export(entry: CatalogEntry) -> dict:
 
 def _emit(obj: dict, pretty: bool):
     if pretty:
-        print(json.dumps(obj, indent=2, sort_keys=True, default=str))
+        print(json.dumps(obj, indent=2, sort_keys=True, default=str, allow_nan=False))
     else:
-        print(json.dumps(obj, sort_keys=True, separators=(",", ":"), default=str))
+        print(json.dumps(obj, sort_keys=True, separators=(",", ":"), default=str,
+                         allow_nan=False))
 
 
 def _load_entry(args) -> CatalogEntry:
@@ -430,7 +428,8 @@ def _cmd_sasaki(args) -> int:
 def _cmd_catalog(args) -> int:
     entry = _load_entry(args)
     doc = export(entry)
-    text = json.dumps(doc, indent=2 if args.pretty else None, sort_keys=True)
+    text = json.dumps(doc, indent=2 if args.pretty else None, sort_keys=True,
+                      allow_nan=False)
     if args.out:
         with open(args.out, "w") as fh:
             fh.write(text + "\n")
@@ -442,14 +441,31 @@ def _cmd_catalog(args) -> int:
 # ---------------------------------------------------------------------------
 # argument parsing
 
+def _number(convert, ok, requirement):
+    """argparse type that converts, then rejects values failing ok; argparse
+    reports both a failed conversion and a rejection as a usage error."""
+    def parse(text):
+        value = convert(text)
+        if not ok(value):
+            raise argparse.ArgumentTypeError(f"{text!r} is not {requirement}")
+        return value
+    return parse
+
+
+_count = _number(int, lambda v: v >= 1, "an integer >= 1")
+_cutoff = _number(int, lambda v: v >= 0, "an integer >= 0")
+_positive = _number(float, lambda v: math.isfinite(v) and v > 0, "a finite number > 0")
+_finite = _number(float, math.isfinite, "a finite number")
+
+
 def _add_common(p, target=True):
     p.add_argument("--manifold", help="manifold definition JSON file")
     p.add_argument("--catalog", help="built-in catalog entry name")
     if target:
         p.add_argument("--target", help="named vector/form/tensor to check")
-    p.add_argument("--points", type=int, default=20)
+    p.add_argument("--points", type=_count, default=20)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--tol", type=float, default=1e-9)
+    p.add_argument("--tol", type=_positive, default=1e-9)
     p.add_argument("--json", action="store_true",
                    help="JSON-lines output (the default)")
     p.add_argument("--pretty", action="store_true",
@@ -478,24 +494,24 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p, target=False)
     p.add_argument("--position", required=True, help="c1=v1,c2=v2,...")
     p.add_argument("--velocity", required=True, help="c1=v1,c2=v2,...")
-    p.add_argument("--t1", type=float, default=10.0)
-    p.add_argument("--step", type=float, default=1e-3)
-    p.add_argument("--stride", type=int, default=10)
+    p.add_argument("--t1", type=_finite, default=10.0)
+    p.add_argument("--step", type=_positive, default=1e-3)
+    p.add_argument("--stride", type=_count, default=10)
     p.add_argument("--method", choices=["rk4", "rk45"], default="rk4")
     p.add_argument("--invariant", help="tensor name or assoc-sk:FORM")
-    p.add_argument("--invariant-tol", type=float, default=1e-6)
+    p.add_argument("--invariant-tol", type=_positive, default=1e-6)
     p.add_argument("--csv", help="trajectory CSV output path")
     p.set_defaults(func=_cmd_geodesic, tol=1e-8)
 
     p = sub.add_parser("spin", help="spinor operator identities")
     p.add_argument("mode", choices=["anticommute", "commute", "square"])
     _add_common(p)
-    p.add_argument("--bank", type=int, default=5)
+    p.add_argument("--bank", type=_count, default=5)
     p.set_defaults(func=_cmd_spin, tol=1e-8, points=10)
 
     p = sub.add_parser("algebra", help="exact graded-algebra checks")
     p.add_argument("mode", choices=["table", "jacobi", "quaternion-units"])
-    p.add_argument("--cutoff", type=int, default=10)
+    p.add_argument("--cutoff", type=_cutoff, default=10)
     p.add_argument("--pretty", action="store_true")
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=_cmd_algebra)
@@ -503,7 +519,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("sasaki", help="mixed 3-structure suites")
     p.add_argument("mode", choices=["verify", "cone", "einstein", "witness"])
     _add_common(p, target=False)
-    p.add_argument("--einstein-constant", type=float, default=None)
+    p.add_argument("--einstein-constant", type=_finite, default=None)
     p.set_defaults(func=_cmd_sasaki)
 
     p = sub.add_parser("catalog", help="catalog export")

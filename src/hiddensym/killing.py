@@ -4,12 +4,14 @@ Every check evaluates a defining identity's left-minus-right side at
 seeded sample points and reports the worst absolute and relative
 residual.  Relative means scaled by the maximum input component
 magnitude at the worst point (floored at 1 so exact-zero inputs do not
-blow up the quotient).
+blow up the quotient).  A check passes only when every residual and
+scale is finite.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -27,6 +29,18 @@ for _i, _j, _k in itertools.permutations(range(3)):
     EPSILON3[_i, _j, _k] = ((_j - _i) * (_k - _i) * (_k - _j)) / 2
 
 
+def finite_or_null(obj):
+    """obj with every non-finite float, also nested in dicts and lists,
+    replaced by None, so that it serializes as strict JSON."""
+    if isinstance(obj, float):
+        return obj if math.isfinite(obj) else None
+    if isinstance(obj, dict):
+        return {k: finite_or_null(v) for k, v in obj.items()}
+    if isinstance(obj, list):
+        return [finite_or_null(v) for v in obj]
+    return obj
+
+
 @dataclass
 class ResidualReport:
     check: str
@@ -39,7 +53,7 @@ class ResidualReport:
     extra: dict = field(default_factory=dict)
 
     def to_json(self) -> dict:
-        return {
+        return finite_or_null({
             "check": self.check,
             "tolerance": self.tolerance,
             "points": self.points,
@@ -48,7 +62,7 @@ class ResidualReport:
             "pass": bool(self.passed),
             "worst_point": self.worst_point,
             "extra": self.extra,
-        }
+        })
 
 
 def _default_points(M: Manifold, points, seed):
@@ -56,27 +70,35 @@ def _default_points(M: Manifold, points, seed):
         return sample_points(M.chart, DEFAULT_POINTS, seed)
     if isinstance(points, int):
         return sample_points(M.chart, points, seed)
+    if not len(points):
+        raise GeometryError("empty point set")
     return points
 
 
-def _report(check: str, rows, tol: float, extra: dict | None = None) -> ResidualReport:
-    """rows: iterable of (point, abs_residual, scale)."""
-    worst_abs = worst_rel = -1.0
-    worst_point = {}
-    count = 0
-    for point, res, scale in rows:
-        count += 1
-        rel = res / max(1.0, scale)
-        if rel > worst_rel:
-            worst_rel = rel
-            worst_point = dict(point)
-        worst_abs = max(worst_abs, res)
-    return ResidualReport(check, tol, count, worst_abs, worst_rel,
-                          worst_rel < tol, worst_point, extra or {})
+def _report(check: str, points, residual, scale, tol: float,
+            extra: dict | None = None) -> ResidualReport:
+    """residual, scale: one value per point.  A non-finite residual or scale
+    fails the check and becomes the worst point."""
+    res = np.asarray(residual, dtype=float)
+    scale = np.asarray(scale, dtype=float)
+    rel = res / np.maximum(1.0, scale)
+    bad = ~(np.isfinite(res) & np.isfinite(scale))
+    extra = extra or {}
+    if bad.any():
+        extra["non_finite_points"] = int(bad.sum())
+        worst = int(np.argmax(bad))
+    else:
+        worst = int(np.argmax(rel))
+    worst_rel = float(np.max(rel))
+    return ResidualReport(check, tol, len(points), float(np.max(res)), worst_rel,
+                          bool(not bad.any() and worst_rel < tol),
+                          dict(points[worst]), extra)
 
 
-def _max_abs(arr: np.ndarray) -> float:
-    return float(np.max(np.abs(arr))) if arr.size else 0.0
+def _max_abs(arr: np.ndarray) -> np.ndarray:
+    """Largest component magnitude at each point of a (P, ...) array."""
+    flat = np.abs(arr).reshape(len(arr), -1)
+    return flat.max(axis=1) if flat.shape[1] else np.zeros(len(arr))
 
 
 # ---------------------------------------------------------------------------
@@ -87,13 +109,9 @@ def killing_vector_residual(X: TensorField, M: Manifold, points=None, seed=0,
     """(L_X g)_{mu nu} = grad_mu X_nu + grad_nu X_mu at sampled points."""
     pts = _default_points(M, points, seed)
     Xd = lower_index(X, M, 0)
-    nabla = covariant_derivative(Xd, M)
-    rows = []
-    for p in pts:
-        dX = nabla.at(M, p)
-        res = dX + dX.T
-        rows.append((p, _max_abs(res), _max_abs(dX)))
-    return _report("killing-vector", rows, tol)
+    dX = M.evaluate(covariant_derivative(Xd, M).components, pts)
+    return _report("killing-vector", pts, _max_abs(dX + np.swapaxes(dX, 1, 2)),
+                   _max_abs(dX), tol)
 
 
 def conformal_killing_factor(X: TensorField, M: Manifold, points=None, seed=0,
@@ -101,20 +119,14 @@ def conformal_killing_factor(X: TensorField, M: Manifold, points=None, seed=0,
     """Per-point least-squares factor f with L_X g ~ f g; returns (factors, report)."""
     pts = _default_points(M, points, seed)
     Xd = lower_index(X, M, 0)
-    nabla = covariant_derivative(Xd, M)
-    factors = []
-    rows = []
-    for p in pts:
-        dX = nabla.at(M, p)
-        L = dX + dX.T
-        g = M.metric_at(p)
-        f = float(np.sum(L * g) / np.sum(g * g))
-        factors.append(f)
-        res = L - f * g
-        rows.append((p, _max_abs(res), max(_max_abs(L), _max_abs(g))))
-    report = _report("conformal-killing", rows, tol,
-                     extra={"factor_max_abs": max(abs(f) for f in factors)})
-    return factors, report
+    dX = M.evaluate(covariant_derivative(Xd, M).components, pts)
+    L = dX + np.swapaxes(dX, 1, 2)
+    g = M.evaluate(M.metric, pts)
+    f = np.sum(L * g, axis=(1, 2)) / np.sum(g * g, axis=(1, 2))
+    report = _report("conformal-killing", pts, _max_abs(L - f[:, None, None] * g),
+                     np.maximum(_max_abs(L), _max_abs(g)), tol,
+                     extra={"factor_max_abs": float(np.max(np.abs(f)))})
+    return f.tolist(), report
 
 
 # ---------------------------------------------------------------------------
@@ -130,21 +142,9 @@ def _is_symmetric(T: TensorField) -> bool:
 
 
 def _is_antisymmetric_at(T: TensorField, M: Manifold, pts, tol=1e-12) -> bool:
-    for p in pts[:3]:
-        arr = T.at(M, p)
-        if _max_abs(arr - antisymmetrize_numeric(arr)) > tol * max(1.0, _max_abs(arr)):
-            return False
-    return True
-
-
-def antisymmetrize_numeric(arr: np.ndarray) -> np.ndarray:
-    import math
-    from .manifold import _perm_sign
-    k = arr.ndim
-    out = np.zeros_like(arr)
-    for perm in itertools.permutations(range(k)):
-        out += _perm_sign(perm) * np.transpose(arr, perm)
-    return out / math.factorial(k)
+    vals = M.evaluate(T.components, pts[:3])
+    alt = np.array([antisymmetrize(v) for v in vals])
+    return not np.any(_max_abs(vals - alt) > tol * np.maximum(1.0, _max_abs(vals)))
 
 
 def sk_residual(K: TensorField, M: Manifold, points=None, seed=0,
@@ -153,14 +153,10 @@ def sk_residual(K: TensorField, M: Manifold, points=None, seed=0,
     if not _is_symmetric(K):
         raise GeometryError("sk_residual requires a symmetric tensor")
     pts = _default_points(M, points, seed)
-    nabla = covariant_derivative(K, M)
-    sym_part = TensorField(symmetrize(nabla.components), nabla.variance)
-    rows = []
-    for p in pts:
-        res = sym_part.at(M, p)
-        scale = _max_abs(nabla.at(M, p))
-        rows.append((p, _max_abs(res), scale))
-    return _report("staeckel-killing", rows, tol)
+    nabla = covariant_derivative(K, M).components
+    return _report("staeckel-killing", pts,
+                   _max_abs(M.evaluate(symmetrize(nabla), pts)),
+                   _max_abs(M.evaluate(nabla, pts)), tol)
 
 
 def ky_residual(f: TensorField, M: Manifold, points=None, seed=0,
@@ -169,23 +165,12 @@ def ky_residual(f: TensorField, M: Manifold, points=None, seed=0,
     pts = _default_points(M, points, seed)
     if not _is_antisymmetric_at(f, M, pts):
         raise GeometryError("ky_residual requires an antisymmetric form")
-    nabla = covariant_derivative(f, M)
-    comp = nabla.components
-    n = M.dim
+    comp = covariant_derivative(f, M).components
     # symmetrize over the derivative slot and the form's first slot
-    sym_pair = np.empty(comp.shape, dtype=object)
-    for idx in np.ndindex(comp.shape):
-        swapped = (idx[1], idx[0]) + idx[2:]
-        sym_pair[idx] = (comp[idx] + comp[swapped]) / 2
-    sym_field = TensorField(sym_pair, nabla.variance)
-    alt_field = TensorField(comp - antisymmetrize(comp), nabla.variance)
-    rows = []
-    for p in pts:
-        r1 = _max_abs(sym_field.at(M, p))
-        r2 = _max_abs(alt_field.at(M, p))
-        scale = _max_abs(nabla.at(M, p))
-        rows.append((p, max(r1, r2), scale))
-    return _report("killing-yano", rows, tol)
+    sym_pair = (comp + np.swapaxes(comp, 0, 1)) / 2
+    residual = np.maximum(_max_abs(M.evaluate(sym_pair, pts)),
+                          _max_abs(M.evaluate(comp - antisymmetrize(comp), pts)))
+    return _report("killing-yano", pts, residual, _max_abs(M.evaluate(comp, pts)), tol)
 
 
 def cky_residual(f: TensorField, M: Manifold, points=None, seed=0,
@@ -225,27 +210,19 @@ def cky_residual(f: TensorField, M: Manifold, points=None, seed=0,
         res_comp[idx] = (nabla.components[idx]
                          - sp.Rational(1, p + 1) * df.components[idx]
                          + sp.Rational(1, n - p + 1) * wedge[idx])
-    res_field = TensorField(res_comp, nabla.variance)
-    rows = []
-    for ppt in pts:
-        res = res_field.at(M, ppt)
-        scale = max(_max_abs(nabla.at(M, ppt)), _max_abs(df.at(M, ppt)))
-        rows.append((ppt, _max_abs(res), scale))
-    return _report("conformal-killing-yano", rows, tol)
+    scale = np.maximum(_max_abs(M.evaluate(nabla.components, pts)),
+                       _max_abs(M.evaluate(df.components, pts)))
+    return _report("conformal-killing-yano", pts, _max_abs(M.evaluate(res_comp, pts)),
+                   scale, tol)
 
 
 def covariant_constancy_residual(T: TensorField, M: Manifold, points=None, seed=0,
                                  tol=DEFAULT_TOL) -> ResidualReport:
     pts = _default_points(M, points, seed)
-    nabla = covariant_derivative(T, M)
-    rows = []
-    worst_components = []
-    for p in pts:
-        arr = nabla.at(M, p)
-        rows.append((p, _max_abs(arr), _max_abs(T.at(M, p))))
-        worst_components.append(_max_abs(arr))
-    return _report("covariant-constancy", rows, tol,
-                   extra={"max_abs_per_point": worst_components})
+    worst = _max_abs(M.evaluate(covariant_derivative(T, M).components, pts))
+    return _report("covariant-constancy", pts, worst,
+                   _max_abs(M.evaluate(T.components, pts)), tol,
+                   extra={"max_abs_per_point": worst.tolist()})
 
 
 def associated_sk(f: TensorField, M: Manifold) -> TensorField:
@@ -277,30 +254,22 @@ def unit_root_check(f: TensorField, M: Manifold, points=None, seed=0,
     if f.rank != 2:
         raise GeometryError("unit_root_check needs a 2-form")
     pts = _default_points(M, points, seed)
-    fn = f.compile(M)
-    rows = []
-    strict_worst = -1.0
-    scales = []
-    for p in pts:
-        F = fn(p)
-        g = M.metric_at(p)
-        ginv = M.inverse_metric_at(p)
-        if abs(np.linalg.det(F)) < 1e-12:
-            raise GeometryError(f"singular 2-form at {p}")
-        A = ginv @ F               # A[mu, a] = f^mu_a
-        Msq = A.T @ F              # f^mu_a f_{mu b}
-        c = float(np.sum(Msq * g) / np.sum(g * g))
-        scales.append(c)
-        strict = _max_abs(Msq - g)
-        fitted = _max_abs(Msq - c * g)
-        strict_worst = max(strict_worst, strict / max(1.0, _max_abs(Msq)))
-        rows.append((p, fitted, _max_abs(Msq)))
-    report = _report("unit-root", rows, tol,
-                     extra={"fitted_scale": float(np.mean(scales)),
-                            "scale_spread": float(np.max(scales) - np.min(scales)),
-                            "strict_rel_residual": strict_worst,
-                            "strict_pass": bool(strict_worst < tol)})
-    return report
+    g = M.evaluate(M.metric, pts)
+    ginv = M.inverse_metric_values(pts)
+    F = M.evaluate(f.components, pts)
+    singular = np.abs(np.linalg.det(F)) < 1e-12
+    if singular.any():
+        raise GeometryError(f"singular 2-form at {pts[np.argmax(singular)]}")
+    A = ginv @ F                       # A[mu, a] = f^mu_a
+    Msq = np.swapaxes(A, 1, 2) @ F     # f^mu_a f_{mu b}
+    c = np.sum(Msq * g, axis=(1, 2)) / np.sum(g * g, axis=(1, 2))
+    scale = _max_abs(Msq)
+    strict_worst = float(np.max(_max_abs(Msq - g) / np.maximum(1.0, scale)))
+    return _report("unit-root", pts, _max_abs(Msq - c[:, None, None] * g), scale, tol,
+                   extra={"fitted_scale": float(np.mean(c)),
+                          "scale_spread": float(np.max(c) - np.min(c)),
+                          "strict_rel_residual": strict_worst,
+                          "strict_pass": bool(strict_worst < tol)})
 
 
 def quaternion_relations_check(f1: TensorField, f2: TensorField, f3: TensorField,
@@ -308,22 +277,17 @@ def quaternion_relations_check(f1: TensorField, f2: TensorField, f3: TensorField
                                tol=DEFAULT_TOL) -> ResidualReport:
     """f^i f^j + f^j f^i = -2 delta_ij, f^i f^j - f^j f^i = -2 eps_ijk f^k."""
     pts = _default_points(M, points, seed)
-    forms = [f1, f2, f3]
-    fns = [f.compile(M) for f in forms]
-    rows = []
-    for p in pts:
-        ginv = M.inverse_metric_at(p)
-        E = [ginv @ fn(p) for fn in fns]  # endomorphisms (f^i)^mu_nu
-        ident = np.eye(M.dim)
-        worst = 0.0
-        scale = max(_max_abs(e) for e in E)
-        for i in range(3):
-            for j in range(3):
-                anti = E[i] @ E[j] + E[j] @ E[i] + 2 * (i == j) * ident
-                comm = E[i] @ E[j] - E[j] @ E[i]
-                for k in range(3):
-                    if EPSILON3[i, j, k]:
-                        comm += 2 * EPSILON3[i, j, k] * E[k]
-                worst = max(worst, _max_abs(anti), _max_abs(comm))
-        rows.append((p, worst, scale))
-    return _report("quaternion-relations", rows, tol)
+    ginv = M.inverse_metric_values(pts)
+    E = [ginv @ M.evaluate(f.components, pts) for f in (f1, f2, f3)]  # (f^i)^mu_nu
+    ident = np.eye(M.dim)
+    terms = []
+    for i in range(3):
+        for j in range(3):
+            anti = E[i] @ E[j] + E[j] @ E[i] + 2 * (i == j) * ident
+            comm = E[i] @ E[j] - E[j] @ E[i]
+            for k in range(3):
+                if EPSILON3[i, j, k]:
+                    comm += 2 * EPSILON3[i, j, k] * E[k]
+            terms += [_max_abs(anti), _max_abs(comm)]
+    return _report("quaternion-relations", pts, np.max(terms, axis=0),
+                   np.max([_max_abs(e) for e in E], axis=0), tol)

@@ -2,12 +2,14 @@
 
 All tensors are dense component arrays of symbolic expressions over a
 single chart.  Dimensions stay small (<= 7), so no sparsity or index-free
-machinery is used.  Numeric evaluation goes through lambdified closures
-cached per tensor.
+machinery is used.  Numeric evaluation goes through Manifold.evaluate: each
+array is lambdified once per manifold, cached under its content, and
+evaluated over a whole batch of points in one call.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import random
@@ -16,7 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 import sympy as sp
 
-from .exprkit import Expr, Point, simplify, sym
+from .exprkit import Point, simplify, sym
 
 
 class GeometryError(Exception):
@@ -77,22 +79,14 @@ class TensorField:
         self.components = arr
         self.variance = variance
         self.symmetry = symmetry
-        self._fns: dict[int, object] = {}
 
     @property
     def rank(self) -> int:
         return self.components.ndim
 
-    def compile(self, manifold: "Manifold"):
-        fn = self._fns.get(id(manifold))
-        if fn is None:
-            fn = manifold.compile_array(self.components)
-            self._fns[id(manifold)] = fn
-        return fn
-
     def at(self, manifold: "Manifold", point: Point) -> np.ndarray:
         """Numeric components at a point (doubles)."""
-        return self.compile(manifold)(point)
+        return manifold.evaluate(self.components, [point])[0]
 
     def map(self, f) -> "TensorField":
         out = np.empty(self.components.shape, dtype=object)
@@ -119,8 +113,8 @@ class Manifold:
         self.signature = tuple(signature) if signature else tuple([1] * n)
         if len(self.signature) != n:
             raise GeometryError("signature length must equal dimension")
-        self._cache: dict[str, object] = {}
-        self._compiled: dict = {}
+        # symbolic results by name, compiled functions by array content
+        self._cache: dict = {}
 
     # -- symbolic pipeline -------------------------------------------------
 
@@ -131,9 +125,6 @@ class Manifold:
     @property
     def coord_symbols(self) -> list[sp.Symbol]:
         return [sym(c) for c in self.chart.coords]
-
-    def _arg_symbols(self) -> list[sp.Symbol]:
-        return self.coord_symbols + [sym(p) for p in sorted(self.params)]
 
     def metric_field(self) -> TensorField:
         return TensorField(np.array(self.metric.tolist(), dtype=object), "dd", "symmetric")
@@ -213,59 +204,65 @@ class Manifold:
 
     # -- numeric evaluation --------------------------------------------------
 
-    def compile_array(self, arr: np.ndarray):
-        """Lambdify an object array into point -> float ndarray."""
-        args = self._arg_symbols()
-        flat = [sp.sympify(e) for e in arr.flatten().tolist()]
-        fn = sp.lambdify(args, flat, modules="numpy")
-        shape = arr.shape
-        params = [self.params[p] for p in sorted(self.params)]
-        coords = self.chart.coords
+    def compiled(self, components):
+        """The array's lambdified form, compiled once per manifold with
+        common-subexpression elimination and cached under the array's content:
+        a function of the coordinate values that returns the flat component list."""
+        arr = np.asarray(components, dtype=object)
+        key = ("lambdified", arr.shape, tuple(arr.flat))
+        if key not in self._cache:
+            args = [sym(p) for p in sorted(self.params)] + self.coord_symbols
+            self._cache[key] = sp.lambdify(args, [sp.sympify(e) for e in arr.flat],
+                                           modules="numpy", cse=True)
+        return functools.partial(self._cache[key],
+                                 *(self.params[p] for p in sorted(self.params)))
 
-        def call(point: Point) -> np.ndarray:
-            vals = [point[c] for c in coords] + params
-            return np.array(fn(*vals), dtype=float).reshape(shape)
+    def evaluate(self, components, points, dtype=float) -> np.ndarray:
+        """Values of an array of expressions at a batch of points, shape (P, *shape).
 
-        return call
-
-    def compile_expr(self, expr: Expr):
-        args = self._arg_symbols()
-        fn = sp.lambdify(args, sp.sympify(expr), modules="numpy")
-        params = [self.params[p] for p in sorted(self.params)]
-        coords = self.chart.coords
-
-        def call(point: Point) -> float:
-            return float(fn(*[point[c] for c in coords], *params))
-
-        return call
+        One call of the compiled function covers the whole batch; constant
+        entries are broadcast.  A real dtype rejects non-zero imaginary parts.
+        """
+        arr = np.asarray(components, dtype=object)
+        count = len(points)
+        x = np.array([[p[c] for c in self.chart.coords] for p in points],
+                     dtype=float).reshape(count, self.dim)
+        values = np.stack([np.broadcast_to(v, count)
+                           for v in self.compiled(arr)(*x.T)], axis=-1)
+        if np.iscomplexobj(values) and np.dtype(dtype).kind != "c":
+            if np.any(values.imag != 0):
+                raise GeometryError("real-valued tensor has a non-zero imaginary part")
+            values = values.real
+        return values.astype(dtype).reshape((count,) + arr.shape)
 
     def metric_at(self, point: Point) -> np.ndarray:
-        if "g_fn" not in self._compiled:
-            self._compiled["g_fn"] = self.compile_array(
-                np.array(self.metric.tolist(), dtype=object))
-        return self._compiled["g_fn"](point)
+        return self.evaluate(self.metric, [point])[0]
 
-    def inverse_metric_at(self, point: Point) -> np.ndarray:
-        g = self.metric_at(point)
-        if abs(np.linalg.det(g)) < 1e-14:
-            raise SingularMetricError(f"singular metric at {point}")
+    def inverse_metric_values(self, points) -> np.ndarray:
+        """Numeric inverse metric at each point, shape (P, n, n)."""
+        g = self.evaluate(self.metric, points)
+        singular = np.abs(np.linalg.det(g)) < 1e-14
+        if singular.any():
+            raise SingularMetricError(f"singular metric at {points[np.argmax(singular)]}")
         return np.linalg.inv(g)
 
+    def inverse_metric_at(self, point: Point) -> np.ndarray:
+        return self.inverse_metric_values([point])[0]
+
     def christoffel_at(self, point: Point) -> np.ndarray:
-        if "gamma_fn" not in self._compiled:
-            self._compiled["gamma_fn"] = self.compile_array(self.christoffel())
-        return self._compiled["gamma_fn"](point)
+        return self.evaluate(self.christoffel(), [point])[0]
 
     def check_signature(self, points: list[Point]) -> bool:
-        want = tuple(sorted(self.signature))
-        for p in points:
-            eig = np.linalg.eigvalsh(self.metric_at(p))
-            if any(abs(e) < 1e-12 for e in eig):
-                raise SingularMetricError(f"degenerate metric at {p}")
-            got = tuple(sorted(1 if e > 0 else -1 for e in eig))
-            if got != want:
-                return False
-        return True
+        """True when the metric has the declared signature at every point.
+        Raises SingularMetricError when the first point that breaks it is
+        degenerate."""
+        eig = np.linalg.eigvalsh(self.evaluate(self.metric, points))   # ascending
+        degenerate = np.any(np.abs(eig) < 1e-12, axis=1)
+        wrong = np.any(np.where(eig > 0, 1, -1) != sorted(self.signature), axis=1)
+        bad = np.flatnonzero(degenerate | wrong)
+        if bad.size and degenerate[bad[0]]:
+            raise SingularMetricError(f"degenerate metric at {points[bad[0]]}")
+        return not bad.size
 
 
 # ---------------------------------------------------------------------------
@@ -287,30 +284,22 @@ def _perm_sign(perm) -> int:
     return sign
 
 
+def _permutation_average(arr: np.ndarray, signed: bool) -> np.ndarray:
+    """Weight-1/k! (signed) sum of arr over all permutations of its k slots;
+    works on object arrays of expressions and on float arrays alike."""
+    total = sum((_perm_sign(perm) if signed else 1) * np.transpose(arr, perm)
+                for perm in itertools.permutations(range(arr.ndim)))
+    return total / math.factorial(arr.ndim)
+
+
 def antisymmetrize(arr: np.ndarray) -> np.ndarray:
     """Weight-1/k! alternation over all slots (idempotent projector)."""
-    k = arr.ndim
-    out = np.zeros(arr.shape, dtype=object)
-    perms = list(itertools.permutations(range(k)))
-    for idx in np.ndindex(arr.shape):
-        total = sp.Integer(0)
-        for perm in perms:
-            total += _perm_sign(perm) * arr[tuple(idx[p] for p in perm)]
-        out[idx] = total / math.factorial(k)
-    return out
+    return _permutation_average(arr, signed=True)
 
 
 def symmetrize(arr: np.ndarray) -> np.ndarray:
     """Weight-1/k! symmetrization over all slots."""
-    k = arr.ndim
-    out = np.zeros(arr.shape, dtype=object)
-    perms = list(itertools.permutations(range(k)))
-    for idx in np.ndindex(arr.shape):
-        total = sp.Integer(0)
-        for perm in perms:
-            total += arr[tuple(idx[p] for p in perm)]
-        out[idx] = total / math.factorial(k)
-    return out
+    return _permutation_average(arr, signed=False)
 
 
 def covariant_derivative(T: TensorField, M: Manifold) -> TensorField:

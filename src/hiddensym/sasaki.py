@@ -64,9 +64,30 @@ class ConeManifold:
 
 # ---------------------------------------------------------------------------
 # identity suites
+#
+# Numeric values carry the sample point as their first axis: a matrix field
+# is (P, n, n), a vector field (P, n), and residuals are (P,).
 
-def _phi_mats(S: MixedThreeStructure, point):
-    return [p.at(S.manifold, point) for p in S.phi]
+def _values(fields, M: Manifold, pts) -> list[np.ndarray]:
+    return [M.evaluate(T.components, pts) for T in fields]
+
+
+def _mv(A, x):
+    """Matrix times vector at each point."""
+    return np.einsum("pij,pj->pi", A, x)
+
+
+def _dot(x, y):
+    return np.einsum("pi,pi->p", x, y)
+
+
+def _outer(x, y):
+    return np.einsum("pi,pj->pij", x, y)
+
+
+def _form(A, g, B):
+    """A^T g B at each point."""
+    return np.swapaxes(A, 1, 2) @ g @ B
 
 
 def structure_identity_suite(S: MixedThreeStructure, points=None, seed=0,
@@ -74,39 +95,30 @@ def structure_identity_suite(S: MixedThreeStructure, points=None, seed=0,
     """All algebraic axioms of a metric mixed 3-structure at sampled points."""
     M = S.manifold
     pts = _default_points(M, points, seed)
-    n = M.dim
-    rows = []
-    for p in pts:
-        g = M.metric_at(p)
-        phi = _phi_mats(S, p)
-        xi = [x.at(M, p) for x in S.xi]
-        eta = [e.at(M, p) for e in S.eta]
-        ident = np.eye(n)
-        worst = 0.0
-        scale = max(max(_max_abs(a) for a in phi), 1.0)
-        for a in range(3):
-            # phi^2 = -eps Id + xi (x) eta,  eta(xi) = eps
-            worst = max(worst, _max_abs(phi[a] @ phi[a] + EPS[a] * ident
-                                        - np.outer(xi[a], eta[a])))
-            worst = max(worst, abs(float(eta[a] @ xi[a]) - EPS[a]))
-            # compatibility and metric duality
-            worst = max(worst, _max_abs(phi[a].T @ g @ phi[a] - EPS[a] * g
-                                        + np.outer(eta[a], eta[a])))
-            worst = max(worst, _max_abs(g @ xi[a] - eta[a]))
-            for b in range(3):
-                if a != b:
-                    worst = max(worst, abs(float(eta[a] @ xi[b])))
-        for a, b, c in _EVEN:
-            worst = max(worst, _max_abs(phi[a] @ xi[b] - EPS[c] * xi[c]))
-            worst = max(worst, _max_abs(phi[b] @ xi[a] + EPS[c] * xi[c]))
-            worst = max(worst, _max_abs(eta[a] @ phi[b] - EPS[c] * eta[c]))
-            worst = max(worst, _max_abs(eta[b] @ phi[a] + EPS[c] * eta[c]))
-            worst = max(worst, _max_abs(phi[a] @ phi[b] - np.outer(xi[a], eta[b])
-                                        - EPS[c] * phi[c]))
-            worst = max(worst, _max_abs(-phi[b] @ phi[a] + np.outer(xi[b], eta[a])
-                                        - EPS[c] * phi[c]))
-        rows.append((p, worst, scale))
-    return _report("mixed-structure-identities", rows, tol)
+    g = M.evaluate(M.metric, pts)
+    phi, xi, eta = (_values(T, M, pts) for T in (S.phi, S.xi, S.eta))
+    ident = np.eye(M.dim)
+    terms = []
+    for a in range(3):
+        # phi^2 = -eps Id + xi (x) eta,  eta(xi) = eps
+        terms.append(_max_abs(phi[a] @ phi[a] + EPS[a] * ident - _outer(xi[a], eta[a])))
+        terms.append(np.abs(_dot(eta[a], xi[a]) - EPS[a]))
+        # compatibility and metric duality
+        terms.append(_max_abs(_form(phi[a], g, phi[a]) - EPS[a] * g
+                              + _outer(eta[a], eta[a])))
+        terms.append(_max_abs(_mv(g, xi[a]) - eta[a]))
+        for b in range(3):
+            if a != b:
+                terms.append(np.abs(_dot(eta[a], xi[b])))
+    for a, b, c in _EVEN:
+        terms.append(_max_abs(_mv(phi[a], xi[b]) - EPS[c] * xi[c]))
+        terms.append(_max_abs(_mv(phi[b], xi[a]) + EPS[c] * xi[c]))
+        terms.append(_max_abs(np.einsum("pi,pij->pj", eta[a], phi[b]) - EPS[c] * eta[c]))
+        terms.append(_max_abs(np.einsum("pi,pij->pj", eta[b], phi[a]) + EPS[c] * eta[c]))
+        terms.append(_max_abs(phi[a] @ phi[b] - _outer(xi[a], eta[b]) - EPS[c] * phi[c]))
+        terms.append(_max_abs(-phi[b] @ phi[a] + _outer(xi[b], eta[a]) - EPS[c] * phi[c]))
+    scale = np.maximum(np.max([_max_abs(m) for m in phi], axis=0), 1.0)
+    return _report("mixed-structure-identities", pts, np.max(terms, axis=0), scale, tol)
 
 
 def _nabla_phi(S: MixedThreeStructure, a: int) -> TensorField:
@@ -126,31 +138,23 @@ def sasakian_residuals(S: MixedThreeStructure, points=None, seed=0,
     """
     M = S.manifold
     pts = _default_points(M, points, seed)
-    nphi = [_nabla_phi(S, a) for a in range(3)]
-    rows = []
-    for p in pts:
-        g = M.metric_at(p)
-        phi = _phi_mats(S, p)
-        xi = [x.at(M, p) for x in S.xi]
-        eta = [e.at(M, p) for e in S.eta]
-        worst = 0.0
-        scale = 1.0
-        for a in range(3):
-            dphi = nphi[a].at(M, p)   # dphi[lam, i, j] = (grad_lam phi)^i_j
-            scale = max(scale, _max_abs(dphi))
-            if a == 0:
-                # (grad_X phi1) Y = -g(X,Y) xi1 + eta1(Y) X
-                target = (-np.einsum("lj,i->lij", g, xi[a])
-                          + np.einsum("j,li->lij", eta[a], np.eye(M.dim)))
-            else:
-                gphiphi = phi[a].T @ g @ phi[a]
-                phi2 = phi[a] @ phi[a]
-                # (grad_X phi) Y = g(phiX, phiY) xi + eta(Y) phi^2 X
-                target = (np.einsum("lj,i->lij", gphiphi, xi[a])
-                          + np.einsum("j,il->lij", eta[a], phi2))
-            worst = max(worst, _max_abs(dphi - target))
-        rows.append((p, worst, scale))
-    return _report("sasakian-laws", rows, tol)
+    g = M.evaluate(M.metric, pts)
+    phi, xi, eta = (_values(T, M, pts) for T in (S.phi, S.xi, S.eta))
+    # dphi[a][p, lam, i, j] = (grad_lam phi_a)^i_j
+    dphi = _values([_nabla_phi(S, a) for a in range(3)], M, pts)
+    terms = []
+    for a in range(3):
+        if a == 0:
+            # (grad_X phi1) Y = -g(X,Y) xi1 + eta1(Y) X
+            target = (-np.einsum("plj,pi->plij", g, xi[a])
+                      + np.einsum("pj,li->plij", eta[a], np.eye(M.dim)))
+        else:
+            # (grad_X phi) Y = g(phiX, phiY) xi + eta(Y) phi^2 X
+            target = (np.einsum("plj,pi->plij", _form(phi[a], g, phi[a]), xi[a])
+                      + np.einsum("pj,pil->plij", eta[a], phi[a] @ phi[a]))
+        terms.append(_max_abs(dphi[a] - target))
+    scale = np.maximum(np.max([_max_abs(d) for d in dphi], axis=0), 1.0)
+    return _report("sasakian-laws", pts, np.max(terms, axis=0), scale, tol)
 
 
 def killing_triple_check(S: MixedThreeStructure, points=None, seed=0,
@@ -164,30 +168,25 @@ def killing_triple_check(S: MixedThreeStructure, points=None, seed=0,
     for a in range(3):
         rep = killing_vector_residual(S.xi[a], M, pts, tol=tol)
         sub[f"killing_xi{a+1}"] = rep.max_rel_residual
-    brackets = {}
+    g = M.evaluate(M.metric, pts)
+    ginv = M.inverse_metric_values(pts)
+    xi, phi = _values(S.xi, M, pts), _values(S.phi, M, pts)
+    terms = [np.full(len(pts), max(sub.values()))]
+    for a in range(3):
+        terms.append(np.abs(_dot(xi[a], _mv(g, xi[a])) - EPS[a]))
+        for b in range(a + 1, 3):
+            terms.append(np.abs(_dot(xi[a], _mv(g, xi[b]))))
     for a, b, c in _EVEN:
-        br = lie_bracket(S.xi[a], S.xi[b], M)
-        brackets[(a, b, c)] = br
-    nxi = [covariant_derivative(lower_index(S.xi[a], M, 0), M) for a in range(3)]
-    rows = []
-    for p in pts:
-        g = M.metric_at(p)
-        ginv = M.inverse_metric_at(p)
-        xi = [x.at(M, p) for x in S.xi]
-        phi = _phi_mats(S, p)
-        worst = max(sub.values())
-        for a in range(3):
-            worst = max(worst, abs(float(xi[a] @ g @ xi[a]) - EPS[a]))
-            for b in range(a + 1, 3):
-                worst = max(worst, abs(float(xi[a] @ g @ xi[b])))
-        for (a, b, c), br in brackets.items():
-            worst = max(worst, _max_abs(br.at(M, p) + 2 * EPS[c] * xi[c]))
-        for a in range(3):
-            # phi_a X = grad_X xi_a; nxi[a][mu, nu] = grad_mu (xi_a)_nu
-            grad = ginv @ nxi[a].at(M, p).T   # (grad_mu xi^i) as [i, mu]
-            worst = max(worst, _max_abs(phi[a] - grad))
-        rows.append((p, worst, 1.0))
-    return _report("killing-triple", rows, tol, extra=sub)
+        br = M.evaluate(lie_bracket(S.xi[a], S.xi[b], M).components, pts)
+        terms.append(_max_abs(br + 2 * EPS[c] * xi[c]))
+    for a in range(3):
+        # phi_a X = grad_X xi_a; nxi[p, mu, nu] = grad_mu (xi_a)_nu
+        nxi = M.evaluate(covariant_derivative(lower_index(S.xi[a], M, 0), M).components,
+                         pts)
+        grad = ginv @ np.swapaxes(nxi, 1, 2)   # (grad_mu xi^i) as [i, mu]
+        terms.append(_max_abs(phi[a] - grad))
+    return _report("killing-triple", pts, np.max(terms, axis=0), np.ones(len(pts)),
+                   tol, extra=sub)
 
 
 def curvature_characterization(S: MixedThreeStructure, points=None, seed=0,
@@ -195,22 +194,17 @@ def curvature_characterization(S: MixedThreeStructure, points=None, seed=0,
     """R(X, xi_a)Y = g(xi_a, Y) X - g(X, Y) xi_a over the coordinate basis."""
     M = S.manifold
     pts = _default_points(M, points, seed)
-    riem = M.riemann_field()
-    rows = []
-    for p in pts:
-        g = M.metric_at(p)
-        R = riem.at(M, p)   # R[rho, sig, mu, nu] : R(e_mu, e_nu) e_sig
-        worst = 0.0
-        for a in range(3):
-            xi = S.xi[a].at(M, p)
-            eta = g @ xi
-            # R(X, xi)Y with X = e_mu, Y = e_sig
-            lhs = np.einsum("rsmn,n->rsm", R, xi)
-            target = (np.einsum("s,rm->rsm", eta, np.eye(M.dim))
-                      - np.einsum("ms,r->rsm", g, xi))
-            worst = max(worst, _max_abs(lhs - target))
-        rows.append((p, worst, max(1.0, _max_abs(R))))
-    return _report("curvature-characterization", rows, tol)
+    g = M.evaluate(M.metric, pts)
+    R = M.evaluate(M.riemann(), pts)   # R[p, rho, sig, mu, nu] : R(e_mu, e_nu) e_sig
+    terms = []
+    for xi in _values(S.xi, M, pts):
+        # R(X, xi)Y with X = e_mu, Y = e_sig
+        lhs = np.einsum("prsmn,pn->prsm", R, xi)
+        target = (np.einsum("ps,rm->prsm", _mv(g, xi), np.eye(M.dim))
+                  - np.einsum("pms,pr->prsm", g, xi))
+        terms.append(_max_abs(lhs - target))
+    return _report("curvature-characterization", pts, np.max(terms, axis=0),
+                   np.maximum(1.0, _max_abs(R)), tol)
 
 
 def sectional_curvature_check(S: MixedThreeStructure, points=None, seed=0,
@@ -218,42 +212,33 @@ def sectional_curvature_check(S: MixedThreeStructure, points=None, seed=0,
     """Sectional curvature of nondegenerate planes containing xi_a equals 1."""
     M = S.manifold
     pts = _default_points(M, points, seed)
-    riem = M.riemann_field()
-    n = M.dim
-    rows = []
+    g = M.evaluate(M.metric, pts)
+    R = M.evaluate(M.riemann(), pts)
+    Rlow = np.einsum("pra,pasmn->prsmn", g, R)   # R_{rho sig mu nu}
+    terms = [np.zeros(len(pts))]
     skipped = 0
-    for p in pts:
-        g = M.metric_at(p)
-        R = riem.at(M, p)
-        Rlow = np.einsum("ra,asmn->rsmn", g, R)   # R_{rho sig mu nu}
-        worst = 0.0
-        for a in range(3):
-            xi = S.xi[a].at(M, p)
-            for mu in range(n):
-                X = np.zeros(n)
-                X[mu] = 1.0
-                denom = (float(xi @ g @ xi) * float(X @ g @ X)
-                         - float(xi @ g @ X) ** 2)
-                if abs(denom) <= degeneracy_guard:
-                    skipped += 1
-                    continue
-                # K = g(R(xi, X) X, xi) / denom = R_{rho sig mu nu} xi^rho X^sig xi^mu X^nu / denom
-                num = float(np.einsum("rsmn,r,s,m,n->", Rlow, xi, X, xi, X))
-                worst = max(worst, abs(num / denom - 1.0))
-        rows.append((p, worst, 1.0))
-    return _report("sectional-curvature", rows, tol, extra={"skipped_planes": skipped})
+    for xi in _values(S.xi, M, pts):
+        gxi = _mv(g, xi)
+        for mu in range(M.dim):
+            # plane spanned by xi and X = e_mu
+            denom = _dot(xi, gxi) * g[:, mu, mu] - gxi[:, mu] ** 2
+            skip = np.abs(denom) <= degeneracy_guard
+            skipped += int(skip.sum())
+            # K = g(R(xi, X) X, xi) / denom = R_{rho sig mu nu} xi^rho X^sig xi^mu X^nu / denom
+            num = np.einsum("prm,pr,pm->p", Rlow[:, :, mu, :, mu], xi, xi)
+            terms.append(np.where(skip, 0.0, np.abs(num / np.where(skip, 1.0, denom) - 1.0)))
+    return _report("sectional-curvature", pts, np.max(terms, axis=0), np.ones(len(pts)),
+                   tol, extra={"skipped_planes": skipped})
 
 
 def einstein_check(M: Manifold, lam: float, points=None, seed=0,
                    tol=DEFAULT_TOL) -> ResidualReport:
     """Residual of Ric - lam * g at sampled points."""
     pts = _default_points(M, points, seed)
-    ric = M.ricci()
-    rows = []
-    for p in pts:
-        res = ric.at(M, p) - lam * M.metric_at(p)
-        rows.append((p, _max_abs(res), max(1.0, _max_abs(M.metric_at(p)))))
-    return _report("einstein", rows, tol, extra={"einstein_constant": lam})
+    g = M.evaluate(M.metric, pts)
+    res = M.evaluate(M.ricci().components, pts) - lam * g
+    return _report("einstein", pts, _max_abs(res), np.maximum(1.0, _max_abs(g)), tol,
+                   extra={"einstein_constant": lam})
 
 
 # ---------------------------------------------------------------------------
@@ -300,17 +285,14 @@ def para_hyperkahler_check(C: ConeManifold, points=None, seed=0,
     """J1 J2 J3 = -Id, eps-hermiticity, and parallelism of each J."""
     M = C.manifold
     pts = _default_points(M, points, seed)
-    nJ = [covariant_derivative(J, M) for J in C.J]
-    rows = []
-    for p in pts:
-        g = M.metric_at(p)
-        J = [Ja.at(M, p) for Ja in C.J]
-        worst = _max_abs(J[0] @ J[1] @ J[2] + np.eye(M.dim))
-        for a in range(3):
-            worst = max(worst, _max_abs(J[a].T @ g @ J[a] - EPS[a] * g))
-            worst = max(worst, _max_abs(nJ[a].at(M, p)))
-        rows.append((p, worst, max(1.0, max(_max_abs(Ja) for Ja in J))))
-    return _report("para-hyperkahler", rows, tol)
+    g = M.evaluate(M.metric, pts)
+    J = _values(C.J, M, pts)
+    terms = [_max_abs(J[0] @ J[1] @ J[2] + np.eye(M.dim))]
+    for a in range(3):
+        terms.append(_max_abs(_form(J[a], g, J[a]) - EPS[a] * g))
+        terms.append(_max_abs(M.evaluate(covariant_derivative(C.J[a], M).components, pts)))
+    scale = np.maximum(1.0, np.max([_max_abs(Ja) for Ja in J], axis=0))
+    return _report("para-hyperkahler", pts, np.max(terms, axis=0), scale, tol)
 
 
 def reverse_cone(C: ConeManifold) -> MixedThreeStructure:
@@ -348,17 +330,15 @@ def cone_roundtrip_residual(S: MixedThreeStructure, C: ConeManifold,
     R = reverse_cone(C)
     M = S.manifold
     pts = _default_points(M, points, seed)
-    rows = []
-    for p in pts:
-        worst = scale = 0.0
-        for a in range(3):
-            for orig, back in ((S.phi[a], R.phi[a]), (S.xi[a], R.xi[a]),
-                               (S.eta[a], R.eta[a])):
-                o, b = orig.at(M, p), back.at(M, p)
-                worst = max(worst, _max_abs(o - b))
-                scale = max(scale, _max_abs(o))
-        rows.append((p, worst, scale))
-    return _report("cone-roundtrip", rows, tol)
+    residual, scale = [np.zeros(len(pts))], [np.zeros(len(pts))]
+    for a in range(3):
+        for orig, back in ((S.phi[a], R.phi[a]), (S.xi[a], R.xi[a]),
+                           (S.eta[a], R.eta[a])):
+            o, b = _values((orig, back), M, pts)
+            residual.append(_max_abs(o - b))
+            scale.append(_max_abs(o))
+    return _report("cone-roundtrip", pts, np.max(residual, axis=0),
+                   np.max(scale, axis=0), tol)
 
 
 # ---------------------------------------------------------------------------
@@ -366,40 +346,38 @@ def cone_roundtrip_residual(S: MixedThreeStructure, C: ConeManifold,
 
 def phi_not_killing_witness(S: MixedThreeStructure, points=None, seed=0,
                             threshold=1e-6) -> ResidualReport:
-    """Find non-lightlike X orthogonal to xi_a with (grad_X phi_a) X != 0."""
+    """Find non-lightlike X orthogonal to xi_a with (grad_X phi_a) X != 0.
+
+    For each alpha the witness is the first hit in point order, then in
+    coordinate-direction order."""
     M = S.manifold
     pts = _default_points(M, points, seed)
-    nphi = [_nabla_phi(S, a) for a in range(3)]
+    g = M.evaluate(M.metric, pts)
+    n = M.dim
     witnesses = []
     min_val = np.inf
-    n = M.dim
     worst_point = {}
     for a in range(3):
-        found = None
-        for p in pts:
-            g = M.metric_at(p)
-            xi = S.xi[a].at(M, p)
-            dphi = nphi[a].at(M, p)
-            for mu in range(n):
-                X = np.zeros(n)
-                X[mu] = 1.0
-                # project X g-orthogonally to xi_a (xi_a is non-null)
-                X = X - (float(X @ g @ xi) / float(xi @ g @ xi)) * xi
-                if abs(float(X @ g @ X)) < 1e-8:
-                    continue   # lightlike, excluded by the proposition
-                val = _max_abs(np.einsum("lij,l,j->i", dphi, X, X))
-                if val > threshold:
-                    found = {"alpha": a + 1, "point": dict(p),
-                             "direction": mu, "magnitude": val}
-                    break
-            if found:
-                break
-        if found is None:
+        xi = M.evaluate(S.xi[a].components, pts)
+        dphi = M.evaluate(_nabla_phi(S, a).components, pts)
+        gxi = _mv(g, xi)
+        hits = np.zeros((len(pts), n), dtype=bool)
+        vals = np.zeros((len(pts), n))
+        for mu in range(n):
+            # project X = e_mu g-orthogonally to xi_a (xi_a is non-null)
+            X = np.eye(n)[mu] - (gxi[:, mu] / _dot(xi, gxi))[:, None] * xi
+            # lightlike directions are excluded by the proposition
+            lightlike = np.abs(_dot(X, _mv(g, X))) < 1e-8
+            vals[:, mu] = _max_abs(np.einsum("plij,pl,pj->pi", dphi, X, X))
+            hits[:, mu] = ~lightlike & (vals[:, mu] > threshold)
+        if hits.any():
+            p, mu = np.unravel_index(np.argmax(hits), hits.shape)
+            witnesses.append({"alpha": a + 1, "point": dict(pts[p]),
+                              "direction": int(mu), "magnitude": float(vals[p, mu])})
+            min_val = min(min_val, witnesses[-1]["magnitude"])
+        else:
             min_val = 0.0
             worst_point = dict(pts[0])
-        else:
-            witnesses.append(found)
-            min_val = min(min_val, found["magnitude"])
     passed = len(witnesses) == 3
     return ResidualReport("phi-not-killing-witness", threshold, len(pts),
                           float(min_val if passed else 0.0),
@@ -414,7 +392,7 @@ def conformal_to_killing_check(S: MixedThreeStructure, X: TensorField,
     pts = _default_points(M, points, seed)
     factors, rep = conformal_killing_factor(X, M, pts, tol=tol)
     is_ckv = rep.passed
-    factor_max = max(abs(f) for f in factors)
+    factor_max = float(np.max(np.abs(factors)))
     passed = is_ckv and factor_max < tol
     status = "killing" if passed else ("not-ckv" if not is_ckv else "ckv-not-killing")
     return ResidualReport("conformal-to-killing", tol, len(pts),
@@ -451,7 +429,7 @@ def ky_odd_rank_check(S: MixedThreeStructure, k: int, alpha: int = 0,
                       points=None, seed=0, tol=DEFAULT_TOL) -> ResidualReport:
     form = ky_odd_rank_candidate(S, alpha, k)
     pts = _default_points(S.manifold, points, seed)
-    if all(_max_abs(form.at(S.manifold, p)) < 1e-14 for p in pts[:3]):
+    if np.all(_max_abs(S.manifold.evaluate(form.components, pts[:3])) < 1e-14):
         raise GeometryError("degenerate (zero) candidate form")
     rep = ky_residual(form, S.manifold, pts, tol=tol)
     rep.extra["rank"] = 2 * k + 1

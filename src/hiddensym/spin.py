@@ -6,6 +6,7 @@ two-form), with numeric verification of their (anti)commutation identities.
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass, field
 
@@ -84,14 +85,11 @@ def frame_residual(F: Frame, M: Manifold, points=None, seed=0,
                    tol=1e-10) -> ResidualReport:
     """e^a_mu e^b_nu eta_ab - g_{mu nu} at sampled points."""
     pts = _default_points(M, points, seed)
-    fn = M.compile_array(F.vierbein)
+    e = M.evaluate(F.vierbein, pts)
+    g = M.evaluate(M.metric, pts)
     eta = np.diag(F.eta).astype(float)
-    rows = []
-    for p in pts:
-        e = fn(p)
-        g = M.metric_at(p)
-        rows.append((p, _max_abs(e.T @ eta @ e - g), _max_abs(g)))
-    return _report("frame-orthonormality", rows, tol)
+    return _report("frame-orthonormality", pts,
+                   _max_abs(np.swapaxes(e, 1, 2) @ eta @ e - g), _max_abs(g), tol)
 
 
 def spin_connection(F: Frame, M: Manifold) -> np.ndarray:
@@ -122,12 +120,9 @@ def spin_connection(F: Frame, M: Manifold) -> np.ndarray:
 def spin_connection_antisymmetry(omega, M: Manifold, points=None, seed=0,
                                  tol=1e-10) -> ResidualReport:
     pts = _default_points(M, points, seed)
-    fn = M.compile_array(omega)
-    rows = []
-    for p in pts:
-        w = fn(p)
-        rows.append((p, _max_abs(w + np.swapaxes(w, 1, 2)), max(1.0, _max_abs(w))))
-    return _report("spin-connection-antisymmetry", rows, tol)
+    w = M.evaluate(omega, pts)
+    return _report("spin-connection-antisymmetry", pts,
+                   _max_abs(w + np.swapaxes(w, 2, 3)), np.maximum(1.0, _max_abs(w)), tol)
 
 
 # ---------------------------------------------------------------------------
@@ -260,22 +255,19 @@ class SpinContext:
                             * rep.matrices[a] * rep.matrices[b])
             self.conn.append(acc)
 
-    def covariant_spinor_derivative(self, psi: SpinorField) -> list[SpinorField]:
-        """grad_mu psi = d_mu psi + (1/4) omega_{mu a b} gamma^a gamma^b psi."""
-        xs = self.M.coord_symbols
-        size = self.rep.spinor_size
-        out = []
-        for mu in range(self.M.dim):
-            comp = np.empty(size, dtype=object)
-            for s in range(size):
-                expr = sp.diff(psi[s], xs[mu])
-                for s2 in range(size):
-                    c = self.conn[mu][s, s2]
-                    if c != 0:
-                        expr += c * psi[s2]
-                comp[s] = expr
-            out.append(comp)
-        return out
+    def operator(self, spec: OperatorSpec) -> "LinearOperator":
+        """The operator of spec, built once per context."""
+        key = _spec_key(spec)
+        if key not in self._op_cache:
+            self._op_cache[key] = build_operator(spec, self)
+        return self._op_cache[key]
+
+    def composed(self, first: OperatorSpec, second: OperatorSpec) -> "SecondOrderOperator":
+        """The operator of first applied after that of second, composed once."""
+        key = (_spec_key(first), _spec_key(second))
+        if key not in self._compose_cache:
+            self._compose_cache[key] = self.operator(first).compose(self.operator(second))
+        return self._compose_cache[key]
 
     def _mat_apply(self, mat: sp.Matrix, vec: np.ndarray) -> np.ndarray:
         size = self.rep.spinor_size
@@ -290,18 +282,14 @@ class SpinContext:
         return out
 
 
-def _tidy(m: sp.Matrix) -> sp.Matrix:
-    # Coefficient matrices stay small enough to leave unsimplified; numeric
-    # evaluation uses common-subexpression elimination, and sp.cancel on the
-    # mixed-radical entries that appear here is prohibitively slow.
-    return m
-
-
 class LinearOperator:
     """First-order operator c1[mu] d_mu + c0 with matrix coefficients.
 
     Composition happens on the coefficient matrices, so second-order
-    compositions stay exact while never differentiating bank spinors."""
+    compositions stay exact while never differentiating bank spinors.
+    Coefficients are left unsimplified: sp.cancel on their mixed-radical
+    entries is prohibitively slow, and numeric evaluation eliminates common
+    subexpressions instead."""
 
     def __init__(self, ctx: SpinContext, c1: list[sp.Matrix], c0: sp.Matrix):
         self.ctx = ctx
@@ -323,7 +311,7 @@ class LinearOperator:
         n = ctx.M.dim
         xs = ctx.M.coord_symbols
         size = ctx.rep.spinor_size
-        c2 = [[_tidy(self.c1[mu] * other.c1[nu]) for nu in range(n)]
+        c2 = [[self.c1[mu] * other.c1[nu] for nu in range(n)]
               for mu in range(n)]
         c1 = [sp.zeros(size, size) for _ in range(n)]
         for nu in range(n):
@@ -331,12 +319,12 @@ class LinearOperator:
             for mu in range(n):
                 acc += self.c1[mu] * other.c1[nu].applyfunc(
                     lambda e, x=xs[mu]: sp.diff(e, x))
-            c1[nu] = _tidy(acc)
+            c1[nu] = acc
         c0 = self.c0 * other.c0
         for mu in range(n):
             c0 += self.c1[mu] * other.c0.applyfunc(
                 lambda e, x=xs[mu]: sp.diff(e, x))
-        return SecondOrderOperator(ctx, c2, c1, _tidy(c0))
+        return SecondOrderOperator(ctx, c2, c1, c0)
 
 
 class SecondOrderOperator:
@@ -345,22 +333,6 @@ class SecondOrderOperator:
         self.c2 = c2
         self.c1 = c1
         self.c0 = c0
-
-    def __add__(self, other):
-        n = self.ctx.M.dim
-        return SecondOrderOperator(
-            self.ctx,
-            [[self.c2[m][n2] + other.c2[m][n2] for n2 in range(n)] for m in range(n)],
-            [self.c1[m] + other.c1[m] for m in range(n)],
-            self.c0 + other.c0)
-
-    def __sub__(self, other):
-        n = self.ctx.M.dim
-        return SecondOrderOperator(
-            self.ctx,
-            [[self.c2[m][n2] - other.c2[m][n2] for n2 in range(n)] for m in range(n)],
-            [self.c1[m] - other.c1[m] for m in range(n)],
-            self.c0 - other.c0)
 
     def apply(self, psi: SpinorField) -> SpinorField:
         ctx = self.ctx
@@ -386,11 +358,11 @@ def build_operator(spec: OperatorSpec, ctx: SpinContext) -> LinearOperator:
 
     if spec.kind == "standard-dirac":
         # D_s = i gamma^mu grad_mu
-        c1 = [_tidy(sp.I * ctx.gamma_up[mu]) for mu in range(n)]
+        c1 = [sp.I * ctx.gamma_up[mu] for mu in range(n)]
         c0 = sp.zeros(size, size)
         for mu in range(n):
             c0 += sp.I * ctx.gamma_up[mu] * ctx.conn[mu]
-        return LinearOperator(ctx, c1, _tidy(c0))
+        return LinearOperator(ctx, c1, c0)
 
     if spec.kind == "killing-op":
         # X_k = -i (R^mu grad_mu + QUARTER_SIGN/4 gamma^mu gamma^nu R_{mu;nu})
@@ -399,7 +371,7 @@ def build_operator(spec: OperatorSpec, ctx: SpinContext) -> LinearOperator:
             raise ValueError("killing-op payload must be a vector field")
         Rlow = lower_index(R, M, 0)
         dR = covariant_derivative(Rlow, M).components    # dR[nu, mu] = R_{mu;nu}
-        c1 = [_tidy(-sp.I * R.components[mu] * sp.eye(size)) for mu in range(n)]
+        c1 = [-sp.I * R.components[mu] * sp.eye(size) for mu in range(n)]
         c0 = sp.zeros(size, size)
         for mu in range(n):
             c0 += R.components[mu] * ctx.conn[mu]
@@ -409,7 +381,7 @@ def build_operator(spec: OperatorSpec, ctx: SpinContext) -> LinearOperator:
                 if c != 0:
                     c0 += (QUARTER_SIGN * sp.Rational(1, 4) * c
                            * ctx.gamma_up[mu] * ctx.gamma_up[nu])
-        return LinearOperator(ctx, c1, _tidy(-sp.I * c0))
+        return LinearOperator(ctx, c1, -sp.I * c0)
 
     # dirac-type: D_f = i gamma^mu (f_mu^nu grad_nu - (1/6) gamma^nu gamma^rho f_{mu nu;rho})
     f = spec.payload
@@ -428,7 +400,7 @@ def build_operator(spec: OperatorSpec, ctx: SpinContext) -> LinearOperator:
         for mu in range(n):
             if fmix[mu, nu] != 0:
                 acc += fmix[mu, nu] * ctx.gamma_up[mu]
-        c1.append(_tidy(sp.I * acc))
+        c1.append(sp.I * acc)
     c0 = sp.zeros(size, size)
     for mu in range(n):
         for nu in range(n):
@@ -441,7 +413,7 @@ def build_operator(spec: OperatorSpec, ctx: SpinContext) -> LinearOperator:
                 if c != 0:
                     curl += c * ctx.gamma_up[nu] * ctx.gamma_up[rho]
         c0 -= sp.Rational(1, 6) * ctx.gamma_up[mu] * curl
-    return LinearOperator(ctx, c1, _tidy(sp.I * c0))
+    return LinearOperator(ctx, c1, sp.I * c0)
 
 
 def _spec_key(spec: OperatorSpec) -> tuple:
@@ -452,15 +424,6 @@ def _spec_key(spec: OperatorSpec) -> tuple:
     t = spec.payload
     comps = tuple(sp.srepr(t.components[idx]) for idx in np.ndindex(t.components.shape))
     return (spec.kind, t.variance, t.components.shape, comps)
-
-
-def apply_operator(spec: OperatorSpec, psi: SpinorField, ctx: SpinContext) -> SpinorField:
-    """Symbolic application; composition remains exact to second order."""
-    key = _spec_key(spec)
-    cache = ctx._op_cache
-    if key not in cache:
-        cache[key] = build_operator(spec, ctx)
-    return cache[key].apply(psi)
 
 
 # ---------------------------------------------------------------------------
@@ -488,62 +451,34 @@ def spinor_bank(M: Manifold, count: int = 5, seed: int = 0,
     return bank
 
 
-def _eval_spinor(psi: SpinorField, M: Manifold, points) -> np.ndarray:
-    args = M._arg_symbols()
-    fn = sp.lambdify(args, list(psi), modules="numpy", cse=True)
-    params = [M.params[p] for p in sorted(M.params)]
-    coords = M.chart.coords
-    return np.array([fn(*[p[c] for c in coords], *params) for p in points],
-                    dtype=complex)
-
-
-def _get_operator(spec: OperatorSpec, ctx: SpinContext) -> "LinearOperator":
-    key = _spec_key(spec)
-    if key not in ctx._op_cache:
-        ctx._op_cache[key] = build_operator(spec, ctx)
-    return ctx._op_cache[key]
-
-
 def _bilinear_report(check, specA, specB, ctx, bank, points, seed, tol,
                      combine, squares=False) -> ResidualReport:
+    """The report of the bank spinor with the worst relative residual."""
     M = ctx.M
     pts = _default_points(M, points, seed)
     if bank is None:
         bank = spinor_bank(M, 5, seed)
-    A = _get_operator(specA, ctx)
-    B = _get_operator(specB, ctx)
     if squares:
-        ab_op, ba_op = _compose_cached(A, A, ctx), _compose_cached(B, B, ctx)
+        ab_op, ba_op = ctx.composed(specA, specA), ctx.composed(specB, specB)
     else:
-        ab_op, ba_op = _compose_cached(A, B, ctx), _compose_cached(B, A, ctx)
+        ab_op, ba_op = ctx.composed(specA, specB), ctx.composed(specB, specA)
     pieces = []
     for psi in bank:
         pieces.append(ab_op.apply(psi))
         pieces.append(ba_op.apply(psi))
-    vals = _eval_spinor(np.concatenate(pieces), M, pts)
-    s = ctx.rep.spinor_size
-    worst = None
-    for k in range(len(bank)):
-        rows = []
-        for i, p in enumerate(pts):
-            va = vals[i, 2 * k * s:(2 * k + 1) * s]
-            vb = vals[i, (2 * k + 1) * s:(2 * k + 2) * s]
-            res = float(np.max(np.abs(combine(va, vb))))
-            scale = max(float(np.max(np.abs(va))), float(np.max(np.abs(vb))), 1.0)
-            rows.append((p, res, scale))
-        rep = _report(check, rows, tol)
-        if worst is None or rep.max_rel_residual > worst.max_rel_residual:
-            worst = rep
+    # vals[p, k, 0] = (AB psi_k)(p), vals[p, k, 1] = (BA psi_k)(p)
+    vals = M.evaluate(np.array(pieces).reshape(len(bank), 2, -1), pts, dtype=complex)
+    va, vb = vals[:, :, 0], vals[:, :, 1]
+    residual = np.max(np.abs(combine(va, vb)), axis=2)
+    scale = np.maximum(np.maximum(np.max(np.abs(va), axis=2), np.max(np.abs(vb), axis=2)),
+                       1.0)
+    reports = [_report(check, pts, residual[:, k], scale[:, k], tol)
+               for k in range(len(bank))]
+    # a non-finite report ranks above every finite one
+    worst = max(reports, key=lambda r: (not math.isfinite(r.max_rel_residual),
+                                        r.max_rel_residual))
     worst.extra["bank_size"] = len(bank)
     return worst
-
-
-def _compose_cached(A: "LinearOperator", B: "LinearOperator",
-                    ctx: SpinContext) -> "SecondOrderOperator":
-    key = (id(A), id(B))
-    if key not in ctx._compose_cache:
-        ctx._compose_cache[key] = A.compose(B)
-    return ctx._compose_cache[key]
 
 
 def anticommutator_residual(specA: OperatorSpec, specB: OperatorSpec,

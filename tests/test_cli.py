@@ -57,6 +57,14 @@ class TestIngest:
         with pytest.raises(FileFormatError):
             ingest(doc)
 
+    @pytest.mark.parametrize("change", [
+        {"domain": {"x": [-1.0, float("inf")], "y": [-1.0, 1.0]}},
+        {"parameters": {"m": float("nan")}},
+    ])
+    def test_non_finite_numbers_rejected(self, change):
+        with pytest.raises(FileFormatError):
+            ingest(dict(MINIMAL, **change))
+
     def test_index_out_of_range_rejected(self):
         doc = dict(MINIMAL,
                    forms={"bad": {"rank": 2, "components": {"0,5": "1"}}})
@@ -214,3 +222,46 @@ class TestCatalogCommand:
         main(["catalog", "export", "--catalog", "flat3"])
         second = capsys.readouterr().out
         assert first == second
+
+
+def _strict(text):
+    def reject(token):
+        raise ValueError(f"non-JSON token {token}")
+    return [json.loads(line, parse_constant=reject) for line in text.splitlines() if line]
+
+
+class TestNumberValidation:
+    SPHERE = ["--catalog", "sphere2", "--target", "dphi"]
+    ORBIT = ["geodesic", "run", "--catalog", "sphere2", "--position", "theta=1.0,phi=0.5",
+             "--velocity", "theta=0.2,phi=0.4"]
+
+    @pytest.mark.parametrize("argv", [
+        ["check", "killing-vector", *SPHERE, "--points", "0"],
+        ["check", "killing-vector", *SPHERE, "--points", "-3"],
+        ["check", "killing-vector", *SPHERE, "--tol", "nan"],
+        ["check", "killing-vector", *SPHERE, "--tol", "inf"],
+        ["check", "killing-vector", *SPHERE, "--tol", "0"],
+        ["check", "killing-vector", *SPHERE, "--tol", "-1e-9"],
+        ["spin", "commute", *SPHERE, "--bank", "0"],
+        ORBIT + ["--stride", "0"],
+        ORBIT + ["--step", "0"],
+        ORBIT + ["--step", "nan"],
+        ORBIT + ["--t1", "nan"],
+        ORBIT + ["--t1", "inf"],
+        ORBIT + ["--invariant-tol", "-1"],
+        ["algebra", "jacobi", "--cutoff", "-1"],
+        ["sasaki", "einstein", "--catalog", "pseudo-sphere", "--einstein-constant", "nan"],
+    ])
+    def test_rejected_with_exit_two(self, capsys, argv):
+        assert main(argv) == 2
+        assert capsys.readouterr().out == ""
+
+    def test_non_finite_residual_is_strict_json(self, capsys, tmp_path):
+        path = tmp_path / "m.json"
+        path.write_text(json.dumps(dict(MINIMAL, vectors={"bad": ["sqrt(x - 5)", "0"]})))
+        code = main(["check", "killing-vector", "--manifold", str(path), "--target", "bad"])
+        reports = _strict(capsys.readouterr().out)
+        assert code == 1
+        assert reports[0]["pass"] is False
+        assert reports[0]["max_residual"] is None
+        assert reports[0]["extra"]["non_finite_points"] == 20

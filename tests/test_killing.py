@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 import sympy as sp
@@ -8,7 +10,7 @@ from hiddensym.killing import (associated_sk, cky_residual,
                                covariant_constancy_residual,
                                killing_vector_residual, ky_residual,
                                sk_residual, unit_root_check)
-from hiddensym.manifold import two_form, vector
+from hiddensym.manifold import GeometryError, sample_points, two_form, vector
 
 
 @pytest.fixture(scope="module")
@@ -19,6 +21,11 @@ def sphere():
 @pytest.fixture(scope="module")
 def flat4():
     return catalog.flat(4).manifold
+
+
+@pytest.fixture(scope="module")
+def flat3():
+    return catalog.flat(3).manifold
 
 
 class TestKillingVector:
@@ -118,3 +125,38 @@ class TestTaubNutObjects:
         rep = covariant_constancy_residual(tn.forms["fY"], tn.manifold,
                                            points=5)
         assert not rep.passed
+
+
+class TestFailClosed:
+    def test_non_finite_residual_fails(self, flat3):
+        x1 = sp.Symbol("x1")
+        pts = sample_points(flat3.chart, 20, 0)
+        with np.errstate(invalid="ignore"):
+            rep = killing_vector_residual(vector([sp.sqrt(x1 - 5), 0, 0]), flat3,
+                                          points=pts)
+        assert not rep.passed
+        assert rep.worst_point == pts[0]
+        assert rep.extra["non_finite_points"] == 20
+        obj = json.loads(json.dumps(rep.to_json(), allow_nan=False))
+        assert obj["max_residual"] is None and obj["max_relative_residual"] is None
+        assert obj["pass"] is False
+
+    def test_first_non_finite_point_is_worst(self, flat3):
+        x1 = sp.Symbol("x1")
+        pts = sample_points(flat3.chart, 20, 0)
+        negative = [p for p in pts if p["x1"] < 0]
+        assert 0 < len(negative) < len(pts)
+        with np.errstate(invalid="ignore"):
+            rep = killing_vector_residual(vector([sp.sqrt(x1), 0, 0]), flat3, points=pts)
+        assert not rep.passed
+        assert rep.worst_point == negative[0]
+        assert rep.extra["non_finite_points"] == len(negative)
+
+    def test_empty_point_set_raises(self, flat3):
+        with pytest.raises(GeometryError):
+            killing_vector_residual(vector([1, 0, 0]), flat3, points=[])
+
+    def test_imaginary_part_raises(self, flat3):
+        x1 = sp.Symbol("x1")
+        with pytest.raises(GeometryError):
+            killing_vector_residual(vector([sp.I * x1, 0, 0]), flat3)

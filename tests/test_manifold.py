@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 import sympy as sp
 
-from hiddensym import catalog
+from hiddensym import catalog, exprkit
 from hiddensym.manifold import (Chart, GeometryError, Manifold, TensorField,
                                 antisymmetrize, covariant_derivative,
                                 exterior_derivative, lie_bracket, lower_index,
@@ -161,3 +161,47 @@ class TestNumericEvaluation:
     def test_check_signature(self, sphere):
         pts = sample_points(sphere.chart, 5, 0)
         assert sphere.check_signature(pts)
+
+
+class TestBatchEvaluation:
+    """Manifold.evaluate against exprkit.evaluate, which substitutes and
+    evaluates each expression with sympy (no lambdify)."""
+
+    TOL = 1e-12
+
+    def _assert_oracle(self, M, arr, pts):
+        got = M.evaluate(arr, pts)
+        assert got.shape == (len(pts),) + arr.shape
+        for p, vals in zip(pts, got):
+            for idx in np.ndindex(arr.shape):
+                want = exprkit.evaluate(sp.sympify(arr[idx]), p, M.params)
+                assert abs(vals[idx] - want) <= self.TOL * max(1.0, abs(want)), idx
+
+    def test_taub_nut_christoffel_riemann_and_form(self, tn):
+        M = tn.manifold
+        pts = sample_points(M.chart, 5, seed=2)
+        self._assert_oracle(M, M.christoffel(), pts)
+        self._assert_oracle(M, M.riemann(), pts)
+        self._assert_oracle(M, tn.forms["fY"].components, pts)
+
+    def test_pseudo_sphere_christoffel(self, ps):
+        M = ps.manifold
+        self._assert_oracle(M, M.christoffel(), sample_points(M.chart, 5, seed=2))
+
+    def test_constant_array_is_broadcast(self, flat3):
+        pts = sample_points(flat3.chart, 4, seed=0)
+        g = flat3.evaluate(flat3.metric, pts)
+        assert g.shape == (4, 3, 3)
+        assert np.array_equal(g, np.broadcast_to(np.eye(3), (4, 3, 3)))
+
+    def test_one_field_on_two_parameter_values(self, tn):
+        T = tn.manifold.metric_field()
+        other = catalog.taub_nut(2.0).manifold
+        p = sample_points(tn.manifold.chart, 1, seed=0)[0]
+        values = []
+        for M in (tn.manifold, other, tn.manifold):
+            want = [exprkit.evaluate(e, p, M.params) for e in T.components.flat]
+            got = T.at(M, p)
+            assert np.allclose(got.flatten(), want, rtol=self.TOL, atol=self.TOL)
+            values.append(got)
+        assert not np.allclose(values[0], values[1])

@@ -131,7 +131,7 @@ class TestFlatIdentities:
 
     def test_dirac_kills_constant_spinor(self, flat4, flat4_ctx):
         psi = np.array([sp.Integer(1)] * 4, dtype=object)
-        out = spin.apply_operator(OperatorSpec("standard-dirac"), psi, flat4_ctx)
+        out = flat4_ctx.operator(OperatorSpec("standard-dirac")).apply(psi)
         assert all(e == 0 for e in out)
 
     def test_anticommutator_with_parallel_form(self, flat4, flat4_ctx):
