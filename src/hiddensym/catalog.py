@@ -176,6 +176,17 @@ def taub_nut(m_value: float = 1.0) -> CatalogEntry:
         {"check": "unit-root", "target": "f3", "expect_pass": True},
         {"check": "unit-root", "target": "fY", "expect_pass": False},
         {"check": "quaternion", "target": "f1,f2,f3", "expect_pass": True},
+        {"check": "spin-anticommute", "target": "f1", "expect_pass": True},
+        {"check": "spin-anticommute", "target": "f2", "expect_pass": True},
+        {"check": "spin-anticommute", "target": "f3", "expect_pass": True},
+        {"check": "spin-commute", "target": "kchi", "expect_pass": True},
+        {"check": "spin-commute", "target": "k1", "expect_pass": True},
+        {"check": "spin-commute", "target": "k2", "expect_pass": True},
+        {"check": "spin-commute", "target": "k3", "expect_pass": True},
+        {"check": "spin-square", "target": "f1", "expect_pass": True},
+        {"check": "spin-square", "target": "f2", "expect_pass": True},
+        {"check": "spin-square", "target": "f3", "expect_pass": True},
+        {"check": "spin-square", "target": "fY", "expect_pass": False},
     ]
     return entry
 

@@ -222,13 +222,16 @@ class Manifold:
 
         One call of the compiled function covers the whole batch; constant
         entries are broadcast.  A real dtype rejects non-zero imaginary parts.
+        Floating-point warnings are silenced: non-finite values are returned
+        for the reports to count and fail.
         """
         arr = np.asarray(components, dtype=object)
         count = len(points)
         x = np.array([[p[c] for c in self.chart.coords] for p in points],
                      dtype=float).reshape(count, self.dim)
-        values = np.stack([np.broadcast_to(v, count)
-                           for v in self.compiled(arr)(*x.T)], axis=-1)
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            values = np.stack([np.broadcast_to(v, count)
+                               for v in self.compiled(arr)(*x.T)], axis=-1)
         if np.iscomplexobj(values) and np.dtype(dtype).kind != "c":
             if np.any(values.imag != 0):
                 raise GeometryError("real-valued tensor has a non-zero imaginary part")

@@ -8,13 +8,12 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import sympy as sp
 
-from .killing import (DEFAULT_TOL, ResidualReport, _default_points, _max_abs,
-                      _report)
+from .killing import ResidualReport, _default_points, _max_abs, _report
 from .manifold import GeometryError, Manifold, TensorField, covariant_derivative, lower_index
 
 # Sign of the quarter term in the Killing operator
@@ -198,9 +197,53 @@ def standard_unitary(size: int) -> sp.Matrix:
 
 
 # ---------------------------------------------------------------------------
-# spinor fields and operators
+# jets and operators
+#
+# Numerically, a field is handled through its jet at a batch of points: one
+# jet axis of length n + 1 per order, holding the partials d_0 .. d_{n-1}
+# and, last, the undifferentiated value.  Operators are the 1-jets of their
+# coefficients, composed by the Leibniz rule in numpy.
 
 SpinorField = np.ndarray      # object array of expressions, length = spinor size
+
+
+def _tangent(arr, xs) -> np.ndarray:
+    """Symbolic 1-jet of an object array: a new leading jet axis."""
+    arr = np.asarray(arr, dtype=object)
+    diff = np.frompyfunc(sp.diff, 2, 1)
+    return np.stack([diff(arr, x) for x in xs] + [arr])
+
+
+def _product(subscripts: str, *jets) -> np.ndarray:
+    """Leibniz rule: the 1-jet of an einsum product of 1-jets of shape
+    (P, n + 1, ...); the subscripts name the axes after the jet axis and
+    must not use p or j."""
+    ins, out = subscripts.split("->")
+    ins = ins.split(",")
+    values = [jet[:, -1] for jet in jets]
+    value = np.einsum(",".join("p" + s for s in ins) + "->p" + out, *values)
+    partials = sum(
+        np.einsum(",".join(("pj" if i == t else "p") + s for i, s in enumerate(ins))
+                  + "->pj" + out,
+                  *(jet[:, :-1] if i == t else values[i] for i, jet in enumerate(jets)))
+        for t in range(len(jets)))
+    return np.concatenate([partials, value[:, None]], axis=1)
+
+
+@dataclass
+class SpinorJet:
+    """Jet of a list of spinor fields at a batch of points: values has
+    shape (P, n + 1, ..., n + 1, fields, spinor size), one jet axis per order."""
+
+    points: list
+    values: np.ndarray
+
+
+def spinor_jet(M: Manifold, spinors, points) -> SpinorJet:
+    """The 2-jet of the spinor fields at the points, from one evaluation."""
+    xs = M.coord_symbols
+    sym2 = _tangent(_tangent(np.array(list(spinors), dtype=object), xs), xs)
+    return SpinorJet(points, M.evaluate(sym2, points, dtype=complex))
 
 
 @dataclass
@@ -230,30 +273,23 @@ class SpinContext:
         self.F = F
         self.rep = rep
         self._op_cache = {}
-        self._compose_cache = {}
         self.omega = spin_connection(F, M)
-        n = M.dim
-        einv = F.inverse()
-        # curved-index gammas gamma^mu = e_a^mu gamma^a
-        self.gamma_up = [sp.zeros(rep.spinor_size, rep.spinor_size) for _ in range(n)]
-        for mu in range(n):
-            acc = sp.zeros(rep.spinor_size, rep.spinor_size)
-            for a in range(n):
-                acc += einv[a, mu] * rep.matrices[a]
-            self.gamma_up[mu] = acc
-        # connection matrices (1/4) omega_{mu a b} gamma^a gamma^b
-        self.conn = []
-        inv_eta = [F.eta[a] for a in range(n)]   # eta^{aa} = eta_{aa} for +-1
-        for mu in range(n):
-            acc = sp.zeros(rep.spinor_size, rep.spinor_size)
-            for a in range(n):
-                for b in range(n):
-                    w = self.omega[mu, a, b]
-                    if w == 0:
-                        continue
-                    acc += (sp.Rational(1, 4) * w * inv_eta[a] * inv_eta[b]
-                            * rep.matrices[a] * rep.matrices[b])
-            self.conn.append(acc)
+        xs = M.coord_symbols
+        self._einv_jet = _tangent(F.inverse(), xs)
+        self._omega_jet = _tangent(self.omega, xs)
+        self._gamma = np.array([np.array(g.tolist(), dtype=complex) for g in rep.matrices])
+        # (1/4) eta^{aa} eta^{bb} gamma^a gamma^b; eta^{aa} = eta_{aa} for +-1
+        eta = np.array(F.eta, dtype=float)
+        self._quarter = 0.25 * np.einsum("a,b,ast,btu->absu", eta, eta,
+                                         self._gamma, self._gamma)
+
+    def frame_jets(self, points) -> tuple[np.ndarray, np.ndarray]:
+        """1-jets of gamma^mu = e_a^mu gamma^a and of the connection matrices
+        (1/4) omega_{mu a b} gamma^a gamma^b, each of shape (P, n + 1, n, s, s)."""
+        einv = self.M.evaluate(self._einv_jet, points)
+        omega = self.M.evaluate(self._omega_jet, points)
+        return (np.einsum("pjam,ast->pjmst", einv, self._gamma),
+                np.einsum("pjmab,abst->pjmst", omega, self._quarter))
 
     def operator(self, spec: OperatorSpec) -> "LinearOperator":
         """The operator of spec, built once per context."""
@@ -263,106 +299,63 @@ class SpinContext:
         return self._op_cache[key]
 
     def composed(self, first: OperatorSpec, second: OperatorSpec) -> "SecondOrderOperator":
-        """The operator of first applied after that of second, composed once."""
-        key = (_spec_key(first), _spec_key(second))
-        if key not in self._compose_cache:
-            self._compose_cache[key] = self.operator(first).compose(self.operator(second))
-        return self._compose_cache[key]
-
-    def _mat_apply(self, mat: sp.Matrix, vec: np.ndarray) -> np.ndarray:
-        size = self.rep.spinor_size
-        out = np.empty(size, dtype=object)
-        for s in range(size):
-            expr = sp.Integer(0)
-            for s2 in range(size):
-                c = mat[s, s2]
-                if c != 0:
-                    expr += c * vec[s2]
-            out[s] = expr
-        return out
+        """The operator of first applied after that of second."""
+        return self.operator(first).compose(self.operator(second))
 
 
 class LinearOperator:
-    """First-order operator c1[mu] d_mu + c0 with matrix coefficients.
+    """First-order operator sum_k K[k] d_k + K[n] with matrix coefficients.
 
-    Composition happens on the coefficient matrices, so second-order
-    compositions stay exact while never differentiating bank spinors.
-    Coefficients are left unsimplified: sp.cancel on their mixed-radical
-    entries is prohibitively slow, and numeric evaluation eliminates common
-    subexpressions instead."""
+    coefficients(points) is the 1-jet of K, shape (P, n + 1, n + 1, s, s):
+    the jet axis first, then k."""
 
-    def __init__(self, ctx: SpinContext, c1: list[sp.Matrix], c0: sp.Matrix):
-        self.ctx = ctx
-        self.c1 = c1
-        self.c0 = c0
+    def __init__(self, coefficients):
+        self.coefficients = coefficients
 
-    def apply(self, psi: SpinorField) -> SpinorField:
-        xs = self.ctx.M.coord_symbols
-        size = self.ctx.rep.spinor_size
-        out = np.full(size, sp.Integer(0), dtype=object)
-        dpsi = [np.array([sp.diff(e, x) for e in psi], dtype=object) for x in xs]
-        for mu in range(self.ctx.M.dim):
-            out = out + self.ctx._mat_apply(self.c1[mu], dpsi[mu])
-        return out + self.ctx._mat_apply(self.c0, psi)
+    def apply(self, jet: SpinorJet) -> SpinorJet:
+        """The operator applied to a spinor jet, one order shorter: the jet's
+        last jet axis pairs with k, and a 2-jet's other axis takes the
+        Leibniz rule with the coefficients' partials."""
+        K = self.coefficients(jet.points)
+        if jet.values.ndim == 5:      # (P, n + 1, n + 1, fields, s)
+            return SpinorJet(jet.points, _product("ktu,kbu->bt", K, jet.values))
+        return SpinorJet(jet.points, np.einsum("pktu,pkbu->pbt", K[:, -1], jet.values))
 
     def compose(self, other: "LinearOperator") -> "SecondOrderOperator":
         """self applied after other."""
-        ctx = self.ctx
-        n = ctx.M.dim
-        xs = ctx.M.coord_symbols
-        size = ctx.rep.spinor_size
-        c2 = [[self.c1[mu] * other.c1[nu] for nu in range(n)]
-              for mu in range(n)]
-        c1 = [sp.zeros(size, size) for _ in range(n)]
-        for nu in range(n):
-            acc = self.c0 * other.c1[nu] + self.c1[nu] * other.c0
-            for mu in range(n):
-                acc += self.c1[mu] * other.c1[nu].applyfunc(
-                    lambda e, x=xs[mu]: sp.diff(e, x))
-            c1[nu] = acc
-        c0 = self.c0 * other.c0
-        for mu in range(n):
-            c0 += self.c1[mu] * other.c0.applyfunc(
-                lambda e, x=xs[mu]: sp.diff(e, x))
-        return SecondOrderOperator(ctx, c2, c1, c0)
+        return SecondOrderOperator(self, other)
 
 
 class SecondOrderOperator:
-    def __init__(self, ctx, c2, c1, c0):
-        self.ctx = ctx
-        self.c2 = c2
-        self.c1 = c1
-        self.c0 = c0
+    """first applied after second; it maps a spinor 2-jet to values."""
 
-    def apply(self, psi: SpinorField) -> SpinorField:
-        ctx = self.ctx
-        xs = ctx.M.coord_symbols
-        n = ctx.M.dim
-        size = ctx.rep.spinor_size
-        dpsi = [np.array([sp.diff(e, x) for e in psi], dtype=object) for x in xs]
-        d2psi = [[np.array([sp.diff(e, xs[nu]) for e in dpsi[mu]], dtype=object)
-                  for nu in range(n)] for mu in range(n)]
-        out = np.full(size, sp.Integer(0), dtype=object)
-        for mu in range(n):
-            for nu in range(n):
-                out = out + ctx._mat_apply(self.c2[mu][nu], d2psi[mu][nu])
-        for nu in range(n):
-            out = out + ctx._mat_apply(self.c1[nu], dpsi[nu])
-        return out + ctx._mat_apply(self.c0, psi)
+    def __init__(self, first: LinearOperator, second: LinearOperator):
+        self.first = first
+        self.second = second
+
+    def apply(self, jet: SpinorJet) -> SpinorJet:
+        return self.first.apply(self.second.apply(jet))
+
+
+def _coefficient_jet(c1: np.ndarray, c0: np.ndarray) -> np.ndarray:
+    """K with K[k] = c1[k] for k < n and K[n] = c0, jet axis kept first."""
+    return np.concatenate([c1, c0[:, :, None]], axis=2)
 
 
 def build_operator(spec: OperatorSpec, ctx: SpinContext) -> LinearOperator:
-    """Coefficient form of D_s, X_k, or D_f on the given spin context."""
-    M, rep = ctx.M, ctx.rep
-    n, size = M.dim, rep.spinor_size
+    """Coefficient jets of D_s, X_k, or D_f on the given spin context."""
+    M = ctx.M
+
+    def jet(arr):
+        sym1 = _tangent(arr, M.coord_symbols)
+        return lambda points: M.evaluate(sym1, points)
 
     if spec.kind == "standard-dirac":
         # D_s = i gamma^mu grad_mu
-        c1 = [sp.I * ctx.gamma_up[mu] for mu in range(n)]
-        c0 = sp.zeros(size, size)
-        for mu in range(n):
-            c0 += sp.I * ctx.gamma_up[mu] * ctx.conn[mu]
-        return LinearOperator(ctx, c1, c0)
+        def coefficients(points):
+            gam, conn = ctx.frame_jets(points)
+            return 1j * _coefficient_jet(gam, _product("mst,mtu->su", gam, conn))
+        return LinearOperator(coefficients)
 
     if spec.kind == "killing-op":
         # X_k = -i (R^mu grad_mu + QUARTER_SIGN/4 gamma^mu gamma^nu R_{mu;nu})
@@ -370,50 +363,40 @@ def build_operator(spec: OperatorSpec, ctx: SpinContext) -> LinearOperator:
         if R.variance != "u":
             raise ValueError("killing-op payload must be a vector field")
         Rlow = lower_index(R, M, 0)
-        dR = covariant_derivative(Rlow, M).components    # dR[nu, mu] = R_{mu;nu}
-        c1 = [-sp.I * R.components[mu] * sp.eye(size) for mu in range(n)]
-        c0 = sp.zeros(size, size)
-        for mu in range(n):
-            c0 += R.components[mu] * ctx.conn[mu]
-        for mu in range(n):
-            for nu in range(n):
-                c = dR[nu, mu]
-                if c != 0:
-                    c0 += (QUARTER_SIGN * sp.Rational(1, 4) * c
-                           * ctx.gamma_up[mu] * ctx.gamma_up[nu])
-        return LinearOperator(ctx, c1, -sp.I * c0)
+        R_jet = jet(R.components)
+        dR_jet = jet(covariant_derivative(Rlow, M).components)   # dR[nu, mu] = R_{mu;nu}
+        quarter = QUARTER_SIGN / 4
+        eye = np.eye(ctx.rep.spinor_size)
+
+        def coefficients(points):
+            gam, conn = ctx.frame_jets(points)
+            r, dr = R_jet(points), dR_jet(points)
+            c0 = (_product("m,mst->st", r, conn)
+                  + quarter * _product("mst,ntu,nm->su", gam, gam, dr))
+            return -1j * _coefficient_jet(np.einsum("pjm,st->pjmst", r, eye), c0)
+        return LinearOperator(coefficients)
 
     # dirac-type: D_f = i gamma^mu (f_mu^nu grad_nu - (1/6) gamma^nu gamma^rho f_{mu nu;rho})
     f = spec.payload
     if f.variance != "dd":
         raise ValueError("dirac-type payload must be a covariant two-form")
+    n = M.dim
     ginv = M.inverse_metric_matrix()
     fmix = np.empty((n, n), dtype=object)                # f_mu{}^nu
     for mu in range(n):
         for nu in range(n):
             fmix[mu, nu] = sp.cancel(sp.together(
                 sum(f.components[mu, lam] * ginv[lam, nu] for lam in range(n))))
-    df = covariant_derivative(f, M).components           # df[rho, mu, nu] = f_{mu nu;rho}
-    c1 = []
-    for nu in range(n):
-        acc = sp.zeros(size, size)
-        for mu in range(n):
-            if fmix[mu, nu] != 0:
-                acc += fmix[mu, nu] * ctx.gamma_up[mu]
-        c1.append(sp.I * acc)
-    c0 = sp.zeros(size, size)
-    for mu in range(n):
-        for nu in range(n):
-            if fmix[mu, nu] != 0:
-                c0 += fmix[mu, nu] * ctx.gamma_up[mu] * ctx.conn[nu]
-        curl = sp.zeros(size, size)
-        for nu in range(n):
-            for rho in range(n):
-                c = df[rho, mu, nu]
-                if c != 0:
-                    curl += c * ctx.gamma_up[nu] * ctx.gamma_up[rho]
-        c0 -= sp.Rational(1, 6) * ctx.gamma_up[mu] * curl
-    return LinearOperator(ctx, c1, sp.I * c0)
+    F_jet = jet(fmix)
+    dF_jet = jet(covariant_derivative(f, M).components)   # df[rho, mu, nu] = f_{mu nu;rho}
+
+    def coefficients(points):
+        gam, conn = ctx.frame_jets(points)
+        fm, df = F_jet(points), dF_jet(points)
+        c0 = (_product("mn,mst,ntu->su", fm, gam, conn)
+              - _product("rmn,mst,ntu,ruv->sv", df, gam, gam, gam) / 6)
+        return 1j * _coefficient_jet(_product("mn,mst->nst", fm, gam), c0)
+    return LinearOperator(coefficients)
 
 
 def _spec_key(spec: OperatorSpec) -> tuple:
@@ -462,13 +445,9 @@ def _bilinear_report(check, specA, specB, ctx, bank, points, seed, tol,
         ab_op, ba_op = ctx.composed(specA, specA), ctx.composed(specB, specB)
     else:
         ab_op, ba_op = ctx.composed(specA, specB), ctx.composed(specB, specA)
-    pieces = []
-    for psi in bank:
-        pieces.append(ab_op.apply(psi))
-        pieces.append(ba_op.apply(psi))
-    # vals[p, k, 0] = (AB psi_k)(p), vals[p, k, 1] = (BA psi_k)(p)
-    vals = M.evaluate(np.array(pieces).reshape(len(bank), 2, -1), pts, dtype=complex)
-    va, vb = vals[:, :, 0], vals[:, :, 1]
+    jet = spinor_jet(M, bank, pts)
+    # va[p, k] = (AB psi_k)(p), vb[p, k] = (BA psi_k)(p)
+    va, vb = ab_op.apply(jet).values, ba_op.apply(jet).values
     residual = np.max(np.abs(combine(va, vb)), axis=2)
     scale = np.maximum(np.maximum(np.max(np.abs(va), axis=2), np.max(np.abs(vb), axis=2)),
                        1.0)

@@ -76,8 +76,12 @@ class TestTaubNut:
         for name in ("f1", "f2", "f3", "fY"):
             assert ("ky", name) in checks
             assert ("covconst", name) in checks
+            assert ("spin-square", name) in checks
+        for name in ("f1", "f2", "f3"):
+            assert ("spin-anticommute", name) in checks
         for name in ("kchi", "k1", "k2", "k3"):
             assert ("killing-vector", name) in checks
+            assert ("spin-commute", name) in checks
 
     def test_raw_forms_kept(self, tn):
         assert "f1_raw" in tn.forms and "fY_raw" in tn.forms

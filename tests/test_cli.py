@@ -202,6 +202,21 @@ class TestSasakiCommand:
         assert code == 2
 
 
+class TestSpinCommand:
+    def test_commute(self, capsys):
+        code, reports = run(capsys, "spin", "commute", "--catalog", "taub-nut",
+                            "--target", "kchi")
+        assert code == 0
+        assert reports[0]["pass"] is True
+
+    def test_non_unit_root_square_is_an_expected_failure(self, capsys):
+        code, reports = run(capsys, "spin", "square", "--catalog", "taub-nut",
+                            "--target", "fY")
+        assert code == 0
+        assert reports[0]["pass"] is False
+        assert reports[0]["meets_expectation"] is True
+
+
 class TestCatalogCommand:
     def test_export_to_file_and_reingest(self, capsys, tmp_path):
         out = tmp_path / "sphere.json"

@@ -3,13 +3,14 @@ import pytest
 import sympy as sp
 
 from hiddensym import catalog, spin
-from hiddensym.manifold import two_form, vector
+from hiddensym.manifold import sample_points, two_form, vector
 from hiddensym.spin import (Frame, FrameError, GammaRep, OperatorSpec,
                             SpinContext, anticommutator_residual,
                             canonical_gamma, commutator_residual,
                             frame_residual, orthonormal_frame,
                             spin_connection, spin_connection_antisymmetry,
-                            spinor_bank, square_compare, standard_unitary)
+                            spinor_bank, spinor_jet, square_compare,
+                            standard_unitary)
 
 
 @pytest.fixture(scope="module")
@@ -131,8 +132,9 @@ class TestFlatIdentities:
 
     def test_dirac_kills_constant_spinor(self, flat4, flat4_ctx):
         psi = np.array([sp.Integer(1)] * 4, dtype=object)
-        out = flat4_ctx.operator(OperatorSpec("standard-dirac")).apply(psi)
-        assert all(e == 0 for e in out)
+        jet = spinor_jet(flat4, [psi], sample_points(flat4.chart, 3))
+        out = flat4_ctx.operator(OperatorSpec("standard-dirac")).apply(jet)
+        assert (out.values == 0).all()
 
     def test_anticommutator_with_parallel_form(self, flat4, flat4_ctx):
         f = two_form([[0, 1, 0, 0], [-1, 0, 0, 0],
@@ -211,3 +213,47 @@ class TestCurvedIdentities:
             OperatorSpec("killing-op", vector([1, 0])),
             sphere_ctx, bank=spinor_bank(M, 2), points=4)
         assert not rep.passed
+
+
+class TestTaubNutOracles:
+    def test_lichnerowicz_formula(self, tn, tn_ctx):
+        """On Ricci-flat Taub-NUT, D_s^2 = -g^{mu nu}(grad_mu grad_nu
+        - Gamma^lam_{mu nu} grad_lam) on spinors, with the right side built
+        here symbolically from the spin connection, independently of the
+        operator coefficient jets."""
+        M, ctx = tn.manifold, tn_ctx
+        n, xs, s = M.dim, M.coord_symbols, ctx.rep.spinor_size
+        eta, gam = ctx.F.eta, ctx.rep.matrices
+        conn = [sum((sp.Rational(1, 4) * ctx.omega[mu, a, b] * eta[a] * eta[b]
+                     * gam[a] * gam[b] for a in range(n) for b in range(n)),
+                    sp.zeros(s, s)) for mu in range(n)]
+        christoffel, ginv = M.christoffel(), M.inverse_metric_matrix()
+        bank = spinor_bank(M, 2, seed=0)
+        laplacians = []
+        for psi in bank:
+            psi = sp.Matrix(psi)
+            grad = [psi.diff(x) + conn[mu] * psi for mu, x in enumerate(xs)]
+            lap = sp.zeros(s, 1)
+            for mu in range(n):
+                for nu in range(n):
+                    hess = (grad[nu].diff(xs[mu]) + conn[mu] * grad[nu]
+                            - sum((christoffel[lam, mu, nu] * grad[lam]
+                                   for lam in range(n)), sp.zeros(s, 1)))
+                    lap -= ginv[mu, nu] * hess
+            laplacians.append(list(lap))
+        pts = sample_points(M.chart, 5, seed=0)
+        expected = M.evaluate(np.array(laplacians, dtype=object), pts, dtype=complex)
+        Ds = OperatorSpec("standard-dirac")
+        got = ctx.composed(Ds, Ds).apply(spinor_jet(M, bank, pts)).values
+        assert np.max(np.abs(got - expected)) <= 1e-12 * max(1.0, np.max(np.abs(expected)))
+
+    def test_fy_square_keeps_symbolic_composition_numbers(self, tn, tn_ctx):
+        """D_fY^2 against D_s^2 as computed when the coefficients were
+        composed symbolically: the same separation at the same worst point."""
+        rep = square_compare(OperatorSpec("dirac-type", tn.forms["fY"]), tn_ctx,
+                             bank=spinor_bank(tn.manifold, 5, seed=0), points=10,
+                             seed=0)
+        assert not rep.passed
+        assert rep.max_rel_residual == pytest.approx(1.4847987040642914, rel=1e-9)
+        assert rep.worst_point["r"] == 7.337194520837564
+        assert rep.worst_point["theta"] == 1.2934116934407136
