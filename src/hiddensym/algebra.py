@@ -100,10 +100,6 @@ def poly_neg(p: BPoly) -> BPoly:
     return {k: gr_neg(c) for k, c in p.items()}
 
 
-I_COEFF = poly(0, gr(0, 1))        # the formal imaginary unit
-TWO_I = poly(0, gr(0, 2))
-
-
 # ---------------------------------------------------------------------------
 # elements: finite linear combinations {generator name: BPoly}
 

@@ -32,14 +32,13 @@ class CatalogEntry:
     manifold: Manifold
     vectors: dict[str, TensorField] = field(default_factory=dict)
     forms: dict[str, TensorField] = field(default_factory=dict)
-    tensors: dict[str, TensorField] = field(default_factory=dict)
     structure: "object | None" = None          # MixedThreeStructure for the fixture
     frame: "np.ndarray | None" = None          # e^a_mu as object array, rows = a
     metadata: dict = field(default_factory=dict)
     manifest: list[dict] = field(default_factory=list)
 
     def target(self, name: str) -> TensorField:
-        for group in (self.vectors, self.forms, self.tensors):
+        for group in (self.vectors, self.forms):
             if name in group:
                 return group[name]
         raise KeyError(f"no object named {name!r} in catalog entry {self.name!r}")

@@ -539,13 +539,7 @@ def main(argv=None) -> int:
         return 2 if exc.code not in (0, None) else 0
     try:
         return args.func(args)
-    except (FileFormatError, exprkit.ExprError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except KeyError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except GeometryError as exc:
+    except (FileFormatError, exprkit.ExprError, KeyError, GeometryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except Exception as exc:   # noqa: BLE001 - contract: 3 on internal error

@@ -9,7 +9,7 @@ Invariants are evaluated over a whole trajectory in one batch.
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 

@@ -6,6 +6,11 @@ residual.  Relative means scaled by the maximum input component
 magnitude at the worst point (floored at 1 so exact-zero inputs do not
 blow up the quotient).  A check passes only when every residual and
 scale is finite.
+
+Derivatives are symbolic, identities are numeric: sympy only builds the
+covariant and exterior derivatives, each evaluated once over the batch of
+points, and the symmetrizations, contractions and wedge products that form
+an identity are array code on the evaluated (P, ...) values.
 """
 
 from __future__ import annotations
@@ -18,8 +23,8 @@ import numpy as np
 import sympy as sp
 
 from .manifold import (Manifold, TensorField, antisymmetrize, covariant_derivative,
-                       exterior_derivative, codifferential, raise_index, lower_index,
-                       sample_points, symmetrize, GeometryError)
+                       exterior_derivative, lower_index, sample_points, symmetrize,
+                       GeometryError)
 
 DEFAULT_TOL = 1e-9
 DEFAULT_POINTS = 20
@@ -104,22 +109,29 @@ def _max_abs(arr: np.ndarray) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # Killing vectors
 
+def _nabla_flat(X: TensorField, M: Manifold, pts) -> np.ndarray:
+    """grad_mu X_nu of a vector field at the points, shape (P, n, n)."""
+    return M.evaluate(covariant_derivative(lower_index(X, M, 0), M).components, pts)
+
+
+def _killing_report(dX: np.ndarray, pts, tol: float) -> ResidualReport:
+    """The Killing-vector report from the evaluated grad_mu X_nu."""
+    return _report("killing-vector", pts, _max_abs(dX + np.swapaxes(dX, 1, 2)),
+                   _max_abs(dX), tol)
+
+
 def killing_vector_residual(X: TensorField, M: Manifold, points=None, seed=0,
                             tol=DEFAULT_TOL) -> ResidualReport:
     """(L_X g)_{mu nu} = grad_mu X_nu + grad_nu X_mu at sampled points."""
     pts = _default_points(M, points, seed)
-    Xd = lower_index(X, M, 0)
-    dX = M.evaluate(covariant_derivative(Xd, M).components, pts)
-    return _report("killing-vector", pts, _max_abs(dX + np.swapaxes(dX, 1, 2)),
-                   _max_abs(dX), tol)
+    return _killing_report(_nabla_flat(X, M, pts), pts, tol)
 
 
 def conformal_killing_factor(X: TensorField, M: Manifold, points=None, seed=0,
                              tol=DEFAULT_TOL):
     """Per-point least-squares factor f with L_X g ~ f g; returns (factors, report)."""
     pts = _default_points(M, points, seed)
-    Xd = lower_index(X, M, 0)
-    dX = M.evaluate(covariant_derivative(Xd, M).components, pts)
+    dX = _nabla_flat(X, M, pts)
     L = dX + np.swapaxes(dX, 1, 2)
     g = M.evaluate(M.metric, pts)
     f = np.sum(L * g, axis=(1, 2)) / np.sum(g * g, axis=(1, 2))
@@ -141,10 +153,14 @@ def _is_symmetric(T: TensorField) -> bool:
     return True
 
 
+def _alternation(vals: np.ndarray) -> np.ndarray:
+    return np.array([antisymmetrize(v) for v in vals])
+
+
 def _is_antisymmetric_at(T: TensorField, M: Manifold, pts, tol=1e-12) -> bool:
     vals = M.evaluate(T.components, pts[:3])
-    alt = np.array([antisymmetrize(v) for v in vals])
-    return not np.any(_max_abs(vals - alt) > tol * np.maximum(1.0, _max_abs(vals)))
+    return not np.any(_max_abs(vals - _alternation(vals))
+                      > tol * np.maximum(1.0, _max_abs(vals)))
 
 
 def sk_residual(K: TensorField, M: Manifold, points=None, seed=0,
@@ -153,10 +169,10 @@ def sk_residual(K: TensorField, M: Manifold, points=None, seed=0,
     if not _is_symmetric(K):
         raise GeometryError("sk_residual requires a symmetric tensor")
     pts = _default_points(M, points, seed)
-    nabla = covariant_derivative(K, M).components
+    nabla = M.evaluate(covariant_derivative(K, M).components, pts)
     return _report("staeckel-killing", pts,
-                   _max_abs(M.evaluate(symmetrize(nabla), pts)),
-                   _max_abs(M.evaluate(nabla, pts)), tol)
+                   _max_abs(np.array([symmetrize(v) for v in nabla])),
+                   _max_abs(nabla), tol)
 
 
 def ky_residual(f: TensorField, M: Manifold, points=None, seed=0,
@@ -165,19 +181,19 @@ def ky_residual(f: TensorField, M: Manifold, points=None, seed=0,
     pts = _default_points(M, points, seed)
     if not _is_antisymmetric_at(f, M, pts):
         raise GeometryError("ky_residual requires an antisymmetric form")
-    comp = covariant_derivative(f, M).components
+    nabla = M.evaluate(covariant_derivative(f, M).components, pts)
     # symmetrize over the derivative slot and the form's first slot
-    sym_pair = (comp + np.swapaxes(comp, 0, 1)) / 2
-    residual = np.maximum(_max_abs(M.evaluate(sym_pair, pts)),
-                          _max_abs(M.evaluate(comp - antisymmetrize(comp), pts)))
-    return _report("killing-yano", pts, residual, _max_abs(M.evaluate(comp, pts)), tol)
+    sym_pair = (nabla + np.swapaxes(nabla, 1, 2)) / 2
+    residual = np.maximum(_max_abs(sym_pair), _max_abs(nabla - _alternation(nabla)))
+    return _report("killing-yano", pts, residual, _max_abs(nabla), tol)
 
 
 def cky_residual(f: TensorField, M: Manifold, points=None, seed=0,
                  tol=DEFAULT_TOL) -> ResidualReport:
     """Conformal Killing-Yano identity with X over the coordinate basis.
 
-    residual_mu = grad_mu f - 1/(p+1) (df)_{mu .} + 1/(n-p+1) ((dx_mu)* wedge d*f).
+    residual_mu = grad_mu f - 1/(p+1) (df)_{mu .} + 1/(n-p+1) ((dx_mu)* wedge d*f),
+    with the codifferential (d*f)_{mu2..mup} = -g^{lam mu} grad_lam f_{mu mu2..mup}.
     """
     n = M.dim
     p = f.rank
@@ -186,34 +202,17 @@ def cky_residual(f: TensorField, M: Manifold, points=None, seed=0,
     pts = _default_points(M, points, seed)
     if not _is_antisymmetric_at(f, M, pts):
         raise GeometryError("cky_residual requires an antisymmetric form")
-    nabla = covariant_derivative(f, M)
-    df = exterior_derivative(f, M)
-    codf = codifferential(f, M) if p >= 1 else None
-    g = M.metric
-    # (X* wedge d*f) for X = coordinate basis vector mu: X*_nu = g_{mu nu}
-    wedge = np.zeros((n,) + (n,) * p, dtype=object)
-    if p == 1:
-        for mu in range(n):
-            for a in range(n):
-                wedge[mu, a] = g[mu, a] * codf.components[()]
-    else:
-        cod = codf.components
-        for mu in range(n):
-            for idx in np.ndindex((n,) * p):
-                total = sp.Integer(0)
-                for pos in range(p):
-                    rest = idx[:pos] + idx[pos + 1:]
-                    total += (-1) ** pos * g[mu, idx[pos]] * cod[rest]
-                wedge[(mu,) + idx] = total
-    res_comp = np.empty(nabla.components.shape, dtype=object)
-    for idx in np.ndindex(res_comp.shape):
-        res_comp[idx] = (nabla.components[idx]
-                         - sp.Rational(1, p + 1) * df.components[idx]
-                         + sp.Rational(1, n - p + 1) * wedge[idx])
-    scale = np.maximum(_max_abs(M.evaluate(nabla.components, pts)),
-                       _max_abs(M.evaluate(df.components, pts)))
-    return _report("conformal-killing-yano", pts, _max_abs(M.evaluate(res_comp, pts)),
-                   scale, tol)
+    df = M.evaluate(exterior_derivative(f, M).components, pts)
+    nabla = M.evaluate(covariant_derivative(f, M).components, pts)
+    g = M.evaluate(M.metric, pts)
+    codf = -np.einsum("plm,plm...->p...", M.inverse_metric_values(pts), nabla)
+    # (X* wedge d*f) for X = coordinate basis vector mu, X*_nu = g_{mu nu}: a
+    # signed sum over the p positions the factor g_{mu .} can take
+    outer = np.einsum("pma,p...->pma...", g, codf)
+    wedge = sum((-1) ** pos * np.moveaxis(outer, 2, 2 + pos) for pos in range(p))
+    residual = nabla - df / (p + 1) + wedge / (n - p + 1)
+    return _report("conformal-killing-yano", pts, _max_abs(residual),
+                   np.maximum(_max_abs(nabla), _max_abs(df)), tol)
 
 
 def covariant_constancy_residual(T: TensorField, M: Manifold, points=None, seed=0,

@@ -13,7 +13,7 @@ import functools
 import itertools
 import math
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import sympy as sp
@@ -186,9 +186,6 @@ class Manifold:
                             riem[rho, sig, mu, nu] = expr
             self._cache["riemann"] = riem
         return self._cache["riemann"]
-
-    def riemann_field(self) -> TensorField:
-        return TensorField(self.riemann(), "uddd")
 
     def ricci(self) -> TensorField:
         if "ricci" not in self._cache:
@@ -374,27 +371,6 @@ def exterior_derivative(T: TensorField, M: Manifold) -> TensorField:
             grad[(lam,) + idx] = sp.diff(T.components[idx], xs[lam])
     out = (p + 1) * antisymmetrize(grad)
     return TensorField(out, "d" * (p + 1), "antisymmetric")
-
-
-def codifferential(T: TensorField, M: Manifold) -> TensorField:
-    """Metric divergence convention: (d*f)_{mu2..mup} = -g^{lam mu} grad_lam f_{mu mu2..}."""
-    if set(T.variance) - {"d"}:
-        raise GeometryError("codifferential needs a fully covariant form")
-    p = T.rank
-    if p == 0:
-        raise GeometryError("codifferential of a 0-form is zero; not represented")
-    n = M.dim
-    ginv = M.inverse_metric_matrix()
-    nabla = covariant_derivative(T, M).components
-    shape = (n,) * (p - 1)
-    out = np.empty(shape, dtype=object)
-    for idx in np.ndindex(shape):
-        total = sp.Integer(0)
-        for lam in range(n):
-            for mu in range(n):
-                total -= ginv[lam, mu] * nabla[(lam, mu) + idx]
-        out[idx] = total
-    return TensorField(out, "d" * (p - 1), "antisymmetric" if p > 2 else "none")
 
 
 def lie_bracket(X: TensorField, Y: TensorField, M: Manifold) -> TensorField:

@@ -10,17 +10,17 @@ an independent closed-form answer.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import sympy as sp
 
-from .killing import (ResidualReport, _default_points, _max_abs, _report,
-                      killing_vector_residual, conformal_killing_factor,
-                      ky_residual, DEFAULT_TOL)
+from .killing import (ResidualReport, _default_points, _killing_report, _max_abs,
+                      _nabla_flat, _report, conformal_killing_factor, ky_residual,
+                      DEFAULT_TOL)
 from .manifold import (Chart, GeometryError, Manifold, TensorField,
                        antisymmetrize, covariant_derivative, exterior_derivative,
-                       lie_bracket, lower_index, sample_points, vector, one_form)
+                       lie_bracket, lower_index, vector, one_form)
 
 EPS = (1, -1, -1)
 _EVEN = [(0, 1, 2), (1, 2, 0), (2, 0, 1)]
@@ -164,10 +164,10 @@ def killing_triple_check(S: MixedThreeStructure, points=None, seed=0,
     (same orientation convention as sasakian_residuals)."""
     M = S.manifold
     pts = _default_points(M, points, seed)
-    sub = {}
-    for a in range(3):
-        rep = killing_vector_residual(S.xi[a], M, pts, tol=tol)
-        sub[f"killing_xi{a+1}"] = rep.max_rel_residual
+    # nxi[a][p, mu, nu] = grad_mu (xi_a)_nu
+    nxi = [_nabla_flat(xi, M, pts) for xi in S.xi]
+    sub = {f"killing_xi{a+1}": _killing_report(nxi[a], pts, tol).max_rel_residual
+           for a in range(3)}
     g = M.evaluate(M.metric, pts)
     ginv = M.inverse_metric_values(pts)
     xi, phi = _values(S.xi, M, pts), _values(S.phi, M, pts)
@@ -180,10 +180,8 @@ def killing_triple_check(S: MixedThreeStructure, points=None, seed=0,
         br = M.evaluate(lie_bracket(S.xi[a], S.xi[b], M).components, pts)
         terms.append(_max_abs(br + 2 * EPS[c] * xi[c]))
     for a in range(3):
-        # phi_a X = grad_X xi_a; nxi[p, mu, nu] = grad_mu (xi_a)_nu
-        nxi = M.evaluate(covariant_derivative(lower_index(S.xi[a], M, 0), M).components,
-                         pts)
-        grad = ginv @ np.swapaxes(nxi, 1, 2)   # (grad_mu xi^i) as [i, mu]
+        # phi_a X = grad_X xi_a
+        grad = ginv @ np.swapaxes(nxi[a], 1, 2)   # (grad_mu xi^i) as [i, mu]
         terms.append(_max_abs(phi[a] - grad))
     return _report("killing-triple", pts, np.max(terms, axis=0), np.ones(len(pts)),
                    tol, extra=sub)
@@ -301,27 +299,17 @@ def reverse_cone(C: ConeManifold) -> MixedThreeStructure:
     n = M.dim - 1
     r = sp.Symbol(C.radial)
     base = C.base.manifold
-    nJ_xi = []
+    ginv = base.inverse_metric_matrix()
+    phis, xis, etas = [], [], []
     for a in range(3):
         # xi_a = J_a(d_r), restricted to r = 1
-        comp = [sp.simplify(C.J[a].components[i, n].subs(r, 1)) for i in range(n)]
-        nJ_xi.append(vector(comp))
-    phis, etas = [], []
-    for a in range(3):
-        eta_comp = [sp.simplify(sum(base.metric[i, j] * nJ_xi[a].components[j]
-                                    for j in range(n))) for i in range(n)]
-        etas.append(one_form(eta_comp))
-        nxi = covariant_derivative(lower_index(nJ_xi[a], base, 0), base)
-        ginv = base.inverse_metric_matrix()
-        comp = np.empty((n, n), dtype=object)
-        for i in range(n):
-            for mu in range(n):
-                # phi^i_mu = g^{i nu} grad_mu (xi_a)_nu
-                comp[i, mu] = sp.simplify(
-                    sum(ginv[i, nu] * nxi.components[mu, nu]
-                        for nu in range(n)))
-        phis.append(TensorField(comp, "ud"))
-    return MixedThreeStructure(base, phis, nJ_xi, etas)
+        xis.append(vector([C.J[a].components[i, n].subs(r, 1) for i in range(n)]))
+        etas.append(lower_index(xis[a], base, 0))
+        nxi = covariant_derivative(etas[a], base).components
+        # phi^i_mu = g^{i nu} grad_mu (xi_a)_nu
+        phis.append(TensorField([[sum(ginv[i, nu] * nxi[mu, nu] for nu in range(n))
+                                  for mu in range(n)] for i in range(n)], "ud"))
+    return MixedThreeStructure(base, phis, xis, etas)
 
 
 def cone_roundtrip_residual(S: MixedThreeStructure, C: ConeManifold,

@@ -380,19 +380,14 @@ def build_operator(spec: OperatorSpec, ctx: SpinContext) -> LinearOperator:
     f = spec.payload
     if f.variance != "dd":
         raise ValueError("dirac-type payload must be a covariant two-form")
-    n = M.dim
-    ginv = M.inverse_metric_matrix()
-    fmix = np.empty((n, n), dtype=object)                # f_mu{}^nu
-    for mu in range(n):
-        for nu in range(n):
-            fmix[mu, nu] = sp.cancel(sp.together(
-                sum(f.components[mu, lam] * ginv[lam, nu] for lam in range(n))))
-    F_jet = jet(fmix)
+    F_jet = jet(f.components)
+    ginv_jet = jet(M.inverse_metric_matrix())
     dF_jet = jet(covariant_derivative(f, M).components)   # df[rho, mu, nu] = f_{mu nu;rho}
 
     def coefficients(points):
         gam, conn = ctx.frame_jets(points)
-        fm, df = F_jet(points), dF_jet(points)
+        fm = _product("ml,ln->mn", F_jet(points), ginv_jet(points))   # f_mu{}^nu
+        df = dF_jet(points)
         c0 = (_product("mn,mst,ntu->su", fm, gam, conn)
               - _product("rmn,mst,ntu,ruv->sv", df, gam, gam, gam) / 6)
         return 1j * _coefficient_jet(_product("mn,mst->nst", fm, gam), c0)

@@ -1,9 +1,11 @@
+import itertools
 import json
 import warnings
 
 import numpy as np
 import pytest
 import sympy as sp
+from hypothesis import given, settings, strategies as st
 
 from hiddensym import catalog
 from hiddensym.killing import (associated_sk, cky_residual,
@@ -11,7 +13,7 @@ from hiddensym.killing import (associated_sk, cky_residual,
                                covariant_constancy_residual,
                                killing_vector_residual, ky_residual,
                                sk_residual, unit_root_check)
-from hiddensym.manifold import GeometryError, sample_points, two_form, vector
+from hiddensym.manifold import GeometryError, one_form, sample_points, two_form, vector
 
 
 @pytest.fixture(scope="module")
@@ -95,6 +97,75 @@ class TestKillingYanoFlat:
         f = two_form([[0, x1 ** 2, 0, 0], [-x1 ** 2, 0, 0, 0],
                       [0, 0, 0, 0], [0, 0, 0, 0]])
         assert not ky_residual(f, flat4).passed
+
+
+X4 = sp.symbols("x1:5")
+
+
+def _flat4_cky_form(A, B, C):
+    """f_{jk} = A_{jk} + x_j B_k - x_k B_j + x^i C_{ijk} on flat R^4: the
+    constant 2-form A, x-flat wedge B and the contraction of the position
+    vector x into the 3-form C, entry by entry."""
+    return two_form([[A[j][k] + X4[j] * B[k] - X4[k] * B[j]
+                      + sum(X4[i] * C[i][j][k] for i in range(4))
+                      for k in range(4)] for j in range(4)])
+
+
+def _levi_civita(size, entries):
+    """The totally antisymmetric array with entries[n] at the n-th increasing
+    index tuple."""
+    out = np.zeros((4,) * size, dtype=int)
+    for value, idx in zip(entries, itertools.combinations(range(4), size)):
+        for perm in itertools.permutations(range(size)):
+            inversions = sum(perm[a] > perm[b] for a in range(size)
+                             for b in range(a + 1, size))
+            out[tuple(idx[q] for q in perm)] = (-1) ** inversions * value
+    return out.tolist()
+
+
+ZERO2 = [[0] * 4 for _ in range(4)]
+ZERO3 = _levi_civita(3, [0] * 4)
+E4 = [0, 0, 0, 1]
+
+
+class TestConformalKillingYanoFlat:
+    """Flat-space oracles: in R^n the Killing-Yano 2-forms are A + i_x C, the
+    closed conformal Killing-Yano 2-forms are A + x-flat wedge B, and both are
+    conformal Killing-Yano."""
+
+    def test_x_wedge_dx4(self, flat4):
+        f = _flat4_cky_form(ZERO2, E4, ZERO3)
+        assert cky_residual(f, flat4).passed
+        assert not ky_residual(f, flat4).passed
+        assert not covariant_constancy_residual(f, flat4).passed
+
+    def test_x_into_dx123(self, flat4):
+        f = _flat4_cky_form(ZERO2, [0] * 4, _levi_civita(3, [1, 0, 0, 0]))
+        assert f.components[0, 1] == X4[2] and f.components[1, 2] == X4[0]
+        assert cky_residual(f, flat4).passed
+        assert ky_residual(f, flat4).passed
+        assert not covariant_constancy_residual(f, flat4).passed
+
+    def test_x1_squared_dx12_fails(self, flat4):
+        f = two_form([[0, X4[0] ** 2, 0, 0], [-X4[0] ** 2, 0, 0, 0],
+                      [0, 0, 0, 0], [0, 0, 0, 0]])
+        rep = cky_residual(f, flat4)
+        assert not rep.passed
+        assert rep.max_rel_residual == pytest.approx(2 / 3, rel=1e-9)
+
+    def test_dilation_one_form(self, flat4):
+        f = one_form(list(X4))
+        assert cky_residual(f, flat4).passed
+        assert not ky_residual(f, flat4).passed
+
+    @settings(max_examples=25, deadline=None)
+    @given(st.lists(st.integers(-2, 2), min_size=6, max_size=6),
+           st.just([0] * 4) | st.lists(st.integers(-2, 2), min_size=4, max_size=4),
+           st.lists(st.integers(-2, 2), min_size=4, max_size=4))
+    def test_affine_family_is_cky_and_ky_iff_closed_part_vanishes(self, flat4, a, b, c):
+        f = _flat4_cky_form(_levi_civita(2, a), b, _levi_civita(3, c))
+        assert cky_residual(f, flat4, points=5).passed
+        assert ky_residual(f, flat4, points=5).passed == (not any(b))
 
 
 class TestAssociatedSK:
