@@ -140,10 +140,6 @@ class Manifold:
             self._cache["ginv"] = ginv
         return self._cache["ginv"]
 
-    def inverse_metric(self) -> TensorField:
-        return TensorField(np.array(self.inverse_metric_matrix().tolist(), dtype=object),
-                           "uu", "symmetric")
-
     def christoffel(self) -> np.ndarray:
         """Levi-Civita coefficients Gamma[rho, mu, nu], symmetric in (mu, nu)."""
         if "gamma" not in self._cache:

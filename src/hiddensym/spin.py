@@ -14,7 +14,7 @@ import numpy as np
 import sympy as sp
 
 from .killing import ResidualReport, _default_points, _max_abs, _report
-from .manifold import GeometryError, Manifold, TensorField, covariant_derivative, lower_index
+from .manifold import GeometryError, Manifold, TensorField
 
 # Sign of the quarter term in the Killing operator
 #   X_k = -i (R^mu grad_mu + QUARTER_SIGN * (1/4) gamma^mu gamma^nu R_{mu;nu}).
@@ -40,22 +40,6 @@ class Frame:
         self.vierbein = np.array(self.vierbein, dtype=object)
         for idx in np.ndindex(self.vierbein.shape):
             self.vierbein[idx] = sp.sympify(self.vierbein[idx])
-        self._inverse = None
-
-    @property
-    def dim(self) -> int:
-        return self.vierbein.shape[0]
-
-    def inverse(self) -> np.ndarray:
-        """e_a^mu with e_a^mu e^a_nu = delta^mu_nu (rows indexed by a)."""
-        if self._inverse is None:
-            matrix = sp.Matrix(self.dim, self.dim,
-                               lambda a, mu: self.vierbein[a, mu])
-            inv = matrix.inv()
-            self._inverse = np.array(
-                [[sp.cancel(sp.together(inv[mu, a])) for mu in range(self.dim)]
-                 for a in range(self.dim)], dtype=object)
-        return self._inverse
 
 
 def orthonormal_frame(M: Manifold, vierbein=None,
@@ -91,35 +75,11 @@ def frame_residual(F: Frame, M: Manifold, points=None, seed=0,
                    _max_abs(np.swapaxes(e, 1, 2) @ eta @ e - g), _max_abs(g), tol)
 
 
-def spin_connection(F: Frame, M: Manifold) -> np.ndarray:
-    """omega[mu, a, b] = omega_{mu a b}, both frame indices lowered.
-
-    Determined by the vanishing of the total derivative of the vierbein:
-    omega_mu{}^a{}_b = -(d_mu e^a_nu - Gamma^lam_{mu nu} e^a_lam) e_b^nu.
-    """
-    n = M.dim
-    e = F.vierbein
-    einv = F.inverse()
-    gamma = M.christoffel()
-    xs = M.coord_symbols
-    omega = np.zeros((n, n, n), dtype=object)
-    for mu in range(n):
-        for a in range(n):
-            for b in range(n):
-                total = sp.Integer(0)
-                for nu in range(n):
-                    de = sp.diff(e[a, nu], xs[mu])
-                    corr = sum(gamma[lam, mu, nu] * e[a, lam] for lam in range(n))
-                    total += -(de - corr) * einv[b, nu]
-                # lower the first frame index with eta
-                omega[mu, a, b] = sp.cancel(sp.together(F.eta[a] * total))
-    return omega
-
-
-def spin_connection_antisymmetry(omega, M: Manifold, points=None, seed=0,
+def spin_connection_antisymmetry(ctx: "SpinContext", points=None, seed=0,
                                  tol=1e-10) -> ResidualReport:
-    pts = _default_points(M, points, seed)
-    w = M.evaluate(omega, pts)
+    """omega_{mu a b} + omega_{mu b a} at sampled points."""
+    pts = _default_points(ctx.M, points, seed)
+    w = ctx.connection(pts)[1][:, -1]
     return _report("spin-connection-antisymmetry", pts,
                    _max_abs(w + np.swapaxes(w, 2, 3)), np.maximum(1.0, _max_abs(w)), tol)
 
@@ -140,24 +100,15 @@ class GammaRep:
     matrices: list[sp.Matrix]
 
     @property
-    def dim(self) -> int:
-        return len(self.matrices)
-
-    @property
     def spinor_size(self) -> int:
         return self.matrices[0].shape[0]
 
     def clifford_defect(self) -> int:
-        worst = 0
+        """1 when some {gamma^a, gamma^b} - 2 eta^{ab} Id is not exactly zero, else 0."""
         size = self.spinor_size
-        for a in range(self.dim):
-            for b in range(self.dim):
-                lhs = (self.matrices[a] * self.matrices[b]
-                       + self.matrices[b] * self.matrices[a]
-                       - 2 * self.eta[a] * (1 if a == b else 0) * sp.eye(size))
-                if lhs != sp.zeros(size, size):
-                    worst = 1
-        return worst
+        return int(any(g * h + h * g - 2 * self.eta[a] * (a == b) * sp.eye(size)
+                       != sp.zeros(size, size)
+                       for a, g in enumerate(self.matrices) for b, h in enumerate(self.matrices)))
 
     def conjugate(self, U: sp.Matrix) -> "GammaRep":
         Uinv = U.H
@@ -214,6 +165,15 @@ def _tangent(arr, xs) -> np.ndarray:
     return np.stack([diff(arr, x) for x in xs] + [arr])
 
 
+def _jet_function(M: Manifold, arr, order: int, dtype=float):
+    """points -> the order-jet of the array at the points, shape
+    (P, n + 1, ..., n + 1, *shape), the outermost derivative first."""
+    sym = np.asarray(arr, dtype=object)
+    for _ in range(order):
+        sym = _tangent(sym, M.coord_symbols)
+    return lambda points: M.evaluate(sym, points, dtype)
+
+
 def _product(subscripts: str, *jets) -> np.ndarray:
     """Leibniz rule: the 1-jet of an einsum product of 1-jets of shape
     (P, n + 1, ...); the subscripts name the axes after the jet axis and
@@ -230,6 +190,37 @@ def _product(subscripts: str, *jets) -> np.ndarray:
     return np.concatenate([partials, value[:, None]], axis=1)
 
 
+def _inverse(jet: np.ndarray) -> np.ndarray:
+    """1-jet of the inverse of a 1-jet of square matrices, with
+    d(A^-1) = -A^-1 dA A^-1.  A point where the matrix is singular or not
+    finite gets NaN, for the reports to fail closed there."""
+    value = jet[:, -1]
+    with np.errstate(invalid="ignore", over="ignore"):
+        det = np.linalg.det(value)
+    bad = ~(np.isfinite(det) & (det != 0))
+    inv = np.linalg.inv(np.where(bad[:, None, None], np.eye(value.shape[-1]), value))
+    inv[bad] = np.nan
+    partials = -np.einsum("pab,pjbc,pcd->pjad", inv, jet[:, :-1], inv)
+    return np.concatenate([partials, inv[:, None]], axis=1)
+
+
+def _covariant(jet2: np.ndarray, christoffel: np.ndarray, variance: str) -> np.ndarray:
+    """1-jet of the Levi-Civita covariant derivative of a tensor, the new
+    slot first, from the tensor's 2-jet and the 1-jet of Gamma[rho, mu, nu].
+    variance names the tensor's trailing slots; leading slots are frame
+    indices, carried along."""
+    T = jet2[:, :, -1]
+    axes = "abcdefghik"[:T.ndim - 2]
+    out = jet2[:, :, :-1]
+    for slot in range(len(axes) - len(variance), len(axes)):
+        x, moved = axes[slot], axes[:slot] + "z" + axes[slot + 1:]
+        if variance[slot - len(axes)] == "u":      # + Gamma^x_{l z} T^{..z..}
+            out = out + _product(f"{x}lz,{moved}->l{axes}", christoffel, T)
+        else:                                      # - Gamma^z_{l x} T_{..z..}
+            out = out - _product(f"zl{x},{moved}->l{axes}", christoffel, T)
+    return out
+
+
 @dataclass
 class SpinorJet:
     """Jet of a list of spinor fields at a batch of points: values has
@@ -241,9 +232,7 @@ class SpinorJet:
 
 def spinor_jet(M: Manifold, spinors, points) -> SpinorJet:
     """The 2-jet of the spinor fields at the points, from one evaluation."""
-    xs = M.coord_symbols
-    sym2 = _tangent(_tangent(np.array(list(spinors), dtype=object), xs), xs)
-    return SpinorJet(points, M.evaluate(sym2, points, dtype=complex))
+    return SpinorJet(points, _jet_function(M, list(spinors), 2, complex)(points))
 
 
 @dataclass
@@ -262,7 +251,8 @@ class OperatorSpec:
 
 
 class SpinContext:
-    """Caches the frame-dependent ingredients of all three operators."""
+    """Caches the jets of the vierbein, the metric and the Christoffel
+    symbols, from which all three operators are formed numerically."""
 
     def __init__(self, M: Manifold, F: Frame, rep: GammaRep | None = None):
         if rep is None:
@@ -273,22 +263,32 @@ class SpinContext:
         self.F = F
         self.rep = rep
         self._op_cache = {}
-        self.omega = spin_connection(F, M)
-        xs = M.coord_symbols
-        self._einv_jet = _tangent(F.inverse(), xs)
-        self._omega_jet = _tangent(self.omega, xs)
+        self._vierbein_jet = _jet_function(M, F.vierbein, 2)
+        self._metric_jet = _jet_function(M, M.metric, 1)
+        self._christoffel_jet = _jet_function(M, M.christoffel(), 1)
         self._gamma = np.array([np.array(g.tolist(), dtype=complex) for g in rep.matrices])
         # (1/4) eta^{aa} eta^{bb} gamma^a gamma^b; eta^{aa} = eta_{aa} for +-1
         eta = np.array(F.eta, dtype=float)
         self._quarter = 0.25 * np.einsum("a,b,ast,btu->absu", eta, eta,
                                          self._gamma, self._gamma)
 
+    def connection(self, points) -> tuple[np.ndarray, np.ndarray]:
+        """1-jets of the inverse frame einv[mu, a] = e_a^mu, shape
+        (P, n + 1, n, n), and of the spin connection omega[mu, a, b] =
+        omega_{mu a b}, shape (P, n + 1, n, n, n).  omega is fixed by the
+        vanishing of the total derivative of the vierbein:
+        omega_{mu a b} = -eta_a (d_mu e^a_nu - Gamma^lam_{mu nu} e^a_lam) e_b^nu."""
+        e2 = self._vierbein_jet(points)
+        einv = _inverse(e2[:, :, -1])
+        nabla_e = _covariant(e2, self._christoffel_jet(points), "d")
+        eta = np.array(self.F.eta, dtype=float)[:, None]
+        return einv, -eta * _product("man,nb->mab", nabla_e, einv)
+
     def frame_jets(self, points) -> tuple[np.ndarray, np.ndarray]:
         """1-jets of gamma^mu = e_a^mu gamma^a and of the connection matrices
         (1/4) omega_{mu a b} gamma^a gamma^b, each of shape (P, n + 1, n, s, s)."""
-        einv = self.M.evaluate(self._einv_jet, points)
-        omega = self.M.evaluate(self._omega_jet, points)
-        return (np.einsum("pjam,ast->pjmst", einv, self._gamma),
+        einv, omega = self.connection(points)
+        return (np.einsum("pjma,ast->pjmst", einv, self._gamma),
                 np.einsum("pjmab,abst->pjmst", omega, self._quarter))
 
     def operator(self, spec: OperatorSpec) -> "LinearOperator":
@@ -343,12 +343,9 @@ def _coefficient_jet(c1: np.ndarray, c0: np.ndarray) -> np.ndarray:
 
 
 def build_operator(spec: OperatorSpec, ctx: SpinContext) -> LinearOperator:
-    """Coefficient jets of D_s, X_k, or D_f on the given spin context."""
+    """Coefficient jets of D_s, X_k, or D_f on the given spin context, formed
+    from the 2-jet of the payload and the context's jets."""
     M = ctx.M
-
-    def jet(arr):
-        sym1 = _tangent(arr, M.coord_symbols)
-        return lambda points: M.evaluate(sym1, points)
 
     if spec.kind == "standard-dirac":
         # D_s = i gamma^mu grad_mu
@@ -362,15 +359,17 @@ def build_operator(spec: OperatorSpec, ctx: SpinContext) -> LinearOperator:
         R = spec.payload
         if R.variance != "u":
             raise ValueError("killing-op payload must be a vector field")
-        Rlow = lower_index(R, M, 0)
-        R_jet = jet(R.components)
-        dR_jet = jet(covariant_derivative(Rlow, M).components)   # dR[nu, mu] = R_{mu;nu}
+        R_jet = _jet_function(M, R.components, 2)
         quarter = QUARTER_SIGN / 4
         eye = np.eye(ctx.rep.spinor_size)
 
         def coefficients(points):
             gam, conn = ctx.frame_jets(points)
-            r, dr = R_jet(points), dR_jet(points)
+            r2 = R_jet(points)
+            r = r2[:, :, -1]
+            # dr[nu, mu] = R_{mu;nu} = g_{mu lam} grad_nu R^lam
+            dr = _product("ml,nl->nm", ctx._metric_jet(points),
+                          _covariant(r2, ctx._christoffel_jet(points), "u"))
             c0 = (_product("m,mst->st", r, conn)
                   + quarter * _product("mst,ntu,nm->su", gam, gam, dr))
             return -1j * _coefficient_jet(np.einsum("pjm,st->pjmst", r, eye), c0)
@@ -380,14 +379,13 @@ def build_operator(spec: OperatorSpec, ctx: SpinContext) -> LinearOperator:
     f = spec.payload
     if f.variance != "dd":
         raise ValueError("dirac-type payload must be a covariant two-form")
-    F_jet = jet(f.components)
-    ginv_jet = jet(M.inverse_metric_matrix())
-    dF_jet = jet(covariant_derivative(f, M).components)   # df[rho, mu, nu] = f_{mu nu;rho}
+    F_jet = _jet_function(M, f.components, 2)
 
     def coefficients(points):
         gam, conn = ctx.frame_jets(points)
-        fm = _product("ml,ln->mn", F_jet(points), ginv_jet(points))   # f_mu{}^nu
-        df = dF_jet(points)
+        f2 = F_jet(points)
+        fm = _product("ml,ln->mn", f2[:, :, -1], _inverse(ctx._metric_jet(points)))  # f_mu{}^nu
+        df = _covariant(f2, ctx._christoffel_jet(points), "dd")   # df[rho, mu, nu] = f_{mu nu;rho}
         c0 = (_product("mn,mst,ntu->su", fm, gam, conn)
               - _product("rmn,mst,ntu,ruv->sv", df, gam, gam, gam) / 6)
         return 1j * _coefficient_jet(_product("mn,mst->nst", fm, gam), c0)
@@ -400,8 +398,7 @@ def _spec_key(spec: OperatorSpec) -> tuple:
     if spec.payload is None:
         return (spec.kind,)
     t = spec.payload
-    comps = tuple(sp.srepr(t.components[idx]) for idx in np.ndindex(t.components.shape))
-    return (spec.kind, t.variance, t.components.shape, comps)
+    return (spec.kind, t.variance, t.components.shape, tuple(t.components.flat))
 
 
 # ---------------------------------------------------------------------------

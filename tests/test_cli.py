@@ -156,6 +156,19 @@ class TestCheckCommand:
         assert first == second
 
 
+class TestJsonFlag:
+    @pytest.mark.parametrize("argv", [
+        ["check", "killing-vector", "--catalog", "flat3", "--target", "translation"],
+        ["algebra", "table", "--cutoff", "1"],
+    ])
+    def test_json_flag_prints_the_default_output(self, capsys, argv):
+        """--json names the default JSON-lines output and changes nothing."""
+        code = main(argv)
+        plain = capsys.readouterr().out
+        assert main(argv + ["--json"]) == code
+        assert capsys.readouterr().out == plain
+
+
 class TestAlgebraCommand:
     def test_jacobi(self, capsys):
         code, reports = run(capsys, "algebra", "jacobi", "--cutoff", "3")

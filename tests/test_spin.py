@@ -8,7 +8,7 @@ from hiddensym.spin import (Frame, FrameError, GammaRep, OperatorSpec,
                             SpinContext, anticommutator_residual,
                             canonical_gamma, commutator_residual,
                             frame_residual, orthonormal_frame,
-                            spin_connection, spin_connection_antisymmetry,
+                            spin_connection_antisymmetry,
                             spinor_bank, spinor_jet, square_compare,
                             standard_unitary)
 
@@ -78,25 +78,47 @@ class TestFrames:
             SpinContext(flat4, F, canonical_gamma((-1, 1, 1, 1)))
 
 
+def symbolic_omega(F: Frame, M) -> np.ndarray:
+    """omega[mu, a, b] = -eta_a (d_mu e^a_nu - Gamma^lam_{mu nu} e^a_lam) e_b^nu,
+    built in sympy from the exact inverse of the frame, independently of the
+    numeric connection jets."""
+    n, xs, gamma = M.dim, M.coord_symbols, M.christoffel()
+    e = sp.Matrix(F.vierbein.tolist())
+    einv = e.inv()                       # einv[nu, b] = e_b^nu
+    omega = np.empty((n, n, n), dtype=object)
+    for mu in range(n):
+        for a in range(n):
+            for b in range(n):
+                omega[mu, a, b] = -F.eta[a] * sum(
+                    (sp.diff(e[a, nu], xs[mu])
+                     - sum(gamma[lam, mu, nu] * e[a, lam] for lam in range(n)))
+                    * einv[nu, b] for nu in range(n))
+    return omega
+
+
 class TestSpinConnection:
-    def test_flat_connection_vanishes(self, flat4):
-        omega = spin_connection(orthonormal_frame(flat4), flat4)
-        assert all(e == 0 for e in omega.flatten())
+    def test_flat_connection_vanishes(self, flat4, flat4_ctx):
+        _, omega = flat4_ctx.connection(sample_points(flat4.chart, 3))
+        assert (omega == 0).all()
 
-    def test_sphere_connection_component(self):
-        M = catalog.sphere2().manifold
-        omega = spin_connection(orthonormal_frame(M), M)
-        th = sp.Symbol("theta")
+    def test_sphere_connection_component(self, sphere_ctx):
         # -cos(theta) on the chart (where sin(theta) > 0)
-        for val in (0.4, 1.1, 2.6):
-            got = float(omega[1, 0, 1].subs(th, val))
-            assert abs(got + np.cos(val)) < 1e-12
+        thetas = (0.4, 1.1, 2.6)
+        _, omega = sphere_ctx.connection([{"theta": v, "phi": 1.0} for v in thetas])
+        assert np.max(np.abs(omega[:, -1, 1, 0, 1] + np.cos(thetas))) < 1e-12
 
-    def test_antisymmetry(self, tn):
-        F = Frame(tn.frame, (1, 1, 1, 1))
-        omega = spin_connection(F, tn.manifold)
-        assert spin_connection_antisymmetry(omega, tn.manifold,
-                                            points=5).passed
+    def test_antisymmetry(self, tn_ctx):
+        assert spin_connection_antisymmetry(tn_ctx, points=5).passed
+
+    def test_matches_symbolic_connection(self, tn, tn_ctx):
+        """The numeric 1-jet of omega against the tangent of the symbolic
+        omega built from the exact inverse frame."""
+        M = tn.manifold
+        pts = sample_points(M.chart, 5, seed=0)
+        expected = M.evaluate(spin._tangent(symbolic_omega(tn_ctx.F, M), M.coord_symbols),
+                              pts)
+        _, got = tn_ctx.connection(pts)
+        assert np.max(np.abs(got - expected)) <= 1e-12 * np.max(np.abs(expected))
 
 
 class TestSpinorBank:
@@ -206,6 +228,18 @@ class TestCurvedIdentities:
         finally:
             spin.QUARTER_SIGN = -1
 
+    def test_singular_point_fails_closed(self, sphere_ctx):
+        """At theta = 0 the frame is singular: that point alone is non-finite
+        and becomes the worst point of a failing report."""
+        M = sphere_ctx.M
+        pts = [{"theta": th, "phi": 0.5} for th in (1.0, 0.0, 2.0)]
+        rep = commutator_residual(
+            OperatorSpec("standard-dirac"), OperatorSpec("killing-op", vector([0, 1])),
+            sphere_ctx, bank=spinor_bank(M, 2), points=pts)
+        assert not rep.passed
+        assert rep.extra["non_finite_points"] == 1
+        assert rep.worst_point["theta"] == 0.0
+
     def test_non_killing_payload_fails(self, sphere_ctx):
         M = sphere_ctx.M
         rep = commutator_residual(
@@ -224,7 +258,8 @@ class TestTaubNutOracles:
         M, ctx = tn.manifold, tn_ctx
         n, xs, s = M.dim, M.coord_symbols, ctx.rep.spinor_size
         eta, gam = ctx.F.eta, ctx.rep.matrices
-        conn = [sum((sp.Rational(1, 4) * ctx.omega[mu, a, b] * eta[a] * eta[b]
+        omega = symbolic_omega(ctx.F, M)
+        conn = [sum((sp.Rational(1, 4) * omega[mu, a, b] * eta[a] * eta[b]
                      * gam[a] * gam[b] for a in range(n) for b in range(n)),
                     sp.zeros(s, s)) for mu in range(n)]
         christoffel, ginv = M.christoffel(), M.inverse_metric_matrix()
