@@ -1,8 +1,9 @@
 """Geodesic integration and conservation monitoring.
 
-Each right-hand side calls the manifold's compiled Christoffel function
-directly on the state's coordinates; fixed-step RK4 is the default for
-reproducible drift numbers, with adaptive RK45 (scipy) as an option.
+Each right-hand side makes one call of the manifold's compiled spray, the
+geodesic acceleration as a function of position and velocity; fixed-step
+RK4 is the default for reproducible drift numbers, with adaptive RK45
+(scipy) as an option.
 Invariants are evaluated over a whole trajectory in one batch.
 """
 
@@ -68,27 +69,6 @@ class ConservationReport:
         })
 
 
-def _geodesic_rhs(M: Manifold):
-    n = M.dim
-    gamma_fn = M.compiled(M.christoffel())
-
-    def rhs(y: np.ndarray) -> np.ndarray:
-        x, v = y[:n], y[n:]
-        gamma = np.array(gamma_fn(*x), dtype=float).reshape(n, n, n)
-        acc = -np.einsum("rmn,m,n->r", gamma, v, v)
-        return np.concatenate([v, acc])
-
-    return rhs
-
-
-def _in_box(M: Manifold, x: np.ndarray) -> bool:
-    for i, c in enumerate(M.chart.coords):
-        lo, hi = M.chart.box[c]
-        if not lo <= x[i] <= hi:
-            return False
-    return True
-
-
 def integrate(M: Manifold, s0: GeodesicState, cfg: IntegratorConfig) -> Trajectory:
     """Integrate the geodesic equation; aborts cleanly at the domain boundary."""
     n = M.dim
@@ -97,8 +77,16 @@ def integrate(M: Manifold, s0: GeodesicState, cfg: IntegratorConfig) -> Trajecto
         raise ValueError("initial position outside the domain box")
     y = np.array([s0.position[c] for c in coords]
                  + [s0.velocity[c] for c in coords], dtype=float)
-    rhs = _geodesic_rhs(M)
+    spray = M.spray()
+    box = [M.chart.box[c] for c in coords]
     t0, t1 = cfg.t_span
+
+    def rhs(y: np.ndarray) -> np.ndarray:
+        state = y.tolist()      # the compiled spray is fastest on Python floats
+        try:
+            return np.array(state[n:] + spray(*state))
+        except ZeroDivisionError:       # a singular point: the orbit leaves the box
+            return np.full(2 * n, np.nan)
 
     def snap(t, yv):
         return t, GeodesicState({c: float(yv[i]) for i, c in enumerate(coords)},
@@ -121,7 +109,7 @@ def integrate(M: Manifold, s0: GeodesicState, cfg: IntegratorConfig) -> Trajecto
             k4 = rhs(y + hk * k3)
             y = y + hk / 6 * (k1 + 2 * k2 + 2 * k3 + k4)
             t = min(t0 + k * h, t1)
-            if not _in_box(M, y[:n]):
+            if not all(lo <= x <= hi for (lo, hi), x in zip(box, y.tolist())):
                 exited = True
                 break
             if k % cfg.stride == 0 or k == steps:

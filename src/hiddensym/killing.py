@@ -7,10 +7,10 @@ magnitude at the worst point (floored at 1 so exact-zero inputs do not
 blow up the quotient).  A check passes only when every residual and
 scale is finite.
 
-Derivatives are symbolic, identities are numeric: sympy only builds the
-covariant and exterior derivatives, each evaluated once over the batch of
-points, and the symmetrizations, contractions and wedge products that form
-an identity are array code on the evaluated (P, ...) values.
+Sympy only differentiates the inputs: a checker evaluates the 1-jet of its
+tensor once over the batch of points and forms the covariant derivative from
+it and the Christoffel values; the symmetrizations, contractions and wedges
+that form an identity are array code on the evaluated (P, ...) values.
 """
 
 from __future__ import annotations
@@ -111,7 +111,7 @@ def _max_abs(arr: np.ndarray) -> np.ndarray:
 
 def _nabla_flat(X: TensorField, M: Manifold, pts) -> np.ndarray:
     """grad_mu X_nu of a vector field at the points, shape (P, n, n)."""
-    return M.evaluate(covariant_derivative(lower_index(X, M, 0), M).components, pts)
+    return covariant_derivative(lower_index(X, M, 0), M, pts).components
 
 
 def _killing_report(dX: np.ndarray, pts, tol: float) -> ResidualReport:
@@ -169,7 +169,7 @@ def sk_residual(K: TensorField, M: Manifold, points=None, seed=0,
     if not _is_symmetric(K):
         raise GeometryError("sk_residual requires a symmetric tensor")
     pts = _default_points(M, points, seed)
-    nabla = M.evaluate(covariant_derivative(K, M).components, pts)
+    nabla = covariant_derivative(K, M, pts).components
     return _report("staeckel-killing", pts,
                    _max_abs(np.array([symmetrize(v) for v in nabla])),
                    _max_abs(nabla), tol)
@@ -181,7 +181,7 @@ def ky_residual(f: TensorField, M: Manifold, points=None, seed=0,
     pts = _default_points(M, points, seed)
     if not _is_antisymmetric_at(f, M, pts):
         raise GeometryError("ky_residual requires an antisymmetric form")
-    nabla = M.evaluate(covariant_derivative(f, M).components, pts)
+    nabla = covariant_derivative(f, M, pts).components
     # symmetrize over the derivative slot and the form's first slot
     sym_pair = (nabla + np.swapaxes(nabla, 1, 2)) / 2
     residual = np.maximum(_max_abs(sym_pair), _max_abs(nabla - _alternation(nabla)))
@@ -203,7 +203,7 @@ def cky_residual(f: TensorField, M: Manifold, points=None, seed=0,
     if not _is_antisymmetric_at(f, M, pts):
         raise GeometryError("cky_residual requires an antisymmetric form")
     df = M.evaluate(exterior_derivative(f, M).components, pts)
-    nabla = M.evaluate(covariant_derivative(f, M).components, pts)
+    nabla = covariant_derivative(f, M, pts).components
     g = M.evaluate(M.metric, pts)
     codf = -np.einsum("plm,plm...->p...", M.inverse_metric_values(pts), nabla)
     # (X* wedge d*f) for X = coordinate basis vector mu, X*_nu = g_{mu nu}: a
@@ -218,7 +218,7 @@ def cky_residual(f: TensorField, M: Manifold, points=None, seed=0,
 def covariant_constancy_residual(T: TensorField, M: Manifold, points=None, seed=0,
                                  tol=DEFAULT_TOL) -> ResidualReport:
     pts = _default_points(M, points, seed)
-    worst = _max_abs(M.evaluate(covariant_derivative(T, M).components, pts))
+    worst = _max_abs(covariant_derivative(T, M, pts).components)
     return _report("covariant-constancy", pts, worst,
                    _max_abs(M.evaluate(T.components, pts)), tol,
                    extra={"max_abs_per_point": worst.tolist()})

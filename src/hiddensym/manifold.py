@@ -1,10 +1,12 @@
-"""Metric geometry pipeline: connection, curvature, exterior calculus, sampling.
+"""Metric geometry: charts, tensor fields, numeric connection and curvature, sampling.
 
-All tensors are dense component arrays of symbolic expressions over a
+Tensor fields are dense component arrays of symbolic expressions over a
 single chart.  Dimensions stay small (<= 7), so no sparsity or index-free
 machinery is used.  Numeric evaluation goes through Manifold.evaluate: each
 array is lambdified once per manifold, cached under its content, and
-evaluated over a whole batch of points in one call.
+evaluated over a whole batch of points in one call.  The connection, the
+curvature and covariant derivatives are numpy on evaluated jets: sympy only
+differentiates the metric (its 2-jet) and the tensor fields (their 1-jets).
 """
 
 from __future__ import annotations
@@ -95,6 +97,105 @@ class TensorField:
         return TensorField(out, self.variance, self.symmetry)
 
 
+# ---------------------------------------------------------------------------
+# jets
+#
+# Numerically, a field is handled through its jet at a batch of points: one
+# jet axis of length n + 1 per order, holding the partials d_0 .. d_{n-1}
+# and, last, the undifferentiated value.
+
+def per_batch(method):
+    """Memoize a method of a batch of points per object, keyed on the batch's
+    coordinate values: a repeated batch gets the same read-only result back.
+    The results of the last 16 batches are kept."""
+    @functools.wraps(method)
+    def cached(self, points):
+        memo = vars(self).setdefault("_batches", {})
+        key = (method.__name__, tuple(tuple(p.items()) for p in points))
+        if key not in memo:
+            if len(memo) >= 16:
+                del memo[next(iter(memo))]
+            result = method(self, points)
+            for arr in result if isinstance(result, tuple) else (result,):
+                arr.flags.writeable = False
+            memo[key] = result
+        return memo[key]
+    return cached
+
+
+def _tangent(arr, xs) -> np.ndarray:
+    """Symbolic 1-jet of an object array: a new leading jet axis."""
+    arr = np.asarray(arr, dtype=object)
+    diff = np.frompyfunc(sp.diff, 2, 1)
+    return np.stack([diff(arr, x) for x in xs] + [arr])
+
+
+def _jet_function(M: "Manifold", arr, order: int, dtype=float):
+    """points -> the order-jet of the array at the points, shape
+    (P, n + 1, ..., n + 1, *shape), the outermost derivative first."""
+    jet = np.asarray(arr, dtype=object)
+    for _ in range(order):
+        jet = _tangent(jet, M.coord_symbols)
+    return lambda points: M.evaluate(jet, points, dtype)
+
+
+def _pointwise(subscripts: str, *values) -> np.ndarray:
+    """einsum at each point of (P, ...) arrays; the subscripts name the axes
+    after the point axis and must not use p."""
+    ins, out = subscripts.split("->")
+    return np.einsum(",".join("p" + s for s in ins.split(",")) + "->p" + out, *values)
+
+
+def _product(subscripts: str, *jets) -> np.ndarray:
+    """Leibniz rule: the 1-jet of an einsum product of 1-jets of shape
+    (P, n + 1, ...); the subscripts name the axes after the jet axis and
+    must not use p or j."""
+    ins, out = subscripts.split("->")
+    ins = ins.split(",")
+    values = [jet[:, -1] for jet in jets]
+    partials = sum(
+        np.einsum(",".join(("pj" if i == t else "p") + s for i, s in enumerate(ins))
+                  + "->pj" + out,
+                  *(jet[:, :-1] if i == t else values[i] for i, jet in enumerate(jets)))
+        for t in range(len(jets)))
+    return np.concatenate([partials, _pointwise(subscripts, *values)[:, None]], axis=1)
+
+
+def _inverse(jet: np.ndarray) -> np.ndarray:
+    """1-jet of the inverse of a 1-jet of square matrices, with
+    d(A^-1) = -A^-1 dA A^-1.  A point where the matrix is singular or not
+    finite gets NaN, for the reports to fail closed there."""
+    value = jet[:, -1]
+    with np.errstate(invalid="ignore", over="ignore"):
+        det = np.linalg.det(value)
+    bad = ~(np.isfinite(det) & (det != 0))
+    inv = np.linalg.inv(np.where(bad[:, None, None], np.eye(value.shape[-1]), value))
+    inv[bad] = np.nan
+    partials = -np.einsum("pab,pjbc,pcd->pjad", inv, jet[:, :-1], inv)
+    return np.concatenate([partials, inv[:, None]], axis=1)
+
+
+def _covariant(jet: np.ndarray, christoffel: np.ndarray, variance: str) -> np.ndarray:
+    """Levi-Civita covariant derivative of a tensor, the new slot first, as a
+    (k - 1)-jet: from the tensor's k-jet and the (k - 1)-jet of
+    Gamma[rho, mu, nu], k = 1 (Gamma's values) or 2 (Gamma's 1-jet).
+    variance names the tensor's trailing slots; leading slots are frame
+    indices, carried along."""
+    k = christoffel.ndim - 3
+    lead = (slice(None),) * k
+    T = jet[lead + (-1,)]
+    out = jet[lead + (slice(None, -1),)]
+    product = _product if k == 2 else _pointwise
+    axes = "abcdefghik"[:T.ndim - k]
+    for slot in range(len(axes) - len(variance), len(axes)):
+        x, moved = axes[slot], axes[:slot] + "z" + axes[slot + 1:]
+        if variance[slot - len(axes)] == "u":      # + Gamma^x_{l z} T^{..z..}
+            out = out + product(f"{x}lz,{moved}->l{axes}", christoffel, T)
+        else:                                      # - Gamma^z_{l x} T_{..z..}
+            out = out - product(f"zl{x},{moved}->l{axes}", christoffel, T)
+    return out
+
+
 class Manifold:
     """Chart plus metric (matrix of expressions) plus bound parameter values."""
 
@@ -140,71 +241,73 @@ class Manifold:
             self._cache["ginv"] = ginv
         return self._cache["ginv"]
 
-    def christoffel(self) -> np.ndarray:
-        """Levi-Civita coefficients Gamma[rho, mu, nu], symmetric in (mu, nu)."""
-        if "gamma" not in self._cache:
-            n = self.dim
-            g = self.metric
-            ginv = self.inverse_metric_matrix()
-            xs = self.coord_symbols
-            dg = [[[sp.diff(g[i, j], xs[k]) for k in range(n)] for j in range(n)]
-                  for i in range(n)]
-            gamma = np.empty((n, n, n), dtype=object)
-            for rho in range(n):
-                for mu in range(n):
-                    for nu in range(mu, n):
-                        total = sp.Integer(0)
-                        for lam in range(n):
-                            total += ginv[rho, lam] * (
-                                dg[lam][nu][mu] + dg[lam][mu][nu] - dg[mu][nu][lam])
-                        expr = simplify(total / 2)
-                        gamma[rho, mu, nu] = expr
-                        gamma[rho, nu, mu] = expr
-            self._cache["gamma"] = gamma
-        return self._cache["gamma"]
+    def spray(self):
+        """The geodesic acceleration a^rho = -Gamma^rho_{mu nu} v^mu v^nu as one
+        compiled function of the coordinates, then the velocities, returning
+        the n components.  Built without simplification as
+        a = -adj(g) w / det g with w_lam = (d_mu g_{lam nu} - d_lam g_{mu nu} / 2) v^mu v^nu."""
+        if "spray" not in self._cache:
+            n, g, xs = self.dim, self.metric, self.coord_symbols
+            v = [sp.Dummy(f"v_{c}") for c in self.chart.coords]
+            w = [sum((sp.diff(g[lam, nu], xs[mu]) - sp.diff(g[mu, nu], xs[lam]) / 2)
+                     * v[mu] * v[nu] for mu in range(n) for nu in range(n))
+                 for lam in range(n)]
+            adj, det = g.adjugate(), g.det(method="berkowitz")
+            self._cache["spray"] = self.compiled(
+                [-sum(adj[rho, lam] * w[lam] for lam in range(n)) / det
+                 for rho in range(n)], extra=v)
+        return self._cache["spray"]
 
-    def riemann(self) -> np.ndarray:
-        """R[rho, sigma, mu, nu] = d_mu Gamma^rho_{nu sigma} - ... (first index up)."""
-        if "riemann" not in self._cache:
-            n = self.dim
-            gamma = self.christoffel()
-            xs = self.coord_symbols
-            riem = np.empty((n, n, n, n), dtype=object)
-            for rho in range(n):
-                for sig in range(n):
-                    for mu in range(n):
-                        for nu in range(n):
-                            expr = (sp.diff(gamma[rho, nu, sig], xs[mu])
-                                    - sp.diff(gamma[rho, mu, sig], xs[nu]))
-                            for lam in range(n):
-                                expr += (gamma[rho, mu, lam] * gamma[lam, nu, sig]
-                                         - gamma[rho, nu, lam] * gamma[lam, mu, sig])
-                            riem[rho, sig, mu, nu] = expr
-            self._cache["riemann"] = riem
-        return self._cache["riemann"]
+    # -- numeric geometry, per batch of points ------------------------------
 
-    def ricci(self) -> TensorField:
-        if "ricci" not in self._cache:
-            n = self.dim
-            riem = self.riemann()
-            ric = np.empty((n, n), dtype=object)
-            for sig in range(n):
-                for nu in range(n):
-                    ric[sig, nu] = sum((riem[lam, sig, lam, nu] for lam in range(n)),
-                                       sp.Integer(0))
-            self._cache["ricci"] = TensorField(ric, "dd", "symmetric")
-        return self._cache["ricci"]
+    @per_batch
+    def metric_jet(self, points) -> np.ndarray:
+        """2-jet of the metric at the points, shape (P, n + 1, n + 1, n, n): the
+        one array of the geometry that sympy differentiates."""
+        if "metric_jet" not in self._cache:
+            self._cache["metric_jet"] = _jet_function(self, self.metric, 2)
+        return self._cache["metric_jet"](points)
+
+    @per_batch
+    def christoffel(self, points) -> np.ndarray:
+        """1-jet of the Levi-Civita coefficients Gamma[rho, mu, nu], symmetric
+        in (mu, nu), at the points, shape (P, n + 1, n, n, n):
+        Gamma^rho_{mu nu} = g^{rho lam} (d_mu g_{lam nu} + d_nu g_{lam mu} - d_lam g_{mu nu}) / 2.
+        A point where the metric is singular gets NaN."""
+        g2 = self.metric_jet(points)
+        dg = g2[:, :, :-1]             # dg[p, j, k, i, l] = d_j d_k g_il
+        with np.errstate(invalid="ignore", over="ignore"):
+            lowered = (np.einsum("pjmln->pjlmn", dg) + np.einsum("pjnlm->pjlmn", dg)
+                       - dg) / 2
+            return _product("rl,lmn->rmn", _inverse(g2[:, :, -1]), lowered)
+
+    @per_batch
+    def riemann(self, points) -> np.ndarray:
+        """R[rho, sigma, mu, nu] = d_mu Gamma^rho_{nu sigma} - d_nu Gamma^rho_{mu sigma}
+        + Gamma^rho_{mu lam} Gamma^lam_{nu sigma} - Gamma^rho_{nu lam} Gamma^lam_{mu sigma}
+        at the points, shape (P, n, n, n, n), from the 1-jet of Gamma."""
+        jet = self.christoffel(points)
+        gamma = jet[:, -1]
+        with np.errstate(invalid="ignore", over="ignore"):
+            half = (np.einsum("pmrns->prsmn", jet[:, :-1])
+                    + np.einsum("prml,plns->prsmn", gamma, gamma))
+            return half - np.swapaxes(half, -1, -2)
+
+    def ricci(self, points) -> np.ndarray:
+        """R_{sigma nu} = R^lam_{sigma lam nu} at the points, shape (P, n, n)."""
+        return np.einsum("plsln->psn", self.riemann(points))
 
     # -- numeric evaluation --------------------------------------------------
 
-    def compiled(self, components):
+    def compiled(self, components, extra=()):
         """The array's lambdified form, compiled once per manifold with
         common-subexpression elimination and cached under the array's content:
-        a function of the coordinate values that returns the flat component list."""
+        a function of the coordinate values, then of the `extra` symbols'
+        values, that returns the flat component list."""
         arr = np.asarray(components, dtype=object)
-        key = ("lambdified", arr.shape, tuple(arr.flat))
+        key = ("lambdified", arr.shape, tuple(arr.flat), tuple(extra))
         if key not in self._cache:
-            args = [sym(p) for p in sorted(self.params)] + self.coord_symbols
+            args = [sym(p) for p in sorted(self.params)] + self.coord_symbols + list(extra)
             self._cache[key] = sp.lambdify(args, [sp.sympify(e) for e in arr.flat],
                                            modules="numpy", cse=True)
         return functools.partial(self._cache[key],
@@ -213,18 +316,21 @@ class Manifold:
     def evaluate(self, components, points, dtype=float) -> np.ndarray:
         """Values of an array of expressions at a batch of points, shape (P, *shape).
 
-        One call of the compiled function covers the whole batch; constant
-        entries are broadcast.  A real dtype rejects non-zero imaginary parts.
-        Floating-point warnings are silenced: non-finite values are returned
-        for the reports to count and fail.
+        One call of the compiled function covers the whole batch; the
+        entries it returns as scalars (the constant ones) are broadcast.  A
+        real dtype rejects non-zero imaginary parts.  Floating-point warnings
+        are silenced: non-finite values are returned for the reports to count
+        and fail.
         """
         arr = np.asarray(components, dtype=object)
         count = len(points)
         x = np.array([[p[c] for c in self.chart.coords] for p in points],
                      dtype=float).reshape(count, self.dim)
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            values = np.stack([np.broadcast_to(v, count)
-                               for v in self.compiled(arr)(*x.T)], axis=-1)
+            flat = self.compiled(arr)(*x.T)
+        values = np.empty((count, len(flat)), np.result_type(float, *flat))
+        for i, v in enumerate(flat):
+            values[:, i] = v
         if np.iscomplexobj(values) and np.dtype(dtype).kind != "c":
             if np.any(values.imag != 0):
                 raise GeometryError("real-valued tensor has a non-zero imaginary part")
@@ -244,9 +350,6 @@ class Manifold:
 
     def inverse_metric_at(self, point: Point) -> np.ndarray:
         return self.inverse_metric_values([point])[0]
-
-    def christoffel_at(self, point: Point) -> np.ndarray:
-        return self.evaluate(self.christoffel(), [point])[0]
 
     def check_signature(self, points: list[Point]) -> bool:
         """True when the metric has the declared signature at every point.
@@ -298,43 +401,25 @@ def symmetrize(arr: np.ndarray) -> np.ndarray:
     return _permutation_average(arr, signed=False)
 
 
-def covariant_derivative(T: TensorField, M: Manifold) -> TensorField:
-    """Levi-Civita covariant derivative; the new slot is the first (lower) one."""
-    n = M.dim
-    gamma = M.christoffel()
-    xs = M.coord_symbols
-    comp = T.components
-    out = np.empty((n,) + comp.shape, dtype=object)
-    for lam in range(n):
-        for idx in np.ndindex(comp.shape):
-            expr = sp.diff(comp[idx], xs[lam])
-            for slot, var in enumerate(T.variance):
-                for nu in range(n):
-                    swapped = list(idx)
-                    swapped[slot] = nu
-                    term = comp[tuple(swapped)]
-                    if term == 0:
-                        continue
-                    if var == "u":
-                        expr += gamma[idx[slot], lam, nu] * term
-                    else:
-                        expr -= gamma[nu, lam, idx[slot]] * term
-            out[(lam,) + idx] = expr
-    return TensorField(out, "d" + T.variance)
+@dataclass(frozen=True)
+class TensorValues:
+    """Numeric components of a tensor at a batch of points, shape (P, *shape)."""
+
+    components: np.ndarray
 
 
-def _contract_metric(T: TensorField, M: Manifold, slot: int, matrix: sp.Matrix,
+def covariant_derivative(T: TensorField, M: Manifold, points) -> TensorValues:
+    """Levi-Civita covariant derivative at the points, the new (lower) slot
+    first, from the 1-jet of T and the values of Gamma."""
+    jet = _jet_function(M, T.components, 1)(points)
+    return TensorValues(_covariant(jet, M.christoffel(points)[:, -1], T.variance))
+
+
+def _contract_metric(T: TensorField, slot: int, matrix: sp.Matrix,
                      new_var: str) -> TensorField:
-    n = M.dim
-    comp = T.components
-    out = np.empty(comp.shape, dtype=object)
-    for idx in np.ndindex(comp.shape):
-        total = sp.Integer(0)
-        for nu in range(n):
-            swapped = list(idx)
-            swapped[slot] = nu
-            total += matrix[idx[slot], nu] * comp[tuple(swapped)]
-        out[idx] = total
+    """matrix[i, nu] T[.., nu, ..], with i in the slot."""
+    out = np.moveaxis(np.tensordot(np.array(matrix.tolist(), dtype=object), T.components,
+                                   (1, slot)), 0, slot)
     variance = T.variance[:slot] + new_var + T.variance[slot + 1:]
     return TensorField(out, variance, T.symmetry)
 
@@ -342,13 +427,13 @@ def _contract_metric(T: TensorField, M: Manifold, slot: int, matrix: sp.Matrix,
 def raise_index(T: TensorField, M: Manifold, slot: int) -> TensorField:
     if T.variance[slot] != "d":
         raise GeometryError("slot is already contravariant")
-    return _contract_metric(T, M, slot, M.inverse_metric_matrix(), "u")
+    return _contract_metric(T, slot, M.inverse_metric_matrix(), "u")
 
 
 def lower_index(T: TensorField, M: Manifold, slot: int) -> TensorField:
     if T.variance[slot] != "u":
         raise GeometryError("slot is already covariant")
-    return _contract_metric(T, M, slot, M.metric, "d")
+    return _contract_metric(T, slot, M.metric, "d")
 
 
 def exterior_derivative(T: TensorField, M: Manifold) -> TensorField:
@@ -360,12 +445,7 @@ def exterior_derivative(T: TensorField, M: Manifold) -> TensorField:
     if p >= n:
         return TensorField(np.zeros((n,) * (p + 1), dtype=object), "d" * (p + 1),
                            "antisymmetric")
-    xs = M.coord_symbols
-    grad = np.empty((n,) + T.components.shape, dtype=object)
-    for lam in range(n):
-        for idx in np.ndindex(T.components.shape):
-            grad[(lam,) + idx] = sp.diff(T.components[idx], xs[lam])
-    out = (p + 1) * antisymmetrize(grad)
+    out = (p + 1) * antisymmetrize(_tangent(T.components, M.coord_symbols)[:-1])
     return TensorField(out, "d" * (p + 1), "antisymmetric")
 
 
@@ -373,16 +453,8 @@ def lie_bracket(X: TensorField, Y: TensorField, M: Manifold) -> TensorField:
     """[X, Y]^mu = X^nu d_nu Y^mu - Y^nu d_nu X^mu for vector fields."""
     if X.variance != "u" or Y.variance != "u":
         raise GeometryError("lie_bracket expects vector fields")
-    n = M.dim
-    xs = M.coord_symbols
-    out = np.empty(n, dtype=object)
-    for mu in range(n):
-        total = sp.Integer(0)
-        for nu in range(n):
-            total += X.components[nu] * sp.diff(Y.components[mu], xs[nu])
-            total -= Y.components[nu] * sp.diff(X.components[mu], xs[nu])
-        out[mu] = total
-    return TensorField(out, "u")
+    dX, dY = (_tangent(V.components, M.coord_symbols)[:-1] for V in (X, Y))
+    return TensorField(X.components @ dY - Y.components @ dX, "u")
 
 
 def vector(components) -> TensorField:

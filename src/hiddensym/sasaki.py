@@ -121,10 +121,6 @@ def structure_identity_suite(S: MixedThreeStructure, points=None, seed=0,
     return _report("mixed-structure-identities", pts, np.max(terms, axis=0), scale, tol)
 
 
-def _nabla_phi(S: MixedThreeStructure, a: int) -> TensorField:
-    return covariant_derivative(S.phi[a], S.manifold)
-
-
 def sasakian_residuals(S: MixedThreeStructure, points=None, seed=0,
                        tol=DEFAULT_TOL) -> ResidualReport:
     """Sasakian law for alpha=1, LP-Sasakian laws for alpha=2,3.
@@ -141,7 +137,7 @@ def sasakian_residuals(S: MixedThreeStructure, points=None, seed=0,
     g = M.evaluate(M.metric, pts)
     phi, xi, eta = (_values(T, M, pts) for T in (S.phi, S.xi, S.eta))
     # dphi[a][p, lam, i, j] = (grad_lam phi_a)^i_j
-    dphi = _values([_nabla_phi(S, a) for a in range(3)], M, pts)
+    dphi = [covariant_derivative(phi_a, M, pts).components for phi_a in S.phi]
     terms = []
     for a in range(3):
         if a == 0:
@@ -193,7 +189,7 @@ def curvature_characterization(S: MixedThreeStructure, points=None, seed=0,
     M = S.manifold
     pts = _default_points(M, points, seed)
     g = M.evaluate(M.metric, pts)
-    R = M.evaluate(M.riemann(), pts)   # R[p, rho, sig, mu, nu] : R(e_mu, e_nu) e_sig
+    R = M.riemann(pts)   # R[p, rho, sig, mu, nu] : R(e_mu, e_nu) e_sig
     terms = []
     for xi in _values(S.xi, M, pts):
         # R(X, xi)Y with X = e_mu, Y = e_sig
@@ -211,7 +207,7 @@ def sectional_curvature_check(S: MixedThreeStructure, points=None, seed=0,
     M = S.manifold
     pts = _default_points(M, points, seed)
     g = M.evaluate(M.metric, pts)
-    R = M.evaluate(M.riemann(), pts)
+    R = M.riemann(pts)
     Rlow = np.einsum("pra,pasmn->prsmn", g, R)   # R_{rho sig mu nu}
     terms = [np.zeros(len(pts))]
     skipped = 0
@@ -234,7 +230,7 @@ def einstein_check(M: Manifold, lam: float, points=None, seed=0,
     """Residual of Ric - lam * g at sampled points."""
     pts = _default_points(M, points, seed)
     g = M.evaluate(M.metric, pts)
-    res = M.evaluate(M.ricci().components, pts) - lam * g
+    res = M.ricci(pts) - lam * g
     return _report("einstein", pts, _max_abs(res), np.maximum(1.0, _max_abs(g)), tol,
                    extra={"einstein_constant": lam})
 
@@ -288,7 +284,7 @@ def para_hyperkahler_check(C: ConeManifold, points=None, seed=0,
     terms = [_max_abs(J[0] @ J[1] @ J[2] + np.eye(M.dim))]
     for a in range(3):
         terms.append(_max_abs(_form(J[a], g, J[a]) - EPS[a] * g))
-        terms.append(_max_abs(M.evaluate(covariant_derivative(C.J[a], M).components, pts)))
+        terms.append(_max_abs(covariant_derivative(C.J[a], M, pts).components))
     scale = np.maximum(1.0, np.max([_max_abs(Ja) for Ja in J], axis=0))
     return _report("para-hyperkahler", pts, np.max(terms, axis=0), scale, tol)
 
@@ -305,9 +301,10 @@ def reverse_cone(C: ConeManifold) -> MixedThreeStructure:
         # xi_a = J_a(d_r), restricted to r = 1
         xis.append(vector([C.J[a].components[i, n].subs(r, 1) for i in range(n)]))
         etas.append(lower_index(xis[a], base, 0))
-        nxi = covariant_derivative(etas[a], base).components
-        # phi^i_mu = g^{i nu} grad_mu (xi_a)_nu
-        phis.append(TensorField([[sum(ginv[i, nu] * nxi[mu, nu] for nu in range(n))
+        # phi^i_mu = g^{i nu} grad_mu (xi_a)_nu, and grad_mu (xi_a)_nu =
+        # (d eta_a)_{mu nu} / 2 because xi_a is Killing on a Sasakian base
+        deta = exterior_derivative(etas[a], base).components
+        phis.append(TensorField([[sum(ginv[i, nu] * deta[mu, nu] for nu in range(n)) / 2
                                   for mu in range(n)] for i in range(n)], "ud"))
     return MixedThreeStructure(base, phis, xis, etas)
 
@@ -347,7 +344,7 @@ def phi_not_killing_witness(S: MixedThreeStructure, points=None, seed=0,
     worst_point = {}
     for a in range(3):
         xi = M.evaluate(S.xi[a].components, pts)
-        dphi = M.evaluate(_nabla_phi(S, a).components, pts)
+        dphi = covariant_derivative(S.phi[a], M, pts).components
         gxi = _mv(g, xi)
         hits = np.zeros((len(pts), n), dtype=bool)
         vals = np.zeros((len(pts), n))

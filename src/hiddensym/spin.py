@@ -14,7 +14,8 @@ import numpy as np
 import sympy as sp
 
 from .killing import ResidualReport, _default_points, _max_abs, _report
-from .manifold import GeometryError, Manifold, TensorField
+from .manifold import (GeometryError, Manifold, TensorField, _covariant, _inverse,
+                       _jet_function, _product, per_batch)
 
 # Sign of the quarter term in the Killing operator
 #   X_k = -i (R^mu grad_mu + QUARTER_SIGN * (1/4) gamma^mu gamma^nu R_{mu;nu}).
@@ -150,75 +151,10 @@ def standard_unitary(size: int) -> sp.Matrix:
 # ---------------------------------------------------------------------------
 # jets and operators
 #
-# Numerically, a field is handled through its jet at a batch of points: one
-# jet axis of length n + 1 per order, holding the partials d_0 .. d_{n-1}
-# and, last, the undifferentiated value.  Operators are the 1-jets of their
-# coefficients, composed by the Leibniz rule in numpy.
+# Operators are the 1-jets of their coefficients at a batch of points
+# (manifold.py's jets), composed by the Leibniz rule in numpy.
 
 SpinorField = np.ndarray      # object array of expressions, length = spinor size
-
-
-def _tangent(arr, xs) -> np.ndarray:
-    """Symbolic 1-jet of an object array: a new leading jet axis."""
-    arr = np.asarray(arr, dtype=object)
-    diff = np.frompyfunc(sp.diff, 2, 1)
-    return np.stack([diff(arr, x) for x in xs] + [arr])
-
-
-def _jet_function(M: Manifold, arr, order: int, dtype=float):
-    """points -> the order-jet of the array at the points, shape
-    (P, n + 1, ..., n + 1, *shape), the outermost derivative first."""
-    sym = np.asarray(arr, dtype=object)
-    for _ in range(order):
-        sym = _tangent(sym, M.coord_symbols)
-    return lambda points: M.evaluate(sym, points, dtype)
-
-
-def _product(subscripts: str, *jets) -> np.ndarray:
-    """Leibniz rule: the 1-jet of an einsum product of 1-jets of shape
-    (P, n + 1, ...); the subscripts name the axes after the jet axis and
-    must not use p or j."""
-    ins, out = subscripts.split("->")
-    ins = ins.split(",")
-    values = [jet[:, -1] for jet in jets]
-    value = np.einsum(",".join("p" + s for s in ins) + "->p" + out, *values)
-    partials = sum(
-        np.einsum(",".join(("pj" if i == t else "p") + s for i, s in enumerate(ins))
-                  + "->pj" + out,
-                  *(jet[:, :-1] if i == t else values[i] for i, jet in enumerate(jets)))
-        for t in range(len(jets)))
-    return np.concatenate([partials, value[:, None]], axis=1)
-
-
-def _inverse(jet: np.ndarray) -> np.ndarray:
-    """1-jet of the inverse of a 1-jet of square matrices, with
-    d(A^-1) = -A^-1 dA A^-1.  A point where the matrix is singular or not
-    finite gets NaN, for the reports to fail closed there."""
-    value = jet[:, -1]
-    with np.errstate(invalid="ignore", over="ignore"):
-        det = np.linalg.det(value)
-    bad = ~(np.isfinite(det) & (det != 0))
-    inv = np.linalg.inv(np.where(bad[:, None, None], np.eye(value.shape[-1]), value))
-    inv[bad] = np.nan
-    partials = -np.einsum("pab,pjbc,pcd->pjad", inv, jet[:, :-1], inv)
-    return np.concatenate([partials, inv[:, None]], axis=1)
-
-
-def _covariant(jet2: np.ndarray, christoffel: np.ndarray, variance: str) -> np.ndarray:
-    """1-jet of the Levi-Civita covariant derivative of a tensor, the new
-    slot first, from the tensor's 2-jet and the 1-jet of Gamma[rho, mu, nu].
-    variance names the tensor's trailing slots; leading slots are frame
-    indices, carried along."""
-    T = jet2[:, :, -1]
-    axes = "abcdefghik"[:T.ndim - 2]
-    out = jet2[:, :, :-1]
-    for slot in range(len(axes) - len(variance), len(axes)):
-        x, moved = axes[slot], axes[:slot] + "z" + axes[slot + 1:]
-        if variance[slot - len(axes)] == "u":      # + Gamma^x_{l z} T^{..z..}
-            out = out + _product(f"{x}lz,{moved}->l{axes}", christoffel, T)
-        else:                                      # - Gamma^z_{l x} T_{..z..}
-            out = out - _product(f"zl{x},{moved}->l{axes}", christoffel, T)
-    return out
 
 
 @dataclass
@@ -251,8 +187,8 @@ class OperatorSpec:
 
 
 class SpinContext:
-    """Caches the jets of the vierbein, the metric and the Christoffel
-    symbols, from which all three operators are formed numerically."""
+    """Caches the 2-jet of the vierbein, from which, with the manifold's
+    metric and Christoffel jets, all three operators are formed numerically."""
 
     def __init__(self, M: Manifold, F: Frame, rep: GammaRep | None = None):
         if rep is None:
@@ -264,8 +200,6 @@ class SpinContext:
         self.rep = rep
         self._op_cache = {}
         self._vierbein_jet = _jet_function(M, F.vierbein, 2)
-        self._metric_jet = _jet_function(M, M.metric, 1)
-        self._christoffel_jet = _jet_function(M, M.christoffel(), 1)
         self._gamma = np.array([np.array(g.tolist(), dtype=complex) for g in rep.matrices])
         # (1/4) eta^{aa} eta^{bb} gamma^a gamma^b; eta^{aa} = eta_{aa} for +-1
         eta = np.array(F.eta, dtype=float)
@@ -280,10 +214,11 @@ class SpinContext:
         omega_{mu a b} = -eta_a (d_mu e^a_nu - Gamma^lam_{mu nu} e^a_lam) e_b^nu."""
         e2 = self._vierbein_jet(points)
         einv = _inverse(e2[:, :, -1])
-        nabla_e = _covariant(e2, self._christoffel_jet(points), "d")
+        nabla_e = _covariant(e2, self.M.christoffel(points), "d")
         eta = np.array(self.F.eta, dtype=float)[:, None]
         return einv, -eta * _product("man,nb->mab", nabla_e, einv)
 
+    @per_batch
     def frame_jets(self, points) -> tuple[np.ndarray, np.ndarray]:
         """1-jets of gamma^mu = e_a^mu gamma^a and of the connection matrices
         (1/4) omega_{mu a b} gamma^a gamma^b, each of shape (P, n + 1, n, s, s)."""
@@ -304,13 +239,16 @@ class SpinContext:
 
 
 class LinearOperator:
-    """First-order operator sum_k K[k] d_k + K[n] with matrix coefficients.
-
-    coefficients(points) is the 1-jet of K, shape (P, n + 1, n + 1, s, s):
-    the jet axis first, then k."""
+    """First-order operator sum_k K[k] d_k + K[n] with matrix coefficients."""
 
     def __init__(self, coefficients):
-        self.coefficients = coefficients
+        self._coefficients = coefficients
+
+    @per_batch
+    def coefficients(self, points) -> np.ndarray:
+        """The 1-jet of K at the points, shape (P, n + 1, n + 1, s, s): the jet
+        axis first, then k."""
+        return self._coefficients(points)
 
     def apply(self, jet: SpinorJet) -> SpinorJet:
         """The operator applied to a spinor jet, one order shorter: the jet's
@@ -368,8 +306,8 @@ def build_operator(spec: OperatorSpec, ctx: SpinContext) -> LinearOperator:
             r2 = R_jet(points)
             r = r2[:, :, -1]
             # dr[nu, mu] = R_{mu;nu} = g_{mu lam} grad_nu R^lam
-            dr = _product("ml,nl->nm", ctx._metric_jet(points),
-                          _covariant(r2, ctx._christoffel_jet(points), "u"))
+            dr = _product("ml,nl->nm", M.metric_jet(points)[:, :, -1],
+                          _covariant(r2, M.christoffel(points), "u"))
             c0 = (_product("m,mst->st", r, conn)
                   + quarter * _product("mst,ntu,nm->su", gam, gam, dr))
             return -1j * _coefficient_jet(np.einsum("pjm,st->pjmst", r, eye), c0)
@@ -384,8 +322,9 @@ def build_operator(spec: OperatorSpec, ctx: SpinContext) -> LinearOperator:
     def coefficients(points):
         gam, conn = ctx.frame_jets(points)
         f2 = F_jet(points)
-        fm = _product("ml,ln->mn", f2[:, :, -1], _inverse(ctx._metric_jet(points)))  # f_mu{}^nu
-        df = _covariant(f2, ctx._christoffel_jet(points), "dd")   # df[rho, mu, nu] = f_{mu nu;rho}
+        ginv = _inverse(M.metric_jet(points)[:, :, -1])
+        fm = _product("ml,ln->mn", f2[:, :, -1], ginv)            # f_mu{}^nu
+        df = _covariant(f2, M.christoffel(points), "dd")          # df[rho, mu, nu] = f_{mu nu;rho}
         c0 = (_product("mn,mst,ntu->su", fm, gam, conn)
               - _product("rmn,mst,ntu,ruv->sv", df, gam, gam, gam) / 6)
         return 1j * _coefficient_jet(_product("mn,mst->nst", fm, gam), c0)

@@ -15,6 +15,15 @@ def ps():
     return catalog.pseudo_sphere_fixture()
 
 
+@pytest.fixture(params=catalog.names())
+def entry(request):
+    """Each catalog entry in turn; the expensive ones are the session fixtures."""
+    shared = {"taub-nut": "tn", "pseudo-sphere": "ps"}
+    if request.param in shared:
+        return request.getfixturevalue(shared[request.param])
+    return catalog.get(request.param)
+
+
 @pytest.fixture(scope="session")
 def tn_ctx(tn):
     frame = spin.Frame(tn.frame, tuple(tn.manifold.signature))

@@ -1,0 +1,54 @@
+"""Symbolic Levi-Civita geometry, the reference the numeric jets of
+hiddensym.manifold are tested against.
+
+This is the symbolic pipeline the library used to run: Gamma with one
+exprkit.simplify per component, Riemann by differentiating Gamma, Ricci by
+contraction.  Results are cached per manifold, because Taub-NUT's Gamma
+takes seconds to build.
+"""
+
+import functools
+
+import numpy as np
+import sympy as sp
+
+from hiddensym.exprkit import simplify
+
+
+@functools.lru_cache(maxsize=None)
+def symbolic_christoffel(M) -> np.ndarray:
+    """Gamma[rho, mu, nu] as an object array of simplified expressions."""
+    n, g, xs = M.dim, M.metric, M.coord_symbols
+    ginv = M.inverse_metric_matrix()
+    dg = [[[sp.diff(g[i, j], xs[k]) for k in range(n)] for j in range(n)]
+          for i in range(n)]
+    gamma = np.empty((n, n, n), dtype=object)
+    for rho in range(n):
+        for mu in range(n):
+            for nu in range(mu, n):
+                total = sum((ginv[rho, lam] * (dg[lam][nu][mu] + dg[lam][mu][nu]
+                                               - dg[mu][nu][lam]) for lam in range(n)),
+                            sp.Integer(0))
+                gamma[rho, mu, nu] = gamma[rho, nu, mu] = simplify(total / 2)
+    return gamma
+
+
+@functools.lru_cache(maxsize=None)
+def symbolic_riemann(M) -> np.ndarray:
+    """R[rho, sigma, mu, nu] = d_mu Gamma^rho_{nu sigma} - d_nu Gamma^rho_{mu sigma}
+    + Gamma^rho_{mu lam} Gamma^lam_{nu sigma} - Gamma^rho_{nu lam} Gamma^lam_{mu sigma}."""
+    n, xs, gamma = M.dim, M.coord_symbols, symbolic_christoffel(M)
+    riem = np.empty((n,) * 4, dtype=object)
+    for rho, sig, mu, nu in np.ndindex(riem.shape):
+        riem[rho, sig, mu, nu] = (
+            sp.diff(gamma[rho, nu, sig], xs[mu]) - sp.diff(gamma[rho, mu, sig], xs[nu])
+            + sum(gamma[rho, mu, lam] * gamma[lam, nu, sig]
+                  - gamma[rho, nu, lam] * gamma[lam, mu, sig] for lam in range(n)))
+    return riem
+
+
+def symbolic_ricci(M) -> np.ndarray:
+    """R_{sigma nu} = R^lam_{sigma lam nu}."""
+    riem, n = symbolic_riemann(M), M.dim
+    return np.array([[sum((riem[lam, sig, lam, nu] for lam in range(n)), sp.Integer(0))
+                      for nu in range(n)] for sig in range(n)], dtype=object)

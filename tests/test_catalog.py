@@ -4,6 +4,7 @@ import sympy as sp
 
 from hiddensym import catalog
 from hiddensym.killing import killing_vector_residual, ky_residual
+from hiddensym.manifold import sample_points
 
 
 class TestRegistry:
@@ -25,7 +26,7 @@ class TestRegistry:
 class TestFlat:
     def test_zero_christoffels(self):
         M = catalog.flat(3).manifold
-        assert all(e == 0 for e in M.christoffel().flatten())
+        assert not M.christoffel(sample_points(M.chart, 5, seed=0)).any()
 
     def test_signature_argument(self):
         entry = catalog.flat(2, (-1, 1))
@@ -45,9 +46,8 @@ class TestFlat:
 class TestSphere2:
     def test_constant_curvature_one(self):
         M = catalog.sphere2().manifold
-        ric = M.ricci()
-        diff = ric.components - np.array(M.metric.tolist(), dtype=object)
-        assert all(sp.simplify(e) == 0 for e in diff.flatten())
+        pts = sample_points(M.chart, 5, seed=0)
+        assert np.max(np.abs(M.ricci(pts) - M.evaluate(M.metric, pts))) < 1e-14
 
 
 class TestTaubNut:
@@ -62,7 +62,6 @@ class TestTaubNut:
         assert sp.simplify(f * g - 1) == 0
 
     def test_euclidean_signature_at_points(self, tn):
-        from hiddensym.manifold import sample_points
         pts = sample_points(tn.manifold.chart, 5, 0)
         assert tn.manifold.check_signature(pts)
 

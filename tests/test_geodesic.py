@@ -8,7 +8,7 @@ from hiddensym import catalog
 from hiddensym.geodesic import (GeodesicState, IntegratorConfig, Trajectory,
                                 energy_report, export_csv, integrate,
                                 invariant_values, monitor_invariant)
-from hiddensym.manifold import vector
+from hiddensym.manifold import Chart, Manifold, sample_points, vector
 
 
 @pytest.fixture(scope="module")
@@ -29,6 +29,20 @@ class TestConfig:
     def test_bad_method_rejected(self):
         with pytest.raises(ValueError):
             IntegratorConfig(method="euler")
+
+
+class TestSpray:
+    def test_spray_is_minus_gamma_of_v_v(self, entry):
+        """The compiled spray against -Gamma^r_{mn} v^m v^n from the numeric
+        Christoffel values, at seeded positions and velocities."""
+        M = entry.manifold
+        pts = sample_points(M.chart, 5, seed=4)
+        v = np.random.default_rng(4).normal(size=(5, M.dim))
+        want = -np.einsum("prmn,pm,pn->pr", M.christoffel(pts)[:, -1], v, v)
+        spray = M.spray()
+        got = np.array([spray(*(p[c] for c in M.chart.coords), *vp)
+                        for p, vp in zip(pts, v)], dtype=float)
+        assert np.max(np.abs(got - want)) <= 1e-12 * max(1.0, np.max(np.abs(want)))
 
 
 class TestFlatGeodesics:
@@ -53,6 +67,15 @@ class TestFlatGeodesics:
         traj = integrate(flat3, s0, IntegratorConfig(step=0.01, t_span=(0, 5)))
         assert traj.exited_domain
         assert traj.states[-1].position["x1"] <= 2.0 + 1e-9
+
+    def test_start_on_a_singular_point_exits(self):
+        """ds^2 = dx^2 + x^2 dy^2 degenerates at x = 0: an orbit started there
+        leaves the chart at once instead of raising."""
+        chart = Chart(("x", "y"), {"x": (-1.0, 1.0), "y": (-1.0, 1.0)})
+        M = Manifold(chart, [[1, 0], [0, sp.Symbol("x") ** 2]])
+        s0 = GeodesicState({"x": 0.0, "y": 0.0}, {"x": 0.1, "y": 0.1})
+        traj = integrate(M, s0, IntegratorConfig(step=0.01, t_span=(0, 1)))
+        assert traj.exited_domain and len(traj) == 1
 
 
 class TestSphereGeodesics:

@@ -4,10 +4,11 @@ import sympy as sp
 
 from hiddensym import catalog, exprkit
 from hiddensym.manifold import (Chart, GeometryError, Manifold, TensorField,
-                                antisymmetrize, covariant_derivative,
+                                _covariant, _tangent, antisymmetrize, covariant_derivative,
                                 exterior_derivative, lie_bracket, lower_index,
                                 one_form, raise_index, sample_points,
                                 symmetrize, two_form, vector)
+from symbolic_geometry import symbolic_christoffel, symbolic_ricci, symbolic_riemann
 
 
 @pytest.fixture(scope="module")
@@ -51,37 +52,91 @@ class TestMetricValidation:
 
 class TestChristoffel:
     def test_flat_christoffels_vanish(self, flat3):
-        assert all(e == 0 for e in flat3.christoffel().flatten())
+        assert all(e == 0 for e in symbolic_christoffel(flat3).flatten())
 
     def test_sphere_christoffels(self, sphere):
         th = sp.Symbol("theta")
-        gamma = sphere.christoffel()
+        gamma = symbolic_christoffel(sphere)
         assert sp.simplify(gamma[0, 1, 1] + sp.sin(th) * sp.cos(th)) == 0
         assert sp.simplify(gamma[1, 0, 1] - sp.cos(th) / sp.sin(th)) == 0
         # index symmetry
         assert gamma[1, 0, 1] == gamma[1, 1, 0]
 
     def test_metric_is_covariantly_constant(self, sphere):
-        nabla = covariant_derivative(sphere.metric_field(), sphere)
-        assert all(sp.simplify(sp.expand_trig(e)) == 0
-                   for e in nabla.components.flatten())
+        pts = sample_points(sphere.chart, 5, seed=0)
+        nabla = covariant_derivative(sphere.metric_field(), sphere, pts)
+        assert nabla.components.shape == (5, 2, 2, 2)
+        assert np.max(np.abs(nabla.components)) < 1e-14
 
 
 class TestCurvature:
     def test_flat_riemann_vanishes(self, flat3):
-        assert all(e == 0 for e in flat3.riemann().flatten())
+        assert all(e == 0 for e in symbolic_riemann(flat3).flatten())
 
     def test_sphere_is_einstein_with_constant_one(self, sphere):
-        ric = sphere.ricci()
-        diff = ric.components - np.array(sphere.metric.tolist(), dtype=object)
+        ric = symbolic_ricci(sphere)
+        diff = ric - np.array(sphere.metric.tolist(), dtype=object)
         assert all(sp.simplify(e) == 0 for e in diff.flatten())
 
     def test_riemann_antisymmetry_in_last_pair(self, sphere):
-        R = sphere.riemann()
+        R = symbolic_riemann(sphere)
         n = sphere.dim
         for idx in np.ndindex((n,) * 4):
             r, s, m, nu = idx
             assert sp.simplify(R[r, s, m, nu] + R[r, s, nu, m]) == 0
+
+
+def _rel(got, want) -> float:
+    return float(np.max(np.abs(got - want)) / max(1.0, np.max(np.abs(want))))
+
+
+class TestNumericGeometry:
+    """The numeric Christoffel jet and the curvature formed from it, against
+    the symbolic pipeline and the identities every Levi-Civita curvature
+    obeys."""
+
+    def test_matches_symbolic_christoffel_and_riemann(self, entry):
+        M = entry.manifold
+        pts = sample_points(M.chart, 5, seed=2)
+        want = M.evaluate(_tangent(symbolic_christoffel(M), M.coord_symbols), pts)
+        assert _rel(M.christoffel(pts), want) < 1e-12          # values and partials
+        assert _rel(M.riemann(pts), M.evaluate(symbolic_riemann(M), pts)) < 1e-12
+
+    def test_repeated_batch_returns_the_same_array(self):
+        M = catalog.flat(3).manifold
+        pts = sample_points(M.chart, 3, seed=0)
+        gamma = M.christoffel(pts)
+        assert M.christoffel([dict(p) for p in pts]) is gamma
+        assert not gamma.flags.writeable
+        for seed in range(1, 17):       # the cache keeps the last 16 batches
+            M.christoffel(sample_points(M.chart, 3, seed=seed))
+        assert M.christoffel(pts) is not gamma
+
+    def test_first_bianchi_identity(self, entry):
+        M = entry.manifold
+        R = M.riemann(sample_points(M.chart, 5, seed=3))
+        cyclic = R + np.einsum("prmns->prsmn", R) + np.einsum("prnsm->prsmn", R)
+        assert np.max(np.abs(cyclic)) <= 1e-12 * max(1.0, np.max(np.abs(R)))
+
+    def test_second_bianchi_identity(self, entry):
+        """grad_l R^r_{smn} + grad_m R^r_{snl} + grad_n R^r_{slm} = 0, with the
+        partials of the numeric R by central differences."""
+        M, h = entry.manifold, 1e-5
+        pts = sample_points(M.chart, 5, seed=3)
+
+        def shifted(c, d):
+            return M.riemann([{**p, c: p[c] + d} for p in pts])
+        partials = [(shifted(c, h) - shifted(c, -h)) / (2 * h) for c in M.chart.coords]
+        jet = np.stack(partials + [M.riemann(pts)], axis=1)
+        D = _covariant(jet, M.christoffel(pts)[:, -1], "uddd")
+        cyclic = D + np.einsum("pmrsnl->plrsmn", D) + np.einsum("pnrslm->plrsmn", D)
+        assert np.max(np.abs(cyclic)) < 1e-6 * max(1.0, np.max(np.abs(D)))
+
+    def test_ricci_is_symmetric(self, entry):
+        M = entry.manifold
+        ric = M.ricci(sample_points(M.chart, 5, seed=3))
+        assert np.max(np.abs(ric - np.swapaxes(ric, 1, 2))) <= 1e-12 * max(
+            1.0, np.max(np.abs(ric)))
 
 
 class TestIndexGymnastics:
@@ -180,19 +235,26 @@ class TestBatchEvaluation:
     def test_taub_nut_christoffel_riemann_and_form(self, tn):
         M = tn.manifold
         pts = sample_points(M.chart, 5, seed=2)
-        self._assert_oracle(M, M.christoffel(), pts)
-        self._assert_oracle(M, M.riemann(), pts)
+        self._assert_oracle(M, symbolic_christoffel(M), pts)
+        self._assert_oracle(M, symbolic_riemann(M), pts)
         self._assert_oracle(M, tn.forms["fY"].components, pts)
 
     def test_pseudo_sphere_christoffel(self, ps):
         M = ps.manifold
-        self._assert_oracle(M, M.christoffel(), sample_points(M.chart, 5, seed=2))
+        self._assert_oracle(M, symbolic_christoffel(M), sample_points(M.chart, 5, seed=2))
 
     def test_constant_array_is_broadcast(self, flat3):
         pts = sample_points(flat3.chart, 4, seed=0)
         g = flat3.evaluate(flat3.metric, pts)
         assert g.shape == (4, 3, 3)
         assert np.array_equal(g, np.broadcast_to(np.eye(3), (4, 3, 3)))
+
+    def test_constant_and_varying_entries_mixed(self, tn):
+        """Constants, a parameter-only entry and coordinate-dependent entries
+        in one array: the compiled function returns some as scalars."""
+        r, th, m = sp.symbols("r theta m")
+        arr = np.array([[0, r, sp.Rational(1, 3)], [2 * m, sp.sin(th) * r, 1]], dtype=object)
+        self._assert_oracle(tn.manifold, arr, sample_points(tn.manifold.chart, 4, seed=1))
 
     def test_one_field_on_two_parameter_values(self, tn):
         T = tn.manifold.metric_field()

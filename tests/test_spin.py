@@ -3,7 +3,7 @@ import pytest
 import sympy as sp
 
 from hiddensym import catalog, spin
-from hiddensym.manifold import sample_points, two_form, vector
+from hiddensym.manifold import _tangent, sample_points, two_form, vector
 from hiddensym.spin import (Frame, FrameError, GammaRep, OperatorSpec,
                             SpinContext, anticommutator_residual,
                             canonical_gamma, commutator_residual,
@@ -11,6 +11,7 @@ from hiddensym.spin import (Frame, FrameError, GammaRep, OperatorSpec,
                             spin_connection_antisymmetry,
                             spinor_bank, spinor_jet, square_compare,
                             standard_unitary)
+from symbolic_geometry import symbolic_christoffel
 
 
 @pytest.fixture(scope="module")
@@ -82,7 +83,7 @@ def symbolic_omega(F: Frame, M) -> np.ndarray:
     """omega[mu, a, b] = -eta_a (d_mu e^a_nu - Gamma^lam_{mu nu} e^a_lam) e_b^nu,
     built in sympy from the exact inverse of the frame, independently of the
     numeric connection jets."""
-    n, xs, gamma = M.dim, M.coord_symbols, M.christoffel()
+    n, xs, gamma = M.dim, M.coord_symbols, symbolic_christoffel(M)
     e = sp.Matrix(F.vierbein.tolist())
     einv = e.inv()                       # einv[nu, b] = e_b^nu
     omega = np.empty((n, n, n), dtype=object)
@@ -115,8 +116,7 @@ class TestSpinConnection:
         omega built from the exact inverse frame."""
         M = tn.manifold
         pts = sample_points(M.chart, 5, seed=0)
-        expected = M.evaluate(spin._tangent(symbolic_omega(tn_ctx.F, M), M.coord_symbols),
-                              pts)
+        expected = M.evaluate(_tangent(symbolic_omega(tn_ctx.F, M), M.coord_symbols), pts)
         _, got = tn_ctx.connection(pts)
         assert np.max(np.abs(got - expected)) <= 1e-12 * np.max(np.abs(expected))
 
@@ -262,7 +262,7 @@ class TestTaubNutOracles:
         conn = [sum((sp.Rational(1, 4) * omega[mu, a, b] * eta[a] * eta[b]
                      * gam[a] * gam[b] for a in range(n) for b in range(n)),
                     sp.zeros(s, s)) for mu in range(n)]
-        christoffel, ginv = M.christoffel(), M.inverse_metric_matrix()
+        christoffel, ginv = symbolic_christoffel(M), M.inverse_metric_matrix()
         bank = spinor_bank(M, 2, seed=0)
         laplacians = []
         for psi in bank:
