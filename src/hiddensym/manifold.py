@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 import sympy as sp
 
-from .exprkit import Point, simplify, sym
+from .exprkit import Point, sym
 
 
 class GeometryError(Exception):
@@ -85,10 +85,6 @@ class TensorField:
     @property
     def rank(self) -> int:
         return self.components.ndim
-
-    def at(self, manifold: "Manifold", point: Point) -> np.ndarray:
-        """Numeric components at a point (doubles)."""
-        return manifold.evaluate(self.components, [point])[0]
 
     def map(self, f) -> "TensorField":
         out = np.empty(self.components.shape, dtype=object)
@@ -163,7 +159,8 @@ def _product(subscripts: str, *jets) -> np.ndarray:
 
 def _inverse(jet: np.ndarray) -> np.ndarray:
     """1-jet of the inverse of a 1-jet of square matrices, with
-    d(A^-1) = -A^-1 dA A^-1.  A point where the matrix is singular or not
+    d(A^-1) = -A^-1 dA A^-1; a jet axis of length 1 (values only) gives
+    the inverse's values.  A point where the matrix is singular or not
     finite gets NaN, for the reports to fail closed there."""
     value = jet[:, -1]
     with np.errstate(invalid="ignore", over="ignore"):
@@ -231,31 +228,32 @@ class Manifold:
         return TensorField(np.array(self.metric.tolist(), dtype=object), "dd", "symmetric")
 
     def inverse_metric_matrix(self) -> sp.Matrix:
+        """g^-1 = adj(g) / det g, each entry in rational normal form: the one
+        symbolic inverse, shared by raise_index, the spray and the
+        constructions that contract with it.  Not simplified further."""
         if "ginv" not in self._cache:
             det = sp.cancel(self.metric.det(method="berkowitz"))
             if det == 0:
                 raise SingularMetricError("metric determinant is identically zero")
             adj = self.metric.adjugate()
-            ginv = sp.Matrix(self.dim, self.dim,
-                             lambda i, j: simplify(adj[i, j] / det))
-            self._cache["ginv"] = ginv
+            self._cache["ginv"] = adj.applyfunc(lambda e: sp.cancel(e / det))
         return self._cache["ginv"]
 
     def spray(self):
         """The geodesic acceleration a^rho = -Gamma^rho_{mu nu} v^mu v^nu as one
         compiled function of the coordinates, then the velocities, returning
-        the n components.  Built without simplification as
-        a = -adj(g) w / det g with w_lam = (d_mu g_{lam nu} - d_lam g_{mu nu} / 2) v^mu v^nu."""
+        the n components.  Built as a = -g^-1 w with
+        w_lam = (d_mu g_{lam nu} - d_lam g_{mu nu} / 2) v^mu v^nu."""
         if "spray" not in self._cache:
             n, g, xs = self.dim, self.metric, self.coord_symbols
             v = [sp.Dummy(f"v_{c}") for c in self.chart.coords]
             w = [sum((sp.diff(g[lam, nu], xs[mu]) - sp.diff(g[mu, nu], xs[lam]) / 2)
                      * v[mu] * v[nu] for mu in range(n) for nu in range(n))
                  for lam in range(n)]
-            adj, det = g.adjugate(), g.det(method="berkowitz")
+            ginv = self.inverse_metric_matrix()
             self._cache["spray"] = self.compiled(
-                [-sum(adj[rho, lam] * w[lam] for lam in range(n)) / det
-                 for rho in range(n)], extra=v)
+                [-sum(ginv[rho, lam] * w[lam] for lam in range(n)) for rho in range(n)],
+                extra=v)
         return self._cache["spray"]
 
     # -- numeric geometry, per batch of points ------------------------------
@@ -337,19 +335,11 @@ class Manifold:
             values = values.real
         return values.astype(dtype).reshape((count,) + arr.shape)
 
-    def metric_at(self, point: Point) -> np.ndarray:
-        return self.evaluate(self.metric, [point])[0]
-
     def inverse_metric_values(self, points) -> np.ndarray:
-        """Numeric inverse metric at each point, shape (P, n, n)."""
-        g = self.evaluate(self.metric, points)
-        singular = np.abs(np.linalg.det(g)) < 1e-14
-        if singular.any():
-            raise SingularMetricError(f"singular metric at {points[np.argmax(singular)]}")
-        return np.linalg.inv(g)
-
-    def inverse_metric_at(self, point: Point) -> np.ndarray:
-        return self.inverse_metric_values([point])[0]
+        """Numeric inverse metric at each point, shape (P, n, n).  A point where
+        the metric is singular or not finite gets NaN, for the reports to
+        fail closed there."""
+        return _inverse(self.evaluate(self.metric, points)[:, None])[:, -1]
 
     def check_signature(self, points: list[Point]) -> bool:
         """True when the metric has the declared signature at every point.

@@ -43,13 +43,9 @@ class Frame:
             self.vierbein[idx] = sp.sympify(self.vierbein[idx])
 
 
-def orthonormal_frame(M: Manifold, vierbein=None,
-                      eta: tuple[int, ...] | None = None) -> Frame:
-    """Build a frame from a diagonal metric, or wrap a supplied one."""
+def orthonormal_frame(M: Manifold) -> Frame:
+    """The diagonal frame e^a_mu = sqrt(|g_aa|) delta^a_mu of a diagonal metric."""
     n = M.dim
-    if vierbein is not None:
-        return Frame(np.array(vierbein, dtype=object),
-                     tuple(eta) if eta else tuple(M.signature))
     for i in range(n):
         for j in range(n):
             if i != j and sp.simplify(M.metric[i, j]) != 0:
@@ -343,14 +339,12 @@ def _spec_key(spec: OperatorSpec) -> tuple:
 # ---------------------------------------------------------------------------
 # test-spinor bank and residual reports
 
-def spinor_bank(M: Manifold, count: int = 5, seed: int = 0,
-                size: int | None = None) -> list[SpinorField]:
+def spinor_bank(M: Manifold, count: int = 5, seed: int = 0) -> list[SpinorField]:
     """Deterministic bank: degree-<=2 polynomials in the coordinates times
     {1, sin(theta_1), cos(theta_1)} where theta_1 is the first coordinate."""
     rng = random.Random(seed)
     xs = [sp.Symbol(c) for c in M.chart.coords]
-    if size is None:
-        size = 2 ** (M.dim // 2)
+    size = 2 ** (M.dim // 2)
     trig = [sp.Integer(1), sp.sin(xs[min(1, M.dim - 1)]), sp.cos(xs[min(1, M.dim - 1)])]
     monomials = [sp.Integer(1)] + xs + [xs[i] * xs[j] for i in range(M.dim)
                                         for j in range(i, M.dim)]
@@ -365,23 +359,19 @@ def spinor_bank(M: Manifold, count: int = 5, seed: int = 0,
     return bank
 
 
-def _bilinear_report(check, specA, specB, ctx, bank, points, seed, tol,
-                     combine, squares=False) -> ResidualReport:
-    """The report of the bank spinor with the worst relative residual."""
+def _bilinear_report(check, terms, ctx, bank, points, seed, tol) -> ResidualReport:
+    """The report of the bank spinor with the worst relative residual
+    |sum c X Y psi| over the terms (c, X, Y), scaled by the largest
+    |X Y psi| and 1."""
     M = ctx.M
     pts = _default_points(M, points, seed)
     if bank is None:
         bank = spinor_bank(M, 5, seed)
-    if squares:
-        ab_op, ba_op = ctx.composed(specA, specA), ctx.composed(specB, specB)
-    else:
-        ab_op, ba_op = ctx.composed(specA, specB), ctx.composed(specB, specA)
     jet = spinor_jet(M, bank, pts)
-    # va[p, k] = (AB psi_k)(p), vb[p, k] = (BA psi_k)(p)
-    va, vb = ab_op.apply(jet).values, ba_op.apply(jet).values
-    residual = np.max(np.abs(combine(va, vb)), axis=2)
-    scale = np.maximum(np.maximum(np.max(np.abs(va), axis=2), np.max(np.abs(vb), axis=2)),
-                       1.0)
+    # values[t][p, k] = (X Y psi_k)(p) for the term t = (c, X, Y)
+    values = [ctx.composed(X, Y).apply(jet).values for _, X, Y in terms]
+    residual = np.max(np.abs(sum(c * v for (c, _, _), v in zip(terms, values))), axis=2)
+    scale = np.maximum(np.max([np.max(np.abs(v), axis=2) for v in values], axis=0), 1.0)
     reports = [_report(check, pts, residual[:, k], scale[:, k], tol)
                for k in range(len(bank))]
     # a non-finite report ranks above every finite one
@@ -395,16 +385,16 @@ def anticommutator_residual(specA: OperatorSpec, specB: OperatorSpec,
                             ctx: SpinContext, bank=None, points=None, seed=0,
                             tol=1e-8) -> ResidualReport:
     """Residual of (AB + BA) psi over the bank, relative to |ABpsi|, |BApsi|."""
-    return _bilinear_report("anticommutator", specA, specB, ctx, bank, points,
-                            seed, tol, lambda a, b: a + b)
+    return _bilinear_report("anticommutator", [(1, specA, specB), (1, specB, specA)],
+                            ctx, bank, points, seed, tol)
 
 
 def commutator_residual(specA: OperatorSpec, specB: OperatorSpec,
                         ctx: SpinContext, bank=None, points=None, seed=0,
                         tol=1e-8) -> ResidualReport:
     """Residual of (AB - BA) psi over the bank."""
-    return _bilinear_report("commutator", specA, specB, ctx, bank, points,
-                            seed, tol, lambda a, b: a - b)
+    return _bilinear_report("commutator", [(1, specA, specB), (-1, specB, specA)],
+                            ctx, bank, points, seed, tol)
 
 
 def square_compare(spec_f: OperatorSpec, ctx: SpinContext, bank=None,
@@ -412,6 +402,6 @@ def square_compare(spec_f: OperatorSpec, ctx: SpinContext, bank=None,
     """Residual of (D_f^2 - D_s^2) psi over the bank."""
     if spec_f.kind != "dirac-type":
         raise ValueError("square_compare expects a dirac-type operator")
-    return _bilinear_report("square-compare", spec_f,
-                            OperatorSpec("standard-dirac"), ctx, bank, points,
-                            seed, tol, lambda ff, ss: ff - ss, squares=True)
+    dirac = OperatorSpec("standard-dirac")
+    return _bilinear_report("square-compare", [(1, spec_f, spec_f), (-1, dirac, dirac)],
+                            ctx, bank, points, seed, tol)

@@ -42,7 +42,7 @@ class TestCriterion1TaubNutKillingVectors:
                 br = lie_bracket(ks[i], ks[j], M)
                 expect = sum(eps(i, j, k) * ks[k].components for k in range(3))
                 for p in pts:
-                    got = br.at(M, p)
+                    got = M.evaluate(br.components, [p])[0]
                     want = np.array([float(sp.sympify(e).subs(
                         {sp.Symbol(c): v for c, v in p.items()})) for e in expect])
                     scale = max(1.0, float(np.max(np.abs(want))))
@@ -54,7 +54,7 @@ class TestCriterion1TaubNutKillingVectors:
         for name in ("k1", "k2", "k3"):
             br = lie_bracket(tn.vectors["kchi"], tn.vectors[name], M)
             for p in pts:
-                assert np.max(np.abs(br.at(M, p))) < TOL
+                assert np.max(np.abs(M.evaluate(br.components, [p])[0])) < TOL
 
 
 # ---------------------------------------------------------------------------
@@ -291,12 +291,12 @@ def _fd_christoffel(M, p, h=1e-5):
         q = dict(p)
         for c, d in shift.items():
             q[c] += d
-        return M.metric_at(q)
+        return M.evaluate(M.metric, [q])[0]
 
     dg = np.empty((n, n, n))
     for l, c in enumerate(coords):
         dg[l] = (gat({c: h}) - gat({c: -h})) / (2 * h)
-    ginv = M.inverse_metric_at(p)
+    ginv = np.linalg.inv(M.evaluate(M.metric, [p])[0])
     gamma = np.empty((n, n, n))
     for r in range(n):
         for mu in range(n):

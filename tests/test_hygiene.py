@@ -1,4 +1,5 @@
-"""Source hygiene: every name a library module imports is used in it."""
+"""Source hygiene: every name a library module imports is used in it, and no
+library module calls exprkit.simplify."""
 
 import ast
 from pathlib import Path
@@ -33,3 +34,42 @@ def test_no_unused_imports(path):
 def test_checker_sees_an_unused_import():
     assert unused_imports("import os\nimport sys\nfrom math import pi, tau\n"
                           "print(sys.argv, pi)\n") == ["line 1: os", "line 3: tau"]
+
+
+def exprkit_simplify_calls(source: str, defines_it: bool = False) -> list[int]:
+    """Lines that call exprkit.simplify: by a name imported from exprkit (in
+    exprkit itself, by its own name), or as an attribute of the module."""
+    tree = ast.parse(source)
+    names = {"simplify"} if defines_it else set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and (node.module or "").endswith("exprkit"):
+            names |= {a.asname or a.name for a in node.names if a.name == "simplify"}
+    modules = {a.asname or a.name for node in ast.walk(tree)
+               if isinstance(node, (ast.Import, ast.ImportFrom))
+               for a in node.names if a.name.endswith("exprkit")}
+    def is_simplify(f):
+        if isinstance(f, ast.Name):
+            return f.id in names
+        if not (isinstance(f, ast.Attribute) and f.attr == "simplify"):
+            return False
+        owner = ast.unparse(f.value)
+        return owner in modules or owner.endswith("exprkit")
+
+    return [node.lineno for node in ast.walk(tree)
+            if isinstance(node, ast.Call) and is_simplify(node.func)]
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_no_exprkit_simplify_call(path):
+    """Simplification is for tests and the user: a check path never pays it."""
+    assert exprkit_simplify_calls(path.read_text(), path.name == "exprkit.py") == []
+
+
+def test_simplify_checker_sees_each_spelling():
+    source = ("import sympy as sp\nfrom . import exprkit\nfrom .exprkit import simplify as s\n"
+              "import hiddensym.exprkit as ek\n"
+              "sp.simplify(1)\nexprkit.simplify(1)\ns(1)\nek.simplify(1)\n"
+              "hiddensym.exprkit.simplify(1)\n")
+    assert exprkit_simplify_calls(source) == [6, 7, 8, 9]
+    assert exprkit_simplify_calls("def simplify(e):\n    return e\nsimplify(1)\n",
+                                  defines_it=True) == [3]

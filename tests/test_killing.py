@@ -179,6 +179,16 @@ class TestAssociatedSK:
     def test_metric_itself_is_sk(self, sphere):
         assert sk_residual(sphere.metric_field(), sphere).passed
 
+    @pytest.mark.parametrize("name", ["f1", "f2", "f3", "fY"])
+    def test_taub_nut_square_is_f_ginv_f(self, tn, name):
+        """K = F g^-1 F against a numeric inverse of the evaluated metric."""
+        M = tn.manifold
+        pts = sample_points(M.chart, 20, seed=0)
+        F = M.evaluate(tn.forms[name].components, pts)
+        want = F @ np.linalg.inv(M.evaluate(M.metric, pts)) @ F
+        got = M.evaluate(associated_sk(tn.forms[name], M).components, pts)
+        assert np.max(np.abs(got - want)) < 1e-12 * np.max(np.abs(want))
+
 
 class TestTaubNutObjects:
     """Light spot checks; the full manifest is exercised in acceptance."""
@@ -223,6 +233,21 @@ class TestFailClosed:
         assert not rep.passed
         assert rep.worst_point == negative[0]
         assert rep.extra["non_finite_points"] == len(negative)
+
+    @pytest.mark.parametrize("check, form", [
+        (unit_root_check, two_form([[0, 1], [-1, 0]])),
+        (cky_residual, one_form([0, sp.sin(sp.Symbol("theta")) ** 2])),
+    ], ids=["unit-root", "cky"])
+    def test_singular_metric_point_fails_closed(self, sphere, check, form):
+        """theta = 0 is a pole of the sphere chart: the metric is singular
+        there, and only that point fails."""
+        pts = [{"theta": th, "phi": 0.5} for th in (1.0, 0.0, 2.0)]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            rep = check(form, sphere, points=pts)
+        assert not rep.passed
+        assert rep.extra["non_finite_points"] == 1
+        assert rep.worst_point == pts[1]
 
     def test_empty_point_set_raises(self, flat3):
         with pytest.raises(GeometryError):

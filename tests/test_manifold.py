@@ -205,13 +205,19 @@ class TestSymmetrizers:
 
 class TestNumericEvaluation:
     def test_metric_at_point(self, sphere):
-        g = sphere.metric_at({"theta": np.pi / 2, "phi": 1.0})
+        g = sphere.evaluate(sphere.metric, [{"theta": np.pi / 2, "phi": 1.0}])[0]
         assert np.allclose(g, np.diag([1.0, 1.0]))
 
     def test_inverse_metric_at(self, sphere):
         p = {"theta": 0.7, "phi": 2.0}
-        assert np.allclose(sphere.metric_at(p) @ sphere.inverse_metric_at(p),
-                           np.eye(2), atol=1e-12)
+        g = sphere.evaluate(sphere.metric, [p])[0]
+        assert np.allclose(g @ sphere.inverse_metric_values([p])[0], np.eye(2), atol=1e-12)
+
+    def test_symbolic_inverse_times_metric_is_identity(self, entry):
+        M = entry.manifold
+        pts = sample_points(M.chart, 20, seed=0)
+        product = M.evaluate(M.inverse_metric_matrix(), pts) @ M.evaluate(M.metric, pts)
+        assert np.max(np.abs(product - np.eye(M.dim))) < 1e-12
 
     def test_check_signature(self, sphere):
         pts = sample_points(sphere.chart, 5, 0)
@@ -263,7 +269,7 @@ class TestBatchEvaluation:
         values = []
         for M in (tn.manifold, other, tn.manifold):
             want = [exprkit.evaluate(e, p, M.params) for e in T.components.flat]
-            got = T.at(M, p)
+            got = M.evaluate(T.components, [p])[0]
             assert np.allclose(got.flatten(), want, rtol=self.TOL, atol=self.TOL)
             values.append(got)
         assert not np.allclose(values[0], values[1])

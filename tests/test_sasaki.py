@@ -58,9 +58,9 @@ class TestFixtureSuites:
         """One timelike and two spacelike unit structure fields."""
         M = S.manifold
         p = {"rho": 0.7, "t": 1.0, "psi": 2.0}
-        g = M.metric_at(p)
-        norms = [float(S.xi[a].at(M, p) @ g @ S.xi[a].at(M, p))
-                 for a in range(3)]
+        g = M.evaluate(M.metric, [p])[0]
+        xi = [M.evaluate(S.xi[a].components, [p])[0] for a in range(3)]
+        norms = [float(xi[a] @ g @ xi[a]) for a in range(3)]
         assert abs(norms[0] - 1) < 1e-12       # eps_1 = +1
         assert abs(norms[1] + 1) < 1e-12
         assert abs(norms[2] + 1) < 1e-12
