@@ -30,7 +30,8 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from fractions import Fraction
+
+from sympy import QQ_I
 
 
 class AlgebraError(Exception):
@@ -42,126 +43,62 @@ class UnspecifiedBracketError(AlgebraError):
 
 
 # ---------------------------------------------------------------------------
-# coefficients: Q[i][B] as {B-power: (Fraction real, Fraction imag)}
+# elements: finite linear combinations {(generator name, B power): coefficient}
+#
+# Each coefficient is an exact Gaussian rational, and zero coefficients are
+# left out. B is central, so [a B^p, b B^q] = [a, b] B^(p+q) and one flat map
+# holds any element of Q[i][B] (x) span(generators).
 
-GR = tuple  # (Fraction, Fraction) = re + i*im
-BPoly = dict  # {int b_power: GR}, zero coefficients omitted
+Element = dict
 
-
-def gr(re=0, im=0) -> GR:
-    return (Fraction(re), Fraction(im))
-
-
-def gr_add(a: GR, b: GR) -> GR:
-    return (a[0] + b[0], a[1] + b[1])
+ONE = QQ_I(1, 0)
 
 
-def gr_mul(a: GR, b: GR) -> GR:
-    return (a[0] * b[0] - a[1] * b[1], a[0] * b[1] + a[1] * b[0])
-
-
-def gr_neg(a: GR) -> GR:
-    return (-a[0], -a[1])
-
-
-def gr_is_zero(a: GR) -> bool:
-    return a[0] == 0 and a[1] == 0
-
-
-def poly(power: int = 0, coeff: GR | None = None) -> BPoly:
-    c = coeff if coeff is not None else gr(1)
-    return {} if gr_is_zero(c) else {power: c}
-
-
-def poly_add(p: BPoly, q: BPoly) -> BPoly:
-    out = dict(p)
-    for k, c in q.items():
-        s = gr_add(out.get(k, gr()), c)
-        if gr_is_zero(s):
-            out.pop(k, None)
-        else:
-            out[k] = s
-    return out
-
-
-def poly_mul(p: BPoly, q: BPoly) -> BPoly:
-    out: BPoly = {}
-    for k1, c1 in p.items():
-        for k2, c2 in q.items():
-            s = gr_add(out.get(k1 + k2, gr()), gr_mul(c1, c2))
-            if gr_is_zero(s):
-                out.pop(k1 + k2, None)
-            else:
-                out[k1 + k2] = s
-    return out
-
-
-def poly_neg(p: BPoly) -> BPoly:
-    return {k: gr_neg(c) for k, c in p.items()}
-
-
-# ---------------------------------------------------------------------------
-# elements: finite linear combinations {generator name: BPoly}
-
-Element = dict  # {str: BPoly}
-
-
-def elem(name: str, coeff: BPoly | None = None) -> Element:
-    c = coeff if coeff is not None else poly()
-    return {name: c} if c else {}
+def elem(name: str, power: int = 0, coeff=ONE) -> Element:
+    return {(name, power): coeff} if coeff else {}
 
 
 def elem_add(a: Element, b: Element) -> Element:
     out = dict(a)
-    for g, p in b.items():
-        s = poly_add(out.get(g, {}), p)
+    for key, c in b.items():
+        s = out.pop(key, 0) + c
         if s:
-            out[g] = s
-        else:
-            out.pop(g, None)
+            out[key] = s
     return out
 
 
-def elem_scale(a: Element, p: BPoly) -> Element:
-    out = {}
-    for g, q in a.items():
-        s = poly_mul(p, q)
-        if s:
-            out[g] = s
-    return out
-
-
-def elem_neg(a: Element) -> Element:
-    return {g: poly_neg(p) for g, p in a.items()}
-
-
-def elem_is_zero(a: Element) -> bool:
-    return not a
+def elem_scale(a: Element, coeff, power: int = 0) -> Element:
+    """coeff * B^power * a; in a field a product of non-zeros is non-zero."""
+    if not coeff:
+        return {}
+    return {(name, p + power): c * coeff for (name, p), c in a.items()}
 
 
 def elem_to_json(a: Element) -> dict:
-    return {g: {str(k): [str(c[0]), str(c[1])] for k, c in sorted(p.items())}
-            for g, p in sorted(a.items())}
+    out: dict = {}
+    for (name, power), c in sorted(a.items()):
+        out.setdefault(name, {})[str(power)] = [str(c.x), str(c.y)]
+    return out
 
-
-EPSILON = {}
-for _p, _s in ((("1", "2", "3"), 1), (("2", "3", "1"), 1), (("3", "1", "2"), 1),
-               (("2", "1", "3"), -1), (("3", "2", "1"), -1), (("1", "3", "2"), -1)):
-    EPSILON[_p] = _s
 
 FINITE_GENERATORS = ("J1", "J2", "J3", "K1", "K2", "K3",
                      "Q1", "Q2", "Q3", "QY", "P4")
 INERT_GENERATORS = ("QY", "P4")
 
 
-def _eps_term(i: str, j: str, family: str, power: int) -> Element:
-    """i * eps_{ijk} X_k * B^power, summed over k."""
-    out: Element = {}
-    for k in "123":
-        s = EPSILON.get((i, j, k))
-        if s:
-            out = elem_add(out, elem(family + k, poly(power, gr(0, s))))
-    return out
+def _eps_term(i: int, j: int, name: str, power: int, scale: int) -> Element:
+    """scale * i eps_{ijk} X_k B^power, with X_k = name.format(k)."""
+    if i == j:
+        return {}
+    sign = 1 if (j - i) % 3 == 1 else -1
+    return {(name.format(6 - i - j), power): QQ_I(0, sign * scale)}
+
+
+# [X_i, Y_j] = scale * i eps_{ijk} Z_k B^power, keyed by XY: (Z, power, scale).
+# [Q_i, Q_j] is induced by the associative quaternion table. A reversed pair
+# (KJ, QJ, QK) uses the same row: eps is antisymmetric in i, j.
+_RULES = {"JJ": ("J", 0, 1), "JK": ("K", 0, 1), "KK": ("J", 2, 1),
+          "JQ": ("Q", 0, 1), "KQ": ("Q", 1, 1), "QQ": ("Q", 0, 2)}
 
 
 def bracket_generators(a: str, b: str) -> Element:
@@ -172,44 +109,18 @@ def bracket_generators(a: str, b: str) -> Element:
     if a in INERT_GENERATORS or b in INERT_GENERATORS:
         raise UnspecifiedBracketError(
             f"no bracket relation is specified for ({a}, {b})")
-    fa, ia = a[0], a[1]
-    fb, ib = b[0], b[1]
-    if fa == "J" and fb == "J":
-        return _eps_term(ia, ib, "J", 0)
-    if fa == "J" and fb == "K":
-        return _eps_term(ia, ib, "K", 0)
-    if fa == "K" and fb == "J":
-        return elem_neg(_eps_term(ib, ia, "K", 0))
-    if fa == "K" and fb == "K":
-        return _eps_term(ia, ib, "J", 2)
-    if fa == "J" and fb == "Q":
-        return _eps_term(ia, ib, "Q", 0)
-    if fa == "Q" and fb == "J":
-        return elem_neg(_eps_term(ib, ia, "Q", 0))
-    if fa == "K" and fb == "Q":
-        return _eps_term(ia, ib, "Q", 1)
-    if fa == "Q" and fb == "K":
-        return elem_neg(_eps_term(ib, ia, "Q", 1))
-    if fa == "Q" and fb == "Q":
-        # induced by the associative quaternion table: [Q_i,Q_j] = 2i eps Q_k
-        out: Element = {}
-        for k in "123":
-            s = EPSILON.get((ia, ib, k))
-            if s:
-                out = elem_add(out, elem("Q" + k, poly(0, gr(0, 2 * s))))
-        return out
-    raise UnspecifiedBracketError(
-        f"no bracket relation is specified for ({a}, {b})")
+    family, power, scale = _RULES.get(a[0] + b[0]) or _RULES[b[0] + a[0]]
+    return _eps_term(int(a[1]), int(b[1]), family + "{}", power, scale)
 
 
 def bracket(a: Element, b: Element,
             table=bracket_generators) -> Element:
-    """Bilinear, B-central extension of the generator table."""
+    """Bilinear, B-central extension of a generator table (a bracket, or the
+    associative quaternion product)."""
     out: Element = {}
-    for ga, pa in a.items():
-        for gb, pb in b.items():
-            term = elem_scale(table(ga, gb), poly_mul(pa, pb))
-            out = elem_add(out, term)
+    for (ga, pa), ca in a.items():
+        for (gb, pb), cb in b.items():
+            out = elem_add(out, elem_scale(table(ga, gb), ca * cb, pa + pb))
     return out
 
 
@@ -239,22 +150,7 @@ def quaternion_product(a: str, b: str) -> Element:
         return elem(b)
     if b == "I":
         return elem(a)
-    ia, ib = a[1], b[1]
-    out = elem("I") if ia == ib else {}
-    for k in "123":
-        s = EPSILON.get((ia, ib, k))
-        if s:
-            out = elem_add(out, elem("Q" + k, poly(0, gr(0, s))))
-    return out
-
-
-def _assoc_product(x: Element, y: Element) -> Element:
-    out: Element = {}
-    for ga, pa in x.items():
-        for gb, pb in y.items():
-            out = elem_add(out, elem_scale(quaternion_product(ga, gb),
-                                           poly_mul(pa, pb)))
-    return out
+    return elem("I") if a == b else _eps_term(int(a[1]), int(b[1]), "Q{}", 0, 1)
 
 
 def quaternion_table_check() -> AlgebraReport:
@@ -262,16 +158,20 @@ def quaternion_table_check() -> AlgebraReport:
     units = ("Q1", "Q2", "Q3")
     failures = []
     cases = 0
+
+    def product(x, y):
+        return bracket(x, y, quaternion_product)
+
     for a, b, c in itertools.product(units, repeat=3):
         cases += 1
-        lhs = _assoc_product(_assoc_product(elem(a), elem(b)), elem(c))
-        rhs = _assoc_product(elem(a), _assoc_product(elem(b), elem(c)))
+        lhs = product(product(elem(a), elem(b)), elem(c))
+        rhs = product(elem(a), product(elem(b), elem(c)))
         if lhs != rhs:
             failures.append(("associativity", a, b, c))
     for a, b in itertools.product(units, repeat=2):
         cases += 1
-        comm = elem_add(_assoc_product(elem(a), elem(b)),
-                        elem_neg(_assoc_product(elem(b), elem(a))))
+        comm = elem_add(product(elem(a), elem(b)),
+                        elem_scale(product(elem(b), elem(a)), -ONE))
         if comm != bracket_generators(a, b):
             failures.append(("commutator", a, b))
     return AlgebraReport("quaternion-units", not failures, cases, failures)
@@ -295,28 +195,24 @@ def graded_name(family: str, i: int, grade: int) -> str:
 
 
 def parse_graded(name: str) -> tuple[str, int, int]:
-    family, rest = name[0], name[1:]
-    i_str, grade_str = rest.split("_")
-    return family, int(i_str), int(grade_str)
+    """Inverse of graded_name: AlgebraError for any name it would not produce."""
+    try:
+        index, grade = name[1:].split("_")
+        parsed = name[0], int(index), int(grade)
+    except (IndexError, ValueError):
+        raise AlgebraError(f"malformed graded generator {name!r}") from None
+    if graded_name(*parsed) != name:
+        raise AlgebraError(f"malformed graded generator {name!r}")
+    return parsed
 
 
 def graded_bracket(a: str, b: str) -> Element:
-    """Loop-algebra table on graded generators."""
+    """Loop-algebra table: the families give A when equal and B otherwise,
+    and the grades add."""
     fa, ia, ga = parse_graded(a)
     fb, ib, gb = parse_graded(b)
-    if fa == "A" and fb == "A":
-        fam, grade = "A", ga + gb
-    elif fa == "B" and fb == "B":
-        fam, grade = "A", ga + gb
-    else:
-        fam, grade = "B", ga + gb
-    out: Element = {}
-    for k in (1, 2, 3):
-        s = EPSILON.get((str(ia), str(ib), str(k)))
-        if s:
-            out = elem_add(out, elem(graded_name(fam, k, grade),
-                                     poly(0, gr(0, s))))
-    return out
+    family = "A" if fa == fb else "B"
+    return _eps_term(ia, ib, f"{family}{{}}_{ga + gb}", 0, 1)
 
 
 def graded_generators(max_grade: int) -> list[str]:
@@ -328,22 +224,27 @@ def graded_generators(max_grade: int) -> list[str]:
     return out
 
 
+def _lift(name: str) -> Element:
+    """A^i_{2n} -> J_i B^n and B^i_{2n+2} -> K_i B^n."""
+    family, i, grade = parse_graded(name)
+    if family == "A":
+        return elem(f"J{i}", grade // 2)
+    return elem(f"K{i}", grade // 2 - 1)
+
+
 def _absorb(element: Element) -> Element:
     """Map J_i B^p -> A^i_{2p} and K_i B^p -> B^i_{2p+2}."""
     out: Element = {}
-    for name, p in element.items():
-        family = name[0]
-        if family not in "JK":
+    for (name, power), c in element.items():
+        if name[0] not in "JK":
             raise AlgebraError(f"cannot absorb generator {name!r}")
-        i = int(name[1])
-        for power, c in p.items():
-            if power < 0:
-                raise AlgebraError("negative B power cannot be absorbed")
-            if family == "J":
-                target = graded_name("A", i, 2 * power)
-            else:
-                target = graded_name("B", i, 2 * power + 2)
-            out = elem_add(out, elem(target, poly(0, c)))
+        if power < 0:
+            raise AlgebraError("negative B power cannot be absorbed")
+        if name[0] == "J":
+            target = graded_name("A", int(name[1]), 2 * power)
+        else:
+            target = graded_name("B", int(name[1]), 2 * power + 2)
+        out[(target, 0)] = c
     return out
 
 
@@ -357,17 +258,7 @@ def grade_absorb(cutoff: int = 10) -> AlgebraReport:
     gens = graded_generators(2 * cutoff)
     for a, b in itertools.product(gens, repeat=2):
         cases += 1
-        fa, ia, ga = parse_graded(a)
-        fb, ib, gb = parse_graded(b)
-        if fa == "A":
-            lift_a = elem(f"J{ia}", poly(ga // 2))
-        else:
-            lift_a = elem(f"K{ia}", poly(ga // 2 - 1))
-        if fb == "A":
-            lift_b = elem(f"J{ib}", poly(gb // 2))
-        else:
-            lift_b = elem(f"K{ib}", poly(gb // 2 - 1))
-        via_finite = _absorb(bracket(lift_a, lift_b))
+        via_finite = _absorb(bracket(_lift(a), _lift(b)))
         via_table = graded_bracket(a, b)
         if via_finite != via_table:
             failures.append((a, b, elem_to_json(via_finite),
@@ -380,28 +271,21 @@ def jacobi_check(cutoff: int = 10, table=None) -> AlgebraReport:
     total grade is <= 2*cutoff; exact, zero tolerance."""
     if table is None:
         table = graded_bracket
-        gens = graded_generators(2 * cutoff)
-
-        def grade_of(name):
-            return parse_graded(name)[2]
+        grade = {g: parse_graded(g)[2] for g in graded_generators(2 * cutoff)}
     else:
-        gens = [g for g in FINITE_GENERATORS if g not in INERT_GENERATORS]
-
-        def grade_of(name):
-            return 0
+        grade = {g: 0 for g in FINITE_GENERATORS if g not in INERT_GENERATORS}
 
     failures = []
     cases = 0
-    for a, b, c in itertools.combinations_with_replacement(gens, 3):
-        if grade_of(a) + grade_of(b) + grade_of(c) > 2 * cutoff:
+    for a, b, c in itertools.combinations_with_replacement(grade, 3):
+        if grade[a] + grade[b] + grade[c] > 2 * cutoff:
             continue
         cases += 1
-        total = bracket(bracket(elem(a), elem(b), table), elem(c), table)
-        total = elem_add(total, bracket(
-            bracket(elem(b), elem(c), table), elem(a), table))
-        total = elem_add(total, bracket(
-            bracket(elem(c), elem(a), table), elem(b), table))
-        if not elem_is_zero(total):
+        total = {}
+        for x, y, z in ((a, b, c), (b, c, a), (c, a, b)):
+            total = elem_add(total, bracket(bracket(elem(x), elem(y), table),
+                                            elem(z), table))
+        if total:
             failures.append((a, b, c, elem_to_json(total)))
     return AlgebraReport("jacobi", not failures, cases, failures,
                          extra={"cutoff": cutoff})
@@ -416,8 +300,7 @@ def antisymmetry_check(cutoff: int = 4) -> AlgebraReport:
     for pool, table in ((finite, bracket_generators), (graded, graded_bracket)):
         for a, b in itertools.product(pool, repeat=2):
             cases += 1
-            s = elem_add(table(a, b), table(b, a))
-            if not elem_is_zero(s):
+            if elem_add(table(a, b), table(b, a)):
                 failures.append((a, b))
     return AlgebraReport("bracket-antisymmetry", not failures, cases, failures)
 
@@ -431,9 +314,7 @@ def centrality_check(max_power: int = 4) -> AlgebraReport:
         base = bracket_generators(a, b)
         for k in range(max_power + 1):
             cases += 1
-            shifted = bracket(elem(a), elem(b, poly(k)))
-            expected = elem_scale(base, poly(k))
-            if shifted != expected:
+            if bracket(elem(a), elem(b, k)) != elem_scale(base, ONE, k):
                 failures.append((a, b, k))
     return AlgebraReport("b-centrality", not failures, cases, failures)
 

@@ -244,7 +244,7 @@ def associated_sk(f: TensorField, M: Manifold) -> TensorField:
                         continue
                     total += comp[(mu,) + a_idx] * factor * comp[b_idx + (nu,)]
             out[mu, nu] = sp.cancel(sp.together(total))
-    return TensorField(out, "dd", "symmetric")
+    return TensorField(out, "dd")
 
 
 def unit_root_check(f: TensorField, M: Manifold, points=None, seed=0,

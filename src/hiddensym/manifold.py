@@ -68,19 +68,16 @@ def sample_points(chart: Chart, count: int, seed: int = 0) -> list[dict[str, flo
 
 
 class TensorField:
-    """Dense component array with per-slot variance ('u'/'d') and symmetry tag."""
+    """Dense component array with per-slot variance ('u'/'d')."""
 
-    def __init__(self, components, variance: str, symmetry: str = "none"):
+    def __init__(self, components, variance: str):
         arr = np.array(components, dtype=object)
         for idx in np.ndindex(arr.shape):
             arr[idx] = sp.sympify(arr[idx])
         if arr.ndim != len(variance):
             raise GeometryError("variance length must match tensor rank")
-        if symmetry not in ("none", "symmetric", "antisymmetric"):
-            raise GeometryError(f"unknown symmetry tag {symmetry!r}")
         self.components = arr
         self.variance = variance
-        self.symmetry = symmetry
 
     @property
     def rank(self) -> int:
@@ -90,7 +87,7 @@ class TensorField:
         out = np.empty(self.components.shape, dtype=object)
         for idx in np.ndindex(self.components.shape):
             out[idx] = f(self.components[idx])
-        return TensorField(out, self.variance, self.symmetry)
+        return TensorField(out, self.variance)
 
 
 # ---------------------------------------------------------------------------
@@ -225,7 +222,7 @@ class Manifold:
         return [sym(c) for c in self.chart.coords]
 
     def metric_field(self) -> TensorField:
-        return TensorField(np.array(self.metric.tolist(), dtype=object), "dd", "symmetric")
+        return TensorField(np.array(self.metric.tolist(), dtype=object), "dd")
 
     def inverse_metric_matrix(self) -> sp.Matrix:
         """g^-1 = adj(g) / det g, each entry in rational normal form: the one
@@ -411,7 +408,7 @@ def _contract_metric(T: TensorField, slot: int, matrix: sp.Matrix,
     out = np.moveaxis(np.tensordot(np.array(matrix.tolist(), dtype=object), T.components,
                                    (1, slot)), 0, slot)
     variance = T.variance[:slot] + new_var + T.variance[slot + 1:]
-    return TensorField(out, variance, T.symmetry)
+    return TensorField(out, variance)
 
 
 def raise_index(T: TensorField, M: Manifold, slot: int) -> TensorField:
@@ -433,10 +430,9 @@ def exterior_derivative(T: TensorField, M: Manifold) -> TensorField:
     n = M.dim
     p = T.rank
     if p >= n:
-        return TensorField(np.zeros((n,) * (p + 1), dtype=object), "d" * (p + 1),
-                           "antisymmetric")
+        return TensorField(np.zeros((n,) * (p + 1), dtype=object), "d" * (p + 1))
     out = (p + 1) * antisymmetrize(_tangent(T.components, M.coord_symbols)[:-1])
-    return TensorField(out, "d" * (p + 1), "antisymmetric")
+    return TensorField(out, "d" * (p + 1))
 
 
 def lie_bracket(X: TensorField, Y: TensorField, M: Manifold) -> TensorField:
@@ -456,4 +452,4 @@ def one_form(components) -> TensorField:
 
 
 def two_form(matrix) -> TensorField:
-    return TensorField(matrix, "dd", "antisymmetric")
+    return TensorField(matrix, "dd")

@@ -392,7 +392,7 @@ def wedge_forms(a: TensorField, b: TensorField) -> TensorField:
     outer = np.multiply.outer(a.components, b.components)
     factor = sp.binomial(p + q, p)
     comp = factor * antisymmetrize(outer)
-    return TensorField(comp, "d" * (p + q), "antisymmetric")
+    return TensorField(comp, "d" * (p + q))
 
 
 def ky_odd_rank_candidate(S: MixedThreeStructure, alpha: int, k: int) -> TensorField:

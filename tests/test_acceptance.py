@@ -4,6 +4,9 @@ Default sampling is 20 seeded points per chart at 1e-9 relative tolerance
 unless a criterion states otherwise.
 """
 
+import hashlib
+import json
+
 import numpy as np
 import pytest
 import sympy as sp
@@ -183,6 +186,12 @@ class TestCriterion5SpinIdentities:
 # ---------------------------------------------------------------------------
 # 6. exact algebra
 
+def _digest(obj) -> str:
+    """First 16 hex digits of the sha256 of the compact sorted JSON."""
+    text = json.dumps(obj, sort_keys=True, separators=(",", ":"))
+    return hashlib.sha256(text.encode()).hexdigest()[:16]
+
+
 class TestCriterion6Algebra:
     def test_quaternion_table_exact(self):
         rep = algebra.quaternion_table_check()
@@ -191,11 +200,14 @@ class TestCriterion6Algebra:
     def test_grade_absorption_to_cutoff_ten(self):
         rep = algebra.grade_absorb(10)
         assert rep.passed and rep.failures == []
+        assert rep.cases == 3969
+        assert _digest(rep.to_json()) == "c62f2790982b19db"
 
     def test_jacobi_exact_to_cutoff_ten(self):
         rep = algebra.jacobi_check(10)
         assert rep.passed and rep.failures == []
-        assert rep.cases >= 1080
+        assert rep.cases == 7531
+        assert _digest(rep.to_json()) == "ffbd72ef1704c6af"
 
 
 # ---------------------------------------------------------------------------
