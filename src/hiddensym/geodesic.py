@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .killing import finite_or_null
-from .manifold import Manifold, TensorField, lower_index
+from .manifold import Manifold, TensorField
 
 
 @dataclass
@@ -143,11 +143,12 @@ def invariant_values(traj: Trajectory, Q: TensorField, M: Manifold) -> list[floa
     Vector fields give the rank-1 Killing invariant g(Q, xdot); symmetric
     tensors give K_{m1..mr} xdot^{m1}..xdot^{mr}.
     """
-    if Q.variance == "u":
-        Q = lower_index(Q, M, 0)
-    if set(Q.variance) - {"d"}:
+    if Q.variance != "u" and set(Q.variance) - {"d"}:
         raise ValueError("invariant spec must be fully covariant or a vector field")
-    val = M.evaluate(Q.components, [st.position for st in traj.states])
+    positions = [st.position for st in traj.states]
+    val = M.evaluate(Q.components, positions)
+    if Q.variance == "u":       # lowered: Q_mu = g_{mu nu} Q^nu
+        val = np.einsum("pmn,pn->pm", M.evaluate(M.metric, positions), val)
     v = np.array([[st.velocity[c] for c in M.chart.coords] for st in traj.states])
     for _ in range(Q.rank):
         val = np.einsum("pi...,pi->p...", val, v)

@@ -8,9 +8,9 @@ blow up the quotient).  A check passes only when every residual and
 scale is finite.
 
 Sympy only differentiates the inputs: a checker evaluates the 1-jet of its
-tensor once over the batch of points and forms the covariant derivative from
-it and the Christoffel values; the symmetrizations, contractions and wedges
-that form an identity are array code on the evaluated (P, ...) values.
+tensor once over the batch of points and takes the tensor's values and its
+covariant derivative from it; the lowerings, exterior derivatives, wedges and
+(anti)symmetrizations of an identity are array code on (P, ...) values.
 """
 
 from __future__ import annotations
@@ -23,8 +23,7 @@ import numpy as np
 import sympy as sp
 
 from .manifold import (Manifold, TensorField, antisymmetrize, covariant_derivative,
-                       exterior_derivative, lower_index, sample_points, symmetrize,
-                       GeometryError)
+                       sample_points, symmetrize, GeometryError)
 
 DEFAULT_TOL = 1e-9
 DEFAULT_POINTS = 20
@@ -109,9 +108,12 @@ def _max_abs(arr: np.ndarray) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # Killing vectors
 
-def _nabla_flat(X: TensorField, M: Manifold, pts) -> np.ndarray:
-    """grad_mu X_nu of a vector field at the points, shape (P, n, n)."""
-    return covariant_derivative(lower_index(X, M, 0), M, pts).components
+def _nabla_flat(X: TensorField, M: Manifold, pts, g: np.ndarray) -> np.ndarray:
+    """grad_mu X_nu = grad_mu X^lam g_{lam nu} of a vector field at the points,
+    shape (P, n, n), with g the metric's values there."""
+    if X.variance != "u":
+        raise GeometryError("a Killing vector check needs a vector field")
+    return covariant_derivative(X, M, pts).components @ g
 
 
 def _killing_report(dX: np.ndarray, pts, tol: float) -> ResidualReport:
@@ -124,16 +126,16 @@ def killing_vector_residual(X: TensorField, M: Manifold, points=None, seed=0,
                             tol=DEFAULT_TOL) -> ResidualReport:
     """(L_X g)_{mu nu} = grad_mu X_nu + grad_nu X_mu at sampled points."""
     pts = _default_points(M, points, seed)
-    return _killing_report(_nabla_flat(X, M, pts), pts, tol)
+    return _killing_report(_nabla_flat(X, M, pts, M.evaluate(M.metric, pts)), pts, tol)
 
 
 def conformal_killing_factor(X: TensorField, M: Manifold, points=None, seed=0,
                              tol=DEFAULT_TOL):
     """Per-point least-squares factor f with L_X g ~ f g; returns (factors, report)."""
     pts = _default_points(M, points, seed)
-    dX = _nabla_flat(X, M, pts)
-    L = dX + np.swapaxes(dX, 1, 2)
     g = M.evaluate(M.metric, pts)
+    dX = _nabla_flat(X, M, pts, g)
+    L = dX + np.swapaxes(dX, 1, 2)
     f = np.sum(L * g, axis=(1, 2)) / np.sum(g * g, axis=(1, 2))
     report = _report("conformal-killing", pts, _max_abs(L - f[:, None, None] * g),
                      np.maximum(_max_abs(L), _max_abs(g)), tol,
@@ -144,34 +146,31 @@ def conformal_killing_factor(X: TensorField, M: Manifold, points=None, seed=0,
 # ---------------------------------------------------------------------------
 # Staeckel-Killing / Killing-Yano / conformal Killing-Yano
 
-def _is_symmetric(T: TensorField) -> bool:
-    comp = T.components
-    for idx in np.ndindex(comp.shape):
-        sidx = tuple(sorted(idx))
-        if idx != sidx and sp.simplify(comp[idx] - comp[sidx]) != 0:
-            return False
-    return True
-
-
 def _alternation(vals: np.ndarray) -> np.ndarray:
     return np.array([antisymmetrize(v) for v in vals])
 
 
-def _is_antisymmetric_at(T: TensorField, M: Manifold, pts, tol=1e-12) -> bool:
-    vals = M.evaluate(T.components, pts[:3])
-    return not np.any(_max_abs(vals - _alternation(vals))
-                      > tol * np.maximum(1.0, _max_abs(vals)))
+def _symmetrization(vals: np.ndarray) -> np.ndarray:
+    return np.array([symmetrize(v) for v in vals])
+
+
+def _guarded_nabla(T: TensorField, M: Manifold, pts, project, message: str) -> np.ndarray:
+    """grad T at the points; GeometryError(message) unless project fixes T's
+    values at every point to 1e-12 relative."""
+    nabla = covariant_derivative(T, M, pts)
+    vals = nabla.values
+    if np.any(_max_abs(vals - project(vals)) > 1e-12 * np.maximum(1.0, _max_abs(vals))):
+        raise GeometryError(message)
+    return nabla.components
 
 
 def sk_residual(K: TensorField, M: Manifold, points=None, seed=0,
                 tol=DEFAULT_TOL) -> ResidualReport:
     """Fully symmetrized covariant derivative of a symmetric tensor."""
-    if not _is_symmetric(K):
-        raise GeometryError("sk_residual requires a symmetric tensor")
     pts = _default_points(M, points, seed)
-    nabla = covariant_derivative(K, M, pts).components
-    return _report("staeckel-killing", pts,
-                   _max_abs(np.array([symmetrize(v) for v in nabla])),
+    nabla = _guarded_nabla(K, M, pts, _symmetrization,
+                           "sk_residual requires a symmetric tensor")
+    return _report("staeckel-killing", pts, _max_abs(_symmetrization(nabla)),
                    _max_abs(nabla), tol)
 
 
@@ -179,9 +178,8 @@ def ky_residual(f: TensorField, M: Manifold, points=None, seed=0,
                 tol=DEFAULT_TOL) -> ResidualReport:
     """Symmetric part of grad f, and deviation of grad f from its alternation."""
     pts = _default_points(M, points, seed)
-    if not _is_antisymmetric_at(f, M, pts):
-        raise GeometryError("ky_residual requires an antisymmetric form")
-    nabla = covariant_derivative(f, M, pts).components
+    nabla = _guarded_nabla(f, M, pts, _alternation,
+                           "ky_residual requires an antisymmetric form")
     # symmetrize over the derivative slot and the form's first slot
     sym_pair = (nabla + np.swapaxes(nabla, 1, 2)) / 2
     residual = np.maximum(_max_abs(sym_pair), _max_abs(nabla - _alternation(nabla)))
@@ -200,10 +198,9 @@ def cky_residual(f: TensorField, M: Manifold, points=None, seed=0,
     if not 1 <= p <= n - 1:
         raise GeometryError("cky_residual needs 1 <= p <= n-1")
     pts = _default_points(M, points, seed)
-    if not _is_antisymmetric_at(f, M, pts):
-        raise GeometryError("cky_residual requires an antisymmetric form")
-    df = M.evaluate(exterior_derivative(f, M).components, pts)
-    nabla = covariant_derivative(f, M, pts).components
+    nabla = _guarded_nabla(f, M, pts, _alternation,
+                           "cky_residual requires an antisymmetric form")
+    df = (p + 1) * _alternation(nabla)     # the connection is torsion-free
     g = M.evaluate(M.metric, pts)
     codf = -np.einsum("plm,plm...->p...", M.inverse_metric_values(pts), nabla)
     # (X* wedge d*f) for X = coordinate basis vector mu, X*_nu = g_{mu nu}: a
@@ -218,9 +215,9 @@ def cky_residual(f: TensorField, M: Manifold, points=None, seed=0,
 def covariant_constancy_residual(T: TensorField, M: Manifold, points=None, seed=0,
                                  tol=DEFAULT_TOL) -> ResidualReport:
     pts = _default_points(M, points, seed)
-    worst = _max_abs(covariant_derivative(T, M, pts).components)
-    return _report("covariant-constancy", pts, worst,
-                   _max_abs(M.evaluate(T.components, pts)), tol,
+    nabla = covariant_derivative(T, M, pts)
+    worst = _max_abs(nabla.components)
+    return _report("covariant-constancy", pts, worst, _max_abs(nabla.values), tol,
                    extra={"max_abs_per_point": worst.tolist()})
 
 
@@ -243,7 +240,9 @@ def associated_sk(f: TensorField, M: Manifold) -> TensorField:
                     if factor == 0:
                         continue
                     total += comp[(mu,) + a_idx] * factor * comp[b_idx + (nu,)]
-            out[mu, nu] = sp.cancel(sp.together(total))
+            e = sp.cancel(sp.together(total))
+            # zero by sin^2 + cos^2 = 1 alone, which cancel does not use: exact 0
+            out[mu, nu] = 0 if e != 0 and sp.expand(e.rewrite(sp.exp)) == 0 else e
     return TensorField(out, "dd")
 
 

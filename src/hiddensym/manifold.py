@@ -3,10 +3,11 @@
 Tensor fields are dense component arrays of symbolic expressions over a
 single chart.  Dimensions stay small (<= 7), so no sparsity or index-free
 machinery is used.  Numeric evaluation goes through Manifold.evaluate: each
-array is lambdified once per manifold, cached under its content, and
-evaluated over a whole batch of points in one call.  The connection, the
-curvature and covariant derivatives are numpy on evaluated jets: sympy only
-differentiates the metric (its 2-jet) and the tensor fields (their 1-jets).
+array, or its k-jet, is compiled once per manifold, cached under the array's
+content and k, and evaluated over a whole batch of points in one call.  The
+connection, the curvature and covariant derivatives are numpy on evaluated
+jets: sympy only differentiates the metric (its 2-jet) and the tensor fields
+(their 1-jets).
 """
 
 from __future__ import annotations
@@ -123,15 +124,6 @@ def _tangent(arr, xs) -> np.ndarray:
     return np.stack([diff(arr, x) for x in xs] + [arr])
 
 
-def _jet_function(M: "Manifold", arr, order: int, dtype=float):
-    """points -> the order-jet of the array at the points, shape
-    (P, n + 1, ..., n + 1, *shape), the outermost derivative first."""
-    jet = np.asarray(arr, dtype=object)
-    for _ in range(order):
-        jet = _tangent(jet, M.coord_symbols)
-    return lambda points: M.evaluate(jet, points, dtype)
-
-
 def _pointwise(subscripts: str, *values) -> np.ndarray:
     """einsum at each point of (P, ...) arrays; the subscripts name the axes
     after the point axis and must not use p."""
@@ -208,7 +200,7 @@ class Manifold:
         self.signature = tuple(signature) if signature else tuple([1] * n)
         if len(self.signature) != n:
             raise GeometryError("signature length must equal dimension")
-        # symbolic results by name, compiled functions by array content
+        # symbolic results by name, compiled functions by array content and order
         self._cache: dict = {}
 
     # -- symbolic pipeline -------------------------------------------------
@@ -259,9 +251,7 @@ class Manifold:
     def metric_jet(self, points) -> np.ndarray:
         """2-jet of the metric at the points, shape (P, n + 1, n + 1, n, n): the
         one array of the geometry that sympy differentiates."""
-        if "metric_jet" not in self._cache:
-            self._cache["metric_jet"] = _jet_function(self, self.metric, 2)
-        return self._cache["metric_jet"](points)
+        return self.evaluate(self.metric, points, order=2)
 
     @per_batch
     def christoffel(self, points) -> np.ndarray:
@@ -294,22 +284,25 @@ class Manifold:
 
     # -- numeric evaluation --------------------------------------------------
 
-    def compiled(self, components, extra=()):
-        """The array's lambdified form, compiled once per manifold with
-        common-subexpression elimination and cached under the array's content:
-        a function of the coordinate values, then of the `extra` symbols'
-        values, that returns the flat component list."""
+    def compiled(self, components, extra=(), order=0):
+        """The lambdified order-jet of the array (order 0: the array), compiled
+        once per manifold with common-subexpression elimination and cached under
+        the array's content and the order: a function of the coordinate values,
+        then of the `extra` symbols' values, that returns the flat component list."""
         arr = np.asarray(components, dtype=object)
-        key = ("lambdified", arr.shape, tuple(arr.flat), tuple(extra))
+        key = ("lambdified", order, arr.shape, tuple(arr.flat), tuple(extra))
         if key not in self._cache:
+            for _ in range(order):
+                arr = _tangent(arr, self.coord_symbols)
             args = [sym(p) for p in sorted(self.params)] + self.coord_symbols + list(extra)
             self._cache[key] = sp.lambdify(args, [sp.sympify(e) for e in arr.flat],
                                            modules="numpy", cse=True)
         return functools.partial(self._cache[key],
                                  *(self.params[p] for p in sorted(self.params)))
 
-    def evaluate(self, components, points, dtype=float) -> np.ndarray:
-        """Values of an array of expressions at a batch of points, shape (P, *shape).
+    def evaluate(self, components, points, dtype=float, order=0) -> np.ndarray:
+        """Values of an array of expressions at a batch of points, shape (P, *shape),
+        or its order-jet, shape (P, n + 1, ..., n + 1, *shape).
 
         One call of the compiled function covers the whole batch; the
         entries it returns as scalars (the constant ones) are broadcast.  A
@@ -322,7 +315,7 @@ class Manifold:
         x = np.array([[p[c] for c in self.chart.coords] for p in points],
                      dtype=float).reshape(count, self.dim)
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            flat = self.compiled(arr)(*x.T)
+            flat = self.compiled(arr, order=order)(*x.T)
         values = np.empty((count, len(flat)), np.result_type(float, *flat))
         for i, v in enumerate(flat):
             values[:, i] = v
@@ -330,7 +323,7 @@ class Manifold:
             if np.any(values.imag != 0):
                 raise GeometryError("real-valued tensor has a non-zero imaginary part")
             values = values.real
-        return values.astype(dtype).reshape((count,) + arr.shape)
+        return values.astype(dtype).reshape((count,) + (self.dim + 1,) * order + arr.shape)
 
     def inverse_metric_values(self, points) -> np.ndarray:
         """Numeric inverse metric at each point, shape (P, n, n).  A point where
@@ -390,16 +383,18 @@ def symmetrize(arr: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class TensorValues:
-    """Numeric components of a tensor at a batch of points, shape (P, *shape)."""
+    """grad T at a batch of points, shape (P, n, *shape), and T's values, (P, *shape)."""
 
     components: np.ndarray
+    values: np.ndarray
 
 
 def covariant_derivative(T: TensorField, M: Manifold, points) -> TensorValues:
     """Levi-Civita covariant derivative at the points, the new (lower) slot
-    first, from the 1-jet of T and the values of Gamma."""
-    jet = _jet_function(M, T.components, 1)(points)
-    return TensorValues(_covariant(jet, M.christoffel(points)[:, -1], T.variance))
+    first, and T's values: both from one 1-jet of T, with Gamma's values."""
+    jet = M.evaluate(T.components, points, order=1)
+    return TensorValues(_covariant(jet, M.christoffel(points)[:, -1], T.variance),
+                        jet[:, -1])
 
 
 def _contract_metric(T: TensorField, slot: int, matrix: sp.Matrix,

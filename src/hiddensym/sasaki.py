@@ -16,11 +16,10 @@ import numpy as np
 import sympy as sp
 
 from .killing import (ResidualReport, _default_points, _killing_report, _max_abs,
-                      _nabla_flat, _report, conformal_killing_factor, ky_residual,
-                      DEFAULT_TOL)
-from .manifold import (Chart, GeometryError, Manifold, TensorField,
+                      _report, conformal_killing_factor, ky_residual, DEFAULT_TOL)
+from .manifold import (Chart, GeometryError, Manifold, TensorField, TensorValues,
                        antisymmetrize, covariant_derivative, exterior_derivative,
-                       lie_bracket, lower_index, vector, one_form)
+                       lower_index, vector, one_form)
 
 EPS = (1, -1, -1)
 _EVEN = [(0, 1, 2), (1, 2, 0), (2, 0, 1)]
@@ -90,6 +89,12 @@ def _form(A, g, B):
     return np.swapaxes(A, 1, 2) @ g @ B
 
 
+def _bracket(X: TensorValues, Y: TensorValues) -> np.ndarray:
+    """[X, Y] = grad_X Y - grad_Y X at each point: the connection is torsion-free."""
+    return (np.einsum("pm,pmi->pi", X.values, Y.components)
+            - np.einsum("pm,pmi->pi", Y.values, X.components))
+
+
 def structure_identity_suite(S: MixedThreeStructure, points=None, seed=0,
                              tol=DEFAULT_TOL) -> ResidualReport:
     """All algebraic axioms of a metric mixed 3-structure at sampled points."""
@@ -135,9 +140,10 @@ def sasakian_residuals(S: MixedThreeStructure, points=None, seed=0,
     M = S.manifold
     pts = _default_points(M, points, seed)
     g = M.evaluate(M.metric, pts)
-    phi, xi, eta = (_values(T, M, pts) for T in (S.phi, S.xi, S.eta))
+    xi, eta = (_values(T, M, pts) for T in (S.xi, S.eta))
+    nabla = [covariant_derivative(phi_a, M, pts) for phi_a in S.phi]
     # dphi[a][p, lam, i, j] = (grad_lam phi_a)^i_j
-    dphi = [covariant_derivative(phi_a, M, pts).components for phi_a in S.phi]
+    dphi, phi = [d.components for d in nabla], [d.values for d in nabla]
     terms = []
     for a in range(3):
         if a == 0:
@@ -160,25 +166,23 @@ def killing_triple_check(S: MixedThreeStructure, points=None, seed=0,
     (same orientation convention as sasakian_residuals)."""
     M = S.manifold
     pts = _default_points(M, points, seed)
-    # nxi[a][p, mu, nu] = grad_mu (xi_a)_nu
-    nxi = [_nabla_flat(xi, M, pts) for xi in S.xi]
-    sub = {f"killing_xi{a+1}": _killing_report(nxi[a], pts, tol).max_rel_residual
-           for a in range(3)}
     g = M.evaluate(M.metric, pts)
-    ginv = M.inverse_metric_values(pts)
-    xi, phi = _values(S.xi, M, pts), _values(S.phi, M, pts)
+    nabla = [covariant_derivative(xi, M, pts) for xi in S.xi]
+    # dxi[a][p, mu, i] = grad_mu xi_a^i; lowered, grad_mu (xi_a)_nu
+    dxi, xi = [d.components for d in nabla], [d.values for d in nabla]
+    sub = {f"killing_xi{a+1}": _killing_report(dxi[a] @ g, pts, tol).max_rel_residual
+           for a in range(3)}
+    phi = _values(S.phi, M, pts)
     terms = [np.full(len(pts), max(sub.values()))]
     for a in range(3):
         terms.append(np.abs(_dot(xi[a], _mv(g, xi[a])) - EPS[a]))
         for b in range(a + 1, 3):
             terms.append(np.abs(_dot(xi[a], _mv(g, xi[b]))))
     for a, b, c in _EVEN:
-        br = M.evaluate(lie_bracket(S.xi[a], S.xi[b], M).components, pts)
-        terms.append(_max_abs(br + 2 * EPS[c] * xi[c]))
+        terms.append(_max_abs(_bracket(nabla[a], nabla[b]) + 2 * EPS[c] * xi[c]))
     for a in range(3):
-        # phi_a X = grad_X xi_a
-        grad = ginv @ np.swapaxes(nxi[a], 1, 2)   # (grad_mu xi^i) as [i, mu]
-        terms.append(_max_abs(phi[a] - grad))
+        # phi_a X = grad_X xi_a: (phi_a)^i_mu = grad_mu xi_a^i
+        terms.append(_max_abs(phi[a] - np.swapaxes(dxi[a], 1, 2)))
     return _report("killing-triple", pts, np.max(terms, axis=0), np.ones(len(pts)),
                    tol, extra=sub)
 
@@ -280,11 +284,12 @@ def para_hyperkahler_check(C: ConeManifold, points=None, seed=0,
     M = C.manifold
     pts = _default_points(M, points, seed)
     g = M.evaluate(M.metric, pts)
-    J = _values(C.J, M, pts)
+    nabla = [covariant_derivative(Ja, M, pts) for Ja in C.J]
+    J = [d.values for d in nabla]
     terms = [_max_abs(J[0] @ J[1] @ J[2] + np.eye(M.dim))]
     for a in range(3):
         terms.append(_max_abs(_form(J[a], g, J[a]) - EPS[a] * g))
-        terms.append(_max_abs(covariant_derivative(C.J[a], M, pts).components))
+        terms.append(_max_abs(nabla[a].components))
     scale = np.maximum(1.0, np.max([_max_abs(Ja) for Ja in J], axis=0))
     return _report("para-hyperkahler", pts, np.max(terms, axis=0), scale, tol)
 

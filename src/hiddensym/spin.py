@@ -15,7 +15,7 @@ import sympy as sp
 
 from .killing import ResidualReport, _default_points, _max_abs, _report
 from .manifold import (GeometryError, Manifold, TensorField, _covariant, _inverse,
-                       _jet_function, _product, per_batch)
+                       _product, per_batch)
 
 # Sign of the quarter term in the Killing operator
 #   X_k = -i (R^mu grad_mu + QUARTER_SIGN * (1/4) gamma^mu gamma^nu R_{mu;nu}).
@@ -147,8 +147,9 @@ def standard_unitary(size: int) -> sp.Matrix:
 # ---------------------------------------------------------------------------
 # jets and operators
 #
-# Operators are the 1-jets of their coefficients at a batch of points
-# (manifold.py's jets), composed by the Leibniz rule in numpy.
+# Operators are recipes: the 1-jets of their coefficients at a batch of
+# points, formed from the jets the Manifold compiles and caches, and composed
+# by the Leibniz rule in numpy.
 
 SpinorField = np.ndarray      # object array of expressions, length = spinor size
 
@@ -164,7 +165,7 @@ class SpinorJet:
 
 def spinor_jet(M: Manifold, spinors, points) -> SpinorJet:
     """The 2-jet of the spinor fields at the points, from one evaluation."""
-    return SpinorJet(points, _jet_function(M, list(spinors), 2, complex)(points))
+    return SpinorJet(points, M.evaluate(list(spinors), points, complex, order=2))
 
 
 @dataclass
@@ -183,8 +184,9 @@ class OperatorSpec:
 
 
 class SpinContext:
-    """Caches the 2-jet of the vierbein, from which, with the manifold's
-    metric and Christoffel jets, all three operators are formed numerically."""
+    """The frame and gamma matrices: from the 2-jet of the vierbein and the
+    manifold's metric and Christoffel jets all three operators are formed
+    numerically."""
 
     def __init__(self, M: Manifold, F: Frame, rep: GammaRep | None = None):
         if rep is None:
@@ -194,8 +196,6 @@ class SpinContext:
         self.M = M
         self.F = F
         self.rep = rep
-        self._op_cache = {}
-        self._vierbein_jet = _jet_function(M, F.vierbein, 2)
         self._gamma = np.array([np.array(g.tolist(), dtype=complex) for g in rep.matrices])
         # (1/4) eta^{aa} eta^{bb} gamma^a gamma^b; eta^{aa} = eta_{aa} for +-1
         eta = np.array(F.eta, dtype=float)
@@ -208,7 +208,7 @@ class SpinContext:
         omega_{mu a b}, shape (P, n + 1, n, n, n).  omega is fixed by the
         vanishing of the total derivative of the vierbein:
         omega_{mu a b} = -eta_a (d_mu e^a_nu - Gamma^lam_{mu nu} e^a_lam) e_b^nu."""
-        e2 = self._vierbein_jet(points)
+        e2 = self.M.evaluate(self.F.vierbein, points, order=2)
         einv = _inverse(e2[:, :, -1])
         nabla_e = _covariant(e2, self.M.christoffel(points), "d")
         eta = np.array(self.F.eta, dtype=float)[:, None]
@@ -222,29 +222,18 @@ class SpinContext:
         return (np.einsum("pjma,ast->pjmst", einv, self._gamma),
                 np.einsum("pjmab,abst->pjmst", omega, self._quarter))
 
-    def operator(self, spec: OperatorSpec) -> "LinearOperator":
-        """The operator of spec, built once per context."""
-        key = _spec_key(spec)
-        if key not in self._op_cache:
-            self._op_cache[key] = build_operator(spec, self)
-        return self._op_cache[key]
-
     def composed(self, first: OperatorSpec, second: OperatorSpec) -> "SecondOrderOperator":
         """The operator of first applied after that of second."""
-        return self.operator(first).compose(self.operator(second))
+        return build_operator(first, self).compose(build_operator(second, self))
 
 
 class LinearOperator:
-    """First-order operator sum_k K[k] d_k + K[n] with matrix coefficients."""
+    """First-order operator sum_k K[k] d_k + K[n] with matrix coefficients:
+    coefficients(points) is the 1-jet of K at the points, shape
+    (P, n + 1, n + 1, s, s), the jet axis first, then k."""
 
     def __init__(self, coefficients):
-        self._coefficients = coefficients
-
-    @per_batch
-    def coefficients(self, points) -> np.ndarray:
-        """The 1-jet of K at the points, shape (P, n + 1, n + 1, s, s): the jet
-        axis first, then k."""
-        return self._coefficients(points)
+        self.coefficients = coefficients
 
     def apply(self, jet: SpinorJet) -> SpinorJet:
         """The operator applied to a spinor jet, one order shorter: the jet's
@@ -293,13 +282,12 @@ def build_operator(spec: OperatorSpec, ctx: SpinContext) -> LinearOperator:
         R = spec.payload
         if R.variance != "u":
             raise ValueError("killing-op payload must be a vector field")
-        R_jet = _jet_function(M, R.components, 2)
         quarter = QUARTER_SIGN / 4
         eye = np.eye(ctx.rep.spinor_size)
 
         def coefficients(points):
             gam, conn = ctx.frame_jets(points)
-            r2 = R_jet(points)
+            r2 = M.evaluate(R.components, points, order=2)
             r = r2[:, :, -1]
             # dr[nu, mu] = R_{mu;nu} = g_{mu lam} grad_nu R^lam
             dr = _product("ml,nl->nm", M.metric_jet(points)[:, :, -1],
@@ -313,11 +301,10 @@ def build_operator(spec: OperatorSpec, ctx: SpinContext) -> LinearOperator:
     f = spec.payload
     if f.variance != "dd":
         raise ValueError("dirac-type payload must be a covariant two-form")
-    F_jet = _jet_function(M, f.components, 2)
 
     def coefficients(points):
         gam, conn = ctx.frame_jets(points)
-        f2 = F_jet(points)
+        f2 = M.evaluate(f.components, points, order=2)
         ginv = _inverse(M.metric_jet(points)[:, :, -1])
         fm = _product("ml,ln->mn", f2[:, :, -1], ginv)            # f_mu{}^nu
         df = _covariant(f2, M.christoffel(points), "dd")          # df[rho, mu, nu] = f_{mu nu;rho}
@@ -325,15 +312,6 @@ def build_operator(spec: OperatorSpec, ctx: SpinContext) -> LinearOperator:
               - _product("rmn,mst,ntu,ruv->sv", df, gam, gam, gam) / 6)
         return 1j * _coefficient_jet(_product("mn,mst->nst", fm, gam), c0)
     return LinearOperator(coefficients)
-
-
-def _spec_key(spec: OperatorSpec) -> tuple:
-    # Content-based key: payload objects are often temporaries, so keying on
-    # object identity can alias distinct payloads once one is collected.
-    if spec.payload is None:
-        return (spec.kind,)
-    t = spec.payload
-    return (spec.kind, t.variance, t.components.shape, tuple(t.components.flat))
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,7 @@
 """Source hygiene: every name a library module imports is used in it, every
-definition in a library module is referenced somewhere in the project, and no
-library module calls exprkit.simplify."""
+definition in a library module is referenced somewhere in the project, no
+library module calls exprkit.simplify, and outside manifold.py only the
+field constructions call the symbolic tensor algebra."""
 
 import ast
 from pathlib import Path
@@ -130,3 +131,51 @@ def test_simplify_checker_sees_each_spelling():
     assert exprkit_simplify_calls(source) == [6, 7, 8, 9]
     assert exprkit_simplify_calls("def simplify(e):\n    return e\nsimplify(1)\n",
                                   defines_it=True) == [3]
+
+
+SYMBOLIC_ALGEBRA = {"lower_index", "raise_index", "exterior_derivative", "lie_bracket"}
+# the constructions that return symbolic fields, not values
+FIELD_BUILDERS = {"reverse_cone", "ky_odd_rank_candidate"}
+
+
+def symbolic_algebra_calls(source: str) -> list[str]:
+    """Calls of the symbolic tensor algebra, by name or as an attribute,
+    outside the field builders: as 'line N: caller -> callee', the caller
+    being the enclosing top-level function or method, or <module>."""
+    out = []
+
+    def visit(node, owner):
+        for child in ast.iter_child_nodes(node):
+            inner = owner
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)) and owner == "<module>":
+                inner = child.name
+            if isinstance(child, ast.Call):
+                f = child.func
+                name = f.id if isinstance(f, ast.Name) else getattr(f, "attr", None)
+                if name in SYMBOLIC_ALGEBRA and owner not in FIELD_BUILDERS:
+                    out.append(f"line {child.lineno}: {owner} -> {name}")
+            visit(child, inner)
+
+    visit(ast.parse(source), "<module>")
+    return out
+
+
+@pytest.mark.parametrize("path", sorted(p for p in SRC.glob("*.py") if p.name != "manifold.py"),
+                         ids=lambda p: p.name)
+def test_checkers_do_no_symbolic_tensor_algebra(path):
+    """Outside manifold.py, a check combines evaluated jets in numpy; only
+    the constructions that build fields lower indices or take d symbolically."""
+    assert symbolic_algebra_calls(path.read_text()) == []
+
+
+def test_symbolic_algebra_checker_sees_each_caller():
+    source = ("from .manifold import lower_index\nfrom . import manifold as m\n"
+              "def check(X, M):\n    return lower_index(X, M, 0)\n"
+              "class C:\n    def run(self, X, Y, M):\n"
+              "        return [m.lie_bracket(X, Y, M) for _ in (1,)]\n"
+              "def reverse_cone(C):\n    def inner(e, M):\n"
+              "        return m.exterior_derivative(e, M)\n    return inner\n"
+              "d = m.raise_index(1, 2, 0)\n")
+    assert symbolic_algebra_calls(source) == ["line 4: check -> lower_index",
+                                              "line 7: run -> lie_bracket",
+                                              "line 12: <module> -> raise_index"]

@@ -13,7 +13,8 @@ from hiddensym.killing import (associated_sk, cky_residual,
                                covariant_constancy_residual,
                                killing_vector_residual, ky_residual,
                                sk_residual, unit_root_check)
-from hiddensym.manifold import GeometryError, one_form, sample_points, two_form, vector
+from hiddensym.manifold import (GeometryError, TensorField, one_form, sample_points,
+                                two_form, vector)
 
 
 @pytest.fixture(scope="module")
@@ -188,6 +189,40 @@ class TestAssociatedSK:
         want = F @ np.linalg.inv(M.evaluate(M.metric, pts)) @ F
         got = M.evaluate(associated_sk(tn.forms[name], M).components, pts)
         assert np.max(np.abs(got - want)) < 1e-12 * np.max(np.abs(want))
+
+    def test_components_zero_by_a_trig_identity_are_exact_zeros(self, tn):
+        """Rational normal form leaves these components of f1's square as
+        expressions that vanish only by sin^2 + cos^2 = 1; the construction
+        makes them exact zeros, so --emit-components leaves them out."""
+        K = associated_sk(tn.forms["f1"], tn.manifold).components
+        for i, j in [(0, 2), (0, 3), (1, 2), (1, 3)]:
+            assert K[i, j] == 0 and K[j, i] == 0
+        assert all(K[i, i] != 0 for i in range(4))
+
+
+class TestInputGuards:
+    """A checker whose identity needs a (skew-)symmetric input rejects one
+    without that symmetry, with the same message as before."""
+
+    NEITHER = [[0, 1, 0], [0, 0, 0], [0, 0, 0]]
+
+    def test_sk_rejects_a_non_symmetric_tensor(self, flat3):
+        with pytest.raises(GeometryError, match="^sk_residual requires a symmetric tensor$"):
+            sk_residual(TensorField(self.NEITHER, "dd"), flat3)
+
+    @pytest.mark.parametrize("check", [ky_residual, cky_residual], ids=["ky", "cky"])
+    def test_rejects_a_non_antisymmetric_tensor(self, flat3, check):
+        with pytest.raises(GeometryError,
+                           match=f"^{check.__name__} requires an antisymmetric form$"):
+            check(two_form(self.NEITHER), flat3)
+
+    def test_guard_looks_at_every_point(self, flat3):
+        """f_10 = x1 breaks antisymmetry only at the last point."""
+        f = two_form([[0, 0, 0], [sp.Symbol("x1"), 0, 0], [0, 0, 0]])
+        pts = [{"x1": 0.0, "x2": 0.1 * k, "x3": 0.0} for k in range(3)]
+        pts.append({"x1": 1.0, "x2": 0.0, "x3": 0.0})
+        with pytest.raises(GeometryError, match="antisymmetric"):
+            ky_residual(f, flat3, points=pts)
 
 
 class TestTaubNutObjects:

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 import sympy as sp
 
-from hiddensym import catalog, exprkit
+from hiddensym import catalog, exprkit, manifold
 from hiddensym.manifold import (Chart, GeometryError, Manifold, TensorField,
                                 _covariant, _tangent, antisymmetrize, covariant_derivative,
                                 exterior_derivative, lie_bracket, lower_index,
@@ -273,3 +273,30 @@ class TestBatchEvaluation:
             assert np.allclose(got.flatten(), want, rtol=self.TOL, atol=self.TOL)
             values.append(got)
         assert not np.allclose(values[0], values[1])
+
+    def test_jet_is_the_evaluated_symbolic_tangent(self, tn):
+        M = tn.manifold
+        f = tn.forms["fY"].components
+        pts = sample_points(M.chart, 4, seed=0)
+        jet = M.evaluate(f, pts, order=2)
+        assert jet.shape == (4, 5, 5, 4, 4)
+        xs = M.coord_symbols
+        want = M.evaluate(_tangent(_tangent(f, xs), xs), pts)
+        assert np.max(np.abs(jet - want)) <= self.TOL * np.max(np.abs(want))
+
+    def test_equal_components_are_differentiated_once(self, monkeypatch):
+        """The jet is cached under the components' content: two fields with
+        equal components cost one symbolic differentiation."""
+        M = catalog.sphere2().manifold
+        pts = sample_points(M.chart, 3, seed=0)
+        M.christoffel(pts)
+        calls = []
+
+        def counting(arr, xs):
+            calls.append(arr)
+            return _tangent(arr, xs)
+        monkeypatch.setattr(manifold, "_tangent", counting)
+        theta = sp.Symbol("theta")
+        for _ in range(2):
+            covariant_derivative(one_form([sp.sin(theta) ** 3, 0]), M, pts)
+        assert len(calls) == 1

@@ -155,7 +155,7 @@ class TestFlatIdentities:
     def test_dirac_kills_constant_spinor(self, flat4, flat4_ctx):
         psi = np.array([sp.Integer(1)] * 4, dtype=object)
         jet = spinor_jet(flat4, [psi], sample_points(flat4.chart, 3))
-        out = flat4_ctx.operator(OperatorSpec("standard-dirac")).apply(jet)
+        out = spin.build_operator(OperatorSpec("standard-dirac"), flat4_ctx).apply(jet)
         assert (out.values == 0).all()
 
     def test_anticommutator_with_parallel_form(self, flat4, flat4_ctx):
