@@ -52,6 +52,7 @@ class UnspecifiedBracketError(AlgebraError):
 Element = dict
 
 ONE = QQ_I(1, 0)
+_I_UNITS = {s: QQ_I(0, s) for s in (1, -1, 2, -2)}     # the eps-rule coefficients s * i
 
 
 def elem(name: str, power: int = 0, coeff=ONE) -> Element:
@@ -61,9 +62,12 @@ def elem(name: str, power: int = 0, coeff=ONE) -> Element:
 def elem_add(a: Element, b: Element) -> Element:
     out = dict(a)
     for key, c in b.items():
-        s = out.pop(key, 0) + c
-        if s:
+        if key not in out:
+            out[key] = c
+        elif s := out[key] + c:
             out[key] = s
+        else:
+            del out[key]
     return out
 
 
@@ -91,7 +95,7 @@ def _eps_term(i: int, j: int, name: str, power: int, scale: int) -> Element:
     if i == j:
         return {}
     sign = 1 if (j - i) % 3 == 1 else -1
-    return {(name.format(6 - i - j), power): QQ_I(0, sign * scale)}
+    return {(name.format(6 - i - j), power): _I_UNITS[sign * scale]}
 
 
 # [X_i, Y_j] = scale * i eps_{ijk} Z_k B^power, keyed by XY: (Z, power, scale).

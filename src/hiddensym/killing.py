@@ -229,8 +229,9 @@ def associated_sk(f: TensorField, M: Manifold) -> TensorField:
     comp = f.components
     out = np.empty((n, n), dtype=object)
     inner_shape = (n,) * (p - 1)
+    # K is symmetric: build the upper triangle and mirror it
     for mu in range(n):
-        for nu in range(n):
+        for nu in range(mu, n):
             total = sp.Integer(0)
             for a_idx in np.ndindex(inner_shape):
                 for b_idx in np.ndindex(inner_shape):
@@ -242,7 +243,8 @@ def associated_sk(f: TensorField, M: Manifold) -> TensorField:
                     total += comp[(mu,) + a_idx] * factor * comp[b_idx + (nu,)]
             e = sp.cancel(sp.together(total))
             # zero by sin^2 + cos^2 = 1 alone, which cancel does not use: exact 0
-            out[mu, nu] = 0 if e != 0 and sp.expand(e.rewrite(sp.exp)) == 0 else e
+            out[mu, nu] = out[nu, mu] = (
+                0 if e != 0 and sp.expand(e.rewrite(sp.exp)) == 0 else e)
     return TensorField(out, "dd")
 
 

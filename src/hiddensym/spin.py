@@ -15,7 +15,7 @@ import sympy as sp
 
 from .killing import ResidualReport, _default_points, _max_abs, _report
 from .manifold import (GeometryError, Manifold, TensorField, _covariant, _inverse,
-                       _product, per_batch)
+                       _product)
 
 # Sign of the quarter term in the Killing operator
 #   X_k = -i (R^mu grad_mu + QUARTER_SIGN * (1/4) gamma^mu gamma^nu R_{mu;nu}).
@@ -145,27 +145,13 @@ def standard_unitary(size: int) -> sp.Matrix:
 
 
 # ---------------------------------------------------------------------------
-# jets and operators
+# operators
 #
-# Operators are recipes: the 1-jets of their coefficients at a batch of
-# points, formed from the jets the Manifold compiles and caches, and composed
-# by the Leibniz rule in numpy.
+# An operator is the 1-jet of its coefficient matrices at a batch of points,
+# formed once from the jets the Manifold compiles and caches; operators act
+# on the jets of spinor fields and compose by the Leibniz rule in numpy.
 
 SpinorField = np.ndarray      # object array of expressions, length = spinor size
-
-
-@dataclass
-class SpinorJet:
-    """Jet of a list of spinor fields at a batch of points: values has
-    shape (P, n + 1, ..., n + 1, fields, spinor size), one jet axis per order."""
-
-    points: list
-    values: np.ndarray
-
-
-def spinor_jet(M: Manifold, spinors, points) -> SpinorJet:
-    """The 2-jet of the spinor fields at the points, from one evaluation."""
-    return SpinorJet(points, M.evaluate(list(spinors), points, complex, order=2))
 
 
 @dataclass
@@ -214,7 +200,6 @@ class SpinContext:
         eta = np.array(self.F.eta, dtype=float)[:, None]
         return einv, -eta * _product("man,nb->mab", nabla_e, einv)
 
-    @per_batch
     def frame_jets(self, points) -> tuple[np.ndarray, np.ndarray]:
         """1-jets of gamma^mu = e_a^mu gamma^a and of the connection matrices
         (1/4) omega_{mu a b} gamma^a gamma^b, each of shape (P, n + 1, n, s, s)."""
@@ -222,27 +207,23 @@ class SpinContext:
         return (np.einsum("pjma,ast->pjmst", einv, self._gamma),
                 np.einsum("pjmab,abst->pjmst", omega, self._quarter))
 
-    def composed(self, first: OperatorSpec, second: OperatorSpec) -> "SecondOrderOperator":
-        """The operator of first applied after that of second."""
-        return build_operator(first, self).compose(build_operator(second, self))
-
 
 class LinearOperator:
-    """First-order operator sum_k K[k] d_k + K[n] with matrix coefficients:
-    coefficients(points) is the 1-jet of K at the points, shape
-    (P, n + 1, n + 1, s, s), the jet axis first, then k."""
+    """First-order operator sum_k K[k] d_k + K[n] with matrix coefficients,
+    held as the 1-jet of K at a batch of points, shape (P, n + 1, n + 1, s, s):
+    the jet axis first, then k."""
 
-    def __init__(self, coefficients):
-        self.coefficients = coefficients
+    def __init__(self, K: np.ndarray):
+        self.K = K
 
-    def apply(self, jet: SpinorJet) -> SpinorJet:
-        """The operator applied to a spinor jet, one order shorter: the jet's
-        last jet axis pairs with k, and a 2-jet's other axis takes the
-        Leibniz rule with the coefficients' partials."""
-        K = self.coefficients(jet.points)
-        if jet.values.ndim == 5:      # (P, n + 1, n + 1, fields, s)
-            return SpinorJet(jet.points, _product("ktu,kbu->bt", K, jet.values))
-        return SpinorJet(jet.points, np.einsum("pktu,pkbu->pbt", K[:, -1], jet.values))
+    def apply(self, jet: np.ndarray) -> np.ndarray:
+        """The operator applied to the jet of spinor fields at its points, one
+        order shorter: a 2-jet has shape (P, n + 1, n + 1, fields, s), and
+        values (P, fields, s).  The jet's last jet axis pairs with k, and a
+        2-jet's other axis takes the Leibniz rule with the partials of K."""
+        if jet.ndim == 5:
+            return _product("ktu,kbu->bt", self.K, jet)
+        return np.einsum("pktu,pkbu->pbt", self.K[:, -1], jet)
 
     def compose(self, other: "LinearOperator") -> "SecondOrderOperator":
         """self applied after other."""
@@ -256,7 +237,7 @@ class SecondOrderOperator:
         self.first = first
         self.second = second
 
-    def apply(self, jet: SpinorJet) -> SpinorJet:
+    def apply(self, jet: np.ndarray) -> np.ndarray:
         return self.first.apply(self.second.apply(jet))
 
 
@@ -265,53 +246,40 @@ def _coefficient_jet(c1: np.ndarray, c0: np.ndarray) -> np.ndarray:
     return np.concatenate([c1, c0[:, :, None]], axis=2)
 
 
-def build_operator(spec: OperatorSpec, ctx: SpinContext) -> LinearOperator:
-    """Coefficient jets of D_s, X_k, or D_f on the given spin context, formed
-    from the 2-jet of the payload and the context's jets."""
+def build_operator(spec: OperatorSpec, ctx: SpinContext, points) -> LinearOperator:
+    """D_s, X_k, or D_f on the given spin context at the points, its
+    coefficient jet formed from the 2-jet of the payload and the context's jets."""
     M = ctx.M
+    if spec.kind == "killing-op" and spec.payload.variance != "u":
+        raise ValueError("killing-op payload must be a vector field")
+    if spec.kind == "dirac-type" and spec.payload.variance != "dd":
+        raise ValueError("dirac-type payload must be a covariant two-form")
+    gam, conn = ctx.frame_jets(points)
 
     if spec.kind == "standard-dirac":
         # D_s = i gamma^mu grad_mu
-        def coefficients(points):
-            gam, conn = ctx.frame_jets(points)
-            return 1j * _coefficient_jet(gam, _product("mst,mtu->su", gam, conn))
-        return LinearOperator(coefficients)
+        return LinearOperator(1j * _coefficient_jet(gam, _product("mst,mtu->su", gam, conn)))
 
     if spec.kind == "killing-op":
         # X_k = -i (R^mu grad_mu + QUARTER_SIGN/4 gamma^mu gamma^nu R_{mu;nu})
-        R = spec.payload
-        if R.variance != "u":
-            raise ValueError("killing-op payload must be a vector field")
-        quarter = QUARTER_SIGN / 4
+        r2 = M.evaluate(spec.payload.components, points, order=2)
+        r = r2[:, :, -1]
+        # dr[nu, mu] = R_{mu;nu} = g_{mu lam} grad_nu R^lam
+        dr = _product("ml,nl->nm", M.metric_jet(points)[:, :, -1],
+                      _covariant(r2, M.christoffel(points), "u"))
+        c0 = (_product("m,mst->st", r, conn)
+              + QUARTER_SIGN / 4 * _product("mst,ntu,nm->su", gam, gam, dr))
         eye = np.eye(ctx.rep.spinor_size)
-
-        def coefficients(points):
-            gam, conn = ctx.frame_jets(points)
-            r2 = M.evaluate(R.components, points, order=2)
-            r = r2[:, :, -1]
-            # dr[nu, mu] = R_{mu;nu} = g_{mu lam} grad_nu R^lam
-            dr = _product("ml,nl->nm", M.metric_jet(points)[:, :, -1],
-                          _covariant(r2, M.christoffel(points), "u"))
-            c0 = (_product("m,mst->st", r, conn)
-                  + quarter * _product("mst,ntu,nm->su", gam, gam, dr))
-            return -1j * _coefficient_jet(np.einsum("pjm,st->pjmst", r, eye), c0)
-        return LinearOperator(coefficients)
+        return LinearOperator(-1j * _coefficient_jet(np.einsum("pjm,st->pjmst", r, eye), c0))
 
     # dirac-type: D_f = i gamma^mu (f_mu^nu grad_nu - (1/6) gamma^nu gamma^rho f_{mu nu;rho})
-    f = spec.payload
-    if f.variance != "dd":
-        raise ValueError("dirac-type payload must be a covariant two-form")
-
-    def coefficients(points):
-        gam, conn = ctx.frame_jets(points)
-        f2 = M.evaluate(f.components, points, order=2)
-        ginv = _inverse(M.metric_jet(points)[:, :, -1])
-        fm = _product("ml,ln->mn", f2[:, :, -1], ginv)            # f_mu{}^nu
-        df = _covariant(f2, M.christoffel(points), "dd")          # df[rho, mu, nu] = f_{mu nu;rho}
-        c0 = (_product("mn,mst,ntu->su", fm, gam, conn)
-              - _product("rmn,mst,ntu,ruv->sv", df, gam, gam, gam) / 6)
-        return 1j * _coefficient_jet(_product("mn,mst->nst", fm, gam), c0)
-    return LinearOperator(coefficients)
+    f2 = M.evaluate(spec.payload.components, points, order=2)
+    ginv = _inverse(M.metric_jet(points)[:, :, -1])
+    fm = _product("ml,ln->mn", f2[:, :, -1], ginv)            # f_mu{}^nu
+    df = _covariant(f2, M.christoffel(points), "dd")          # df[rho, mu, nu] = f_{mu nu;rho}
+    c0 = (_product("mn,mst,ntu->su", fm, gam, conn)
+          - _product("rmn,mst,ntu,ruv->sv", df, gam, gam, gam) / 6)
+    return LinearOperator(1j * _coefficient_jet(_product("mn,mst->nst", fm, gam), c0))
 
 
 # ---------------------------------------------------------------------------
@@ -337,17 +305,18 @@ def spinor_bank(M: Manifold, count: int = 5, seed: int = 0) -> list[SpinorField]
     return bank
 
 
-def _bilinear_report(check, terms, ctx, bank, points, seed, tol) -> ResidualReport:
+def _bilinear_report(check, specs, terms, ctx, bank, points, seed, tol) -> ResidualReport:
     """The report of the bank spinor with the worst relative residual
-    |sum c X Y psi| over the terms (c, X, Y), scaled by the largest
-    |X Y psi| and 1."""
+    |sum c X Y psi| over the terms (c, i, j), X = specs[i] and Y = specs[j],
+    scaled by the largest |X Y psi| and 1.  Each spec is built once."""
     M = ctx.M
     pts = _default_points(M, points, seed)
     if bank is None:
         bank = spinor_bank(M, 5, seed)
-    jet = spinor_jet(M, bank, pts)
-    # values[t][p, k] = (X Y psi_k)(p) for the term t = (c, X, Y)
-    values = [ctx.composed(X, Y).apply(jet).values for _, X, Y in terms]
+    jet = M.evaluate(list(bank), pts, complex, order=2)
+    ops = [build_operator(spec, ctx, pts) for spec in specs]
+    # values[t][p, k] = (X Y psi_k)(p) for the term t = (c, i, j)
+    values = [ops[i].compose(ops[j]).apply(jet) for _, i, j in terms]
     residual = np.max(np.abs(sum(c * v for (c, _, _), v in zip(terms, values))), axis=2)
     scale = np.maximum(np.max([np.max(np.abs(v), axis=2) for v in values], axis=0), 1.0)
     reports = [_report(check, pts, residual[:, k], scale[:, k], tol)
@@ -363,7 +332,7 @@ def anticommutator_residual(specA: OperatorSpec, specB: OperatorSpec,
                             ctx: SpinContext, bank=None, points=None, seed=0,
                             tol=1e-8) -> ResidualReport:
     """Residual of (AB + BA) psi over the bank, relative to |ABpsi|, |BApsi|."""
-    return _bilinear_report("anticommutator", [(1, specA, specB), (1, specB, specA)],
+    return _bilinear_report("anticommutator", [specA, specB], [(1, 0, 1), (1, 1, 0)],
                             ctx, bank, points, seed, tol)
 
 
@@ -371,7 +340,7 @@ def commutator_residual(specA: OperatorSpec, specB: OperatorSpec,
                         ctx: SpinContext, bank=None, points=None, seed=0,
                         tol=1e-8) -> ResidualReport:
     """Residual of (AB - BA) psi over the bank."""
-    return _bilinear_report("commutator", [(1, specA, specB), (-1, specB, specA)],
+    return _bilinear_report("commutator", [specA, specB], [(1, 0, 1), (-1, 1, 0)],
                             ctx, bank, points, seed, tol)
 
 
@@ -380,6 +349,5 @@ def square_compare(spec_f: OperatorSpec, ctx: SpinContext, bank=None,
     """Residual of (D_f^2 - D_s^2) psi over the bank."""
     if spec_f.kind != "dirac-type":
         raise ValueError("square_compare expects a dirac-type operator")
-    dirac = OperatorSpec("standard-dirac")
-    return _bilinear_report("square-compare", [(1, spec_f, spec_f), (-1, dirac, dirac)],
-                            ctx, bank, points, seed, tol)
+    return _bilinear_report("square-compare", [spec_f, OperatorSpec("standard-dirac")],
+                            [(1, 0, 0), (-1, 1, 1)], ctx, bank, points, seed, tol)

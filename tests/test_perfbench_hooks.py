@@ -34,3 +34,33 @@ def test_tracer_installs_on_the_library():
     done = subprocess.run([sys.executable, "-c", code, str(ROOT / "perfbench"),
                            str(ROOT / "src")], capture_output=True, text=True, timeout=300)
     assert done.returncode == 0, done.stderr
+
+
+def test_tracer_wraps_the_spin_layer():
+    """Install the tracer, then run the three spin reports on flat4 through
+    the wrapped context, operator builds, compositions and applications."""
+    code = textwrap.dedent("""
+        import sys; sys.path[:0] = sys.argv[1:]
+        import tracing
+        tracer = tracing.Tracer()
+        tracing.install(tracer)
+        from hiddensym import catalog, manifold, spin
+        M = catalog.flat(4).manifold
+        ctx = spin.SpinContext(M, spin.orthonormal_frame(M))
+        bank = spin.spinor_bank(M, 2, seed=0)
+        Ds = spin.OperatorSpec("standard-dirac")
+        f = spin.OperatorSpec("dirac-type", manifold.two_form(
+            [[0, 1, 0, 0], [-1, 0, 0, 0], [0, 0, 0, 1], [0, 0, -1, 0]]))
+        k = spin.OperatorSpec("killing-op", manifold.vector([1, 0, 0, 0]))
+        kw = dict(bank=bank, points=3)
+        assert spin.anticommutator_residual(Ds, f, ctx, **kw).passed
+        assert spin.commutator_residual(Ds, k, ctx, **kw).passed
+        assert spin.square_compare(f, ctx, **kw).passed
+        spans = tracer.summary()["spans"]
+        for name in ("spin.context", "spin.build_operator", "spin.compose",
+                     "spin.apply", "spin.report"):
+            assert spans[name]["calls"] >= 1, name
+    """)
+    done = subprocess.run([sys.executable, "-c", code, str(ROOT / "perfbench"),
+                           str(ROOT / "src")], capture_output=True, text=True, timeout=300)
+    assert done.returncode == 0, done.stderr

@@ -9,7 +9,7 @@ from hiddensym.spin import (Frame, FrameError, GammaRep, OperatorSpec,
                             canonical_gamma, commutator_residual,
                             frame_residual, orthonormal_frame,
                             spin_connection_antisymmetry,
-                            spinor_bank, spinor_jet, square_compare,
+                            spinor_bank, square_compare,
                             standard_unitary)
 from symbolic_geometry import symbolic_christoffel
 
@@ -146,7 +146,7 @@ class TestOperatorSpecs:
         bad = OperatorSpec("killing-op", two_form([[0, 1, 0, 0], [-1, 0, 0, 0],
                                                    [0, 0, 0, 0], [0, 0, 0, 0]]))
         with pytest.raises(ValueError):
-            spin.build_operator(bad, flat4_ctx)
+            spin.build_operator(bad, flat4_ctx, sample_points(flat4.chart, 3))
 
 
 class TestFlatIdentities:
@@ -154,9 +154,10 @@ class TestFlatIdentities:
 
     def test_dirac_kills_constant_spinor(self, flat4, flat4_ctx):
         psi = np.array([sp.Integer(1)] * 4, dtype=object)
-        jet = spinor_jet(flat4, [psi], sample_points(flat4.chart, 3))
-        out = spin.build_operator(OperatorSpec("standard-dirac"), flat4_ctx).apply(jet)
-        assert (out.values == 0).all()
+        pts = sample_points(flat4.chart, 3)
+        jet = flat4.evaluate([psi], pts, complex, order=2)
+        out = spin.build_operator(OperatorSpec("standard-dirac"), flat4_ctx, pts).apply(jet)
+        assert (out == 0).all()
 
     def test_anticommutator_with_parallel_form(self, flat4, flat4_ctx):
         f = two_form([[0, 1, 0, 0], [-1, 0, 0, 0],
@@ -278,8 +279,8 @@ class TestTaubNutOracles:
             laplacians.append(list(lap))
         pts = sample_points(M.chart, 5, seed=0)
         expected = M.evaluate(np.array(laplacians, dtype=object), pts, dtype=complex)
-        Ds = OperatorSpec("standard-dirac")
-        got = ctx.composed(Ds, Ds).apply(spinor_jet(M, bank, pts)).values
+        Ds = spin.build_operator(OperatorSpec("standard-dirac"), ctx, pts)
+        got = Ds.compose(Ds).apply(M.evaluate(list(bank), pts, complex, order=2))
         assert np.max(np.abs(got - expected)) <= 1e-12 * max(1.0, np.max(np.abs(expected)))
 
     def test_fy_square_keeps_symbolic_composition_numbers(self, tn, tn_ctx):
@@ -292,3 +293,82 @@ class TestTaubNutOracles:
         assert rep.max_rel_residual == pytest.approx(1.4847987040642914, rel=1e-9)
         assert rep.worst_point["r"] == 7.337194520837564
         assert rep.worst_point["theta"] == 1.2934116934407136
+
+
+def _levi_civita(i: int, j: int, k: int) -> int:
+    """eps_{ijk} for indices in {1, 2, 3}."""
+    return (j - i) * (k - i) * (k - j) // 2
+
+
+class TestDynamicalAlgebra:
+    """[X_{k_i}, D_{f_j}] = -i eps_{ijk} D_{f_k} on Taub-NUT: the rotation
+    operators act on the Dirac-type operators of the three unit-root forms as
+    on a vector (Cotaescu & Visinescu, hep-th/0411016)."""
+
+    PAIRS = [(1, 1), (1, 2), (2, 3), (3, 1)]
+    STOL = 1e-8
+
+    @pytest.fixture(scope="class")
+    def residuals(self, tn, tn_ctx):
+        """Per pair, the worst relative residual of the identity and of the
+        identity with the sign of eps flipped."""
+        M = tn.manifold
+        pts = sample_points(M.chart, 10, seed=0)
+        jet = M.evaluate(list(spinor_bank(M, 5, seed=0)), pts, complex, order=2)
+        X = {i: spin.build_operator(OperatorSpec("killing-op", tn.vectors[f"k{i}"]),
+                                    tn_ctx, pts) for i in (1, 2, 3)}
+        D = {i: spin.build_operator(OperatorSpec("dirac-type", tn.forms[f"f{i}"]),
+                                    tn_ctx, pts) for i in (1, 2, 3)}
+        d_psi = {k: D[k].apply(jet[:, -1]) for k in (1, 2, 3)}
+        out = {}
+        for i, j in self.PAIRS:
+            comm = X[i].compose(D[j]).apply(jet) - D[j].compose(X[i]).apply(jet)
+            scale = np.maximum(np.max(np.abs(comm), axis=2, keepdims=True), 1.0)
+            out[i, j] = tuple(
+                np.max(np.abs(comm + sign * 1j * sum(_levi_civita(i, j, k) * d_psi[k]
+                                                     for k in (1, 2, 3))) / scale)
+                for sign in (1, -1))
+        return out
+
+    @pytest.mark.parametrize("pair", PAIRS)
+    def test_commutator_closes_on_dirac_type(self, residuals, pair):
+        assert residuals[pair][0] <= self.STOL
+
+    @pytest.mark.parametrize("pair", [p for p in PAIRS if p[0] != p[1]])
+    def test_flipped_structure_constants_fail(self, residuals, pair):
+        assert residuals[pair][1] > 1.0
+
+
+class TestOperatorsBuiltOncePerReport:
+    """A report builds each distinct operator once at its points and leaves
+    no state on the spin context."""
+
+    @pytest.fixture
+    def builds(self, monkeypatch):
+        calls = []
+        build = spin.build_operator
+
+        def counted(spec, ctx, points):
+            calls.append(spec.kind)
+            return build(spec, ctx, points)
+        monkeypatch.setattr(spin, "build_operator", counted)
+        return calls
+
+    def test_square_compare_builds_two(self, flat4, flat4_ctx, builds):
+        f = two_form([[0, 1, 0, 0], [-1, 0, 0, 0], [0, 0, 0, 1], [0, 0, -1, 0]])
+        square_compare(OperatorSpec("dirac-type", f), flat4_ctx,
+                       bank=spinor_bank(flat4, 2), points=3)
+        assert sorted(builds) == ["dirac-type", "standard-dirac"]
+
+    def test_commutator_builds_two(self, flat4, flat4_ctx, builds):
+        commutator_residual(OperatorSpec("standard-dirac"),
+                            OperatorSpec("killing-op", vector([1, 0, 0, 0])),
+                            flat4_ctx, bank=spinor_bank(flat4, 2), points=3)
+        assert sorted(builds) == ["killing-op", "standard-dirac"]
+
+    def test_report_leaves_context_unchanged(self, flat4):
+        ctx = SpinContext(flat4, orthonormal_frame(flat4))
+        before = set(vars(ctx))
+        anticommutator_residual(OperatorSpec("standard-dirac"), OperatorSpec("standard-dirac"),
+                                ctx, bank=spinor_bank(flat4, 2), points=3)
+        assert set(vars(ctx)) == before
