@@ -192,8 +192,9 @@ def taub_nut(m_value: float = 1.0) -> CatalogEntry:
 
 def pseudo_sphere_fixture() -> CatalogEntry:
     """Unit pseudo-sphere of signature (1,2) in flat R^{2,2}: the minimal
-    (n=0) mixed 3-Sasakian structure.  Built from one complex and two
-    para-complex constant structures on the ambient space."""
+    (n=0) mixed 3-Sasakian structure, induced by one complex and two
+    para-complex constant structures on the ambient space.  Stated in
+    closed form; the tests check it against the embedding."""
     from .sasaki import build_pseudo_sphere_structure
     return build_pseudo_sphere_structure()
 

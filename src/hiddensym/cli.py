@@ -403,8 +403,8 @@ def _cmd_sasaki(args) -> int:
     elif args.mode == "cone":
         C = sasaki.build_cone(S)
         reports = [
-            sasaki.para_hyperkahler_check(C, seed=args.seed, tol=args.tol),
-            sasaki.einstein_check(C.manifold, 0.0, seed=args.seed, tol=args.tol),
+            sasaki.para_hyperkahler_check(C, **kw),
+            sasaki.einstein_check(C.manifold, 0.0, **kw),
             sasaki.cone_roundtrip_residual(S, C, **kw),
         ]
     elif args.mode == "einstein":

@@ -4,8 +4,10 @@ pseudo-sphere fixture.
 The fixture is the unit pseudo-sphere {x1^2+x2^2-x3^2-x4^2 = 1} inside
 flat R^{2,2}, carrying the structure induced by one constant complex
 structure and two constant para-complex structures of the ambient space.
-Its cone is the ambient flat space itself, so every cone-level check has
-an independent closed-form answer.
+Its metric and structure tensors are stated in closed form; the tests
+check them against the projection of the ambient structures through the
+embedding.  Its cone is the ambient flat space itself, so every cone-level
+check has an independent closed-form answer.
 """
 
 from __future__ import annotations
@@ -430,52 +432,31 @@ def ky_odd_rank_check(S: MixedThreeStructure, k: int, alpha: int = 0,
 # ---------------------------------------------------------------------------
 # the pseudo-sphere fixture
 
-def _pseudo_sphere_structure_tensors():
-    rho, t, psi = sp.symbols("rho t psi")
-    ch, sh = sp.cosh(rho), sp.sinh(rho)
-    X = sp.Matrix([ch * sp.cos(t), ch * sp.sin(t), sh * sp.cos(psi), sh * sp.sin(psi)])
-    coords = [rho, t, psi]
-    E = X.jacobian(coords)
-    G = sp.diag(1, 1, -1, -1)
-    g = sp.Matrix(3, 3, lambda i, j: sp.trigsimp(sp.expand((E.T * G * E)[i, j])))
-    ginv = g.inv()
-    J1 = sp.Matrix([[0, -1, 0, 0], [1, 0, 0, 0], [0, 0, 0, -1], [0, 0, 1, 0]])
-    J2 = sp.Matrix([[0, 0, 1, 0], [0, 0, 0, -1], [1, 0, 0, 0], [0, -1, 0, 0]])
-    J3 = -J1 * J2
-    Js = [J1, J2, J3]
-
-    def project(v):
-        w = ginv * E.T * G * v
-        return [sp.trigsimp(sp.expand(c)) for c in w]
-
-    xis, etas, phis = [], [], []
-    for J in Js:
-        xi = project(J * X)
-        eta = [sp.trigsimp(sp.expand(sum(g[i, j] * xi[j] for j in range(3))))
-               for i in range(3)]
-        phi = sp.zeros(3)
-        for i in range(3):
-            col = project(J * E[:, i] + eta[i] * X)
-            for a in range(3):
-                phi[a, i] = col[a]
-        xis.append(xi)
-        etas.append(eta)
-        phis.append(phi)
-    return g, phis, xis, etas
-
-
 def build_pseudo_sphere_structure():
-    """Catalog entry for the signature-(1,2) unit pseudo-sphere fixture."""
+    """Catalog entry for the signature-(1,2) unit pseudo-sphere fixture,
+    in the chart X = (cosh rho cos t, cosh rho sin t, sinh rho cos psi,
+    sinh rho sin psi) of R^{2,2}.  The tensors are stated in closed form:
+    xi_a is the tangent part of J_a X and phi_a that of J_a, with J_1
+    complex and J_2, J_3 = -J_1 J_2 para-complex; tests/test_sasaki.py
+    projects the ambient structures through the embedding as the oracle."""
     from .catalog import CatalogEntry
 
-    g, phis, xis, etas = _pseudo_sphere_structure_tensors()
+    rho, t, psi = sp.symbols("rho t psi")
+    ch2, sh2, sh2r = sp.cosh(rho) ** 2, sp.sinh(rho) ** 2, sp.sinh(2 * rho) / 2
+    th, c, s = sp.tanh(rho), sp.cos(psi + t), sp.sin(psi + t)
+    xis = [[0, 1, 1], [c, -s * th, -s / th], [-s, -c * th, -c / th]]
+    etas = [[0, ch2, -sh2], [-c, -s * sh2r, s * sh2r], [s, -c * sh2r, c * sh2r]]
+    phis = [[[0, sh2r, -sh2r], [th, 0, 0], [1 / th, 0, 0]],
+            [[0, -s * ch2, s * sh2], [-s, 0, -c * th], [-s, -c / th, 0]],
+            [[0, -c * ch2, c * sh2], [-c, 0, s * th], [-c, s / th, 0]]]
     pi = float(np.pi)
     chart = Chart(("rho", "t", "psi"),
                   {"rho": (0.3, 1.5), "t": (0.1, 2 * pi - 0.1), "psi": (0.1, 2 * pi - 0.1)})
-    M = Manifold(chart, g.tolist(), signature=(-1, 1, -1), name="pseudo-sphere")
+    M = Manifold(chart, sp.diag(-1, ch2, -sh2).tolist(), signature=(-1, 1, -1),
+                 name="pseudo-sphere")
     S = MixedThreeStructure(
         M,
-        [TensorField(np.array(p.tolist(), dtype=object), "ud") for p in phis],
+        [TensorField(p, "ud") for p in phis],
         [vector(x) for x in xis],
         [one_form(e) for e in etas],
     )

@@ -2,9 +2,10 @@ import numpy as np
 import pytest
 import sympy as sp
 
-from hiddensym import catalog
+from hiddensym import catalog, cli
 from hiddensym.killing import killing_vector_residual, ky_residual
 from hiddensym.manifold import sample_points
+from test_algebra import digest
 
 
 class TestRegistry:
@@ -107,3 +108,8 @@ class TestPseudoSphere:
 
     def test_signature(self, ps):
         assert ps.manifold.signature == (-1, 1, -1)
+
+    def test_export_digest_pinned(self, ps):
+        """The printed form of the closed-form fixture, which is what the
+        checks compile: a change to any expression changes the digest."""
+        assert digest(cli.export(ps)) == "46fbdadc26b0e191"

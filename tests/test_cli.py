@@ -214,6 +214,12 @@ class TestSasakiCommand:
         code, _ = run(capsys, "sasaki", "verify", "--catalog", "sphere2")
         assert code == 2
 
+    def test_cone_reports_honour_points(self, capsys):
+        code, reports = run(capsys, "sasaki", "cone",
+                            "--catalog", "pseudo-sphere", "--points", "5")
+        assert code == 0
+        assert [r["points"] for r in reports] == [5, 5, 5]
+
 
 class TestSpinCommand:
     def test_commute(self, capsys):

@@ -1,7 +1,8 @@
 """Source hygiene: every name a library module imports is used in it, every
 definition in a library module is referenced somewhere in the project, no
-library module calls exprkit.simplify, and outside manifold.py only the
-field constructions call the symbolic tensor algebra."""
+library module calls exprkit.simplify, only exprkit calls sympy's trigsimp,
+and outside manifold.py only the field constructions call the symbolic
+tensor algebra."""
 
 import ast
 from pathlib import Path
@@ -131,6 +132,43 @@ def test_simplify_checker_sees_each_spelling():
     assert exprkit_simplify_calls(source) == [6, 7, 8, 9]
     assert exprkit_simplify_calls("def simplify(e):\n    return e\nsimplify(1)\n",
                                   defines_it=True) == [3]
+
+
+def trigsimp_uses(source: str) -> list[int]:
+    """Lines that reach sympy's trigsimp: an import of it from a sympy
+    module, a call of a name so imported, or a call of any `.trigsimp`
+    attribute (the module function or the Expr method)."""
+    tree = ast.parse(source)
+    names, lines = set(), []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "sympy":
+            for a in node.names:
+                if a.name == "trigsimp":
+                    names.add(a.asname or a.name)
+                    lines.append(node.lineno)
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call):
+            f = node.func
+            if (isinstance(f, ast.Attribute) and f.attr == "trigsimp") or (
+                    isinstance(f, ast.Name) and f.id in names):
+                lines.append(node.lineno)
+    return sorted(lines)
+
+
+@pytest.mark.parametrize("path", sorted(p for p in SRC.glob("*.py") if p.name != "exprkit.py"),
+                         ids=lambda p: p.name)
+def test_no_trigsimp_outside_exprkit(path):
+    """trigsimp is for exprkit.simplify, which tests and users call; a library
+    construction states its expressions in closed form instead."""
+    assert trigsimp_uses(path.read_text()) == []
+
+
+def test_trigsimp_checker_sees_each_spelling():
+    source = ("import sympy as sp\nfrom sympy import trigsimp\n"
+              "from sympy.simplify import trigsimp as ts\n"
+              "sp.trigsimp(1)\ntrigsimp(1)\nts(1)\nsp.cos(1).trigsimp()\nsp.simplify(1)\n")
+    assert trigsimp_uses(source) == [2, 3, 4, 5, 6, 7]
+    assert trigsimp_uses((SRC / "exprkit.py").read_text()) != []
 
 
 SYMBOLIC_ALGEBRA = {"lower_index", "raise_index", "exterior_derivative", "lie_bracket"}

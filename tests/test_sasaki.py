@@ -4,7 +4,8 @@ import sympy as sp
 
 from hiddensym import sasaki
 from hiddensym.killing import ky_residual
-from hiddensym.manifold import Chart, GeometryError, Manifold, TensorField, vector
+from hiddensym.manifold import (Chart, GeometryError, Manifold, TensorField,
+                                sample_points, vector)
 from hiddensym.sasaki import (EPS, ConeManifold, MixedThreeStructure,
                               build_cone, cone_roundtrip_residual,
                               einstein_check, ky_odd_rank_candidate,
@@ -64,6 +65,70 @@ class TestFixtureSuites:
         assert abs(norms[0] - 1) < 1e-12       # eps_1 = +1
         assert abs(norms[1] + 1) < 1e-12
         assert abs(norms[2] + 1) < 1e-12
+
+
+def embedding_oracle(points):
+    """g, xi_a, eta_a and phi_a of the unit pseudo-sphere at the points,
+    projected in numpy from R^{2,2} = (R^4, G) through the embedding
+    X = (cosh rho cos t, cosh rho sin t, sinh rho cos psi, sinh rho sin psi):
+    g = E^T G E with E the Jacobian of X, xi_a = g^-1 E^T G J_a X,
+    eta_a = g xi_a, and column i of phi_a is g^-1 E^T G (J_a E_i + eta_a,i X)."""
+    rho, t, psi = (np.array([p[c] for p in points]) for c in ("rho", "t", "psi"))
+    ch, sh, zero = np.cosh(rho), np.sinh(rho), np.zeros_like(rho)
+    X = np.stack([ch * np.cos(t), ch * np.sin(t), sh * np.cos(psi), sh * np.sin(psi)], -1)
+    columns = ([sh * np.cos(t), sh * np.sin(t), ch * np.cos(psi), ch * np.sin(psi)],
+               [-ch * np.sin(t), ch * np.cos(t), zero, zero],
+               [zero, zero, -sh * np.sin(psi), sh * np.cos(psi)])
+    E = np.stack([np.stack(col, -1) for col in columns], -1)     # (P, 4, 3)
+    G = np.diag([1.0, 1.0, -1.0, -1.0])
+    g = np.einsum("pai,ab,pbj->pij", E, G, E)
+    proj = np.linalg.solve(g, np.einsum("pai,ab->pib", E, G))     # g^-1 E^T G
+    J1 = np.array([[0, -1, 0, 0], [1, 0, 0, 0], [0, 0, 0, -1], [0, 0, 1, 0]])
+    J2 = np.array([[0, 0, 1, 0], [0, 0, 0, -1], [1, 0, 0, 0], [0, -1, 0, 0]])
+    xis, etas, phis = [], [], []
+    for J in (J1, J2, -J1 @ J2):
+        xi = np.einsum("pia,ab,pb->pi", proj, J, X)
+        eta = np.einsum("pij,pj->pi", g, xi)
+        phis.append(proj @ (J @ E + X[:, :, None] * eta[:, None, :]))
+        xis.append(xi)
+        etas.append(eta)
+    return g, xis, etas, phis
+
+
+def embedding_mismatch(M, xi, eta, phi, count=20, seed=0):
+    """Largest absolute difference between the fixture's g and the
+    component arrays xi, eta, phi, evaluated at seeded points, and the
+    embedding oracle."""
+    points = sample_points(M.chart, count, seed)
+    g, xis, etas, phis = embedding_oracle(points)
+    got = [M.evaluate(c, points) for c in (M.metric, *xi, *eta, *phi)]
+    return max(float(np.max(np.abs(a - b)))
+               for a, b in zip(got, [g, *xis, *etas, *phis], strict=True))
+
+
+class TestEmbeddingOracle:
+    """The closed-form fixture against the projection of the ambient structures."""
+
+    @staticmethod
+    def parts(S):
+        return ([x.components for x in S.xi], [e.components for e in S.eta],
+                [p.components for p in S.phi])
+
+    def test_fixture_matches_embedding(self, S):
+        assert embedding_mismatch(S.manifold, *self.parts(S)) < 1e-12
+
+    def test_oracle_sees_coth_for_tanh_in_phi1(self, S):
+        xi, eta, phi = self.parts(S)
+        phi[0] = phi[0].copy()
+        rho = sp.Symbol("rho")
+        assert phi[0][1, 0] == sp.tanh(rho)
+        phi[0][1, 0] = 1 / sp.tanh(rho)
+        assert embedding_mismatch(S.manifold, xi, eta, phi) > 1e-3
+
+    def test_oracle_sees_sign_flip_of_xi2(self, S):
+        xi, eta, phi = self.parts(S)
+        xi[1] = -xi[1]
+        assert embedding_mismatch(S.manifold, xi, eta, phi) > 1e-3
 
 
 class TestCone:
