@@ -1,9 +1,11 @@
 """Geodesic integration and conservation monitoring.
 
 Each right-hand side makes one call of the manifold's compiled spray, the
-geodesic acceleration as a function of position and velocity; fixed-step
-RK4 is the default for reproducible drift numbers, with adaptive RK45
-(scipy) as an option.
+geodesic acceleration as a function of position and velocity, compiled for
+Python floats (`math` first, `numpy` for what `math` lacks); a math error in
+the spray (a singular point, a domain error) counts as leaving the chart.
+Fixed-step RK4 on Python floats (its state and stages are lists) is the
+default for reproducible drift numbers, with adaptive RK45 (scipy) as an option.
 Invariants are evaluated over a whole trajectory in one batch.
 """
 
@@ -75,18 +77,16 @@ def integrate(M: Manifold, s0: GeodesicState, cfg: IntegratorConfig) -> Trajecto
     coords = M.chart.coords
     if not M.chart.contains(s0.position):
         raise ValueError("initial position outside the domain box")
-    y = np.array([s0.position[c] for c in coords]
-                 + [s0.velocity[c] for c in coords], dtype=float)
+    y = [float(s0.position[c]) for c in coords] + [float(s0.velocity[c]) for c in coords]
     spray = M.spray()
     box = [M.chart.box[c] for c in coords]
     t0, t1 = cfg.t_span
 
-    def rhs(y: np.ndarray) -> np.ndarray:
-        state = y.tolist()      # the compiled spray is fastest on Python floats
+    def rhs(state: list[float]) -> list[float]:
         try:
-            return np.array(state[n:] + spray(*state))
-        except ZeroDivisionError:       # a singular point: the orbit leaves the box
-            return np.full(2 * n, np.nan)
+            return state[n:] + spray(*state)
+        except (ArithmeticError, ValueError):   # a singular point or a math domain error
+            return [np.nan] * (2 * n)
 
     def snap(t, yv):
         return t, GeodesicState({c: float(yv[i]) for i, c in enumerate(coords)},
@@ -103,13 +103,15 @@ def integrate(M: Manifold, s0: GeodesicState, cfg: IntegratorConfig) -> Trajecto
         times.append(rec[0]); states.append(rec[1])
         for k in range(1, steps + 1):
             hk = min(h, t1 - t)  # final step may be partial
+            half, sixth = hk / 2, hk / 6
             k1 = rhs(y)
-            k2 = rhs(y + hk / 2 * k1)
-            k3 = rhs(y + hk / 2 * k2)
-            k4 = rhs(y + hk * k3)
-            y = y + hk / 6 * (k1 + 2 * k2 + 2 * k3 + k4)
+            k2 = rhs([a + half * b for a, b in zip(y, k1)])
+            k3 = rhs([a + half * b for a, b in zip(y, k2)])
+            k4 = rhs([a + hk * b for a, b in zip(y, k3)])
+            y = [a + sixth * (b1 + 2 * b2 + 2 * b3 + b4)
+                 for a, b1, b2, b3, b4 in zip(y, k1, k2, k3, k4)]
             t = min(t0 + k * h, t1)
-            if not all(lo <= x <= hi for (lo, hi), x in zip(box, y.tolist())):
+            if not all(lo <= x <= hi for (lo, hi), x in zip(box, y)):
                 exited = True
                 break
             if k % cfg.stride == 0 or k == steps:
@@ -126,7 +128,7 @@ def integrate(M: Manifold, s0: GeodesicState, cfg: IntegratorConfig) -> Trajecto
         exit_event.direction = -1
 
         t_eval = np.linspace(t0, t1, max(2, int((t1 - t0) / (cfg.step * cfg.stride)) + 1))
-        sol = solve_ivp(lambda t, yv: rhs(yv), (t0, t1), y, method="RK45",
+        sol = solve_ivp(lambda t, yv: rhs(yv.tolist()), (t0, t1), y, method="RK45",
                         rtol=cfg.tolerance, atol=cfg.tolerance,
                         t_eval=t_eval, events=exit_event, dense_output=False)
         exited = bool(sol.t_events[0].size)

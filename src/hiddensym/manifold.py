@@ -232,7 +232,9 @@ class Manifold:
         """The geodesic acceleration a^rho = -Gamma^rho_{mu nu} v^mu v^nu as one
         compiled function of the coordinates, then the velocities, returning
         the n components.  Built as a = -g^-1 w with
-        w_lam = (d_mu g_{lam nu} - d_lam g_{mu nu} / 2) v^mu v^nu."""
+        w_lam = (d_mu g_{lam nu} - d_lam g_{mu nu} / 2) v^mu v^nu, compiled for
+        Python floats (`math` first, `numpy` for what `math` lacks); a math error
+        it raises (a singular point, a domain error) means leaving the chart."""
         if "spray" not in self._cache:
             n, g, xs = self.dim, self.metric, self.coord_symbols
             v = [sp.Dummy(f"v_{c}") for c in self.chart.coords]
@@ -240,9 +242,9 @@ class Manifold:
                      * v[mu] * v[nu] for mu in range(n) for nu in range(n))
                  for lam in range(n)]
             ginv = self.inverse_metric_matrix()
-            self._cache["spray"] = self.compiled(
-                [-sum(ginv[rho, lam] * w[lam] for lam in range(n)) for rho in range(n)],
-                extra=v)
+            a = [-sum(ginv[rho, lam] * w[lam] for lam in range(n)) for rho in range(n)]
+            self._cache["spray"] = self.compiled(   # an exact 0 would compile to an int
+                [e if e != 0 else sp.Float(0) for e in a], extra=v, modules=("math", "numpy"))
         return self._cache["spray"]
 
     # -- numeric geometry, per batch of points ------------------------------
@@ -284,19 +286,19 @@ class Manifold:
 
     # -- numeric evaluation --------------------------------------------------
 
-    def compiled(self, components, extra=(), order=0):
-        """The lambdified order-jet of the array (order 0: the array), compiled
-        once per manifold with common-subexpression elimination and cached under
-        the array's content and the order: a function of the coordinate values,
-        then of the `extra` symbols' values, that returns the flat component list."""
+    def compiled(self, components, extra=(), order=0, modules="numpy"):
+        """The lambdified order-jet of the array (order 0: the array) for lambdify's
+        `modules`, compiled once per manifold with common-subexpression elimination
+        and cached under the array's content, order and modules: a function of the
+        coordinate values, then of the `extra` symbols' values, returning a flat list."""
         arr = np.asarray(components, dtype=object)
-        key = ("lambdified", order, arr.shape, tuple(arr.flat), tuple(extra))
+        key = ("lambdified", order, arr.shape, tuple(arr.flat), tuple(extra), modules)
         if key not in self._cache:
             for _ in range(order):
                 arr = _tangent(arr, self.coord_symbols)
             args = [sym(p) for p in sorted(self.params)] + self.coord_symbols + list(extra)
             self._cache[key] = sp.lambdify(args, [sp.sympify(e) for e in arr.flat],
-                                           modules="numpy", cse=True)
+                                           modules=modules, cse=True)
         return functools.partial(self._cache[key],
                                  *(self.params[p] for p in sorted(self.params)))
 

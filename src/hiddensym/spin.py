@@ -246,15 +246,15 @@ def _coefficient_jet(c1: np.ndarray, c0: np.ndarray) -> np.ndarray:
     return np.concatenate([c1, c0[:, :, None]], axis=2)
 
 
-def build_operator(spec: OperatorSpec, ctx: SpinContext, points) -> LinearOperator:
-    """D_s, X_k, or D_f on the given spin context at the points, its
-    coefficient jet formed from the 2-jet of the payload and the context's jets."""
+def build_operator(spec: OperatorSpec, ctx: SpinContext, points, frames) -> LinearOperator:
+    """D_s, X_k, or D_f on the given spin context at the points, its coefficient
+    jet formed from the 2-jet of the payload and frames = ctx.frame_jets(points)."""
     M = ctx.M
     if spec.kind == "killing-op" and spec.payload.variance != "u":
         raise ValueError("killing-op payload must be a vector field")
     if spec.kind == "dirac-type" and spec.payload.variance != "dd":
         raise ValueError("dirac-type payload must be a covariant two-form")
-    gam, conn = ctx.frame_jets(points)
+    gam, conn = frames
 
     if spec.kind == "standard-dirac":
         # D_s = i gamma^mu grad_mu
@@ -308,13 +308,14 @@ def spinor_bank(M: Manifold, count: int = 5, seed: int = 0) -> list[SpinorField]
 def _bilinear_report(check, specs, terms, ctx, bank, points, seed, tol) -> ResidualReport:
     """The report of the bank spinor with the worst relative residual
     |sum c X Y psi| over the terms (c, i, j), X = specs[i] and Y = specs[j],
-    scaled by the largest |X Y psi| and 1.  Each spec is built once."""
+    scaled by the largest |X Y psi| and 1.  Each spec is built once, on shared frame jets."""
     M = ctx.M
     pts = _default_points(M, points, seed)
     if bank is None:
         bank = spinor_bank(M, 5, seed)
     jet = M.evaluate(list(bank), pts, complex, order=2)
-    ops = [build_operator(spec, ctx, pts) for spec in specs]
+    frames = ctx.frame_jets(pts)
+    ops = [build_operator(spec, ctx, pts, frames) for spec in specs]
     # values[t][p, k] = (X Y psi_k)(p) for the term t = (c, i, j)
     values = [ops[i].compose(ops[j]).apply(jet) for _, i, j in terms]
     residual = np.max(np.abs(sum(c * v for (c, _, _), v in zip(terms, values))), axis=2)

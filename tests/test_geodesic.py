@@ -10,6 +10,9 @@ from hiddensym.geodesic import (GeodesicState, IntegratorConfig, Trajectory,
                                 invariant_values, monitor_invariant)
 from hiddensym.manifold import Chart, Manifold, sample_points, vector
 
+from array_rk4 import integrate_arrays
+from test_acceptance import _ORBIT
+
 
 @pytest.fixture(scope="module")
 def sphere():
@@ -44,6 +47,16 @@ class TestSpray:
                         for p, vp in zip(pts, v)], dtype=float)
         assert np.max(np.abs(got - want)) <= 1e-12 * max(1.0, np.max(np.abs(want)))
 
+    def test_spray_returns_python_floats(self, entry):
+        """Every component is a built-in float, zero components too: a numpy
+        scalar would turn the RK4 arithmetic that follows into slow numpy-scalar
+        arithmetic."""
+        M = entry.manifold
+        spray = M.spray()
+        for p in sample_points(M.chart, 3, seed=1):
+            out = spray(*(p[c] for c in M.chart.coords), *[0.3] * M.dim)
+            assert [type(c) for c in out] == [float] * M.dim
+
 
 class TestFlatGeodesics:
     def test_straight_line(self, flat3):
@@ -76,6 +89,61 @@ class TestFlatGeodesics:
         s0 = GeodesicState({"x": 0.0, "y": 0.0}, {"x": 0.1, "y": 0.1})
         traj = integrate(M, s0, IntegratorConfig(step=0.01, t_span=(0, 1)))
         assert traj.exited_domain and len(traj) == 1
+
+    def test_math_domain_error_exits(self):
+        """ds^2 = dx^2 + log(x)^2 dy^2 has no real spray at x < 0, where math.log
+        raises: the orbit leaves the chart at once instead of raising."""
+        chart = Chart(("x", "y"), {"x": (-1.0, 1.0), "y": (-1.0, 1.0)})
+        M = Manifold(chart, [[1, 0], [0, sp.log(sp.Symbol("x")) ** 2]])
+        s0 = GeodesicState({"x": -0.5, "y": 0.0}, {"x": 0.1, "y": 0.1})
+        traj = integrate(M, s0, IntegratorConfig(step=0.01, t_span=(0, 1)))
+        assert traj.exited_domain and len(traj) == 1
+
+
+class TestArrayReference:
+    """The Python-float RK4 against the numpy-array RK4 with a numpy-compiled
+    spray (tests/array_rk4.py): the same times and states within 1e-13
+    relative, on the criterion-4 Taub-NUT orbit and on orbits from the chart
+    centre of sphere2 and the pseudo-sphere."""
+
+    TOL = 1e-13
+
+    @pytest.fixture(params=["taub-nut", "sphere2", "pseudo-sphere"])
+    def case(self, request):
+        if request.param == "taub-nut":
+            return (request.getfixturevalue("tn").manifold, _ORBIT,
+                    IntegratorConfig(step=1e-3, t_span=(0.0, 10.0), stride=10))
+        M = (request.getfixturevalue("ps") if request.param == "pseudo-sphere"
+             else catalog.sphere2()).manifold
+        centre = {c: (lo + hi) / 2 for c, (lo, hi) in M.chart.box.items()}
+        velocity = {c: 0.1 * (i + 1) for i, c in enumerate(M.chart.coords)}
+        return M, GeodesicState(centre, velocity), IntegratorConfig(
+            step=1e-3, t_span=(0.0, 3.0), stride=1)
+
+    @staticmethod
+    def _mismatch(traj, ref, M):
+        """Largest relative difference of the states, inf unless the times and
+        the exit flags are equal."""
+        if traj.times != ref.times or traj.exited_domain != ref.exited_domain:
+            return np.inf
+
+        def rows(t):
+            return np.array([[s.position[c] for c in M.chart.coords]
+                             + [s.velocity[c] for c in M.chart.coords] for s in t.states])
+        a, b = rows(traj), rows(ref)
+        return float(np.max(np.abs(a - b) / np.maximum(1.0, np.abs(b))))
+
+    def test_matches_array_reference(self, case):
+        M, s0, cfg = case
+        traj = integrate(M, s0, cfg)
+        assert not traj.exited_domain and len(traj) > 1000
+        assert self._mismatch(traj, integrate_arrays(M, s0, cfg), M) <= self.TOL
+
+    def test_planted_k2_weight_fails(self, case):
+        """The reference with RK4's k2 weight 2 -> 1 must fail the comparison."""
+        M, s0, cfg = case
+        planted = integrate_arrays(M, s0, cfg, k2_weight=1)
+        assert not self._mismatch(integrate(M, s0, cfg), planted, M) <= self.TOL
 
 
 class TestSphereGeodesics:

@@ -145,8 +145,9 @@ class TestOperatorSpecs:
     def test_payload_variance_checked(self, flat4, flat4_ctx):
         bad = OperatorSpec("killing-op", two_form([[0, 1, 0, 0], [-1, 0, 0, 0],
                                                    [0, 0, 0, 0], [0, 0, 0, 0]]))
+        pts = sample_points(flat4.chart, 3)
         with pytest.raises(ValueError):
-            spin.build_operator(bad, flat4_ctx, sample_points(flat4.chart, 3))
+            spin.build_operator(bad, flat4_ctx, pts, flat4_ctx.frame_jets(pts))
 
 
 class TestFlatIdentities:
@@ -156,7 +157,8 @@ class TestFlatIdentities:
         psi = np.array([sp.Integer(1)] * 4, dtype=object)
         pts = sample_points(flat4.chart, 3)
         jet = flat4.evaluate([psi], pts, complex, order=2)
-        out = spin.build_operator(OperatorSpec("standard-dirac"), flat4_ctx, pts).apply(jet)
+        out = spin.build_operator(OperatorSpec("standard-dirac"), flat4_ctx, pts,
+                                  flat4_ctx.frame_jets(pts)).apply(jet)
         assert (out == 0).all()
 
     def test_anticommutator_with_parallel_form(self, flat4, flat4_ctx):
@@ -279,7 +281,7 @@ class TestTaubNutOracles:
             laplacians.append(list(lap))
         pts = sample_points(M.chart, 5, seed=0)
         expected = M.evaluate(np.array(laplacians, dtype=object), pts, dtype=complex)
-        Ds = spin.build_operator(OperatorSpec("standard-dirac"), ctx, pts)
+        Ds = spin.build_operator(OperatorSpec("standard-dirac"), ctx, pts, ctx.frame_jets(pts))
         got = Ds.compose(Ds).apply(M.evaluate(list(bank), pts, complex, order=2))
         assert np.max(np.abs(got - expected)) <= 1e-12 * max(1.0, np.max(np.abs(expected)))
 
@@ -315,10 +317,11 @@ class TestDynamicalAlgebra:
         M = tn.manifold
         pts = sample_points(M.chart, 10, seed=0)
         jet = M.evaluate(list(spinor_bank(M, 5, seed=0)), pts, complex, order=2)
+        frames = tn_ctx.frame_jets(pts)
         X = {i: spin.build_operator(OperatorSpec("killing-op", tn.vectors[f"k{i}"]),
-                                    tn_ctx, pts) for i in (1, 2, 3)}
+                                    tn_ctx, pts, frames) for i in (1, 2, 3)}
         D = {i: spin.build_operator(OperatorSpec("dirac-type", tn.forms[f"f{i}"]),
-                                    tn_ctx, pts) for i in (1, 2, 3)}
+                                    tn_ctx, pts, frames) for i in (1, 2, 3)}
         d_psi = {k: D[k].apply(jet[:, -1]) for k in (1, 2, 3)}
         out = {}
         for i, j in self.PAIRS:
@@ -348,9 +351,9 @@ class TestOperatorsBuiltOncePerReport:
         calls = []
         build = spin.build_operator
 
-        def counted(spec, ctx, points):
+        def counted(spec, ctx, points, frames):
             calls.append(spec.kind)
-            return build(spec, ctx, points)
+            return build(spec, ctx, points, frames)
         monkeypatch.setattr(spin, "build_operator", counted)
         return calls
 
