@@ -3,11 +3,12 @@
 Tensor fields are dense component arrays of symbolic expressions over a
 single chart.  Dimensions stay small (<= 7), so no sparsity or index-free
 machinery is used.  Numeric evaluation goes through Manifold.evaluate: each
-array, or its k-jet, is compiled once per manifold, cached under the array's
-content and k, and evaluated over a whole batch of points in one call.  The
-connection, the curvature and covariant derivatives are numpy on evaluated
-jets: sympy only differentiates the metric (its 2-jet) and the tensor fields
-(their 1-jets).
+array is compiled once per manifold, cached under the array's content, and
+evaluated over a whole batch of points in one call.  Sympy states the fields;
+jets are forward-mode numpy: the k-jets (k <= 2) come from the same compiled
+function run on jet numbers, and the connection, the curvature and covariant
+derivatives are numpy on them.  Only the geodesic spray is differentiated
+symbolically, once per manifold.
 """
 
 from __future__ import annotations
@@ -96,7 +97,97 @@ class TensorField:
 #
 # Numerically, a field is handled through its jet at a batch of points: one
 # jet axis of length n + 1 per order, holding the partials d_0 .. d_{n-1}
-# and, last, the undifferentiated value.
+# and, last, the undifferentiated value.  Manifold.evaluate makes 1- and 2-jets
+# by forward-mode Taylor arithmetic (Griewank & Walther, Evaluating Derivatives):
+# the array's one compiled function runs on Jets seeded with the coordinates.
+
+class Jet(np.lib.mixins.NDArrayOperatorsMixin):
+    """Value v (P,), gradient g (n, P) and Hessian h (n, n, P), None in a 1-jet,
+    of one function at a batch of points.  numpy ufuncs and Python operators on
+    Jets apply the Leibniz and chain rules; one without a rule raises GeometryError."""
+
+    def __init__(self, v, g, h):
+        self.v, self.g, self.h = v, g, h
+
+    def __array_ufunc__(self, ufunc, method, *args, **kwargs):
+        if method != "__call__" or kwargs or ufunc not in _JET_RULES:
+            raise GeometryError(f"no jet rule for numpy.{ufunc.__name__}")
+        return _JET_RULES[ufunc](*args)
+
+    def stacked(self) -> np.ndarray:
+        """The jet in evaluate's layout, shape (P, n + 1[, n + 1])."""
+        out = np.concatenate([self.g, self.v[None]])
+        if self.h is not None:
+            out = np.concatenate([np.concatenate([self.h, self.g[:, None]], axis=1), out[None]])
+        return np.moveaxis(out, -1, 0)
+
+
+def _sym_outer(a, b):
+    """a_i b_j + a_j b_i of two gradients, shape (n, n, P)."""
+    ab = a[:, None] * b[None]
+    return ab + np.swapaxes(ab, 0, 1)
+
+
+def _chain(a: Jet, f, derivatives) -> Jet:
+    """f(a) by the chain rule; derivatives(x, y) gives f'(x), f''(x) at x = a.v, y = f(x)."""
+    y = f(a.v)
+    d1, d2 = derivatives(a.v, y)
+    return Jet(y, d1 * a.g, None if a.h is None else d1 * a.h + d2 * a.g[:, None] * a.g[None])
+
+
+def _add(a, b):
+    if not isinstance(a, Jet):
+        a, b = b, a
+    if not isinstance(b, Jet):
+        return Jet(a.v + b, a.g, a.h)
+    return Jet(a.v + b.v, a.g + b.g, None if a.h is None else a.h + b.h)
+
+
+def _multiply(a, b):
+    if not isinstance(a, Jet):
+        a, b = b, a
+    if not isinstance(b, Jet):
+        return Jet(a.v * b, a.g * b, None if a.h is None else a.h * b)
+    h = None if a.h is None else a.v * b.h + b.v * a.h + _sym_outer(a.g, b.g)
+    return Jet(a.v * b.v, a.v * b.g + b.v * a.g, h)
+
+
+def _divide(a, b):
+    if not isinstance(b, Jet):
+        return Jet(a.v / b, a.g / b, None if a.h is None else a.h / b)
+    # q = a / b: b dq = da - q db and b d2q = d2a - q d2b - (dq db + db dq)
+    a = a if isinstance(a, Jet) else Jet(a, 0, 0)
+    q = a.v / b.v
+    g = (a.g - q * b.g) / b.v
+    return Jet(q, g, None if b.h is None else (a.h - q * b.h - _sym_outer(g, b.g)) / b.v)
+
+
+def _power(a, c):
+    if isinstance(c, Jet):          # a^c = exp(c log a)
+        return np.exp(c * np.log(a))
+    return _chain(a, lambda x: x ** c,
+                  lambda x, y: (c * x ** (c - 1), c * (c - 1) * x ** (c - 2)))
+
+
+_JET_RULES = {
+    np.add: _add,
+    np.subtract: lambda a, b: _add(a, -b),
+    np.multiply: _multiply,
+    np.true_divide: _divide,
+    np.power: _power,
+    np.negative: lambda a: Jet(-a.v, -a.g, None if a.h is None else -a.h),
+    np.positive: lambda a: a,
+    np.sin: lambda a: _chain(a, np.sin, lambda x, y: (np.cos(x), -y)),
+    np.cos: lambda a: _chain(a, np.cos, lambda x, y: (-np.sin(x), -y)),
+    np.tan: lambda a: _chain(a, np.tan, lambda x, y: (1 + y * y, 2 * y * (1 + y * y))),
+    np.exp: lambda a: _chain(a, np.exp, lambda x, y: (y, y)),
+    np.log: lambda a: _chain(a, np.log, lambda x, y: (1 / x, -1 / (x * x))),
+    np.sqrt: lambda a: _chain(a, np.sqrt, lambda x, y: (0.5 / y, -0.25 / (x * y))),
+    np.sinh: lambda a: _chain(a, np.sinh, lambda x, y: (np.cosh(x), y)),
+    np.cosh: lambda a: _chain(a, np.cosh, lambda x, y: (np.sinh(x), y)),
+    np.tanh: lambda a: _chain(a, np.tanh, lambda x, y: (1 - y * y, -2 * y * (1 - y * y))),
+}
+
 
 def per_batch(method):
     """Memoize a method of a batch of points per object, keyed on the batch's
@@ -244,7 +335,7 @@ class Manifold:
             ginv = self.inverse_metric_matrix()
             a = [-sum(ginv[rho, lam] * w[lam] for lam in range(n)) for rho in range(n)]
             self._cache["spray"] = self.compiled(   # an exact 0 would compile to an int
-                [e if e != 0 else sp.Float(0) for e in a], extra=v, modules=("math", "numpy"))
+                [e if e != 0 else sp.Float(0) for e in a], extra=v, modules=("math", np))
         return self._cache["spray"]
 
     # -- numeric geometry, per batch of points ------------------------------
@@ -252,7 +343,7 @@ class Manifold:
     @per_batch
     def metric_jet(self, points) -> np.ndarray:
         """2-jet of the metric at the points, shape (P, n + 1, n + 1, n, n): the
-        one array of the geometry that sympy differentiates."""
+        one array the geometry differentiates."""
         return self.evaluate(self.metric, points, order=2)
 
     @per_batch
@@ -286,16 +377,14 @@ class Manifold:
 
     # -- numeric evaluation --------------------------------------------------
 
-    def compiled(self, components, extra=(), order=0, modules="numpy"):
-        """The lambdified order-jet of the array (order 0: the array) for lambdify's
-        `modules`, compiled once per manifold with common-subexpression elimination
-        and cached under the array's content, order and modules: a function of the
-        coordinate values, then of the `extra` symbols' values, returning a flat list."""
+    def compiled(self, components, extra=(), modules=np):
+        """The array lambdified for lambdify's `modules` with common-subexpression
+        elimination, once per manifold, cached under the array's content and
+        modules: a function of the coordinate values, then of the `extra`
+        symbols' values, returning a flat list."""
         arr = np.asarray(components, dtype=object)
-        key = ("lambdified", order, arr.shape, tuple(arr.flat), tuple(extra), modules)
+        key = ("lambdified", arr.shape, tuple(arr.flat), tuple(extra), modules)
         if key not in self._cache:
-            for _ in range(order):
-                arr = _tangent(arr, self.coord_symbols)
             args = [sym(p) for p in sorted(self.params)] + self.coord_symbols + list(extra)
             self._cache[key] = sp.lambdify(args, [sp.sympify(e) for e in arr.flat],
                                            modules=modules, cse=True)
@@ -304,28 +393,40 @@ class Manifold:
 
     def evaluate(self, components, points, dtype=float, order=0) -> np.ndarray:
         """Values of an array of expressions at a batch of points, shape (P, *shape),
-        or its order-jet, shape (P, n + 1, ..., n + 1, *shape).
+        or its order-jet (order <= 2), shape (P, n + 1, ..., n + 1, *shape).
 
-        One call of the compiled function covers the whole batch; the
-        entries it returns as scalars (the constant ones) are broadcast.  A
-        real dtype rejects non-zero imaginary parts.  Floating-point warnings
-        are silenced: non-finite values are returned for the reports to count
-        and fail.
+        One call of the array's compiled function covers the whole batch; for a
+        jet it runs on Jets seeded with the coordinates.  The entries it returns
+        as scalars (the constant ones) are broadcast.  A real dtype rejects
+        non-zero imaginary parts.  Floating-point warnings are silenced:
+        non-finite values are returned for the reports to count and fail.
         """
+        if order not in (0, 1, 2):
+            raise ValueError(f"jets of order {order} are not supported (0, 1 or 2)")
         arr = np.asarray(components, dtype=object)
-        count = len(points)
+        count, n = len(points), self.dim
         x = np.array([[p[c] for c in self.chart.coords] for p in points],
-                     dtype=float).reshape(count, self.dim)
+                     dtype=float).reshape(count, n)
+        args = list(x.T)
+        if order:
+            seeds = np.broadcast_to(np.eye(n)[:, :, None], (n, n, count))
+            zeros = np.zeros((n, n, count)) if order == 2 else None
+            args = [Jet(xi, seed, zeros) for xi, seed in zip(args, seeds)]
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            flat = self.compiled(arr, order=order)(*x.T)
-        values = np.empty((count, len(flat)), np.result_type(float, *flat))
-        for i, v in enumerate(flat):
-            values[:, i] = v
+            flat = self.compiled(arr)(*args)
+            entries = [e.stacked() if isinstance(e, Jet) else e for e in flat]
+        values = np.zeros((count,) + (n + 1,) * order + (len(flat),),
+                          np.result_type(float, *entries))
+        for i, e in enumerate(entries):
+            if np.ndim(e) > order:
+                values[..., i] = e
+            else:
+                values[(slice(None),) + (n,) * order + (i,)] = e
         if np.iscomplexobj(values) and np.dtype(dtype).kind != "c":
             if np.any(values.imag != 0):
                 raise GeometryError("real-valued tensor has a non-zero imaginary part")
             values = values.real
-        return values.astype(dtype).reshape((count,) + (self.dim + 1,) * order + arr.shape)
+        return values.astype(dtype).reshape((count,) + (n + 1,) * order + arr.shape)
 
     def inverse_metric_values(self, points) -> np.ndarray:
         """Numeric inverse metric at each point, shape (P, n, n).  A point where

@@ -17,11 +17,6 @@ from .killing import ResidualReport, _default_points, _max_abs, _report
 from .manifold import (GeometryError, Manifold, TensorField, _covariant, _inverse,
                        _product)
 
-# Sign of the quarter term in the Killing operator
-#   X_k = -i (R^mu grad_mu + QUARTER_SIGN * (1/4) gamma^mu gamma^nu R_{mu;nu}).
-# Fixed so that [D_s, X_k] = 0 holds on every verified Killing payload.
-QUARTER_SIGN = -1
-
 
 class FrameError(GeometryError):
     pass
@@ -148,7 +143,7 @@ def standard_unitary(size: int) -> sp.Matrix:
 # operators
 #
 # An operator is the 1-jet of its coefficient matrices at a batch of points,
-# formed once from the jets the Manifold compiles and caches; operators act
+# formed once from the jets Manifold.evaluate gives; operators act
 # on the jets of spinor fields and compose by the Leibniz rule in numpy.
 
 SpinorField = np.ndarray      # object array of expressions, length = spinor size
@@ -157,10 +152,14 @@ SpinorField = np.ndarray      # object array of expressions, length = spinor siz
 @dataclass
 class OperatorSpec:
     """kind in {standard-dirac, killing-op, dirac-type}; payload is the
-    Killing vector (contravariant) or the Killing-Yano two-form (covariant)."""
+    Killing vector (contravariant) or the Killing-Yano two-form (covariant).
+    quarter_sign is the sign of the killing-op's quarter term,
+    X_k = -i (R^mu grad_mu + quarter_sign * (1/4) gamma^mu gamma^nu R_{mu;nu});
+    -1 makes [D_s, X_k] = 0 hold on every verified Killing payload."""
 
     kind: str
     payload: TensorField | None = None
+    quarter_sign: int = -1
 
     def __post_init__(self):
         if self.kind not in ("standard-dirac", "killing-op", "dirac-type"):
@@ -261,14 +260,14 @@ def build_operator(spec: OperatorSpec, ctx: SpinContext, points, frames) -> Line
         return LinearOperator(1j * _coefficient_jet(gam, _product("mst,mtu->su", gam, conn)))
 
     if spec.kind == "killing-op":
-        # X_k = -i (R^mu grad_mu + QUARTER_SIGN/4 gamma^mu gamma^nu R_{mu;nu})
+        # X_k = -i (R^mu grad_mu + quarter_sign/4 gamma^mu gamma^nu R_{mu;nu})
         r2 = M.evaluate(spec.payload.components, points, order=2)
         r = r2[:, :, -1]
         # dr[nu, mu] = R_{mu;nu} = g_{mu lam} grad_nu R^lam
         dr = _product("ml,nl->nm", M.metric_jet(points)[:, :, -1],
                       _covariant(r2, M.christoffel(points), "u"))
         c0 = (_product("m,mst->st", r, conn)
-              + QUARTER_SIGN / 4 * _product("mst,ntu,nm->su", gam, gam, dr))
+              + spec.quarter_sign / 4 * _product("mst,ntu,nm->su", gam, gam, dr))
         eye = np.eye(ctx.rep.spinor_size)
         return LinearOperator(-1j * _coefficient_jet(np.einsum("pjm,st->pjmst", r, eye), c0))
 

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 import sympy as sp
+from hypothesis import given, settings, strategies as st
 
 from hiddensym import catalog, exprkit, manifold
 from hiddensym.manifold import (Chart, GeometryError, Manifold, TensorField,
@@ -8,6 +9,7 @@ from hiddensym.manifold import (Chart, GeometryError, Manifold, TensorField,
                                 exterior_derivative, lie_bracket, lower_index,
                                 one_form, raise_index, sample_points,
                                 symmetrize, two_form, vector)
+from hiddensym.spin import spinor_bank
 from symbolic_geometry import symbolic_christoffel, symbolic_ricci, symbolic_riemann
 
 
@@ -275,28 +277,167 @@ class TestBatchEvaluation:
         assert not np.allclose(values[0], values[1])
 
     def test_jet_is_the_evaluated_symbolic_tangent(self, tn):
-        M = tn.manifold
-        f = tn.forms["fY"].components
-        pts = sample_points(M.chart, 4, seed=0)
-        jet = M.evaluate(f, pts, order=2)
-        assert jet.shape == (4, 5, 5, 4, 4)
-        xs = M.coord_symbols
-        want = M.evaluate(_tangent(_tangent(f, xs), xs), pts)
-        assert np.max(np.abs(jet - want)) <= self.TOL * np.max(np.abs(want))
+        """The 1- and 2-jets of every catalog metric, vector and form, of the
+        Taub-NUT frame and of a complex spinor bank equal the evaluated
+        symbolic tangents; the 1-jet is the 2-jet's value row."""
+        bank = [psi * sp.exp(sp.I * sp.Symbol("phi")) for psi in spinor_bank(tn.manifold, 3)]
+        cases = [(tn.manifold, tn.frame, float), (tn.manifold, bank, complex)]
+        for name in catalog.names():
+            e = tn if name == "taub-nut" else catalog.get(name)
+            cases += [(e.manifold, e.manifold.metric.tolist(), float)]
+            cases += [(e.manifold, T.components, float)
+                      for T in (*e.vectors.values(), *e.forms.values())]
+        for M, arr, dtype in cases:
+            arr = np.array(arr, dtype=object)
+            pts = sample_points(M.chart, 3, seed=1)
+            xs = M.coord_symbols
+            want = M.evaluate(_tangent(_tangent(arr, xs), xs), pts, dtype)
+            scale = max(1.0, np.max(np.abs(want)))
+            for order, oracle in ((2, want), (1, want[:, -1])):
+                jet = M.evaluate(arr, pts, dtype, order=order)
+                assert jet.shape == oracle.shape
+                assert np.max(np.abs(jet - oracle)) <= self.TOL * scale
 
-    def test_equal_components_are_differentiated_once(self, monkeypatch):
-        """The jet is cached under the components' content: two fields with
-        equal components cost one symbolic differentiation."""
+    def test_jets_differentiate_nothing_symbolically(self, monkeypatch):
+        """Jets and the geometry built on them never ask sympy for a derivative."""
+        e = catalog.taub_nut()
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("symbolic differentiation on the numeric path")
+        for owner, name in ((sp, "diff"), (sp.Expr, "diff"), (manifold, "_tangent")):
+            monkeypatch.setattr(owner, name, forbidden)
+        pts = sample_points(e.manifold.chart, 3, seed=0)
+        e.manifold.riemann(pts)
+        covariant_derivative(e.forms["fY"], e.manifold, pts)
+        e.manifold.evaluate(e.frame, pts, order=2)
+
+    def test_equal_components_are_compiled_once(self, monkeypatch):
+        """The compiled function is cached under the components' content and
+        serves every order: two fields with equal components, at orders 0, 1
+        and 2, cost one lambdify."""
         M = catalog.sphere2().manifold
         pts = sample_points(M.chart, 3, seed=0)
         M.christoffel(pts)
         calls = []
+        lambdify = sp.lambdify
 
-        def counting(arr, xs):
-            calls.append(arr)
-            return _tangent(arr, xs)
-        monkeypatch.setattr(manifold, "_tangent", counting)
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return lambdify(*args, **kwargs)
+        monkeypatch.setattr(sp, "lambdify", counting)
         theta = sp.Symbol("theta")
         for _ in range(2):
             covariant_derivative(one_form([sp.sin(theta) ** 3, 0]), M, pts)
+            for order in (0, 1, 2):
+                M.evaluate(one_form([sp.sin(theta) ** 3, 0]).components, pts, order=order)
         assert len(calls) == 1
+
+
+_X, _Y = sp.symbols("x y")
+# Each case applies one jet rule to jets u = x^2 y + 1 and w = x y, or to one
+# of them and a constant; `f` is numpy for the jets and sympy for the oracle.
+_RULE_CASES = {
+    "add": lambda f, u, w: [u + w, u + 3, 3 + u],
+    "subtract": lambda f, u, w: [u - w, u - 3, 3 - u],
+    "multiply": lambda f, u, w: [u * w, 3 * u, u * 3],
+    "true_divide": lambda f, u, w: [u / w, 3 / u, u / 3],
+    "power": lambda f, u, w: [u ** 3, u ** -1.5, u ** w, 2 ** w],
+    "negative": lambda f, u, w: [-u],
+    "positive": lambda f, u, w: [+u],
+    "sin": lambda f, u, w: [f.sin(u)],
+    "cos": lambda f, u, w: [f.cos(u)],
+    "tan": lambda f, u, w: [f.tan(u)],
+    "exp": lambda f, u, w: [f.exp(u)],
+    "log": lambda f, u, w: [f.log(u)],
+    "sqrt": lambda f, u, w: [f.sqrt(u)],
+    "sinh": lambda f, u, w: [f.sinh(u)],
+    "cosh": lambda f, u, w: [f.cosh(u)],
+    "tanh": lambda f, u, w: [f.tanh(u)],
+}
+
+
+class TestJets:
+    """Forward-mode jets against sympy's derivatives, evaluated."""
+
+    TOL = 1e-12
+
+    @pytest.fixture(scope="class")
+    def plane(self):
+        chart = Chart(("x", "y"), {"x": (0.5, 1.5), "y": (0.5, 1.5)})
+        return Manifold(chart, [[1, 0], [0, 1]])
+
+    @staticmethod
+    def _oracle(M, exprs, pts, order):
+        arr = np.array(exprs, dtype=object)
+        for _ in range(order):
+            arr = _tangent(arr, M.coord_symbols)
+        return np.moveaxis(M.evaluate(arr, pts), -1, 0)
+
+    def _rule_error(self, M, case, order):
+        """Largest relative difference between the case's jets, made by
+        applying it to seeded Jets, and the evaluated symbolic tangents."""
+        pts = sample_points(M.chart, 4, seed=5)
+        x, y = (np.array([p[c] for p in pts]) for c in ("x", "y"))
+        seeds = np.eye(2)[:, :, None] * np.ones(len(pts))
+        h = np.zeros((2, 2, len(pts))) if order == 2 else None
+        X, Y = manifold.Jet(x, seeds[0], h), manifold.Jet(y, seeds[1], h)
+        got = np.array([j.stacked() for j in case(np, X * X * Y + 1, X * Y)])
+        want = self._oracle(M, case(sp, _X ** 2 * _Y + 1, _X * _Y), pts, order)
+        return np.max(np.abs(got - want)) / max(1.0, np.max(np.abs(want)))
+
+    @pytest.mark.parametrize("rule", sorted(_RULE_CASES))
+    @pytest.mark.parametrize("order", [1, 2])
+    def test_rule_matches_symbolic_derivatives(self, plane, rule, order):
+        assert self._rule_error(plane, _RULE_CASES[rule], order) <= self.TOL
+
+    def test_every_rule_is_tested(self):
+        assert set(manifold._JET_RULES) == {getattr(np, name) for name in _RULE_CASES}
+
+    def test_planted_product_rule_error_fails(self, plane, monkeypatch):
+        """Dropping the cross term f_j g_i from the product rule's Hessian
+        must make the oracle comparison fail."""
+        def dropped_cross_term(a, b):
+            if not (isinstance(a, manifold.Jet) and isinstance(b, manifold.Jet)):
+                return manifold._multiply(a, b)
+            h = None if a.h is None else a.v * b.h + b.v * a.h + a.g[:, None] * b.g[None]
+            return manifold.Jet(a.v * b.v, a.v * b.g + b.v * a.g, h)
+        monkeypatch.setitem(manifold._JET_RULES, np.multiply, dropped_cross_term)
+        assert self._rule_error(plane, _RULE_CASES["multiply"], 1) <= self.TOL
+        assert self._rule_error(plane, _RULE_CASES["multiply"], 2) > 1e-3
+
+    @given(st.recursive(
+        st.sampled_from([_X, _Y, sp.Rational(3, 2), sp.Integer(-2)]),
+        lambda inner: st.one_of(
+            st.tuples(st.sampled_from([
+                lambda e: sp.sin(e), lambda e: sp.cos(e), lambda e: sp.tanh(e),
+                lambda e: sp.tan(sp.sin(e)), lambda e: sp.exp(sp.sin(e)),
+                lambda e: sp.sinh(sp.cos(e)), lambda e: sp.cosh(sp.sin(e)),
+                lambda e: sp.log(2 + sp.sin(e)), lambda e: sp.sqrt(2 + sp.cos(e)),
+                lambda e: -e, lambda e: e ** 2, lambda e: (2 + sp.cos(e)) ** sp.Rational(-3, 2)]),
+                inner).map(lambda t: t[0](t[1])),
+            st.tuples(st.sampled_from([
+                lambda a, b: a + b, lambda a, b: a - b, lambda a, b: a * b,
+                lambda a, b: a / (2 + sp.sin(b)),
+                lambda a, b: (2 + sp.sin(a)) ** (b / (1 + b ** 2))]),
+                inner, inner).map(lambda t: t[0](t[1], t[2]))),
+        max_leaves=6))
+    @settings(max_examples=40, deadline=None)
+    def test_random_compositions_match_symbolic_derivatives(self, expr):
+        chart = Chart(("x", "y"), {"x": (0.5, 1.5), "y": (0.5, 1.5)})
+        M = Manifold(chart, [[1, 0], [0, 1]])
+        pts = sample_points(chart, 3, seed=2)
+        want = self._oracle(M, [expr], pts, 2)[0]
+        scale = max(1.0, np.max(np.abs(want)))
+        for order, oracle in ((2, want), (1, want[:, -1])):
+            jet = M.evaluate([expr], pts, order=order)[..., 0]
+            assert np.max(np.abs(jet - oracle)) <= 1e-10 * scale
+
+    def test_ufunc_without_a_rule_raises(self, plane):
+        pts = sample_points(plane.chart, 2, seed=0)
+        assert np.all(np.isfinite(plane.evaluate([sp.atan(_X)], pts)))
+        with pytest.raises(GeometryError, match="arctan"):
+            plane.evaluate([sp.atan(_X)], pts, order=1)
+
+    def test_order_above_two_raises(self, plane):
+        with pytest.raises(ValueError, match="order 3"):
+            plane.evaluate([_X ** 4], sample_points(plane.chart, 2, seed=0), order=3)

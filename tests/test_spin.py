@@ -221,15 +221,10 @@ class TestCurvedIdentities:
             OperatorSpec("standard-dirac"), OperatorSpec("killing-op", k),
             sphere_ctx, bank=spinor_bank(M, 2), points=4)
         assert rep.passed
-        try:
-            spin.QUARTER_SIGN = +1
-            ctx2 = SpinContext(M, orthonormal_frame(M))
-            rep2 = commutator_residual(
-                OperatorSpec("standard-dirac"), OperatorSpec("killing-op", k),
-                ctx2, bank=spinor_bank(M, 2), points=4)
-            assert not rep2.passed
-        finally:
-            spin.QUARTER_SIGN = -1
+        rep2 = commutator_residual(
+            OperatorSpec("standard-dirac"), OperatorSpec("killing-op", k, quarter_sign=+1),
+            sphere_ctx, bank=spinor_bank(M, 2), points=4)
+        assert not rep2.passed
 
     def test_singular_point_fails_closed(self, sphere_ctx):
         """At theta = 0 the frame is singular: that point alone is non-finite
