@@ -42,6 +42,17 @@ def _parse_expr(src, context: str) -> sp.Expr:
         raise FileFormatError(f"bad expression in {context}: {exc}") from exc
 
 
+def _read_number(convert, src, context: str):
+    """convert(src), int or float, or FileFormatError naming the context: also for
+    a fractional int, and for NaN and Infinity, which json.load accepts."""
+    try:
+        if math.isfinite(float(src)) and convert(src) == float(src):
+            return convert(src)
+    except (TypeError, ValueError, OverflowError):
+        pass
+    raise FileFormatError(f"bad number {src!r} in {context}")
+
+
 def _check_names(exprs, allowed: set, context: str):
     for e in exprs:
         unknown = {s.name for s in e.free_symbols} - allowed
@@ -54,7 +65,7 @@ def ingest(doc: dict) -> CatalogEntry:
     """Build a catalog entry from a manifold-definition JSON document."""
     try:
         name = doc["name"]
-        n = int(doc["dimension"])
+        n = _read_number(int, doc["dimension"], "dimension")
         coords = tuple(doc["coordinates"])
         domain = doc["domain"]
         metric_src = doc["metric"]
@@ -66,14 +77,12 @@ def ingest(doc: dict) -> CatalogEntry:
     for c in coords:
         if c not in domain:
             raise FileFormatError(f"domain missing coordinate {c!r}")
-        lo, hi = domain[c]
-        box[c] = (float(lo), float(hi))
-    params = {k: float(v) for k, v in doc.get("parameters", {}).items()}
-    # json.load accepts NaN and Infinity tokens; a report could not carry them
-    numbers = [v for bounds in box.values() for v in bounds] + list(params.values())
-    if not all(math.isfinite(v) for v in numbers):
-        raise FileFormatError("domain bounds and parameters must be finite")
-    signature = tuple(int(s) for s in doc.get("signature", [1] * n))
+        if not (isinstance(domain[c], list) and len(domain[c]) == 2):
+            raise FileFormatError(f"domain of {c!r} must be a pair [lo, hi]")
+        box[c] = tuple(_read_number(float, b, f"domain of {c!r}") for b in domain[c])
+    params = {k: _read_number(float, v, f"parameter {k!r}")
+              for k, v in doc.get("parameters", {}).items()}
+    signature = tuple(_read_number(int, s, "signature") for s in doc.get("signature", [1] * n))
     allowed = set(coords) | set(params)
 
     if len(metric_src) != n or any(len(row) != n for row in metric_src):
@@ -91,17 +100,18 @@ def ingest(doc: dict) -> CatalogEntry:
     entry = CatalogEntry(name=name, manifold=M)
 
     for vname, comps in doc.get("vectors", {}).items():
-        if len(comps) != n:
-            raise FileFormatError(f"vector {vname!r} needs {n} components")
+        if not isinstance(comps, list) or len(comps) != n:
+            raise FileFormatError(f"vector {vname!r} needs a list of {n} components")
         exprs = [_parse_expr(c, f"vector {vname!r}") for c in comps]
         _check_names(exprs, allowed, f"vector {vname!r}")
         entry.vectors[vname] = vector(exprs)
 
     for fname, block in doc.get("forms", {}).items():
-        rank = int(block["rank"])
+        rank = _read_number(int, block["rank"], f"form {fname!r} rank")
         comp = np.full((n,) * rank, sp.Integer(0), dtype=object)
         for key, src in block["components"].items():
-            idx = tuple(int(t) for t in key.split(","))
+            idx = tuple(_read_number(int, t, f"form {fname!r} key {key!r}")
+                        for t in key.split(","))
             if len(idx) != rank:
                 raise FileFormatError(
                     f"form {fname!r}: index tuple {key!r} has wrong length")
@@ -113,12 +123,8 @@ def ingest(doc: dict) -> CatalogEntry:
                     f"form {fname!r}: indices {key!r} must be strictly increasing")
             e = _parse_expr(src, f"form {fname!r}[{key}]")
             _check_names([e], allowed, f"form {fname!r}")
-            if rank == 1:
-                comp[idx] = e
-            else:
-                for perm in itertools.permutations(range(rank)):
-                    sign = _perm_sign(perm)
-                    comp[tuple(idx[p] for p in perm)] = sign * e
+            for perm in itertools.permutations(range(rank)):
+                comp[tuple(idx[p] for p in perm)] = _perm_sign(perm) * e
         entry.forms[fname] = TensorField(comp, "d" * rank)
 
     if "structures" in doc:
@@ -494,7 +500,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p, target=False)
     p.add_argument("--position", required=True, help="c1=v1,c2=v2,...")
     p.add_argument("--velocity", required=True, help="c1=v1,c2=v2,...")
-    p.add_argument("--t1", type=_finite, default=10.0)
+    p.add_argument("--t1", type=_positive, default=10.0)
     p.add_argument("--step", type=_positive, default=1e-3)
     p.add_argument("--stride", type=_count, default=10)
     p.add_argument("--method", choices=["rk4", "rk45"], default="rk4")

@@ -35,8 +35,8 @@ class IntegratorConfig:
     stride: int = 10               # keep every stride-th step
 
     def __post_init__(self):
-        if self.step <= 0 or self.tolerance <= 0:
-            raise ValueError("step and tolerance must be positive")
+        if not (self.step > 0 and self.tolerance > 0 and self.t_span[1] > self.t_span[0]):
+            raise ValueError("step, tolerance and the length of t_span must be positive")
         if self.method not in ("rk4", "rk45"):
             raise ValueError(f"unknown method {self.method!r}")
 

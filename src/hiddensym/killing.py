@@ -146,20 +146,12 @@ def conformal_killing_factor(X: TensorField, M: Manifold, points=None, seed=0,
 # ---------------------------------------------------------------------------
 # Staeckel-Killing / Killing-Yano / conformal Killing-Yano
 
-def _alternation(vals: np.ndarray) -> np.ndarray:
-    return np.array([antisymmetrize(v) for v in vals])
-
-
-def _symmetrization(vals: np.ndarray) -> np.ndarray:
-    return np.array([symmetrize(v) for v in vals])
-
-
 def _guarded_nabla(T: TensorField, M: Manifold, pts, project, message: str) -> np.ndarray:
-    """grad T at the points; GeometryError(message) unless project fixes T's
-    values at every point to 1e-12 relative."""
+    """grad T at the points; GeometryError(message) unless project(values, 1),
+    a batched projector, fixes T's values at every point to 1e-12 relative."""
     nabla = covariant_derivative(T, M, pts)
     vals = nabla.values
-    if np.any(_max_abs(vals - project(vals)) > 1e-12 * np.maximum(1.0, _max_abs(vals))):
+    if np.any(_max_abs(vals - project(vals, 1)) > 1e-12 * np.maximum(1.0, _max_abs(vals))):
         raise GeometryError(message)
     return nabla.components
 
@@ -168,22 +160,27 @@ def sk_residual(K: TensorField, M: Manifold, points=None, seed=0,
                 tol=DEFAULT_TOL) -> ResidualReport:
     """Fully symmetrized covariant derivative of a symmetric tensor."""
     pts = _default_points(M, points, seed)
-    nabla = _guarded_nabla(K, M, pts, _symmetrization,
-                           "sk_residual requires a symmetric tensor")
-    return _report("staeckel-killing", pts, _max_abs(_symmetrization(nabla)),
+    nabla = _guarded_nabla(K, M, pts, symmetrize, "sk_residual requires a symmetric tensor")
+    return _report("staeckel-killing", pts, _max_abs(symmetrize(nabla, 1)),
                    _max_abs(nabla), tol)
+
+
+def _ky_report(nabla: np.ndarray, pts, tol: float) -> ResidualReport:
+    """The Killing-Yano report from the evaluated grad f, the derivative slot
+    first: the symmetric part of grad f, and its deviation from its alternation."""
+    # symmetrize over the derivative slot and the form's first slot
+    sym_pair = (nabla + np.swapaxes(nabla, 1, 2)) / 2
+    residual = np.maximum(_max_abs(sym_pair), _max_abs(nabla - antisymmetrize(nabla, 1)))
+    return _report("killing-yano", pts, residual, _max_abs(nabla), tol)
 
 
 def ky_residual(f: TensorField, M: Manifold, points=None, seed=0,
                 tol=DEFAULT_TOL) -> ResidualReport:
     """Symmetric part of grad f, and deviation of grad f from its alternation."""
     pts = _default_points(M, points, seed)
-    nabla = _guarded_nabla(f, M, pts, _alternation,
-                           "ky_residual requires an antisymmetric form")
-    # symmetrize over the derivative slot and the form's first slot
-    sym_pair = (nabla + np.swapaxes(nabla, 1, 2)) / 2
-    residual = np.maximum(_max_abs(sym_pair), _max_abs(nabla - _alternation(nabla)))
-    return _report("killing-yano", pts, residual, _max_abs(nabla), tol)
+    return _ky_report(_guarded_nabla(f, M, pts, antisymmetrize,
+                                     "ky_residual requires an antisymmetric form"),
+                      pts, tol)
 
 
 def cky_residual(f: TensorField, M: Manifold, points=None, seed=0,
@@ -198,9 +195,9 @@ def cky_residual(f: TensorField, M: Manifold, points=None, seed=0,
     if not 1 <= p <= n - 1:
         raise GeometryError("cky_residual needs 1 <= p <= n-1")
     pts = _default_points(M, points, seed)
-    nabla = _guarded_nabla(f, M, pts, _alternation,
+    nabla = _guarded_nabla(f, M, pts, antisymmetrize,
                            "cky_residual requires an antisymmetric form")
-    df = (p + 1) * _alternation(nabla)     # the connection is torsion-free
+    df = (p + 1) * antisymmetrize(nabla, 1)     # the connection is torsion-free
     g = M.evaluate(M.metric, pts)
     codf = -np.einsum("plm,plm...->p...", M.inverse_metric_values(pts), nabla)
     # (X* wedge d*f) for X = coordinate basis vector mu, X*_nu = g_{mu nu}: a

@@ -85,12 +85,6 @@ class TensorField:
     def rank(self) -> int:
         return self.components.ndim
 
-    def map(self, f) -> "TensorField":
-        out = np.empty(self.components.shape, dtype=object)
-        for idx in np.ndindex(self.components.shape):
-            out[idx] = f(self.components[idx])
-        return TensorField(out, self.variance)
-
 
 # ---------------------------------------------------------------------------
 # jets
@@ -466,22 +460,26 @@ def _perm_sign(perm) -> int:
     return sign
 
 
-def _permutation_average(arr: np.ndarray, signed: bool) -> np.ndarray:
-    """Weight-1/k! (signed) sum of arr over all permutations of its k slots;
-    works on object arrays of expressions and on float arrays alike."""
-    total = sum((_perm_sign(perm) if signed else 1) * np.transpose(arr, perm)
-                for perm in itertools.permutations(range(arr.ndim)))
-    return total / math.factorial(arr.ndim)
+def _permutation_average(arr: np.ndarray, signed: bool, lead: int) -> np.ndarray:
+    """Weight-1/k! (signed) sum of arr over all permutations of its k slots
+    after the first `lead` axes, which are carried along; works on object
+    arrays of expressions and on float arrays alike."""
+    total = sum((_perm_sign(perm) if signed else 1)
+                * np.transpose(arr, (*range(lead), *(lead + i for i in perm)))
+                for perm in itertools.permutations(range(arr.ndim - lead)))
+    return total / math.factorial(arr.ndim - lead)
 
 
-def antisymmetrize(arr: np.ndarray) -> np.ndarray:
-    """Weight-1/k! alternation over all slots (idempotent projector)."""
-    return _permutation_average(arr, signed=True)
+def antisymmetrize(arr: np.ndarray, lead: int = 0) -> np.ndarray:
+    """Weight-1/k! alternation over all slots after the first `lead` axes
+    (idempotent projector): lead=1 alternates a (P, ...) batch of values,
+    lead=2 a batch of 1-jets."""
+    return _permutation_average(arr, True, lead)
 
 
-def symmetrize(arr: np.ndarray) -> np.ndarray:
-    """Weight-1/k! symmetrization over all slots."""
-    return _permutation_average(arr, signed=False)
+def symmetrize(arr: np.ndarray, lead: int = 0) -> np.ndarray:
+    """Weight-1/k! symmetrization over all slots after the first `lead` axes."""
+    return _permutation_average(arr, False, lead)
 
 
 @dataclass(frozen=True)

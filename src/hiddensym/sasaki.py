@@ -12,16 +12,18 @@ check has an independent closed-form answer.
 
 from __future__ import annotations
 
+import functools
+import math
 from dataclasses import dataclass
 
 import numpy as np
 import sympy as sp
 
-from .killing import (ResidualReport, _default_points, _killing_report, _max_abs,
-                      _report, conformal_killing_factor, ky_residual, DEFAULT_TOL)
+from .killing import (ResidualReport, _default_points, _killing_report, _ky_report,
+                      _max_abs, _report, conformal_killing_factor, DEFAULT_TOL)
 from .manifold import (Chart, GeometryError, Manifold, TensorField, TensorValues,
-                       antisymmetrize, covariant_derivative, exterior_derivative,
-                       lower_index, vector, one_form)
+                       _covariant, _product, antisymmetrize, covariant_derivative,
+                       exterior_derivative, lower_index, vector, one_form)
 
 EPS = (1, -1, -1)
 _EVEN = [(0, 1, 2), (1, 2, 0), (2, 0, 1)]
@@ -393,39 +395,35 @@ def conformal_to_killing_check(S: MixedThreeStructure, X: TensorField,
                                  "ckv_residual": rep.max_rel_residual})
 
 
-def wedge_forms(a: TensorField, b: TensorField) -> TensorField:
-    """Wedge product with unit-weight alternation: a ^ b = C(p+q,p) Alt(a (x) b)."""
-    p, q = a.rank, b.rank
-    outer = np.multiply.outer(a.components, b.components)
-    factor = sp.binomial(p + q, p)
-    comp = factor * antisymmetrize(outer)
-    return TensorField(comp, "d" * (p + q))
+def _wedge(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """1-jet of a ^ b = C(p+q, p) Alt(a (x) b) from the 1-jets (P, n + 1, ...)
+    of a p-form and a q-form."""
+    p, q = a.ndim - 2, b.ndim - 2
+    slots = "abcdefghik"
+    outer = _product(f"{slots[:p]},{slots[p:p + q]}->{slots[:p + q]}", a, b)
+    return math.comb(p + q, p) * antisymmetrize(outer, 2)
 
 
-def ky_odd_rank_candidate(S: MixedThreeStructure, alpha: int, k: int) -> TensorField:
-    """eta_a wedge (d eta_a)^k, the documented rank-(2k+1) candidate."""
-    M = S.manifold
-    if not 0 <= k <= 2 * S.sasakian_rank + 1:
-        raise GeometryError("k out of range for this structure")
-    eta = S.eta[alpha]
-    form = eta
-    if k:
-        deta = exterior_derivative(eta, M)
-        for _ in range(k):
-            form = wedge_forms(form, deta)
-    form = form.map(sp.expand)
-    return form
+def _odd_rank_tower(S: MixedThreeStructure, alpha: int, k: int, pts) -> np.ndarray:
+    """1-jet of eta_a ^ (d eta_a)^k at the points from the one 2-jet of eta_a,
+    whose partials give (d eta)_{lam mu} = d_lam eta_mu - d_mu eta_lam."""
+    e2 = S.manifold.evaluate(S.eta[alpha].components, pts, order=2)
+    deta = e2[:, :, :-1] - np.swapaxes(e2[:, :, :-1], 2, 3)
+    return functools.reduce(_wedge, [deta] * k, e2[:, -1])
 
 
 def ky_odd_rank_check(S: MixedThreeStructure, k: int, alpha: int = 0,
                       points=None, seed=0, tol=DEFAULT_TOL) -> ResidualReport:
-    form = ky_odd_rank_candidate(S, alpha, k)
+    """Killing-Yano report of the rank-(2k+1) form eta_a ^ (d eta_a)^k."""
+    if not 0 <= k <= 2 * S.sasakian_rank + 1:
+        raise GeometryError("k out of range for this structure")
     pts = _default_points(S.manifold, points, seed)
-    if np.all(_max_abs(S.manifold.evaluate(form.components, pts[:3])) < 1e-14):
+    jet = _odd_rank_tower(S, alpha, k, pts)
+    if np.all(_max_abs(jet[:3, -1]) < 1e-14):
         raise GeometryError("degenerate (zero) candidate form")
-    rep = ky_residual(form, S.manifold, pts, tol=tol)
-    rep.extra["rank"] = 2 * k + 1
-    rep.extra["alpha"] = alpha + 1
+    christoffel = S.manifold.christoffel(pts)[:, -1]
+    rep = _ky_report(_covariant(jet, christoffel, "d" * (2 * k + 1)), pts, tol)
+    rep.extra.update(rank=2 * k + 1, alpha=alpha + 1)
     return rep
 
 

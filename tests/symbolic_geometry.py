@@ -1,18 +1,21 @@
-"""Symbolic Levi-Civita geometry, the reference the numeric jets of
-hiddensym.manifold are tested against.
+"""Symbolic Levi-Civita geometry and forms, the reference the numeric jets of
+hiddensym.manifold and hiddensym.sasaki are tested against.
 
 This is the symbolic pipeline the library used to run: Gamma with one
 exprkit.simplify per component, Riemann by differentiating Gamma, Ricci by
-contraction.  Results are cached per manifold, because Taub-NUT's Gamma
-takes seconds to build.
+contraction, and the odd-rank tower eta ^ (d eta)^k by symbolic wedges.
+Geometry results are cached per manifold, because Taub-NUT's Gamma takes
+seconds to build.
 """
 
 import functools
+import math
 
 import numpy as np
 import sympy as sp
 
 from hiddensym.exprkit import simplify
+from hiddensym.manifold import TensorField, antisymmetrize, exterior_derivative
 
 
 @functools.lru_cache(maxsize=None)
@@ -52,3 +55,19 @@ def symbolic_ricci(M) -> np.ndarray:
     riem, n = symbolic_riemann(M), M.dim
     return np.array([[sum((riem[lam, sig, lam, nu] for lam in range(n)), sp.Integer(0))
                       for nu in range(n)] for sig in range(n)], dtype=object)
+
+
+def wedge_forms(a: TensorField, b: TensorField) -> TensorField:
+    """Wedge product with unit-weight alternation: a ^ b = C(p+q,p) Alt(a (x) b)."""
+    p, q = a.rank, b.rank
+    outer = np.multiply.outer(a.components, b.components)
+    return TensorField(math.comb(p + q, p) * antisymmetrize(outer), "d" * (p + q))
+
+
+def ky_odd_rank_candidate(S, alpha: int, k: int) -> TensorField:
+    """eta_a ^ (d eta_a)^k of a mixed 3-structure, each component expanded."""
+    form = S.eta[alpha]
+    deta = exterior_derivative(form, S.manifold)
+    for _ in range(k):
+        form = wedge_forms(form, deta)
+    return TensorField(np.frompyfunc(sp.expand, 1, 1)(form.components), form.variance)

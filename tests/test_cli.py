@@ -65,6 +65,24 @@ class TestIngest:
         with pytest.raises(FileFormatError):
             ingest(dict(MINIMAL, **change))
 
+    @pytest.mark.parametrize("change", [
+        {"dimension": "two"},
+        {"dimension": 2.5},
+        {"signature": [1, "x"]},
+        {"forms": {"bad": {"rank": "two", "components": {}}}},
+        {"forms": {"bad": {"rank": 2, "components": {"0,x": "1"}}}},
+        {"forms": {"bad": {"rank": 0, "components": {"": "1"}}}},
+        {"domain": {"x": [-1.0], "y": [-1.0, 1.0]}},
+        {"domain": {"x": 1.0, "y": [-1.0, 1.0]}},
+        {"domain": {"x": ["low", 1.0], "y": [-1.0, 1.0]}},
+        {"parameters": {"m": "heavy"}},
+        {"vectors": {"bad": 5}},
+        {"vectors": {"bad": "xy"}},
+    ])
+    def test_malformed_values_rejected(self, change):
+        with pytest.raises(FileFormatError):
+            ingest(dict(MINIMAL, **change))
+
     def test_index_out_of_range_rejected(self):
         doc = dict(MINIMAL,
                    forms={"bad": {"rank": 2, "components": {"0,5": "1"}}})
@@ -282,6 +300,8 @@ class TestNumberValidation:
         ORBIT + ["--step", "nan"],
         ORBIT + ["--t1", "nan"],
         ORBIT + ["--t1", "inf"],
+        ORBIT + ["--t1", "0"],
+        ORBIT + ["--t1", "-0.5"],
         ORBIT + ["--invariant-tol", "-1"],
         ["algebra", "jacobi", "--cutoff", "-1"],
         ["sasaki", "einstein", "--catalog", "pseudo-sphere", "--einstein-constant", "nan"],

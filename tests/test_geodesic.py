@@ -33,6 +33,11 @@ class TestConfig:
         with pytest.raises(ValueError):
             IntegratorConfig(method="euler")
 
+    @pytest.mark.parametrize("t_span", [(0.0, 0.0), (0.0, -0.5), (1.0, 0.5)])
+    def test_empty_or_reversed_span_rejected(self, t_span):
+        with pytest.raises(ValueError):
+            IntegratorConfig(t_span=t_span)
+
 
 class TestSpray:
     def test_spray_is_minus_gamma_of_v_v(self, entry):

@@ -173,7 +173,7 @@ def test_trigsimp_checker_sees_each_spelling():
 
 SYMBOLIC_ALGEBRA = {"lower_index", "raise_index", "exterior_derivative", "lie_bracket"}
 # the constructions that return symbolic fields, not values
-FIELD_BUILDERS = {"reverse_cone", "ky_odd_rank_candidate"}
+FIELD_BUILDERS = {"reverse_cone"}
 
 
 def symbolic_algebra_calls(source: str) -> list[str]:

@@ -1,17 +1,16 @@
+import dataclasses
+
 import numpy as np
 import pytest
 import sympy as sp
 
-from hiddensym import sasaki
-from hiddensym.killing import ky_residual
-from hiddensym.manifold import (Chart, GeometryError, Manifold, TensorField,
+from hiddensym.manifold import (Chart, GeometryError, Manifold, TensorField, one_form,
                                 sample_points, vector)
-from hiddensym.sasaki import (EPS, ConeManifold, MixedThreeStructure,
-                              build_cone, cone_roundtrip_residual,
-                              einstein_check, ky_odd_rank_candidate,
+from hiddensym.sasaki import (EPS, MixedThreeStructure, _wedge, build_cone,
+                              cone_roundtrip_residual, einstein_check,
                               ky_odd_rank_check, para_hyperkahler_check,
                               reverse_cone, sectional_curvature_check,
-                              structure_identity_suite, wedge_forms)
+                              structure_identity_suite)
 
 
 @pytest.fixture(scope="module")
@@ -172,25 +171,41 @@ class TestOddRankTowers:
         assert ky_odd_rank_check(S, k=1, alpha=0, points=5).passed
 
     def test_candidate_rank(self, S):
-        cand = ky_odd_rank_candidate(S, alpha=0, k=1)
-        assert cand.rank == 3
+        assert ky_odd_rank_check(S, k=1, alpha=0, points=5).extra["rank"] == 3
 
     def test_rank_exceeding_dimension_rejected(self, S):
         with pytest.raises(GeometryError):
-            ky_odd_rank_candidate(S, alpha=0, k=2)
+            ky_odd_rank_check(S, k=2, alpha=0, points=5)
+
+    def test_rescaled_eta_tower_fails(self, S):
+        """cosh(rho) eta_1 ^ d(cosh(rho) eta_1) = cosh(rho)^2 eta_1 ^ d eta_1, a
+        non-parallel top form, is not Killing-Yano."""
+        scaled = one_form(sp.cosh(sp.Symbol("rho")) * S.eta[0].components)
+        control = dataclasses.replace(S, eta=[scaled, *S.eta[1:]])
+        assert not ky_odd_rank_check(control, k=1, alpha=0, points=5).passed
 
 
 class TestWedge:
-    def test_wedge_antisymmetry(self, S):
-        a, b = S.eta[0], S.eta[1]
-        ab = wedge_forms(a, b).components
-        ba = wedge_forms(b, a).components
-        assert all(sp.simplify(x + y) == 0
-                   for x, y in zip(ab.flatten(), ba.flatten()))
+    """The wedge of 1-jets, on the 1-jets of eta_1, eta_2 and d eta_1."""
 
-    def test_wedge_of_one_forms_components(self, S):
-        a, b = S.eta[0], S.eta[1]
-        w = wedge_forms(a, b).components
-        expected = (a.components[0] * b.components[1]
-                    - a.components[1] * b.components[0])
-        assert sp.simplify(w[0, 1] - expected) == 0
+    @pytest.fixture(scope="class")
+    def jets(self, S):
+        M = S.manifold
+        pts = sample_points(M.chart, 5, seed=0)
+        a, b = (M.evaluate(S.eta[i].components, pts, order=1) for i in (0, 1))
+        partials = M.evaluate(S.eta[0].components, pts, order=2)[:, :, :-1]
+        return a, b, partials - np.swapaxes(partials, 2, 3)
+
+    def test_wedge_antisymmetry(self, jets):
+        a, b, deta = jets
+        assert np.allclose(_wedge(a, b), -_wedge(b, a), rtol=0, atol=1e-13)
+        assert np.allclose(_wedge(a, deta), _wedge(deta, a), rtol=0, atol=1e-13)
+
+    def test_wedge_of_one_forms_components(self, jets):
+        a, b, _ = jets
+        w = _wedge(a, b)[:, :, 0, 1]
+        value = a[:, -1, 0] * b[:, -1, 1] - a[:, -1, 1] * b[:, -1, 0]
+        partials = (a[:, :-1, 0] * b[:, -1, None, 1] + a[:, -1, None, 0] * b[:, :-1, 1]
+                    - a[:, :-1, 1] * b[:, -1, None, 0] - a[:, -1, None, 1] * b[:, :-1, 0])
+        assert np.allclose(w[:, -1], value, rtol=0, atol=1e-13)
+        assert np.allclose(w[:, :-1], partials, rtol=0, atol=1e-13)
