@@ -23,7 +23,8 @@ from dataclasses import dataclass, field
 import numpy as np
 import sympy as sp
 
-from .manifold import Chart, Manifold, TensorField, two_form, vector
+from .manifold import Chart, Manifold, TensorField, one_form, two_form, vector
+from .sasaki import MixedThreeStructure
 
 
 @dataclass
@@ -32,7 +33,7 @@ class CatalogEntry:
     manifold: Manifold
     vectors: dict[str, TensorField] = field(default_factory=dict)
     forms: dict[str, TensorField] = field(default_factory=dict)
-    structure: "object | None" = None          # MixedThreeStructure for the fixture
+    structure: MixedThreeStructure | None = None
     frame: "np.ndarray | None" = None          # e^a_mu as object array, rows = a
     metadata: dict = field(default_factory=dict)
     manifest: list[dict] = field(default_factory=list)
@@ -191,12 +192,46 @@ def taub_nut(m_value: float = 1.0) -> CatalogEntry:
 
 
 def pseudo_sphere_fixture() -> CatalogEntry:
-    """Unit pseudo-sphere of signature (1,2) in flat R^{2,2}: the minimal
-    (n=0) mixed 3-Sasakian structure, induced by one complex and two
-    para-complex constant structures on the ambient space.  Stated in
-    closed form; the tests check it against the embedding."""
-    from .sasaki import build_pseudo_sphere_structure
-    return build_pseudo_sphere_structure()
+    """Unit pseudo-sphere {x1^2+x2^2-x3^2-x4^2 = 1} of signature (1,2) in flat
+    R^{2,2}: the minimal (n=0) mixed 3-Sasakian structure, induced by one
+    complex and two para-complex constant structures on the ambient space.
+    In the chart X = (cosh rho cos t, cosh rho sin t, sinh rho cos psi,
+    sinh rho sin psi) the tensors are stated in closed form: xi_a is the
+    tangent part of J_a X and phi_a that of J_a, with J_1 complex and
+    J_2, J_3 = -J_1 J_2 para-complex; tests/test_sasaki.py projects the
+    ambient structures through the embedding as the oracle."""
+    rho, t, psi = sp.symbols("rho t psi")
+    ch2, sh2, sh2r = sp.cosh(rho) ** 2, sp.sinh(rho) ** 2, sp.sinh(2 * rho) / 2
+    th, c, s = sp.tanh(rho), sp.cos(psi + t), sp.sin(psi + t)
+    xis = [[0, 1, 1], [c, -s * th, -s / th], [-s, -c * th, -c / th]]
+    etas = [[0, ch2, -sh2], [-c, -s * sh2r, s * sh2r], [s, -c * sh2r, c * sh2r]]
+    phis = [[[0, sh2r, -sh2r], [th, 0, 0], [1 / th, 0, 0]],
+            [[0, -s * ch2, s * sh2], [-s, 0, -c * th], [-s, -c / th, 0]],
+            [[0, -c * ch2, c * sh2], [-c, 0, s * th], [-c, s / th, 0]]]
+    pi = float(np.pi)
+    chart = Chart(("rho", "t", "psi"),
+                  {"rho": (0.3, 1.5), "t": (0.1, 2 * pi - 0.1), "psi": (0.1, 2 * pi - 0.1)})
+    M = Manifold(chart, sp.diag(-1, ch2, -sh2).tolist(), signature=(-1, 1, -1),
+                 name="pseudo-sphere")
+    S = MixedThreeStructure(M, [TensorField(p, "ud") for p in phis],
+                            [vector(x) for x in xis], [one_form(e) for e in etas])
+    entry = CatalogEntry(name="pseudo-sphere", manifold=M, structure=S)
+    for a in range(3):
+        entry.vectors[f"xi{a+1}"] = S.xi[a]
+        entry.forms[f"eta{a+1}"] = S.eta[a]
+    entry.metadata = {
+        "einstein_constant": 2,
+        "embedding": "unit pseudo-sphere x1^2+x2^2-x3^2-x4^2=1 in R^{2,2}",
+    }
+    entry.manifest = [
+        {"check": "killing-vector", "target": "xi1", "expect_pass": True},
+        {"check": "killing-vector", "target": "xi2", "expect_pass": True},
+        {"check": "killing-vector", "target": "xi3", "expect_pass": True},
+        {"check": "cky", "target": "eta1", "expect_pass": True},
+        {"check": "cky", "target": "eta2", "expect_pass": True},
+        {"check": "cky", "target": "eta3", "expect_pass": True},
+    ]
+    return entry
 
 
 _BUILDERS = {

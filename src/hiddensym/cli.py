@@ -33,118 +33,120 @@ class FileFormatError(Exception):
 # ---------------------------------------------------------------------------
 # manifold file ingestion / export
 
-def _parse_expr(src, context: str) -> sp.Expr:
-    if isinstance(src, (int, float)):
-        return sp.nsimplify(src, rational=True)
-    try:
-        return exprkit.parse(str(src))
-    except exprkit.ExprError as exc:
-        raise FileFormatError(f"bad expression in {context}: {exc}") from exc
+def _read(src, shape: tuple, leaf, context: str):
+    """src checked against shape, each entry read by leaf(entry, path); a fault
+    raises FileFormatError naming the path, e.g. structures['phi'][0][2].  An
+    item of shape is a list's length (None: any) or dict, for an object."""
+    if not shape:
+        return leaf(src, context)
+    size, where = shape[0], context or "the document"
+    if size is dict:
+        if not isinstance(src, dict):
+            raise FileFormatError(f"{where} must be an object")
+        return {k: _field(src, k, shape[1:], leaf, context=context) for k in src}
+    if not isinstance(src, list) or size not in (None, len(src)):
+        raise FileFormatError(f"{where} must be a list" + (f" of {size}" if size else ""))
+    return [_read(v, shape[1:], leaf, f"{context}[{i}]") for i, v in enumerate(src)]
 
 
-def _read_number(convert, src, context: str):
-    """convert(src), int or float, or FileFormatError naming the context: also for
-    a fractional int, and for NaN and Infinity, which json.load accepts."""
-    try:
-        if math.isfinite(float(src)) and convert(src) == float(src):
-            return convert(src)
-    except (TypeError, ValueError, OverflowError):
-        pass
-    raise FileFormatError(f"bad number {src!r} in {context}")
+def _field(obj: dict, key: str, shape: tuple, leaf, *default, context: str = ""):
+    """_read of an object's field; a missing one reads as the default, if given."""
+    path = f"{context}[{key!r}]" if context else key
+    if key not in obj and not default:
+        raise FileFormatError(f"missing required field {path}")
+    return _read(obj.get(key, *default), shape, leaf, path)
 
 
-def _check_names(exprs, allowed: set, context: str):
-    for e in exprs:
-        unknown = {s.name for s in e.free_symbols} - allowed
-        if unknown:
-            raise FileFormatError(
-                f"unbound name(s) {sorted(unknown)} in {context}")
+def _leaf(ok, what: str, convert=None):
+    """Leaf giving src, or convert(src), if ok(src) holds."""
+    def read(src, context: str):
+        try:
+            if ok(src):
+                return convert(src) if convert else src
+        except (TypeError, ValueError, OverflowError):
+            pass
+        raise FileFormatError(f"{context} must be {what}, not {src!r}")
+    return read
 
 
-def ingest(doc: dict) -> CatalogEntry:
-    """Build a catalog entry from a manifold-definition JSON document."""
-    try:
-        name = doc["name"]
-        n = _read_number(int, doc["dimension"], "dimension")
-        coords = tuple(doc["coordinates"])
-        domain = doc["domain"]
-        metric_src = doc["metric"]
-    except KeyError as exc:
-        raise FileFormatError(f"missing required field {exc}") from exc
-    if len(coords) != n:
-        raise FileFormatError("coordinates length must equal dimension")
-    box = {}
-    for c in coords:
-        if c not in domain:
-            raise FileFormatError(f"domain missing coordinate {c!r}")
-        if not (isinstance(domain[c], list) and len(domain[c]) == 2):
-            raise FileFormatError(f"domain of {c!r} must be a pair [lo, hi]")
-        box[c] = tuple(_read_number(float, b, f"domain of {c!r}") for b in domain[c])
-    params = {k: _read_number(float, v, f"parameter {k!r}")
-              for k, v in doc.get("parameters", {}).items()}
-    signature = tuple(_read_number(int, s, "signature") for s in doc.get("signature", [1] * n))
-    allowed = set(coords) | set(params)
+def _numeric(convert, allowed=None):
+    """Leaf giving convert(src) of a finite number src, in allowed if given;
+    a boolean, a fractional int, NaN and Infinity (json.load accepts them) fail."""
+    return _leaf(lambda src: not isinstance(src, bool) and math.isfinite(float(src))
+                 and convert(src) == float(src) and (allowed is None or convert(src) in allowed),
+                 f"a finite {convert.__name__}{f' in {list(allowed)}' if allowed else ''}",
+                 convert)
 
-    if len(metric_src) != n or any(len(row) != n for row in metric_src):
-        raise FileFormatError("metric must be an n x n matrix")
-    gmat = [[_parse_expr(metric_src[i][j], f"metric[{i}][{j}]")
-             for j in range(n)] for i in range(n)]
-    for i in range(n):
-        for j in range(i + 1, n):
-            if sp.simplify(gmat[i][j] - gmat[j][i]) != 0:
-                raise FileFormatError(f"metric is not symmetric at ({i},{j})")
-    _check_names(itertools.chain.from_iterable(gmat), allowed, "metric")
 
-    chart = Chart(coords, box)
-    M = Manifold(chart, gmat, params=params, signature=signature, name=name)
-    entry = CatalogEntry(name=name, manifold=M)
+_keep = _leaf(lambda src: True, "anything")
+_text = _leaf(lambda src: isinstance(src, str), "a string")
+_name = _leaf(lambda src: isinstance(src, str) and src.isascii() and src.isidentifier()
+              and src not in exprkit.FUNCTIONS, "a name that is not a function's")
+_real = _numeric(float)
 
-    for vname, comps in doc.get("vectors", {}).items():
-        if not isinstance(comps, list) or len(comps) != n:
-            raise FileFormatError(f"vector {vname!r} needs a list of {n} components")
-        exprs = [_parse_expr(c, f"vector {vname!r}") for c in comps]
-        _check_names(exprs, allowed, f"vector {vname!r}")
-        entry.vectors[vname] = vector(exprs)
 
-    for fname, block in doc.get("forms", {}).items():
-        rank = _read_number(int, block["rank"], f"form {fname!r} rank")
-        comp = np.full((n,) * rank, sp.Integer(0), dtype=object)
-        for key, src in block["components"].items():
-            idx = tuple(_read_number(int, t, f"form {fname!r} key {key!r}")
-                        for t in key.split(","))
-            if len(idx) != rank:
-                raise FileFormatError(
-                    f"form {fname!r}: index tuple {key!r} has wrong length")
-            if any(not 0 <= t < n for t in idx):
-                raise FileFormatError(
-                    f"form {fname!r}: index {key!r} out of range")
-            if rank > 1 and list(idx) != sorted(set(idx)):
-                raise FileFormatError(
-                    f"form {fname!r}: indices {key!r} must be strictly increasing")
-            e = _parse_expr(src, f"form {fname!r}[{key}]")
-            _check_names([e], allowed, f"form {fname!r}")
+def _expression(names: set):
+    """Leaf giving an expression (exprkit's grammar, or a finite number) in names."""
+    def read(src, context: str) -> sp.Expr:
+        if not isinstance(src, str):
+            return sp.nsimplify(_real(src, context), rational=True)
+        try:
+            e = exprkit.parse(src)
+        except exprkit.ExprError as exc:
+            raise FileFormatError(f"bad expression in {context}: {exc}") from exc
+        unbound = sorted({s.name for s in e.free_symbols} - names)
+        if unbound:
+            raise FileFormatError(f"unbound name(s) {unbound} in {context}")
+        return e
+    return read
+
+
+def ingest(doc) -> CatalogEntry:
+    """Build a catalog entry from a manifold-definition JSON document.  Every
+    field is read by _read, so a fault raises FileFormatError naming it."""
+    doc = _read(doc, (dict,), _keep, "")
+    n = _field(doc, "dimension", (), _numeric(int))
+    coords = tuple(_field(doc, "coordinates", (n,), _name))
+    domain = _field(doc, "domain", (dict,), _keep)
+    box = {c: tuple(_field(domain, c, (2,), _real, context="domain")) for c in coords}
+    params = _field(doc, "parameters", (dict,), _real, {})
+    clash = set(_read(list(params), (None,), _name, "parameter names")) & set(coords)
+    if clash:
+        raise FileFormatError(f"parameters {sorted(clash)} share a coordinate's name")
+    signature = tuple(_field(doc, "signature", (n,), _numeric(int, (1, -1)), [1] * n))
+    expr = _expression(set(coords) | set(params))
+    try:    # the chart, the metric and the structure check their own geometry
+        M = Manifold(Chart(coords, box), _field(doc, "metric", (n, n), expr), params=params,
+                     signature=signature, name=_field(doc, "name", (), _text))
+        entry = CatalogEntry(M.name, M, metadata=_field(doc, "metadata", (dict,), _keep, {}),
+                             manifest=_field(doc, "manifest", (None, dict), _keep, []))
+        if "structures" in doc:
+            block = _field(doc, "structures", (dict,), _keep)
+            phi, xi, eta = (_field(block, key, (3,) + (n,) * rank, expr, context="structures")
+                            for key, rank in (("phi", 2), ("xi", 1), ("eta", 1)))
+            entry.structure = sasaki.MixedThreeStructure(
+                M, [TensorField(p, "ud") for p in phi], [vector(x) for x in xi],
+                [one_form(e) for e in eta])
+    except GeometryError as exc:
+        raise FileFormatError(str(exc)) from exc
+    _field(entry.metadata, "einstein_constant", (), _real, 0, context="metadata")
+    for vname, comps in _field(doc, "vectors", (dict, n), expr, {}).items():
+        entry.vectors[vname] = vector(comps)
+    for fname, block in _field(doc, "forms", (dict, dict), _keep, {}).items():
+        path = f"forms[{fname!r}]"
+        rank = _field(block, "rank", (), _numeric(int, range(n + 1)), context=path)
+        comp, filled = np.full((n,) * rank, sp.Integer(0), dtype=object), set()
+        for key, e in _field(block, "components", (dict,), expr, context=path).items():
+            where = f"key {key!r} of {path}"
+            idx = tuple(_read(key.split(","), (rank,), _numeric(int, range(n)), where))
+            if list(idx) != sorted(set(idx)) or idx in filled:
+                raise FileFormatError(f"{where}: indices must increase strictly, once per form")
+            filled.add(idx)
             for perm in itertools.permutations(range(rank)):
                 comp[tuple(idx[p] for p in perm)] = _perm_sign(perm) * e
         entry.forms[fname] = TensorField(comp, "d" * rank)
-
-    if "structures" in doc:
-        block = doc["structures"]
-        phis, xis, etas = [], [], []
-        for a in range(3):
-            mat = block["phi"][a]
-            comp = np.array([[_parse_expr(mat[i][j], f"phi[{a}]")
-                              for j in range(n)] for i in range(n)], dtype=object)
-            phis.append(TensorField(comp, "ud"))
-            xis.append(vector([_parse_expr(c, f"xi[{a}]") for c in block["xi"][a]]))
-            etas.append(one_form([_parse_expr(c, f"eta[{a}]")
-                                  for c in block["eta"][a]]))
-        entry.structure = sasaki.MixedThreeStructure(M, phis, xis, etas)
-
     if "frame" in doc:
-        entry.frame = np.array([[_parse_expr(e, "frame") for e in row]
-                                for row in doc["frame"]], dtype=object)
-    entry.metadata = doc.get("metadata", {})
-    entry.manifest = doc.get("manifest", [])
+        entry.frame = np.array(_field(doc, "frame", (n, n), expr), dtype=object)
     return entry
 
 
@@ -301,35 +303,31 @@ def _cmd_construct(args) -> int:
     return 0 if ok else 1
 
 
-def _parse_state(src: str, coords) -> dict:
-    out = {}
-    for part in src.split(","):
-        key, _, val = part.partition("=")
-        if key.strip() not in coords:
-            raise FileFormatError(f"unknown coordinate {key.strip()!r}")
-        out[key.strip()] = float(val)
-    missing = set(coords) - set(out)
-    if missing:
-        raise FileFormatError(f"missing coordinate value(s): {sorted(missing)}")
-    return out
+def _parse_state(src: str, coords, flag: str) -> dict:
+    """c1=v1,c2=v2,...: a finite value for each coordinate, each given once."""
+    pairs = [part.partition("=")[::2] for part in src.split(",")]
+    state = {c.strip(): _real(v, f"{flag} {c.strip()}") for c, v in pairs}
+    if len(pairs) != len(coords) or set(state) != set(coords):
+        raise FileFormatError(f"{flag} needs one value for each of {', '.join(coords)}")
+    return state
 
 
 def _cmd_geodesic(args) -> int:
     entry = _load_entry(args)
     M = entry.manifold
-    coords = M.chart.coords
-    s0 = geodesic.GeodesicState(_parse_state(args.position, coords),
-                                _parse_state(args.velocity, coords))
+    s0 = geodesic.GeodesicState(_parse_state(args.position, M.chart.coords, "--position"),
+                                _parse_state(args.velocity, M.chart.coords, "--velocity"))
+    if not M.chart.contains(s0.position):
+        raise FileFormatError("--position lies outside the chart's domain box")
     cfg = geodesic.IntegratorConfig(method=args.method, step=args.step,
                                     t_span=(0.0, args.t1), stride=args.stride)
     traj = geodesic.integrate(M, s0, cfg)
-    ok = True
     rep = geodesic.energy_report(traj, M, tol=args.tol)
     obj = rep.to_json()
     obj["steps_kept"] = len(traj)
     obj["exited_domain"] = traj.exited_domain
     _emit(obj, args.pretty)
-    ok = ok and rep.passed
+    ok = rep.passed
     if args.invariant:
         if args.invariant.startswith("assoc-sk:"):
             Q = killing.associated_sk(entry.target(args.invariant[9:]), M)

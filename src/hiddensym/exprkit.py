@@ -27,6 +27,11 @@ FUNCTIONS = {
 }
 
 
+# sympy's printer, and so lambdify and export, recurses once per level of a tree,
+# and a compiled expression converts each integer in it to a float
+MAX_DEPTH, MAX_BITS = 100, 1023
+
+
 class ExprError(Exception):
     pass
 
@@ -151,9 +156,12 @@ class _Parser:
     def power(self) -> Expr:
         base = self.atom()
         if self.peek()[1] == "^":
-            self.next()
+            off = self.next()[2]
             # right-associative; exponent may carry a unary sign
             exponent = self.factor()
+            if (base.is_Rational and exponent.is_Integer and abs(exponent)
+                    * (max(abs(base.p), base.q).bit_length() - 1) > MAX_BITS):
+                raise ParseError(f"constant of more than {MAX_BITS} bits", off)
             return base ** exponent
         return base
 
@@ -180,9 +188,22 @@ class _Parser:
         raise ParseError(f"unexpected token {tok!r}", off)
 
 
+def _depth(e: Expr) -> int:
+    return 1 + max((_depth(a) for a in e.args), default=0)
+
+
 def parse(src: str) -> Expr:
-    """Parse infix source into an expression tree."""
-    return _Parser(src).parse()
+    """Parse infix source into an expression tree.  A tree deeper than
+    MAX_DEPTH, or with an integer of more than MAX_BITS bits, is a ParseError."""
+    try:
+        e = _Parser(src).parse()
+        deep = _depth(e) > MAX_DEPTH
+    except RecursionError:
+        deep = True
+    if deep or any(max(abs(r.p), r.q).bit_length() > MAX_BITS for r in e.atoms(sp.Rational)):
+        raise ParseError(f"expression nested more than {MAX_DEPTH} deep" if deep else
+                         f"constant of more than {MAX_BITS} bits", 0)
+    return e
 
 
 def to_source(e: Expr) -> str:

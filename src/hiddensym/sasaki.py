@@ -1,13 +1,8 @@
-"""Mixed 3-structures: identity suites, cone construction, and the
-pseudo-sphere fixture.
+"""Mixed 3-structures: identity suites and cone construction.
 
-The fixture is the unit pseudo-sphere {x1^2+x2^2-x3^2-x4^2 = 1} inside
-flat R^{2,2}, carrying the structure induced by one constant complex
-structure and two constant para-complex structures of the ambient space.
-Its metric and structure tensors are stated in closed form; the tests
-check them against the projection of the ambient structures through the
-embedding.  Its cone is the ambient flat space itself, so every cone-level
-check has an independent closed-form answer.
+The checks are exercised on the pseudo-sphere fixture of the catalog
+(catalog.pseudo_sphere_fixture), whose cone is the ambient flat space
+itself, so every cone-level check has an independent closed-form answer.
 """
 
 from __future__ import annotations
@@ -23,7 +18,7 @@ from .killing import (ResidualReport, _default_points, _killing_report, _ky_repo
                       _max_abs, _report, conformal_killing_factor, DEFAULT_TOL)
 from .manifold import (Chart, GeometryError, Manifold, TensorField, TensorValues,
                        _covariant, _product, antisymmetrize, covariant_derivative,
-                       exterior_derivative, lower_index, vector, one_form)
+                       exterior_derivative, lower_index, vector)
 
 EPS = (1, -1, -1)
 _EVEN = [(0, 1, 2), (1, 2, 0), (2, 0, 1)]
@@ -425,53 +420,3 @@ def ky_odd_rank_check(S: MixedThreeStructure, k: int, alpha: int = 0,
     rep = _ky_report(_covariant(jet, christoffel, "d" * (2 * k + 1)), pts, tol)
     rep.extra.update(rank=2 * k + 1, alpha=alpha + 1)
     return rep
-
-
-# ---------------------------------------------------------------------------
-# the pseudo-sphere fixture
-
-def build_pseudo_sphere_structure():
-    """Catalog entry for the signature-(1,2) unit pseudo-sphere fixture,
-    in the chart X = (cosh rho cos t, cosh rho sin t, sinh rho cos psi,
-    sinh rho sin psi) of R^{2,2}.  The tensors are stated in closed form:
-    xi_a is the tangent part of J_a X and phi_a that of J_a, with J_1
-    complex and J_2, J_3 = -J_1 J_2 para-complex; tests/test_sasaki.py
-    projects the ambient structures through the embedding as the oracle."""
-    from .catalog import CatalogEntry
-
-    rho, t, psi = sp.symbols("rho t psi")
-    ch2, sh2, sh2r = sp.cosh(rho) ** 2, sp.sinh(rho) ** 2, sp.sinh(2 * rho) / 2
-    th, c, s = sp.tanh(rho), sp.cos(psi + t), sp.sin(psi + t)
-    xis = [[0, 1, 1], [c, -s * th, -s / th], [-s, -c * th, -c / th]]
-    etas = [[0, ch2, -sh2], [-c, -s * sh2r, s * sh2r], [s, -c * sh2r, c * sh2r]]
-    phis = [[[0, sh2r, -sh2r], [th, 0, 0], [1 / th, 0, 0]],
-            [[0, -s * ch2, s * sh2], [-s, 0, -c * th], [-s, -c / th, 0]],
-            [[0, -c * ch2, c * sh2], [-c, 0, s * th], [-c, s / th, 0]]]
-    pi = float(np.pi)
-    chart = Chart(("rho", "t", "psi"),
-                  {"rho": (0.3, 1.5), "t": (0.1, 2 * pi - 0.1), "psi": (0.1, 2 * pi - 0.1)})
-    M = Manifold(chart, sp.diag(-1, ch2, -sh2).tolist(), signature=(-1, 1, -1),
-                 name="pseudo-sphere")
-    S = MixedThreeStructure(
-        M,
-        [TensorField(p, "ud") for p in phis],
-        [vector(x) for x in xis],
-        [one_form(e) for e in etas],
-    )
-    entry = CatalogEntry(name="pseudo-sphere", manifold=M, structure=S)
-    for a in range(3):
-        entry.vectors[f"xi{a+1}"] = S.xi[a]
-        entry.forms[f"eta{a+1}"] = S.eta[a]
-    entry.metadata = {
-        "einstein_constant": 2,
-        "embedding": "unit pseudo-sphere x1^2+x2^2-x3^2-x4^2=1 in R^{2,2}",
-    }
-    entry.manifest = [
-        {"check": "killing-vector", "target": "xi1", "expect_pass": True},
-        {"check": "killing-vector", "target": "xi2", "expect_pass": True},
-        {"check": "killing-vector", "target": "xi3", "expect_pass": True},
-        {"check": "cky", "target": "eta1", "expect_pass": True},
-        {"check": "cky", "target": "eta2", "expect_pass": True},
-        {"check": "cky", "target": "eta3", "expect_pass": True},
-    ]
-    return entry

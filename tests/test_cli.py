@@ -1,9 +1,12 @@
 import json
 
+import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from hiddensym import cli
 from hiddensym.cli import FileFormatError, export, ingest, main
+from hiddensym.manifold import sample_points
 
 
 def run(capsys, *argv):
@@ -23,6 +26,43 @@ MINIMAL = {
     "vectors": {"rot": ["-y", "x"], "dil": ["x", "y"]},
     "forms": {"area": {"rank": 2, "components": {"0,1": "1"}}},
 }
+
+# a three-dimensional flat document with an (all-zero) mixed 3-structure block:
+# well formed, so each fault planted in it is the one that is rejected
+ZERO3 = ["0", "0", "0"]
+STRUCTURED = dict(
+    MINIMAL, dimension=3, coordinates=["x", "y", "z"], signature=[1, 1, 1],
+    domain={c: [-1.0, 1.0] for c in "xyz"}, vectors={}, forms={},
+    metric=[["1", "0", "0"], ["0", "1", "0"], ["0", "0", "1"]],
+    structures={"phi": [[ZERO3] * 3] * 3, "xi": [ZERO3] * 3, "eta": [ZERO3] * 3})
+
+
+def planted(doc, path, value):
+    """A copy of doc, with no entry shared, in which the entry at path (a
+    sequence of keys and indices; empty for the whole document) is value."""
+    if not path:
+        return value
+    out = json.loads(json.dumps(doc))
+    parent = out
+    for key in path[:-1]:
+        parent = parent[key]
+    parent[path[-1]] = value
+    return out
+
+
+def paths(doc, prefix=()):
+    """The path of doc and of every entry nested in it."""
+    yield prefix
+    if isinstance(doc, (dict, list)):
+        for key, value in (doc.items() if isinstance(doc, dict) else enumerate(doc)):
+            yield from paths(value, prefix + (key,))
+
+
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=3), inner,
+                                                                 max_size=3),
+    max_leaves=6)
 
 
 class TestIngest:
@@ -78,10 +118,68 @@ class TestIngest:
         {"parameters": {"m": "heavy"}},
         {"vectors": {"bad": 5}},
         {"vectors": {"bad": "xy"}},
+        {"metric": 5},
+        {"metric": [1, 2]},
+        {"coordinates": 5},
+        {"parameters": [1]},
+        {"vectors": [1]},
+        {"forms": {"f": [1]}},
+        {"forms": {"f": {"rank": 1, "components": [1]}}},
+        {"parameters": {"x": 1.0}},
+        {"structures": [1]},
+        {"frame": 3},
+        {"frame": [["1"], ["0"]]},
+        {"frame": [["z", "0"], ["0", "1"]]},
+        {"manifest": [1]},
+        {"forms": {"f": {"rank": -1, "components": {}}}},
+        {"forms": {"f": {"rank": 3, "components": {}}}},
+        {"signature": [1, 2]},
+        {"name": 5},
+        {"forms": {"f": {"rank": 2, "components": {"0,1": "1", " 0,1": "x"}}}},
+        {"coordinates": ["sin", "y"], "domain": {"sin": [0.5, 1.0], "y": [0.5, 1.0]},
+         "vectors": {"rot": ["-y", "sin"]}},
+        {"metadata": {"einstein_constant": "two"}},
+        {"vectors": {"bad": ["10^400", "0"]}},
+        {"metric": [["1", "^".join(["x"] * 300)], ["^".join(["x"] * 300), "1"]]},
     ])
     def test_malformed_values_rejected(self, change):
         with pytest.raises(FileFormatError):
             ingest(dict(MINIMAL, **change))
+
+    @pytest.mark.parametrize("doc", [[1], "euclid2", None])
+    def test_document_must_be_an_object(self, doc):
+        with pytest.raises(FileFormatError, match="the document must be an object"):
+            ingest(doc)
+
+    def test_structured_document(self):
+        assert ingest(STRUCTURED).structure.sasakian_rank == 0
+
+    @pytest.mark.parametrize("path, value, field", [
+        (("structures",), [1], "structures"),
+        (("structures", "phi"), 1, r"structures\['phi'\]"),
+        (("structures", "phi"), [[ZERO3] * 3] * 2, r"structures\['phi'\]"),
+        (("structures", "phi", 0, 1), ["0"], r"structures\['phi'\]\[0\]\[1\]"),
+        (("structures", "xi", 1), ZERO3 + ["0"], r"structures\['xi'\]\[1\]"),
+        (("structures", "eta"), "abc", r"structures\['eta'\]"),
+        (("structures", "phi", 0, 2, 1), "q", r"structures\['phi'\]\[0\]\[2\]\[1\]"),
+        (("structures", "eta", 2, 0), "q + 1", r"structures\['eta'\]\[2\]\[0\]"),
+        (("structures", "xi"), None, r"structures\['xi'\]"),
+    ])
+    def test_malformed_structures_rejected(self, path, value, field):
+        """Each fault is reported with the path of the field that holds it."""
+        with pytest.raises(FileFormatError, match=field):
+            ingest(planted(STRUCTURED, path, value))
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.sampled_from(list(paths(dict(MINIMAL, frame=[["1", "0"], ["0", "1"]])))),
+           JSON_VALUES)
+    def test_any_planted_value_is_read_or_rejected(self, path, value):
+        """Whatever JSON value replaces one field, at any depth, ingest gives
+        an entry or raises FileFormatError, never another exception."""
+        try:
+            ingest(planted(dict(MINIMAL, frame=[["1", "0"], ["0", "1"]]), path, value))
+        except FileFormatError:
+            pass
 
     def test_index_out_of_range_rejected(self):
         doc = dict(MINIMAL,
@@ -90,7 +188,50 @@ class TestIngest:
             ingest(doc)
 
 
+def component_arrays(entry) -> dict:
+    """Every component array of a catalog entry by name: the metric, the
+    vectors, the forms, the mixed 3-structure and the frame."""
+    arrays = {"metric": entry.manifold.metric.tolist()}
+    arrays.update((f"vector {k}", X.components) for k, X in entry.vectors.items())
+    arrays.update((f"form {k}", F.components) for k, F in entry.forms.items())
+    if entry.structure is not None:
+        for name in ("phi", "xi", "eta"):
+            arrays.update((f"{name}[{a}]", T.components)
+                          for a, T in enumerate(getattr(entry.structure, name)))
+    if entry.frame is not None:
+        arrays["frame"] = entry.frame
+    return arrays
+
+
+def largest_relative_gap(entry, other, points=10) -> float:
+    """The largest difference between the values of two entries' arrays at
+    seeded points, each relative to the largest value of its array."""
+    pts = sample_points(entry.manifold.chart, points, seed=0)
+    mine, theirs = component_arrays(entry), component_arrays(other)
+    assert mine.keys() == theirs.keys()
+    gaps = [0.0]
+    for key in mine:
+        a = entry.manifold.evaluate(np.array(mine[key], dtype=object), pts)
+        b = other.manifold.evaluate(np.array(theirs[key], dtype=object), pts)
+        if np.any(a != b):
+            gaps.append(np.max(np.abs(a - b)) / np.max(np.abs(a)))
+    return max(gaps)
+
+
 class TestExportRoundTrip:
+    def test_every_field_survives(self, entry):
+        """ingest(export(entry)) carries the entry's chart, signature and, to
+        roundoff, every array it has: the rewritten hyperbolics included."""
+        back = ingest(export(entry))
+        assert back.manifold.chart == entry.manifold.chart
+        assert back.manifold.signature == entry.manifold.signature
+        assert largest_relative_gap(entry, back) <= 1e-12
+
+    def test_planted_metric_swap_is_seen(self, tn):
+        doc = export(tn)
+        doc["metric"][0][0], doc["metric"][1][1] = doc["metric"][1][1], doc["metric"][0][0]
+        assert largest_relative_gap(tn, ingest(doc)) > 1e-12
+
     @pytest.mark.parametrize("name", ["flat3", "sphere2"])
     def test_round_trip_preserves_outcomes(self, name):
         from hiddensym import catalog
@@ -143,6 +284,19 @@ class TestCheckCommand:
         code, _ = run(capsys, "check", "ky", "--manifold", str(path),
                       "--target", "f")
         assert code == 2
+
+    @pytest.mark.parametrize("doc, argv", [
+        (planted(STRUCTURED, ("structures", "phi", 0, 2, 1), "q"),
+         ["sasaki", "witness", "--points", "2"]),
+        (dict(MINIMAL, frame=[["1"], ["0"]]),
+         ["spin", "commute", "--target", "rot", "--points", "2", "--bank", "1"]),
+        (dict(MINIMAL, manifest=[1]), ["check", "killing-vector", "--target", "rot"]),
+    ], ids=["structures", "frame", "manifest"])
+    def test_malformed_block_gives_exit_two(self, capsys, tmp_path, doc, argv):
+        path = tmp_path / "m.json"
+        path.write_text(json.dumps(doc))
+        assert main(argv + ["--manifold", str(path)]) == 2
+        assert capsys.readouterr().out == ""
 
     def test_unknown_catalog_gives_exit_two(self, capsys):
         code, _ = run(capsys, "check", "ky", "--catalog", "nope",
@@ -303,6 +457,12 @@ class TestNumberValidation:
         ORBIT + ["--t1", "0"],
         ORBIT + ["--t1", "-0.5"],
         ORBIT + ["--invariant-tol", "-1"],
+        ORBIT + ["--position", "theta=abc,phi=0.5"],
+        ORBIT + ["--position", "theta,phi=0.5"],
+        ORBIT + ["--position", "theta=nan,phi=0.5"],
+        ORBIT + ["--position", "theta=5,phi=0.5"],
+        ORBIT + ["--velocity", "theta=nan,phi=0.4"],
+        ORBIT + ["--position", "theta=1,phi=1,theta=2"],
         ["algebra", "jacobi", "--cutoff", "-1"],
         ["sasaki", "einstein", "--catalog", "pseudo-sphere", "--einstein-constant", "nan"],
     ])

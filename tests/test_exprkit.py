@@ -58,6 +58,33 @@ class TestParse:
         with pytest.raises(ParseError):
             parse("sin(x")
 
+    @pytest.mark.parametrize("src", [
+        "(" * 2000 + "x" + ")" * 2000,
+        "-" * 2000 + "x",
+        "^".join(["x"] * 300),
+        "sin(" * exprkit.MAX_DEPTH + "x" + ")" * exprkit.MAX_DEPTH,
+    ])
+    def test_deep_nesting_rejected(self, src):
+        """A tree sympy's printer could not recurse through is a ParseError,
+        not a RecursionError here or later in lambdify."""
+        with pytest.raises(ParseError, match="nested"):
+            parse(src)
+
+    def test_nesting_up_to_the_limit_accepted(self):
+        depth = exprkit.MAX_DEPTH - 1
+        assert parse("sin(" * depth + "x" + ")" * depth).has(sp.sin)
+
+    @pytest.mark.parametrize("src", ["2^1023", "10^400", "10^200*10^200", "x/10^400",
+                                     "(1/2)^2000", "9^9^7"])
+    def test_constant_beyond_a_float_rejected(self, src):
+        """Every integer in a tree converts to a float; 9^9^7 is refused
+        before its 4.5 million digits are computed."""
+        with pytest.raises(ParseError, match="bits"):
+            parse(src)
+
+    def test_largest_constant_accepted(self):
+        assert parse("2^1022") == sp.Integer(2) ** 1022
+
 
 _names = st.sampled_from(["x", "y", "theta"])
 _leaves = st.one_of(
