@@ -97,6 +97,8 @@ def _expression(names: set):
         unbound = sorted({s.name for s in e.free_symbols} - names)
         if unbound:
             raise FileFormatError(f"unbound name(s) {unbound} in {context}")
+        if e.has(sp.zoo, sp.nan, sp.oo, -sp.oo):     # 1/0, log(0), 0^-1, 0/0
+            raise FileFormatError(f"{context} must be finite, not {src!r}")
         return e
     return read
 
@@ -295,9 +297,9 @@ def _cmd_construct(args) -> int:
     ok = _finalize(report, entry, "sk", args.target, args)
     if args.emit_components:
         n = M.dim
-        comp = {f"{i},{j}": _expr_to_source(K.components[i, j])
-                for i in range(n) for j in range(i, n)
-                if K.components[i, j] != 0}
+        exprs = killing.associated_sk_symbolic(f, M).components
+        comp = {f"{i},{j}": _expr_to_source(exprs[i, j])
+                for i in range(n) for j in range(i, n) if exprs[i, j] != 0}
         _emit({"constructed": "associated-sk", "source": args.target,
                "components": comp}, args.pretty)
     return 0 if ok else 1

@@ -143,12 +143,13 @@ def invariant_values(traj: Trajectory, Q: TensorField, M: Manifold) -> list[floa
     """Q contracted with velocities along the trajectory.
 
     Vector fields give the rank-1 Killing invariant g(Q, xdot); symmetric
-    tensors give K_{m1..mr} xdot^{m1}..xdot^{mr}.
+    tensors, also the S-K squares of killing.associated_sk, give
+    K_{m1..mr} xdot^{m1}..xdot^{mr}.  Q's values come from Q.jet.
     """
     if Q.variance != "u" and set(Q.variance) - {"d"}:
         raise ValueError("invariant spec must be fully covariant or a vector field")
     positions = [st.position for st in traj.states]
-    val = M.evaluate(Q.components, positions)
+    val = Q.jet(M, positions)
     if Q.variance == "u":       # lowered: Q_mu = g_{mu nu} Q^nu
         val = np.einsum("pmn,pn->pm", M.evaluate(M.metric, positions), val)
     v = np.array([[st.velocity[c] for c in M.chart.coords] for st in traj.states])

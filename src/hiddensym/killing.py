@@ -22,8 +22,9 @@ from dataclasses import dataclass, field
 import numpy as np
 import sympy as sp
 
-from .manifold import (Manifold, TensorField, antisymmetrize, covariant_derivative,
-                       sample_points, symmetrize, GeometryError)
+from .manifold import (Manifold, TensorField, _covariant, _inverse, _pointwise,
+                       _product, antisymmetrize, covariant_derivative, sample_points,
+                       symmetrize, GeometryError)
 
 DEFAULT_TOL = 1e-9
 DEFAULT_POINTS = 20
@@ -146,19 +147,21 @@ def conformal_killing_factor(X: TensorField, M: Manifold, points=None, seed=0,
 # ---------------------------------------------------------------------------
 # Staeckel-Killing / Killing-Yano / conformal Killing-Yano
 
-def _guarded_nabla(T: TensorField, M: Manifold, pts, project, message: str) -> np.ndarray:
-    """grad T at the points; GeometryError(message) unless project(values, 1),
-    a batched projector, fixes T's values at every point to 1e-12 relative."""
-    nabla = covariant_derivative(T, M, pts)
-    vals = nabla.values
-    if np.any(_max_abs(vals - project(vals, 1)) > 1e-12 * np.maximum(1.0, _max_abs(vals))):
-        raise GeometryError(message)
-    return nabla.components
+def _guarded_nabla(T, M: Manifold, pts, project, message: str) -> np.ndarray:
+    """grad T from T.jet and Gamma's values; GeometryError(message) unless
+    project(values, 1), a batched projector, fixes T's values at every point
+    to 1e-12 relative.  Overflowed values pass the guard and fail the report."""
+    jet = T.jet(M, pts, 1)
+    vals = jet[:, -1]
+    with np.errstate(invalid="ignore", over="ignore"):
+        if np.any(_max_abs(vals - project(vals, 1)) > 1e-12 * np.maximum(1.0, _max_abs(vals))):
+            raise GeometryError(message)
+    return _covariant(jet, M.christoffel(pts)[:, -1], T.variance)
 
 
 def sk_residual(K: TensorField, M: Manifold, points=None, seed=0,
                 tol=DEFAULT_TOL) -> ResidualReport:
-    """Fully symmetrized covariant derivative of a symmetric tensor."""
+    """Fully symmetrized covariant derivative of a symmetric tensor or S-K square."""
     pts = _default_points(M, points, seed)
     nabla = _guarded_nabla(K, M, pts, symmetrize, "sk_residual requires a symmetric tensor")
     return _report("staeckel-killing", pts, _max_abs(symmetrize(nabla, 1)),
@@ -218,8 +221,41 @@ def covariant_constancy_residual(T: TensorField, M: Manifold, points=None, seed=
                    extra={"max_abs_per_point": worst.tolist()})
 
 
-def associated_sk(f: TensorField, M: Manifold) -> TensorField:
-    """K_{mu nu} = f_{mu a2..ap} f^{a2..ap}_{nu}: the S-K square of a K-Y form."""
+@dataclass(frozen=True)
+class SKSquare:
+    """K_{mu nu} = f_{mu A} g^{AB} f_{B nu}, one g^-1 per inner slot of the
+    p-form f: the S-K square of a K-Y form, held as f.  Its numbers are numpy
+    on f's jet and the metric's; associated_sk_symbolic gives its expressions."""
+
+    form: TensorField
+    variance = "dd"
+    rank = 2
+
+    def jet(self, M: Manifold, points, order: int = 0) -> np.ndarray:
+        """Values (order 0) or 1-jet (order 1) of K at the points: the
+        symmetrized product of f's jet and g^-1's (Leibniz at order 1)."""
+        inner, outer = "abcdef"[:self.form.rank - 1], "qrstuv"[:self.form.rank - 1]
+        subscripts = ",".join([f"m{inner}", *map("".join, zip(inner, outer)),
+                               f"{outer}n"]) + "->mn"
+        if order:
+            ginv, product = _inverse(M.metric_jet(points)[:, :, -1]), _product
+        else:
+            ginv, product = M.inverse_metric_values(points), _pointwise
+        f = self.form.jet(M, points, order)
+        K = product(subscripts, f, *[ginv] * len(inner), f)
+        return (K + np.swapaxes(K, -1, -2)) / 2
+
+
+def associated_sk(f: TensorField, M: Manifold) -> SKSquare:
+    """The S-K square of the K-Y form f on M; sk_residual and the geodesic
+    monitors take its jets on M."""
+    return SKSquare(f)
+
+
+def associated_sk_symbolic(f: TensorField, M: Manifold) -> TensorField:
+    """associated_sk(f, M) as expressions in rational normal form over the
+    symbolic g^-1 (exact 0 where sin^2 + cos^2 = 1 alone cancels), for
+    `construct assoc-sk --emit-components` and the tests."""
     p = f.rank
     n = M.dim
     ginv = M.inverse_metric_matrix()

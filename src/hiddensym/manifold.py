@@ -85,6 +85,11 @@ class TensorField:
     def rank(self) -> int:
         return self.components.ndim
 
+    def jet(self, M: "Manifold", points, order: int = 0) -> np.ndarray:
+        """The field's values (order 0) or order-jet at the points; the S-K
+        check and the geodesic monitors read any field's numbers this way."""
+        return M.evaluate(self.components, points, order=order)
+
 
 # ---------------------------------------------------------------------------
 # jets
@@ -493,7 +498,7 @@ class TensorValues:
 def covariant_derivative(T: TensorField, M: Manifold, points) -> TensorValues:
     """Levi-Civita covariant derivative at the points, the new (lower) slot
     first, and T's values: both from one 1-jet of T, with Gamma's values."""
-    jet = M.evaluate(T.components, points, order=1)
+    jet = T.jet(M, points, 1)
     return TensorValues(_covariant(jet, M.christoffel(points)[:, -1], T.variance),
                         jet[:, -1])
 

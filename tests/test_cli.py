@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 from hiddensym import cli
 from hiddensym.cli import FileFormatError, export, ingest, main
 from hiddensym.manifold import sample_points
+from test_algebra import digest
 
 
 def run(capsys, *argv):
@@ -145,6 +146,20 @@ class TestIngest:
     def test_malformed_values_rejected(self, change):
         with pytest.raises(FileFormatError):
             ingest(dict(MINIMAL, **change))
+
+    @pytest.mark.parametrize("spelling", ["1/0", "log(0)", "0^-1", "0/0"])
+    def test_non_finite_constant_rejected(self, capsys, tmp_path, spelling):
+        """A constant that evaluates to zoo, nan or +-oo is a fault of its field
+        (lambdify's printer raised KeyError 'ComplexInfinity' on it)."""
+        doc = dict(MINIMAL, metric=[[spelling, "0"], ["0", "1"]])
+        with pytest.raises(FileFormatError, match=r"^metric\[0\]\[0\] must be finite"):
+            ingest(doc)
+        path = tmp_path / "m.json"
+        path.write_text(json.dumps(doc))
+        assert main(["check", "killing-vector", "--manifold", str(path),
+                     "--target", "rot"]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and "metric[0][0]" in err
 
     @pytest.mark.parametrize("doc", [[1], "euclid2", None])
     def test_document_must_be_an_object(self, doc):
@@ -298,6 +313,21 @@ class TestCheckCommand:
         assert main(argv + ["--manifold", str(path)]) == 2
         assert capsys.readouterr().out == ""
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_overflowing_form_fails_without_a_warning(self, capsys, tmp_path):
+        """A form whose values overflow to inf fails its check (exit 1), and the
+        input guard's inf - inf prints no RuntimeWarning."""
+        entry = "x"
+        for _ in range(49):
+            entry = f"(x+{entry})^2"
+        doc = dict(STRUCTURED, forms={"f": {"rank": 2, "components": {"0,1": entry}}})
+        doc.pop("structures")
+        path = tmp_path / "m.json"
+        path.write_text(json.dumps(doc))
+        code, reports = run(capsys, "check", "ky", "--manifold", str(path), "--target", "f")
+        assert code == 1
+        assert reports[0]["pass"] is False and reports[0]["extra"]["non_finite_points"] > 0
+
     def test_unknown_catalog_gives_exit_two(self, capsys):
         code, _ = run(capsys, "check", "ky", "--catalog", "nope",
                       "--target", "f")
@@ -326,6 +356,18 @@ class TestCheckCommand:
               "--target", "dphi"])
         second = capsys.readouterr().out
         assert first == second
+
+
+class TestConstructCommand:
+    @pytest.mark.parametrize("target, want", [
+        ("f1", "0d5880cfdd19b160"), ("f2", "685a8e0169937b32"),
+        ("f3", "57a02bb0af172a98"), ("fY", "d3afc5f06ac4e153")])
+    def test_emitted_components_are_pinned(self, capsys, target, want):
+        """The text of the square's components, as --emit-components prints it."""
+        code, (report, emitted) = run(capsys, "construct", "assoc-sk", "--catalog",
+                                      "taub-nut", "--target", target, "--emit-components")
+        assert code == 0 and report["pass"]
+        assert digest(emitted) == want
 
 
 class TestJsonFlag:

@@ -7,14 +7,17 @@ import pytest
 import sympy as sp
 from hypothesis import given, settings, strategies as st
 
-from hiddensym import catalog
-from hiddensym.killing import (associated_sk, cky_residual,
+from hiddensym import catalog, killing
+from hiddensym.geodesic import IntegratorConfig, integrate, monitor_invariant
+from hiddensym.killing import (associated_sk, associated_sk_symbolic, cky_residual,
                                conformal_killing_factor,
                                covariant_constancy_residual,
                                killing_vector_residual, ky_residual,
                                sk_residual, unit_root_check)
-from hiddensym.manifold import (GeometryError, TensorField, one_form, sample_points,
-                                two_form, vector)
+from hiddensym.manifold import (GeometryError, Manifold, TensorField, _pointwise, _product,
+                                one_form, sample_points, two_form, vector)
+from symbolic_geometry import ky_odd_rank_candidate
+from test_acceptance import _ORBIT
 
 
 @pytest.fixture(scope="module")
@@ -169,11 +172,12 @@ class TestConformalKillingYanoFlat:
         assert ky_residual(f, flat4, points=5).passed == (not any(b))
 
 
+FLAT4_PARALLEL = [[0, 1, 0, 0], [-1, 0, 0, 0], [0, 0, 0, 1], [0, 0, -1, 0]]
+
+
 class TestAssociatedSK:
     def test_square_of_parallel_ky_is_sk(self, flat4):
-        f = two_form([[0, 1, 0, 0], [-1, 0, 0, 0],
-                      [0, 0, 0, 1], [0, 0, -1, 0]])
-        K = associated_sk(f, flat4)
+        K = associated_sk(two_form(FLAT4_PARALLEL), flat4)
         assert K.variance == "dd"
         assert sk_residual(K, flat4).passed
 
@@ -187,17 +191,86 @@ class TestAssociatedSK:
         pts = sample_points(M.chart, 20, seed=0)
         F = M.evaluate(tn.forms[name].components, pts)
         want = F @ np.linalg.inv(M.evaluate(M.metric, pts)) @ F
-        got = M.evaluate(associated_sk(tn.forms[name], M).components, pts)
+        got = associated_sk(tn.forms[name], M).jet(M, pts)
         assert np.max(np.abs(got - want)) < 1e-12 * np.max(np.abs(want))
 
     def test_components_zero_by_a_trig_identity_are_exact_zeros(self, tn):
         """Rational normal form leaves these components of f1's square as
         expressions that vanish only by sin^2 + cos^2 = 1; the construction
         makes them exact zeros, so --emit-components leaves them out."""
-        K = associated_sk(tn.forms["f1"], tn.manifold).components
+        K = associated_sk_symbolic(tn.forms["f1"], tn.manifold).components
         for i, j in [(0, 2), (0, 3), (1, 2), (1, 3)]:
             assert K[i, j] == 0 and K[j, i] == 0
         assert all(K[i, i] != 0 for i in range(4))
+
+
+def _square_cases(tn, ps):
+    """(manifold, form) by name: Taub-NUT's KY 2-forms, a parallel 2-form on
+    flat4, the pseudo-sphere's eta_1 (rank 1) and eta_1 ^ d eta_1 (rank 3)."""
+    cases = {name: (tn.manifold, tn.forms[name]) for name in ("f1", "f2", "f3", "fY")}
+    cases["flat4"] = (catalog.flat(4).manifold, two_form(FLAT4_PARALLEL))
+    cases["eta1"] = (ps.manifold, ps.structure.eta[0])
+    cases["eta1-deta1"] = (ps.manifold, ky_odd_rank_candidate(ps.structure, 0, 1))
+    return cases
+
+
+def _square_gaps(K, M, f, pts) -> tuple[float, float]:
+    """Largest gaps between the square's 1-jet and values and those of its
+    symbolic components, relative to the largest entry of the latter."""
+    want = M.evaluate(associated_sk_symbolic(f, M).components, pts, order=1)
+    scale = np.max(np.abs(want))
+    return (np.max(np.abs(K.jet(M, pts, 1) - want)) / scale,
+            np.max(np.abs(K.jet(M, pts) - want[:, -1])) / scale)
+
+
+class TestSquareFromJets:
+    """The old path (symbolic g^-1, contraction, cancel) is the reference for
+    the square's numbers: values and 1-jet at 20 seeded points."""
+
+    NAMES = ["f1", "f2", "f3", "fY", "flat4", "eta1", "eta1-deta1"]
+
+    @pytest.mark.parametrize("name", NAMES)
+    def test_matches_the_symbolic_square(self, tn, ps, name):
+        M, f = _square_cases(tn, ps)[name]
+        assert f.rank == {"eta1": 1, "eta1-deta1": 3}.get(name, 2)
+        pts = sample_points(M.chart, 20, seed=0)
+        assert max(_square_gaps(associated_sk(f, M), M, f, pts)) <= 1e-12
+
+    def test_transposed_last_factor_is_caught(self, tn, monkeypatch):
+        """f_{mu a} g^{ab} f_{nu b}, planted in the products of the values and
+        of the 1-jet, flips K's sign; the S-K check cannot see that (-K is
+        Staeckel-Killing too), the old-path comparison does, on both."""
+        def transposed_last(product):
+            def planted(subscripts, *arrays):
+                ins, out = subscripts.split("->")
+                *head, last = ins.split(",")
+                return product(",".join(head + [last[::-1]]) + "->" + out, *arrays)
+            return planted
+
+        M, f = tn.manifold, tn.forms["fY"]
+        pts = sample_points(M.chart, 20, seed=0)
+        monkeypatch.setattr(killing, "_product", transposed_last(_product))
+        monkeypatch.setattr(killing, "_pointwise", transposed_last(_pointwise))
+        K = associated_sk(f, M)
+        assert sk_residual(K, M).passed
+        assert min(_square_gaps(K, M, f, pts)) > 1.0
+
+    def test_no_symbolic_inverse_or_cancel_on_the_check_paths(self, tn, monkeypatch):
+        """The S-K check and the geodesic monitor of fY's square run with the
+        symbolic g^-1, sympy.cancel and sympy.together all raising."""
+        M = tn.manifold
+        traj = integrate(M, _ORBIT, IntegratorConfig(step=1e-3, t_span=(0.0, 0.2), stride=1))
+        assert len(traj) == 201
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("symbolic work on a check path")
+
+        monkeypatch.setattr(Manifold, "inverse_metric_matrix", refuse)
+        monkeypatch.setattr(sp, "cancel", refuse)
+        monkeypatch.setattr(sp, "together", refuse)
+        K = associated_sk(tn.forms["fY"], M)
+        assert sk_residual(K, M).passed
+        assert monitor_invariant(traj, K, M, tol=1e-6).passed
 
 
 class TestInputGuards:

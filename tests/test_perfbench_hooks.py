@@ -64,3 +64,28 @@ def test_tracer_wraps_the_spin_layer():
     done = subprocess.run([sys.executable, "-c", code, str(ROOT / "perfbench"),
                            str(ROOT / "src")], capture_output=True, text=True, timeout=300)
     assert done.returncode == 0, done.stderr
+
+
+def test_tracer_runs_the_staeckel_killing_square():
+    """The S-K square of a form holds no component array: its check and its
+    geodesic monitor run traced without handing it to a hook that reads one."""
+    code = textwrap.dedent("""
+        import sys; sys.path[:0] = sys.argv[1:]
+        import tracing
+        tracer = tracing.Tracer()
+        tracing.install(tracer)
+        from hiddensym import catalog, geodesic, killing, manifold
+        M = catalog.flat(4).manifold
+        K = killing.associated_sk(manifold.two_form(
+            [[0, 1, 0, 0], [-1, 0, 0, 0], [0, 0, 0, 1], [0, 0, -1, 0]]), M)
+        assert killing.sk_residual(K, M, points=3).passed
+        s0 = geodesic.GeodesicState({c: 0.1 for c in M.chart.coords},
+                                    {c: 0.2 for c in M.chart.coords})
+        traj = geodesic.integrate(M, s0, geodesic.IntegratorConfig(step=0.01, t_span=(0, 0.1)))
+        assert geodesic.monitor_invariant(traj, K, M).passed
+        spans = tracer.summary()["spans"]
+        assert spans["killing"]["calls"] == 2 and spans["geodesic.monitor"]["calls"] == 1
+    """)
+    done = subprocess.run([sys.executable, "-c", code, str(ROOT / "perfbench"),
+                           str(ROOT / "src")], capture_output=True, text=True, timeout=300)
+    assert done.returncode == 0, done.stderr
