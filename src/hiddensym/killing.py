@@ -117,17 +117,17 @@ def _nabla_flat(X: TensorField, M: Manifold, pts, g: np.ndarray) -> np.ndarray:
     return covariant_derivative(X, M, pts).components @ g
 
 
-def _killing_report(dX: np.ndarray, pts, tol: float) -> ResidualReport:
-    """The Killing-vector report from the evaluated grad_mu X_nu."""
-    return _report("killing-vector", pts, _max_abs(dX + np.swapaxes(dX, 1, 2)),
-                   _max_abs(dX), tol)
+def _killing_terms(dX: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Killing residual and scale at each point from the evaluated grad_mu X_nu."""
+    return _max_abs(dX + np.swapaxes(dX, 1, 2)), _max_abs(dX)
 
 
 def killing_vector_residual(X: TensorField, M: Manifold, points=None, seed=0,
                             tol=DEFAULT_TOL) -> ResidualReport:
     """(L_X g)_{mu nu} = grad_mu X_nu + grad_nu X_mu at sampled points."""
     pts = _default_points(M, points, seed)
-    return _killing_report(_nabla_flat(X, M, pts, M.evaluate(M.metric, pts)), pts, tol)
+    dX = _nabla_flat(X, M, pts, M.evaluate(M.metric, pts))
+    return _report("killing-vector", pts, *_killing_terms(dX), tol)
 
 
 def conformal_killing_factor(X: TensorField, M: Manifold, points=None, seed=0,

@@ -3,7 +3,8 @@ hiddensym.manifold and hiddensym.sasaki are tested against.
 
 This is the symbolic pipeline the library used to run: Gamma with one
 exprkit.simplify per component, Riemann by differentiating Gamma, Ricci by
-contraction, and the odd-rank tower eta ^ (d eta)^k by symbolic wedges.
+contraction, the odd-rank tower eta ^ (d eta)^k by symbolic wedges, and the
+structure recovered from a metric cone with the symbolic inverse metric.
 Geometry results are cached per manifold, because Taub-NUT's Gamma takes
 seconds to build.
 """
@@ -15,7 +16,9 @@ import numpy as np
 import sympy as sp
 
 from hiddensym.exprkit import simplify
-from hiddensym.manifold import TensorField, antisymmetrize, exterior_derivative
+from hiddensym.manifold import (TensorField, antisymmetrize, exterior_derivative,
+                                lower_index, vector)
+from hiddensym.sasaki import MixedThreeStructure
 
 
 @functools.lru_cache(maxsize=None)
@@ -71,3 +74,20 @@ def ky_odd_rank_candidate(S, alpha: int, k: int) -> TensorField:
     for _ in range(k):
         form = wedge_forms(form, deta)
     return TensorField(np.frompyfunc(sp.expand, 1, 1)(form.components), form.variance)
+
+
+def reverse_cone_symbolic(C) -> MixedThreeStructure:
+    """Recover (phi, xi, eta) on the r=1 slice from the cone structure:
+    xi_a = J_a(d_r), eta_a = g xi_a and phi^i_mu = g^{i nu} (d eta_a)_{mu nu} / 2."""
+    n = C.manifold.dim - 1
+    r = sp.Symbol(C.radial)
+    base = C.base.manifold
+    ginv = base.inverse_metric_matrix()
+    phis, xis, etas = [], [], []
+    for a in range(3):
+        xis.append(vector([C.J[a].components[i, n].subs(r, 1) for i in range(n)]))
+        etas.append(lower_index(xis[a], base, 0))
+        deta = exterior_derivative(etas[a], base).components
+        phis.append(TensorField([[sum(ginv[i, nu] * deta[mu, nu] for nu in range(n)) / 2
+                                  for mu in range(n)] for i in range(n)], "ud"))
+    return MixedThreeStructure(base, phis, xis, etas)

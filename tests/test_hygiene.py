@@ -1,8 +1,7 @@
 """Source hygiene: every name a library module imports is used in it, every
 definition in a library module is referenced somewhere in the project, no
 library module calls exprkit.simplify, only exprkit calls sympy's trigsimp,
-and outside manifold.py only the field constructions call the symbolic
-tensor algebra."""
+and no module outside manifold.py calls the symbolic tensor algebra."""
 
 import ast
 from pathlib import Path
@@ -172,14 +171,12 @@ def test_trigsimp_checker_sees_each_spelling():
 
 
 SYMBOLIC_ALGEBRA = {"lower_index", "raise_index", "exterior_derivative", "lie_bracket"}
-# the constructions that return symbolic fields, not values
-FIELD_BUILDERS = {"reverse_cone"}
 
 
 def symbolic_algebra_calls(source: str) -> list[str]:
-    """Calls of the symbolic tensor algebra, by name or as an attribute,
-    outside the field builders: as 'line N: caller -> callee', the caller
-    being the enclosing top-level function or method, or <module>."""
+    """Calls of the symbolic tensor algebra, by name or as an attribute: as
+    'line N: caller -> callee', the caller being the enclosing top-level
+    function or method, or <module>."""
     out = []
 
     def visit(node, owner):
@@ -190,7 +187,7 @@ def symbolic_algebra_calls(source: str) -> list[str]:
             if isinstance(child, ast.Call):
                 f = child.func
                 name = f.id if isinstance(f, ast.Name) else getattr(f, "attr", None)
-                if name in SYMBOLIC_ALGEBRA and owner not in FIELD_BUILDERS:
+                if name in SYMBOLIC_ALGEBRA:
                     out.append(f"line {child.lineno}: {owner} -> {name}")
             visit(child, inner)
 
@@ -201,8 +198,8 @@ def symbolic_algebra_calls(source: str) -> list[str]:
 @pytest.mark.parametrize("path", sorted(p for p in SRC.glob("*.py") if p.name != "manifold.py"),
                          ids=lambda p: p.name)
 def test_checkers_do_no_symbolic_tensor_algebra(path):
-    """Outside manifold.py, a check combines evaluated jets in numpy; only
-    the constructions that build fields lower indices or take d symbolically."""
+    """Outside manifold.py, a check combines evaluated jets in numpy and no
+    construction lowers indices or takes d symbolically."""
     assert symbolic_algebra_calls(path.read_text()) == []
 
 
@@ -216,4 +213,5 @@ def test_symbolic_algebra_checker_sees_each_caller():
               "d = m.raise_index(1, 2, 0)\n")
     assert symbolic_algebra_calls(source) == ["line 4: check -> lower_index",
                                               "line 7: run -> lie_bracket",
+                                              "line 10: reverse_cone -> exterior_derivative",
                                               "line 12: <module> -> raise_index"]

@@ -1,16 +1,19 @@
 import dataclasses
+import warnings
 
 import numpy as np
 import pytest
 import sympy as sp
 
+from hiddensym import catalog, manifold, sasaki
 from hiddensym.manifold import (Chart, GeometryError, Manifold, TensorField, one_form,
                                 sample_points, vector)
 from hiddensym.sasaki import (EPS, MixedThreeStructure, _wedge, build_cone,
                               cone_roundtrip_residual, einstein_check,
-                              ky_odd_rank_check, para_hyperkahler_check,
-                              reverse_cone, sectional_curvature_check,
-                              structure_identity_suite)
+                              killing_triple_check, ky_odd_rank_check,
+                              para_hyperkahler_check, sasakian_residuals,
+                              sectional_curvature_check, structure_identity_suite)
+from symbolic_geometry import reverse_cone_symbolic
 
 
 @pytest.fixture(scope="module")
@@ -158,9 +161,106 @@ class TestCone:
         assert cone_roundtrip_residual(S, C, points=5).passed
 
     def test_reverse_cone_returns_structure(self, S):
-        R = reverse_cone(build_cone(S))
+        R = reverse_cone_symbolic(build_cone(S))
         assert isinstance(R, MixedThreeStructure)
         assert structure_identity_suite(R, points=3).passed
+
+
+def recovery_mismatch(C, R, points):
+    """Largest relative difference between the numeric reverse cone of C and
+    the symbolic one R, evaluated at the points: phi's and xi's values, and
+    eta's 1-jet."""
+    M = R.manifold
+    pairs = []
+    for a, (phi, xi, eta) in enumerate(sasaki.reverse_cone(C, points)):
+        want = [M.evaluate(T.components, points, order=1)
+                for T in (R.phi[a], R.xi[a], R.eta[a])]
+        pairs += [(phi, want[0][:, -1]), (xi, want[1][:, -1]), (eta, want[2])]
+    return max(float(np.max(np.abs(got - ref)) / max(1.0, np.max(np.abs(ref))))
+               for got, ref in pairs)
+
+
+class TestReverseConeOracle:
+    """The numeric reverse cone against the symbolic one, at 20 seeded points."""
+
+    @pytest.fixture(scope="class")
+    def setup(self, S):
+        C = build_cone(S)
+        return C, reverse_cone_symbolic(C), sample_points(S.manifold.chart, 20, seed=0)
+
+    def test_matches_symbolic_recovery(self, setup):
+        assert recovery_mismatch(*setup) < 1e-12
+
+    @pytest.mark.parametrize("factor, residual", [(2.0, 1.0), (-1.0, 2.0)],
+                             ids=["phi-without-half", "d-eta-sign-flipped"])
+    def test_planted_error_fails_oracle_and_round_trip(self, S, setup, monkeypatch,
+                                                       factor, residual):
+        """phi scaled by 2 (the 1/2 dropped) or by -1 (d eta's sign flipped)."""
+        numeric = sasaki.reverse_cone
+
+        def planted(C, points):
+            return [(factor * phi, xi, eta) for phi, xi, eta in numeric(C, points)]
+        monkeypatch.setattr(sasaki, "reverse_cone", planted)
+        C, R, points = setup
+        assert recovery_mismatch(C, R, points) > 0.5
+        rep = cone_roundtrip_residual(S, C, points)
+        assert not rep.passed
+        assert rep.max_rel_residual == pytest.approx(residual, rel=1e-9)
+
+
+def test_round_trip_compiles_nothing_and_runs_no_symbolic_algebra(monkeypatch):
+    """Once the structure and cone checks have run on the points, the round
+    trip reuses their compiled functions and jets: no lambdify call, no
+    symbolic inverse, derivative or index lowering."""
+    S = catalog.pseudo_sphere_fixture().structure
+    C = build_cone(S)
+    points = sample_points(S.manifold.chart, 20, seed=0)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("symbolic tensor algebra on the round trip")
+    monkeypatch.setattr(Manifold, "inverse_metric_matrix", refuse)
+    for name in ("exterior_derivative", "lower_index", "_tangent"):
+        monkeypatch.setattr(manifold, name, refuse)
+    monkeypatch.setattr(sp, "diff", refuse)
+    assert structure_identity_suite(S, points).passed
+    assert para_hyperkahler_check(C, [{**p, C.radial: 1.0} for p in points]).passed
+    calls, lambdify = [], sp.lambdify
+    monkeypatch.setattr(sp, "lambdify", lambda *a, **k: calls.append(a) or lambdify(*a, **k))
+    assert cone_roundtrip_residual(S, C, points).passed
+    assert calls == []
+
+
+SINGULAR = {"rho": 0.0, "t": 1.0, "psi": 2.0}     # sinh(rho)^2 = 0: g is singular
+REGULAR = {"rho": 0.7, "t": 1.0, "psi": 2.0}
+
+
+class TestSingularPoint:
+    """A point where the base metric is singular fails each report there,
+    whatever the point order, without a floating-point warning."""
+
+    @pytest.mark.parametrize("order", [(SINGULAR, REGULAR), (REGULAR, SINGULAR)],
+                             ids=["singular-first", "singular-last"])
+    def test_killing_triple_fails_at_the_singular_point_only(self, S, order):
+        rep = killing_triple_check(S, list(order))
+        assert not rep.passed
+        assert rep.extra["non_finite_points"] == 1
+        assert rep.worst_point == SINGULAR
+
+    @pytest.mark.parametrize("check", ["structure", "sasakian", "para-hyperkahler",
+                                       "round-trip"])
+    def test_fails_closed_without_warning(self, S, check):
+        C = build_cone(S)
+        points = [SINGULAR, REGULAR]
+        run = {"structure": lambda: structure_identity_suite(S, points),
+               "sasakian": lambda: sasakian_residuals(S, points),
+               "para-hyperkahler": lambda: para_hyperkahler_check(
+                   C, [{**p, C.radial: 1.0} for p in points]),
+               "round-trip": lambda: cone_roundtrip_residual(S, C, points)}[check]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rep = run()
+        assert not rep.passed
+        assert rep.extra["non_finite_points"] >= 1
 
 
 class TestOddRankTowers:
