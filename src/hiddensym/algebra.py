@@ -55,8 +55,8 @@ ONE = QQ_I(1, 0)
 _I_UNITS = {s: QQ_I(0, s) for s in (1, -1, 2, -2)}     # the eps-rule coefficients s * i
 
 
-def elem(name: str, power: int = 0, coeff=ONE) -> Element:
-    return {(name, power): coeff} if coeff else {}
+def elem(name: str, power: int = 0) -> Element:
+    return {(name, power): ONE}
 
 
 def elem_add(a: Element, b: Element) -> Element:
@@ -274,8 +274,15 @@ def jacobi_check(cutoff: int = 10, table=None) -> AlgebraReport:
     """[[a,b],c] + [[b,c],a] + [[c,a],b] = 0 for all graded triples whose
     total grade is <= 2*cutoff; exact, zero tolerance."""
     if table is None:
-        table = graded_bracket
-        grade = {g: parse_graded(g)[2] for g in graded_generators(2 * cutoff)}
+        # every bracket of a triple within the cutoff stays within it: one
+        # table of the generators' brackets serves every lookup of this call
+        gens = graded_generators(2 * cutoff)
+        brackets = {(a, b): graded_bracket(a, b)
+                    for a, b in itertools.product(gens, repeat=2)}
+
+        def table(a, b):
+            return brackets[a, b]
+        grade = {g: parse_graded(g)[2] for g in gens}
     else:
         grade = {g: 0 for g in FINITE_GENERATORS if g not in INERT_GENERATORS}
 

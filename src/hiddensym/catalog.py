@@ -45,21 +45,17 @@ class CatalogEntry:
         raise KeyError(f"no object named {name!r} in catalog entry {self.name!r}")
 
 
-def _wedge(a, b, n=4):
+def _wedge(a, b):
+    n = len(a)
     return np.array([[sp.expand(a[i] * b[j] - a[j] * b[i]) for j in range(n)]
                      for i in range(n)], dtype=object)
 
 
-def flat(n: int, signature: tuple[int, ...] | None = None) -> CatalogEntry:
-    """Flat semi-Euclidean space in Cartesian coordinates x1..xn."""
-    signature = tuple(signature) if signature else tuple([1] * n)
-    if len(signature) != n:
-        raise ValueError("signature length must equal dimension")
+def flat(n: int) -> CatalogEntry:
+    """Flat Euclidean space in Cartesian coordinates x1..xn."""
     coords = tuple(f"x{i+1}" for i in range(n))
     chart = Chart(coords, {c: (-2.0, 2.0) for c in coords})
-    metric = [[sp.Integer(signature[i]) if i == j else sp.Integer(0)
-               for j in range(n)] for i in range(n)]
-    M = Manifold(chart, metric, signature=signature, name=f"flat{n}")
+    M = Manifold(chart, sp.eye(n).tolist(), signature=(1,) * n, name=f"flat{n}")
     entry = CatalogEntry(name=f"flat{n}", manifold=M)
     entry.vectors["translation"] = vector([1] + [0] * (n - 1))
     entry.vectors["dilation"] = vector([sp.Symbol(c) for c in coords])
@@ -243,11 +239,11 @@ _BUILDERS = {
 }
 
 
-def get(name: str, **kwargs) -> CatalogEntry:
+def get(name: str) -> CatalogEntry:
     if name not in _BUILDERS:
         raise KeyError(f"unknown catalog entry {name!r}; "
                        f"choices: {', '.join(sorted(_BUILDERS))}")
-    return _BUILDERS[name](**kwargs)
+    return _BUILDERS[name]()
 
 
 def names() -> list[str]:

@@ -1,4 +1,4 @@
-"""Symbolic expression layer: parsing, differentiation, simplification, evaluation.
+"""Symbolic expression layer: parsing, simplification, evaluation.
 
 Expression trees are sympy expressions restricted to exact rational
 constants, named symbols (coordinates and parameters) and the unary
@@ -213,11 +213,6 @@ def to_source(e: Expr) -> str:
 
 # ---------------------------------------------------------------------------
 # calculus and rewriting
-
-def differentiate(e: Expr, var: str) -> Expr:
-    """Exact partial derivative; symbols other than var are constants."""
-    return sp.diff(e, sp.Symbol(var))
-
 
 def simplify(e: Expr) -> Expr:
     """Bounded rewriting: rational normal form plus the Pythagorean rule.

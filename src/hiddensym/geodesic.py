@@ -19,6 +19,8 @@ import numpy as np
 from .killing import finite_or_null
 from .manifold import Manifold, TensorField
 
+RK45_TOLERANCE = 1e-10         # rk45 rtol and atol
+
 
 @dataclass
 class GeodesicState:
@@ -30,13 +32,12 @@ class GeodesicState:
 class IntegratorConfig:
     method: str = "rk4"            # "rk4" | "rk45"
     step: float = 1e-3             # rk4 step size
-    tolerance: float = 1e-10       # rk45 rtol/atol
     t_span: tuple[float, float] = (0.0, 10.0)
     stride: int = 10               # keep every stride-th step
 
     def __post_init__(self):
-        if not (self.step > 0 and self.tolerance > 0 and self.t_span[1] > self.t_span[0]):
-            raise ValueError("step, tolerance and the length of t_span must be positive")
+        if not (self.step > 0 and self.t_span[1] > self.t_span[0]):
+            raise ValueError("step and the length of t_span must be positive")
         if self.method not in ("rk4", "rk45"):
             raise ValueError(f"unknown method {self.method!r}")
 
@@ -129,7 +130,7 @@ def integrate(M: Manifold, s0: GeodesicState, cfg: IntegratorConfig) -> Trajecto
 
         t_eval = np.linspace(t0, t1, max(2, int((t1 - t0) / (cfg.step * cfg.stride)) + 1))
         sol = solve_ivp(lambda t, yv: rhs(yv.tolist()), (t0, t1), y, method="RK45",
-                        rtol=cfg.tolerance, atol=cfg.tolerance,
+                        rtol=RK45_TOLERANCE, atol=RK45_TOLERANCE,
                         t_eval=t_eval, events=exit_event, dense_output=False)
         exited = bool(sol.t_events[0].size)
         for t, yv in zip(sol.t, sol.y.T):
@@ -171,18 +172,12 @@ def energy_report(traj: Trajectory, M: Manifold, tol: float = 1e-8) -> Conservat
     return monitor_invariant(traj, M.metric_field(), M, name="energy", tol=tol)
 
 
-def export_csv(traj: Trajectory, M: Manifold, path: str,
-               invariants: dict[str, TensorField] | None = None) -> None:
-    """Write t, coordinates, velocities and monitored invariants per column."""
+def export_csv(traj: Trajectory, M: Manifold, path: str) -> None:
+    """Write t, the coordinates and the velocities per column."""
     coords = M.chart.coords
-    columns = {name: invariant_values(traj, Q, M)
-               for name, Q in (invariants or {}).items()}
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(["t"] + [c for c in coords] + [f"d{c}" for c in coords]
-                        + list(columns))
-        for i, (t, st) in enumerate(zip(traj.times, traj.states)):
-            row = [t] + [st.position[c] for c in coords] \
-                + [st.velocity[c] for c in coords] \
-                + [columns[name][i] for name in columns]
-            writer.writerow(row)
+        writer.writerow(["t", *coords, *(f"d{c}" for c in coords)])
+        for t, st in zip(traj.times, traj.states):
+            writer.writerow([t] + [st.position[c] for c in coords]
+                            + [st.velocity[c] for c in coords])

@@ -28,6 +28,9 @@ from .manifold import (Manifold, TensorField, _covariant, _inverse, _pointwise,
 
 DEFAULT_TOL = 1e-9
 DEFAULT_POINTS = 20
+# silences floating-point warnings in a check: its report counts and fails
+# non-finite values
+_quiet = np.errstate(invalid="ignore", over="ignore")
 
 EPSILON3 = np.zeros((3, 3, 3))
 for _i, _j, _k in itertools.permutations(range(3)):
@@ -281,6 +284,7 @@ def associated_sk_symbolic(f: TensorField, M: Manifold) -> TensorField:
     return TensorField(out, "dd")
 
 
+@_quiet
 def unit_root_check(f: TensorField, M: Manifold, points=None, seed=0,
                     tol=DEFAULT_TOL) -> ResidualReport:
     """f^mu_a f_{mu b} vs g_{ab}, both strict (c=1) and with fitted scale c."""
@@ -305,6 +309,7 @@ def unit_root_check(f: TensorField, M: Manifold, points=None, seed=0,
                           "strict_pass": bool(strict_worst < tol)})
 
 
+@_quiet
 def quaternion_relations_check(f1: TensorField, f2: TensorField, f3: TensorField,
                                M: Manifold, points=None, seed=0,
                                tol=DEFAULT_TOL) -> ResidualReport:

@@ -15,16 +15,17 @@ import numpy as np
 import sympy as sp
 
 from .killing import (ResidualReport, _default_points, _killing_terms, _ky_report,
-                      _max_abs, _report, conformal_killing_factor, DEFAULT_TOL)
+                      _max_abs, _quiet, _report, conformal_killing_factor, DEFAULT_TOL)
 from .manifold import (Chart, GeometryError, Manifold, TensorField, TensorValues,
                        _covariant, _inverse, _pointwise, _product, antisymmetrize,
-                       covariant_derivative, vector)
+                       covariant_derivative)
 
 EPS = (1, -1, -1)
 _EVEN = [(0, 1, 2), (1, 2, 0), (2, 0, 1)]
-# silences floating-point warnings in a check: its report counts and fails
-# non-finite values
-_quiet = np.errstate(invalid="ignore", over="ignore")
+RADIAL = "r"                    # the cone's radial coordinate
+RADIAL_BOX = (0.5, 3.0)         # its sampling interval
+DEGENERACY_GUARD = 1e-6         # |denominator| of a plane taken as degenerate
+WITNESS_THRESHOLD = 1e-6        # |(grad_X phi) X| that counts as nonzero
 
 
 @dataclass
@@ -54,13 +55,6 @@ class ConeManifold:
     base: MixedThreeStructure
     manifold: Manifold              # chart = base chart + radial coordinate
     J: list[TensorField]            # variance "ud" on the cone chart
-    radial: str = "r"
-
-    def euler_field(self) -> TensorField:
-        n = self.manifold.dim
-        comp = [0] * n
-        comp[n - 1] = sp.Symbol(self.radial)
-        return vector(comp)
 
 
 # ---------------------------------------------------------------------------
@@ -212,7 +206,7 @@ def curvature_characterization(S: MixedThreeStructure, points=None, seed=0,
 
 
 def sectional_curvature_check(S: MixedThreeStructure, points=None, seed=0,
-                              tol=DEFAULT_TOL, degeneracy_guard=1e-6) -> ResidualReport:
+                              tol=DEFAULT_TOL) -> ResidualReport:
     """Sectional curvature of nondegenerate planes containing xi_a equals 1."""
     M = S.manifold
     pts = _default_points(M, points, seed)
@@ -226,7 +220,7 @@ def sectional_curvature_check(S: MixedThreeStructure, points=None, seed=0,
         for mu in range(M.dim):
             # plane spanned by xi and X = e_mu
             denom = _dot(xi, gxi) * g[:, mu, mu] - gxi[:, mu] ** 2
-            skip = np.abs(denom) <= degeneracy_guard
+            skip = np.abs(denom) <= DEGENERACY_GUARD
             skipped += int(skip.sum())
             # K = g(R(xi, X) X, xi) / denom = R_{rho sig mu nu} xi^rho X^sig xi^mu X^nu / denom
             num = np.einsum("prm,pr,pm->p", Rlow[:, :, mu, :, mu], xi, xi)
@@ -248,18 +242,14 @@ def einstein_check(M: Manifold, lam: float, points=None, seed=0,
 # ---------------------------------------------------------------------------
 # cone construction
 
-def build_cone(S: MixedThreeStructure, radial: str = "r",
-               r_box: tuple[float, float] = (0.5, 3.0)) -> ConeManifold:
+def build_cone(S: MixedThreeStructure) -> ConeManifold:
     """Metric cone dr^2 + r^2 g with the induced endomorphism triple."""
     M = S.manifold
-    if radial in M.chart.coords:
-        raise GeometryError(f"radial name {radial!r} clashes with base coordinates")
-    r = sp.Symbol(radial)
+    if RADIAL in M.chart.coords:
+        raise GeometryError(f"radial name {RADIAL!r} clashes with base coordinates")
+    r = sp.Symbol(RADIAL)
     n = M.dim
-    coords = M.chart.coords + (radial,)
-    box = dict(M.chart.box)
-    box[radial] = r_box
-    chart = Chart(coords, box)
+    chart = Chart(M.chart.coords + (RADIAL,), {**M.chart.box, RADIAL: RADIAL_BOX})
     cone = Manifold(chart, sp.diag(r ** 2 * M.metric, 1).tolist(), params=M.params,
                     signature=tuple(list(M.signature) + [1]),
                     name=(M.name + "-cone") if M.name else "cone")
@@ -270,7 +260,7 @@ def build_cone(S: MixedThreeStructure, radial: str = "r",
         comp[n, :n] = -eta.components * r     # J X has Euler-direction part -eta(X) r
         comp[:n, n] = xi.components / r       # J(d_r) = xi / r
         Js.append(TensorField(comp, "ud"))
-    return ConeManifold(S, cone, Js, radial)
+    return ConeManifold(S, cone, Js)
 
 
 @_quiet
@@ -299,7 +289,7 @@ def reverse_cone(C: ConeManifold, pts) -> list[tuple[np.ndarray, np.ndarray, np.
     n = C.base.manifold.dim
     g1 = C.base.manifold.metric_jet(pts)[:, :, -1]
     ginv = _inverse(g1[:, -1:])[:, -1]
-    lifted = [{**p, C.radial: 1.0} for p in pts]
+    lifted = [{**p, RADIAL: 1.0} for p in pts]
     out = []
     for Ja in C.J:
         # J_a(d_r)'s 1-jet, its radial partial dropped
@@ -329,8 +319,8 @@ def cone_roundtrip_residual(S: MixedThreeStructure, C: ConeManifold,
 # ---------------------------------------------------------------------------
 # corollaries
 
-def phi_not_killing_witness(S: MixedThreeStructure, points=None, seed=0,
-                            threshold=1e-6) -> ResidualReport:
+def phi_not_killing_witness(S: MixedThreeStructure, points=None,
+                            seed=0) -> ResidualReport:
     """Find non-lightlike X orthogonal to xi_a with (grad_X phi_a) X != 0.
 
     For each alpha the witness is the first hit in point order, then in
@@ -354,7 +344,7 @@ def phi_not_killing_witness(S: MixedThreeStructure, points=None, seed=0,
             # lightlike directions are excluded by the proposition
             lightlike = np.abs(_dot(X, _mv(g, X))) < 1e-8
             vals[:, mu] = _max_abs(np.einsum("plij,pl,pj->pi", dphi, X, X))
-            hits[:, mu] = ~lightlike & (vals[:, mu] > threshold)
+            hits[:, mu] = ~lightlike & (vals[:, mu] > WITNESS_THRESHOLD)
         if hits.any():
             p, mu = np.unravel_index(np.argmax(hits), hits.shape)
             witnesses.append({"alpha": a + 1, "point": dict(pts[p]),
@@ -364,7 +354,7 @@ def phi_not_killing_witness(S: MixedThreeStructure, points=None, seed=0,
             min_val = 0.0
             worst_point = dict(pts[0])
     passed = len(witnesses) == 3
-    return ResidualReport("phi-not-killing-witness", threshold, len(pts),
+    return ResidualReport("phi-not-killing-witness", WITNESS_THRESHOLD, len(pts),
                           float(min_val if passed else 0.0),
                           float(min_val if passed else 0.0),
                           passed, worst_point, extra={"witnesses": witnesses})

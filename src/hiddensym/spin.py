@@ -79,64 +79,21 @@ def spin_connection_antisymmetry(ctx: "SpinContext", points=None, seed=0,
 # ---------------------------------------------------------------------------
 # gamma matrices
 
-_SIGMA = [sp.Matrix([[0, 1], [1, 0]]),
-          sp.Matrix([[0, -sp.I], [sp.I, 0]]),
-          sp.Matrix([[1, 0], [0, -1]])]
+_SIGMA = np.array([[[0, 1], [1, 0]], [[0, -1j], [1j, 0]], [[1, 0], [0, -1]]])
 
 
-@dataclass
-class GammaRep:
-    """Exact-entry gamma matrices with {gamma^a, gamma^b} = 2 eta^{ab} Id."""
-
-    eta: tuple[int, ...]
-    matrices: list[sp.Matrix]
-
-    @property
-    def spinor_size(self) -> int:
-        return self.matrices[0].shape[0]
-
-    def clifford_defect(self) -> int:
-        """1 when some {gamma^a, gamma^b} - 2 eta^{ab} Id is not exactly zero, else 0."""
-        size = self.spinor_size
-        return int(any(g * h + h * g - 2 * self.eta[a] * (a == b) * sp.eye(size)
-                       != sp.zeros(size, size)
-                       for a, g in enumerate(self.matrices) for b, h in enumerate(self.matrices)))
-
-    def conjugate(self, U: sp.Matrix) -> "GammaRep":
-        Uinv = U.H
-        if sp.simplify(U * Uinv) != sp.eye(U.shape[0]):
-            raise ValueError("conjugation matrix must be unitary")
-        return GammaRep(self.eta, [sp.expand(U * g * Uinv) for g in self.matrices])
-
-
-def canonical_gamma(eta: tuple[int, ...]) -> GammaRep:
-    """One fixed exact representation for dimensions 2, 3, and 4."""
+def canonical_gamma(eta: tuple[int, ...]) -> np.ndarray:
+    """One fixed representation for dimensions 2, 3 and 4, shape (n, s, s),
+    with {gamma^a, gamma^b} = 2 eta^{ab} Id.  Its entries are 0, +-1 and +-i,
+    so every product of gamma matrices is exact."""
     n = len(eta)
-    if n == 2:
-        base = [_SIGMA[0], _SIGMA[1]]
-    elif n == 3:
-        base = list(_SIGMA)
+    if n in (2, 3):
+        base = _SIGMA[:n]
     elif n == 4:
-        one = sp.eye(2)
-        base = [sp.Matrix(np.kron(_SIGMA[a], _SIGMA[0])) for a in range(3)]
-        base.append(sp.Matrix(np.kron(one, _SIGMA[1])))
+        base = [np.kron(s, _SIGMA[0]) for s in _SIGMA] + [np.kron(np.eye(2), _SIGMA[1])]
     else:
         raise ValueError("gamma representations provided for dimensions 2-4")
-    mats = []
-    for a, g in enumerate(base):
-        mats.append(g if eta[a] == 1 else sp.I * g)
-    return GammaRep(tuple(eta), mats)
-
-
-def standard_unitary(size: int) -> sp.Matrix:
-    """A fixed exact unitary used for the representation-independence test."""
-    u2 = sp.Rational(1, 2) * sp.Matrix([[1 + sp.I, 1 - sp.I], [1 - sp.I, 1 + sp.I]])
-    U = u2
-    while U.shape[0] < size:
-        U = sp.Matrix(np.kron(U, u2))
-    if U.shape[0] != size:
-        raise ValueError("size must be a power of 2")
-    return U
+    return np.array([g if e == 1 else 1j * g for e, g in zip(eta, base)], dtype=complex)
 
 
 # ---------------------------------------------------------------------------
@@ -173,15 +130,10 @@ class SpinContext:
     manifold's metric and Christoffel jets all three operators are formed
     numerically."""
 
-    def __init__(self, M: Manifold, F: Frame, rep: GammaRep | None = None):
-        if rep is None:
-            rep = canonical_gamma(F.eta)
-        if tuple(rep.eta) != tuple(F.eta):
-            raise ValueError("gamma signature must match the frame signature")
+    def __init__(self, M: Manifold, F: Frame):
         self.M = M
         self.F = F
-        self.rep = rep
-        self._gamma = np.array([np.array(g.tolist(), dtype=complex) for g in rep.matrices])
+        self._gamma = canonical_gamma(F.eta)
         # (1/4) eta^{aa} eta^{bb} gamma^a gamma^b; eta^{aa} = eta_{aa} for +-1
         eta = np.array(F.eta, dtype=float)
         self._quarter = 0.25 * np.einsum("a,b,ast,btu->absu", eta, eta,
@@ -268,7 +220,7 @@ def build_operator(spec: OperatorSpec, ctx: SpinContext, points, frames) -> Line
                       _covariant(r2, M.christoffel(points), "u"))
         c0 = (_product("m,mst->st", r, conn)
               + spec.quarter_sign / 4 * _product("mst,ntu,nm->su", gam, gam, dr))
-        eye = np.eye(ctx.rep.spinor_size)
+        eye = np.eye(ctx._gamma.shape[1])
         return LinearOperator(-1j * _coefficient_jet(np.einsum("pjm,st->pjmst", r, eye), c0))
 
     # dirac-type: D_f = i gamma^mu (f_mu^nu grad_nu - (1/6) gamma^nu gamma^rho f_{mu nu;rho})

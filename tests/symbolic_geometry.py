@@ -18,7 +18,7 @@ import sympy as sp
 from hiddensym.exprkit import simplify
 from hiddensym.manifold import (TensorField, antisymmetrize, exterior_derivative,
                                 lower_index, vector)
-from hiddensym.sasaki import MixedThreeStructure
+from hiddensym.sasaki import RADIAL, MixedThreeStructure
 
 
 @functools.lru_cache(maxsize=None)
@@ -80,7 +80,7 @@ def reverse_cone_symbolic(C) -> MixedThreeStructure:
     """Recover (phi, xi, eta) on the r=1 slice from the cone structure:
     xi_a = J_a(d_r), eta_a = g xi_a and phi^i_mu = g^{i nu} (d eta_a)_{mu nu} / 2."""
     n = C.manifold.dim - 1
-    r = sp.Symbol(C.radial)
+    r = sp.Symbol(RADIAL)
     base = C.base.manifold
     ginv = base.inverse_metric_matrix()
     phis, xis, etas = [], [], []

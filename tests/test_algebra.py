@@ -79,8 +79,8 @@ class TestBilinearExtension:
            st.integers(min_value=0, max_value=4))
     def test_antisymmetry_property(self, a, b, num, power):
         c = QQ_I(num, 1)
-        lhs = bracket(elem(a, power, c), elem(b))
-        rhs = elem_scale(bracket(elem(b), elem(a, power, c)), -ONE)
+        lhs = bracket(elem_scale(elem(a, power), c), elem(b))
+        rhs = elem_scale(bracket(elem(b), elem_scale(elem(a, power), c)), -ONE)
         assert lhs == rhs
 
 
@@ -186,7 +186,7 @@ class TestTableEmission:
         json.dumps(structure_table_json(1))
 
     def test_elem_to_json_fractions_as_strings(self):
-        out = elem_to_json(elem("J1", 2, QQ_I(Rational(1, 3), -2)))
+        out = elem_to_json(elem_scale(elem("J1", 2), QQ_I(Rational(1, 3), -2)))
         assert out == {"J1": {"2": ["1/3", "-2"]}}
 
     def test_structure_table_pinned(self):

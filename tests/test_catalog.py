@@ -29,12 +29,6 @@ class TestFlat:
         M = catalog.flat(3).manifold
         assert not M.christoffel(sample_points(M.chart, 5, seed=0)).any()
 
-    def test_signature_argument(self):
-        entry = catalog.flat(2, (-1, 1))
-        assert entry.manifold.signature == (-1, 1)
-        with pytest.raises(ValueError):
-            catalog.flat(2, (1,))
-
     def test_manifest_expectations(self):
         entry = catalog.flat(3)
         M = entry.manifold

@@ -315,18 +315,25 @@ class TestCheckCommand:
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_overflowing_form_fails_without_a_warning(self, capsys, tmp_path):
-        """A form whose values overflow to inf fails its check (exit 1), and the
-        input guard's inf - inf prints no RuntimeWarning."""
+        """A form whose values overflow to inf fails each check of it (exit 1),
+        and neither the input guard's inf - inf nor a matrix product of the
+        values prints a RuntimeWarning."""
         entry = "x"
         for _ in range(49):
             entry = f"(x+{entry})^2"
-        doc = dict(STRUCTURED, forms={"f": {"rank": 2, "components": {"0,1": entry}}})
-        doc.pop("structures")
+        coords = ["x", "y", "z", "w"]
+        doc = dict(MINIMAL, dimension=4, coordinates=coords, signature=[1] * 4,
+                   domain={c: [-1.0, 1.0] for c in coords}, vectors={},
+                   metric=[["1" if i == j else "0" for j in range(4)] for i in range(4)],
+                   forms={"f": {"rank": 2, "components": {"0,1": entry, "2,3": "1"}}})
         path = tmp_path / "m.json"
         path.write_text(json.dumps(doc))
-        code, reports = run(capsys, "check", "ky", "--manifold", str(path), "--target", "f")
-        assert code == 1
-        assert reports[0]["pass"] is False and reports[0]["extra"]["non_finite_points"] > 0
+        for check, target in (("ky", "f"), ("unit-root", "f"), ("quaternion", "f,f,f")):
+            code, reports = run(capsys, "check", check, "--manifold", str(path),
+                                "--target", target)
+            assert code == 1, check
+            assert reports[0]["pass"] is False, check
+            assert reports[0]["extra"]["non_finite_points"] > 0, check
 
     def test_unknown_catalog_gives_exit_two(self, capsys):
         code, _ = run(capsys, "check", "ky", "--catalog", "nope",

@@ -6,8 +6,8 @@ from hypothesis import given, settings, strategies as st
 
 from hiddensym import exprkit
 from hiddensym.exprkit import (EvalDomainError, ParseError, UnboundNameError,
-                               UnknownFunctionError, differentiate, evaluate,
-                               parse, simplify, to_source)
+                               UnknownFunctionError, evaluate, parse, simplify,
+                               to_source)
 
 
 class TestParse:
@@ -116,12 +116,6 @@ class TestRoundTrip:
 
 
 class TestCalculus:
-    def test_differentiate(self):
-        assert differentiate(parse("x^3"), "x") == 3 * sp.Symbol("x") ** 2
-
-    def test_differentiate_other_symbols_constant(self):
-        assert differentiate(parse("y*x"), "x") == sp.Symbol("y")
-
     def test_simplify_pythagorean(self):
         assert simplify(parse("sin(x)^2 + cos(x)^2")) == 1
 

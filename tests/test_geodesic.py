@@ -1,3 +1,4 @@
+import csv
 import os
 
 import numpy as np
@@ -218,9 +219,11 @@ class TestExport:
         traj = integrate(sphere, s0,
                          IntegratorConfig(step=0.01, t_span=(0, 1), stride=10))
         path = os.fspath(tmp_path / "traj.csv")
-        export_csv(traj, sphere, path,
-                   invariants={"energy": sphere.metric_field()})
+        export_csv(traj, sphere, path)
         with open(path) as fh:
-            header = fh.readline().strip().split(",")
-        assert header[0] == "t"
-        assert "theta" in header and "energy" in header
+            rows = list(csv.reader(fh))
+        assert rows[0] == ["t", "theta", "phi", "dtheta", "dphi"]
+        assert len(rows) == len(traj) + 1
+        for row, t, st in zip(rows[1:], traj.times, traj.states):
+            assert [float(v) for v in row] == [t, st.position["theta"], st.position["phi"],
+                                               st.velocity["theta"], st.velocity["phi"]]

@@ -1,7 +1,8 @@
 """Source hygiene: every name a library module imports is used in it, every
 definition in a library module is referenced somewhere in the project, no
 library module calls exprkit.simplify, only exprkit calls sympy's trigsimp,
-and no module outside manifold.py calls the symbolic tensor algebra."""
+no module outside manifold.py calls the symbolic tensor algebra, and every
+default of a library function that a call reaches is set by some call."""
 
 import ast
 from pathlib import Path
@@ -215,3 +216,82 @@ def test_symbolic_algebra_checker_sees_each_caller():
                                               "line 7: run -> lie_bracket",
                                               "line 10: reverse_cone -> exterior_derivative",
                                               "line 12: <module> -> raise_index"]
+
+
+EXEMPT_DEFAULTS = {"points", "seed", "tol"}     # the signature every check shares
+
+
+def defaulted_parameters(source: str) -> list[tuple[str, int | None, str]]:
+    """(function, position, name) of each parameter with a default: position
+    counts the positional parameters a call fills, a method's self not
+    counted, and is None for a keyword-only one.  A class's __init__ is
+    listed under the class's name, since a call of the class reaches it."""
+    out = []
+
+    def add(fn, name, method):
+        args = fn.args
+        positional = (args.posonlyargs + args.args)[1 if method else 0:]
+        first = len(positional) - len(args.defaults)
+        out.extend((name, first + i, a.arg) for i, a in enumerate(positional[first:]))
+        out.extend((name, None, a.arg) for a, d in zip(args.kwonlyargs, args.kw_defaults)
+                   if d is not None)
+
+    def visit(node, in_class):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                name = in_class if in_class and child.name == "__init__" else child.name
+                add(child, name, bool(in_class))
+                visit(child, None)
+            else:
+                visit(child, child.name if isinstance(child, ast.ClassDef) else None)
+
+    visit(ast.parse(source), None)
+    return out
+
+
+def call_sites(sources: list[str]) -> dict[str, list[tuple[int, set[str], bool]]]:
+    """Per called name (a Name, or an Attribute's attr): for each call, the
+    number of positional arguments, the keywords, and whether it unpacks
+    * or ** arguments."""
+    out: dict = {}
+    for source in sources:
+        for node in ast.walk(ast.parse(source)):
+            if not isinstance(node, ast.Call):
+                continue
+            f = node.func
+            name = f.id if isinstance(f, ast.Name) else getattr(f, "attr", None)
+            starred = (any(isinstance(a, ast.Starred) for a in node.args)
+                       or any(k.arg is None for k in node.keywords))
+            out.setdefault(name, []).append(
+                (len(node.args), {k.arg for k in node.keywords}, starred))
+    return out
+
+
+def unset_defaults(sources: list[str], callers: list[str]) -> list[str]:
+    """'function(parameter)' for each defaulted parameter of a function in
+    `sources` that some call in `callers` reaches but none passes, by
+    keyword, by position or through * or **."""
+    calls = call_sites(callers)
+    return [f"{fn}({param})" for source in sources
+            for fn, position, param in defaulted_parameters(source)
+            if fn in calls and param not in EXEMPT_DEFAULTS
+            and not any(starred or param in keywords
+                        or (position is not None and count > position)
+                        for count, keywords, starred in calls[fn])]
+
+
+def test_every_default_is_set_by_a_caller():
+    """A parameter no caller sets is a constant: no option without a caller."""
+    sources = [p.read_text() for p in sorted(SRC.glob("*.py"))]
+    callers = sources + [p.read_text() for p in sorted((ROOT / "perfbench").rglob("*.py"))]
+    assert unset_defaults(sources, callers) == []
+
+
+def test_default_checker_sees_each_unset_default():
+    source = ("def f(a, b=1, *, c=2, tol=0):\n    pass\n"
+              "def g(a=1, b=2):\n    pass\n"
+              "def unused(a=1):\n    pass\n"
+              "class Box:\n    def __init__(self, a, size=1):\n        pass\n"
+              "    def read(self, n=0, m=0):\n        pass\n")
+    callers = [source, "f(1)\nf(1, c=3)\ng(**kw)\nBox(1)\nbox.read(5)\n"]
+    assert unset_defaults([source], callers) == ["f(b)", "Box(size)", "read(m)"]

@@ -8,8 +8,8 @@ import sympy as sp
 from hiddensym import catalog, manifold, sasaki
 from hiddensym.manifold import (Chart, GeometryError, Manifold, TensorField, one_form,
                                 sample_points, vector)
-from hiddensym.sasaki import (EPS, MixedThreeStructure, _wedge, build_cone,
-                              cone_roundtrip_residual, einstein_check,
+from hiddensym.sasaki import (EPS, RADIAL, MixedThreeStructure, _wedge,
+                              build_cone, cone_roundtrip_residual, einstein_check,
                               killing_triple_check, ky_odd_rank_check,
                               para_hyperkahler_check, sasakian_residuals,
                               sectional_curvature_check, structure_identity_suite)
@@ -134,9 +134,15 @@ class TestEmbeddingOracle:
 
 
 class TestCone:
-    def test_radial_name_clash_rejected(self, S):
-        with pytest.raises(GeometryError):
-            build_cone(S, radial="rho")
+    def test_radial_name_clash_rejected(self):
+        """A base chart with a coordinate named like the cone's radial one."""
+        coords = (RADIAL, "y", "z")
+        M = Manifold(Chart(coords, {c: (0.5, 1.0) for c in coords}), sp.eye(3).tolist())
+        zero = TensorField(np.zeros((3, 3), dtype=object), "ud")
+        S = MixedThreeStructure(M, [zero] * 3, [vector([0, 0, 0])] * 3,
+                                [one_form([0, 0, 0])] * 3)
+        with pytest.raises(GeometryError, match="clashes"):
+            build_cone(S)
 
     def test_cone_metric_block_structure(self, S):
         C = build_cone(S)
@@ -145,12 +151,6 @@ class TestCone:
         r = sp.Symbol("r")
         assert g[n, n] == 1
         assert sp.simplify(g[0, 0] - r ** 2 * S.manifold.metric[0, 0]) == 0
-
-    def test_euler_field(self, S):
-        C = build_cone(S)
-        comp = C.euler_field().components
-        assert comp[-1] == sp.Symbol("r")
-        assert all(c == 0 for c in comp[:-1])
 
     def test_para_hyperkahler(self, S):
         C = build_cone(S)
@@ -223,7 +223,7 @@ def test_round_trip_compiles_nothing_and_runs_no_symbolic_algebra(monkeypatch):
         monkeypatch.setattr(manifold, name, refuse)
     monkeypatch.setattr(sp, "diff", refuse)
     assert structure_identity_suite(S, points).passed
-    assert para_hyperkahler_check(C, [{**p, C.radial: 1.0} for p in points]).passed
+    assert para_hyperkahler_check(C, [{**p, RADIAL: 1.0} for p in points]).passed
     calls, lambdify = [], sp.lambdify
     monkeypatch.setattr(sp, "lambdify", lambda *a, **k: calls.append(a) or lambdify(*a, **k))
     assert cone_roundtrip_residual(S, C, points).passed
@@ -254,7 +254,7 @@ class TestSingularPoint:
         run = {"structure": lambda: structure_identity_suite(S, points),
                "sasakian": lambda: sasakian_residuals(S, points),
                "para-hyperkahler": lambda: para_hyperkahler_check(
-                   C, [{**p, C.radial: 1.0} for p in points]),
+                   C, [{**p, RADIAL: 1.0} for p in points]),
                "round-trip": lambda: cone_roundtrip_residual(S, C, points)}[check]
         with warnings.catch_warnings():
             warnings.simplefilter("error")
