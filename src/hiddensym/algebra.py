@@ -19,7 +19,9 @@ whose image is an infinite-dimensional twisted loop algebra:
     [B^i_{2n+2}, B^j_{2m+2}] = i eps_{ijk} A^k_{2(n+m+2)}
 
 All coefficients live in Q[i][B] (exact rationals, formal imaginary unit,
-central indeterminate B); every check below is zero-tolerance.
+central indeterminate B); every check below is zero-tolerance.  The
+arithmetic is plain Python (int and Fraction parts), so this module loads
+neither sympy nor numpy.
 
 Q^Y and P4 are carried as inert generators: no bracket relations are
 specified for them, so they are excluded from the Jacobi suites and any
@@ -31,8 +33,6 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 
-from sympy import QQ_I
-
 
 class AlgebraError(Exception):
     pass
@@ -40,6 +40,33 @@ class AlgebraError(Exception):
 
 class UnspecifiedBracketError(AlgebraError):
     """Raised for generator pairs with no stated bracket relation."""
+
+
+class Gauss(tuple):
+    """The exact Gaussian rational x + iy, with int or Fraction parts x, y."""
+    __slots__ = ()
+
+    def __new__(cls, x, y):
+        return tuple.__new__(cls, (x, y))
+
+    x = property(lambda self: self[0])
+    y = property(lambda self: self[1])
+
+    def __add__(self, other: Gauss) -> Gauss:
+        return Gauss(self[0] + other[0], self[1] + other[1])
+
+    def __mul__(self, other: Gauss) -> Gauss:
+        a, b = self
+        c, d = other
+        return Gauss(a * c - b * d, a * d + b * c)
+
+    __rmul__ = __mul__      # so that 2 * z raises, instead of repeating a tuple
+
+    def __neg__(self) -> Gauss:
+        return Gauss(-self[0], -self[1])
+
+    def __bool__(self) -> bool:
+        return bool(self[0] or self[1])
 
 
 # ---------------------------------------------------------------------------
@@ -51,8 +78,8 @@ class UnspecifiedBracketError(AlgebraError):
 
 Element = dict
 
-ONE = QQ_I(1, 0)
-_I_UNITS = {s: QQ_I(0, s) for s in (1, -1, 2, -2)}     # the eps-rule coefficients s * i
+ONE = Gauss(1, 0)
+_I_UNITS = {s: Gauss(0, s) for s in (1, -1, 2, -2)}     # the eps-rule coefficients s * i
 
 
 def elem(name: str, power: int = 0) -> Element:

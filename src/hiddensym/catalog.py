@@ -51,6 +51,14 @@ def _wedge(a, b):
                      for i in range(n)], dtype=object)
 
 
+def _antisymmetric(upper: dict) -> np.ndarray:
+    """The 4 x 4 antisymmetric matrix with the entries upper[i, j], i < j."""
+    F = np.full((4, 4), sp.Integer(0), dtype=object)
+    for (i, j), e in upper.items():
+        F[i, j], F[j, i] = e, -e
+    return F
+
+
 def flat(n: int) -> CatalogEntry:
     """Flat Euclidean space in Cartesian coordinates x1..xn."""
     coords = tuple(f"x{i+1}" for i in range(n))
@@ -81,7 +89,13 @@ def sphere2() -> CatalogEntry:
 
 
 def taub_nut(m_value: float = 1.0) -> CatalogEntry:
-    """Euclidean Taub-NUT with NUT parameter m > 0 and its symmetry objects."""
+    """Euclidean Taub-NUT with NUT parameter m > 0 and its symmetry objects.
+
+    The raw Killing-Yano forms are built by wedges of coordinate
+    differentials; the stored f1, f2, f3 (-raw/2) and fY (raw/2) are stated in
+    closed form, each entry the expression sympy.cancel gives for it, so
+    nothing is cancelled at build time.  tests/test_catalog.py rebuilds them
+    by wedge and cancel as the oracle and requires identical expressions."""
     if m_value <= 0:
         raise ValueError("NUT parameter m must be positive")
     r, th, ph, ch, m = sp.symbols("r theta phi chi m")
@@ -130,11 +144,35 @@ def taub_nut(m_value: float = 1.0) -> CatalogEntry:
 
     for i, F in enumerate(raw_fi):
         entry.forms[f"f{i+1}_raw"] = two_form(F)
-        entry.forms[f"f{i+1}"] = two_form(np.array(
-            [[sp.cancel(-e / 2) for e in row] for row in F], dtype=object))
     entry.forms["fY_raw"] = two_form(raw_fy)
-    entry.forms["fY"] = two_form(np.array(
-        [[sp.cancel(e / 2) for e in row] for row in raw_fy], dtype=object))
+
+    # The stored forms, -raw/2 and raw/2 in closed form: each entry is written
+    # as the rational normal form of the raw entry, sin^2 + cos^2 unreduced.
+    s, c, sph, cph = sp.sin(th), sp.cos(th), sp.sin(ph), sp.cos(ph)
+
+    def f12(u, v):      # f1 at (u, v) = (sin phi, cos phi), f2 at (-cos phi, sin phi)
+        return _antisymmetric({
+            (0, 1): -4 * m * u * s ** 2 - 4 * m * u * c ** 2 - r * u * s ** 2 - r * u * c ** 2,
+            (0, 2): -r * s * v * c,
+            (0, 3): 4 * m * s * v,
+            (1, 2): 4 * m * r * s ** 2 * v + 4 * m * r * v * c ** 2 + r ** 2 * s ** 2 * v,
+            (1, 3): 4 * m * r * v * c,
+            (2, 3): -4 * m * r * u * s})
+
+    entry.forms["f1"] = two_form(f12(sph, cph))
+    entry.forms["f2"] = two_form(f12(-cph, sph))
+    entry.forms["f3"] = two_form(_antisymmetric({
+        (0, 2): (4 * m * sph ** 2 * s ** 2 + 4 * m * s ** 2 * cph ** 2 + 4 * m * c ** 2
+                 + r * sph ** 2 * s ** 2 + r * s ** 2 * cph ** 2),
+        (0, 3): 4 * m * c,
+        (1, 2): (4 * m * r * sph ** 2 * s * c + 4 * m * r * s * cph ** 2 * c - 4 * m * r * s * c
+                 + r ** 2 * sph ** 2 * s * c + r ** 2 * s * cph ** 2 * c),
+        (1, 3): -4 * m * r * s}))
+    fy = _antisymmetric({(0, 2): -4 * m * c, (0, 3): -4 * m})
+    # cancel keeps the sign in the numerator: -p/(2m), not -(p/(2m))
+    p = 8 * m ** 2 * r * s + 6 * m * r ** 2 * s + r ** 3 * s
+    fy[1, 2], fy[2, 1] = p / (2 * m), -p / (2 * m)
+    entry.forms["fY"] = two_form(fy)
 
     # Orthonormal frame rows e^a_mu (Euclidean delta frame metric).
     sf = sp.sqrt(f)

@@ -7,6 +7,9 @@ Reports are emitted one JSON object per line (deterministic key order);
 Exit codes: 0 all requested checks meet their expectations (expected
 failures count as success); 1 check failure; 2 file/parse/usage error;
 3 internal error.
+
+The sympy-based modules are imported by the handlers that use them, so the
+algebra commands never load sympy.
 """
 
 from __future__ import annotations
@@ -18,12 +21,8 @@ import math
 import sys
 
 import numpy as np
-import sympy as sp
 
-from . import algebra, catalog, exprkit, geodesic, killing, sasaki, spin
-from .catalog import CatalogEntry
-from .manifold import (Chart, GeometryError, Manifold, TensorField, _perm_sign, vector,
-                       one_form)
+from . import algebra
 
 
 class FileFormatError(Exception):
@@ -80,13 +79,22 @@ def _numeric(convert, allowed=None):
 
 _keep = _leaf(lambda src: True, "anything")
 _text = _leaf(lambda src: isinstance(src, str), "a string")
-_name = _leaf(lambda src: isinstance(src, str) and src.isascii() and src.isidentifier()
-              and src not in exprkit.FUNCTIONS, "a name that is not a function's")
 _real = _numeric(float)
+
+
+def _name(src, context: str) -> str:
+    """Leaf giving an ASCII identifier that is not a grammar function's name."""
+    from .exprkit import FUNCTIONS
+    return _leaf(lambda s: isinstance(s, str) and s.isascii() and s.isidentifier()
+                 and s not in FUNCTIONS, "a name that is not a function's")(src, context)
 
 
 def _expression(names: set):
     """Leaf giving an expression (exprkit's grammar, or a finite number) in names."""
+    import sympy as sp
+
+    from . import exprkit
+
     def read(src, context: str) -> sp.Expr:
         if not isinstance(src, str):
             return sp.nsimplify(_real(src, context), rational=True)
@@ -106,6 +114,12 @@ def _expression(names: set):
 def ingest(doc) -> CatalogEntry:
     """Build a catalog entry from a manifold-definition JSON document.  Every
     field is read by _read, so a fault raises FileFormatError naming it."""
+    import sympy as sp
+
+    from .catalog import CatalogEntry
+    from .manifold import (Chart, GeometryError, Manifold, TensorField, _perm_sign,
+                           one_form, vector)
+    from .sasaki import MixedThreeStructure
     doc = _read(doc, (dict,), _keep, "")
     n = _field(doc, "dimension", (), _numeric(int))
     coords = tuple(_field(doc, "coordinates", (n,), _name))
@@ -126,7 +140,7 @@ def ingest(doc) -> CatalogEntry:
             block = _field(doc, "structures", (dict,), _keep)
             phi, xi, eta = (_field(block, key, (3,) + (n,) * rank, expr, context="structures")
                             for key, rank in (("phi", 2), ("xi", 1), ("eta", 1)))
-            entry.structure = sasaki.MixedThreeStructure(
+            entry.structure = MixedThreeStructure(
                 M, [TensorField(p, "ud") for p in phi], [vector(x) for x in xi],
                 [one_form(e) for e in eta])
     except GeometryError as exc:
@@ -153,13 +167,16 @@ def ingest(doc) -> CatalogEntry:
 
 
 def _expr_to_source(e) -> str:
+    import sympy as sp
+
+    from .exprkit import to_source
     e = sp.sympify(e)
     # the file grammar has no hyperbolics; rewrite them through exp
     e = e.replace(sp.sinh, lambda a: (sp.exp(a) - sp.exp(-a)) / 2)
     e = e.replace(sp.cosh, lambda a: (sp.exp(a) + sp.exp(-a)) / 2)
     e = e.replace(sp.tanh, lambda a: (sp.exp(a) - sp.exp(-a))
                   / (sp.exp(a) + sp.exp(-a)))
-    return exprkit.to_source(e)
+    return to_source(e)
 
 
 def export(entry: CatalogEntry) -> dict:
@@ -226,6 +243,7 @@ def _load_entry(args) -> CatalogEntry:
             raise FileFormatError(f"cannot read manifold file: {exc}") from exc
         return ingest(doc)
     if getattr(args, "catalog", None):
+        from . import catalog
         try:
             return catalog.get(args.catalog)
         except KeyError as exc:
@@ -260,6 +278,7 @@ _CHECKS = ("killing-vector", "cky", "ky", "sk", "covconst", "unit-root",
 
 
 def _cmd_check(args) -> int:
+    from . import killing
     entry = _load_entry(args)
     M = entry.manifold
     kw = dict(points=args.points, seed=args.seed, tol=args.tol)
@@ -288,6 +307,7 @@ def _cmd_check(args) -> int:
 
 
 def _cmd_construct(args) -> int:
+    from . import killing
     entry = _load_entry(args)
     M = entry.manifold
     f = entry.target(args.target)
@@ -315,6 +335,7 @@ def _parse_state(src: str, coords, flag: str) -> dict:
 
 
 def _cmd_geodesic(args) -> int:
+    from . import geodesic, killing
     entry = _load_entry(args)
     M = entry.manifold
     s0 = geodesic.GeodesicState(_parse_state(args.position, M.chart.coords, "--position"),
@@ -344,18 +365,22 @@ def _cmd_geodesic(args) -> int:
     return 0 if ok else 1
 
 
-def _spin_context(entry: CatalogEntry) -> spin.SpinContext:
+def _cmd_spin(args) -> int:
+    from . import spin
+    entry = _load_entry(args)
     M = entry.manifold
     if entry.frame is not None:
         F = spin.Frame(entry.frame, tuple(M.signature))
     else:
         F = spin.orthonormal_frame(M)
-    return spin.SpinContext(M, F)
-
-
-def _cmd_spin(args) -> int:
-    entry = _load_entry(args)
-    ctx = _spin_context(entry)
+    # a frame that does not give the metric is a file error; a non-finite
+    # residual (a singular point) is left to the report
+    frame = spin.frame_residual(F, M, points=args.points, seed=args.seed)
+    if not frame.passed and math.isfinite(frame.max_rel_residual):
+        raise FileFormatError(
+            f"the frame does not give the metric: relative residual "
+            f"{frame.max_rel_residual:.3g} at {frame.worst_point}")
+    ctx = spin.SpinContext(M, F)
     bank = spin.spinor_bank(entry.manifold, args.bank, args.seed)
     kw = dict(bank=bank, points=args.points, seed=args.seed, tol=args.tol)
     Ds = spin.OperatorSpec("standard-dirac")
@@ -392,6 +417,7 @@ def _cmd_algebra(args) -> int:
 
 
 def _cmd_sasaki(args) -> int:
+    from . import sasaki
     entry = _load_entry(args)
     S = entry.structure
     if S is None:
@@ -545,12 +571,24 @@ def main(argv=None) -> int:
         return 2 if exc.code not in (0, None) else 0
     try:
         return args.func(args)
-    except (FileFormatError, exprkit.ExprError, KeyError, GeometryError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except Exception as exc:   # noqa: BLE001 - contract: 3 on internal error
+    except Exception as exc:   # noqa: BLE001 - contract: 2 on a file error, else 3
+        if isinstance(exc, _file_errors()):
+            print(f"error: {exc}", file=sys.stderr)
+            return 2
         print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 3
+
+
+def _file_errors() -> tuple:
+    """The exceptions that are file, parse or value errors (exit 2).  The
+    expression and geometry errors are looked up only where their module is
+    loaded: a command that never loaded it cannot have raised them, and the
+    lookup must not load sympy."""
+    errors = [FileFormatError, KeyError]
+    for module, name in (("exprkit", "ExprError"), ("manifold", "GeometryError")):
+        if (loaded := sys.modules.get(f"{__package__}.{module}")) is not None:
+            errors.append(getattr(loaded, name))
+    return tuple(errors)
 
 
 if __name__ == "__main__":

@@ -1,11 +1,12 @@
 import hashlib
 import json
+from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
-from sympy import QQ_I, Rational
+from hypothesis import find, given, settings, strategies as st
+from sympy import QQ_I
 
-from hiddensym.algebra import (ONE, AlgebraError, UnspecifiedBracketError,
+from hiddensym.algebra import (ONE, AlgebraError, Gauss, UnspecifiedBracketError,
                                antisymmetry_check, bracket,
                                bracket_generators, centrality_check, elem,
                                elem_add, elem_scale, elem_to_json,
@@ -16,13 +17,57 @@ from hiddensym.algebra import (ONE, AlgebraError, UnspecifiedBracketError,
 
 
 def _i_times(name, power=0, scale=1):
-    return {(name, power): QQ_I(0, scale)}
+    return {(name, power): Gauss(0, scale)}
 
 
 def digest(obj) -> str:
     """First 16 hex digits of the sha256 of the compact sorted JSON."""
     text = json.dumps(obj, sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(text.encode()).hexdigest()[:16]
+
+
+def _parts(z) -> tuple[str, str]:
+    return str(z.x), str(z.y)
+
+
+def _wrong_product(z, w):
+    """Gauss multiplication with the -b*d term of (a + ib)(c + id) dropped."""
+    return Gauss(z.x * w.x, z.x * w.y + z.y * w.x)
+
+
+def disagreements(z: Gauss, w: Gauss, mul=Gauss.__mul__) -> list[str]:
+    """The operations on which z and w, as Gauss, disagree with sympy's QQ_I."""
+    qz, qw = QQ_I(z.x, z.y), QQ_I(w.x, w.y)
+    out = [op for op, mine, theirs in (("+", z + w, qz + qw), ("*", mul(z, w), qz * qw),
+                                       ("-", -z, -qz)) if _parts(mine) != _parts(theirs)]
+    return out + (["bool"] if bool(z) != bool(qz) else [])
+
+
+_part = st.integers(-30, 30) | st.fractions(-30, 30, max_denominator=12)
+gaussians = st.builds(Gauss, _part, _part)
+
+
+class TestGaussOracle:
+    """Gauss against sympy's QQ_I, the coefficient type it replaced."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(gaussians, gaussians)
+    def test_agrees_with_qq_i(self, z, w):
+        assert disagreements(z, w) == []
+
+    def test_zero_is_false(self):
+        assert not Gauss(0, 0) and not Gauss(Fraction(0), 0)
+        assert Gauss(0, Fraction(1, 3)) and Gauss(-1, 0)
+
+    def test_no_tuple_repetition(self):
+        with pytest.raises(TypeError):
+            2 * Gauss(1, 0)
+
+    def test_planted_wrong_product_is_seen(self):
+        z, w = find(st.tuples(gaussians, gaussians),
+                    lambda zw: disagreements(*zw, mul=_wrong_product) != [])
+        assert disagreements(z, w, mul=_wrong_product) == ["*"]
+        assert disagreements(Gauss(0, 1), Gauss(0, 1), mul=_wrong_product) == ["*"]
 
 
 class TestFiniteTable:
@@ -78,7 +123,7 @@ class TestBilinearExtension:
            st.integers(min_value=-5, max_value=5),
            st.integers(min_value=0, max_value=4))
     def test_antisymmetry_property(self, a, b, num, power):
-        c = QQ_I(num, 1)
+        c = Gauss(num, 1)
         lhs = bracket(elem_scale(elem(a, power), c), elem(b))
         rhs = elem_scale(bracket(elem(b), elem_scale(elem(a, power), c)), -ONE)
         assert lhs == rhs
@@ -144,7 +189,7 @@ class TestGrading:
 def _doubled_jq(a, b):
     """bracket_generators with [J_i, Q_j] = -[Q_j, J_i] doubled."""
     out = bracket_generators(a, b)
-    return elem_scale(out, 2 * ONE) if {a[0], b[0]} == {"J", "Q"} else out
+    return elem_scale(out, Gauss(2, 0)) if {a[0], b[0]} == {"J", "Q"} else out
 
 
 class TestStructuralInvariants:
@@ -186,7 +231,7 @@ class TestTableEmission:
         json.dumps(structure_table_json(1))
 
     def test_elem_to_json_fractions_as_strings(self):
-        out = elem_to_json(elem_scale(elem("J1", 2), QQ_I(Rational(1, 3), -2)))
+        out = elem_to_json(elem_scale(elem("J1", 2), Gauss(Fraction(1, 3), -2)))
         assert out == {"J1": {"2": ["1/3", "-2"]}}
 
     def test_structure_table_pinned(self):

@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 import sympy as sp
@@ -89,6 +91,67 @@ class TestTaubNut:
         M = entry.manifold
         assert killing_vector_residual(entry.vectors["k1"], M, points=4).passed
         assert ky_residual(entry.forms["f1"], M, points=4).passed
+
+
+def _wedge(a, b):
+    n = len(a)
+    return np.array([[sp.expand(a[i] * b[j] - a[j] * b[i]) for j in range(n)]
+                     for i in range(n)], dtype=object)
+
+
+def taub_nut_forms_by_wedge(nut=4):
+    """Taub-NUT's Killing-Yano forms as the catalog once built them, the old
+    path its closed forms are checked against: the raw f_i are
+    8m sigma ^ dx_i - eps_ijk (1 + nut m/r) dx_j ^ dx_k and fY_raw is
+    8m sigma ^ dr + 4r(r + 2m)(1 + r/4m) sin(theta) dtheta ^ dphi, with
+    sigma = dchi + cos(theta) dphi, and each stored form is sympy.cancel of
+    -raw/2 (f1, f2, f3) or raw/2 (fY), entry by entry.  nut is 4; another
+    value plants an error."""
+    r, th, ph, ch, m = sp.symbols("r theta phi chi m")
+    coords = [r, th, ph, ch]
+    sigma = [sp.Integer(0), sp.Integer(0), sp.cos(th), sp.Integer(1)]
+    x = [r * sp.sin(th) * sp.cos(ph), r * sp.sin(th) * sp.sin(ph), r * sp.cos(th)]
+    dx = [[sp.diff(s, c) for c in coords] for s in x]
+    dr, dth, dph = ([sp.diff(y, c) for c in coords] for y in (r, th, ph))
+    raw = {}
+    for i in range(3):
+        F = 8 * m * _wedge(sigma, dx[i])
+        for j, k in itertools.permutations(range(3), 2):
+            eps = (j - i) * (k - i) * (k - j) // 2
+            if eps and {i, j, k} == {0, 1, 2}:
+                F = F - eps * (1 + nut * m / r) * _wedge(dx[j], dx[k])
+        raw[f"f{i + 1}"] = F
+    raw["fY"] = (8 * m * _wedge(sigma, dr)
+                 + 4 * r * (r + 2 * m) * (1 + r / (4 * m)) * sp.sin(th) * _wedge(dth, dph))
+    scale = {"f1": -2, "f2": -2, "f3": -2, "fY": 2}
+    normalized = {name: np.array([[sp.cancel(e / scale[name]) for e in row] for row in F],
+                                 dtype=object) for name, F in raw.items()}
+    return raw, normalized
+
+
+def _srepr(F) -> list[str]:
+    return [sp.srepr(e) for e in np.asarray(F).flat]
+
+
+class TestTaubNutForms:
+    """The stored forms are the exact expressions the wedge construction gave,
+    so the printed export and the compiled code do not change."""
+
+    def test_export_digest_pinned(self, tn):
+        assert digest(cli.export(tn)) == "4aa3400048b70fab"
+
+    def test_forms_match_the_wedge_construction(self, tn):
+        raw, normalized = taub_nut_forms_by_wedge()
+        for name in ("f1", "f2", "f3", "fY"):
+            assert _srepr(tn.forms[name].components) == _srepr(normalized[name]), name
+            assert _srepr(tn.forms[f"{name}_raw"].components) == _srepr(raw[name]), name
+
+    def test_planted_error_is_seen(self, tn):
+        """(1 + 4m/r) -> (1 + 2m/r) changes f1, f2 and f3; fY has no such term."""
+        _, normalized = taub_nut_forms_by_wedge(nut=2)
+        changed = {name for name, F in normalized.items()
+                   if _srepr(tn.forms[name].components) != _srepr(F)}
+        assert changed == {"f1", "f2", "f3"}
 
 
 class TestPseudoSphere:

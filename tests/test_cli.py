@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from hiddensym import cli
 from hiddensym.cli import FileFormatError, export, ingest, main
 from hiddensym.manifold import sample_points
 from test_algebra import digest
@@ -348,7 +347,7 @@ class TestCheckCommand:
 
         def boom(*a, **k):
             raise RuntimeError("synthetic")
-        monkeypatch.setattr(cli.killing, "killing_vector_residual", boom)
+        monkeypatch.setattr(killing, "killing_vector_residual", boom)
         code, _ = run(capsys, "check", "killing-vector",
                       "--catalog", "sphere2", "--target", "dphi")
         assert code == 3
@@ -455,6 +454,46 @@ class TestSpinCommand:
         assert code == 0
         assert reports[0]["pass"] is False
         assert reports[0]["meets_expectation"] is True
+
+    @pytest.fixture(scope="class")
+    def exported(self, tn):
+        return export(tn)
+
+    @pytest.mark.parametrize("fault", [None, "zeroed-entry", "identity", "signature"])
+    @pytest.mark.parametrize("argv", [["anticommute", "--target", "f1"],
+                                      ["commute", "--target", "kchi"],
+                                      ["square", "--target", "f2"]],
+                             ids=["anticommute", "commute", "square"])
+    def test_frame_must_give_the_metric(self, capsys, tmp_path, exported, fault, argv):
+        """A Taub-NUT file whose frame does not give its metric is a file
+        error, whichever identity is asked for."""
+        doc = json.loads(json.dumps(exported))
+        if fault == "zeroed-entry":     # 4m sqrt(r/(4m + r)) cos(theta)
+            doc["frame"][3][2] = "0"
+        elif fault == "identity":
+            doc["frame"] = [["1" if i == j else "0" for j in range(4)] for i in range(4)]
+        elif fault == "signature":
+            doc["signature"] = [1, 1, -1, -1]
+        path = tmp_path / "tn.json"
+        path.write_text(json.dumps(doc))
+        code = main(["spin", *argv, "--manifold", str(path), "--points", "3", "--bank", "2"])
+        captured = capsys.readouterr()
+        if fault is None:
+            assert code == 0
+            assert json.loads(captured.out)["pass"] is True
+        else:
+            assert code == 2
+            assert captured.out == ""
+            assert "frame does not give the metric" in captured.err
+
+    def test_non_finite_frame_is_left_to_the_report(self, capsys, tmp_path):
+        path = tmp_path / "m.json"
+        path.write_text(json.dumps(dict(MINIMAL, frame=[["sqrt(x - 5)", "0"], ["0", "1"]])))
+        code = main(["spin", "commute", "--manifold", str(path), "--target", "rot",
+                     "--points", "3", "--bank", "1"])
+        reports = _strict(capsys.readouterr().out)
+        assert code == 1
+        assert reports[0]["extra"]["non_finite_points"] == 3
 
 
 class TestCatalogCommand:

@@ -1,10 +1,15 @@
 """Source hygiene: every name a library module imports is used in it, every
 definition in a library module is referenced somewhere in the project, no
 library module calls exprkit.simplify, only exprkit calls sympy's trigsimp,
-no module outside manifold.py calls the symbolic tensor algebra, and every
-default of a library function that a call reaches is set by some call."""
+no module outside manifold.py calls the symbolic tensor algebra, every
+default of a library function that a call reaches is set by some call, and
+the algebra commands load no sympy."""
 
 import ast
+import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -295,3 +300,107 @@ def test_default_checker_sees_each_unset_default():
               "    def read(self, n=0, m=0):\n        pass\n")
     callers = [source, "f(1)\nf(1, c=3)\ng(**kw)\nBox(1)\nbox.read(5)\n"]
     assert unset_defaults([source], callers) == ["f(b)", "Box(size)", "read(m)"]
+
+
+def imported_modules(source: str, package: str, whole: bool) -> list[tuple[int, str]]:
+    """(line, dotted module) for each import in `source`: at the module level
+    (class bodies included), or anywhere with `whole`.  A relative import is
+    resolved in `package`; a name imported from a module counts as a
+    submodule of it too; importlib.import_module and __import__ of a
+    constant count as imports."""
+    out = []
+
+    def visit(node):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.Import):
+                out.extend((child.lineno, a.name) for a in child.names)
+            elif isinstance(child, ast.ImportFrom) and child.module != "__future__":
+                base = package if child.level else ""
+                base = ".".join(p for p in (base, child.module) if p)
+                out.append((child.lineno, base))
+                out.extend((child.lineno, f"{base}.{a.name}") for a in child.names)
+            elif (isinstance(child, ast.Call) and child.args
+                  and isinstance(child.args[0], ast.Constant)
+                  and getattr(child.func, "id", getattr(child.func, "attr", None))
+                  in ("import_module", "__import__")):
+                out.append((child.lineno, child.args[0].value))
+            if whole or not isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                               ast.Lambda)):
+                visit(child)
+
+    visit(ast.parse(source))
+    return out
+
+
+def sympy_based_modules() -> set[str]:
+    """The hiddensym modules whose import loads sympy: those importing sympy,
+    or such a module, at their module level."""
+    imports = {p.stem: {m for _, m in imported_modules(p.read_text(), "hiddensym", False)}
+               for p in SRC.glob("*.py")}
+    based: set[str] = set()
+    while True:
+        more = {name for name, mods in imports.items()
+                if any(m.split(".")[0] == "sympy" or m in {f"hiddensym.{b}" for b in based}
+                       for m in mods)}
+        if more <= based:
+            return based
+        based |= more
+
+
+def sympy_imports(source: str, whole: bool, based: set[str]) -> list[str]:
+    """'line N: module' for each import of sympy or of a sympy-based
+    hiddensym module."""
+    loaders = {f"hiddensym.{b}" for b in based}
+    return [f"line {line}: {m}" for line, m in imported_modules(source, "hiddensym", whole)
+            if m.split(".")[0] == "sympy" or m in loaders]
+
+
+def test_sympy_based_modules():
+    assert sympy_based_modules() == {"catalog", "exprkit", "geodesic", "killing",
+                                     "manifold", "sasaki", "spin"}
+
+
+@pytest.mark.parametrize("name, whole", [("algebra.py", True), ("cli.py", False)])
+def test_algebra_path_imports_no_sympy(name, whole):
+    """The exact algebra is plain Python, and the CLI imports the sympy-based
+    modules in the handlers that use them, so `hiddensym algebra ...` never
+    loads sympy."""
+    assert sympy_imports((SRC / name).read_text(), whole, sympy_based_modules()) == []
+
+
+def test_sympy_import_checker_sees_each_spelling():
+    source = ("import sympy\nimport sympy.core as c\nfrom sympy import QQ_I\n"
+              "from . import algebra, catalog\nfrom .manifold import Chart\n"
+              "from hiddensym import spin\nimport hiddensym.killing\n"
+              "from hiddensym.exprkit import parse\nimport numpy as np\n"
+              "class C:\n    from sympy import Rational\n"
+              "sp = importlib.import_module('sympy')\n"
+              "def handler():\n    from . import sasaki\n    import sympy as sp\n"
+              "f = lambda: __import__('sympy')\n")
+    based = {"catalog", "manifold", "spin", "killing", "exprkit", "sasaki"}
+    module_level = ["line 1: sympy", "line 2: sympy.core", "line 3: sympy",
+                    "line 3: sympy.QQ_I", "line 4: hiddensym.catalog",
+                    "line 5: hiddensym.manifold", "line 6: hiddensym.spin",
+                    "line 7: hiddensym.killing", "line 8: hiddensym.exprkit",
+                    "line 11: sympy", "line 11: sympy.Rational", "line 12: sympy"]
+    assert sympy_imports(source, False, based) == module_level
+    assert sympy_imports(source, True, based) == module_level[:-1] + [
+        "line 12: sympy", "line 14: hiddensym.sasaki", "line 15: sympy", "line 16: sympy"]
+
+
+@pytest.mark.parametrize("argv", [["table", "--cutoff", "2"], ["jacobi", "--cutoff", "3"]],
+                         ids=["table", "jacobi"])
+def test_algebra_commands_do_not_load_sympy(argv):
+    """Runs the command as `python -m hiddensym.cli` does and reports whether
+    sympy was loaded when it ended."""
+    script = ("import runpy, sys\n"
+              "sys.argv = ['hiddensym', *sys.argv[1:]]\n"
+              "try:\n    runpy.run_module('hiddensym.cli', run_name='__main__', alter_sys=True)\n"
+              "except SystemExit as exc:\n    code = exc.code\n"
+              "sys.stderr.write(f'exit {code}, sympy loaded: {\"sympy\" in sys.modules}')\n")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(ROOT / "src"), *filter(None, [os.environ.get("PYTHONPATH")])]))
+    done = subprocess.run([sys.executable, "-c", script, "algebra", *argv], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert done.stderr == "exit 0, sympy loaded: False"
+    assert json.loads(done.stdout.splitlines()[0])
