@@ -270,6 +270,16 @@ def _finalize(report, entry, check, target, args) -> bool:
     return obj["meets_expectation"]
 
 
+def _check_signature(M, args) -> None:
+    """A metric whose signature differs from the declared one at a finite,
+    non-degenerate point among the report's points is a file error; a
+    singular point is left to the report."""
+    from .manifold import sample_points
+    if not M.check_signature(sample_points(M.chart, args.points, args.seed)):
+        raise FileFormatError(f"the metric does not have the declared signature "
+                              f"{list(M.signature)} at the sample points")
+
+
 # ---------------------------------------------------------------------------
 # subcommands
 
@@ -281,6 +291,7 @@ def _cmd_check(args) -> int:
     from . import killing
     entry = _load_entry(args)
     M = entry.manifold
+    _check_signature(M, args)
     kw = dict(points=args.points, seed=args.seed, tol=args.tol)
     name = args.check
     if name == "quaternion":
@@ -310,6 +321,7 @@ def _cmd_construct(args) -> int:
     from . import killing
     entry = _load_entry(args)
     M = entry.manifold
+    _check_signature(M, args)
     f = entry.target(args.target)
     K = killing.associated_sk(f, M)
     report = killing.sk_residual(K, M, points=args.points, seed=args.seed,
@@ -338,6 +350,7 @@ def _cmd_geodesic(args) -> int:
     from . import geodesic, killing
     entry = _load_entry(args)
     M = entry.manifold
+    _check_signature(M, args)
     s0 = geodesic.GeodesicState(_parse_state(args.position, M.chart.coords, "--position"),
                                 _parse_state(args.velocity, M.chart.coords, "--velocity"))
     if not M.chart.contains(s0.position):
@@ -422,6 +435,7 @@ def _cmd_sasaki(args) -> int:
     S = entry.structure
     if S is None:
         raise FileFormatError("entry carries no mixed 3-structure block")
+    _check_signature(S.manifold, args)
     kw = dict(points=args.points, seed=args.seed, tol=args.tol)
     ok = True
     if args.mode == "verify":

@@ -1,18 +1,20 @@
 """Geodesic integration and conservation monitoring.
 
-Each right-hand side makes one call of the manifold's compiled spray, the
-geodesic acceleration as a function of position and velocity, compiled for
-Python floats (`math` first, `numpy` for what `math` lacks); a math error in
-the spray (a singular point, a domain error) counts as leaving the chart.
-Fixed-step RK4 on Python floats (its state and stages are lists) is the
-default for reproducible drift numbers, with adaptive RK45 (scipy) as an option.
-Invariants are evaluated over a whole trajectory in one batch.
+The geodesic acceleration is the manifold's compiled spray, a function of
+position and velocity compiled for Python floats (`math` first, `numpy` for
+what `math` lacks); a math error in the spray (a singular point, a domain
+error) counts as leaving the chart.  Fixed-step RK4 is the default, for
+reproducible drift numbers: one loop, generated per dimension, runs on local
+Python floats and calls the spray four times per step.  Adaptive RK45
+(scipy) is an option.  Invariants are evaluated over a whole trajectory in
+one batch.
 """
 
 from __future__ import annotations
 
 import csv
 from dataclasses import dataclass
+from numbers import Integral
 
 import numpy as np
 
@@ -40,6 +42,8 @@ class IntegratorConfig:
             raise ValueError("step and the length of t_span must be positive")
         if self.method not in ("rk4", "rk45"):
             raise ValueError(f"unknown method {self.method!r}")
+        if isinstance(self.stride, bool) or not isinstance(self.stride, Integral) or self.stride < 1:
+            raise ValueError(f"stride must be an integer >= 1, not {self.stride!r}")
 
 
 @dataclass
@@ -72,6 +76,63 @@ class ConservationReport:
         })
 
 
+def _rk4_source(n: int) -> str:
+    """Source of `rk4(spray, y, t0, t1, h, steps, stride, box)`, fixed-step RK4
+    in dimension n on the local floats x0.., v0.. (positions, velocities).
+
+    Each step makes the four spray calls and the float operations of RK4 on
+    the state (x, v) with the stages k1 = (v, a), k2 = (v2, a2), k3 = (v3, a3)
+    and k4 = (v4, a4), in the order of the list form
+    y + h/6 (k1 + 2 k2 + 2 k3 + k4), checks the position box and keeps every
+    stride-th state and the last.  It returns the kept (t, state) pairs and
+    whether the orbit left the chart: a step outside the box, or a math
+    error in the spray.  The text depends on n alone."""
+    def seq(fmt):
+        return ", ".join(fmt.format(i=i) for i in range(n))
+
+    def each(*fmts):
+        return "".join(f"        {fmt.format(i=i)}\n" for fmt in fmts for i in range(n))
+
+    def call(x, v, a):
+        return (f"        try:\n            s = spray({seq(x)}, {seq(v)})\n"
+                f"        except (ArithmeticError, ValueError):\n"
+                f"            return kept, True\n"
+                f"        {seq(a)}, = s\n")
+
+    box = " and ".join(f"lo{i} <= x{i} <= hi{i}" for i in range(n))
+    return (f"def rk4(spray, y, t0, t1, h, steps, stride, box):\n"
+            f"    {seq('x{i}')}, {seq('v{i}')} = y\n"
+            f"    {seq('(lo{i}, hi{i})')}, = box\n"
+            f"    kept = [(t0, y)]\n"
+            f"    t = t0\n"
+            f"    for k in range(1, steps + 1):\n"
+            f"        hk = min(h, t1 - t)  # final step may be partial\n"
+            f"        half, sixth = hk / 2, hk / 6\n"
+            + call("x{i}", "v{i}", "a{i}")
+            + each("x2_{i} = x{i} + half * v{i}", "v2_{i} = v{i} + half * a{i}")
+            + call("x2_{i}", "v2_{i}", "a2_{i}")
+            + each("x3_{i} = x{i} + half * v2_{i}", "v3_{i} = v{i} + half * a2_{i}")
+            + call("x3_{i}", "v3_{i}", "a3_{i}")
+            + each("x4_{i} = x{i} + hk * v3_{i}", "v4_{i} = v{i} + hk * a3_{i}")
+            + call("x4_{i}", "v4_{i}", "a4_{i}")
+            + each("x{i} = x{i} + sixth * (v{i} + 2 * v2_{i} + 2 * v3_{i} + v4_{i})",
+                   "v{i} = v{i} + sixth * (a{i} + 2 * a2_{i} + 2 * a3_{i} + a4_{i})")
+            + f"        t = min(t0 + k * h, t1)\n"
+              f"        if not ({box}):\n"
+              f"            return kept, True\n"
+              f"        if k % stride == 0 or k == steps:\n"
+              f"            kept.append((t, ({seq('x{i}')}, {seq('v{i}')})))\n"
+              f"    return kept, False\n")
+
+
+def _rk4_loop(n: int):
+    """The RK4 loop of _rk4_source(n), compiled and run in a namespace of its
+    own (the spray's lambdify globals rebind `min` to numpy's)."""
+    namespace = {}
+    exec(compile(_rk4_source(n), f"<rk4 loop, n={n}>", "exec"), namespace)
+    return namespace["rk4"]
+
+
 def integrate(M: Manifold, s0: GeodesicState, cfg: IntegratorConfig) -> Trajectory:
     """Integrate the geodesic equation; aborts cleanly at the domain boundary."""
     n = M.dim
@@ -80,8 +141,20 @@ def integrate(M: Manifold, s0: GeodesicState, cfg: IntegratorConfig) -> Trajecto
         raise ValueError("initial position outside the domain box")
     y = [float(s0.position[c]) for c in coords] + [float(s0.velocity[c]) for c in coords]
     spray = M.spray()
-    box = [M.chart.box[c] for c in coords]
     t0, t1 = cfg.t_span
+
+    def snap(yv):
+        return GeodesicState({c: float(yv[i]) for i, c in enumerate(coords)},
+                             {c: float(yv[n + i]) for i, c in enumerate(coords)})
+
+    if cfg.method == "rk4":
+        h = cfg.step
+        steps = max(1, int(np.ceil((t1 - t0) / h - 1e-12)))
+        kept, exited = _rk4_loop(n)(spray, tuple(y), t0, t1, h, steps, cfg.stride,
+                                    [M.chart.box[c] for c in coords])
+        return Trajectory([t for t, _ in kept], [snap(yv) for _, yv in kept], exited)
+
+    from scipy.integrate import solve_ivp
 
     def rhs(state: list[float]) -> list[float]:
         try:
@@ -89,55 +162,19 @@ def integrate(M: Manifold, s0: GeodesicState, cfg: IntegratorConfig) -> Trajecto
         except (ArithmeticError, ValueError):   # a singular point or a math domain error
             return [np.nan] * (2 * n)
 
-    def snap(t, yv):
-        return t, GeodesicState({c: float(yv[i]) for i, c in enumerate(coords)},
-                                {c: float(yv[n + i]) for i, c in enumerate(coords)})
+    def exit_event(t, yv):
+        margin = min(min(yv[i] - M.chart.box[c][0], M.chart.box[c][1] - yv[i])
+                     for i, c in enumerate(coords))
+        return margin
+    exit_event.terminal = True
+    exit_event.direction = -1
 
-    times, states = [], []
-    exited = False
-
-    if cfg.method == "rk4":
-        h = cfg.step
-        steps = max(1, int(np.ceil((t1 - t0) / h - 1e-12)))
-        t = t0
-        rec = snap(t, y)
-        times.append(rec[0]); states.append(rec[1])
-        for k in range(1, steps + 1):
-            hk = min(h, t1 - t)  # final step may be partial
-            half, sixth = hk / 2, hk / 6
-            k1 = rhs(y)
-            k2 = rhs([a + half * b for a, b in zip(y, k1)])
-            k3 = rhs([a + half * b for a, b in zip(y, k2)])
-            k4 = rhs([a + hk * b for a, b in zip(y, k3)])
-            y = [a + sixth * (b1 + 2 * b2 + 2 * b3 + b4)
-                 for a, b1, b2, b3, b4 in zip(y, k1, k2, k3, k4)]
-            t = min(t0 + k * h, t1)
-            if not all(lo <= x <= hi for (lo, hi), x in zip(box, y)):
-                exited = True
-                break
-            if k % cfg.stride == 0 or k == steps:
-                rec = snap(t, y)
-                times.append(rec[0]); states.append(rec[1])
-    else:
-        from scipy.integrate import solve_ivp
-
-        def exit_event(t, yv):
-            margin = min(min(yv[i] - M.chart.box[c][0], M.chart.box[c][1] - yv[i])
-                         for i, c in enumerate(coords))
-            return margin
-        exit_event.terminal = True
-        exit_event.direction = -1
-
-        t_eval = np.linspace(t0, t1, max(2, int((t1 - t0) / (cfg.step * cfg.stride)) + 1))
-        sol = solve_ivp(lambda t, yv: rhs(yv.tolist()), (t0, t1), y, method="RK45",
-                        rtol=RK45_TOLERANCE, atol=RK45_TOLERANCE,
-                        t_eval=t_eval, events=exit_event, dense_output=False)
-        exited = bool(sol.t_events[0].size)
-        for t, yv in zip(sol.t, sol.y.T):
-            rec = snap(float(t), yv)
-            times.append(rec[0]); states.append(rec[1])
-
-    return Trajectory(times, states, exited)
+    t_eval = np.linspace(t0, t1, max(2, int((t1 - t0) / (cfg.step * cfg.stride)) + 1))
+    sol = solve_ivp(lambda t, yv: rhs(yv.tolist()), (t0, t1), y, method="RK45",
+                    rtol=RK45_TOLERANCE, atol=RK45_TOLERANCE,
+                    t_eval=t_eval, events=exit_event, dense_output=False)
+    return Trajectory([float(t) for t in sol.t], [snap(yv) for yv in sol.y.T],
+                      bool(sol.t_events[0].size))
 
 
 def invariant_values(traj: Trajectory, Q: TensorField, M: Manifold) -> list[float]:

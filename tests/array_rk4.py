@@ -1,10 +1,15 @@
-"""Fixed-step RK4 on numpy arrays with a numpy-compiled spray, the reference
-the Python-float RK4 of hiddensym.geodesic is tested against.
+"""Two earlier fixed-step RK4 loops, the references the generated RK4 loop
+of hiddensym.geodesic is tested against.
 
-This is the loop the library used to run: the state and the four stages are
-float arrays, and the spray, built from the same expressions as
-Manifold.spray, is lambdified with modules="numpy", so its trigonometric and
-hyperbolic functions are numpy's.  `k2_weight` exists to plant an error.
+`integrate_arrays` keeps the state and the four stages as float arrays, and
+its spray, built from the same expressions as Manifold.spray, is lambdified
+with modules="numpy", so its trigonometric and hyperbolic functions are
+numpy's.  `k2_weight` exists to plant an error.
+
+`integrate_lists` keeps them as lists of Python floats built with `zip`
+comprehensions and calls the manifold's own spray through a right-hand side
+that turns a math error into NaN; the generated loop must give the same
+times, states and exit flag, bit for bit.
 """
 
 import numpy as np
@@ -67,6 +72,48 @@ def integrate_arrays(M, s0: GeodesicState, cfg, k2_weight=2) -> Trajectory:
         y = y + hk / 6 * (k1 + k2_weight * k2 + 2 * k3 + k4)
         t = min(t0 + k * h, t1)
         if not all(lo <= x <= hi for (lo, hi), x in zip(box, y.tolist())):
+            return Trajectory(times, states, True)
+        if k % cfg.stride == 0 or k == steps:
+            times.append(t)
+            states.append(snap(y))
+    return Trajectory(times, states, False)
+
+
+def integrate_lists(M, s0: GeodesicState, cfg) -> Trajectory:
+    """cfg.method must be "rk4"; a math error in the spray (NaN stages) or a
+    step outside the box ends the orbit."""
+    n = M.dim
+    coords = M.chart.coords
+    y = [float(s0.position[c]) for c in coords] + [float(s0.velocity[c]) for c in coords]
+    spray = M.spray()
+    box = [M.chart.box[c] for c in coords]
+    t0, t1 = cfg.t_span
+
+    def rhs(state: list[float]) -> list[float]:
+        try:
+            return state[n:] + spray(*state)
+        except (ArithmeticError, ValueError):
+            return [np.nan] * (2 * n)
+
+    def snap(yv):
+        return GeodesicState({c: float(yv[i]) for i, c in enumerate(coords)},
+                             {c: float(yv[n + i]) for i, c in enumerate(coords)})
+
+    h = cfg.step
+    steps = max(1, int(np.ceil((t1 - t0) / h - 1e-12)))
+    t = t0
+    times, states = [t], [snap(y)]
+    for k in range(1, steps + 1):
+        hk = min(h, t1 - t)  # final step may be partial
+        half, sixth = hk / 2, hk / 6
+        k1 = rhs(y)
+        k2 = rhs([a + half * b for a, b in zip(y, k1)])
+        k3 = rhs([a + half * b for a, b in zip(y, k2)])
+        k4 = rhs([a + hk * b for a, b in zip(y, k3)])
+        y = [a + sixth * (b1 + 2 * b2 + 2 * b3 + b4)
+             for a, b1, b2, b3, b4 in zip(y, k1, k2, k3, k4)]
+        t = min(t0 + k * h, t1)
+        if not all(lo <= x <= hi for (lo, hi), x in zip(box, y)):
             return Trajectory(times, states, True)
         if k % cfg.stride == 0 or k == steps:
             times.append(t)

@@ -496,6 +496,77 @@ class TestSpinCommand:
         assert reports[0]["extra"]["non_finite_points"] == 3
 
 
+class TestSignatureCheck:
+    """Commands that read a metric check its declared signature at the
+    report's points and seed: another signature at a finite, non-degenerate
+    point is a file error (exit 2, empty stdout); a singular point is left
+    to the report."""
+
+    COMMANDS = {
+        "killing-vector": ["check", "killing-vector", "--target", "k1"],
+        "ky": ["check", "ky", "--target", "f1"],
+        "unit-root": ["check", "unit-root", "--target", "f1"],
+        "covconst": ["check", "covconst", "--target", "fY"],
+        "quaternion": ["check", "quaternion"],
+        "assoc-sk": ["construct", "assoc-sk", "--target", "fY"],
+        "geodesic": ["geodesic", "run", "--position", "r=2.0,theta=1.5,phi=0.5,chi=6.0",
+                     "--velocity", "r=-0.5,theta=0.02,phi=0.2,chi=0.1", "--t1", "0.5"],
+    }
+
+    @pytest.fixture(scope="class")
+    def exported(self, tn):
+        return export(tn)
+
+    @pytest.mark.parametrize("fault", [None, "signature"])
+    @pytest.mark.parametrize("command", list(COMMANDS))
+    def test_wrong_signature_is_a_file_error(self, capsys, tmp_path, exported, fault,
+                                             command):
+        doc = json.loads(json.dumps(exported))
+        if fault:
+            doc["signature"] = [1, 1, -1, -1]
+        path = tmp_path / "tn.json"
+        path.write_text(json.dumps(doc))
+        code = main(self.COMMANDS[command] + ["--manifold", str(path), "--points", "5"])
+        captured = capsys.readouterr()
+        if fault is None:
+            assert code == 0 and captured.out
+        else:
+            assert code == 2
+            assert captured.out == ""
+            assert "declared signature [1, 1, -1, -1]" in captured.err
+
+    def test_sasaki_commands_check_the_signature(self, capsys, tmp_path, ps):
+        doc = export(ps)
+        doc["signature"] = [-doc["signature"][0], *doc["signature"][1:]]
+        path = tmp_path / "ps.json"
+        path.write_text(json.dumps(doc))
+        assert main(["sasaki", "einstein", "--manifold", str(path), "--points", "5"]) == 2
+        assert capsys.readouterr().out == ""
+
+    @pytest.mark.parametrize("metric, codes", [
+        ("sqrt(x - 5)", (1, 1, 1, 1)),        # not finite anywhere in the box
+        ("exp(-1000*(x + 2))", (1, 1, 1, 0)),  # underflows to 0: degenerate
+    ], ids=["non-finite", "degenerate"])
+    def test_singular_points_are_left_to_the_report(self, capsys, tmp_path, metric, codes):
+        """The exit codes are those the commands gave before the check."""
+        path = tmp_path / "m.json"
+        path.write_text(json.dumps(dict(MINIMAL, metric=[["1", "0"], ["0", metric]])))
+        for argv, code in zip((["check", "killing-vector", "--target", "rot"],
+                               ["check", "ky", "--target", "area"],
+                               ["construct", "assoc-sk", "--target", "area"],
+                               ["geodesic", "run", "--position", "x=0.1,y=0.2",
+                                "--velocity", "x=0.1,y=0.1", "--t1", "1"]), codes):
+            assert main(argv + ["--manifold", str(path)]) == code, argv
+            assert capsys.readouterr().out, argv
+
+    @pytest.mark.parametrize("seed", [0, 3])
+    def test_catalog_entries_and_exports_pass(self, entry, seed):
+        M = entry.manifold
+        pts = sample_points(M.chart, 20, seed)
+        assert M.check_signature(pts)
+        assert ingest(export(entry)).manifold.check_signature(pts)
+
+
 class TestCatalogCommand:
     def test_export_to_file_and_reingest(self, capsys, tmp_path):
         out = tmp_path / "sphere.json"

@@ -1,17 +1,19 @@
 import csv
 import os
+import random
 
 import numpy as np
 import pytest
 import sympy as sp
+from hypothesis import example, given, settings, strategies as st
 
-from hiddensym import catalog
+from hiddensym import catalog, geodesic
 from hiddensym.geodesic import (GeodesicState, IntegratorConfig, Trajectory,
                                 energy_report, export_csv, integrate,
                                 invariant_values, monitor_invariant)
 from hiddensym.manifold import Chart, Manifold, sample_points, vector
 
-from array_rk4 import integrate_arrays
+from array_rk4 import integrate_arrays, integrate_lists
 from test_acceptance import _ORBIT
 
 
@@ -38,6 +40,17 @@ class TestConfig:
     def test_empty_or_reversed_span_rejected(self, t_span):
         with pytest.raises(ValueError):
             IntegratorConfig(t_span=t_span)
+
+    @pytest.mark.parametrize("stride", [0, -1, 2.0, 0.5, True, "10", None])
+    def test_stride_must_be_a_positive_integer(self, stride):
+        """stride=0 once raised ZeroDivisionError inside integrate, and
+        stride=-1 kept every step."""
+        with pytest.raises(ValueError, match="stride"):
+            IntegratorConfig(stride=stride)
+
+    @pytest.mark.parametrize("stride", [1, 7, np.int64(3), 10**9])
+    def test_integer_strides_accepted(self, stride):
+        assert IntegratorConfig(stride=stride).stride == stride
 
 
 class TestSpray:
@@ -150,6 +163,163 @@ class TestArrayReference:
         M, s0, cfg = case
         planted = integrate_arrays(M, s0, cfg, k2_weight=1)
         assert not self._mismatch(integrate(M, s0, cfg), planted, M) <= self.TOL
+
+
+def _bits(traj):
+    """The exit flag, and each kept time and state as the hex text of its
+    floats: equal bits, not just equal values."""
+    return traj.exited_domain, [
+        (t.hex(), [x.hex() for x in (*s.position.values(), *s.velocity.values())])
+        for t, s in zip(traj.times, traj.states)]
+
+
+def _perturbed_orbits(seed):
+    """The geodesic-orbits workload's ensemble: the criterion-4 orbit with its
+    position moved by up to 0.05 and its velocity by up to 0.02 per
+    coordinate, three copies drawn from random.Random(seed)."""
+    position, velocity = _ORBIT.position, _ORBIT.velocity
+    rng = random.Random(seed)
+    return [GeodesicState({c: v + rng.uniform(-0.05, 0.05) for c, v in position.items()},
+                          {c: v + rng.uniform(-0.02, 0.02) for c, v in velocity.items()})
+            for _ in range(3)]
+
+
+def _centre_orbit(M):
+    centre = {c: (lo + hi) / 2 for c, (lo, hi) in M.chart.box.items()}
+    return GeodesicState(centre, {c: 0.1 * (i + 1) for i, c in enumerate(M.chart.coords)})
+
+
+FINE = IntegratorConfig(step=1e-3, t_span=(0.0, 10.0), stride=10)
+LIST_CASES = (["criterion-4", "halving-0.04", "halving-0.02"]
+              + [f"perturbed-seed{seed}-{i}" for seed in (0, 3) for i in range(3)]
+              + [f"centre-{name}" for name in catalog.names()])
+
+
+class TestListReference:
+    """The generated RK4 loop against the list-stage loop it replaced
+    (tests/array_rk4.py integrate_lists): equal times, states and exit flag,
+    bit for bit, on criterion 4's orbit, its 0.04/0.02 step-halving orbits,
+    the geodesic-orbits workload's perturbed orbits at seeds 0 and 3, and
+    3000-step orbits from the chart centre of every catalog entry."""
+
+    @pytest.fixture(params=LIST_CASES)
+    def case(self, request):
+        name = request.param
+        if name.startswith("centre-"):
+            entry, shared = name[len("centre-"):], {"taub-nut": "tn", "pseudo-sphere": "ps"}
+            M = (request.getfixturevalue(shared[entry]) if entry in shared
+                 else catalog.get(entry)).manifold
+            return M, _centre_orbit(M), IntegratorConfig(step=1e-3, t_span=(0.0, 3.0), stride=1)
+        M = request.getfixturevalue("tn").manifold
+        if name.startswith("halving-"):
+            return M, _ORBIT, IntegratorConfig(step=float(name[len("halving-"):]),
+                                               t_span=(0.0, 10.0), stride=1)
+        if name.startswith("perturbed-"):
+            seed, i = name[len("perturbed-seed"):].split("-")
+            return M, _perturbed_orbits(int(seed))[int(i)], FINE
+        return M, _ORBIT, FINE
+
+    def test_matches_list_reference(self, case):
+        M, s0, cfg = case
+        traj = integrate(M, s0, cfg)
+        assert not traj.exited_domain and len(traj) > 250
+        assert _bits(traj) == _bits(integrate_lists(M, s0, cfg))
+
+    @pytest.mark.parametrize("name", ["criterion-4", "centre-sphere2"])
+    def test_planted_k3_weight_fails(self, name, request, monkeypatch):
+        """A copy of the generated loop with RK4's k3 weight 2 -> 1 must fail
+        the comparison."""
+        if name == "criterion-4":
+            M, s0, cfg = request.getfixturevalue("tn").manifold, _ORBIT, FINE
+        else:
+            M = catalog.sphere2().manifold
+            s0, cfg = _centre_orbit(M), IntegratorConfig(step=1e-3, t_span=(0.0, 3.0), stride=1)
+        source = geodesic._rk4_source
+
+        def planted(n):
+            text = source(n)
+            mutated = text.replace("2 * v3_", "1 * v3_").replace("2 * a3_", "1 * a3_")
+            assert mutated != text
+            return mutated
+        monkeypatch.setattr(geodesic, "_rk4_source", planted)
+        assert _bits(integrate(M, s0, cfg)) != _bits(integrate_lists(M, s0, cfg))
+
+
+# (entry, start as fractions of the box, velocity, step, t1, stride): a
+# partial final step, a stride longer than the orbit, and an orbit that
+# leaves the box
+EDGE_CASES = [("flat3", [0.5, 0.4, 0.6], [0.3, -0.2, 0.1], 0.03, 1.0, 7),
+              ("sphere2", [0.5, 0.5], [0.3, 0.7], 0.07, 2.0, 5),
+              ("sphere2", [0.3, 0.6], [0.2, -0.4], 0.1, 1.0, 50),
+              ("flat3", [0.9, 0.5, 0.5], [1.5, 0.0, 0.2], 0.05, 3.0, 4)]
+
+
+def _draw_orbit(name, fractions, velocity, step, t1, stride):
+    M = {"flat3": catalog.flat(3), "sphere2": catalog.sphere2()}[name].manifold
+    box = [M.chart.box[c] for c in M.chart.coords]
+    s0 = GeodesicState({c: lo + f * (hi - lo) for c, (lo, hi), f in zip(M.chart.coords, box,
+                                                                         fractions)},
+                       dict(zip(M.chart.coords, velocity)))
+    return M, s0, IntegratorConfig(step=step, t_span=(0.0, t1), stride=stride)
+
+
+@st.composite
+def _orbits(draw):
+    name = draw(st.sampled_from(["flat3", "sphere2"]))
+    n = 3 if name == "flat3" else 2
+    fractions = draw(st.lists(st.floats(0.02, 0.98), min_size=n, max_size=n))
+    velocity = draw(st.lists(st.floats(-2.0, 2.0), min_size=n, max_size=n))
+    return (name, fractions, velocity, draw(st.floats(0.005, 0.2)),
+            draw(st.floats(0.01, 3.0)), draw(st.integers(1, 300)))
+
+
+class TestListReferenceProperty:
+    @settings(max_examples=60, deadline=None)
+    @given(_orbits())
+    @example(EDGE_CASES[0])
+    @example(EDGE_CASES[1])
+    @example(EDGE_CASES[2])
+    @example(EDGE_CASES[3])
+    def test_random_orbits_match_list_reference(self, orbit):
+        M, s0, cfg = _draw_orbit(*orbit)
+        assert _bits(integrate(M, s0, cfg)) == _bits(integrate_lists(M, s0, cfg))
+
+    def test_examples_cover_the_edge_cases(self):
+        """The explicit examples hold a partial final step, a stride longer
+        than the orbit and an orbit that leaves the box."""
+        partial = longer = left = False
+        for case in EDGE_CASES:
+            M, s0, cfg = _draw_orbit(*case)
+            traj = integrate(M, s0, cfg)
+            steps = int(np.ceil(cfg.t_span[1] / cfg.step - 1e-12))
+            partial |= (not traj.exited_domain and traj.times[-1] == cfg.t_span[1]
+                        and steps * cfg.step > cfg.t_span[1] + 1e-9)
+            longer |= not traj.exited_domain and cfg.stride > steps and len(traj) == 2
+            left |= traj.exited_domain and len(traj) > 1
+        assert partial and longer and left
+
+
+class TestGeneratedNames:
+    """The generated loop's source holds no input text: coordinates named
+    like its own locals give the same orbit as w, x, y, z.  Each name set
+    sorts in the same order as w, x, y, z, since sympy orders a term's
+    factors by name, and so the spray's own float operations."""
+
+    @staticmethod
+    def _orbit(names, warped):
+        s = [sp.Symbol(c) for c in names]
+        g = sp.diag(1, 1 + s[0] ** 2 / 4, 1, 1 + s[2] ** 2 / 4) if warped else sp.eye(4)
+        M = Manifold(Chart(names, {c: (-2.0, 2.0) for c in names}), g.tolist())
+        s0 = GeodesicState(dict(zip(names, [0.3, -0.2, 0.1, 0.4])),
+                           dict(zip(names, [0.5, 0.1, -0.3, 0.2])))
+        return integrate(M, s0, IntegratorConfig(step=0.01, t_span=(0.0, 3.0), stride=2))
+
+    @pytest.mark.parametrize("warped", [False, True], ids=["flat", "warped"])
+    @pytest.mark.parametrize("names", [("f", "h", "k", "t"), ("kept", "spray", "v0", "x0")])
+    def test_coordinate_names_do_not_change_the_orbit(self, names, warped):
+        got, want = self._orbit(names, warped), self._orbit(("w", "x", "y", "z"), warped)
+        assert len(got) > 100 and not got.exited_domain
+        assert _bits(got) == _bits(want)
 
 
 class TestSphereGeodesics:

@@ -2,8 +2,9 @@
 definition in a library module is referenced somewhere in the project, no
 library module calls exprkit.simplify, only exprkit calls sympy's trigsimp,
 no module outside manifold.py calls the symbolic tensor algebra, every
-default of a library function that a call reaches is set by some call, and
-the algebra commands load no sympy."""
+default of a library function that a call reaches is set by some call, the
+algebra commands load no sympy, and only geodesic's loop builder runs code
+from text."""
 
 import ast
 import json
@@ -221,6 +222,89 @@ def test_symbolic_algebra_checker_sees_each_caller():
                                               "line 7: run -> lie_bracket",
                                               "line 10: reverse_cone -> exterior_derivative",
                                               "line 12: <module> -> raise_index"]
+
+
+CODE_FROM_TEXT = {"exec", "compile", "eval"}
+
+
+def code_from_text(source: str) -> list[str]:
+    """'line N: owner -> name' for each use of a builtin that compiles or
+    runs source text, the owner being the enclosing top-level function or
+    method, or <module>: the bare name, called or not; an attribute of the
+    builtins module (under any alias) or of __builtins__; a name imported
+    from builtins; or the name as a string given to getattr or a subscript."""
+    tree = ast.parse(source)
+    modules = {"builtins", "__builtins__"} | {
+        a.asname or a.name for node in ast.walk(tree) if isinstance(node, ast.Import)
+        for a in node.names if a.name == "builtins"}
+    out = []
+
+    def named(node):
+        return isinstance(node, ast.Constant) and node.value in CODE_FROM_TEXT
+
+    def use(node):
+        if isinstance(node, ast.Name) and node.id in CODE_FROM_TEXT:
+            return node.id
+        if (isinstance(node, ast.Attribute) and node.attr in CODE_FROM_TEXT
+                and isinstance(node.value, ast.Name) and node.value.id in modules):
+            return node.attr
+        if isinstance(node, ast.ImportFrom) and node.module == "builtins":
+            return next((a.name for a in node.names if a.name in CODE_FROM_TEXT), None)
+        if (isinstance(node, ast.Call) and getattr(node.func, "id", None) == "getattr"
+                and any(named(a) for a in node.args)):
+            return next(a.value for a in node.args if named(a))
+        if isinstance(node, ast.Subscript) and named(node.slice):
+            return node.slice.value
+        return None
+
+    def visit(node, owner, in_class):
+        for child in ast.iter_child_nodes(node):
+            inner, cls = owner, in_class
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                if owner == "<module>" or in_class:
+                    inner = child.name
+                cls = False
+            elif isinstance(child, ast.ClassDef):
+                cls = owner == "<module>"
+            if (name := use(child)) is not None:
+                out.append(f"line {child.lineno}: {owner} -> {name}")
+            visit(child, inner, cls)
+
+    visit(tree, "<module>", False)
+    return out
+
+
+def test_only_the_rk4_loop_builder_runs_code_from_text():
+    """geodesic._rk4_loop compiles and runs the RK4 loop it generates; no
+    other library code compiles or runs text."""
+    uses = {p.name: code_from_text(p.read_text()) for p in sorted(SRC.glob("*.py"))}
+    builder = [u for u in uses.pop("geodesic.py") if ": _rk4_loop -> " in u]
+    assert builder and {u.split(" -> ")[1] for u in builder} == {"exec", "compile"}
+    assert [u for u in code_from_text((SRC / "geodesic.py").read_text())
+            if u not in builder] == []
+    assert {name: found for name, found in uses.items() if found} == {}
+
+
+def test_code_from_text_checker_sees_each_spelling():
+    source = ("import builtins\nimport builtins as b\nimport re\n"
+              "from builtins import compile as build\n"
+              "exec('x = 1')\n"
+              "def f(text):\n    return eval(text)\n"
+              "class C:\n    def run(self, text):\n"
+              "        return builtins.exec(text)\n"
+              "    def build(self, text):\n        return b.compile(text, 't', 'exec')\n"
+              "run = exec\n"
+              "g = getattr(builtins, 'eval')\n"
+              "h = __builtins__['exec']\n"
+              "k = __builtins__.compile\n"
+              "pattern = re.compile('x')\n"
+              "def outer():\n    def inner(t):\n        return compile(t, 'f', 'exec')\n"
+              "    return inner\n")
+    assert code_from_text(source) == [
+        "line 4: <module> -> compile", "line 5: <module> -> exec", "line 7: f -> eval",
+        "line 10: run -> exec", "line 12: build -> compile", "line 13: <module> -> exec",
+        "line 14: <module> -> eval", "line 15: <module> -> exec",
+        "line 16: <module> -> compile", "line 20: outer -> compile"]
 
 
 EXEMPT_DEFAULTS = {"points", "seed", "tol"}     # the signature every check shares

@@ -225,6 +225,18 @@ class TestNumericEvaluation:
         pts = sample_points(sphere.chart, 5, 0)
         assert sphere.check_signature(pts)
 
+    def test_check_signature_skips_singular_points(self):
+        """A wrong signature at a regular point is found; a point where the
+        metric is not finite or is degenerate is left to the checks."""
+        x = sp.Symbol("x")
+        chart = Chart(("x", "y"), {"x": (-1.0, 1.0), "y": (-1.0, 1.0)})
+        pts = [{"x": v, "y": 0.0} for v in (-0.5, 0.0, 0.5)]
+        assert not Manifold(chart, [[1, 0], [0, x]]).check_signature(pts)
+        assert Manifold(chart, [[1, 0], [0, x]]).check_signature(pts[1:])
+        assert Manifold(chart, [[1, 0], [0, sp.sqrt(x)]]).check_signature(pts)
+        assert Manifold(chart, [[1, 0], [0, -1]], signature=(1, -1)).check_signature(pts)
+        assert not Manifold(chart, [[1, 0], [0, -1]], signature=(-1, -1)).check_signature(pts)
+
 
 class TestBatchEvaluation:
     """Manifold.evaluate against exprkit.evaluate, which substitutes and
