@@ -8,8 +8,10 @@ Exit codes: 0 all requested checks meet their expectations (expected
 failures count as success); 1 check failure; 2 file/parse/usage error;
 3 internal error.
 
-The sympy-based modules are imported by the handlers that use them, so the
-algebra commands never load sympy.
+The library modules are imported by the handlers that use them.  Sympy is
+loaded only where a command derives symbolically, by `geodesic run` (the
+spray) and `construct assoc-sk --emit-components`; the others read their
+expressions as exprkit trees and evaluate them as generated code.
 """
 
 from __future__ import annotations
@@ -90,23 +92,23 @@ def _name(src, context: str) -> str:
 
 
 def _expression(names: set):
-    """Leaf giving an expression (exprkit's grammar, or a finite number) in names."""
-    import sympy as sp
+    """Leaf giving an exprkit tree (the grammar, or a finite number) in names."""
+    from fractions import Fraction
 
     from . import exprkit
 
-    def read(src, context: str) -> sp.Expr:
-        if not isinstance(src, str):
-            return sp.nsimplify(_real(src, context), rational=True)
+    def read(src, context: str) -> exprkit.Expr:
         try:
+            if not isinstance(src, str):
+                return exprkit.number(Fraction(repr(_real(src, context))))
             e = exprkit.parse(src)
+        except exprkit.EvalDomainError as exc:     # 1/0, log(0), 0^-1, 0/0, sqrt(-1)
+            raise FileFormatError(f"{context} must be finite and real, not {src!r}") from exc
         except exprkit.ExprError as exc:
             raise FileFormatError(f"bad expression in {context}: {exc}") from exc
-        unbound = sorted({s.name for s in e.free_symbols} - names)
+        unbound = sorted(exprkit.names([e]) - names)
         if unbound:
             raise FileFormatError(f"unbound name(s) {unbound} in {context}")
-        if e.has(sp.zoo, sp.nan, sp.oo, -sp.oo):     # 1/0, log(0), 0^-1, 0/0
-            raise FileFormatError(f"{context} must be finite, not {src!r}")
         return e
     return read
 
@@ -114,9 +116,8 @@ def _expression(names: set):
 def ingest(doc) -> CatalogEntry:
     """Build a catalog entry from a manifold-definition JSON document.  Every
     field is read by _read, so a fault raises FileFormatError naming it."""
-    import sympy as sp
-
     from .catalog import CatalogEntry
+    from .exprkit import ZERO
     from .manifold import (Chart, GeometryError, Manifold, TensorField, _perm_sign,
                            one_form, vector)
     from .sasaki import MixedThreeStructure
@@ -151,7 +152,7 @@ def ingest(doc) -> CatalogEntry:
     for fname, block in _field(doc, "forms", (dict, dict), _keep, {}).items():
         path = f"forms[{fname!r}]"
         rank = _field(block, "rank", (), _numeric(int, range(n + 1)), context=path)
-        comp, filled = np.full((n,) * rank, sp.Integer(0), dtype=object), set()
+        comp, filled = np.full((n,) * rank, ZERO, dtype=object), set()
         for key, e in _field(block, "components", (dict,), expr, context=path).items():
             where = f"key {key!r} of {path}"
             idx = tuple(_read(key.split(","), (rank,), _numeric(int, range(n)), where))
@@ -159,28 +160,16 @@ def ingest(doc) -> CatalogEntry:
                 raise FileFormatError(f"{where}: indices must increase strictly, once per form")
             filled.add(idx)
             for perm in itertools.permutations(range(rank)):
-                comp[tuple(idx[p] for p in perm)] = _perm_sign(perm) * e
+                comp[tuple(idx[p] for p in perm)] = e if _perm_sign(perm) > 0 else -e
         entry.forms[fname] = TensorField(comp, "d" * rank)
     if "frame" in doc:
         entry.frame = np.array(_field(doc, "frame", (n, n), expr), dtype=object)
     return entry
 
 
-def _expr_to_source(e) -> str:
-    import sympy as sp
-
-    from .exprkit import to_source
-    e = sp.sympify(e)
-    # the file grammar has no hyperbolics; rewrite them through exp
-    e = e.replace(sp.sinh, lambda a: (sp.exp(a) - sp.exp(-a)) / 2)
-    e = e.replace(sp.cosh, lambda a: (sp.exp(a) + sp.exp(-a)) / 2)
-    e = e.replace(sp.tanh, lambda a: (sp.exp(a) - sp.exp(-a))
-                  / (sp.exp(a) + sp.exp(-a)))
-    return to_source(e)
-
-
 def export(entry: CatalogEntry) -> dict:
     """Render a catalog entry as a manifold-definition JSON document."""
+    from .exprkit import to_source
     M = entry.manifold
     n = M.dim
     doc = {
@@ -190,9 +179,9 @@ def export(entry: CatalogEntry) -> dict:
         "domain": {c: [lo, hi] for c, (lo, hi) in M.chart.box.items()},
         "signature": list(M.signature),
         "parameters": dict(M.params),
-        "metric": [[_expr_to_source(M.metric[i, j]) for j in range(n)]
+        "metric": [[to_source(M.metric[i, j]) for j in range(n)]
                    for i in range(n)],
-        "vectors": {name: [_expr_to_source(c) for c in X.components]
+        "vectors": {name: [to_source(c) for c in X.components]
                     for name, X in entry.vectors.items()},
         "forms": {},
     }
@@ -202,20 +191,20 @@ def export(entry: CatalogEntry) -> dict:
         for idx in itertools.combinations(range(n), rank):
             e = F.components[idx]
             if e != 0:
-                comps[",".join(str(i) for i in idx)] = _expr_to_source(e)
+                comps[",".join(str(i) for i in idx)] = to_source(e)
         doc["forms"][name] = {"rank": rank, "components": comps}
     if entry.structure is not None:
         S = entry.structure
         doc["structures"] = {
-            "phi": [[[_expr_to_source(S.phi[a].components[i, j])
+            "phi": [[[to_source(S.phi[a].components[i, j])
                       for j in range(n)] for i in range(n)] for a in range(3)],
-            "xi": [[_expr_to_source(c) for c in S.xi[a].components]
+            "xi": [[to_source(c) for c in S.xi[a].components]
                    for a in range(3)],
-            "eta": [[_expr_to_source(c) for c in S.eta[a].components]
+            "eta": [[to_source(c) for c in S.eta[a].components]
                     for a in range(3)],
         }
     if entry.frame is not None:
-        doc["frame"] = [[_expr_to_source(e) for e in row] for row in entry.frame]
+        doc["frame"] = [[to_source(e) for e in row] for row in entry.frame]
     if entry.metadata:
         doc["metadata"] = entry.metadata
     if entry.manifest:
@@ -329,8 +318,9 @@ def _cmd_construct(args) -> int:
     ok = _finalize(report, entry, "sk", args.target, args)
     if args.emit_components:
         n = M.dim
+        from .exprkit import to_source
         exprs = killing.associated_sk_symbolic(f, M).components
-        comp = {f"{i},{j}": _expr_to_source(exprs[i, j])
+        comp = {f"{i},{j}": to_source(exprs[i, j])
                 for i in range(n) for j in range(i, n) if exprs[i, j] != 0}
         _emit({"constructed": "associated-sk", "source": args.target,
                "components": comp}, args.pretty)
@@ -597,7 +587,7 @@ def _file_errors() -> tuple:
     """The exceptions that are file, parse or value errors (exit 2).  The
     expression and geometry errors are looked up only where their module is
     loaded: a command that never loaded it cannot have raised them, and the
-    lookup must not load sympy."""
+    lookup must not load a module the command did not need."""
     errors = [FileFormatError, KeyError]
     for module, name in (("exprkit", "ExprError"), ("manifold", "GeometryError")):
         if (loaded := sys.modules.get(f"{__package__}.{module}")) is not None:

@@ -1,34 +1,34 @@
-"""Symbolic expression layer: parsing, simplification, evaluation.
+"""Expression layer: an interned tree of its own, parsed, printed and compiled.
 
-Expression trees are sympy expressions restricted to exact rational
-constants, named symbols (coordinates and parameters) and the unary
-functions sin, cos, tan, exp, log, sqrt.  Floats never enter a tree;
-they appear only when an expression is evaluated at a point.
+An expression is an immutable, interned (hash-consed) tree: equal expressions
+are the same object, so a shared subexpression is one node.  The leaves are
+exact Fraction constants and names (coordinates and parameters); the
+operations are + - * / ^, unary minus and sin, cos, tan, exp, log and sqrt.
+The constructors fold only exact constants, a - a and the identities with 0
+and 1.  Floats never enter a tree; they appear only when compiled code runs.
+Sympy is imported only by to_sympy and the helpers built on it (simplify,
+evaluate, identically_equal), for the symbolic derivations and the tests.
 """
 
 from __future__ import annotations
 
+import math
+import operator
+import re
+import weakref
+from collections import Counter
 from fractions import Fraction
 from typing import Mapping
 
-import sympy as sp
+import numpy as np
 
-Expr = sp.Expr
 Point = Mapping[str, float]
-ParamEnv = Mapping[str, float]
 
-FUNCTIONS = {
-    "sin": sp.sin,
-    "cos": sp.cos,
-    "tan": sp.tan,
-    "exp": sp.exp,
-    "log": sp.log,
-    "sqrt": sp.sqrt,
-}
+FUNCTIONS = ("sin", "cos", "tan", "exp", "log", "sqrt")
 
-
-# sympy's printer, and so lambdify and export, recurses once per level of a tree,
-# and a compiled expression converts each integer in it to a float
+# the tree's depth (a chain of + and - or of * and / counting as one level, as
+# in sympy's n-ary sums and products) and the bits of each constant, which
+# compiled code converts to a float
 MAX_DEPTH, MAX_BITS = 100, 1023
 
 
@@ -53,57 +53,209 @@ class UnboundNameError(ExprError):
 
 
 class EvalDomainError(ExprError):
-    """Evaluation left the real domain (log of non-positive, 1/0, ...)."""
+    """An expression leaves the real domain (log of non-positive, 1/0, ...)."""
 
 
-def sym(name: str) -> sp.Symbol:
-    return sp.Symbol(name)
+# ---------------------------------------------------------------------------
+# the tree
+
+class Expr:
+    """One interned node: op is "num" or "name" for a leaf holding value (a
+    Fraction or a str), else an operator or a function's name over kids."""
+
+    __slots__ = ("op", "kids", "value", "depth", "__weakref__")
+
+    def __eq__(self, other):
+        if isinstance(other, (int, Fraction)):
+            return self.op == "num" and self.value == other
+        return self is other if isinstance(other, Expr) else NotImplemented
+
+    __hash__ = object.__hash__
+
+    def __repr__(self):
+        return to_source(self)
+
+
+# every live node under its (op, value, *kids); a node no one holds is dropped
+_TABLE = weakref.WeakValueDictionary()
+_LEVEL = {"+": 1, "-": 1, "*": 2, "/": 2, "^": 4}
+
+
+def _intern(op: str, kids: tuple = (), value=None) -> Expr:
+    key = (op, value, *kids)
+    node = _TABLE.get(key)
+    if node is None:
+        level = _LEVEL.get(op, 0)
+        depth = 1 + max((k.depth - (i == 0 and level in (1, 2) and _LEVEL.get(k.op) == level)
+                         for i, k in enumerate(kids)), default=0)
+        if depth > MAX_DEPTH:
+            raise ParseError(f"expression nested more than {MAX_DEPTH} deep", 0)
+        node = object.__new__(Expr)
+        node.op, node.kids, node.value, node.depth = op, kids, value, depth
+        _TABLE[key] = node
+    return node
+
+
+def number(value) -> Expr:
+    """The exact constant value (an int or a Fraction)."""
+    value = Fraction(value)
+    if max(abs(value.numerator), value.denominator).bit_length() > MAX_BITS:
+        raise ParseError(f"constant of more than {MAX_BITS} bits", 0)
+    return _intern("num", value=value)
+
+
+def symbol(name: str) -> Expr:
+    return _intern("name", value=name)
+
+
+ZERO, ONE = number(0), number(1)
+
+
+def _operators(build):
+    """Python's operator and its reflection for a binary constructor; an
+    operand that is not a tree, an int or a Fraction is NotImplemented."""
+    def apply(a, b):
+        if not all(isinstance(x, (Expr, int, Fraction)) for x in (a, b)):
+            return NotImplemented
+        return build(tree(a), tree(b))
+    return apply, lambda a, b: apply(b, a)
+
+
+def _constants(*nodes) -> bool:
+    return all(n.op == "num" for n in nodes)
+
+
+def add(a: Expr, b: Expr) -> Expr:
+    if _constants(a, b):
+        return number(a.value + b.value)
+    return b if a is ZERO else a if b is ZERO else _intern("+", (a, b))
+
+
+def sub(a: Expr, b: Expr) -> Expr:
+    if a is b:      # so that 1/(x - x) is refused as 1/0
+        return ZERO
+    if _constants(a, b):
+        return number(a.value - b.value)
+    return neg(b) if a is ZERO else a if b is ZERO else _intern("-", (a, b))
+
+
+def mul(a: Expr, b: Expr) -> Expr:
+    if _constants(a, b):
+        return number(a.value * b.value)
+    if ZERO in (a, b):
+        return ZERO
+    return b if a is ONE else a if b is ONE else _intern("*", (a, b))
+
+
+def div(a: Expr, b: Expr) -> Expr:
+    if b is ZERO:
+        raise EvalDomainError("division by zero")
+    if _constants(a, b):
+        return number(a.value / b.value)
+    return a if b is ONE or a is ZERO else _intern("/", (a, b))
+
+
+def power(a: Expr, b: Expr) -> Expr:
+    if b is ZERO or a is ONE:
+        return ONE
+    if b is ONE:
+        return a
+    if _constants(a, b) and a.value < 0 and b.value.denominator > 1:
+        raise EvalDomainError(f"({a.value})^({b.value}) is not a real number")
+    if _constants(a, b) and b.value.denominator == 1:
+        base, exponent = a.value, b.value.numerator
+        if base == 0 and exponent < 0:
+            raise EvalDomainError("0 to a negative power")
+        # refuse 9^9^7 before its digits are computed
+        if abs(exponent) * (max(abs(base.numerator), base.denominator).bit_length() - 1) > MAX_BITS:
+            raise ParseError(f"constant of more than {MAX_BITS} bits", 0)
+        return number(base ** exponent)
+    return _intern("^", (a, b))
+
+
+def neg(a: Expr) -> Expr:
+    return number(-a.value) if a.op == "num" else _intern("neg", (a,))
+
+
+_EXACT = {("sin", 0): 0, ("tan", 0): 0, ("cos", 0): 1, ("exp", 0): 1, ("log", 1): 0}
+
+
+def function(name: str, a: Expr) -> Expr:
+    """name(a) for one of FUNCTIONS; folded where the value is an exact constant
+    (sin 0, cos 0, tan 0, exp 0, log 1, the root of a rational square)."""
+    if a.op == "num":
+        v = a.value
+        if (name == "log" and v <= 0) or (name == "sqrt" and v < 0):
+            raise EvalDomainError(f"{name} of {v} is not a finite real number")
+        if (name, v) in _EXACT:
+            return number(_EXACT[name, v])
+        if name == "sqrt":
+            root = Fraction(math.isqrt(v.numerator), math.isqrt(v.denominator))
+            if root ** 2 == v:
+                return number(root)
+    return _intern(name, (a,))
+
+
+Expr.__add__, Expr.__radd__ = _operators(add)
+Expr.__sub__, Expr.__rsub__ = _operators(sub)
+Expr.__mul__, Expr.__rmul__ = _operators(mul)
+Expr.__truediv__, Expr.__rtruediv__ = _operators(div)
+Expr.__pow__, Expr.__neg__ = _operators(power)[0], neg
+
+
+def tree(x) -> Expr:
+    """x as a tree: a tree as it is, an int or a Fraction as a constant, and
+    anything else (grammar text, or a sympy expression) parsed from its
+    printed text."""
+    if isinstance(x, Expr):
+        return x
+    if isinstance(x, (int, Fraction)):
+        return number(x)
+    return parse(str(x).replace("**", "^"))
+
+
+def postorder(roots) -> list[Expr]:
+    """Each node reachable from roots once, every node after its kids."""
+    seen, order, stack = set(), [], [(r, False) for r in reversed(roots)]
+    while stack:
+        node, done = stack.pop()
+        if done:
+            order.append(node)
+        elif node not in seen:
+            seen.add(node)
+            stack.append((node, True))
+            stack.extend((k, False) for k in reversed(node.kids))
+    return order
+
+
+def names(roots) -> set[str]:
+    """The names the trees contain."""
+    return {n.value for n in postorder(roots) if n.op == "name"}
 
 
 # ---------------------------------------------------------------------------
 # parsing
 
-_OPS = set("+-*/^(),")
+_SPACE = re.compile(r"\s*")
+_TOKEN = re.compile(r"(?P<num>\d+\.?\d*|\.\d+)|(?P<name>[^\W\d]\w*)|(?P<op>[-+*/^(),])")
 
 
 def _tokenize(src: str):
-    tokens = []  # (kind, text, offset)
-    i, n = 0, len(src)
-    while i < n:
-        c = src[i]
-        if c.isspace():
-            i += 1
-            continue
-        if c in _OPS:
-            tokens.append(("op", c, i))
-            i += 1
-            continue
-        if c.isdigit() or (c == "." and i + 1 < n and src[i + 1].isdigit()):
-            j = i
-            seen_dot = False
-            while j < n and (src[j].isdigit() or (src[j] == "." and not seen_dot)):
-                seen_dot = seen_dot or src[j] == "."
-                j += 1
-            tokens.append(("num", src[i:j], i))
-            i = j
-            continue
-        if c.isalpha() or c == "_":
-            j = i
-            while j < n and (src[j].isalnum() or src[j] == "_"):
-                j += 1
-            tokens.append(("name", src[i:j], i))
-            i = j
-            continue
-        raise ParseError(f"unexpected character {c!r}", i)
-    tokens.append(("end", "", n))
-    return tokens
+    """(kind, text, offset) tokens, the last ("end", "", len(src))."""
+    tokens, i = [], _SPACE.match(src).end()
+    while i < len(src):
+        m = _TOKEN.match(src, i)
+        if m is None:
+            raise ParseError(f"unexpected character {src[i]!r}", i)
+        tokens.append((m.lastgroup, m.group(), i))
+        i = _SPACE.match(src, m.end()).end()
+    return tokens + [("end", "", len(src))]
 
 
 class _Parser:
     """Recursive descent over the grammar: + - * / ^ (right-assoc), f(x)."""
 
     def __init__(self, src: str):
-        self.src = src
         self.tokens = _tokenize(src)
         self.pos = 0
 
@@ -127,42 +279,29 @@ class _Parser:
             raise ParseError(f"unexpected trailing input {tok!r}", off)
         return e
 
-    def expr(self) -> Expr:
-        e = self.term()
-        while self.peek()[1] in ("+", "-"):
-            op = self.next()[1]
-            rhs = self.term()
-            e = e + rhs if op == "+" else e - rhs
+    def chain(self, operand, builds: dict) -> Expr:
+        """operand (op operand)*, left-associative, for the ops in builds."""
+        e = operand()
+        while self.peek()[1] in builds:
+            e = builds[self.next()[1]](e, operand())
         return e
+
+    def expr(self) -> Expr:
+        return self.chain(self.term, {"+": add, "-": sub})
 
     def term(self) -> Expr:
-        e = self.factor()
-        while self.peek()[1] in ("*", "/"):
-            op = self.next()[1]
-            rhs = self.factor()
-            e = e * rhs if op == "*" else e / rhs
-        return e
+        return self.chain(self.factor, {"*": mul, "/": div})
 
     def factor(self) -> Expr:
-        kind, tok, off = self.peek()
-        if tok == "-":
+        tok = self.peek()[1]
+        if tok in ("-", "+"):
             self.next()
-            return -self.factor()
-        if tok == "+":
-            self.next()
-            return self.factor()
-        return self.power()
-
-    def power(self) -> Expr:
+            return neg(self.factor()) if tok == "-" else self.factor()
         base = self.atom()
         if self.peek()[1] == "^":
-            off = self.next()[2]
+            self.next()
             # right-associative; exponent may carry a unary sign
-            exponent = self.factor()
-            if (base.is_Rational and exponent.is_Integer and abs(exponent)
-                    * (max(abs(base.p), base.q).bit_length() - 1) > MAX_BITS):
-                raise ParseError(f"constant of more than {MAX_BITS} bits", off)
-            return base ** exponent
+            return power(base, self.factor())
         return base
 
     def atom(self) -> Expr:
@@ -172,10 +311,7 @@ class _Parser:
             self.expect(")")
             return e
         if kind == "num":
-            if "." in tok:
-                frac = Fraction(tok)
-                return sp.Rational(frac.numerator, frac.denominator)
-            return sp.Integer(int(tok))
+            return number(Fraction(tok))
         if kind == "name":
             if self.peek()[1] == "(":
                 if tok not in FUNCTIONS:
@@ -183,65 +319,147 @@ class _Parser:
                 self.next()
                 arg = self.expr()
                 self.expect(")")
-                return FUNCTIONS[tok](arg)
-            return sp.Symbol(tok)
+                return function(tok, arg)
+            return symbol(tok)
         raise ParseError(f"unexpected token {tok!r}", off)
 
 
-def _depth(e: Expr) -> int:
-    return 1 + max((_depth(a) for a in e.args), default=0)
-
-
 def parse(src: str) -> Expr:
-    """Parse infix source into an expression tree.  A tree deeper than
-    MAX_DEPTH, or with an integer of more than MAX_BITS bits, is a ParseError."""
+    """Parse infix source into a tree.  A tree deeper than MAX_DEPTH, or with
+    a constant of more than MAX_BITS bits, is a ParseError; 1/0, 0^-1, log of
+    a non-positive constant and the root of a negative one are EvalDomainErrors."""
     try:
-        e = _Parser(src).parse()
-        deep = _depth(e) > MAX_DEPTH
+        return _Parser(src).parse()
     except RecursionError:
-        deep = True
-    if deep or any(max(abs(r.p), r.q).bit_length() > MAX_BITS for r in e.atoms(sp.Rational)):
-        raise ParseError(f"expression nested more than {MAX_DEPTH} deep" if deep else
-                         f"constant of more than {MAX_BITS} bits", 0)
-    return e
-
-
-def to_source(e: Expr) -> str:
-    """Print an expression in the grammar accepted by parse()."""
-    return str(e).replace("**", "^")
+        raise ParseError(f"expression nested more than {MAX_DEPTH} deep", 0) from None
 
 
 # ---------------------------------------------------------------------------
-# calculus and rewriting
+# printing and compiling
+#
+# One printer serves the grammar and Python: each node's text comes with its
+# binding level (1 sums, 2 products and quotients, 3 unary minus, 4 powers,
+# 5 atoms), and an operand is parenthesized when it binds looser than its
+# place allows, or when it starts with a sign and is not leftmost.
 
-def simplify(e: Expr) -> Expr:
-    """Bounded rewriting: rational normal form plus the Pythagorean rule.
+def _print(node: Expr, kids: list[tuple[str, int]], code: bool, names: dict):
+    """The node's text and binding level from its kids' (text, level): in
+    the grammar, or in Python (** for ^, a fraction as a float, the names
+    mapped by names)."""
+    op, v = node.op, node.value
+    if op == "num":
+        text = repr(float(v)) if code and v.denominator > 1 else str(v)
+        return text, 2 if v.denominator > 1 and not code else 3 if v < 0 else 5
+    if op == "name":
+        return names.get(v, v), 5
+    if op in FUNCTIONS:
+        return f"{op}({kids[0][0]})", 5
+    if op == "neg":
+        return "-" + _operand(*kids[0], 3), 3
+    level = _LEVEL[op]
+    (a, la), b = kids
+    a = a if la >= (5 if op == "^" else level) else f"({a})"
+    sep = "**" if code and op == "^" else f" {op} " if level == 1 else op
+    return a + sep + _operand(*b, min(level + 1, 4)), level
+
+
+def _operand(text: str, level: int, least: int) -> str:
+    """An operand that is not leftmost, parenthesized when it binds looser
+    than least or starts with a sign."""
+    return text if level >= least and text[0] != "-" else f"({text})"
+
+
+def to_source(e: Expr) -> str:
+    """Print a tree in the grammar accepted by parse(), with the fewest
+    parentheses that parse back to the same tree (a signed operand that is
+    not leftmost is parenthesized, as sympy prints it)."""
+    done: dict = {}
+    for node in postorder([e]):
+        done[node] = _print(node, [done[k] for k in node.kids], False, {})
+    return done[e][0]
+
+
+def codegen(roots, arguments) -> str:
+    """Source of `def f(x0, x1, ...)`, a function of the values of the names in
+    `arguments`, returning the list of the roots' values.  A node that two
+    parents, or a parent and a root, use is computed once into a local, so
+    interning gives the common-subexpression elimination."""
+    order = postorder(roots)
+    uses = Counter([k for node in order for k in node.kids] + list(roots))
+    variables = {name: f"x{i}" for i, name in enumerate(arguments)}
+    lines, done = [], {}
+    for node in order:
+        text = _print(node, [done[k] for k in node.kids], True, variables)
+        if node.kids and uses[node] > 1:
+            lines.append(f"    t{len(lines)} = {text[0]}\n")
+            text = f"t{len(lines) - 1}", 5
+        done[node] = text
+    return (f"def f({', '.join(variables.values())}):\n" + "".join(lines)
+            + f"    return [{', '.join(done[r][0] for r in roots)}]\n")
+
+
+def compiled_function(roots, arguments):
+    """codegen(roots, arguments) compiled, with numpy's ufuncs for the
+    functions, so the function runs on float arrays and on Jets alike."""
+    namespace = {name: getattr(np, name) for name in FUNCTIONS}
+    exec(compile(codegen(roots, arguments), "<generated>", "exec"), namespace)
+    return namespace["f"]
+
+
+# ---------------------------------------------------------------------------
+# sympy: the symbolic derivations, the tests and the tracer
+
+def to_sympy(e):
+    """A tree as a sympy expression, built by the operations the text
+    denotes; anything else through sympy.sympify."""
+    import sympy as sp
+    if not isinstance(e, Expr):
+        return sp.sympify(e)
+    ops = {"+": operator.add, "-": operator.sub, "*": operator.mul, "/": operator.truediv,
+           "^": operator.pow, "neg": operator.neg, "num": sp.Rational, "name": sp.Symbol,
+           **{f: getattr(sp, f) for f in FUNCTIONS}}
+    done: dict = {}
+    for node in postorder([e]):
+        args = [done[k] for k in node.kids] if node.kids else [node.value]
+        done[node] = ops[node.op](*args)
+    return done[e]
+
+
+def identically_equal(a: Expr, b: Expr) -> bool:
+    """Whether a = b: the same tree, or else by sympy.simplify of a - b."""
+    if a is b:
+        return True
+    import sympy as sp
+    return sp.simplify(to_sympy(a) - to_sympy(b)) == 0
+
+
+def simplify(e):
+    """Bounded rewriting of a tree or a sympy expression, as a sympy
+    expression: rational normal form plus the Pythagorean rule.
 
     Sound but deliberately incomplete; residual checks re-confirm
     equality numerically.
     """
-    e = sp.cancel(sp.together(e))
+    import sympy as sp
+    e = sp.cancel(sp.together(to_sympy(e)))
     if e.has(sp.sin, sp.cos, sp.tan):
         e = sp.trigsimp(e)
     return e
 
 
-def evaluate(e: Expr, point: Point | None = None, env: ParamEnv | None = None) -> float:
-    """Evaluate with double semantics; raises on unbound names or domain exits."""
-    bind = {}
-    for mapping in (point or {}), (env or {}):
-        for name, value in mapping.items():
-            bind[sp.Symbol(name)] = sp.Float(value)
-    free = e.free_symbols - set(bind)
-    if free:
-        names = ", ".join(sorted(s.name for s in free))
-        raise UnboundNameError(f"unbound name(s): {names}")
+def evaluate(e, point: Point | None = None, env: Point | None = None) -> float:
+    """Evaluate with sympy in double semantics; raises on unbound names or
+    domain exits."""
+    import sympy as sp
+    e = to_sympy(e)
+    bind = {sp.Symbol(name): sp.Float(value)
+            for mapping in (point or {}, env or {}) for name, value in mapping.items()}
+    if free := e.free_symbols - set(bind):
+        raise UnboundNameError(f"unbound name(s): {', '.join(sorted(s.name for s in free))}")
     val = e.subs(bind).evalf()
     if val.has(sp.zoo, sp.oo, -sp.oo, sp.nan):
-        raise EvalDomainError(f"singular evaluation of {to_source(e)}")
-    if not val.is_real:
-        val_c = complex(val)
-        if abs(val_c.imag) > 1e-12 * max(1.0, abs(val_c.real)):
-            raise EvalDomainError(f"complex result evaluating {to_source(e)}")
-        return val_c.real
-    return float(val)
+        raise EvalDomainError(f"singular evaluation of {e}")
+    val = complex(val)
+    if abs(val.imag) > 1e-12 * max(1.0, abs(val.real)):
+        raise EvalDomainError(f"complex result evaluating {e}")
+    return val.real

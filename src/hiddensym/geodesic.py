@@ -1,23 +1,27 @@
 """Geodesic integration and conservation monitoring.
 
-The geodesic acceleration is the manifold's compiled spray, a function of
-position and velocity compiled for Python floats (`math` first, `numpy` for
-what `math` lacks); a math error in the spray (a singular point, a domain
-error) counts as leaving the chart.  Fixed-step RK4 is the default, for
-reproducible drift numbers: one loop, generated per dimension, runs on local
-Python floats and calls the spray four times per step.  Adaptive RK45
-(scipy) is an option.  Invariants are evaluated over a whole trajectory in
-one batch.
+The geodesic acceleration is the spray, derived in sympy from the metric
+and lambdified once per manifold as a function of position and velocity for
+Python floats (`math` first, `numpy` for what `math` lacks); a math error in
+the spray (a singular point, a domain error) counts as leaving the chart.
+Fixed-step RK4 is the default, for reproducible drift numbers: one loop,
+generated per dimension, runs on local Python floats and calls the spray
+four times per step.  Adaptive RK45 (scipy) is an option.  Invariants are
+evaluated over a whole trajectory in one batch.
 """
 
 from __future__ import annotations
 
 import csv
+import functools
+import math
 from dataclasses import dataclass
 from numbers import Integral
 
 import numpy as np
+import sympy as sp
 
+from .exprkit import to_sympy
 from .killing import finite_or_null
 from .manifold import Manifold, TensorField
 
@@ -38,6 +42,8 @@ class IntegratorConfig:
     stride: int = 10               # keep every stride-th step
 
     def __post_init__(self):
+        if not all(math.isfinite(t) for t in self.t_span):
+            raise ValueError(f"t_span must be finite, not {self.t_span!r}")
         if not (self.step > 0 and self.t_span[1] > self.t_span[0]):
             raise ValueError("step and the length of t_span must be positive")
         if self.method not in ("rk4", "rk45"):
@@ -74,6 +80,27 @@ class ConservationReport:
             "pass": bool(self.passed),
             "tolerance": self.tolerance,
         })
+
+
+def spray(M: Manifold):
+    """The geodesic acceleration a^rho = -Gamma^rho_{mu nu} v^mu v^nu as one
+    function of the coordinates, then the velocities, returning the n
+    components, cached on M: a = -g^-1 w with w_lam = (d_mu g_{lam nu}
+    - d_lam g_{mu nu} / 2) v^mu v^nu, lambdified for Python floats."""
+    if "spray" not in M._cache:
+        n, xs = M.dim, M.coord_symbols
+        g = [[to_sympy(e) for e in row] for row in M.metric]
+        v = [sp.Dummy(f"v_{c}") for c in M.chart.coords]
+        w = [sum((sp.diff(g[lam][nu], xs[mu]) - sp.diff(g[mu][nu], xs[lam]) / 2)
+                 * v[mu] * v[nu] for mu in range(n) for nu in range(n))
+             for lam in range(n)]
+        ginv = M.inverse_metric_matrix()
+        a = [-sum(ginv[rho, lam] * w[lam] for lam in range(n)) for rho in range(n)]
+        params = sorted(M.params)
+        f = sp.lambdify([sp.Symbol(p) for p in params] + xs + v,   # an exact 0 would be an int
+                        [e if e != 0 else sp.Float(0) for e in a], modules=("math", np), cse=True)
+        M._cache["spray"] = functools.partial(f, *(M.params[p] for p in params))
+    return M._cache["spray"]
 
 
 def _rk4_source(n: int) -> str:
@@ -140,7 +167,7 @@ def integrate(M: Manifold, s0: GeodesicState, cfg: IntegratorConfig) -> Trajecto
     if not M.chart.contains(s0.position):
         raise ValueError("initial position outside the domain box")
     y = [float(s0.position[c]) for c in coords] + [float(s0.velocity[c]) for c in coords]
-    spray = M.spray()
+    rates = spray(M)
     t0, t1 = cfg.t_span
 
     def snap(yv):
@@ -150,7 +177,7 @@ def integrate(M: Manifold, s0: GeodesicState, cfg: IntegratorConfig) -> Trajecto
     if cfg.method == "rk4":
         h = cfg.step
         steps = max(1, int(np.ceil((t1 - t0) / h - 1e-12)))
-        kept, exited = _rk4_loop(n)(spray, tuple(y), t0, t1, h, steps, cfg.stride,
+        kept, exited = _rk4_loop(n)(rates, tuple(y), t0, t1, h, steps, cfg.stride,
                                     [M.chart.box[c] for c in coords])
         return Trajectory([t for t, _ in kept], [snap(yv) for _, yv in kept], exited)
 
@@ -158,7 +185,7 @@ def integrate(M: Manifold, s0: GeodesicState, cfg: IntegratorConfig) -> Trajecto
 
     def rhs(state: list[float]) -> list[float]:
         try:
-            return state[n:] + spray(*state)
+            return state[n:] + rates(*state)
         except (ArithmeticError, ValueError):   # a singular point or a math domain error
             return [np.nan] * (2 * n)
 

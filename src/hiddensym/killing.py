@@ -7,10 +7,11 @@ magnitude at the worst point (floored at 1 so exact-zero inputs do not
 blow up the quotient).  A check passes only when every residual and
 scale is finite.
 
-Sympy only differentiates the inputs: a checker evaluates the 1-jet of its
-tensor once over the batch of points and takes the tensor's values and its
-covariant derivative from it; the lowerings, exterior derivatives, wedges and
-(anti)symmetrizations of an identity are array code on (P, ...) values.
+A checker evaluates the 1-jet of its tensor once over the batch of points
+and takes the tensor's values and its covariant derivative from it; the
+lowerings, exterior derivatives, wedges and (anti)symmetrizations of an
+identity are array code on (P, ...) values.  Only associated_sk_symbolic,
+the text of `construct assoc-sk --emit-components`, imports sympy.
 """
 
 from __future__ import annotations
@@ -20,11 +21,10 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-import sympy as sp
 
 from .manifold import (Manifold, TensorField, _covariant, _inverse, _pointwise,
-                       _product, antisymmetrize, covariant_derivative, sample_points,
-                       symmetrize, GeometryError)
+                       _product, _symbolic, antisymmetrize, covariant_derivative,
+                       sample_points, symmetrize, GeometryError)
 
 DEFAULT_TOL = 1e-9
 DEFAULT_POINTS = 20
@@ -259,10 +259,11 @@ def associated_sk_symbolic(f: TensorField, M: Manifold) -> TensorField:
     """associated_sk(f, M) as expressions in rational normal form over the
     symbolic g^-1 (exact 0 where sin^2 + cos^2 = 1 alone cancels), for
     `construct assoc-sk --emit-components` and the tests."""
+    import sympy as sp
     p = f.rank
     n = M.dim
     ginv = M.inverse_metric_matrix()
-    comp = f.components
+    comp = _symbolic(f.components)
     out = np.empty((n, n), dtype=object)
     inner_shape = (n,) * (p - 1)
     # K is symmetric: build the upper triangle and mirror it

@@ -1,14 +1,15 @@
 """Metric geometry: charts, tensor fields, numeric connection and curvature, sampling.
 
-Tensor fields are dense component arrays of symbolic expressions over a
-single chart.  Dimensions stay small (<= 7), so no sparsity or index-free
-machinery is used.  Numeric evaluation goes through Manifold.evaluate: each
-array is compiled once per manifold, cached under the array's content, and
-evaluated over a whole batch of points in one call.  Sympy states the fields;
-jets are forward-mode numpy: the k-jets (k <= 2) come from the same compiled
-function run on jet numbers, and the connection, the curvature and covariant
-derivatives are numpy on them.  Only the geodesic spray is differentiated
-symbolically, once per manifold.
+Tensor fields are dense component arrays of exprkit trees over a single
+chart.  Dimensions stay small (<= 7), so no sparsity or index-free machinery
+is used.  Numeric evaluation goes through Manifold.evaluate: each array is
+generated as one Python function (exprkit.codegen) once per manifold, cached
+under the array's interned entries, and evaluated over a whole batch of
+points in one call.  Jets are forward-mode numpy: the k-jets (k <= 2) come
+from the same function run on jet numbers, and the connection, the curvature
+and covariant derivatives are numpy on them.  Sympy is imported only by the
+symbolic inverse metric, the zero test of the metric's symmetry and the
+symbolic tensor algebra at the end of this module.
 """
 
 from __future__ import annotations
@@ -20,9 +21,9 @@ import random
 from dataclasses import dataclass
 
 import numpy as np
-import sympy as sp
 
-from .exprkit import Point, sym
+from . import exprkit
+from .exprkit import Point, to_sympy, tree
 
 
 class GeometryError(Exception):
@@ -69,13 +70,21 @@ def sample_points(chart: Chart, count: int, seed: int = 0) -> list[dict[str, flo
     return points
 
 
+def trees(components) -> np.ndarray:
+    """An object array of the components, each made a tree by exprkit.tree."""
+    return np.vectorize(tree, otypes=[object])(np.array(components, dtype=object))
+
+
+def _symbolic(components) -> np.ndarray:
+    """An object array of the components as sympy expressions."""
+    return np.vectorize(to_sympy, otypes=[object])(np.array(components, dtype=object))
+
+
 class TensorField:
-    """Dense component array with per-slot variance ('u'/'d')."""
+    """Dense component array of trees with per-slot variance ('u'/'d')."""
 
     def __init__(self, components, variance: str):
-        arr = np.array(components, dtype=object)
-        for idx in np.ndindex(arr.shape):
-            arr[idx] = sp.sympify(arr[idx])
+        arr = trees(components)
         if arr.ndim != len(variance):
             raise GeometryError("variance length must match tensor rank")
         self.components = arr
@@ -208,8 +217,10 @@ def per_batch(method):
 
 
 def _tangent(arr, xs) -> np.ndarray:
-    """Symbolic 1-jet of an object array: a new leading jet axis."""
-    arr = np.asarray(arr, dtype=object)
+    """Symbolic 1-jet of an object array, as sympy expressions: a new leading
+    jet axis."""
+    import sympy as sp
+    arr = _symbolic(arr)
     diff = np.frompyfunc(sp.diff, 2, 1)
     return np.stack([diff(arr, x) for x in xs] + [arr])
 
@@ -273,24 +284,24 @@ def _covariant(jet: np.ndarray, christoffel: np.ndarray, variance: str) -> np.nd
 
 
 class Manifold:
-    """Chart plus metric (matrix of expressions) plus bound parameter values."""
+    """Chart plus metric (an n x n array of trees) plus bound parameter values."""
 
     def __init__(self, chart: Chart, metric, params: dict[str, float] | None = None,
                  signature: tuple[int, ...] | None = None, name: str = ""):
         self.chart = chart
         self.name = name
         n = chart.dim
-        g = sp.Matrix(n, n, lambda i, j: sp.sympify(metric[i][j]))
+        g = trees([[metric[i][j] for j in range(n)] for i in range(n)])
         for i in range(n):
             for j in range(i + 1, n):
-                if sp.simplify(g[i, j] - g[j, i]) != 0:
+                if not exprkit.identically_equal(g[i, j], g[j, i]):
                     raise GeometryError(f"metric not symmetric at ({i},{j})")
         self.metric = g
         self.params = dict(params or {})
         self.signature = tuple(signature) if signature else tuple([1] * n)
         if len(self.signature) != n:
             raise GeometryError("signature length must equal dimension")
-        # symbolic results by name, compiled functions by array content and order
+        # symbolic results by name, compiled functions by the array's entries
         self._cache: dict = {}
 
     # -- symbolic pipeline -------------------------------------------------
@@ -300,42 +311,26 @@ class Manifold:
         return self.chart.dim
 
     @property
-    def coord_symbols(self) -> list[sp.Symbol]:
-        return [sym(c) for c in self.chart.coords]
+    def coord_symbols(self) -> list:
+        """The coordinates as sympy symbols, for the symbolic derivations."""
+        import sympy as sp
+        return [sp.Symbol(c) for c in self.chart.coords]
 
     def metric_field(self) -> TensorField:
-        return TensorField(np.array(self.metric.tolist(), dtype=object), "dd")
+        return TensorField(self.metric, "dd")
 
-    def inverse_metric_matrix(self) -> sp.Matrix:
-        """g^-1 = adj(g) / det g, each entry in rational normal form: the one
-        symbolic inverse, shared by raise_index, the spray and the
+    def inverse_metric_matrix(self):
+        """g^-1 = adj(g) / det g as a sympy Matrix, each entry in rational
+        normal form: the one symbolic inverse, shared by the spray and the
         constructions that contract with it.  Not simplified further."""
         if "ginv" not in self._cache:
-            det = sp.cancel(self.metric.det(method="berkowitz"))
+            import sympy as sp
+            g = sp.Matrix(_symbolic(self.metric))
+            det = sp.cancel(g.det(method="berkowitz"))
             if det == 0:
                 raise SingularMetricError("metric determinant is identically zero")
-            adj = self.metric.adjugate()
-            self._cache["ginv"] = adj.applyfunc(lambda e: sp.cancel(e / det))
+            self._cache["ginv"] = g.adjugate().applyfunc(lambda e: sp.cancel(e / det))
         return self._cache["ginv"]
-
-    def spray(self):
-        """The geodesic acceleration a^rho = -Gamma^rho_{mu nu} v^mu v^nu as one
-        compiled function of the coordinates, then the velocities, returning
-        the n components.  Built as a = -g^-1 w with
-        w_lam = (d_mu g_{lam nu} - d_lam g_{mu nu} / 2) v^mu v^nu, compiled for
-        Python floats (`math` first, `numpy` for what `math` lacks); a math error
-        it raises (a singular point, a domain error) means leaving the chart."""
-        if "spray" not in self._cache:
-            n, g, xs = self.dim, self.metric, self.coord_symbols
-            v = [sp.Dummy(f"v_{c}") for c in self.chart.coords]
-            w = [sum((sp.diff(g[lam, nu], xs[mu]) - sp.diff(g[mu, nu], xs[lam]) / 2)
-                     * v[mu] * v[nu] for mu in range(n) for nu in range(n))
-                 for lam in range(n)]
-            ginv = self.inverse_metric_matrix()
-            a = [-sum(ginv[rho, lam] * w[lam] for lam in range(n)) for rho in range(n)]
-            self._cache["spray"] = self.compiled(   # an exact 0 would compile to an int
-                [e if e != 0 else sp.Float(0) for e in a], extra=v, modules=("math", np))
-        return self._cache["spray"]
 
     # -- numeric geometry, per batch of points ------------------------------
 
@@ -376,19 +371,20 @@ class Manifold:
 
     # -- numeric evaluation --------------------------------------------------
 
-    def compiled(self, components, extra=(), modules=np):
-        """The array lambdified for lambdify's `modules` with common-subexpression
-        elimination, once per manifold, cached under the array's content and
-        modules: a function of the coordinate values, then of the `extra`
-        symbols' values, returning a flat list."""
-        arr = np.asarray(components, dtype=object)
-        key = ("lambdified", arr.shape, tuple(arr.flat), tuple(extra), modules)
+    def compiled(self, components):
+        """The array's entries as one exprkit.compiled_function of the
+        coordinates, returning the flat list of their values, once per
+        manifold under the interned entries; a name that is neither a
+        coordinate nor a parameter is a GeometryError."""
+        roots = [tree(e) for e in np.asarray(components, dtype=object).flat]
+        key = ("compiled", *roots)
+        params = sorted(self.params)
         if key not in self._cache:
-            args = [sym(p) for p in sorted(self.params)] + self.coord_symbols + list(extra)
-            self._cache[key] = sp.lambdify(args, [sp.sympify(e) for e in arr.flat],
-                                           modules=modules, cse=True)
-        return functools.partial(self._cache[key],
-                                 *(self.params[p] for p in sorted(self.params)))
+            unbound = exprkit.names(roots) - set(params) - set(self.chart.coords)
+            if unbound:
+                raise GeometryError(f"unbound name(s) {', '.join(sorted(unbound))}")
+            self._cache[key] = exprkit.compiled_function(roots, params + list(self.chart.coords))
+        return functools.partial(self._cache[key], *(self.params[p] for p in params))
 
     def evaluate(self, components, points, dtype=float, order=0) -> np.ndarray:
         """Values of an array of expressions at a batch of points, shape (P, *shape),
@@ -396,9 +392,9 @@ class Manifold:
 
         One call of the array's compiled function covers the whole batch; for a
         jet it runs on Jets seeded with the coordinates.  The entries it returns
-        as scalars (the constant ones) are broadcast.  A real dtype rejects
-        non-zero imaginary parts.  Floating-point warnings are silenced:
-        non-finite values are returned for the reports to count and fail.
+        as scalars (the constant ones) are broadcast.  Floating-point warnings
+        are silenced: non-finite values are returned for the reports to count
+        and fail.
         """
         if order not in (0, 1, 2):
             raise ValueError(f"jets of order {order} are not supported (0, 1 or 2)")
@@ -414,17 +410,12 @@ class Manifold:
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
             flat = self.compiled(arr)(*args)
             entries = [e.stacked() if isinstance(e, Jet) else e for e in flat]
-        values = np.zeros((count,) + (n + 1,) * order + (len(flat),),
-                          np.result_type(float, *entries))
+        values = np.zeros((count,) + (n + 1,) * order + (len(flat),))
         for i, e in enumerate(entries):
             if np.ndim(e) > order:
                 values[..., i] = e
             else:
                 values[(slice(None),) + (n,) * order + (i,)] = e
-        if np.iscomplexobj(values) and np.dtype(dtype).kind != "c":
-            if np.any(values.imag != 0):
-                raise GeometryError("real-valued tensor has a non-zero imaginary part")
-            values = values.real
         return values.astype(dtype).reshape((count,) + (n + 1,) * order + arr.shape)
 
     def inverse_metric_values(self, points) -> np.ndarray:
@@ -502,27 +493,6 @@ def covariant_derivative(T: TensorField, M: Manifold, points) -> TensorValues:
                         jet[:, -1])
 
 
-def _contract_metric(T: TensorField, slot: int, matrix: sp.Matrix,
-                     new_var: str) -> TensorField:
-    """matrix[i, nu] T[.., nu, ..], with i in the slot."""
-    out = np.moveaxis(np.tensordot(np.array(matrix.tolist(), dtype=object), T.components,
-                                   (1, slot)), 0, slot)
-    variance = T.variance[:slot] + new_var + T.variance[slot + 1:]
-    return TensorField(out, variance)
-
-
-def raise_index(T: TensorField, M: Manifold, slot: int) -> TensorField:
-    if T.variance[slot] != "d":
-        raise GeometryError("slot is already contravariant")
-    return _contract_metric(T, slot, M.inverse_metric_matrix(), "u")
-
-
-def lower_index(T: TensorField, M: Manifold, slot: int) -> TensorField:
-    if T.variance[slot] != "u":
-        raise GeometryError("slot is already covariant")
-    return _contract_metric(T, slot, M.metric, "d")
-
-
 def exterior_derivative(T: TensorField, M: Manifold) -> TensorField:
     """(df)_{lam mu1..mup} = (p+1) * Alt(partial f); d o d = 0."""
     if set(T.variance) - {"d"}:
@@ -539,8 +509,9 @@ def lie_bracket(X: TensorField, Y: TensorField, M: Manifold) -> TensorField:
     """[X, Y]^mu = X^nu d_nu Y^mu - Y^nu d_nu X^mu for vector fields."""
     if X.variance != "u" or Y.variance != "u":
         raise GeometryError("lie_bracket expects vector fields")
-    dX, dY = (_tangent(V.components, M.coord_symbols)[:-1] for V in (X, Y))
-    return TensorField(X.components @ dY - Y.components @ dX, "u")
+    (dX, X0), (dY, Y0) = ((t[:-1], t[-1]) for t in
+                          (_tangent(V.components, M.coord_symbols) for V in (X, Y)))
+    return TensorField(X0 @ dY - Y0 @ dX, "u")
 
 
 def vector(components) -> TensorField:

@@ -12,8 +12,8 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import sympy as sp
 
+from .exprkit import symbol
 from .killing import (ResidualReport, _default_points, _killing_terms, _ky_report,
                       _max_abs, _quiet, _report, conformal_killing_factor, DEFAULT_TOL)
 from .manifold import (Chart, GeometryError, Manifold, TensorField, TensorValues,
@@ -247,10 +247,12 @@ def build_cone(S: MixedThreeStructure) -> ConeManifold:
     M = S.manifold
     if RADIAL in M.chart.coords:
         raise GeometryError(f"radial name {RADIAL!r} clashes with base coordinates")
-    r = sp.Symbol(RADIAL)
+    r = symbol(RADIAL)
     n = M.dim
     chart = Chart(M.chart.coords + (RADIAL,), {**M.chart.box, RADIAL: RADIAL_BOX})
-    cone = Manifold(chart, sp.diag(r ** 2 * M.metric, 1).tolist(), params=M.params,
+    metric = np.zeros((n + 1, n + 1), dtype=object)
+    metric[:n, :n], metric[n, n] = r ** 2 * M.metric, 1
+    cone = Manifold(chart, metric, params=M.params,
                     signature=tuple(list(M.signature) + [1]),
                     name=(M.name + "-cone") if M.name else "cone")
     Js = []

@@ -11,11 +11,11 @@ import random
 from dataclasses import dataclass
 
 import numpy as np
-import sympy as sp
 
+from .exprkit import ONE, ZERO, function, identically_equal, symbol
 from .killing import ResidualReport, _default_points, _max_abs, _report
 from .manifold import (GeometryError, Manifold, TensorField, _covariant, _inverse,
-                       _product)
+                       _product, trees)
 
 
 class FrameError(GeometryError):
@@ -29,13 +29,11 @@ class FrameError(GeometryError):
 class Frame:
     """Orthonormal coframe e^a_mu with e^a_mu e^b_nu eta_ab = g_{mu nu}."""
 
-    vierbein: np.ndarray          # e[a, mu], object array of expressions
+    vierbein: np.ndarray          # e[a, mu], object array of trees
     eta: tuple[int, ...]          # frame metric diagonal
 
     def __post_init__(self):
-        self.vierbein = np.array(self.vierbein, dtype=object)
-        for idx in np.ndindex(self.vierbein.shape):
-            self.vierbein[idx] = sp.sympify(self.vierbein[idx])
+        self.vierbein = trees(self.vierbein)
 
 
 def orthonormal_frame(M: Manifold) -> Frame:
@@ -43,17 +41,13 @@ def orthonormal_frame(M: Manifold) -> Frame:
     n = M.dim
     for i in range(n):
         for j in range(n):
-            if i != j and sp.simplify(M.metric[i, j]) != 0:
+            if i != j and not identically_equal(M.metric[i, j], ZERO):
                 raise FrameError(
                     "metric is not diagonal; supply an explicit frame")
     comp = np.zeros((n, n), dtype=object)
-    eta_out = []
     for i in range(n):
-        gii = M.metric[i, i]
-        sign = M.signature[i]
-        comp[i, i] = sp.sqrt(sp.simplify(sign * gii))
-        eta_out.append(sign)
-    return Frame(comp, tuple(eta_out))
+        comp[i, i] = function("sqrt", M.signature[i] * M.metric[i, i])
+    return Frame(comp, tuple(M.signature))
 
 
 def frame_residual(F: Frame, M: Manifold, points=None, seed=0,
@@ -103,7 +97,7 @@ def canonical_gamma(eta: tuple[int, ...]) -> np.ndarray:
 # formed once from the jets Manifold.evaluate gives; operators act
 # on the jets of spinor fields and compose by the Leibniz rule in numpy.
 
-SpinorField = np.ndarray      # object array of expressions, length = spinor size
+SpinorField = np.ndarray      # object array of trees, length = spinor size
 
 
 @dataclass
@@ -240,18 +234,16 @@ def spinor_bank(M: Manifold, count: int = 5, seed: int = 0) -> list[SpinorField]
     """Deterministic bank: degree-<=2 polynomials in the coordinates times
     {1, sin(theta_1), cos(theta_1)} where theta_1 is the first coordinate."""
     rng = random.Random(seed)
-    xs = [sp.Symbol(c) for c in M.chart.coords]
+    xs = [symbol(c) for c in M.chart.coords]
     size = 2 ** (M.dim // 2)
-    trig = [sp.Integer(1), sp.sin(xs[min(1, M.dim - 1)]), sp.cos(xs[min(1, M.dim - 1)])]
-    monomials = [sp.Integer(1)] + xs + [xs[i] * xs[j] for i in range(M.dim)
-                                        for j in range(i, M.dim)]
+    trig = [ONE, function("sin", xs[min(1, M.dim - 1)]), function("cos", xs[min(1, M.dim - 1)])]
+    monomials = [ONE] + xs + [xs[i] * xs[j] for i in range(M.dim) for j in range(i, M.dim)]
     bank = []
     for _ in range(count):
         comp = np.empty(size, dtype=object)
         for s in range(size):
-            poly = sum(sp.Integer(rng.randint(-2, 2)) * m
-                       for m in rng.sample(monomials, 3))
-            comp[s] = sp.expand(poly * rng.choice(trig))
+            poly = sum(rng.randint(-2, 2) * m for m in rng.sample(monomials, 3))
+            comp[s] = poly * rng.choice(trig)
         bank.append(comp)
     return bank
 

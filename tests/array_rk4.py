@@ -2,7 +2,7 @@
 of hiddensym.geodesic is tested against.
 
 `integrate_arrays` keeps the state and the four stages as float arrays, and
-its spray, built from the same expressions as Manifold.spray, is lambdified
+its spray, built from the same expressions as geodesic.spray, is lambdified
 with modules="numpy", so its trigonometric and hyperbolic functions are
 numpy's.  `k2_weight` exists to plant an error.
 
@@ -15,22 +15,22 @@ times, states and exit flag, bit for bit.
 import numpy as np
 import sympy as sp
 
-from hiddensym.geodesic import GeodesicState, Trajectory
-from hiddensym.manifold import sym
+from hiddensym.geodesic import GeodesicState, Trajectory, spray as manifold_spray
+from hiddensym.manifold import _symbolic
 
 
 def numpy_spray(M):
     """a^rho = -g^{rho lam} w_lam with w_lam = (d_mu g_{lam nu} - d_lam g_{mu nu} / 2)
     v^mu v^nu, lambdified for numpy: a function of the coordinates, then the
     velocities."""
-    n, g, xs = M.dim, M.metric, M.coord_symbols
+    n, g, xs = M.dim, _symbolic(M.metric), M.coord_symbols
     v = [sp.Dummy(f"v_{c}") for c in M.chart.coords]
     w = [sum((sp.diff(g[lam, nu], xs[mu]) - sp.diff(g[mu, nu], xs[lam]) / 2)
              * v[mu] * v[nu] for mu in range(n) for nu in range(n))
          for lam in range(n)]
     ginv = M.inverse_metric_matrix()
     params = sorted(M.params)
-    f = sp.lambdify([sym(p) for p in params] + xs + v,
+    f = sp.lambdify([sp.Symbol(p) for p in params] + xs + v,
                     [-sum(ginv[rho, lam] * w[lam] for lam in range(n)) for rho in range(n)],
                     modules="numpy", cse=True)
     values = [M.params[p] for p in params]
@@ -85,7 +85,7 @@ def integrate_lists(M, s0: GeodesicState, cfg) -> Trajectory:
     n = M.dim
     coords = M.chart.coords
     y = [float(s0.position[c]) for c in coords] + [float(s0.velocity[c]) for c in coords]
-    spray = M.spray()
+    spray = manifold_spray(M)
     box = [M.chart.box[c] for c in coords]
     t0, t1 = cfg.t_span
 

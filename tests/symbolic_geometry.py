@@ -3,7 +3,8 @@ hiddensym.manifold and hiddensym.sasaki are tested against.
 
 This is the symbolic pipeline the library used to run: Gamma with one
 exprkit.simplify per component, Riemann by differentiating Gamma, Ricci by
-contraction, the odd-rank tower eta ^ (d eta)^k by symbolic wedges, and the
+contraction, index raising and lowering with the symbolic metric and its
+inverse, the odd-rank tower eta ^ (d eta)^k by symbolic wedges, and the
 structure recovered from a metric cone with the symbolic inverse metric.
 Geometry results are cached per manifold, because Taub-NUT's Gamma takes
 seconds to build.
@@ -16,15 +17,15 @@ import numpy as np
 import sympy as sp
 
 from hiddensym.exprkit import simplify
-from hiddensym.manifold import (TensorField, antisymmetrize, exterior_derivative,
-                                lower_index, vector)
+from hiddensym.manifold import (GeometryError, TensorField, _symbolic, antisymmetrize,
+                                exterior_derivative, vector)
 from hiddensym.sasaki import RADIAL, MixedThreeStructure
 
 
 @functools.lru_cache(maxsize=None)
 def symbolic_christoffel(M) -> np.ndarray:
     """Gamma[rho, mu, nu] as an object array of simplified expressions."""
-    n, g, xs = M.dim, M.metric, M.coord_symbols
+    n, g, xs = M.dim, _symbolic(M.metric), M.coord_symbols
     ginv = M.inverse_metric_matrix()
     dg = [[[sp.diff(g[i, j], xs[k]) for k in range(n)] for j in range(n)]
           for i in range(n)]
@@ -60,6 +61,26 @@ def symbolic_ricci(M) -> np.ndarray:
                       for nu in range(n)] for sig in range(n)], dtype=object)
 
 
+def _contract_metric(T: TensorField, slot: int, matrix, new_var: str) -> TensorField:
+    """matrix[i, nu] T[.., nu, ..], with i in the slot, formed in sympy."""
+    out = np.moveaxis(np.tensordot(_symbolic(np.array(matrix, dtype=object)),
+                                   _symbolic(T.components), (1, slot)), 0, slot)
+    variance = T.variance[:slot] + new_var + T.variance[slot + 1:]
+    return TensorField(out, variance)
+
+
+def raise_index(T: TensorField, M, slot: int) -> TensorField:
+    if T.variance[slot] != "d":
+        raise GeometryError("slot is already contravariant")
+    return _contract_metric(T, slot, M.inverse_metric_matrix(), "u")
+
+
+def lower_index(T: TensorField, M, slot: int) -> TensorField:
+    if T.variance[slot] != "u":
+        raise GeometryError("slot is already covariant")
+    return _contract_metric(T, slot, M.metric, "d")
+
+
 def wedge_forms(a: TensorField, b: TensorField) -> TensorField:
     """Wedge product with unit-weight alternation: a ^ b = C(p+q,p) Alt(a (x) b)."""
     p, q = a.rank, b.rank
@@ -73,7 +94,8 @@ def ky_odd_rank_candidate(S, alpha: int, k: int) -> TensorField:
     deta = exterior_derivative(form, S.manifold)
     for _ in range(k):
         form = wedge_forms(form, deta)
-    return TensorField(np.frompyfunc(sp.expand, 1, 1)(form.components), form.variance)
+    return TensorField(np.frompyfunc(sp.expand, 1, 1)(_symbolic(form.components)),
+                       form.variance)
 
 
 def reverse_cone_symbolic(C) -> MixedThreeStructure:
@@ -85,9 +107,9 @@ def reverse_cone_symbolic(C) -> MixedThreeStructure:
     ginv = base.inverse_metric_matrix()
     phis, xis, etas = [], [], []
     for a in range(3):
-        xis.append(vector([C.J[a].components[i, n].subs(r, 1) for i in range(n)]))
+        xis.append(vector([_symbolic(C.J[a].components)[i, n].subs(r, 1) for i in range(n)]))
         etas.append(lower_index(xis[a], base, 0))
-        deta = exterior_derivative(etas[a], base).components
+        deta = _symbolic(exterior_derivative(etas[a], base).components)
         phis.append(TensorField([[sum(ginv[i, nu] * deta[mu, nu] for nu in range(n)) / 2
                                   for mu in range(n)] for i in range(n)], "ud"))
     return MixedThreeStructure(base, phis, xis, etas)

@@ -1,13 +1,27 @@
-import itertools
+import hashlib
+import json
+import os
+import subprocess
+import sys
+from importlib import resources
+from pathlib import Path
 
 import numpy as np
 import pytest
 import sympy as sp
 
-from hiddensym import catalog, cli
+from hiddensym import catalog, cli, exprkit
+from hiddensym.exprkit import parse, to_source, to_sympy
 from hiddensym.killing import killing_vector_residual, ky_residual
 from hiddensym.manifold import sample_points
+from hiddensym.sasaki import build_cone
+
+import catalog_oracle
+from catalog_oracle import taub_nut_forms_by_wedge
+from lambdify_reference import lambdified_jet
 from test_algebra import digest
+
+ROOT = Path(__file__).resolve().parents[1]
 
 
 class TestRegistry:
@@ -81,8 +95,8 @@ class TestTaubNut:
 
     def test_raw_forms_kept(self, tn):
         assert "f1_raw" in tn.forms and "fY_raw" in tn.forms
-        ratio = sp.cancel(tn.forms["f1_raw"].components[0, 1]
-                          / tn.forms["f1"].components[0, 1])
+        ratio = sp.cancel(to_sympy(tn.forms["f1_raw"].components[0, 1])
+                          / to_sympy(tn.forms["f1"].components[0, 1]))
         assert ratio == -2
 
     @pytest.mark.parametrize("m", [0.5, 2.0])
@@ -93,44 +107,13 @@ class TestTaubNut:
         assert ky_residual(entry.forms["f1"], M, points=4).passed
 
 
-def _wedge(a, b):
-    n = len(a)
-    return np.array([[sp.expand(a[i] * b[j] - a[j] * b[i]) for j in range(n)]
-                     for i in range(n)], dtype=object)
-
-
-def taub_nut_forms_by_wedge(nut=4):
-    """Taub-NUT's Killing-Yano forms as the catalog once built them, the old
-    path its closed forms are checked against: the raw f_i are
-    8m sigma ^ dx_i - eps_ijk (1 + nut m/r) dx_j ^ dx_k and fY_raw is
-    8m sigma ^ dr + 4r(r + 2m)(1 + r/4m) sin(theta) dtheta ^ dphi, with
-    sigma = dchi + cos(theta) dphi, and each stored form is sympy.cancel of
-    -raw/2 (f1, f2, f3) or raw/2 (fY), entry by entry.  nut is 4; another
-    value plants an error."""
-    r, th, ph, ch, m = sp.symbols("r theta phi chi m")
-    coords = [r, th, ph, ch]
-    sigma = [sp.Integer(0), sp.Integer(0), sp.cos(th), sp.Integer(1)]
-    x = [r * sp.sin(th) * sp.cos(ph), r * sp.sin(th) * sp.sin(ph), r * sp.cos(th)]
-    dx = [[sp.diff(s, c) for c in coords] for s in x]
-    dr, dth, dph = ([sp.diff(y, c) for c in coords] for y in (r, th, ph))
-    raw = {}
-    for i in range(3):
-        F = 8 * m * _wedge(sigma, dx[i])
-        for j, k in itertools.permutations(range(3), 2):
-            eps = (j - i) * (k - i) * (k - j) // 2
-            if eps and {i, j, k} == {0, 1, 2}:
-                F = F - eps * (1 + nut * m / r) * _wedge(dx[j], dx[k])
-        raw[f"f{i + 1}"] = F
-    raw["fY"] = (8 * m * _wedge(sigma, dr)
-                 + 4 * r * (r + 2 * m) * (1 + r / (4 * m)) * sp.sin(th) * _wedge(dth, dph))
-    scale = {"f1": -2, "f2": -2, "f3": -2, "fY": 2}
-    normalized = {name: np.array([[sp.cancel(e / scale[name]) for e in row] for row in F],
-                                 dtype=object) for name, F in raw.items()}
-    return raw, normalized
-
-
-def _srepr(F) -> list[str]:
-    return [sp.srepr(e) for e in np.asarray(F).flat]
+def _texts(F) -> list[str]:
+    """The entries above the diagonal of a 2-form, which the document stores,
+    printed in the grammar: trees by to_source, the oracle's sympy
+    expressions as `catalog export` printed them."""
+    F = np.asarray(F)
+    return [to_source(e) if isinstance(e, exprkit.Expr) else catalog_oracle.text(e)
+            for e in F[np.triu_indices(len(F), 1)]]
 
 
 class TestTaubNutForms:
@@ -143,14 +126,14 @@ class TestTaubNutForms:
     def test_forms_match_the_wedge_construction(self, tn):
         raw, normalized = taub_nut_forms_by_wedge()
         for name in ("f1", "f2", "f3", "fY"):
-            assert _srepr(tn.forms[name].components) == _srepr(normalized[name]), name
-            assert _srepr(tn.forms[f"{name}_raw"].components) == _srepr(raw[name]), name
+            assert _texts(tn.forms[name].components) == _texts(normalized[name]), name
+            assert _texts(tn.forms[f"{name}_raw"].components) == _texts(raw[name]), name
 
     def test_planted_error_is_seen(self, tn):
         """(1 + 4m/r) -> (1 + 2m/r) changes f1, f2 and f3; fY has no such term."""
         _, normalized = taub_nut_forms_by_wedge(nut=2)
         changed = {name for name, F in normalized.items()
-                   if _srepr(tn.forms[name].components) != _srepr(F)}
+                   if _texts(tn.forms[name].components) != _texts(F)}
         assert changed == {"f1", "f2", "f3"}
 
 
@@ -170,3 +153,126 @@ class TestPseudoSphere:
         """The printed form of the closed-form fixture, which is what the
         checks compile: a change to any expression changes the digest."""
         assert digest(cli.export(ps)) == "46fbdadc26b0e191"
+
+
+# sha256 of `catalog export --catalog NAME` as printed before the entries
+# became stored documents
+EXPORT_SHA256 = {
+    "taub-nut": "f7542ead7bb4f7f74a7c127741b71aa453f1771d9333f467b573a2ebdc99291a",
+    "flat3": "2a42a29a06bc15da5f32eb313413d1957f2339f66e3c6dabd4a96268dad0f189",
+    "flat4": "0cdd634fcb40802b36153cfdfa6737646e243e28be295a26f016442f2bb34cc2",
+    "sphere2": "2cdf5f3dfae99005935bb9ad39d25d1ec600f2b822b5c12dfd8c9ffcc76ef632",
+    "pseudo-sphere": "69b366e0732d462dc42b2188954d91754c30bc60ee1f6c9cc1ab4a44aec3dd6e",
+}
+
+
+def _stored(name: str) -> dict:
+    return json.loads((resources.files("hiddensym") / "data" / f"{name}.json").read_text())
+
+
+def _leaves(doc) -> list[str]:
+    """The expression texts of a document: metric, vectors, forms,
+    structures and frame."""
+    out = []
+
+    def walk(x):
+        if isinstance(x, str):
+            out.append(x)
+        elif isinstance(x, (list, dict)):
+            for v in (x.values() if isinstance(x, dict) else x):
+                walk(v)
+    for key in ("metric", "vectors", "structures", "frame"):
+        walk(doc.get(key, []))
+    for form in doc["forms"].values():
+        walk(form["components"])
+    return out
+
+
+class TestStoredDocuments:
+    """Each entry is a stored document: the oracle's sympy construction as
+    `catalog export` printed it, read back through the one reader."""
+
+    @pytest.mark.parametrize("name", catalog.names())
+    def test_export_sha256_pinned(self, capsys, name):
+        assert cli.main(["catalog", "export", "--catalog", name]) == 0
+        out = capsys.readouterr().out
+        assert hashlib.sha256(out.encode()).hexdigest() == EXPORT_SHA256[name]
+
+    def test_export_from_outside_the_checkout(self, tmp_path):
+        """The documents are package data, found from any working directory."""
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            [str(ROOT / "src"), *filter(None, [os.environ.get("PYTHONPATH")])]))
+        done = subprocess.run([sys.executable, "-m", "hiddensym.cli", "catalog", "export",
+                               "--catalog", "taub-nut"], cwd=tmp_path, env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert done.returncode == 0, done.stderr
+        assert hashlib.sha256(done.stdout.encode()).hexdigest() == EXPORT_SHA256["taub-nut"]
+
+    @pytest.mark.parametrize("name", catalog.names())
+    def test_document_is_the_printed_oracle(self, name):
+        stored, oracle = _stored(name), catalog_oracle.document(name)
+        assert {key: stored[key] for key in oracle} == oracle
+
+    @pytest.mark.parametrize("name", catalog.names())
+    def test_every_leaf_prints_back_to_its_text(self, name):
+        leaves = _leaves(_stored(name))
+        assert leaves and [to_source(parse(text)) for text in leaves] == leaves
+
+
+def _oracle_arrays(name: str, entry) -> list[tuple[object, object, object]]:
+    """(manifold, the entry's array of trees, the oracle's sympy array) for
+    the metric, every vector and form, the frame, phi, xi and eta, and each
+    of the cone's J_a."""
+    oracle, M = catalog_oracle.ORACLES[name](), entry.manifold
+    cases = [(M, M.metric, oracle["metric"])]
+    cases += [(M, entry.vectors[k].components, v) for k, v in oracle["vectors"].items()]
+    cases += [(M, entry.forms[k].components, F) for k, F in oracle["forms"].items()]
+    if entry.frame is not None:
+        cases.append((M, entry.frame, oracle["frame"]))
+    if entry.structure is not None:
+        S, parts = entry.structure, oracle["structures"]
+        for a in range(3):
+            cases += [(M, S.phi[a].components, parts["phi"][a]),
+                      (M, S.xi[a].components, parts["xi"][a]),
+                      (M, S.eta[a].components, parts["eta"][a])]
+        C, n, r = build_cone(S), M.dim, sp.Symbol("r")
+        for a in range(3):
+            J = np.full((n + 1, n + 1), sp.Integer(0), dtype=object)
+            J[:n, :n] = parts["phi"][a]
+            J[n, :n] = [-e * r for e in parts["eta"][a]]
+            J[:n, n] = [e / r for e in parts["xi"][a]]
+            cases.append((C.manifold, C.J[a].components, J))
+    return cases
+
+
+def _worst_oracle_gap(name: str, entry) -> float:
+    """Largest relative gap, over the arrays and orders 0, 1 and 2 at 20
+    seeded points, between the generated code's jets and the jets sympy's
+    lambdify gives of the oracle's own expressions."""
+    worst = 0.0
+    for M, arr, reference in _oracle_arrays(name, entry):
+        pts = sample_points(M.chart, 20, seed=4)
+        for order in (0, 1, 2):
+            got = M.evaluate(arr, pts, order=order)
+            want = lambdified_jet(M, reference, pts, order)
+            worst = max(worst, float(np.max(np.abs(got - want))
+                                     / max(1.0, np.max(np.abs(want)))))
+    return worst
+
+
+class TestOldPathOracle:
+    """The generated functions against sympy's lambdify of the constructions
+    the documents were printed from: values, 1-jets and 2-jets."""
+
+    def test_generated_code_matches_lambdify(self, entry):
+        assert _worst_oracle_gap(entry.name, entry) <= 1e-13
+
+    def test_planted_operator_fault_fails(self, monkeypatch):
+        """Printing - as + in the generated code fails the comparison."""
+        plain = exprkit._print
+
+        def faulty(node, kids, code, names):
+            text, level = plain(node, kids, code, names)
+            return (text.replace(" - ", " + ") if code and node.op == "-" else text), level
+        monkeypatch.setattr(exprkit, "_print", faulty)
+        assert _worst_oracle_gap("taub-nut", catalog.taub_nut()) > 1e-3

@@ -146,7 +146,8 @@ class TestIngest:
         with pytest.raises(FileFormatError):
             ingest(dict(MINIMAL, **change))
 
-    @pytest.mark.parametrize("spelling", ["1/0", "log(0)", "0^-1", "0/0"])
+    @pytest.mark.parametrize("spelling", ["1/0", "log(0)", "0^-1", "0/0", "1/(x - x)",
+                                          "sqrt(-1)"])
     def test_non_finite_constant_rejected(self, capsys, tmp_path, spelling):
         """A constant that evaluates to zoo, nan or +-oo is a fault of its field
         (lambdify's printer raised KeyError 'ComplexInfinity' on it)."""

@@ -1,45 +1,64 @@
 import math
+from fractions import Fraction
 
+import numpy as np
 import pytest
 import sympy as sp
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from hiddensym import exprkit
-from hiddensym.exprkit import (EvalDomainError, ParseError, UnboundNameError,
-                               UnknownFunctionError, evaluate, parse, simplify,
-                               to_source)
+from hiddensym.exprkit import (EvalDomainError, ExprError, ParseError, UnboundNameError,
+                               UnknownFunctionError, codegen, compiled_function, evaluate,
+                               function, number, parse, simplify, symbol, to_source,
+                               to_sympy)
+
+X, Y = symbol("x"), symbol("y")
 
 
 class TestParse:
     def test_integer(self):
-        assert parse("42") == sp.Integer(42)
+        assert parse("42") is number(42)
 
     def test_decimal_is_exact_rational(self):
-        assert parse("0.5") == sp.Rational(1, 2)
-        assert parse("2.75") == sp.Rational(11, 4)
+        assert parse("0.5") is number(Fraction(1, 2))
+        assert parse("2.75") is number(Fraction(11, 4))
 
     def test_precedence(self):
-        assert parse("2+3*4^2") == sp.Integer(50)
+        assert parse("2+3*4^2") is number(50)
 
     def test_power_right_associative(self):
-        assert parse("2^3^2") == sp.Integer(512)
+        assert parse("2^3^2") is number(512)
 
     def test_unary_minus_binds_looser_than_power(self):
-        x = sp.Symbol("x")
-        assert parse("-x^2") == -x ** 2
+        assert parse("-x^2") is -(X ** 2)
 
     def test_negative_exponent(self):
-        x = sp.Symbol("x")
-        assert parse("x^-2") == x ** -2
+        assert parse("x^-2") is X ** -2
 
     def test_functions(self):
-        x = sp.Symbol("x")
-        assert parse("sin(x)+cos(x)") == sp.sin(x) + sp.cos(x)
-        assert parse("sqrt(x)") == sp.sqrt(x)
+        assert parse("sin(x)+cos(x)") is function("sin", X) + function("cos", X)
+        assert parse("sqrt(x)") is function("sqrt", X)
 
     def test_nested_parens(self):
-        x, y = sp.symbols("x y")
-        assert parse("(x+y)*(x-y)") == (x + y) * (x - y)
+        assert parse("(x+y)*(x-y)") is (X + Y) * (X - Y)
+
+    def test_equal_trees_are_one_node(self):
+        """Interning: equal subtrees are the same object, across parses."""
+        e = parse("sin(x + y)*cos(x + y) + sin(x + y)")
+        assert e.kids[0].kids[0] is e.kids[1] is parse("sin(x+y)")
+        assert e.kids[0].kids[1].kids[0] is parse("(x + y)^2").kids[0] is parse("x+y")
+
+    def test_constants_and_identities_fold(self):
+        assert parse("x*1 + 0") is X
+        assert parse("0*sin(x)") is number(0)
+        assert parse("x^0") is number(1) and parse("x^1") is X
+        assert parse("sqrt(9/4)") is number(Fraction(3, 2))
+        assert parse("cos(0) + log(1) + exp(0)") is number(2)
+        assert parse("x - x") is number(0) and parse("x/x") is not number(1)
+
+    def test_values_match_sympy(self):
+        for src in ("2+3*4^2", "-x^2", "x^-2", "(x+y)*(x-y)/3", "sqrt(x)*exp(-y)"):
+            assert to_sympy(parse(src)) == sp.sympify(src.replace("^", "**"))
 
     def test_unknown_function_rejected(self):
         with pytest.raises(UnknownFunctionError):
@@ -65,54 +84,109 @@ class TestParse:
         "sin(" * exprkit.MAX_DEPTH + "x" + ")" * exprkit.MAX_DEPTH,
     ])
     def test_deep_nesting_rejected(self, src):
-        """A tree sympy's printer could not recurse through is a ParseError,
-        not a RecursionError here or later in lambdify."""
+        """A tree deeper than MAX_DEPTH is a ParseError, not a RecursionError
+        here or later."""
         with pytest.raises(ParseError, match="nested"):
             parse(src)
 
     def test_nesting_up_to_the_limit_accepted(self):
         depth = exprkit.MAX_DEPTH - 1
-        assert parse("sin(" * depth + "x" + ")" * depth).has(sp.sin)
+        assert parse("sin(" * depth + "x" + ")" * depth).depth == exprkit.MAX_DEPTH
+
+    def test_long_sums_and_products_are_one_level(self):
+        """As in sympy's n-ary sums and products, a chain of + and - or of *
+        and / counts as one level, and prints without recursion."""
+        src = " + ".join(f"{k}*x^{k}" for k in range(2, 2000))
+        assert to_source(parse(src)) == src
+        assert parse(src).depth == 4
 
     @pytest.mark.parametrize("src", ["2^1023", "10^400", "10^200*10^200", "x/10^400",
                                      "(1/2)^2000", "9^9^7"])
     def test_constant_beyond_a_float_rejected(self, src):
-        """Every integer in a tree converts to a float; 9^9^7 is refused
+        """Every constant in a tree converts to a float; 9^9^7 is refused
         before its 4.5 million digits are computed."""
         with pytest.raises(ParseError, match="bits"):
             parse(src)
 
     def test_largest_constant_accepted(self):
-        assert parse("2^1022") == sp.Integer(2) ** 1022
+        assert parse("2^1022") is number(2 ** 1022)
+
+    @pytest.mark.parametrize("src", ["1/0", "x/(2 - 2)", "1/(x - x)", "0^-1", "0/0", "log(0)",
+                                     "log(-1)", "sqrt(-4)", "(-8)^(1/3)"])
+    def test_non_finite_constant_rejected(self, src):
+        with pytest.raises(EvalDomainError):
+            parse(src)
 
 
-_names = st.sampled_from(["x", "y", "theta"])
+_names = st.sampled_from([X, Y, symbol("theta")])
 _leaves = st.one_of(
-    st.integers(min_value=-9, max_value=9).map(sp.Integer),
-    _names.map(sp.Symbol),
+    st.integers(min_value=-9, max_value=9).map(number),
+    st.fractions(min_value=-3, max_value=3, max_denominator=7).map(number),
+    _names,
 )
 
 
-def _combine(children):
-    a, b = children
-    return st.sampled_from([a + b, a * b, a - b, sp.sin(a), sp.sqrt(b ** 2 + 1)])
+def _build(op, a, b):
+    try:
+        return {"+": a + b, "-": a - b, "*": a * b} [op] if op in "+-*" else (
+            a / b if op == "/" else a ** b if op == "^" else -a if op == "neg"
+            else function(op, a))
+    except ExprError:       # 1/0, a constant beyond the bits, a tree too deep
+        return None
 
 
-_exprs = st.recursive(_leaves,
-                      lambda s: st.tuples(s, s).flatmap(_combine),
-                      max_leaves=8)
+_OPS = st.sampled_from(["+", "-", "*", "/", "^", "neg", *exprkit.FUNCTIONS])
+_trees = st.recursive(
+    _leaves,
+    lambda s: st.tuples(_OPS, s, s).map(lambda t: _build(*t)).filter(lambda e: e is not None),
+    max_leaves=10)
 
 
 class TestRoundTrip:
-    @settings(max_examples=60, deadline=None)
-    @given(_exprs)
+    @settings(max_examples=200, deadline=None)
+    @given(_trees)
     def test_print_parse_round_trip(self, e):
-        assert sp.simplify(parse(to_source(e)) - e) == 0
+        """parse(to_source(t)) is t itself, the same interned node."""
+        assert parse(to_source(e)) is e
+
+    @settings(max_examples=60, deadline=None)
+    @given(_trees, st.floats(0.5, 1.5), st.floats(0.5, 1.5), st.floats(0.5, 1.5))
+    def test_value_matches_lambdify_of_the_text(self, e, x, y, theta):
+        """The generated code's value equals sympy's lambdify of the same text."""
+        args = {"x": x, "y": y, "theta": theta}
+        text = sp.sympify(to_source(e).replace("^", "**"))
+        assume(not text.has(sp.zoo, sp.nan, sp.oo))      # sympy found x/(x - x)
+        with np.errstate(all="ignore"):
+            got = compiled_function([e], list(args))(*map(np.float64, args.values()))[0]
+            f = sp.lambdify(sp.symbols("x y theta"), text, modules="numpy")
+            try:
+                want = complex(f(*map(np.float64, args.values())))
+            except (ZeroDivisionError, OverflowError):
+                want = complex(math.nan)
+        assume(math.isfinite(abs(want)) and want.imag == 0 and abs(want.real) < 1e12)
+        assert abs(got - want.real) <= 1e-9 * max(1.0, abs(want.real))
 
     def test_power_printing(self):
-        x = sp.Symbol("x")
-        assert "^" in to_source(x ** 3)
-        assert "**" not in to_source(x ** 3)
+        assert "^" in to_source(X ** 3)
+        assert "**" not in to_source(X ** 3)
+
+    def test_minimal_parentheses(self):
+        for src in ("x - (y - x)", "-(x + y)/x", "x*(-y)", "(-x)^2", "-x^2", "x^(-2)",
+                    "x^y^2", "(x^y)^2", "x/(2*y)", "-1/2*x", "x*(1/2)", "-(-x)"):
+            assert to_source(parse(src)) == src
+
+
+class TestCodegen:
+    def test_one_assignment_per_shared_node(self):
+        """A node two parents use is computed once into a local."""
+        s = parse("sin(x + y)")
+        source = codegen([s * s + s, parse("x + y")], ["x", "y"])
+        assert source.count("sin(") == 1 and source.count("x0 + x1") == 1
+        assert source.splitlines()[-1].startswith("    return [")
+
+    def test_constants_and_integer_powers(self):
+        f = compiled_function([parse("x^2/3 - 1/2"), number(-2), parse("2^x")], ["x"])
+        assert f(3.0) == [3.0 - 0.5, -2.0, 8.0]
 
 
 class TestCalculus:

@@ -41,6 +41,15 @@ class TestConfig:
         with pytest.raises(ValueError):
             IntegratorConfig(t_span=t_span)
 
+    @pytest.mark.parametrize("t_span", [(0.0, float("inf")), (float("-inf"), 1.0),
+                                        (0.0, float("nan"))])
+    def test_non_finite_span_rejected(self, flat3, t_span):
+        """An infinite end once raised OverflowError inside integrate."""
+        with pytest.raises(ValueError, match="t_span must be finite"):
+            cfg = IntegratorConfig(t_span=t_span)
+            integrate(flat3, GeodesicState({c: 0.0 for c in flat3.chart.coords},
+                                           {c: 0.1 for c in flat3.chart.coords}), cfg)
+
     @pytest.mark.parametrize("stride", [0, -1, 2.0, 0.5, True, "10", None])
     def test_stride_must_be_a_positive_integer(self, stride):
         """stride=0 once raised ZeroDivisionError inside integrate, and
@@ -61,7 +70,7 @@ class TestSpray:
         pts = sample_points(M.chart, 5, seed=4)
         v = np.random.default_rng(4).normal(size=(5, M.dim))
         want = -np.einsum("prmn,pm,pn->pr", M.christoffel(pts)[:, -1], v, v)
-        spray = M.spray()
+        spray = geodesic.spray(M)
         got = np.array([spray(*(p[c] for c in M.chart.coords), *vp)
                         for p, vp in zip(pts, v)], dtype=float)
         assert np.max(np.abs(got - want)) <= 1e-12 * max(1.0, np.max(np.abs(want)))
@@ -71,7 +80,7 @@ class TestSpray:
         scalar would turn the RK4 arithmetic that follows into slow numpy-scalar
         arithmetic."""
         M = entry.manifold
-        spray = M.spray()
+        spray = geodesic.spray(M)
         for p in sample_points(M.chart, 3, seed=1):
             out = spray(*(p[c] for c in M.chart.coords), *[0.3] * M.dim)
             assert [type(c) for c in out] == [float] * M.dim

@@ -2,9 +2,10 @@
 definition in a library module is referenced somewhere in the project, no
 library module calls exprkit.simplify, only exprkit calls sympy's trigsimp,
 no module outside manifold.py calls the symbolic tensor algebra, every
-default of a library function that a call reaches is set by some call, the
-algebra commands load no sympy, and only geodesic's loop builder runs code
-from text."""
+default of a library function that a call reaches is set by some call, only
+geodesic imports sympy at its module level, only the commands that derive
+symbolically load sympy, and only geodesic's loop builder and exprkit's code
+generator run code from text."""
 
 import ast
 import json
@@ -275,13 +276,15 @@ def code_from_text(source: str) -> list[str]:
 
 
 def test_only_the_rk4_loop_builder_runs_code_from_text():
-    """geodesic._rk4_loop compiles and runs the RK4 loop it generates; no
-    other library code compiles or runs text."""
+    """geodesic._rk4_loop compiles and runs the RK4 loop it generates, and
+    exprkit.compiled_function the code it generates from trees; no other
+    library code compiles or runs text."""
     uses = {p.name: code_from_text(p.read_text()) for p in sorted(SRC.glob("*.py"))}
-    builder = [u for u in uses.pop("geodesic.py") if ": _rk4_loop -> " in u]
-    assert builder and {u.split(" -> ")[1] for u in builder} == {"exec", "compile"}
-    assert [u for u in code_from_text((SRC / "geodesic.py").read_text())
-            if u not in builder] == []
+    for module, owner in (("geodesic.py", "_rk4_loop"), ("exprkit.py", "compiled_function")):
+        found = uses.pop(module)
+        builder = [u for u in found if f": {owner} -> " in u]
+        assert builder and {u.split(" -> ")[1] for u in builder} == {"exec", "compile"}
+        assert [u for u in found if u not in builder] == []
     assert {name: found for name, found in uses.items() if found} == {}
 
 
@@ -440,8 +443,9 @@ def sympy_imports(source: str, whole: bool, based: set[str]) -> list[str]:
 
 
 def test_sympy_based_modules():
-    assert sympy_based_modules() == {"catalog", "exprkit", "geodesic", "killing",
-                                     "manifold", "sasaki", "spin"}
+    """Only geodesic, which derives and lambdifies the spray, imports sympy at
+    its module level; every other use imports it where it derives."""
+    assert sympy_based_modules() == {"geodesic"}
 
 
 @pytest.mark.parametrize("name, whole", [("algebra.py", True), ("cli.py", False)])
@@ -488,3 +492,44 @@ def test_algebra_commands_do_not_load_sympy(argv):
                           capture_output=True, text=True, timeout=120)
     assert done.stderr == "exit 0, sympy loaded: False"
     assert json.loads(done.stdout.splitlines()[0])
+
+
+def _sympy_loaded_after(argv, cwd) -> tuple[str, str]:
+    """Runs the command as `python -m hiddensym.cli` does; returns its stdout
+    and 'exit N, sympy loaded: B' as it was when the command ended."""
+    script = ("import runpy, sys\n"
+              "sys.argv = ['hiddensym', *sys.argv[1:]]\n"
+              "try:\n    runpy.run_module('hiddensym.cli', run_name='__main__', alter_sys=True)\n"
+              "except SystemExit as exc:\n    code = exc.code\n"
+              "sys.stderr.write(f'exit {code}, sympy loaded: {\"sympy\" in sys.modules}')\n")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(ROOT / "src"), *filter(None, [os.environ.get("PYTHONPATH")])]))
+    done = subprocess.run([sys.executable, "-c", script, *argv], env=env, cwd=cwd,
+                          capture_output=True, text=True, timeout=300)
+    return done.stdout, done.stderr
+
+
+TAUB_NUT = ["--catalog", "taub-nut"]
+POINTS = ["--points", "3"]
+
+
+@pytest.mark.parametrize("argv, loaded", [
+    (["check", "killing-vector", *TAUB_NUT, "--target", "k1"], False),
+    (["check", "ky", "--manifold", "taub-nut.json", "--target", "f1", *POINTS], False),
+    (["spin", "anticommute", *TAUB_NUT, "--target", "f1", *POINTS, "--bank", "1"], False),
+    (["sasaki", "verify", "--catalog", "pseudo-sphere", *POINTS], False),
+    (["catalog", "export", *TAUB_NUT], False),
+    (["geodesic", "run", *TAUB_NUT, "--position", "r=2,theta=1.5,phi=0.5,chi=6",
+      "--velocity", "r=-0.5,theta=0.02,phi=0.2,chi=0.1", "--t1", "0.01"], True),
+    (["construct", "assoc-sk", *TAUB_NUT, "--target", "fY", *POINTS, "--emit-components"],
+     True),
+], ids=["check", "check-manifold", "spin", "sasaki", "export", "geodesic", "construct"])
+def test_only_symbolic_derivations_load_sympy(argv, loaded, tmp_path):
+    """The checks, the spin and Sasaki suites and the export read their
+    expressions as trees and run generated code; only the spray and the
+    emitted symbolic components load sympy."""
+    out, _ = _sympy_loaded_after(["catalog", "export", *TAUB_NUT], tmp_path)
+    (tmp_path / "taub-nut.json").write_text(out)
+    out, status = _sympy_loaded_after(argv, tmp_path)
+    assert status == f"exit 0, sympy loaded: {loaded}"
+    assert json.loads(out.splitlines()[0])

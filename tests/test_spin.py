@@ -3,12 +3,13 @@ import pytest
 import sympy as sp
 
 from hiddensym import catalog, spin
-from hiddensym.manifold import _tangent, sample_points, two_form, vector
+from hiddensym.manifold import _symbolic, _tangent, sample_points, two_form, vector
 from hiddensym.spin import (Frame, FrameError, OperatorSpec, SpinContext,
                             anticommutator_residual, canonical_gamma,
                             commutator_residual, frame_residual,
                             orthonormal_frame, spin_connection_antisymmetry,
                             spinor_bank, square_compare)
+from lambdify_reference import lambdified
 from symbolic_geometry import symbolic_christoffel
 
 
@@ -74,7 +75,7 @@ def symbolic_omega(F: Frame, M) -> np.ndarray:
     built in sympy from the exact inverse of the frame, independently of the
     numeric connection jets."""
     n, xs, gamma = M.dim, M.coord_symbols, symbolic_christoffel(M)
-    e = sp.Matrix(F.vierbein.tolist())
+    e = sp.Matrix(_symbolic(F.vierbein))
     einv = e.inv()                       # einv[nu, b] = e_b^nu
     omega = np.empty((n, n, n), dtype=object)
     for mu in range(n):
@@ -106,7 +107,7 @@ class TestSpinConnection:
         omega built from the exact inverse frame."""
         M = tn.manifold
         pts = sample_points(M.chart, 5, seed=0)
-        expected = M.evaluate(_tangent(symbolic_omega(tn_ctx.F, M), M.coord_symbols), pts)
+        expected = lambdified(M, _tangent(symbolic_omega(tn_ctx.F, M), M.coord_symbols), pts)
         _, got = tn_ctx.connection(pts)
         assert np.max(np.abs(got - expected)) <= 1e-12 * np.max(np.abs(expected))
 
@@ -255,7 +256,7 @@ class TestTaubNutOracles:
         bank = spinor_bank(M, 2, seed=0)
         laplacians = []
         for psi in bank:
-            psi = sp.Matrix(psi)
+            psi = sp.Matrix(_symbolic(psi))
             grad = [psi.diff(x) + conn[mu] * psi for mu, x in enumerate(xs)]
             lap = sp.zeros(s, 1)
             for mu in range(n):
@@ -266,7 +267,7 @@ class TestTaubNutOracles:
                     lap -= ginv[mu, nu] * hess
             laplacians.append(list(lap))
         pts = sample_points(M.chart, 5, seed=0)
-        expected = M.evaluate(np.array(laplacians, dtype=object), pts, dtype=complex)
+        expected = lambdified(M, np.array(laplacians, dtype=object), pts, dtype=complex)
         Ds = spin.build_operator(OperatorSpec("standard-dirac"), ctx, pts, ctx.frame_jets(pts))
         got = Ds.compose(Ds).apply(M.evaluate(list(bank), pts, complex, order=2))
         assert np.max(np.abs(got - expected)) <= 1e-12 * max(1.0, np.max(np.abs(expected)))
