@@ -9,9 +9,9 @@ failures count as success); 1 check failure; 2 file/parse/usage error;
 3 internal error.
 
 The library modules are imported by the handlers that use them.  Sympy is
-loaded only where a command derives symbolically, by `geodesic run` (the
-spray) and `construct assoc-sk --emit-components`; the others read their
-expressions as exprkit trees and evaluate them as generated code.
+loaded only where a command derives symbolically, by `construct assoc-sk
+--emit-components`; the others, `geodesic run` and its spray too, read
+their expressions as exprkit trees and evaluate them as generated code.
 """
 
 from __future__ import annotations

@@ -1,13 +1,18 @@
-"""Expression layer: an interned tree of its own, parsed, printed and compiled.
+"""Expression layer: an interned tree of its own, parsed, printed,
+differentiated and compiled.
 
 An expression is an immutable, interned (hash-consed) tree: equal expressions
 are the same object, so a shared subexpression is one node.  The leaves are
 exact Fraction constants and names (coordinates and parameters); the
 operations are + - * / ^, unary minus and sin, cos, tan, exp, log and sqrt.
 The constructors fold only exact constants, a - a and the identities with 0
-and 1.  Floats never enter a tree; they appear only when compiled code runs.
-Sympy is imported only by to_sympy and the helpers built on it (simplify,
-evaluate, identically_equal), for the symbolic derivations and the tests.
+and 1.  Floats never enter a tree; they appear only when compiled code runs,
+on numpy arrays and Jets (ARRAY_FUNCTIONS) or on Python floats
+(FLOAT_FUNCTIONS, where a domain error raises).  derivative() differentiates
+a tree by a name into a tree, so the geodesic spray is derived here.  Sympy
+is imported only by to_sympy and the helpers built on it (simplify,
+evaluate, identically_equal), for the symbolic constructions and the tests,
+and by tree() when it is given a sympy expression.
 """
 
 from __future__ import annotations
@@ -206,11 +211,17 @@ Expr.__pow__, Expr.__neg__ = _operators(power)[0], neg
 def tree(x) -> Expr:
     """x as a tree: a tree as it is, an int or a Fraction as a constant, and
     anything else (grammar text, or a sympy expression) parsed from its
-    printed text."""
+    printed text.  A sympy expression holding a constant outside the grammar
+    (pi, E, I, oo, ...) is an ExprError naming it, not a free name."""
     if isinstance(x, Expr):
         return x
     if isinstance(x, (int, Fraction)):
         return number(x)
+    if type(x).__module__.startswith("sympy."):
+        outside = sorted(str(a) for a in x.atoms()
+                         if not (a.is_Symbol or a.is_Rational or a.is_Float))
+        if outside:
+            raise ExprError(f"constant(s) {', '.join(outside)} outside the grammar")
     return parse(str(x).replace("**", "^"))
 
 
@@ -231,6 +242,53 @@ def postorder(roots) -> list[Expr]:
 def names(roots) -> set[str]:
     """The names the trees contain."""
     return {n.value for n in postorder(roots) if n.op == "name"}
+
+
+# ---------------------------------------------------------------------------
+# differentiation
+#
+# d(node) from the node e, its kids a (and b) and their derivatives da (and
+# db).  The derivative of the inner function comes first in a product, so
+# that the chain rule through nested functions grows a left-leaning chain of
+# products, one level deep, rather than the tree's depth.
+
+def _times(da: Expr, f: Expr) -> Expr:
+    """da * f, with -f for da = -1."""
+    return neg(f) if da.op == "num" and da.value == -1 else mul(da, f)
+
+
+_DERIVATIVES = {
+    "+": lambda e, a, b, da, db: add(da, db),
+    "-": lambda e, a, b, da, db: sub(da, db),
+    "*": lambda e, a, b, da, db: add(_times(da, b), mul(a, db)),
+    "/": lambda e, a, b, da, db: div(sub(da, _times(db, e)), b),
+    "^": lambda e, a, b, da, db: (
+        mul(_times(da, b), power(a, number(b.value - 1))) if b.op == "num"
+        else mul(add(_times(db, function("log", a)), div(_times(da, b), a)), e)),
+    "neg": lambda e, a, da: neg(da),
+    "sin": lambda e, a, da: _times(da, function("cos", a)),
+    "cos": lambda e, a, da: neg(_times(da, function("sin", a))),
+    "tan": lambda e, a, da: _times(da, add(ONE, power(e, number(2)))),
+    "exp": lambda e, a, da: _times(da, e),
+    "log": lambda e, a, da: div(da, a),
+    "sqrt": lambda e, a, da: div(da, mul(number(2), e)),
+}
+
+
+def derivative(e: Expr, name: str) -> Expr:
+    """The partial derivative of e by the name, as a tree: each node's
+    derivative is formed once, after its kids', by the sum, product,
+    quotient, power and chain rules.  The constructors fold zeros, so a
+    subtree free of the name differentiates to ZERO and drops its terms."""
+    done: dict = {}
+    for node in postorder([e]):
+        if node.op in ("num", "name"):
+            done[node] = ONE if node.op == "name" and node.value == name else ZERO
+        elif all(done[k] is ZERO for k in node.kids):
+            done[node] = ZERO
+        else:
+            done[node] = _DERIVATIVES[node.op](node, *node.kids, *(done[k] for k in node.kids))
+    return done[e]
 
 
 # ---------------------------------------------------------------------------
@@ -344,8 +402,8 @@ def parse(src: str) -> Expr:
 
 def _print(node: Expr, kids: list[tuple[str, int]], code: bool, names: dict):
     """The node's text and binding level from its kids' (text, level): in
-    the grammar, or in Python (** for ^, a fraction as a float, the names
-    mapped by names)."""
+    the grammar, or in Python (** for ^ to an integer, pow() for any other
+    power, a fraction as a float, the names mapped by names)."""
     op, v = node.op, node.value
     if op == "num":
         text = repr(float(v)) if code and v.denominator > 1 else str(v)
@@ -356,6 +414,9 @@ def _print(node: Expr, kids: list[tuple[str, int]], code: bool, names: dict):
         return f"{op}({kids[0][0]})", 5
     if op == "neg":
         return "-" + _operand(*kids[0], 3), 3
+    if code and op == "^" and not (node.kids[1].op == "num"
+                                   and node.kids[1].value.denominator == 1):
+        return f"pow({kids[0][0]}, {kids[1][0]})", 5
     level = _LEVEL[op]
     (a, la), b = kids
     a = a if la >= (5 if op == "^" else level) else f"({a})"
@@ -381,9 +442,10 @@ def to_source(e: Expr) -> str:
 
 def codegen(roots, arguments) -> str:
     """Source of `def f(x0, x1, ...)`, a function of the values of the names in
-    `arguments`, returning the list of the roots' values.  A node that two
-    parents, or a parent and a root, use is computed once into a local, so
-    interning gives the common-subexpression elimination."""
+    `arguments`, returning the list of the roots' values, a constant root as a
+    float.  A node that two parents, or a parent and a root, use is computed
+    once into a local, so interning gives the common-subexpression
+    elimination."""
     order = postorder(roots)
     uses = Counter([k for node in order for k in node.kids] + list(roots))
     variables = {name: f"x{i}" for i, name in enumerate(arguments)}
@@ -394,14 +456,25 @@ def codegen(roots, arguments) -> str:
             lines.append(f"    t{len(lines)} = {text[0]}\n")
             text = f"t{len(lines) - 1}", 5
         done[node] = text
+    values = [repr(float(r.value)) if r.op == "num" else done[r][0] for r in roots]
     return (f"def f({', '.join(variables.values())}):\n" + "".join(lines)
-            + f"    return [{', '.join(done[r][0] for r in roots)}]\n")
+            + f"    return [{', '.join(values)}]\n")
 
 
-def compiled_function(roots, arguments):
-    """codegen(roots, arguments) compiled, with numpy's ufuncs for the
-    functions, so the function runs on float arrays and on Jets alike."""
-    namespace = {name: getattr(np, name) for name in FUNCTIONS}
+# What generated code calls: numpy's ufuncs, so that it runs on float arrays
+# and on Jets alike, with Python's own pow (the same as **); or math's
+# functions and math.pow, for Python floats at one point, so that every value
+# is a float and a domain error raises (ValueError for the log or the root of
+# a negative number, and for a negative number to a non-integer power, where
+# ** would give a complex number).
+ARRAY_FUNCTIONS = {name: getattr(np, name) for name in FUNCTIONS}
+FLOAT_FUNCTIONS = {**{name: getattr(math, name) for name in FUNCTIONS}, "pow": math.pow}
+
+
+def compiled_function(roots, arguments, functions: Mapping):
+    """codegen(roots, arguments) compiled, calling the given functions
+    (ARRAY_FUNCTIONS or FLOAT_FUNCTIONS)."""
+    namespace = dict(functions)
     exec(compile(codegen(roots, arguments), "<generated>", "exec"), namespace)
     return namespace["f"]
 

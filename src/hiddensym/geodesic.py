@@ -1,13 +1,15 @@
 """Geodesic integration and conservation monitoring.
 
-The geodesic acceleration is the spray, derived in sympy from the metric
-and lambdified once per manifold as a function of position and velocity for
-Python floats (`math` first, `numpy` for what `math` lacks); a math error in
-the spray (a singular point, a domain error) counts as leaving the chart.
-Fixed-step RK4 is the default, for reproducible drift numbers: one loop,
-generated per dimension, runs on local Python floats and calls the spray
-four times per step.  Adaptive RK45 (scipy) is an option.  Invariants are
-evaluated over a whole trajectory in one batch.
+The geodesic acceleration is the spray, derived once per manifold from the
+metric's exprkit trees (exprkit.derivative, then the adjugate over the
+determinant) and compiled by exprkit.compiled_function with math's
+functions, as a function of position and velocity returning Python floats;
+no sympy is involved.  A math error in the spray (a singular point, a
+domain error such as a negative number to a non-integer power) counts as
+leaving the chart.  Fixed-step RK4 is the default, for reproducible drift
+numbers: one loop, generated per dimension, runs on local Python floats and
+calls the spray four times per step.  Adaptive RK45 (scipy) is an option.
+Invariants are evaluated over a whole trajectory in one batch.
 """
 
 from __future__ import annotations
@@ -19,11 +21,10 @@ from dataclasses import dataclass
 from numbers import Integral
 
 import numpy as np
-import sympy as sp
 
-from .exprkit import to_sympy
+from . import exprkit
 from .killing import finite_or_null
-from .manifold import Manifold, TensorField
+from .manifold import Manifold, SingularMetricError, TensorField
 
 RK45_TOLERANCE = 1e-10         # rk45 rtol and atol
 
@@ -85,22 +86,83 @@ class ConservationReport:
 def spray(M: Manifold):
     """The geodesic acceleration a^rho = -Gamma^rho_{mu nu} v^mu v^nu as one
     function of the coordinates, then the velocities, returning the n
-    components, cached on M: a = -g^-1 w with w_lam = (d_mu g_{lam nu}
-    - d_lam g_{mu nu} / 2) v^mu v^nu, lambdified for Python floats."""
+    components as Python floats, cached on M.
+
+    It is derived on the metric's trees (their operators are exprkit's
+    folding constructors).  With
+    w_lam = (d_mu g_{lam nu} - d_lam g_{mu nu} / 2) v^mu v^nu, summed as
+    Gamma_{lam mu mu} v^mu v^mu plus 2 Gamma_{lam mu nu} v^mu v^nu for
+    mu < nu, a = adj(g) (-w) / det g on each diagonal block of g, the
+    determinant and the adjugate expanded in minors formed once per (rows,
+    columns), so that a zero entry drops its terms and interning shares the
+    rest.  It is compiled with math's functions, so a math error (a singular
+    point, a domain error) raises."""
     if "spray" not in M._cache:
-        n, xs = M.dim, M.coord_symbols
-        g = [[to_sympy(e) for e in row] for row in M.metric]
-        v = [sp.Dummy(f"v_{c}") for c in M.chart.coords]
-        w = [sum((sp.diff(g[lam][nu], xs[mu]) - sp.diff(g[mu][nu], xs[lam]) / 2)
-                 * v[mu] * v[nu] for mu in range(n) for nu in range(n))
-             for lam in range(n)]
-        ginv = M.inverse_metric_matrix()
-        a = [-sum(ginv[rho, lam] * w[lam] for lam in range(n)) for rho in range(n)]
+        n, coords, g = M.dim, M.chart.coords, M.metric
+        v = [exprkit.symbol(f"{c}'") for c in coords]     # no parsed name has a '
+        partials = {}
+
+        def d(lam, mu, nu):         # d_lam g_{mu nu}
+            if (g[mu, nu], lam) not in partials:
+                partials[g[mu, nu], lam] = exprkit.derivative(g[mu, nu], coords[lam])
+            return partials[g[mu, nu], lam]
+
+        def christoffel(lam, mu, nu):   # -Gamma_{lam mu mu}, or -2 Gamma_{lam mu nu} for mu < nu
+            if mu == nu:
+                p, q = d(lam, mu, mu), d(mu, lam, mu)
+                return -(p / 2) if p is q else p / 2 - q
+            return d(lam, mu, nu) - (d(mu, lam, nu) + d(nu, lam, mu))
+
+        minus_w = [sum((christoffel(lam, mu, nu) * (v[mu] * v[nu])
+                        for mu in range(n) for nu in range(mu, n)), exprkit.ZERO)
+                   for lam in range(n)]
+        minor, a = _minors(g), [None] * n
+        for block in _blocks(g):
+            det = minor(block, block)
+            if det is exprkit.ZERO:
+                raise SingularMetricError("metric determinant is identically zero")
+            for i, rho in enumerate(block):
+                # adj(g)[rho, lam] = (-1)^(i + j) times the minor without row lam, column rho
+                a[rho] = _alternating([minor(block[:j] + block[j + 1:], block[:i] + block[i + 1:])
+                                       * minus_w[lam] for j, lam in enumerate(block)], i) / det
         params = sorted(M.params)
-        f = sp.lambdify([sp.Symbol(p) for p in params] + xs + v,   # an exact 0 would be an int
-                        [e if e != 0 else sp.Float(0) for e in a], modules=("math", np), cse=True)
+        f = exprkit.compiled_function(a, [*params, *coords, *(x.value for x in v)],
+                                      exprkit.FLOAT_FUNCTIONS)
         M._cache["spray"] = functools.partial(f, *(M.params[p] for p in params))
     return M._cache["spray"]
+
+
+def _alternating(terms, start: int):
+    """The sum of the terms with the signs (-1)^(start + j)."""
+    total = exprkit.ZERO
+    for j, term in enumerate(terms):
+        total = total - term if (start + j) % 2 else total + term
+    return total
+
+
+def _blocks(g) -> list[tuple[int, ...]]:
+    """The index sets of g's diagonal blocks: i and j share one when a chain
+    of entries that are not ZERO links them."""
+    label = list(range(len(g)))
+    for i in range(len(g)):
+        for j in range(i + 1, len(g)):
+            if g[i, j] is not exprkit.ZERO and label[j] != label[i]:
+                label = [label[i] if x == label[j] else x for x in label]
+    return [tuple(i for i, x in enumerate(label) if x == b) for b in sorted(set(label))]
+
+
+def _minors(g):
+    """minor(rows, cols): the determinant of g's entries in those rows and
+    columns (tuples, in order), ONE for none, by Laplace expansion along the
+    first row, each minor formed once and a zero entry skipped."""
+    @functools.cache
+    def minor(rows, cols):
+        if not rows:
+            return exprkit.ONE
+        return _alternating([g[rows[0], c] * minor(rows[1:], cols[:j] + cols[j + 1:])
+                             if g[rows[0], c] is not exprkit.ZERO else exprkit.ZERO
+                             for j, c in enumerate(cols)], 0)
+    return minor
 
 
 def _rk4_source(n: int) -> str:
@@ -154,7 +216,7 @@ def _rk4_source(n: int) -> str:
 
 def _rk4_loop(n: int):
     """The RK4 loop of _rk4_source(n), compiled and run in a namespace of its
-    own (the spray's lambdify globals rebind `min` to numpy's)."""
+    own, where `min` is the builtin."""
     namespace = {}
     exec(compile(_rk4_source(n), f"<rk4 loop, n={n}>", "exec"), namespace)
     return namespace["rk4"]
@@ -200,8 +262,8 @@ def integrate(M: Manifold, s0: GeodesicState, cfg: IntegratorConfig) -> Trajecto
     sol = solve_ivp(lambda t, yv: rhs(yv.tolist()), (t0, t1), y, method="RK45",
                     rtol=RK45_TOLERANCE, atol=RK45_TOLERANCE,
                     t_eval=t_eval, events=exit_event, dense_output=False)
-    return Trajectory([float(t) for t in sol.t], [snap(yv) for yv in sol.y.T],
-                      bool(sol.t_events[0].size))
+    # status 1: the box's terminal event; -1: a failed step, as at a math error
+    return Trajectory([float(t) for t in sol.t], [snap(yv) for yv in sol.y.T], sol.status != 0)
 
 
 def invariant_values(traj: Trajectory, Q: TensorField, M: Manifold) -> list[float]:

@@ -71,8 +71,13 @@ def sample_points(chart: Chart, count: int, seed: int = 0) -> list[dict[str, flo
 
 
 def trees(components) -> np.ndarray:
-    """An object array of the components, each made a tree by exprkit.tree."""
-    return np.vectorize(tree, otypes=[object])(np.array(components, dtype=object))
+    """An object array of the components, each made a tree by exprkit.tree;
+    a component outside the grammar (a sympy constant such as pi or I, an
+    unknown function) is a GeometryError naming it."""
+    try:
+        return np.vectorize(tree, otypes=[object])(np.array(components, dtype=object))
+    except exprkit.ExprError as exc:
+        raise GeometryError(str(exc)) from exc
 
 
 def _symbolic(components) -> np.ndarray:
@@ -321,8 +326,9 @@ class Manifold:
 
     def inverse_metric_matrix(self):
         """g^-1 = adj(g) / det g as a sympy Matrix, each entry in rational
-        normal form: the one symbolic inverse, shared by the spray and the
-        constructions that contract with it.  Not simplified further."""
+        normal form: the one symbolic inverse, for the symbolic square of
+        killing.associated_sk_symbolic and the tests' references.  Not
+        simplified further."""
         if "ginv" not in self._cache:
             import sympy as sp
             g = sp.Matrix(_symbolic(self.metric))
@@ -383,7 +389,8 @@ class Manifold:
             unbound = exprkit.names(roots) - set(params) - set(self.chart.coords)
             if unbound:
                 raise GeometryError(f"unbound name(s) {', '.join(sorted(unbound))}")
-            self._cache[key] = exprkit.compiled_function(roots, params + list(self.chart.coords))
+            self._cache[key] = exprkit.compiled_function(roots, params + list(self.chart.coords),
+                                                         exprkit.ARRAY_FUNCTIONS)
         return functools.partial(self._cache[key], *(self.params[p] for p in params))
 
     def evaluate(self, components, points, dtype=float, order=0) -> np.ndarray:

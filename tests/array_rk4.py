@@ -1,10 +1,15 @@
-"""Two earlier fixed-step RK4 loops, the references the generated RK4 loop
-of hiddensym.geodesic is tested against.
+"""The sympy-derived spray and two earlier fixed-step RK4 loops, the
+references hiddensym.geodesic's spray and generated RK4 loop are tested
+against.
+
+`sympy_spray` is the spray as the library once derived it: sympy
+differentiates the metric, contracts with the symbolic inverse metric and
+lambdifies the result.  `half` exists to plant an error.
 
 `integrate_arrays` keeps the state and the four stages as float arrays, and
-its spray, built from the same expressions as geodesic.spray, is lambdified
-with modules="numpy", so its trigonometric and hyperbolic functions are
-numpy's.  `k2_weight` exists to plant an error.
+its spray is `sympy_spray` lambdified with modules="numpy", so its
+trigonometric and hyperbolic functions are numpy's.  `k2_weight` exists to
+plant an error.
 
 `integrate_lists` keeps them as lists of Python floats built with `zip`
 comprehensions and calls the manifold's own spray through a right-hand side
@@ -19,20 +24,20 @@ from hiddensym.geodesic import GeodesicState, Trajectory, spray as manifold_spra
 from hiddensym.manifold import _symbolic
 
 
-def numpy_spray(M):
-    """a^rho = -g^{rho lam} w_lam with w_lam = (d_mu g_{lam nu} - d_lam g_{mu nu} / 2)
-    v^mu v^nu, lambdified for numpy: a function of the coordinates, then the
-    velocities."""
+def sympy_spray(M, modules=("math", np), half=sp.Rational(1, 2)):
+    """a^rho = -g^{rho lam} w_lam with w_lam = (d_mu g_{lam nu} - half d_lam g_{mu nu})
+    v^mu v^nu, lambdified for the modules with common-subexpression
+    elimination: a function of the coordinates, then the velocities."""
     n, g, xs = M.dim, _symbolic(M.metric), M.coord_symbols
     v = [sp.Dummy(f"v_{c}") for c in M.chart.coords]
-    w = [sum((sp.diff(g[lam, nu], xs[mu]) - sp.diff(g[mu, nu], xs[lam]) / 2)
+    w = [sum((sp.diff(g[lam, nu], xs[mu]) - half * sp.diff(g[mu, nu], xs[lam]))
              * v[mu] * v[nu] for mu in range(n) for nu in range(n))
          for lam in range(n)]
     ginv = M.inverse_metric_matrix()
+    a = [-sum(ginv[rho, lam] * w[lam] for lam in range(n)) for rho in range(n)]
     params = sorted(M.params)
-    f = sp.lambdify([sp.Symbol(p) for p in params] + xs + v,
-                    [-sum(ginv[rho, lam] * w[lam] for lam in range(n)) for rho in range(n)],
-                    modules="numpy", cse=True)
+    f = sp.lambdify([sp.Symbol(p) for p in params] + xs + v,   # an exact 0 would be an int
+                    [e if e != 0 else sp.Float(0) for e in a], modules=modules, cse=True)
     values = [M.params[p] for p in params]
     return lambda *state: f(*values, *state)
 
@@ -44,7 +49,7 @@ def integrate_arrays(M, s0: GeodesicState, cfg, k2_weight=2) -> Trajectory:
     coords = M.chart.coords
     y = np.array([s0.position[c] for c in coords]
                  + [s0.velocity[c] for c in coords], dtype=float)
-    spray = numpy_spray(M)
+    spray = sympy_spray(M, "numpy")
     box = [M.chart.box[c] for c in coords]
     t0, t1 = cfg.t_span
 

@@ -418,6 +418,19 @@ class TestGeodesicCommand:
         assert reports[0]["invariant"] == "energy" and reports[0]["pass"]
         assert csv_path.exists()
 
+    @pytest.mark.parametrize("method", ["rk4", "rk45"])
+    def test_complex_spray_leaves_the_chart(self, capsys, tmp_path, method):
+        """On g_xx = 2 + x^(5/2) the spray has no real value at x < 0; the
+        orbit heading there once ended in exit 3 ("'<=' not supported between
+        instances of 'float' and 'complex'")."""
+        path = tmp_path / "m.json"
+        path.write_text(json.dumps(dict(MINIMAL, domain={"x": [-2.0, 2.0], "y": [-2.0, 2.0]},
+                                        metric=[["2 + x^(5/2)", "0"], ["0", "1"]])))
+        code, reports = run(capsys, "geodesic", "run", "--manifold", str(path),
+                            "--position", "x=0.5,y=0", "--velocity", "x=-1,y=0.3",
+                            "--t1", "2", "--step", "0.01", "--method", method)
+        assert code in (0, 1) and reports[0]["exited_domain"] is True
+
     def test_bad_coordinate_rejected(self, capsys):
         code, _ = run(capsys, "geodesic", "run", "--catalog", "sphere2",
                       "--position", "q=1.0,phi=0.5",

@@ -8,9 +8,9 @@ from hypothesis import assume, given, settings, strategies as st
 
 from hiddensym import exprkit
 from hiddensym.exprkit import (EvalDomainError, ExprError, ParseError, UnboundNameError,
-                               UnknownFunctionError, codegen, compiled_function, evaluate,
-                               function, number, parse, simplify, symbol, to_source,
-                               to_sympy)
+                               UnknownFunctionError, codegen, compiled_function, derivative,
+                               evaluate, function, number, parse, simplify, symbol, to_source,
+                               to_sympy, tree)
 
 X, Y = symbol("x"), symbol("y")
 
@@ -157,7 +157,8 @@ class TestRoundTrip:
         text = sp.sympify(to_source(e).replace("^", "**"))
         assume(not text.has(sp.zoo, sp.nan, sp.oo))      # sympy found x/(x - x)
         with np.errstate(all="ignore"):
-            got = compiled_function([e], list(args))(*map(np.float64, args.values()))[0]
+            compiled = compiled_function([e], list(args), exprkit.ARRAY_FUNCTIONS)
+            got = compiled(*map(np.float64, args.values()))[0]
             f = sp.lambdify(sp.symbols("x y theta"), text, modules="numpy")
             try:
                 want = complex(f(*map(np.float64, args.values())))
@@ -185,8 +186,101 @@ class TestCodegen:
         assert source.splitlines()[-1].startswith("    return [")
 
     def test_constants_and_integer_powers(self):
-        f = compiled_function([parse("x^2/3 - 1/2"), number(-2), parse("2^x")], ["x"])
+        f = compiled_function([parse("x^2/3 - 1/2"), number(-2), parse("2^x")], ["x"],
+                              exprkit.ARRAY_FUNCTIONS)
         assert f(3.0) == [3.0 - 0.5, -2.0, 8.0]
+
+
+def _derivative_mismatch(e, point) -> float:
+    """|d e/dx - sympy.diff| at the point, relative to max(1, |sympy.diff|),
+    both evaluated with numpy; NaN where sympy's value is not a finite real
+    number (there the tree's derivative may also be refused, as for 0^x,
+    whose derivative holds log(0))."""
+    names = sp.symbols("x y theta")
+    with np.errstate(all="ignore"):
+        f = sp.lambdify(names, sp.diff(to_sympy(e), names[0]), modules="numpy")
+        try:
+            want = complex(f(*map(np.float64, point)))
+        except (ZeroDivisionError, OverflowError):
+            return math.nan
+        if not (math.isfinite(abs(want)) and want.imag == 0 and abs(want.real) < 1e8):
+            return math.nan
+        compiled = compiled_function([derivative(e, "x")], ["x", "y", "theta"],
+                                     exprkit.ARRAY_FUNCTIONS)
+        got = float(compiled(*map(np.float64, point))[0])
+    return abs(got - want.real) / max(1.0, abs(want.real))
+
+
+class TestDerivative:
+    @settings(max_examples=100, deadline=None)
+    @given(_trees, st.floats(0.5, 1.5), st.floats(0.5, 1.5), st.floats(0.5, 1.5))
+    def test_matches_sympy_diff(self, e, x, y, theta):
+        """d/dx on the tree, compiled, equals sympy.diff of the same tree."""
+        mismatch = _derivative_mismatch(e, (x, y, theta))
+        assume(not math.isnan(mismatch))
+        assert mismatch <= 1e-8
+
+    # one tree per rule, the chain rule through each function among them
+    RULES = ["x + y*x", "x - 3*x^2", "sin(x)*x/(y + x)", "x^y", "2^x", "(x*y)^(5/2)",
+             "-tan(x^2)", "exp(cos(x))*log(x*y)", "sqrt(x + theta)", "cos(x*y)",
+             "cos(sin(x))"]
+
+    @pytest.mark.parametrize("src", RULES)
+    def test_each_rule(self, src):
+        assert _derivative_mismatch(parse(src), (0.7, 1.3, 0.9)) <= 1e-12
+
+    def test_planted_chain_rule_error_fails(self, monkeypatch):
+        """With d cos(a) = +sin(a) da, the comparison must fail."""
+        monkeypatch.setitem(exprkit._DERIVATIVES, "cos",
+                            lambda e, a, da: exprkit.mul(da, function("sin", a)))
+        assert any(_derivative_mismatch(parse(src), (0.7, 1.3, 0.9)) > 1e-8
+                   for src in self.RULES)
+
+    def test_free_subtrees_fold_to_zero(self):
+        assert derivative(parse("sin(y)^2*exp(theta) + 3"), "x") is number(0)
+        assert derivative(parse("x*sin(y)"), "x") is parse("sin(y)")
+        assert derivative(parse("x^3"), "x") is parse("3*x^2")
+        assert derivative(parse("exp(-x)"), "x") is parse("-exp(-x)")
+
+    def test_long_sum_without_recursion(self):
+        """A sum of 2000 terms is a chain of 2000 nodes, differentiated
+        without recursion, term by term."""
+        src = " + ".join(f"{k}*x^{k}" for k in range(2, 2000))
+        want = number(0)
+        for k in range(2, 2000):
+            want = want + k * (k * X ** (k - 1))
+        assert derivative(parse(src), "x") is want
+
+
+class TestFloatFunctions:
+    def test_powers_that_are_not_integers_use_pow(self):
+        source = codegen([parse("x^(1/2) + x^y + x^2 + x^-3")], ["x", "y"])
+        assert source.count("pow(") == 2 and "x0**2" in source and "x0**(-3)" in source
+
+    def test_domain_errors_raise(self):
+        f = compiled_function([parse("x^(3/2)"), parse("log(x)"), parse("sqrt(x)")], ["x"],
+                              exprkit.FLOAT_FUNCTIONS)
+        assert f(4.0) == [8.0, math.log(4.0), 2.0]
+        for bad in ([parse("x^(3/2)")], [parse("log(x)")], [parse("sqrt(x)")]):
+            with pytest.raises(ValueError):
+                compiled_function(bad, ["x"], exprkit.FLOAT_FUNCTIONS)(-1.0)
+
+    def test_constant_roots_are_floats(self):
+        out = compiled_function([number(0), number(-2), parse("x")], ["x"],
+                                exprkit.FLOAT_FUNCTIONS)(3.0)
+        assert out == [0.0, -2.0, 3.0] and [type(v) for v in out] == [float] * 3
+
+
+class TestSympyConstants:
+    @pytest.mark.parametrize("constant", [sp.pi, sp.E, sp.I], ids=str)
+    def test_constant_outside_the_grammar_is_named(self, constant):
+        """A sympy constant once became a free name ('unbound name(s) pi')."""
+        with pytest.raises(ExprError, match=f"^constant\\(s\\) {constant} outside"):
+            tree(constant * sp.Symbol("x2"))
+
+    def test_grammar_numbers_are_read(self):
+        x = sp.Symbol("x")
+        assert tree(sp.Rational(1, 3) * x + sp.Float(0.5)) is parse("x/3 + 0.5")
 
 
 class TestCalculus:

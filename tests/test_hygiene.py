@@ -1,11 +1,12 @@
 """Source hygiene: every name a library module imports is used in it, every
 definition in a library module is referenced somewhere in the project, no
 library module calls exprkit.simplify, only exprkit calls sympy's trigsimp,
-no module outside manifold.py calls the symbolic tensor algebra, every
-default of a library function that a call reaches is set by some call, only
-geodesic imports sympy at its module level, only the commands that derive
-symbolically load sympy, and only geodesic's loop builder and exprkit's code
-generator run code from text."""
+no library module calls sympy's lambdify, no module outside manifold.py
+calls the symbolic tensor algebra, every default of a library function that
+a call reaches is set by some call, no library module imports sympy at its
+module level, neither the library's import nor any command but the emitted
+symbolic components loads sympy, and only geodesic's loop builder and
+exprkit's code generator run code from text."""
 
 import ast
 import json
@@ -141,22 +142,22 @@ def test_simplify_checker_sees_each_spelling():
                                   defines_it=True) == [3]
 
 
-def trigsimp_uses(source: str) -> list[int]:
-    """Lines that reach sympy's trigsimp: an import of it from a sympy
-    module, a call of a name so imported, or a call of any `.trigsimp`
-    attribute (the module function or the Expr method)."""
+def sympy_uses(source: str, name: str) -> list[int]:
+    """Lines that reach sympy's function `name`: an import of it from a sympy
+    module, a call of a name so imported, or a call of any attribute so
+    named (the module function or an Expr method)."""
     tree = ast.parse(source)
     names, lines = set(), []
     for node in ast.walk(tree):
         if isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "sympy":
             for a in node.names:
-                if a.name == "trigsimp":
+                if a.name == name:
                     names.add(a.asname or a.name)
                     lines.append(node.lineno)
     for node in ast.walk(tree):
         if isinstance(node, ast.Call):
             f = node.func
-            if (isinstance(f, ast.Attribute) and f.attr == "trigsimp") or (
+            if (isinstance(f, ast.Attribute) and f.attr == name) or (
                     isinstance(f, ast.Name) and f.id in names):
                 lines.append(node.lineno)
     return sorted(lines)
@@ -167,15 +168,30 @@ def trigsimp_uses(source: str) -> list[int]:
 def test_no_trigsimp_outside_exprkit(path):
     """trigsimp is for exprkit.simplify, which tests and users call; a library
     construction states its expressions in closed form instead."""
-    assert trigsimp_uses(path.read_text()) == []
+    assert sympy_uses(path.read_text(), "trigsimp") == []
 
 
 def test_trigsimp_checker_sees_each_spelling():
     source = ("import sympy as sp\nfrom sympy import trigsimp\n"
               "from sympy.simplify import trigsimp as ts\n"
               "sp.trigsimp(1)\ntrigsimp(1)\nts(1)\nsp.cos(1).trigsimp()\nsp.simplify(1)\n")
-    assert trigsimp_uses(source) == [2, 3, 4, 5, 6, 7]
-    assert trigsimp_uses((SRC / "exprkit.py").read_text()) != []
+    assert sympy_uses(source, "trigsimp") == [2, 3, 4, 5, 6, 7]
+    assert sympy_uses((SRC / "exprkit.py").read_text(), "trigsimp") != []
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_no_lambdify(path):
+    """The library compiles one way, exprkit.compiled_function of its own
+    trees; sympy's lambdify is for the tests' old-path references."""
+    assert sympy_uses(path.read_text(), "lambdify") == []
+
+
+def test_lambdify_checker_sees_each_spelling():
+    source = ("import sympy as sp\nimport sympy\nfrom sympy import lambdify\n"
+              "from sympy.utilities.lambdify import lambdify as compile_text\n"
+              "sp.lambdify([], 1)\nsympy.lambdify([], 1)\nlambdify([], 1)\n"
+              "compile_text([], 1)\nsp.sympify(1)\n")
+    assert sympy_uses(source, "lambdify") == [3, 4, 5, 6, 7, 8]
 
 
 SYMBOLIC_ALGEBRA = {"lower_index", "raise_index", "exterior_derivative", "lie_bracket"}
@@ -443,9 +459,9 @@ def sympy_imports(source: str, whole: bool, based: set[str]) -> list[str]:
 
 
 def test_sympy_based_modules():
-    """Only geodesic, which derives and lambdifies the spray, imports sympy at
-    its module level; every other use imports it where it derives."""
-    assert sympy_based_modules() == {"geodesic"}
+    """No library module imports sympy at its module level; every use
+    imports it where it derives."""
+    assert sympy_based_modules() == set()
 
 
 @pytest.mark.parametrize("name, whole", [("algebra.py", True), ("cli.py", False)])
@@ -511,6 +527,8 @@ def _sympy_loaded_after(argv, cwd) -> tuple[str, str]:
 
 TAUB_NUT = ["--catalog", "taub-nut"]
 POINTS = ["--points", "3"]
+ORBIT = ["--position", "r=2,theta=1.5,phi=0.5,chi=6",
+         "--velocity", "r=-0.5,theta=0.02,phi=0.2,chi=0.1", "--t1", "0.01"]
 
 
 @pytest.mark.parametrize("argv, loaded", [
@@ -519,17 +537,30 @@ POINTS = ["--points", "3"]
     (["spin", "anticommute", *TAUB_NUT, "--target", "f1", *POINTS, "--bank", "1"], False),
     (["sasaki", "verify", "--catalog", "pseudo-sphere", *POINTS], False),
     (["catalog", "export", *TAUB_NUT], False),
-    (["geodesic", "run", *TAUB_NUT, "--position", "r=2,theta=1.5,phi=0.5,chi=6",
-      "--velocity", "r=-0.5,theta=0.02,phi=0.2,chi=0.1", "--t1", "0.01"], True),
+    (["geodesic", "run", *TAUB_NUT, *ORBIT], False),
+    (["geodesic", "run", *TAUB_NUT, *ORBIT, "--method", "rk45"], False),
+    (["geodesic", "run", "--manifold", "taub-nut.json", *ORBIT], False),
     (["construct", "assoc-sk", *TAUB_NUT, "--target", "fY", *POINTS, "--emit-components"],
      True),
-], ids=["check", "check-manifold", "spin", "sasaki", "export", "geodesic", "construct"])
+], ids=["check", "check-manifold", "spin", "sasaki", "export", "geodesic", "geodesic-rk45",
+        "geodesic-manifold", "construct"])
 def test_only_symbolic_derivations_load_sympy(argv, loaded, tmp_path):
-    """The checks, the spin and Sasaki suites and the export read their
-    expressions as trees and run generated code; only the spray and the
+    """The checks, the spin and Sasaki suites, the export and the geodesic
+    runs read their expressions as trees and run generated code; only the
     emitted symbolic components load sympy."""
     out, _ = _sympy_loaded_after(["catalog", "export", *TAUB_NUT], tmp_path)
     (tmp_path / "taub-nut.json").write_text(out)
     out, status = _sympy_loaded_after(argv, tmp_path)
     assert status == f"exit 0, sympy loaded: {loaded}"
     assert json.loads(out.splitlines()[0])
+
+
+def test_library_import_does_not_load_sympy():
+    """The modules every benchmarked pass imports load no sympy."""
+    script = ("import sys\nfrom hiddensym import catalog, geodesic, killing, sasaki, spin\n"
+              "sys.stderr.write(f'sympy loaded: {\"sympy\" in sys.modules}')\n")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(ROOT / "src"), *filter(None, [os.environ.get("PYTHONPATH")])]))
+    done = subprocess.run([sys.executable, "-c", script], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert done.stderr == "sympy loaded: False"
