@@ -329,34 +329,6 @@ def jacobi_check(cutoff: int = 10, table=None) -> AlgebraReport:
                          extra={"cutoff": cutoff})
 
 
-def antisymmetry_check(cutoff: int = 4) -> AlgebraReport:
-    """[a,b] + [b,a] = 0 structurally for all table pairs."""
-    failures = []
-    cases = 0
-    finite = [g for g in FINITE_GENERATORS if g not in INERT_GENERATORS]
-    graded = graded_generators(2 * cutoff)
-    for pool, table in ((finite, bracket_generators), (graded, graded_bracket)):
-        for a, b in itertools.product(pool, repeat=2):
-            cases += 1
-            if elem_add(table(a, b), table(b, a)):
-                failures.append((a, b))
-    return AlgebraReport("bracket-antisymmetry", not failures, cases, failures)
-
-
-def centrality_check(max_power: int = 4) -> AlgebraReport:
-    """[x, B^k y] = B^k [x, y] for all finite-table pairs and 0<=k<=max_power."""
-    failures = []
-    cases = 0
-    finite = [g for g in FINITE_GENERATORS if g not in INERT_GENERATORS]
-    for a, b in itertools.product(finite, repeat=2):
-        base = bracket_generators(a, b)
-        for k in range(max_power + 1):
-            cases += 1
-            if bracket(elem(a), elem(b, k)) != elem_scale(base, ONE, k):
-                failures.append((a, b, k))
-    return AlgebraReport("b-centrality", not failures, cases, failures)
-
-
 def structure_table_json(cutoff: int = 2) -> dict:
     """Full structure-constant table (finite and graded) for emission."""
     finite = {}

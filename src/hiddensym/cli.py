@@ -337,6 +337,9 @@ def _parse_state(src: str, coords, flag: str) -> dict:
 
 
 def _cmd_geodesic(args) -> int:
+    if not math.isfinite(args.t1 / args.step):
+        raise FileFormatError(f"--t1 {args.t1} over --step {args.step} is not a finite "
+                              "number of steps")
     from . import geodesic, killing
     entry = _load_entry(args)
     M = entry.manifold

@@ -9,10 +9,12 @@ The constructors fold only exact constants, a - a and the identities with 0
 and 1.  Floats never enter a tree; they appear only when compiled code runs,
 on numpy arrays and Jets (ARRAY_FUNCTIONS) or on Python floats
 (FLOAT_FUNCTIONS, where a domain error raises).  derivative() differentiates
-a tree by a name into a tree, so the geodesic spray is derived here.  Sympy
-is imported only by to_sympy and the helpers built on it (simplify,
-evaluate, identically_equal), for the symbolic constructions and the tests,
-and by tree() when it is given a sympy expression.
+a tree by a name into a tree, so the geodesic spray is derived here.  parse()
+refuses a tree deeper than MAX_DEPTH, but a derived tree may be deeper, and
+codegen() writes a node nested more than MAX_INLINE deep into a local.  Sympy
+is imported only by to_sympy and the helpers built on it (simplify and
+identically_equal), for the symbolic constructions and the tests, and by
+tree() when it is given a sympy expression.
 """
 
 from __future__ import annotations
@@ -31,10 +33,15 @@ Point = Mapping[str, float]
 
 FUNCTIONS = ("sin", "cos", "tan", "exp", "log", "sqrt")
 
-# the tree's depth (a chain of + and - or of * and / counting as one level, as
-# in sympy's n-ary sums and products) and the bits of each constant, which
-# compiled code converts to a float
+# the depth of a parsed tree (a chain of + and - or of * and / counting as one
+# level, as in sympy's n-ary sums and products; a derived tree may be deeper)
+# and the bits of each constant, which compiled code converts to a float
 MAX_DEPTH, MAX_BITS = 100, 1023
+
+# the deepest expression generated code writes inline: a node nested deeper is
+# computed into a local, so that Python compiles a chain of thousands of terms
+# without recursing through it, and its text grows linearly
+MAX_INLINE = 50
 
 
 class ExprError(Exception):
@@ -50,10 +57,6 @@ class ParseError(ExprError):
 
 
 class UnknownFunctionError(ParseError):
-    pass
-
-
-class UnboundNameError(ExprError):
     pass
 
 
@@ -93,8 +96,6 @@ def _intern(op: str, kids: tuple = (), value=None) -> Expr:
         level = _LEVEL.get(op, 0)
         depth = 1 + max((k.depth - (i == 0 and level in (1, 2) and _LEVEL.get(k.op) == level)
                          for i, k in enumerate(kids)), default=0)
-        if depth > MAX_DEPTH:
-            raise ParseError(f"expression nested more than {MAX_DEPTH} deep", 0)
         node = object.__new__(Expr)
         node.op, node.kids, node.value, node.depth = op, kids, value, depth
         _TABLE[key] = node
@@ -387,9 +388,12 @@ def parse(src: str) -> Expr:
     a constant of more than MAX_BITS bits, is a ParseError; 1/0, 0^-1, log of
     a non-positive constant and the root of a negative one are EvalDomainErrors."""
     try:
-        return _Parser(src).parse()
+        e = _Parser(src).parse()
+        if e.depth <= MAX_DEPTH:
+            return e
     except RecursionError:
-        raise ParseError(f"expression nested more than {MAX_DEPTH} deep", 0) from None
+        pass
+    raise ParseError(f"expression nested more than {MAX_DEPTH} deep", 0)
 
 
 # ---------------------------------------------------------------------------
@@ -445,16 +449,18 @@ def codegen(roots, arguments) -> str:
     `arguments`, returning the list of the roots' values, a constant root as a
     float.  A node that two parents, or a parent and a root, use is computed
     once into a local, so interning gives the common-subexpression
-    elimination."""
+    elimination; so is a node whose text would nest more than MAX_INLINE
+    operations deep."""
     order = postorder(roots)
     uses = Counter([k for node in order for k in node.kids] + list(roots))
     variables = {name: f"x{i}" for i, name in enumerate(arguments)}
-    lines, done = [], {}
+    lines, done, nesting = [], {}, {}
     for node in order:
         text = _print(node, [done[k] for k in node.kids], True, variables)
-        if node.kids and uses[node] > 1:
+        nesting[node] = 1 + max((nesting[k] for k in node.kids), default=-1)
+        if node.kids and (uses[node] > 1 or nesting[node] > MAX_INLINE):
             lines.append(f"    t{len(lines)} = {text[0]}\n")
-            text = f"t{len(lines) - 1}", 5
+            text, nesting[node] = (f"t{len(lines) - 1}", 5), 0
         done[node] = text
     values = [repr(float(r.value)) if r.op == "num" else done[r][0] for r in roots]
     return (f"def f({', '.join(variables.values())}):\n" + "".join(lines)
@@ -518,21 +524,3 @@ def simplify(e):
     if e.has(sp.sin, sp.cos, sp.tan):
         e = sp.trigsimp(e)
     return e
-
-
-def evaluate(e, point: Point | None = None, env: Point | None = None) -> float:
-    """Evaluate with sympy in double semantics; raises on unbound names or
-    domain exits."""
-    import sympy as sp
-    e = to_sympy(e)
-    bind = {sp.Symbol(name): sp.Float(value)
-            for mapping in (point or {}, env or {}) for name, value in mapping.items()}
-    if free := e.free_symbols - set(bind):
-        raise UnboundNameError(f"unbound name(s): {', '.join(sorted(s.name for s in free))}")
-    val = e.subs(bind).evalf()
-    if val.has(sp.zoo, sp.oo, -sp.oo, sp.nan):
-        raise EvalDomainError(f"singular evaluation of {e}")
-    val = complex(val)
-    if abs(val.imag) > 1e-12 * max(1.0, abs(val.real)):
-        raise EvalDomainError(f"complex result evaluating {e}")
-    return val.real

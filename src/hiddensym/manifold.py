@@ -9,7 +9,7 @@ points in one call.  Jets are forward-mode numpy: the k-jets (k <= 2) come
 from the same function run on jet numbers, and the connection, the curvature
 and covariant derivatives are numpy on them.  Sympy is imported only by the
 symbolic inverse metric, the zero test of the metric's symmetry and the
-symbolic tensor algebra at the end of this module.
+symbolic exterior derivative at the end of this module.
 """
 
 from __future__ import annotations
@@ -189,16 +189,12 @@ _JET_RULES = {
     np.true_divide: _divide,
     np.power: _power,
     np.negative: lambda a: Jet(-a.v, -a.g, None if a.h is None else -a.h),
-    np.positive: lambda a: a,
     np.sin: lambda a: _chain(a, np.sin, lambda x, y: (np.cos(x), -y)),
     np.cos: lambda a: _chain(a, np.cos, lambda x, y: (-np.sin(x), -y)),
     np.tan: lambda a: _chain(a, np.tan, lambda x, y: (1 + y * y, 2 * y * (1 + y * y))),
     np.exp: lambda a: _chain(a, np.exp, lambda x, y: (y, y)),
     np.log: lambda a: _chain(a, np.log, lambda x, y: (1 / x, -1 / (x * x))),
     np.sqrt: lambda a: _chain(a, np.sqrt, lambda x, y: (0.5 / y, -0.25 / (x * y))),
-    np.sinh: lambda a: _chain(a, np.sinh, lambda x, y: (np.cosh(x), y)),
-    np.cosh: lambda a: _chain(a, np.cosh, lambda x, y: (np.sinh(x), y)),
-    np.tanh: lambda a: _chain(a, np.tanh, lambda x, y: (1 - y * y, -2 * y * (1 - y * y))),
 }
 
 
@@ -393,7 +389,7 @@ class Manifold:
                                                          exprkit.ARRAY_FUNCTIONS)
         return functools.partial(self._cache[key], *(self.params[p] for p in params))
 
-    def evaluate(self, components, points, dtype=float, order=0) -> np.ndarray:
+    def evaluate(self, components, points, order=0) -> np.ndarray:
         """Values of an array of expressions at a batch of points, shape (P, *shape),
         or its order-jet (order <= 2), shape (P, n + 1, ..., n + 1, *shape).
 
@@ -423,7 +419,7 @@ class Manifold:
                 values[..., i] = e
             else:
                 values[(slice(None),) + (n,) * order + (i,)] = e
-        return values.astype(dtype).reshape((count,) + (n + 1,) * order + arr.shape)
+        return values.reshape((count,) + (n + 1,) * order + arr.shape)
 
     def inverse_metric_values(self, points) -> np.ndarray:
         """Numeric inverse metric at each point, shape (P, n, n).  A point where
@@ -512,22 +508,9 @@ def exterior_derivative(T: TensorField, M: Manifold) -> TensorField:
     return TensorField(out, "d" * (p + 1))
 
 
-def lie_bracket(X: TensorField, Y: TensorField, M: Manifold) -> TensorField:
-    """[X, Y]^mu = X^nu d_nu Y^mu - Y^nu d_nu X^mu for vector fields."""
-    if X.variance != "u" or Y.variance != "u":
-        raise GeometryError("lie_bracket expects vector fields")
-    (dX, X0), (dY, Y0) = ((t[:-1], t[-1]) for t in
-                          (_tangent(V.components, M.coord_symbols) for V in (X, Y)))
-    return TensorField(X0 @ dY - Y0 @ dX, "u")
-
-
 def vector(components) -> TensorField:
     return TensorField(components, "u")
 
 
 def one_form(components) -> TensorField:
     return TensorField(components, "d")
-
-
-def two_form(matrix) -> TensorField:
-    return TensorField(matrix, "dd")

@@ -61,15 +61,6 @@ def frame_residual(F: Frame, M: Manifold, points=None, seed=0,
                    _max_abs(np.swapaxes(e, 1, 2) @ eta @ e - g), _max_abs(g), tol)
 
 
-def spin_connection_antisymmetry(ctx: "SpinContext", points=None, seed=0,
-                                 tol=1e-10) -> ResidualReport:
-    """omega_{mu a b} + omega_{mu b a} at sampled points."""
-    pts = _default_points(ctx.M, points, seed)
-    w = ctx.connection(pts)[1][:, -1]
-    return _report("spin-connection-antisymmetry", pts,
-                   _max_abs(w + np.swapaxes(w, 2, 3)), np.maximum(1.0, _max_abs(w)), tol)
-
-
 # ---------------------------------------------------------------------------
 # gamma matrices
 
@@ -256,7 +247,7 @@ def _bilinear_report(check, specs, terms, ctx, bank, points, seed, tol) -> Resid
     pts = _default_points(M, points, seed)
     if bank is None:
         bank = spinor_bank(M, 5, seed)
-    jet = M.evaluate(list(bank), pts, complex, order=2)
+    jet = M.evaluate(list(bank), pts, order=2)
     frames = ctx.frame_jets(pts)
     ops = [build_operator(spec, ctx, pts, frames) for spec in specs]
     # values[t][p, k] = (X Y psi_k)(p) for the term t = (c, i, j)

@@ -32,11 +32,11 @@ def lambdified(M, arr, pts, dtype=float) -> np.ndarray:
     return out.astype(dtype).reshape((len(pts),) + arr.shape)
 
 
-def lambdified_jet(M, arr, pts, order: int, dtype=float) -> np.ndarray:
+def lambdified_jet(M, arr, pts, order: int) -> np.ndarray:
     """The order-jet (order <= 2) of the array at the points from sympy's
     derivatives, shape (P, n + 1, ..., n + 1, *shape) as Manifold.evaluate
     gives it (a 2-jet's two jet axes are symmetric)."""
     arr = _symbolic(arr)
     for _ in range(order):
         arr = _tangent(arr, M.coord_symbols)
-    return lambdified(M, arr, pts, dtype)
+    return lambdified(M, arr, pts)

@@ -4,7 +4,8 @@ hiddensym.manifold and hiddensym.sasaki are tested against.
 This is the symbolic pipeline the library used to run: Gamma with one
 exprkit.simplify per component, Riemann by differentiating Gamma, Ricci by
 contraction, index raising and lowering with the symbolic metric and its
-inverse, the odd-rank tower eta ^ (d eta)^k by symbolic wedges, and the
+inverse, the Lie bracket of vector fields by differentiating their
+components, the odd-rank tower eta ^ (d eta)^k by symbolic wedges, and the
 structure recovered from a metric cone with the symbolic inverse metric.
 Geometry results are cached per manifold, because Taub-NUT's Gamma takes
 seconds to build.
@@ -17,8 +18,8 @@ import numpy as np
 import sympy as sp
 
 from hiddensym.exprkit import simplify
-from hiddensym.manifold import (GeometryError, TensorField, _symbolic, antisymmetrize,
-                                exterior_derivative, vector)
+from hiddensym.manifold import (GeometryError, TensorField, _symbolic, _tangent,
+                                antisymmetrize, exterior_derivative, vector)
 from hiddensym.sasaki import RADIAL, MixedThreeStructure
 
 
@@ -79,6 +80,15 @@ def lower_index(T: TensorField, M, slot: int) -> TensorField:
     if T.variance[slot] != "u":
         raise GeometryError("slot is already covariant")
     return _contract_metric(T, slot, M.metric, "d")
+
+
+def lie_bracket(X: TensorField, Y: TensorField, M) -> TensorField:
+    """[X, Y]^mu = X^nu d_nu Y^mu - Y^nu d_nu X^mu for vector fields."""
+    if X.variance != "u" or Y.variance != "u":
+        raise GeometryError("lie_bracket expects vector fields")
+    (dX, X0), (dY, Y0) = ((t[:-1], t[-1]) for t in
+                          (_tangent(V.components, M.coord_symbols) for V in (X, Y)))
+    return TensorField(X0 @ dY - Y0 @ dX, "u")
 
 
 def wedge_forms(a: TensorField, b: TensorField) -> TensorField:

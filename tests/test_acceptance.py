@@ -19,8 +19,9 @@ from hiddensym.killing import (associated_sk, cky_residual,
                                killing_vector_residual, ky_residual,
                                quaternion_relations_check, sk_residual,
                                unit_root_check)
-from hiddensym.manifold import _symbolic, lie_bracket, sample_points
+from hiddensym.manifold import _symbolic, sample_points
 from hiddensym.spin import OperatorSpec
+from symbolic_geometry import lie_bracket
 
 TOL = 1e-9
 

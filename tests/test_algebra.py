@@ -1,4 +1,5 @@
 import hashlib
+import itertools
 import json
 from fractions import Fraction
 
@@ -6,11 +7,11 @@ import pytest
 from hypothesis import find, given, settings, strategies as st
 from sympy import QQ_I
 
-from hiddensym.algebra import (ONE, AlgebraError, Gauss, UnspecifiedBracketError,
-                               antisymmetry_check, bracket,
-                               bracket_generators, centrality_check, elem,
+from hiddensym.algebra import (FINITE_GENERATORS, INERT_GENERATORS, ONE, AlgebraError,
+                               Gauss, UnspecifiedBracketError, bracket,
+                               bracket_generators, elem,
                                elem_add, elem_scale, elem_to_json,
-                               grade_absorb, graded_bracket, graded_name,
+                               grade_absorb, graded_bracket, graded_generators, graded_name,
                                jacobi_check, parse_graded,
                                quaternion_product, quaternion_table_check,
                                structure_table_json)
@@ -193,15 +194,24 @@ def _doubled_jq(a, b):
 
 
 class TestStructuralInvariants:
+    FINITE = [g for g in FINITE_GENERATORS if g not in INERT_GENERATORS]
+
     def test_antisymmetry_exhaustive(self):
-        rep = antisymmetry_check()
-        assert rep.passed
-        assert rep.cases == 810
+        """[a,b] + [b,a] = 0 structurally for every pair of the finite table
+        and of the graded one up to grade 8."""
+        pairs = [(table, a, b) for pool, table in ((self.FINITE, bracket_generators),
+                                                   (graded_generators(8), graded_bracket))
+                 for a, b in itertools.product(pool, repeat=2)]
+        assert len(pairs) == 810
+        assert [(a, b) for table, a, b in pairs if elem_add(table(a, b), table(b, a))] == []
 
     def test_centrality(self):
-        rep = centrality_check()
-        assert rep.passed
-        assert rep.cases == 405
+        """[x, B^k y] = B^k [x, y] for every finite-table pair and 0 <= k <= 4."""
+        cases = [(a, b, k) for a, b in itertools.product(self.FINITE, repeat=2)
+                 for k in range(5)]
+        assert len(cases) == 405
+        assert [(a, b, k) for a, b, k in cases if bracket(elem(a), elem(b, k))
+                != elem_scale(bracket_generators(a, b), ONE, k)] == []
 
     def test_jacobi_finite_table(self):
         rep = jacobi_check(0, table=bracket_generators)

@@ -293,6 +293,23 @@ class TestCheckCommand:
         assert code == 1
         assert reports[0]["pass"] is False
 
+    def test_long_metric_entry_compiles(self, capsys, tmp_path):
+        """A 5000-term sum once became one expression 5000 levels deep in the
+        generated code (exit 3, RecursionError during compilation)."""
+        terms = range(1, 5001)
+        doc = dict(MINIMAL, domain={"x": [0.1, 0.5], "y": [-1.0, 1.0]},
+                   metric=[[" + ".join(["1", *(f"x/{k}" for k in terms)]), "0"], ["0", "1"]],
+                   vectors={"ty": ["0", "1"]}, forms={})
+        path = tmp_path / "m.json"
+        path.write_text(json.dumps(doc))
+        code, reports = run(capsys, "check", "killing-vector",
+                            "--manifold", str(path), "--target", "ty")
+        assert code in (0, 1) and reports[0]["points"] == 20
+        M = ingest(doc).manifold
+        pts = sample_points(M.chart, 20, seed=0)
+        want = [sum((p["x"] / k for k in terms), 1.0) for p in pts]
+        assert np.allclose(M.evaluate(M.metric, pts)[:, 0, 0], want, rtol=1e-13, atol=0)
+
     def test_file_error_gives_exit_two(self, capsys, tmp_path):
         path = tmp_path / "bad.json"
         path.write_text("{not json")
@@ -430,6 +447,17 @@ class TestGeodesicCommand:
                             "--position", "x=0.5,y=0", "--velocity", "x=-1,y=0.3",
                             "--t1", "2", "--step", "0.01", "--method", method)
         assert code in (0, 1) and reports[0]["exited_domain"] is True
+
+    @pytest.mark.parametrize("method", ["rk4", "rk45"])
+    def test_overflowing_step_count_rejected(self, capsys, method):
+        """--t1 1e300 and --step 1e-300 each pass their own check, but their
+        step count is not finite: once exit 3 (OverflowError)."""
+        code = main(["geodesic", "run", "--catalog", "sphere2", "--position", "theta=1.0,phi=0.5",
+                     "--velocity", "theta=0.2,phi=0.4", "--t1", "1e300", "--step", "1e-300",
+                     "--method", method])
+        out, err = capsys.readouterr()
+        assert code == 2 and out == ""
+        assert "--t1" in err and "--step" in err
 
     def test_bad_coordinate_rejected(self, capsys):
         code, _ = run(capsys, "geodesic", "run", "--catalog", "sphere2",

@@ -7,10 +7,10 @@ import sympy as sp
 from hypothesis import assume, given, settings, strategies as st
 
 from hiddensym import exprkit
-from hiddensym.exprkit import (EvalDomainError, ExprError, ParseError, UnboundNameError,
-                               UnknownFunctionError, codegen, compiled_function, derivative,
-                               evaluate, function, number, parse, simplify, symbol, to_source,
-                               to_sympy, tree)
+from hiddensym.exprkit import (EvalDomainError, ExprError, ParseError, UnknownFunctionError,
+                               codegen, compiled_function, derivative, function, number,
+                               parse, simplify, symbol, to_source, to_sympy, tree)
+from test_manifold import UnboundNameError, evaluate
 
 X, Y = symbol("x"), symbol("y")
 
@@ -292,6 +292,8 @@ class TestCalculus:
 
 
 class TestEvaluate:
+    """The sympy oracle test_manifold.py checks Manifold.evaluate against."""
+
     def test_point_and_env(self):
         v = evaluate(parse("m*sin(x)"), {"x": math.pi / 2}, {"m": 3.0})
         assert abs(v - 3.0) < 1e-12

@@ -1,4 +1,5 @@
 import csv
+import json
 import os
 import random
 
@@ -8,6 +9,7 @@ import sympy as sp
 from hypothesis import example, given, settings, strategies as st
 
 from hiddensym import catalog, exprkit, geodesic, sasaki
+from hiddensym.cli import ingest, main
 from hiddensym.geodesic import (GeodesicState, IntegratorConfig, Trajectory,
                                 energy_report, export_csv, integrate,
                                 invariant_values, monitor_invariant)
@@ -150,6 +152,24 @@ class TestSympyReference:
             for c in ("phi", "chi"):
                 assert exprkit.derivative(e, c) is exprkit.ZERO
         assert geodesic._blocks(M.metric) == [(0,), (1,), (2, 3)]
+
+    def test_metric_nested_to_the_parse_limit(self, capsys, tmp_path):
+        """g_xx = 2 + sin(...sin(x)...) as deep as parse() allows: the spray's
+        derivatives, sums and quotients nest deeper, which once made the
+        derivation refuse it (ParseError, exit 2).  Its orbit runs and its
+        spray matches the sympy one."""
+        entry = "2 + " + "sin(" * (exprkit.MAX_DEPTH - 2) + "x" + ")" * (exprkit.MAX_DEPTH - 2)
+        assert exprkit.parse(entry).depth == exprkit.MAX_DEPTH
+        doc = {"name": "nested", "dimension": 2, "coordinates": ["x", "y"],
+               "domain": {"x": [-1.0, 1.0], "y": [-1.0, 1.0]}, "signature": [1, 1],
+               "parameters": {}, "metric": [[entry, "0"], ["0", "1"]]}
+        path = tmp_path / "nested.json"
+        path.write_text(json.dumps(doc))
+        assert main(["geodesic", "run", "--manifold", str(path), "--position", "x=0.1,y=0",
+                     "--velocity", "x=0.3,y=0.2", "--t1", "1", "--step", "0.01"]) == 0
+        assert json.loads(capsys.readouterr().out.splitlines()[0])["pass"]
+        M = ingest(doc).manifold
+        assert self._mismatch(M, sympy_spray(M)) <= self.TOL
 
 
 class TestFlatGeodesics:

@@ -1,16 +1,17 @@
 """Source hygiene: every name a library module imports is used in it, every
-definition in a library module is referenced somewhere in the project, no
-library module calls exprkit.simplify, only exprkit calls sympy's trigsimp,
-no library module calls sympy's lambdify, no module outside manifold.py
-calls the symbolic tensor algebra, every default of a library function that
-a call reaches is set by some call, no library module imports sympy at its
-module level, neither the library's import nor any command but the emitted
-symbolic components loads sympy, and only geodesic's loop builder and
-exprkit's code generator run code from text."""
+definition in a library module is referenced by the library or the benchmark
+(tests alone do not count), no library module calls exprkit.simplify, only
+exprkit calls sympy's trigsimp, no library module calls sympy's lambdify, no
+module outside manifold.py calls the symbolic tensor algebra, every default
+of a library function that a call reaches is set by some call, no library
+module imports sympy at its module level, neither the library's import nor
+any command but the emitted symbolic components loads sympy, and only
+geodesic's loop builder and exprkit's code generator run code from text."""
 
 import ast
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -62,8 +63,9 @@ def definitions(source: str) -> list[tuple[int, str]]:
     return out
 
 
-def references(source: str) -> set[str]:
-    """Every name the source reads: as a Name, an Attribute or an import alias."""
+def references(source: str, strings: bool = False) -> set[str]:
+    """Every name the source reads: as a Name, an Attribute or an import
+    alias, and with `strings` every identifier in a string constant."""
     out = set()
     for node in ast.walk(ast.parse(source)):
         if isinstance(node, ast.Name):
@@ -72,35 +74,53 @@ def references(source: str) -> set[str]:
             out.add(node.attr)
         elif isinstance(node, ast.alias):
             out |= {node.name.split(".")[-1], node.asname} - {None}
+        elif strings and isinstance(node, ast.Constant) and isinstance(node.value, str):
+            out |= set(re.findall(r"[^\W\d]\w*", node.value))
     return out
 
 
-def unreferenced(source: str, corpus: list[str]) -> list[str]:
-    """Definitions in `source` that no source in `corpus` references."""
-    used = set().union(*map(references, corpus))
+def unreferenced(source: str, corpus: list[str], by_name: list[str] = ()) -> list[str]:
+    """Definitions in `source` that no source in `corpus` references, nor
+    any source in `by_name`, whose string constants count as references."""
+    used = set().union(*map(references, corpus), *(references(s, True) for s in by_name))
     return [f"line {line}: {name}" for line, name in definitions(source)
             if name not in used]
 
 
 @pytest.fixture(scope="module")
-def project_sources() -> list[str]:
-    return [p.read_text() for d in ("src", "tests", "perfbench")
-            for p in sorted((ROOT / d).rglob("*.py"))]
+def library_sources() -> tuple[list[str], list[str]]:
+    """src/, and perfbench/, whose tracer wraps library functions by name."""
+    return tuple([p.read_text() for p in sorted((ROOT / d).rglob("*.py"))]
+                 for d in ("src", "perfbench"))
 
 
 @pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
-def test_no_unreferenced_definitions(path, project_sources):
-    assert unreferenced(path.read_text(), project_sources) == []
+def test_no_unreferenced_definitions(path, library_sources):
+    """A definition only the tests reach belongs in tests/, as their oracle."""
+    assert unreferenced(path.read_text(), *library_sources) == []
 
 
 def test_reference_checker_sees_an_unreferenced_definition():
     source = ("def used():\n    pass\ndef dead():\n    pass\nclass Box:\n"
               "    def __init__(self):\n        pass\n    def read(self):\n"
               "        pass\n    def stale(self):\n        pass\n"
-              "class Unused:\n    pass\n")
+              "class Unused:\n    pass\n"
+              "def traced():\n    pass\ndef oracle():\n    pass\n")
     corpus = [source, "from m import used as u\nBox().read()\n"]
-    assert unreferenced(source, corpus) == ["line 3: dead", "line 10: stale",
-                                            "line 12: Unused"]
+    tracer = "wrap(m, 'traced', 'm.traced')\n"
+    dead = ["line 3: dead", "line 10: stale", "line 12: Unused"]
+    assert unreferenced(source, corpus, [tracer]) == dead + ["line 16: oracle"]
+    # a string constant counts only where functions are wrapped by name
+    assert unreferenced(source, corpus + [tracer]) == dead + ["line 14: traced",
+                                                             "line 16: oracle"]
+
+
+def test_reference_checker_reads_the_library_not_the_tests(library_sources):
+    """Planted in the real corpus: a definition that only tests call (the
+    symbolic Lie bracket, now their oracle) fails; one that the library
+    calls passes."""
+    planted = "def lie_bracket(X, Y, M):\n    pass\ndef christoffel(self):\n    pass\n"
+    assert unreferenced(planted, *library_sources) == ["line 1: lie_bracket"]
 
 
 def exprkit_simplify_calls(source: str, defines_it: bool = False) -> list[int]:

@@ -16,7 +16,7 @@ from hiddensym.killing import (associated_sk, associated_sk_symbolic, cky_residu
                                killing_vector_residual, ky_residual,
                                sk_residual, unit_root_check)
 from hiddensym.manifold import (GeometryError, Manifold, TensorField, _pointwise, _product,
-                                one_form, sample_points, two_form, vector)
+                                one_form, sample_points, vector)
 from symbolic_geometry import ky_odd_rank_candidate
 from test_acceptance import _ORBIT
 
@@ -74,33 +74,33 @@ class TestConformalKilling:
 
 class TestKillingYanoFlat:
     def test_constant_two_form_is_ky_and_parallel(self, flat4):
-        f = two_form([[0, 1, 0, 0], [-1, 0, 0, 0],
-                      [0, 0, 0, 1], [0, 0, -1, 0]])
+        f = TensorField([[0, 1, 0, 0], [-1, 0, 0, 0],
+                         [0, 0, 0, 1], [0, 0, -1, 0]], "dd")
         assert ky_residual(f, flat4).passed
         assert covariant_constancy_residual(f, flat4).passed
         assert cky_residual(f, flat4).passed
 
     def test_unit_root_for_symplectic_pair(self, flat4):
-        f = two_form([[0, 1, 0, 0], [-1, 0, 0, 0],
-                      [0, 0, 0, 1], [0, 0, -1, 0]])
+        f = TensorField([[0, 1, 0, 0], [-1, 0, 0, 0],
+                         [0, 0, 0, 1], [0, 0, -1, 0]], "dd")
         assert unit_root_check(f, flat4).passed
 
     def test_unequal_blocks_are_not_unit_root(self, flat4):
-        f = two_form([[0, 1, 0, 0], [-1, 0, 0, 0],
-                      [0, 0, 0, 2], [0, 0, -2, 0]])
+        f = TensorField([[0, 1, 0, 0], [-1, 0, 0, 0],
+                         [0, 0, 0, 2], [0, 0, -2, 0]], "dd")
         assert not unit_root_check(f, flat4).passed
 
     def test_degenerate_form_rejected(self, flat4):
         from hiddensym.manifold import GeometryError
-        f = two_form([[0, 1, 0, 0], [-1, 0, 0, 0],
-                      [0, 0, 0, 0], [0, 0, 0, 0]])
+        f = TensorField([[0, 1, 0, 0], [-1, 0, 0, 0],
+                         [0, 0, 0, 0], [0, 0, 0, 0]], "dd")
         with pytest.raises(GeometryError):
             unit_root_check(f, flat4)
 
     def test_non_ky_form_fails(self, flat4):
         x1 = sp.Symbol("x1")
-        f = two_form([[0, x1 ** 2, 0, 0], [-x1 ** 2, 0, 0, 0],
-                      [0, 0, 0, 0], [0, 0, 0, 0]])
+        f = TensorField([[0, x1 ** 2, 0, 0], [-x1 ** 2, 0, 0, 0],
+                         [0, 0, 0, 0], [0, 0, 0, 0]], "dd")
         assert not ky_residual(f, flat4).passed
 
 
@@ -111,9 +111,9 @@ def _flat4_cky_form(A, B, C):
     """f_{jk} = A_{jk} + x_j B_k - x_k B_j + x^i C_{ijk} on flat R^4: the
     constant 2-form A, x-flat wedge B and the contraction of the position
     vector x into the 3-form C, entry by entry."""
-    return two_form([[A[j][k] + X4[j] * B[k] - X4[k] * B[j]
-                      + sum(X4[i] * C[i][j][k] for i in range(4))
-                      for k in range(4)] for j in range(4)])
+    return TensorField([[A[j][k] + X4[j] * B[k] - X4[k] * B[j]
+                         + sum(X4[i] * C[i][j][k] for i in range(4))
+                         for k in range(4)] for j in range(4)], "dd")
 
 
 def _levi_civita(size, entries):
@@ -152,8 +152,8 @@ class TestConformalKillingYanoFlat:
         assert not covariant_constancy_residual(f, flat4).passed
 
     def test_x1_squared_dx12_fails(self, flat4):
-        f = two_form([[0, X4[0] ** 2, 0, 0], [-X4[0] ** 2, 0, 0, 0],
-                      [0, 0, 0, 0], [0, 0, 0, 0]])
+        f = TensorField([[0, X4[0] ** 2, 0, 0], [-X4[0] ** 2, 0, 0, 0],
+                         [0, 0, 0, 0], [0, 0, 0, 0]], "dd")
         rep = cky_residual(f, flat4)
         assert not rep.passed
         assert rep.max_rel_residual == pytest.approx(2 / 3, rel=1e-9)
@@ -178,7 +178,7 @@ FLAT4_PARALLEL = [[0, 1, 0, 0], [-1, 0, 0, 0], [0, 0, 0, 1], [0, 0, -1, 0]]
 
 class TestAssociatedSK:
     def test_square_of_parallel_ky_is_sk(self, flat4):
-        K = associated_sk(two_form(FLAT4_PARALLEL), flat4)
+        K = associated_sk(TensorField(FLAT4_PARALLEL, "dd"), flat4)
         assert K.variance == "dd"
         assert sk_residual(K, flat4).passed
 
@@ -209,7 +209,7 @@ def _square_cases(tn, ps):
     """(manifold, form) by name: Taub-NUT's KY 2-forms, a parallel 2-form on
     flat4, the pseudo-sphere's eta_1 (rank 1) and eta_1 ^ d eta_1 (rank 3)."""
     cases = {name: (tn.manifold, tn.forms[name]) for name in ("f1", "f2", "f3", "fY")}
-    cases["flat4"] = (catalog.flat(4).manifold, two_form(FLAT4_PARALLEL))
+    cases["flat4"] = (catalog.flat(4).manifold, TensorField(FLAT4_PARALLEL, "dd"))
     cases["eta1"] = (ps.manifold, ps.structure.eta[0])
     cases["eta1-deta1"] = (ps.manifold, ky_odd_rank_candidate(ps.structure, 0, 1))
     return cases
@@ -288,11 +288,11 @@ class TestInputGuards:
     def test_rejects_a_non_antisymmetric_tensor(self, flat3, check):
         with pytest.raises(GeometryError,
                            match=f"^{check.__name__} requires an antisymmetric form$"):
-            check(two_form(self.NEITHER), flat3)
+            check(TensorField(self.NEITHER, "dd"), flat3)
 
     def test_guard_looks_at_every_point(self, flat3):
         """f_10 = x1 breaks antisymmetry only at the last point."""
-        f = two_form([[0, 0, 0], [sp.Symbol("x1"), 0, 0], [0, 0, 0]])
+        f = TensorField([[0, 0, 0], [sp.Symbol("x1"), 0, 0], [0, 0, 0]], "dd")
         pts = [{"x1": 0.0, "x2": 0.1 * k, "x3": 0.0} for k in range(3)]
         pts.append({"x1": 1.0, "x2": 0.0, "x3": 0.0})
         with pytest.raises(GeometryError, match="antisymmetric"):
@@ -344,7 +344,7 @@ class TestFailClosed:
         assert rep.extra["non_finite_points"] == len(negative)
 
     @pytest.mark.parametrize("check, form", [
-        (unit_root_check, two_form([[0, 1], [-1, 0]])),
+        (unit_root_check, TensorField([[0, 1], [-1, 0]], "dd")),
         (cky_residual, one_form([0, sp.sin(sp.Symbol("theta")) ** 2])),
     ], ids=["unit-root", "cky"])
     def test_singular_metric_point_fails_closed(self, sphere, check, form):

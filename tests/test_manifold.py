@@ -4,15 +4,38 @@ import sympy as sp
 from hypothesis import given, settings, strategies as st
 
 from hiddensym import catalog, exprkit, manifold
-from hiddensym.exprkit import to_sympy
+from hiddensym.exprkit import EvalDomainError, to_sympy
 from hiddensym.manifold import (Chart, GeometryError, Manifold, TensorField,
                                 _covariant, _symbolic, _tangent, antisymmetrize,
-                                covariant_derivative, exterior_derivative, lie_bracket,
-                                one_form, sample_points, symmetrize, two_form, vector)
+                                covariant_derivative, exterior_derivative,
+                                one_form, sample_points, symmetrize, vector)
 from hiddensym.spin import spinor_bank
 from lambdify_reference import lambdified, lambdified_jet
-from symbolic_geometry import (lower_index, raise_index, symbolic_christoffel, symbolic_ricci,
-                               symbolic_riemann)
+from symbolic_geometry import (lie_bracket, lower_index, raise_index, symbolic_christoffel,
+                               symbolic_ricci, symbolic_riemann)
+
+
+class UnboundNameError(exprkit.ExprError):
+    pass
+
+
+def evaluate(e, point=None, env=None) -> float:
+    """The oracle of Manifold.evaluate: e evaluated with sympy in double
+    semantics, each name substituted from point or env (no lambdify).  An
+    unbound name raises UnboundNameError, a value that is not a finite real
+    number EvalDomainError."""
+    e = to_sympy(e)
+    bind = {sp.Symbol(name): sp.Float(value)
+            for mapping in (point or {}, env or {}) for name, value in mapping.items()}
+    if free := e.free_symbols - set(bind):
+        raise UnboundNameError(f"unbound name(s): {', '.join(sorted(s.name for s in free))}")
+    val = e.subs(bind).evalf()
+    if val.has(sp.zoo, sp.oo, -sp.oo, sp.nan):
+        raise EvalDomainError(f"singular evaluation of {e}")
+    val = complex(val)
+    if abs(val.imag) > 1e-12 * max(1.0, abs(val.real)):
+        raise EvalDomainError(f"complex result evaluating {e}")
+    return val.real
 
 
 @pytest.fixture(scope="module")
@@ -155,7 +178,7 @@ class TestIndexGymnastics:
         assert lower_index(X, sphere, 0).variance == "d"
 
     def test_tensor_rank(self):
-        assert two_form([[0, 1], [-1, 0]]).rank == 2
+        assert TensorField([[0, 1], [-1, 0]], "dd").rank == 2
         assert vector([1, 0]).rank == 1
 
 
@@ -241,7 +264,7 @@ class TestNumericEvaluation:
 
 
 class TestBatchEvaluation:
-    """Manifold.evaluate against exprkit.evaluate, which substitutes and
+    """Manifold.evaluate against the oracle evaluate, which substitutes and
     evaluates each expression with sympy (no lambdify)."""
 
     TOL = 1e-12
@@ -251,7 +274,7 @@ class TestBatchEvaluation:
         assert got.shape == (len(pts),) + arr.shape
         for p, vals in zip(pts, got):
             for idx in np.ndindex(arr.shape):
-                want = exprkit.evaluate(arr[idx], p, M.params)
+                want = evaluate(arr[idx], p, M.params)
                 assert abs(vals[idx] - want) <= self.TOL * max(1.0, abs(want)), idx
 
     def test_taub_nut_christoffel_riemann_and_form(self, tn):
@@ -284,7 +307,7 @@ class TestBatchEvaluation:
         p = sample_points(tn.manifold.chart, 1, seed=0)[0]
         values = []
         for M in (tn.manifold, other, tn.manifold):
-            want = [exprkit.evaluate(e, p, M.params) for e in T.components.flat]
+            want = [evaluate(e, p, M.params) for e in T.components.flat]
             got = M.evaluate(T.components, [p])[0]
             assert np.allclose(got.flatten(), want, rtol=self.TOL, atol=self.TOL)
             values.append(got)
@@ -292,22 +315,21 @@ class TestBatchEvaluation:
 
     def test_jet_is_the_evaluated_symbolic_tangent(self, tn):
         """The 1- and 2-jets of every catalog metric, vector and form, of the
-        Taub-NUT frame and of a spinor bank, taken as complex, equal the
-        lambdified symbolic tangents; the 1-jet is the 2-jet's value row."""
-        bank = spinor_bank(tn.manifold, 3)
-        cases = [(tn.manifold, tn.frame, float), (tn.manifold, bank, complex)]
+        Taub-NUT frame and of a spinor bank equal the lambdified symbolic
+        tangents; the 1-jet is the 2-jet's value row."""
+        cases = [(tn.manifold, tn.frame), (tn.manifold, spinor_bank(tn.manifold, 3))]
         for name in catalog.names():
             e = tn if name == "taub-nut" else catalog.get(name)
-            cases += [(e.manifold, e.manifold.metric, float)]
-            cases += [(e.manifold, T.components, float)
+            cases += [(e.manifold, e.manifold.metric)]
+            cases += [(e.manifold, T.components)
                       for T in (*e.vectors.values(), *e.forms.values())]
-        for M, arr, dtype in cases:
+        for M, arr in cases:
             arr = np.array(arr, dtype=object)
             pts = sample_points(M.chart, 3, seed=1)
-            want = lambdified_jet(M, arr, pts, 2, dtype)
+            want = lambdified_jet(M, arr, pts, 2)
             scale = max(1.0, np.max(np.abs(want)))
             for order, oracle in ((2, want), (1, want[:, -1])):
-                jet = M.evaluate(arr, pts, dtype, order=order)
+                jet = M.evaluate(arr, pts, order=order)
                 assert jet.shape == oracle.shape
                 assert np.max(np.abs(jet - oracle)) <= self.TOL * scale
 
@@ -356,16 +378,12 @@ _RULE_CASES = {
     "true_divide": lambda f, u, w: [u / w, 3 / u, u / 3],
     "power": lambda f, u, w: [u ** 3, u ** -1.5, u ** w, 2 ** w],
     "negative": lambda f, u, w: [-u],
-    "positive": lambda f, u, w: [+u],
     "sin": lambda f, u, w: [f.sin(u)],
     "cos": lambda f, u, w: [f.cos(u)],
     "tan": lambda f, u, w: [f.tan(u)],
     "exp": lambda f, u, w: [f.exp(u)],
     "log": lambda f, u, w: [f.log(u)],
     "sqrt": lambda f, u, w: [f.sqrt(u)],
-    "sinh": lambda f, u, w: [f.sinh(u)],
-    "cosh": lambda f, u, w: [f.cosh(u)],
-    "tanh": lambda f, u, w: [f.tanh(u)],
 }
 
 

@@ -7,9 +7,9 @@ import pytest
 
 from hiddensym.killing import _max_abs, _nabla_flat
 from hiddensym.manifold import (_covariant, antisymmetrize, covariant_derivative,
-                                exterior_derivative, lie_bracket, sample_points)
+                                exterior_derivative, sample_points)
 from hiddensym.sasaki import _bracket, _odd_rank_tower, _wedge
-from symbolic_geometry import ky_odd_rank_candidate, lower_index
+from symbolic_geometry import ky_odd_rank_candidate, lie_bracket, lower_index
 
 TOL = 1e-12
 

@@ -49,8 +49,8 @@ def test_tracer_wraps_the_spin_layer():
         ctx = spin.SpinContext(M, spin.orthonormal_frame(M))
         bank = spin.spinor_bank(M, 2, seed=0)
         Ds = spin.OperatorSpec("standard-dirac")
-        f = spin.OperatorSpec("dirac-type", manifold.two_form(
-            [[0, 1, 0, 0], [-1, 0, 0, 0], [0, 0, 0, 1], [0, 0, -1, 0]]))
+        f = spin.OperatorSpec("dirac-type", manifold.TensorField(
+            [[0, 1, 0, 0], [-1, 0, 0, 0], [0, 0, 0, 1], [0, 0, -1, 0]], "dd"))
         k = spin.OperatorSpec("killing-op", manifold.vector([1, 0, 0, 0]))
         kw = dict(bank=bank, points=3)
         assert spin.anticommutator_residual(Ds, f, ctx, **kw).passed
@@ -76,8 +76,8 @@ def test_tracer_runs_the_staeckel_killing_square():
         tracing.install(tracer)
         from hiddensym import catalog, geodesic, killing, manifold
         M = catalog.flat(4).manifold
-        K = killing.associated_sk(manifold.two_form(
-            [[0, 1, 0, 0], [-1, 0, 0, 0], [0, 0, 0, 1], [0, 0, -1, 0]]), M)
+        K = killing.associated_sk(manifold.TensorField(
+            [[0, 1, 0, 0], [-1, 0, 0, 0], [0, 0, 0, 1], [0, 0, -1, 0]], "dd"), M)
         assert killing.sk_residual(K, M, points=3).passed
         s0 = geodesic.GeodesicState({c: 0.1 for c in M.chart.coords},
                                     {c: 0.2 for c in M.chart.coords})

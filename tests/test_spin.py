@@ -3,12 +3,11 @@ import pytest
 import sympy as sp
 
 from hiddensym import catalog, spin
-from hiddensym.manifold import _symbolic, _tangent, sample_points, two_form, vector
+from hiddensym.manifold import TensorField, _symbolic, _tangent, sample_points, vector
 from hiddensym.spin import (Frame, FrameError, OperatorSpec, SpinContext,
                             anticommutator_residual, canonical_gamma,
                             commutator_residual, frame_residual,
-                            orthonormal_frame, spin_connection_antisymmetry,
-                            spinor_bank, square_compare)
+                            orthonormal_frame, spinor_bank, square_compare)
 from lambdify_reference import lambdified
 from symbolic_geometry import symbolic_christoffel
 
@@ -100,7 +99,11 @@ class TestSpinConnection:
         assert np.max(np.abs(omega[:, -1, 1, 0, 1] + np.cos(thetas))) < 1e-12
 
     def test_antisymmetry(self, tn_ctx):
-        assert spin_connection_antisymmetry(tn_ctx, points=5).passed
+        """omega_{mu a b} + omega_{mu b a} = 0 at sampled points."""
+        w = tn_ctx.connection(sample_points(tn_ctx.M.chart, 5, seed=0))[1][:, -1]
+        per_point = (1, 2, 3)
+        assert np.all(np.max(np.abs(w + np.swapaxes(w, 2, 3)), axis=per_point)
+                      <= 1e-10 * np.maximum(1.0, np.max(np.abs(w), axis=per_point)))
 
     def test_matches_symbolic_connection(self, tn, tn_ctx):
         """The numeric 1-jet of omega against the tangent of the symbolic
@@ -134,8 +137,8 @@ class TestOperatorSpecs:
             OperatorSpec("killing-op")
 
     def test_payload_variance_checked(self, flat4, flat4_ctx):
-        bad = OperatorSpec("killing-op", two_form([[0, 1, 0, 0], [-1, 0, 0, 0],
-                                                   [0, 0, 0, 0], [0, 0, 0, 0]]))
+        bad = OperatorSpec("killing-op", TensorField([[0, 1, 0, 0], [-1, 0, 0, 0],
+                                                      [0, 0, 0, 0], [0, 0, 0, 0]], "dd"))
         pts = sample_points(flat4.chart, 3)
         with pytest.raises(ValueError):
             spin.build_operator(bad, flat4_ctx, pts, flat4_ctx.frame_jets(pts))
@@ -147,29 +150,29 @@ class TestFlatIdentities:
     def test_dirac_kills_constant_spinor(self, flat4, flat4_ctx):
         psi = np.array([sp.Integer(1)] * 4, dtype=object)
         pts = sample_points(flat4.chart, 3)
-        jet = flat4.evaluate([psi], pts, complex, order=2)
+        jet = flat4.evaluate([psi], pts, order=2)
         out = spin.build_operator(OperatorSpec("standard-dirac"), flat4_ctx, pts,
                                   flat4_ctx.frame_jets(pts)).apply(jet)
         assert (out == 0).all()
 
     def test_anticommutator_with_parallel_form(self, flat4, flat4_ctx):
-        f = two_form([[0, 1, 0, 0], [-1, 0, 0, 0],
-                      [0, 0, 0, 1], [0, 0, -1, 0]])
+        f = TensorField([[0, 1, 0, 0], [-1, 0, 0, 0],
+                         [0, 0, 0, 1], [0, 0, -1, 0]], "dd")
         rep = anticommutator_residual(
             OperatorSpec("standard-dirac"), OperatorSpec("dirac-type", f),
             flat4_ctx, bank=spinor_bank(flat4, 2), points=4)
         assert rep.passed
 
     def test_square_equals_dirac_square_for_unit_root(self, flat4, flat4_ctx):
-        f = two_form([[0, 1, 0, 0], [-1, 0, 0, 0],
-                      [0, 0, 0, 1], [0, 0, -1, 0]])
+        f = TensorField([[0, 1, 0, 0], [-1, 0, 0, 0],
+                         [0, 0, 0, 1], [0, 0, -1, 0]], "dd")
         rep = square_compare(OperatorSpec("dirac-type", f), flat4_ctx,
                              bank=spinor_bank(flat4, 2), points=4)
         assert rep.passed
 
     def test_square_differs_for_non_unit_root(self, flat4, flat4_ctx):
-        f = two_form([[0, 1, 0, 0], [-1, 0, 0, 0],
-                      [0, 0, 0, 0], [0, 0, 0, 0]])
+        f = TensorField([[0, 1, 0, 0], [-1, 0, 0, 0],
+                         [0, 0, 0, 0], [0, 0, 0, 0]], "dd")
         x3, x4 = sp.symbols("x3 x4")
         psi = np.array([x3 ** 2, x4 ** 2, x3 * x4, sp.Integer(0)],
                        dtype=object)
@@ -269,7 +272,7 @@ class TestTaubNutOracles:
         pts = sample_points(M.chart, 5, seed=0)
         expected = lambdified(M, np.array(laplacians, dtype=object), pts, dtype=complex)
         Ds = spin.build_operator(OperatorSpec("standard-dirac"), ctx, pts, ctx.frame_jets(pts))
-        got = Ds.compose(Ds).apply(M.evaluate(list(bank), pts, complex, order=2))
+        got = Ds.compose(Ds).apply(M.evaluate(list(bank), pts, order=2))
         assert np.max(np.abs(got - expected)) <= 1e-12 * max(1.0, np.max(np.abs(expected)))
 
     def test_fy_square_keeps_symbolic_composition_numbers(self, tn, tn_ctx):
@@ -303,7 +306,7 @@ class TestDynamicalAlgebra:
         identity with the sign of eps flipped."""
         M = tn.manifold
         pts = sample_points(M.chart, 10, seed=0)
-        jet = M.evaluate(list(spinor_bank(M, 5, seed=0)), pts, complex, order=2)
+        jet = M.evaluate(list(spinor_bank(M, 5, seed=0)), pts, order=2)
         frames = tn_ctx.frame_jets(pts)
         X = {i: spin.build_operator(OperatorSpec("killing-op", tn.vectors[f"k{i}"]),
                                     tn_ctx, pts, frames) for i in (1, 2, 3)}
@@ -345,7 +348,7 @@ class TestOperatorsBuiltOncePerReport:
         return calls
 
     def test_square_compare_builds_two(self, flat4, flat4_ctx, builds):
-        f = two_form([[0, 1, 0, 0], [-1, 0, 0, 0], [0, 0, 0, 1], [0, 0, -1, 0]])
+        f = TensorField([[0, 1, 0, 0], [-1, 0, 0, 0], [0, 0, 0, 1], [0, 0, -1, 0]], "dd")
         square_compare(OperatorSpec("dirac-type", f), flat4_ctx,
                        bank=spinor_bank(flat4, 2), points=3)
         assert sorted(builds) == ["dirac-type", "standard-dirac"]
