@@ -11,7 +11,7 @@ on numpy arrays and Jets (ARRAY_FUNCTIONS) or on Python floats
 (FLOAT_FUNCTIONS, where a domain error raises).  derivative() differentiates
 a tree by a name into a tree, so the geodesic spray is derived here.  parse()
 refuses a tree deeper than MAX_DEPTH, but a derived tree may be deeper, and
-codegen() writes a node nested more than MAX_INLINE deep into a local.  Sympy
+statements() writes a node nested more than MAX_INLINE deep into a local.  Sympy
 is imported only by to_sympy and the helpers built on it (simplify and
 identically_equal), for the symbolic constructions and the tests, and by
 tree() when it is given a sympy expression.
@@ -406,21 +406,22 @@ def parse(src: str) -> Expr:
 
 def _print(node: Expr, kids: list[tuple[str, int]], code: bool, names: dict):
     """The node's text and binding level from its kids' (text, level): in
-    the grammar, or in Python (** for ^ to an integer, pow() for any other
-    power, a fraction as a float, the names mapped by names)."""
+    the grammar, or in Python (a constant as a float, an integer exponent as
+    an int after **, pow() for any other power, the names mapped by names)."""
     op, v = node.op, node.value
     if op == "num":
-        text = repr(float(v)) if code and v.denominator > 1 else str(v)
+        text = repr(float(v)) if code else str(v)
         return text, 2 if v.denominator > 1 and not code else 3 if v < 0 else 5
     if op == "name":
-        return names.get(v, v), 5
+        return names[v] if code else v, 5
     if op in FUNCTIONS:
         return f"{op}({kids[0][0]})", 5
     if op == "neg":
         return "-" + _operand(*kids[0], 3), 3
-    if code and op == "^" and not (node.kids[1].op == "num"
-                                   and node.kids[1].value.denominator == 1):
+    if code and op == "^" and (node.kids[1].op != "num" or node.kids[1].value.denominator > 1):
         return f"pow({kids[0][0]}, {kids[1][0]})", 5
+    if code and op == "^":
+        kids = [kids[0], (str(node.kids[1].value), kids[1][1])]
     level = _LEVEL[op]
     (a, la), b = kids
     a = a if la >= (5 if op == "^" else level) else f"({a})"
@@ -437,34 +438,45 @@ def _operand(text: str, level: int, least: int) -> str:
 def to_source(e: Expr) -> str:
     """Print a tree in the grammar accepted by parse(), with the fewest
     parentheses that parse back to the same tree (a signed operand that is
-    not leftmost is parenthesized, as sympy prints it)."""
-    done: dict = {}
-    for node in postorder([e]):
+    not leftmost is parenthesized, as sympy prints it), each node's text
+    dropped once its last parent has used it, so that memory grows linearly."""
+    order, done = postorder([e]), {}
+    uses = Counter(k for node in order for k in node.kids)
+    for node in order:
         done[node] = _print(node, [done[k] for k in node.kids], False, {})
+        for k in node.kids:
+            uses[k] -= 1
+            if not uses[k]:
+                del done[k]
     return done[e][0]
 
 
-def codegen(roots, arguments) -> str:
-    """Source of `def f(x0, x1, ...)`, a function of the values of the names in
-    `arguments`, returning the list of the roots' values, a constant root as a
-    float.  A node that two parents, or a parent and a root, use is computed
-    once into a local, so interning gives the common-subexpression
-    elimination; so is a node whose text would nest more than MAX_INLINE
-    operations deep."""
+def statements(roots, names: Mapping[str, str], local: str) -> tuple[list[str], list[str]]:
+    """Python assignments `{local}0 = ...`, ... and the text of each root's
+    value, every name written as names maps it.  A node that two parents,
+    or a parent and a root, use is computed once into a local, so interning
+    gives the common-subexpression elimination; so is a node whose text
+    would nest more than MAX_INLINE operations deep."""
     order = postorder(roots)
     uses = Counter([k for node in order for k in node.kids] + list(roots))
-    variables = {name: f"x{i}" for i, name in enumerate(arguments)}
     lines, done, nesting = [], {}, {}
     for node in order:
-        text = _print(node, [done[k] for k in node.kids], True, variables)
+        text = _print(node, [done[k] for k in node.kids], True, names)
         nesting[node] = 1 + max((nesting[k] for k in node.kids), default=-1)
         if node.kids and (uses[node] > 1 or nesting[node] > MAX_INLINE):
-            lines.append(f"    t{len(lines)} = {text[0]}\n")
-            text, nesting[node] = (f"t{len(lines) - 1}", 5), 0
+            lines.append(f"{local}{len(lines)} = {text[0]}")
+            text, nesting[node] = (f"{local}{len(lines) - 1}", 5), 0
         done[node] = text
-    values = [repr(float(r.value)) if r.op == "num" else done[r][0] for r in roots]
-    return (f"def f({', '.join(variables.values())}):\n" + "".join(lines)
-            + f"    return [{', '.join(values)}]\n")
+    return lines, [done[r][0] for r in roots]
+
+
+def codegen(roots, arguments) -> str:
+    """Source of `def f(x0, x1, ...)` of the names in `arguments`, returning
+    the list of the roots' values by their statements."""
+    variables = {name: f"x{i}" for i, name in enumerate(arguments)}
+    lines, values = statements(roots, variables, "t")
+    return (f"def f({', '.join(variables.values())}):\n"
+            + "".join(f"    {line}\n" for line in [*lines, f"return [{', '.join(values)}]"]))
 
 
 # What generated code calls: numpy's ufuncs, so that it runs on float arrays

@@ -7,8 +7,9 @@ functions, as a function of position and velocity returning Python floats;
 no sympy is involved.  A math error in the spray (a singular point, a
 domain error such as a negative number to a non-integer power) counts as
 leaving the chart.  Fixed-step RK4 is the default, for reproducible drift
-numbers: one loop, generated per dimension, runs on local Python floats and
-calls the spray four times per step.  Adaptive RK45 (scipy) is an option.
+numbers: one loop per manifold, on local Python floats, holds the spray's
+statements inline in each stage; its text comes from fixed templates and
+exprkit's printer, never from input text.  Adaptive RK45 (scipy) is an option.
 Invariants are evaluated over a whole trajectory in one batch.
 """
 
@@ -47,6 +48,8 @@ class IntegratorConfig:
             raise ValueError(f"t_span must be finite, not {self.t_span!r}")
         if not (self.step > 0 and self.t_span[1] > self.t_span[0]):
             raise ValueError("step and the length of t_span must be positive")
+        if not math.isfinite((self.t_span[1] - self.t_span[0]) / self.step):
+            raise ValueError(f"t_span over step {self.step!r} is not a finite number of steps")
         if self.method not in ("rk4", "rk45"):
             raise ValueError(f"unknown method {self.method!r}")
         if isinstance(self.stride, bool) or not isinstance(self.stride, Integral) or self.stride < 1:
@@ -83,10 +86,10 @@ class ConservationReport:
         })
 
 
-def spray(M: Manifold):
-    """The geodesic acceleration a^rho = -Gamma^rho_{mu nu} v^mu v^nu as one
-    function of the coordinates, then the velocities, returning the n
-    components as Python floats, cached on M.
+def _acceleration(M: Manifold) -> list:
+    """The geodesic acceleration a^rho = -Gamma^rho_{mu nu} v^mu v^nu as n
+    trees in M's parameters, its coordinates and the velocities, named c'
+    for a coordinate c (no parsed name has a '), derived once, cached on M.
 
     It is derived on the metric's trees (their operators are exprkit's
     folding constructors).  With
@@ -95,11 +98,10 @@ def spray(M: Manifold):
     mu < nu, a = adj(g) (-w) / det g on each diagonal block of g, the
     determinant and the adjugate expanded in minors formed once per (rows,
     columns), so that a zero entry drops its terms and interning shares the
-    rest.  It is compiled with math's functions, so a math error (a singular
-    point, a domain error) raises."""
-    if "spray" not in M._cache:
+    rest."""
+    if "acceleration" not in M._cache:
         n, coords, g = M.dim, M.chart.coords, M.metric
-        v = [exprkit.symbol(f"{c}'") for c in coords]     # no parsed name has a '
+        v = [exprkit.symbol(f"{c}'") for c in coords]
         partials = {}
 
         def d(lam, mu, nu):         # d_lam g_{mu nu}
@@ -125,8 +127,16 @@ def spray(M: Manifold):
                 # adj(g)[rho, lam] = (-1)^(i + j) times the minor without row lam, column rho
                 a[rho] = _alternating([minor(block[:j] + block[j + 1:], block[:i] + block[i + 1:])
                                        * minus_w[lam] for j, lam in enumerate(block)], i) / det
-        params = sorted(M.params)
-        f = exprkit.compiled_function(a, [*params, *coords, *(x.value for x in v)],
+        M._cache["acceleration"] = a
+    return M._cache["acceleration"]
+
+
+def spray(M: Manifold):
+    """_acceleration(M) compiled with math's functions (a math error raises): a function
+    of the coordinates, then the velocities, returning n Python floats, cached on M."""
+    if "spray" not in M._cache:
+        params, xs = sorted(M.params), M.chart.coords
+        f = exprkit.compiled_function(_acceleration(M), [*params, *xs, *(x + "'" for x in xs)],
                                       exprkit.FLOAT_FUNCTIONS)
         M._cache["spray"] = functools.partial(f, *(M.params[p] for p in params))
     return M._cache["spray"]
@@ -165,48 +175,54 @@ def _minors(g):
     return minor
 
 
-def _rk4_source(n: int) -> str:
-    """Source of `rk4(spray, y, t0, t1, h, steps, stride, box)`, fixed-step RK4
-    in dimension n on the local floats x0.., v0.. (positions, velocities).
+def _rk4_text(M: Manifold) -> str:
+    """Source of `rk4(y, t0, t1, h, steps, stride, box, p0, ...)`, fixed-step
+    RK4 on M over the local floats x0.., v0.. (the state) and p0.. (M's
+    parameters in name order).  A step forms the stages k1 = (v, a) .. k4 = (v4, a4), each
+    acceleration by the spray's statements inline under the stage's own
+    locals, then y + h/6 (k1 + 2 k2 + 2 k3 + k4) in the list form's order;
+    h/2 and h/6 are formed again only for a partial final step.  It keeps
+    every stride-th state and the last, and returns them with whether the
+    orbit left the chart: a step outside the box or a math error."""
+    n, coords, params = M.dim, M.chart.coords, {p: f"p{j}" for j, p in enumerate(sorted(M.params))}
 
-    Each step makes the four spray calls and the float operations of RK4 on
-    the state (x, v) with the stages k1 = (v, a), k2 = (v2, a2), k3 = (v3, a3)
-    and k4 = (v4, a4), in the order of the list form
-    y + h/6 (k1 + 2 k2 + 2 k3 + k4), checks the position box and keeps every
-    stride-th state and the last.  It returns the kept (t, state) pairs and
-    whether the orbit left the chart: a step outside the box, or a math
-    error in the spray.  The text depends on n alone."""
     def seq(fmt):
         return ", ".join(fmt.format(i=i) for i in range(n))
 
     def each(*fmts):
-        return "".join(f"        {fmt.format(i=i)}\n" for fmt in fmts for i in range(n))
+        return "".join(f"            {fmt.format(i=i)}\n" for fmt in fmts for i in range(n))
 
-    def call(x, v, a):
-        return (f"        try:\n            s = spray({seq(x)}, {seq(v)})\n"
-                f"        except (ArithmeticError, ValueError):\n"
-                f"            return kept, True\n"
-                f"        {seq(a)}, = s\n")
+    def stage(s, x, v, a):
+        names = {**params, **{c: x.format(i=i) for i, c in enumerate(coords)},
+                 **{f"{c}'": v.format(i=i) for i, c in enumerate(coords)}}
+        lines, values = exprkit.statements(_acceleration(M), names, f"s{s}_")
+        lines += [f"{a.format(i=i)} = {value}" for i, value in enumerate(values)]
+        return "".join(f"            {line}\n" for line in lines)
 
     box = " and ".join(f"lo{i} <= x{i} <= hi{i}" for i in range(n))
-    return (f"def rk4(spray, y, t0, t1, h, steps, stride, box):\n"
+    return (f"def rk4({', '.join(['y, t0, t1, h, steps, stride, box', *params.values()])}):\n"
             f"    {seq('x{i}')}, {seq('v{i}')} = y\n"
             f"    {seq('(lo{i}, hi{i})')}, = box\n"
             f"    kept = [(t0, y)]\n"
             f"    t = t0\n"
+            f"    hk, half, sixth = h, h / 2.0, h / 6.0\n"
             f"    for k in range(1, steps + 1):\n"
-            f"        hk = min(h, t1 - t)  # final step may be partial\n"
-            f"        half, sixth = hk / 2, hk / 6\n"
-            + call("x{i}", "v{i}", "a{i}")
+            f"        if t1 - t < h:  # hk = min(h, t1 - t): a partial final step\n"
+            f"            hk = t1 - t\n"
+            f"            half, sixth = hk / 2.0, hk / 6.0\n"
+            f"        try:\n"
+            + stage(1, "x{i}", "v{i}", "a{i}")
             + each("x2_{i} = x{i} + half * v{i}", "v2_{i} = v{i} + half * a{i}")
-            + call("x2_{i}", "v2_{i}", "a2_{i}")
+            + stage(2, "x2_{i}", "v2_{i}", "a2_{i}")
             + each("x3_{i} = x{i} + half * v2_{i}", "v3_{i} = v{i} + half * a2_{i}")
-            + call("x3_{i}", "v3_{i}", "a3_{i}")
+            + stage(3, "x3_{i}", "v3_{i}", "a3_{i}")
             + each("x4_{i} = x{i} + hk * v3_{i}", "v4_{i} = v{i} + hk * a3_{i}")
-            + call("x4_{i}", "v4_{i}", "a4_{i}")
-            + each("x{i} = x{i} + sixth * (v{i} + 2 * v2_{i} + 2 * v3_{i} + v4_{i})",
-                   "v{i} = v{i} + sixth * (a{i} + 2 * a2_{i} + 2 * a3_{i} + a4_{i})")
-            + f"        t = min(t0 + k * h, t1)\n"
+            + stage(4, "x4_{i}", "v4_{i}", "a4_{i}")
+            + each("x{i} = x{i} + sixth * (v{i} + 2.0 * v2_{i} + 2.0 * v3_{i} + v4_{i})",
+                   "v{i} = v{i} + sixth * (a{i} + 2.0 * a2_{i} + 2.0 * a3_{i} + a4_{i})")
+            + f"        except (ArithmeticError, ValueError):\n"
+              f"            return kept, True\n"
+              f"        t = min(t0 + k * h, t1)\n"
               f"        if not ({box}):\n"
               f"            return kept, True\n"
               f"        if k % stride == 0 or k == steps:\n"
@@ -214,12 +230,13 @@ def _rk4_source(n: int) -> str:
               f"    return kept, False\n")
 
 
-def _rk4_loop(n: int):
-    """The RK4 loop of _rk4_source(n), compiled and run in a namespace of its
-    own, where `min` is the builtin."""
-    namespace = {}
-    exec(compile(_rk4_source(n), f"<rk4 loop, n={n}>", "exec"), namespace)
-    return namespace["rk4"]
+def _rk4_loop(M: Manifold):
+    """_rk4_text(M) compiled once, cached on M, with math's functions."""
+    if "rk4" not in M._cache:
+        namespace = dict(exprkit.FLOAT_FUNCTIONS)
+        exec(compile(_rk4_text(M), "<rk4 loop>", "exec"), namespace)
+        M._cache["rk4"] = namespace["rk4"]
+    return M._cache["rk4"]
 
 
 def integrate(M: Manifold, s0: GeodesicState, cfg: IntegratorConfig) -> Trajectory:
@@ -229,7 +246,6 @@ def integrate(M: Manifold, s0: GeodesicState, cfg: IntegratorConfig) -> Trajecto
     if not M.chart.contains(s0.position):
         raise ValueError("initial position outside the domain box")
     y = [float(s0.position[c]) for c in coords] + [float(s0.velocity[c]) for c in coords]
-    rates = spray(M)
     t0, t1 = cfg.t_span
 
     def snap(yv):
@@ -239,11 +255,13 @@ def integrate(M: Manifold, s0: GeodesicState, cfg: IntegratorConfig) -> Trajecto
     if cfg.method == "rk4":
         h = cfg.step
         steps = max(1, int(np.ceil((t1 - t0) / h - 1e-12)))
-        kept, exited = _rk4_loop(n)(rates, tuple(y), t0, t1, h, steps, cfg.stride,
-                                    [M.chart.box[c] for c in coords])
+        kept, exited = _rk4_loop(M)(tuple(y), t0, t1, h, steps, cfg.stride,
+                                    [M.chart.box[c] for c in coords],
+                                    *(M.params[p] for p in sorted(M.params)))
         return Trajectory([t for t, _ in kept], [snap(yv) for _, yv in kept], exited)
 
     from scipy.integrate import solve_ivp
+    rates = spray(M)
 
     def rhs(state: list[float]) -> list[float]:
         try:

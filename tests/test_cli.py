@@ -459,6 +459,15 @@ class TestGeodesicCommand:
         assert code == 2 and out == ""
         assert "--t1" in err and "--step" in err
 
+    def test_subnormal_step_rejected(self, capsys):
+        """--step 1e-320 over the default --t1 is not a finite step count:
+        the command's own message, exit 2, before IntegratorConfig refuses it."""
+        code = main(["geodesic", "run", "--catalog", "sphere2", "--position", "theta=1.0,phi=0.5",
+                     "--velocity", "theta=0.2,phi=0.4", "--step", "1e-320"])
+        out, err = capsys.readouterr()
+        assert code == 2 and out == ""
+        assert "over --step 1e-320 is not a finite number of steps" in err
+
     def test_bad_coordinate_rejected(self, capsys):
         code, _ = run(capsys, "geodesic", "run", "--catalog", "sphere2",
                       "--position", "q=1.0,phi=0.5",

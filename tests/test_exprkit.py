@@ -1,4 +1,6 @@
+import ast
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -6,7 +8,7 @@ import pytest
 import sympy as sp
 from hypothesis import assume, given, settings, strategies as st
 
-from hiddensym import exprkit
+from hiddensym import exprkit, geodesic
 from hiddensym.exprkit import (EvalDomainError, ExprError, ParseError, UnknownFunctionError,
                                codegen, compiled_function, derivative, function, number,
                                parse, simplify, symbol, to_source, to_sympy, tree)
@@ -185,10 +187,62 @@ class TestCodegen:
         assert source.count("sin(") == 1 and source.count("x0 + x1") == 1
         assert source.splitlines()[-1].startswith("    return [")
 
+    def test_long_chain_prints_in_linear_memory(self):
+        """A 3000-term chain (26 kB of text) once held every prefix of its
+        text and peaked at 39 MB."""
+        e = parse(" + ".join(f"x/{k}" for k in range(1, 3001)))
+        tracemalloc.start()
+        try:
+            text = to_source(e)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(text) > 25000 and parse(text) is e
+        assert peak < 2_000_000
+
+    def test_catalog_code_has_float_constants_and_int_exponents(self, entry):
+        """Over the generated code of each catalog entry's spray, metric,
+        vectors and forms, every number that + - * / take is a float and
+        every exponent of ** an int, so float operations stay float-specialised."""
+        M = entry.manifold
+        arrays = [geodesic._acceleration(M), list(M.metric.flat)] + [
+            list(T.components.flat) for T in (*entry.vectors.values(), *entry.forms.values())]
+        constants = 0
+        for roots in arrays:
+            source = codegen(roots, sorted(exprkit.names(roots)))
+            assert _mistyped_numbers(source) == []
+            constants += source.count(".0")
+        assert constants > 0
+
+    def test_number_checker_flags_ints_and_float_exponents(self):
+        assert _mistyped_numbers("def f(x0):\n    return [2*x0 - x0/(-3) + 0.5*x0**2.0"
+                                 " + x0**(-2) + 1.0]\n") == ["2", "-3", "2.0"]
+
     def test_constants_and_integer_powers(self):
         f = compiled_function([parse("x^2/3 - 1/2"), number(-2), parse("2^x")], ["x"],
                               exprkit.ARRAY_FUNCTIONS)
         assert f(3.0) == [3.0 - 0.5, -2.0, 8.0]
+
+
+def _mistyped_numbers(source: str) -> list[str]:
+    """The numeric literals of the source (with their sign) that are an int
+    operand of + - * / or a float exponent of **."""
+    def number(node):
+        signed = isinstance(node, ast.UnaryOp) and isinstance(node.op, ast.USub)
+        inner = node.operand if signed else node
+        if isinstance(inner, ast.Constant) and type(inner.value) in (int, float):
+            return -inner.value if signed else inner.value
+        return None
+
+    bad = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.BinOp):
+            for side, operand in (("left", node.left), ("right", node.right)):
+                value = number(operand)
+                exponent = isinstance(node.op, ast.Pow) and side == "right"
+                if value is not None and type(value) is not (int if exponent else float):
+                    bad.append(repr(value))
+    return bad
 
 
 def _derivative_mismatch(e, point) -> float:

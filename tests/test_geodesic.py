@@ -52,6 +52,16 @@ class TestConfig:
             integrate(flat3, GeodesicState({c: 0.0 for c in flat3.chart.coords},
                                            {c: 0.1 for c in flat3.chart.coords}), cfg)
 
+    @pytest.mark.parametrize("step, t_span", [(1e-320, (0.0, 10.0)), (1e-300, (0.0, 1e300)),
+                                              (1.0, (-1e308, 1e308))])
+    def test_step_count_must_be_finite(self, flat3, step, t_span):
+        """A step this small once constructed, and integrate then raised
+        OverflowError converting an infinite step count to an int."""
+        with pytest.raises(ValueError, match="not a finite number of steps"):
+            cfg = IntegratorConfig(step=step, t_span=t_span)
+            integrate(flat3, GeodesicState({c: 0.0 for c in flat3.chart.coords},
+                                           {c: 0.1 for c in flat3.chart.coords}), cfg)
+
     @pytest.mark.parametrize("stride", [0, -1, 2.0, 0.5, True, "10", None])
     def test_stride_must_be_a_positive_integer(self, stride):
         """stride=0 once raised ZeroDivisionError inside integrate, and
@@ -334,24 +344,45 @@ class TestListReference:
         assert not traj.exited_domain and len(traj) > 250
         assert _bits(traj) == _bits(integrate_lists(M, s0, cfg))
 
-    @pytest.mark.parametrize("name", ["criterion-4", "centre-sphere2"])
-    def test_planted_k3_weight_fails(self, name, request, monkeypatch):
-        """A copy of the generated loop with RK4's k3 weight 2 -> 1 must fail
-        the comparison."""
+    @staticmethod
+    def _planted_case(name):
+        """A fresh manifold, so that the loop a planted error builds is
+        cached on it alone, with its orbit and configuration."""
         if name == "criterion-4":
-            M, s0, cfg = request.getfixturevalue("tn").manifold, _ORBIT, FINE
-        else:
-            M = catalog.sphere2().manifold
-            s0, cfg = _centre_orbit(M), IntegratorConfig(step=1e-3, t_span=(0.0, 3.0), stride=1)
-        source = geodesic._rk4_source
+            return catalog.taub_nut().manifold, _ORBIT, FINE
+        M = catalog.sphere2().manifold
+        return M, _centre_orbit(M), IntegratorConfig(step=1e-3, t_span=(0.0, 3.0), stride=1)
 
-        def planted(n):
-            text = source(n)
-            mutated = text.replace("2 * v3_", "1 * v3_").replace("2 * a3_", "1 * a3_")
-            assert mutated != text
+    @pytest.mark.parametrize("name", ["criterion-4", "centre-sphere2"])
+    def test_planted_k3_weight_fails(self, name, monkeypatch):
+        """The manifold's loop with RK4's k3 weight 2 -> 1 must fail the
+        comparison."""
+        M, s0, cfg = self._planted_case(name)
+        text = geodesic._rk4_text
+
+        def planted(M):
+            plain = text(M)
+            mutated = plain.replace("2.0 * v3_", "1.0 * v3_").replace("2.0 * a3_", "1.0 * a3_")
+            assert mutated.count("1.0 * v3_") == mutated.count("1.0 * a3_") == M.dim
             return mutated
-        monkeypatch.setattr(geodesic, "_rk4_source", planted)
+        monkeypatch.setattr(geodesic, "_rk4_text", planted)
         assert _bits(integrate(M, s0, cfg)) != _bits(integrate_lists(M, s0, cfg))
+
+    @pytest.mark.parametrize("name", ["criterion-4", "centre-sphere2"])
+    def test_planted_stage_position_fails(self, name, monkeypatch):
+        """The manifold's loop with stage 3's inlined spray evaluated at
+        stage 2's position must fail the comparison."""
+        M, s0, cfg = self._planted_case(name)
+        statements, renamed = exprkit.statements, []
+
+        def planted(roots, names, local):
+            if local == "s3_":
+                names = {k: v.replace("x3_", "x2_") for k, v in names.items()}
+                renamed.extend(v for v in names.values() if v.startswith("x2_"))
+            return statements(roots, names, local)
+        monkeypatch.setattr(exprkit, "statements", planted)
+        assert _bits(integrate(M, s0, cfg)) != _bits(integrate_lists(M, s0, cfg))
+        assert len(renamed) == M.dim
 
 
 # (entry, start as fractions of the box, velocity, step, t1, stride): a
@@ -424,7 +455,8 @@ class TestGeneratedNames:
         return integrate(M, s0, IntegratorConfig(step=0.01, t_span=(0.0, 3.0), stride=2))
 
     @pytest.mark.parametrize("warped", [False, True], ids=["flat", "warped"])
-    @pytest.mark.parametrize("names", [("f", "h", "k", "t"), ("kept", "spray", "v0", "x0")])
+    @pytest.mark.parametrize("names", [("f", "h", "k", "t"), ("kept", "spray", "v0", "x0"),
+                                       ("hk", "p0", "s1_0", "sixth")])
     def test_coordinate_names_do_not_change_the_orbit(self, names, warped):
         got, want = self._orbit(names, warped), self._orbit(("w", "x", "y", "z"), warped)
         assert len(got) > 100 and not got.exited_domain
