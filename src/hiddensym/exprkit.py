@@ -6,15 +6,15 @@ are the same object, so a shared subexpression is one node.  The leaves are
 exact Fraction constants and names (coordinates and parameters); the
 operations are + - * / ^, unary minus and sin, cos, tan, exp, log and sqrt.
 The constructors fold only exact constants, a - a and the identities with 0
-and 1.  Floats never enter a tree; they appear only when compiled code runs,
-on numpy arrays and Jets (ARRAY_FUNCTIONS) or on Python floats
-(FLOAT_FUNCTIONS, where a domain error raises).  derivative() differentiates
-a tree by a name into a tree, so the geodesic spray is derived here.  parse()
-refuses a tree deeper than MAX_DEPTH, but a derived tree may be deeper, and
-statements() writes a node nested more than MAX_INLINE deep into a local.  Sympy
-is imported only by to_sympy and the helpers built on it (simplify and
-identically_equal), for the symbolic constructions and the tests, and by
-tree() when it is given a sympy expression.
+and 1.  Floats never enter a tree; generated code writes a parameter as a
+float literal and runs on numpy arrays and Jets (ARRAY_FUNCTIONS) or on
+Python floats (FLOAT_FUNCTIONS, where a domain error raises).  derivative()
+differentiates a tree by a name into a tree, so the geodesic spray is derived
+here.  parse() refuses a tree deeper than MAX_DEPTH, but a derived tree may be
+deeper, and statements() writes a node nested more than MAX_INLINE deep into a
+local.  Sympy is imported only by to_sympy and the helpers built on it
+(simplify and identically_equal), for the symbolic constructions and the
+tests, and by tree() when it is given a sympy expression.
 """
 
 from __future__ import annotations
@@ -400,9 +400,9 @@ def parse(src: str) -> Expr:
 # printing and compiling
 #
 # One printer serves the grammar and Python: each node's text comes with its
-# binding level (1 sums, 2 products and quotients, 3 unary minus, 4 powers,
-# 5 atoms), and an operand is parenthesized when it binds looser than its
-# place allows, or when it starts with a sign and is not leftmost.
+# binding level (1 sums, 2 products and quotients, 3 unary minus and signed
+# literals, 4 powers, 5 atoms), and an operand is parenthesized when it binds
+# looser than its place allows, or when it starts with a sign and is not leftmost.
 
 def _print(node: Expr, kids: list[tuple[str, int]], code: bool, names: dict):
     """The node's text and binding level from its kids' (text, level): in
@@ -413,7 +413,7 @@ def _print(node: Expr, kids: list[tuple[str, int]], code: bool, names: dict):
         text = repr(float(v)) if code else str(v)
         return text, 2 if v.denominator > 1 and not code else 3 if v < 0 else 5
     if op == "name":
-        return names[v] if code else v, 5
+        return (names[v], 3 if names[v][0] == "-" else 5) if code else (v, 5)
     if op in FUNCTIONS:
         return f"{op}({kids[0][0]})", 5
     if op == "neg":
@@ -470,11 +470,12 @@ def statements(roots, names: Mapping[str, str], local: str) -> tuple[list[str], 
     return lines, [done[r][0] for r in roots]
 
 
-def codegen(roots, arguments) -> str:
+def codegen(roots, arguments, params: Mapping[str, float]) -> str:
     """Source of `def f(x0, x1, ...)` of the names in `arguments`, returning
-    the list of the roots' values by their statements."""
+    the list of the roots' values by their statements, params as literals."""
     variables = {name: f"x{i}" for i, name in enumerate(arguments)}
-    lines, values = statements(roots, variables, "t")
+    literals = {name: repr(float(value)) for name, value in params.items()}
+    lines, values = statements(roots, {**literals, **variables}, "t")
     return (f"def f({', '.join(variables.values())}):\n"
             + "".join(f"    {line}\n" for line in [*lines, f"return [{', '.join(values)}]"]))
 
@@ -489,11 +490,11 @@ ARRAY_FUNCTIONS = {name: getattr(np, name) for name in FUNCTIONS}
 FLOAT_FUNCTIONS = {**{name: getattr(math, name) for name in FUNCTIONS}, "pow": math.pow}
 
 
-def compiled_function(roots, arguments, functions: Mapping):
-    """codegen(roots, arguments) compiled, calling the given functions
-    (ARRAY_FUNCTIONS or FLOAT_FUNCTIONS)."""
+def compiled_function(roots, arguments, params: Mapping[str, float], functions: Mapping):
+    """codegen(roots, arguments, params) compiled, calling the given functions
+    (ARRAY_FUNCTIONS or FLOAT_FUNCTIONS), its literal subexpressions folded."""
     namespace = dict(functions)
-    exec(compile(codegen(roots, arguments), "<generated>", "exec"), namespace)
+    exec(compile(codegen(roots, arguments, params), "<generated>", "exec"), namespace)
     return namespace["f"]
 
 

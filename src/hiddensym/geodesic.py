@@ -8,9 +8,9 @@ no sympy is involved.  A math error in the spray (a singular point, a
 domain error such as a negative number to a non-integer power) counts as
 leaving the chart.  Fixed-step RK4 is the default, for reproducible drift
 numbers: one loop per manifold, on local Python floats, holds the spray's
-statements inline in each stage; its text comes from fixed templates and
-exprkit's printer, never from input text.  Adaptive RK45 (scipy) is an option.
-Invariants are evaluated over a whole trajectory in one batch.
+statements inline in each stage.  Both texts come from fixed templates and
+exprkit's printer, with the parameters as float literals, never from input
+text.  Adaptive RK45 (scipy) is an option.  Invariants are one batch per orbit.
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ from numbers import Integral
 import numpy as np
 
 from . import exprkit
-from .killing import finite_or_null
+from .killing import _quiet, finite_or_null
 from .manifold import Manifold, SingularMetricError, TensorField
 
 RK45_TOLERANCE = 1e-10         # rk45 rtol and atol
@@ -135,10 +135,9 @@ def spray(M: Manifold):
     """_acceleration(M) compiled with math's functions (a math error raises): a function
     of the coordinates, then the velocities, returning n Python floats, cached on M."""
     if "spray" not in M._cache:
-        params, xs = sorted(M.params), M.chart.coords
-        f = exprkit.compiled_function(_acceleration(M), [*params, *xs, *(x + "'" for x in xs)],
-                                      exprkit.FLOAT_FUNCTIONS)
-        M._cache["spray"] = functools.partial(f, *(M.params[p] for p in params))
+        xs = M.chart.coords
+        M._cache["spray"] = exprkit.compiled_function(
+            _acceleration(M), [*xs, *(x + "'" for x in xs)], M.params, exprkit.FLOAT_FUNCTIONS)
     return M._cache["spray"]
 
 
@@ -176,15 +175,16 @@ def _minors(g):
 
 
 def _rk4_text(M: Manifold) -> str:
-    """Source of `rk4(y, t0, t1, h, steps, stride, box, p0, ...)`, fixed-step
-    RK4 on M over the local floats x0.., v0.. (the state) and p0.. (M's
-    parameters in name order).  A step forms the stages k1 = (v, a) .. k4 = (v4, a4), each
-    acceleration by the spray's statements inline under the stage's own
-    locals, then y + h/6 (k1 + 2 k2 + 2 k3 + k4) in the list form's order;
-    h/2 and h/6 are formed again only for a partial final step.  It keeps
-    every stride-th state and the last, and returns them with whether the
-    orbit left the chart: a step outside the box or a math error."""
-    n, coords, params = M.dim, M.chart.coords, {p: f"p{j}" for j, p in enumerate(sorted(M.params))}
+    """Source of `rk4(y, t0, t1, h, steps, stride, box)`, fixed-step RK4 on M
+    over the local floats x0.., v0.. (the state), M's parameters as literals.
+    A step forms the stages k1 = (v, a) .. k4 = (v4, a4), each acceleration
+    by the spray's statements inline under the stage's own locals, then
+    y + h/6 (k1 + 2 k2 + 2 k3 + k4) in the list form's order; h/2 and h/6
+    are formed again only for a partial final step.  It keeps every
+    stride-th state and the last, and returns them with whether the orbit
+    left the chart: a step outside the box or a math error."""
+    n, coords = M.dim, M.chart.coords
+    params = {p: repr(float(v)) for p, v in M.params.items()}
 
     def seq(fmt):
         return ", ".join(fmt.format(i=i) for i in range(n))
@@ -200,7 +200,7 @@ def _rk4_text(M: Manifold) -> str:
         return "".join(f"            {line}\n" for line in lines)
 
     box = " and ".join(f"lo{i} <= x{i} <= hi{i}" for i in range(n))
-    return (f"def rk4({', '.join(['y, t0, t1, h, steps, stride, box', *params.values()])}):\n"
+    return (f"def rk4(y, t0, t1, h, steps, stride, box):\n"
             f"    {seq('x{i}')}, {seq('v{i}')} = y\n"
             f"    {seq('(lo{i}, hi{i})')}, = box\n"
             f"    kept = [(t0, y)]\n"
@@ -256,8 +256,7 @@ def integrate(M: Manifold, s0: GeodesicState, cfg: IntegratorConfig) -> Trajecto
         h = cfg.step
         steps = max(1, int(np.ceil((t1 - t0) / h - 1e-12)))
         kept, exited = _rk4_loop(M)(tuple(y), t0, t1, h, steps, cfg.stride,
-                                    [M.chart.box[c] for c in coords],
-                                    *(M.params[p] for p in sorted(M.params)))
+                                    [M.chart.box[c] for c in coords])
         return Trajectory([t for t, _ in kept], [snap(yv) for _, yv in kept], exited)
 
     from scipy.integrate import solve_ivp
@@ -303,6 +302,7 @@ def invariant_values(traj: Trajectory, Q: TensorField, M: Manifold) -> list[floa
     return val.tolist()
 
 
+@_quiet     # a value that is not finite gives a NaN drift, without a warning
 def monitor_invariant(traj: Trajectory, Q: TensorField, M: Manifold,
                       name: str = "invariant", tol: float = 1e-6) -> ConservationReport:
     values = np.array(invariant_values(traj, Q, M))

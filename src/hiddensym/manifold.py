@@ -299,6 +299,8 @@ class Manifold:
                     raise GeometryError(f"metric not symmetric at ({i},{j})")
         self.metric = g
         self.params = dict(params or {})
+        if not all(math.isfinite(v) for v in self.params.values()):
+            raise GeometryError("parameter values must be finite numbers")
         self.signature = tuple(signature) if signature else tuple([1] * n)
         if len(self.signature) != n:
             raise GeometryError("signature length must equal dimension")
@@ -375,19 +377,18 @@ class Manifold:
 
     def compiled(self, components):
         """The array's entries as one exprkit.compiled_function of the
-        coordinates, returning the flat list of their values, once per
-        manifold under the interned entries; a name that is neither a
-        coordinate nor a parameter is a GeometryError."""
+        coordinates (the parameters are literals), returning the flat list of
+        their values, cached once per manifold under the interned entries; a
+        name that is neither a coordinate nor a parameter is a GeometryError."""
         roots = [tree(e) for e in np.asarray(components, dtype=object).flat]
         key = ("compiled", *roots)
-        params = sorted(self.params)
         if key not in self._cache:
-            unbound = exprkit.names(roots) - set(params) - set(self.chart.coords)
+            unbound = exprkit.names(roots) - set(self.params) - set(self.chart.coords)
             if unbound:
                 raise GeometryError(f"unbound name(s) {', '.join(sorted(unbound))}")
-            self._cache[key] = exprkit.compiled_function(roots, params + list(self.chart.coords),
+            self._cache[key] = exprkit.compiled_function(roots, self.chart.coords, self.params,
                                                          exprkit.ARRAY_FUNCTIONS)
-        return functools.partial(self._cache[key], *(self.params[p] for p in params))
+        return self._cache[key]
 
     def evaluate(self, components, points, order=0) -> np.ndarray:
         """Values of an array of expressions at a batch of points, shape (P, *shape),

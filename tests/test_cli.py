@@ -689,3 +689,24 @@ class TestNumberValidation:
         assert reports[0]["pass"] is False
         assert reports[0]["max_residual"] is None
         assert reports[0]["extra"]["non_finite_points"] == 20
+
+    def test_denominator_zero_after_simplification_fails_closed(self, capsys, tmp_path):
+        """g_xx = 1/(2x - x - x) parses, since exprkit folds only a - a: the
+        metric is infinite everywhere, so the check fails at every point and
+        the orbit's energy drift is null (inf - inf), without a warning on
+        stderr."""
+        path = tmp_path / "m.json"
+        path.write_text(json.dumps(dict(MINIMAL, metric=[["1/(2*x - x - x)", "0"], ["0", "1"]])))
+        code = main(["check", "killing-vector", "--manifold", str(path), "--target", "rot"])
+        captured = capsys.readouterr()
+        reports = _strict(captured.out)
+        assert code == 1 and captured.err == ""
+        assert reports[0]["pass"] is False
+        assert reports[0]["extra"]["non_finite_points"] == 20
+        code = main(["geodesic", "run", "--manifold", str(path), "--position", "x=0.1,y=0",
+                     "--velocity", "x=0.3,y=0.2", "--t1", "1", "--step", "0.01"])
+        captured = capsys.readouterr()
+        reports = _strict(captured.out)
+        assert code == 1 and captured.err == ""
+        assert reports[0]["invariant"] == "energy" and reports[0]["pass"] is False
+        assert reports[0]["max_drift"] is None

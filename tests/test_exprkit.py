@@ -159,7 +159,7 @@ class TestRoundTrip:
         text = sp.sympify(to_source(e).replace("^", "**"))
         assume(not text.has(sp.zoo, sp.nan, sp.oo))      # sympy found x/(x - x)
         with np.errstate(all="ignore"):
-            compiled = compiled_function([e], list(args), exprkit.ARRAY_FUNCTIONS)
+            compiled = compiled_function([e], list(args), {}, exprkit.ARRAY_FUNCTIONS)
             got = compiled(*map(np.float64, args.values()))[0]
             f = sp.lambdify(sp.symbols("x y theta"), text, modules="numpy")
             try:
@@ -183,7 +183,7 @@ class TestCodegen:
     def test_one_assignment_per_shared_node(self):
         """A node two parents use is computed once into a local."""
         s = parse("sin(x + y)")
-        source = codegen([s * s + s, parse("x + y")], ["x", "y"])
+        source = codegen([s * s + s, parse("x + y")], ["x", "y"], {})
         assert source.count("sin(") == 1 and source.count("x0 + x1") == 1
         assert source.splitlines()[-1].startswith("    return [")
 
@@ -209,7 +209,7 @@ class TestCodegen:
             list(T.components.flat) for T in (*entry.vectors.values(), *entry.forms.values())]
         constants = 0
         for roots in arrays:
-            source = codegen(roots, sorted(exprkit.names(roots)))
+            source = codegen(roots, sorted(exprkit.names(roots) - set(M.params)), M.params)
             assert _mistyped_numbers(source) == []
             constants += source.count(".0")
         assert constants > 0
@@ -218,8 +218,21 @@ class TestCodegen:
         assert _mistyped_numbers("def f(x0):\n    return [2*x0 - x0/(-3) + 0.5*x0**2.0"
                                  " + x0**(-2) + 1.0]\n") == ["2", "-3", "2.0"]
 
+    def test_parameters_are_literals(self):
+        """A parameter is written as its float literal, not an argument; a
+        signed one binds as a negation, so that (-2.0)**2 keeps its
+        parentheses."""
+        roots = [parse(src) for src in ("a^2", "-a", "x*a", "a*x", "x^a", "b - a", "exp(a)")]
+        source = codegen(roots, ["x"], {"a": -2, "b": 0.5})
+        assert source.splitlines()[0] == "def f(x0):"
+        for text in ("(-2.0)**2", "-(-2.0)", "x0*(-2.0)", "-2.0*x0", "pow(x0, -2.0)",
+                     "0.5 - (-2.0)", "exp(-2.0)"):
+            assert text in source
+        f = compiled_function(roots, ["x"], {"a": -2, "b": 0.5}, exprkit.FLOAT_FUNCTIONS)
+        assert f(3.0) == [4.0, 2.0, -6.0, -6.0, 3.0 ** -2.0, 2.5, math.exp(-2.0)]
+
     def test_constants_and_integer_powers(self):
-        f = compiled_function([parse("x^2/3 - 1/2"), number(-2), parse("2^x")], ["x"],
+        f = compiled_function([parse("x^2/3 - 1/2"), number(-2), parse("2^x")], ["x"], {},
                               exprkit.ARRAY_FUNCTIONS)
         assert f(3.0) == [3.0 - 0.5, -2.0, 8.0]
 
@@ -259,7 +272,7 @@ def _derivative_mismatch(e, point) -> float:
             return math.nan
         if not (math.isfinite(abs(want)) and want.imag == 0 and abs(want.real) < 1e8):
             return math.nan
-        compiled = compiled_function([derivative(e, "x")], ["x", "y", "theta"],
+        compiled = compiled_function([derivative(e, "x")], ["x", "y", "theta"], {},
                                      exprkit.ARRAY_FUNCTIONS)
         got = float(compiled(*map(np.float64, point))[0])
     return abs(got - want.real) / max(1.0, abs(want.real))
@@ -308,19 +321,19 @@ class TestDerivative:
 
 class TestFloatFunctions:
     def test_powers_that_are_not_integers_use_pow(self):
-        source = codegen([parse("x^(1/2) + x^y + x^2 + x^-3")], ["x", "y"])
+        source = codegen([parse("x^(1/2) + x^y + x^2 + x^-3")], ["x", "y"], {})
         assert source.count("pow(") == 2 and "x0**2" in source and "x0**(-3)" in source
 
     def test_domain_errors_raise(self):
-        f = compiled_function([parse("x^(3/2)"), parse("log(x)"), parse("sqrt(x)")], ["x"],
+        f = compiled_function([parse("x^(3/2)"), parse("log(x)"), parse("sqrt(x)")], ["x"], {},
                               exprkit.FLOAT_FUNCTIONS)
         assert f(4.0) == [8.0, math.log(4.0), 2.0]
         for bad in ([parse("x^(3/2)")], [parse("log(x)")], [parse("sqrt(x)")]):
             with pytest.raises(ValueError):
-                compiled_function(bad, ["x"], exprkit.FLOAT_FUNCTIONS)(-1.0)
+                compiled_function(bad, ["x"], {}, exprkit.FLOAT_FUNCTIONS)(-1.0)
 
     def test_constant_roots_are_floats(self):
-        out = compiled_function([number(0), number(-2), parse("x")], ["x"],
+        out = compiled_function([number(0), number(-2), parse("x")], ["x"], {},
                                 exprkit.FLOAT_FUNCTIONS)(3.0)
         assert out == [0.0, -2.0, 3.0] and [type(v) for v in out] == [float] * 3
 

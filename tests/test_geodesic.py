@@ -1,3 +1,4 @@
+import ast
 import csv
 import json
 import os
@@ -16,6 +17,7 @@ from hiddensym.geodesic import (GeodesicState, IntegratorConfig, Trajectory,
 from hiddensym.manifold import Chart, Manifold, sample_points, vector
 
 from array_rk4 import integrate_arrays, integrate_lists, sympy_spray
+from lambdify_reference import lambdified_jet
 from test_acceptance import _ORBIT
 
 
@@ -461,6 +463,95 @@ class TestGeneratedNames:
         got, want = self._orbit(names, warped), self._orbit(("w", "x", "y", "z"), warped)
         assert len(got) > 100 and not got.exited_domain
         assert _bits(got) == _bits(want)
+
+
+NEGATIVE = os.path.join(os.path.dirname(__file__), "data", "negative-parameters.json")
+
+
+def _negative_entry():
+    """A fresh entry of the file whose parameters a = -2 and b = -1/2 appear
+    under ^, inside exp and in products: nothing compiled is cached on it."""
+    with open(NEGATIVE) as fh:
+        return ingest(json.load(fh))
+
+
+def _unparenthesized_literals(monkeypatch):
+    """Plant a printer that writes a name's signed literal without
+    parentheses, so that a^2 prints as -2.0**2, which is -4.0."""
+    original = exprkit._print
+
+    def planted(node, kids, code, names):
+        text, level = original(node, kids, code, names)
+        return (text, 5) if node.op == "name" else (text, level)
+    monkeypatch.setattr(exprkit, "_print", planted)
+
+
+class TestLiteralParameters:
+    """Generated code writes a manifold's parameters as float literals and
+    takes only the coordinates (and velocities).  On a file with negative
+    parameters, the jets match sympy's derivatives lambdified with the
+    parameters as arguments (tests/lambdify_reference.py), the spray matches
+    the sympy spray lambdified the same way (tests/array_rk4.py), and the
+    RK4 orbit is bitwise the list-stage loop's."""
+
+    TOL = 1e-13
+
+    @classmethod
+    def _jet_mismatch(cls, e) -> float:
+        M = e.manifold
+        pts = sample_points(M.chart, 7, seed=3)
+        worst = 0.0
+        for arr in (M.metric, e.vectors["v"].components):
+            want = lambdified_jet(M, arr, pts, 2)
+            for order, oracle in ((0, want[:, -1, -1]), (1, want[:, -1]), (2, want)):
+                got = M.evaluate(arr, pts, order=order)
+                worst = max(worst, np.max(np.abs(got - oracle)) / max(1.0, np.max(np.abs(oracle))))
+        return worst
+
+    def test_jets_match_lambdified_reference(self):
+        assert self._jet_mismatch(_negative_entry()) <= self.TOL
+
+    def test_spray_matches_sympy_spray(self):
+        M = _negative_entry().manifold
+        assert TestSympyReference._mismatch(M, sympy_spray(M)) <= self.TOL
+
+    def test_rk4_orbit_matches_list_reference(self):
+        M = _negative_entry().manifold
+        cfg = IntegratorConfig(step=1e-3, t_span=(0.0, 3.0), stride=1)
+        traj = integrate(M, _centre_orbit(M), cfg)
+        assert not traj.exited_domain and len(traj) > 250
+        assert _bits(traj) == _bits(integrate_lists(M, _centre_orbit(M), cfg))
+
+    def test_planted_unparenthesized_literal_fails(self, monkeypatch):
+        _unparenthesized_literals(monkeypatch)
+        e = _negative_entry()
+        M = e.manifold
+        assert "-2.0**2" in exprkit.codegen(list(M.metric.flat), M.chart.coords, M.params)
+        assert not self._jet_mismatch(e) <= self.TOL
+        assert not TestSympyReference._mismatch(M, sympy_spray(M)) <= self.TOL
+
+    @pytest.mark.parametrize("name", [*catalog.names(), "negative-parameters"])
+    def test_generated_code_takes_no_parameter(self, name, monkeypatch):
+        """The RK4 loop's signature is the state, the span, the step, the
+        counts and the box, and no generated text names a parameter."""
+        e = _negative_entry() if name == "negative-parameters" else catalog.get(name)
+        M = e.manifold
+        texts, codegen = [], exprkit.codegen
+
+        def recorded(*args):
+            texts.append(codegen(*args))
+            return texts[-1]
+        monkeypatch.setattr(exprkit, "codegen", recorded)
+        pts = sample_points(M.chart, 3, seed=0)
+        for T in (M.metric_field(), *e.vectors.values(), *e.forms.values()):
+            M.evaluate(T.components, pts, order=2)
+        geodesic.spray(M)
+        texts.append(geodesic._rk4_text(M))
+        assert texts[-1].splitlines()[0] == "def rk4(y, t0, t1, h, steps, stride, box):"
+        assert len(texts) >= 3
+        for text in texts:
+            names = {node.id for node in ast.walk(ast.parse(text)) if isinstance(node, ast.Name)}
+            assert not names & set(M.params)
 
 
 class TestSphereGeodesics:
