@@ -10,9 +10,13 @@ and 1.  Floats never enter a tree; generated code writes a parameter as a
 float literal and runs on numpy arrays and Jets (ARRAY_FUNCTIONS) or on
 Python floats (FLOAT_FUNCTIONS, where a domain error raises).  derivative()
 differentiates a tree by a name into a tree, so the geodesic spray is derived
-here.  parse() refuses a tree deeper than MAX_DEPTH, but a derived tree may be
-deeper, and statements() writes a node nested more than MAX_INLINE deep into a
-local.  Sympy is imported only by to_sympy and the helpers built on it
+here.  to_source() prints a tree in the grammar as it is; generated code
+(statements()) computes the same floats with fewer operations, by rewrites
+that IEEE 754 makes exact (a square as a product, a division by +-2^k as a
+product, a negation carried to its parent as a sign), described at the
+printer.  parse() refuses a tree deeper than MAX_DEPTH, but a derived tree may
+be deeper, and statements() writes a node nested more than MAX_INLINE deep
+into a local.  Sympy is imported only by to_sympy and the helpers built on it
 (simplify and identically_equal), for the symbolic constructions and the
 tests, and by tree() when it is given a sympy expression.
 """
@@ -399,40 +403,114 @@ def parse(src: str) -> Expr:
 # ---------------------------------------------------------------------------
 # printing and compiling
 #
-# One printer serves the grammar and Python: each node's text comes with its
-# binding level (1 sums, 2 products and quotients, 3 unary minus and signed
-# literals, 4 powers, 5 atoms), and an operand is parenthesized when it binds
-# looser than its place allows, or when it starts with a sign and is not leftmost.
+# Each node's text comes with its binding level (1 sums, 2 products and
+# quotients, 3 unary minus and signed literals, 4 powers, 5 atoms), and an
+# operand is parenthesized when it binds looser than its place allows, or when
+# it starts with a sign and is not leftmost.  The grammar prints every node as
+# it is (to_source).  Python code (statements) computes each node's float with
+# fewer operations, by rewrites that IEEE 754 makes exact, signed zeros
+# included, so that it gives the bits of the tree's operations applied
+# literally, with x*x for a square:
+#   - a square e^2 is t*t of e's local t (pow may differ from x*x in the last bit);
+#   - a division by a constant +-2^k is a product with its reciprocal;
+#   - a negation is not written but carried to the parent as a sign, through
+#     a + (-b) = a - b, (-a) + b = b - a, a - (-b) = a + b, (-a) - (-b) = b - a,
+#     (-a)*b = a*(-b) = -(a*b), (-a)/b = a/(-b) = -(a/b), (-a)^2 = a*a and
+#     -(-a) = a; it is written where it reaches a root, a function, another
+#     power, (-a) - b or (-a) + (-b).  Those two stay -a - b: -(a + b) would
+#     flip the sign of a zero at a = -b.
 
-def _print(node: Expr, kids: list[tuple[str, int]], code: bool, names: dict):
-    """The node's text and binding level from its kids' (text, level): in
-    the grammar, or in Python (a constant as a float, an integer exponent as
-    an int after **, pow() for any other power, the names mapped by names)."""
-    op, v = node.op, node.value
-    if op == "num":
-        text = repr(float(v)) if code else str(v)
-        return text, 2 if v.denominator > 1 and not code else 3 if v < 0 else 5
-    if op == "name":
-        return (names[v], 3 if names[v][0] == "-" else 5) if code else (v, 5)
-    if op in FUNCTIONS:
-        return f"{op}({kids[0][0]})", 5
-    if op == "neg":
-        return "-" + _operand(*kids[0], 3), 3
-    if code and op == "^" and (node.kids[1].op != "num" or node.kids[1].value.denominator > 1):
-        return f"pow({kids[0][0]}, {kids[1][0]})", 5
-    if code and op == "^":
-        kids = [kids[0], (str(node.kids[1].value), kids[1][1])]
-    level = _LEVEL[op]
-    (a, la), b = kids
-    a = a if la >= (5 if op == "^" else level) else f"({a})"
-    sep = "**" if code and op == "^" else f" {op} " if level == 1 else op
-    return a + sep + _operand(*b, min(level + 1, 4)), level
+# a text that needs no local of its own: a name, a local or an unsigned literal
+_ATOM = re.compile(r"[\w.]+(e[-+]\d+)?")
+
+
+def _binary(a: tuple[str, int], op: str, b: tuple[str, int], level: int) -> tuple[str, int]:
+    """The text and level of a op b, from the operands' (text, level): the
+    left one parenthesized when it binds looser than level (a power's base
+    unless it is an atom), the right one as _operand places it."""
+    (ta, la), (tb, lb) = a, b
+    ta = ta if la >= (5 if level == 4 else level) else f"({ta})"
+    return ta + (f" {op} " if level == 1 else op) + _operand(tb, lb, min(level + 1, 4)), level
 
 
 def _operand(text: str, level: int, least: int) -> str:
     """An operand that is not leftmost, parenthesized when it binds looser
     than least or starts with a sign."""
     return text if level >= least and text[0] != "-" else f"({text})"
+
+
+def _print(node: Expr, kids: list[tuple[str, int]]) -> tuple[str, int]:
+    """The node's text in the grammar and its binding level, from its kids'."""
+    op, v = node.op, node.value
+    if op == "num":
+        return str(v), 2 if v.denominator > 1 else 3 if v < 0 else 5
+    if op == "name":
+        return v, 5
+    if op in FUNCTIONS:
+        return f"{op}({kids[0][0]})", 5
+    if op == "neg":
+        return "-" + _operand(*kids[0], 3), 3
+    return _binary(kids[0], op, kids[1], _LEVEL[op])
+
+
+def _signed(text: str, level: int, negated: bool) -> tuple[str, int]:
+    """The Python text and level of a value _code printed: -text when
+    negated, written before a product's leftmost factor, as -a*b is
+    (-a)*b, which is -(a*b) exactly."""
+    if not negated:
+        return text, level
+    if level >= 2 and text[0] != "-":
+        return "-" + text, min(level, 3)
+    return f"-({text})", 3
+
+
+def _reciprocal(c: Fraction) -> str | None:
+    """The float literal of 1/|c| when c is +-2^k with 2^k and 2^-k normal
+    floats, so that x/c is exactly x*(1/c); else None."""
+    p, q = abs(c.numerator), c.denominator
+    if min(p, q) == 1 and (p * q) & (p * q - 1) == 0 and (p * q).bit_length() <= 1023:
+        return repr(float(Fraction(q, p)))
+    return None
+
+
+def _code(node: Expr, kids: list, names: Mapping[str, str], store) -> tuple[str, int, bool]:
+    """The node's Python (text, level, negated), its value -text when
+    negated, from its kids' by the rewrites above: a constant as a float, a
+    name as names maps it, an integer exponent as an int after **, pow() for
+    any other power; store(text) writes a local and returns its name."""
+    op, v = node.op, node.value
+    if op in ("num", "name"):
+        text = repr(float(v)) if op == "num" else names[v]
+        return text, 3 if text[0] == "-" else 5, False
+    if op in FUNCTIONS:
+        return f"{op}({_signed(*kids[0])[0]})", 5, False
+    if op == "neg":
+        (text, level, negated), = kids
+        if not node.kids[0].kids and text[0] == "-":      # a signed literal: -(-2.0) = 2.0
+            return text[1:], 5, False
+        return text, level, not negated
+    (ta, la, sa), (tb, lb, sb) = kids
+    right = node.kids[1]
+    if op == "^" and right == 2:
+        if not node.kids[0].kids and ta[0] == "-":
+            ta = ta[1:]
+        elif not _ATOM.fullmatch(ta):
+            ta = store(ta)
+        return f"{ta}*{ta}", 2, False
+    if op == "^" and right.op == "num" and right.value.denominator == 1:
+        return _binary(_signed(ta, la, sa), "**", (str(right.value), lb), 4) + (False,)
+    if op == "^":
+        return f"pow({_signed(ta, la, sa)[0]}, {_signed(tb, lb, sb)[0]})", 5, False
+    if op in ("+", "-"):
+        minus = (op == "-") != sb
+        if not sa:
+            return _binary((ta, la), "-" if minus else "+", (tb, lb), 1) + (False,)
+        if not minus:
+            return _binary((tb, lb), "-", (ta, la), 1) + (False,)
+        return _binary(_signed(ta, la, True), "-", (tb, lb), 1) + (False,)
+    if op == "/" and right.op == "num" and (reciprocal := _reciprocal(right.value)):
+        return _binary((ta, la), "*", (reciprocal, 5), 2) + (sa != (right.value < 0),)
+    return _binary((ta, la), op, (tb, lb), 2) + (sa != sb,)
 
 
 def to_source(e: Expr) -> str:
@@ -443,7 +521,7 @@ def to_source(e: Expr) -> str:
     order, done = postorder([e]), {}
     uses = Counter(k for node in order for k in node.kids)
     for node in order:
-        done[node] = _print(node, [done[k] for k in node.kids], False, {})
+        done[node] = _print(node, [done[k] for k in node.kids])
         for k in node.kids:
             uses[k] -= 1
             if not uses[k]:
@@ -453,21 +531,28 @@ def to_source(e: Expr) -> str:
 
 def statements(roots, names: Mapping[str, str], local: str) -> tuple[list[str], list[str]]:
     """Python assignments `{local}0 = ...`, ... and the text of each root's
-    value, every name written as names maps it.  A node that two parents,
-    or a parent and a root, use is computed once into a local, so interning
-    gives the common-subexpression elimination; so is a node whose text
-    would nest more than MAX_INLINE operations deep."""
+    value, by the rewrites above, every name written as names maps it.  A
+    node that two parents, or a parent and a root, use is computed once into
+    a local, its sign carried (no local holds only -x), so interning gives
+    the common-subexpression elimination; so is a node whose text would nest
+    more than MAX_INLINE operations deep, and a square's base that is not an
+    atom."""
     order = postorder(roots)
     uses = Counter([k for node in order for k in node.kids] + list(roots))
     lines, done, nesting = [], {}, {}
+
+    def store(text):
+        lines.append(f"{local}{len(lines)} = {text}")
+        return f"{local}{len(lines) - 1}"
+
     for node in order:
-        text = _print(node, [done[k] for k in node.kids], True, names)
+        text, level, negated = _code(node, [done[k] for k in node.kids], names, store)
         nesting[node] = 1 + max((nesting[k] for k in node.kids), default=-1)
         if node.kids and (uses[node] > 1 or nesting[node] > MAX_INLINE):
-            lines.append(f"{local}{len(lines)} = {text[0]}")
-            text, nesting[node] = (f"{local}{len(lines) - 1}", 5), 0
-        done[node] = text
-    return lines, [done[r][0] for r in roots]
+            text = text if _ATOM.fullmatch(text) else store(text)
+            level, nesting[node] = 5, 0
+        done[node] = text, level, negated
+    return lines, [_signed(*done[r])[0] for r in roots]
 
 
 def codegen(roots, arguments, params: Mapping[str, float]) -> str:

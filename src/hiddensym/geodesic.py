@@ -8,9 +8,13 @@ no sympy is involved.  A math error in the spray (a singular point, a
 domain error such as a negative number to a non-integer power) counts as
 leaving the chart.  Fixed-step RK4 is the default, for reproducible drift
 numbers: one loop per manifold, on local Python floats, holds the spray's
-statements inline in each stage.  Both texts come from fixed templates and
+statements inline in each stage, and writes a stage's midpoint only for a
+coordinate the spray reads.  Both texts come from fixed templates and
 exprkit's printer, with the parameters as float literals, never from input
-text.  Adaptive RK45 (scipy) is an option.  Invariants are one batch per orbit.
+text.  Adaptive RK45 (scipy) is an option.  A Trajectory holds its times,
+positions and velocities as float arrays, and an invariant is one batch of
+Manifold.evaluate at its positions; a drift over fewer than two kept states
+fails, since nothing was measured.
 """
 
 from __future__ import annotations
@@ -58,8 +62,12 @@ class IntegratorConfig:
 
 @dataclass
 class Trajectory:
-    times: list[float]
-    states: list[GeodesicState]
+    """The kept times (N,), and the positions and velocities at them (N, n),
+    a column per coordinate in the chart's order, as C-ordered float arrays
+    (numpy's einsum may sum another layout in another order)."""
+    times: np.ndarray
+    positions: np.ndarray
+    velocities: np.ndarray
     exited_domain: bool = False
 
     def __len__(self):
@@ -180,17 +188,21 @@ def _rk4_text(M: Manifold) -> str:
     A step forms the stages k1 = (v, a) .. k4 = (v4, a4), each acceleration
     by the spray's statements inline under the stage's own locals, then
     y + h/6 (k1 + 2 k2 + 2 k3 + k4) in the list form's order; h/2 and h/6
-    are formed again only for a partial final step.  It keeps every
+    are formed again only for a partial final step.  A stage's midpoint
+    coordinate is written only for the coordinates the spray reads (on
+    Taub-NUT not phi and chi), each velocity's always.  It keeps every
     stride-th state and the last, and returns them with whether the orbit
     left the chart: a step outside the box or a math error."""
     n, coords = M.dim, M.chart.coords
     params = {p: repr(float(v)) for p, v in M.params.items()}
+    spray_names = exprkit.names(_acceleration(M))
+    read = [i for i, c in enumerate(coords) if c in spray_names]
 
     def seq(fmt):
         return ", ".join(fmt.format(i=i) for i in range(n))
 
-    def each(*fmts):
-        return "".join(f"            {fmt.format(i=i)}\n" for fmt in fmts for i in range(n))
+    def each(*fmts, only=range(n)):
+        return "".join(f"            {fmt.format(i=i)}\n" for fmt in fmts for i in only)
 
     def stage(s, x, v, a):
         names = {**params, **{c: x.format(i=i) for i, c in enumerate(coords)},
@@ -205,18 +217,21 @@ def _rk4_text(M: Manifold) -> str:
             f"    {seq('(lo{i}, hi{i})')}, = box\n"
             f"    kept = [(t0, y)]\n"
             f"    t = t0\n"
-            f"    hk, half, sixth = h, h / 2.0, h / 6.0\n"
+            f"    hk, half, sixth = h, h * 0.5, h / 6.0\n"
             f"    for k in range(1, steps + 1):\n"
             f"        if t1 - t < h:  # hk = min(h, t1 - t): a partial final step\n"
             f"            hk = t1 - t\n"
-            f"            half, sixth = hk / 2.0, hk / 6.0\n"
+            f"            half, sixth = hk * 0.5, hk / 6.0\n"
             f"        try:\n"
             + stage(1, "x{i}", "v{i}", "a{i}")
-            + each("x2_{i} = x{i} + half * v{i}", "v2_{i} = v{i} + half * a{i}")
+            + each("x2_{i} = x{i} + half * v{i}", only=read)
+            + each("v2_{i} = v{i} + half * a{i}")
             + stage(2, "x2_{i}", "v2_{i}", "a2_{i}")
-            + each("x3_{i} = x{i} + half * v2_{i}", "v3_{i} = v{i} + half * a2_{i}")
+            + each("x3_{i} = x{i} + half * v2_{i}", only=read)
+            + each("v3_{i} = v{i} + half * a2_{i}")
             + stage(3, "x3_{i}", "v3_{i}", "a3_{i}")
-            + each("x4_{i} = x{i} + hk * v3_{i}", "v4_{i} = v{i} + hk * a3_{i}")
+            + each("x4_{i} = x{i} + hk * v3_{i}", only=read)
+            + each("v4_{i} = v{i} + hk * a3_{i}")
             + stage(4, "x4_{i}", "v4_{i}", "a4_{i}")
             + each("x{i} = x{i} + sixth * (v{i} + 2.0 * v2_{i} + 2.0 * v3_{i} + v4_{i})",
                    "v{i} = v{i} + sixth * (a{i} + 2.0 * a2_{i} + 2.0 * a3_{i} + a4_{i})")
@@ -248,16 +263,13 @@ def integrate(M: Manifold, s0: GeodesicState, cfg: IntegratorConfig) -> Trajecto
     y = [float(s0.position[c]) for c in coords] + [float(s0.velocity[c]) for c in coords]
     t0, t1 = cfg.t_span
 
-    def snap(yv):
-        return GeodesicState({c: float(yv[i]) for i, c in enumerate(coords)},
-                             {c: float(yv[n + i]) for i, c in enumerate(coords)})
-
     if cfg.method == "rk4":
         h = cfg.step
         steps = max(1, int(np.ceil((t1 - t0) / h - 1e-12)))
         kept, exited = _rk4_loop(M)(tuple(y), t0, t1, h, steps, cfg.stride,
                                     [M.chart.box[c] for c in coords])
-        return Trajectory([t for t, _ in kept], [snap(yv) for _, yv in kept], exited)
+        return Trajectory(np.array([t for t, _ in kept]), np.array([yv[:n] for _, yv in kept]),
+                          np.array([yv[n:] for _, yv in kept]), exited)
 
     from scipy.integrate import solve_ivp
     rates = spray(M)
@@ -280,7 +292,8 @@ def integrate(M: Manifold, s0: GeodesicState, cfg: IntegratorConfig) -> Trajecto
                     rtol=RK45_TOLERANCE, atol=RK45_TOLERANCE,
                     t_eval=t_eval, events=exit_event, dense_output=False)
     # status 1: the box's terminal event; -1: a failed step, as at a math error
-    return Trajectory([float(t) for t in sol.t], [snap(yv) for yv in sol.y.T], sol.status != 0)
+    return Trajectory(sol.t, np.ascontiguousarray(sol.y[:n].T), np.ascontiguousarray(sol.y[n:].T),
+                      sol.status != 0)
 
 
 def invariant_values(traj: Trajectory, Q: TensorField, M: Manifold) -> list[float]:
@@ -288,28 +301,29 @@ def invariant_values(traj: Trajectory, Q: TensorField, M: Manifold) -> list[floa
 
     Vector fields give the rank-1 Killing invariant g(Q, xdot); symmetric
     tensors, also the S-K squares of killing.associated_sk, give
-    K_{m1..mr} xdot^{m1}..xdot^{mr}.  Q's values come from Q.jet.
+    K_{m1..mr} xdot^{m1}..xdot^{mr}.  Q's values come from Q.jet at the
+    trajectory's positions.
     """
     if Q.variance != "u" and set(Q.variance) - {"d"}:
         raise ValueError("invariant spec must be fully covariant or a vector field")
-    positions = [st.position for st in traj.states]
-    val = Q.jet(M, positions)
+    val = Q.jet(M, traj.positions)
     if Q.variance == "u":       # lowered: Q_mu = g_{mu nu} Q^nu
-        val = np.einsum("pmn,pn->pm", M.evaluate(M.metric, positions), val)
-    v = np.array([[st.velocity[c] for c in M.chart.coords] for st in traj.states])
+        val = np.einsum("pmn,pn->pm", M.evaluate(M.metric, traj.positions), val)
     for _ in range(Q.rank):
-        val = np.einsum("pi...,pi->p...", val, v)
+        val = np.einsum("pi...,pi->p...", val, traj.velocities)
     return val.tolist()
 
 
 @_quiet     # a value that is not finite gives a NaN drift, without a warning
 def monitor_invariant(traj: Trajectory, Q: TensorField, M: Manifold,
                       name: str = "invariant", tol: float = 1e-6) -> ConservationReport:
+    """The drift of Q's invariant from its initial value along the trajectory;
+    it fails with fewer than two kept states, where nothing was measured."""
     values = np.array(invariant_values(traj, Q, M))
     q0 = float(values[0])
     drift = float(np.max(np.abs(values - q0)))
     rel = drift / max(1.0, abs(q0))
-    return ConservationReport(name, q0, drift, rel, rel < tol, tol)
+    return ConservationReport(name, q0, drift, rel, len(values) > 1 and rel < tol, tol)
 
 
 def energy_report(traj: Trajectory, M: Manifold, tol: float = 1e-8) -> ConservationReport:
@@ -322,6 +336,4 @@ def export_csv(traj: Trajectory, M: Manifold, path: str) -> None:
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["t", *coords, *(f"d{c}" for c in coords)])
-        for t, st in zip(traj.times, traj.states):
-            writer.writerow([t] + [st.position[c] for c in coords]
-                            + [st.velocity[c] for c in coords])
+        writer.writerows(np.column_stack([traj.times, traj.positions, traj.velocities]).tolist())

@@ -394,9 +394,11 @@ class Manifold:
         """Values of an array of expressions at a batch of points, shape (P, *shape),
         or its order-jet (order <= 2), shape (P, n + 1, ..., n + 1, *shape).
 
-        One call of the array's compiled function covers the whole batch; for a
-        jet it runs on Jets seeded with the coordinates.  The entries it returns
-        as scalars (the constant ones) are broadcast.  Floating-point warnings
+        The points are a (P, n) float array of coordinates in the chart's
+        order, or a list of points by name, made that array first.  One call
+        of the array's compiled function covers the whole batch; for a jet it
+        runs on Jets seeded with the coordinates.  The entries it returns as
+        scalars (the constant ones) are broadcast.  Floating-point warnings
         are silenced: non-finite values are returned for the reports to count
         and fail.
         """
@@ -404,9 +406,10 @@ class Manifold:
             raise ValueError(f"jets of order {order} are not supported (0, 1 or 2)")
         arr = np.asarray(components, dtype=object)
         count, n = len(points), self.dim
-        x = np.array([[p[c] for c in self.chart.coords] for p in points],
-                     dtype=float).reshape(count, n)
-        args = list(x.T)
+        if not isinstance(points, np.ndarray):
+            points = np.array([[p[c] for c in self.chart.coords] for p in points],
+                              dtype=float).reshape(count, n)
+        args = list(points.T)
         if order:
             seeds = np.broadcast_to(np.eye(n)[:, :, None], (n, n, count))
             zeros = np.zeros((n, n, count)) if order == 2 else None

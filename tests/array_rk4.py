@@ -42,6 +42,12 @@ def sympy_spray(M, modules=("math", np), half=sp.Rational(1, 2)):
     return lambda *state: f(*values, *state)
 
 
+def _trajectory(times, states, n, exited) -> Trajectory:
+    """The kept times and states (lists of 2n floats) as a Trajectory."""
+    return Trajectory(np.array(times), np.array([y[:n] for y in states]),
+                      np.array([y[n:] for y in states]), exited)
+
+
 def integrate_arrays(M, s0: GeodesicState, cfg, k2_weight=2) -> Trajectory:
     """cfg.method must be "rk4"; a singular point (ZeroDivisionError in the
     spray) or a step outside the box ends the orbit."""
@@ -60,14 +66,10 @@ def integrate_arrays(M, s0: GeodesicState, cfg, k2_weight=2) -> Trajectory:
         except ZeroDivisionError:
             return np.full(2 * n, np.nan)
 
-    def snap(yv):
-        return GeodesicState({c: float(yv[i]) for i, c in enumerate(coords)},
-                             {c: float(yv[n + i]) for i, c in enumerate(coords)})
-
     h = cfg.step
     steps = max(1, int(np.ceil((t1 - t0) / h - 1e-12)))
     t = t0
-    times, states = [t], [snap(y)]
+    times, states = [t], [y.tolist()]
     for k in range(1, steps + 1):
         hk = min(h, t1 - t)
         k1 = rhs(y)
@@ -77,11 +79,11 @@ def integrate_arrays(M, s0: GeodesicState, cfg, k2_weight=2) -> Trajectory:
         y = y + hk / 6 * (k1 + k2_weight * k2 + 2 * k3 + k4)
         t = min(t0 + k * h, t1)
         if not all(lo <= x <= hi for (lo, hi), x in zip(box, y.tolist())):
-            return Trajectory(times, states, True)
+            return _trajectory(times, states, n, True)
         if k % cfg.stride == 0 or k == steps:
             times.append(t)
-            states.append(snap(y))
-    return Trajectory(times, states, False)
+            states.append(y.tolist())
+    return _trajectory(times, states, n, False)
 
 
 def integrate_lists(M, s0: GeodesicState, cfg) -> Trajectory:
@@ -100,14 +102,10 @@ def integrate_lists(M, s0: GeodesicState, cfg) -> Trajectory:
         except (ArithmeticError, ValueError):
             return [np.nan] * (2 * n)
 
-    def snap(yv):
-        return GeodesicState({c: float(yv[i]) for i, c in enumerate(coords)},
-                             {c: float(yv[n + i]) for i, c in enumerate(coords)})
-
     h = cfg.step
     steps = max(1, int(np.ceil((t1 - t0) / h - 1e-12)))
     t = t0
-    times, states = [t], [snap(y)]
+    times, states = [t], [y]
     for k in range(1, steps + 1):
         hk = min(h, t1 - t)  # final step may be partial
         half, sixth = hk / 2, hk / 6
@@ -119,8 +117,8 @@ def integrate_lists(M, s0: GeodesicState, cfg) -> Trajectory:
              for a, b1, b2, b3, b4 in zip(y, k1, k2, k3, k4)]
         t = min(t0 + k * h, t1)
         if not all(lo <= x <= hi for (lo, hi), x in zip(box, y)):
-            return Trajectory(times, states, True)
+            return _trajectory(times, states, n, True)
         if k % cfg.stride == 0 or k == steps:
             times.append(t)
-            states.append(snap(y))
-    return Trajectory(times, states, False)
+            states.append(y)
+    return _trajectory(times, states, n, False)

@@ -269,10 +269,10 @@ class TestOldPathOracle:
 
     def test_planted_operator_fault_fails(self, monkeypatch):
         """Printing - as + in the generated code fails the comparison."""
-        plain = exprkit._print
+        plain = exprkit._code
 
-        def faulty(node, kids, code, names):
-            text, level = plain(node, kids, code, names)
-            return (text.replace(" - ", " + ") if code and node.op == "-" else text), level
-        monkeypatch.setattr(exprkit, "_print", faulty)
+        def faulty(node, kids, names, store):
+            text, level, negated = plain(node, kids, names, store)
+            return (text.replace(" - ", " + ") if node.op == "-" else text), level, negated
+        monkeypatch.setattr(exprkit, "_code", faulty)
         assert _worst_oracle_gap("taub-nut", catalog.taub_nut()) > 1e-3

@@ -435,6 +435,17 @@ class TestGeodesicCommand:
         assert reports[0]["invariant"] == "energy" and reports[0]["pass"]
         assert csv_path.exists()
 
+    def test_one_kept_state_fails(self, capsys):
+        """A velocity of 1e100 leaves the chart at the first step, so only the
+        start is kept: its drift of 0.0 once passed, with exit 0."""
+        code, reports = run(capsys, "geodesic", "run", "--catalog", "sphere2",
+                            "--position", "theta=1.0,phi=1.0", "--velocity", "theta=1e100,phi=0.1",
+                            "--t1", "1", "--step", "0.01")
+        assert code == 1
+        assert reports == [{"exited_domain": True, "initial": 1e200, "invariant": "energy",
+                            "max_drift": 0.0, "pass": False, "relative_drift": 0.0,
+                            "steps_kept": 1, "tolerance": 1e-08}]
+
     @pytest.mark.parametrize("method", ["rk4", "rk45"])
     def test_complex_spray_leaves_the_chart(self, capsys, tmp_path, method):
         """On g_xx = 2 + x^(5/2) the spray has no real value at x < 0; the
@@ -596,10 +607,12 @@ class TestSignatureCheck:
 
     @pytest.mark.parametrize("metric, codes", [
         ("sqrt(x - 5)", (1, 1, 1, 1)),        # not finite anywhere in the box
-        ("exp(-1000*(x + 2))", (1, 1, 1, 0)),  # underflows to 0: degenerate
+        ("exp(-1000*(x + 2))", (1, 1, 1, 1)),  # underflows to 0: degenerate
     ], ids=["non-finite", "degenerate"])
     def test_singular_points_are_left_to_the_report(self, capsys, tmp_path, metric, codes):
-        """The exit codes are those the commands gave before the check."""
+        """The exit codes are those the commands gave before the check; the
+        orbit on the degenerate metric leaves the chart at its first step, and
+        a drift of one kept state fails."""
         path = tmp_path / "m.json"
         path.write_text(json.dumps(dict(MINIMAL, metric=[["1", "0"], ["0", metric]])))
         for argv, code in zip((["check", "killing-vector", "--target", "rot"],

@@ -1,14 +1,16 @@
 import ast
 import math
+import operator
 import tracemalloc
 from fractions import Fraction
 
 import numpy as np
 import pytest
 import sympy as sp
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from hiddensym import exprkit, geodesic
+from hiddensym.manifold import Manifold, sample_points
 from hiddensym.exprkit import (EvalDomainError, ExprError, ParseError, UnknownFunctionError,
                                codegen, compiled_function, derivative, function, number,
                                parse, simplify, symbol, to_source, to_sympy, tree)
@@ -220,16 +222,16 @@ class TestCodegen:
 
     def test_parameters_are_literals(self):
         """A parameter is written as its float literal, not an argument; a
-        signed one binds as a negation, so that (-2.0)**2 keeps its
-        parentheses."""
-        roots = [parse(src) for src in ("a^2", "-a", "x*a", "a*x", "x^a", "b - a", "exp(a)")]
+        signed one binds as a negation, so that (-2.0)**3 keeps its
+        parentheses, and its square and its negation drop its sign."""
+        roots = [parse(src) for src in ("a^2", "-a", "x*a", "a*x", "x^a", "b - a", "exp(a)",
+                                        "a^3")]
         source = codegen(roots, ["x"], {"a": -2, "b": 0.5})
         assert source.splitlines()[0] == "def f(x0):"
-        for text in ("(-2.0)**2", "-(-2.0)", "x0*(-2.0)", "-2.0*x0", "pow(x0, -2.0)",
-                     "0.5 - (-2.0)", "exp(-2.0)"):
-            assert text in source
+        assert source.splitlines()[1] == ("    return [2.0*2.0, 2.0, x0*(-2.0), -2.0*x0, "
+                                          "pow(x0, -2.0), 0.5 - (-2.0), exp(-2.0), (-2.0)**3]")
         f = compiled_function(roots, ["x"], {"a": -2, "b": 0.5}, exprkit.FLOAT_FUNCTIONS)
-        assert f(3.0) == [4.0, 2.0, -6.0, -6.0, 3.0 ** -2.0, 2.5, math.exp(-2.0)]
+        assert f(3.0) == [4.0, 2.0, -6.0, -6.0, 3.0 ** -2.0, 2.5, math.exp(-2.0), -8.0]
 
     def test_constants_and_integer_powers(self):
         f = compiled_function([parse("x^2/3 - 1/2"), number(-2), parse("2^x")], ["x"], {},
@@ -319,10 +321,153 @@ class TestDerivative:
         assert derivative(parse(src), "x") is want
 
 
+def literal(e, env, functions, square):
+    """e's value by each tree operation applied literally: a constant as a
+    float, a name's value from env, -a, a + b, a - b, a*b and a/b as they are
+    written, square(a) for a^2, a**k for another integer k, pow(a, b) (the
+    functions' own, or Python's) for any other power, and each function from
+    functions."""
+    binary = {"+": operator.add, "-": operator.sub, "*": operator.mul, "/": operator.truediv}
+    done = {}
+    for node in exprkit.postorder([e]):
+        args = [done[k] for k in node.kids]
+        if node.op in ("num", "name"):
+            done[node] = float(node.value) if node.op == "num" else env[node.value]
+        elif node.op == "neg":
+            done[node] = -args[0]
+        elif node.op in binary:
+            done[node] = binary[node.op](*args)
+        elif node.op in exprkit.FUNCTIONS:
+            done[node] = functions[node.op](*args)
+        elif node.kids[1] == 2:
+            done[node] = square(args[0])
+        elif node.kids[1].op == "num" and node.kids[1].value.denominator == 1:
+            done[node] = args[0] ** int(node.kids[1].value)
+        else:
+            done[node] = functions.get("pow", pow)(*args)
+    return done[e]
+
+
+_inputs = st.one_of(st.integers(-3, 3).map(float), st.sampled_from([-0.0, 0.5, -0.5]),
+                    st.floats(-3.0, 3.0))
+_small_trees = st.recursive(
+    _leaves,
+    lambda s: st.tuples(_OPS, s, s).map(lambda t: _build(*t)).filter(lambda e: e is not None),
+    max_leaves=4)
+
+
+def _rewritten_trees(levels):
+    """Every tree of x, y and theta with up to `levels` nested operations
+    that the printer rewrites: -a, a^2, a/4, a/(-1/2), a + b, a - b, a*b
+    and a/b."""
+    trees = {X, Y, symbol("theta")}
+    for _ in range(levels):
+        level = list(trees)
+        trees |= {f(a) for a in level for f in (lambda a: -a, lambda a: a ** 2, lambda a: a / 4,
+                                                lambda a: a / Fraction(-1, 2))}
+        trees |= {_build(op, a, b) for op in "+-*/" for a in level for b in level} - {None}
+    return trees
+
+
+# every (x, y) of these, where a sum of opposite values gives a zero whose sign shows
+_GRID = [(x, y) for x in (-1.0, -0.0, 0.0, 1.0, 2.0) for y in (-1.0, -0.0, 0.0, 1.0, 2.0)]
+
+
+def _float_mismatch(e, points, theta):
+    """None when, at each (x, y) of the points, the float code of e (theta
+    written as its literal) and e applied literally with x*x for a square
+    give the same float.hex (so that -0.0 differs from 0.0) or both raise,
+    else the first point's two outcomes."""
+    def outcome(f):
+        try:
+            return f().hex()
+        except (ArithmeticError, ValueError):
+            return "raises"
+    code = compiled_function([e], ["x", "y"], {"theta": theta}, exprkit.FLOAT_FUNCTIONS)
+    for x, y in points:
+        got = outcome(lambda: code(x, y)[0])
+        want = outcome(lambda: literal(e, {"x": x, "y": y, "theta": theta},
+                                       exprkit.FLOAT_FUNCTIONS, lambda a: a * a))
+        if got != want:
+            return (x, y), got, want
+    return None
+
+
+class TestExactRewrites:
+    """The printer's rewrites (squares as products, divisions by +-2^k as
+    products, negations carried as signs) are exact: generated code gives
+    the bits of each tree operation applied literally."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.one_of(_small_trees, _trees), _inputs, _inputs, _inputs)
+    @example(parse("-x - y"), 1.0, -1.0, 0.0)
+    @example(parse("-x + -y"), -0.0, 0.0, 0.0)
+    @example(parse("-(x*-theta)/(y/4)"), 0.0, -3.0, -0.0)
+    def test_float_code_is_literal(self, e, x, y, theta):
+        """At the drawn point and at every point of the grid."""
+        assert _float_mismatch(e, [(x, y), *_GRID], theta) is None
+
+    @pytest.mark.parametrize("theta", [-1.0, -0.0])
+    def test_every_small_tree_is_literal(self, theta):
+        """Each tree of up to two nested rewritten operations, with theta a
+        signed literal, at every point of the grid."""
+        trees = _rewritten_trees(2)
+        assert len(trees) > 5000
+        assert [e for e in trees if _float_mismatch(e, _GRID, theta) is not None] == []
+
+    def test_planted_non_identity_fails(self, monkeypatch):
+        """(-a) - b written as -(a + b) flips the sign of a zero at a = -b:
+        at a = 1.0, b = -1.0 the tree's value is 0.0, the planted one -0.0."""
+        plain = exprkit._code
+
+        def planted(node, kids, names, store):
+            (ta, la, sa), (tb, lb, sb) = kids if len(kids) == 2 else ((None,) * 3,) * 2
+            if node.op == "-" and sa and not sb:
+                return exprkit._binary((ta, la), "+", (tb, lb), 1) + (True,)
+            return plain(node, kids, names, store)
+        e = parse("-x - y")
+        assert _float_mismatch(e, [(1.0, -1.0)], 0.0) is None
+        monkeypatch.setattr(exprkit, "_code", planted)
+        assert _float_mismatch(e, [(1.0, -1.0)], 0.0) == ((1.0, -1.0), "-0x0.0p+0", "0x0.0p+0")
+
+    def test_catalog_sprays_are_literal(self, entry):
+        """Each catalog entry's compiled spray at seeded positions and
+        velocities, bit for bit."""
+        M = entry.manifold
+        spray, roots = geodesic.spray(M), geodesic._acceleration(M)
+        velocities = np.random.default_rng(2).normal(size=(5, M.dim)).tolist()
+        for p, v in zip(sample_points(M.chart, 5, seed=2), velocities):
+            env = {**M.params, **p, **{f"{c}'": w for c, w in zip(M.chart.coords, v)}}
+            want = [literal(r, env, exprkit.FLOAT_FUNCTIONS, lambda a: a * a) for r in roots]
+            got = spray(*(p[c] for c in M.chart.coords), *v)
+            assert [x.hex() for x in got] == [float(x).hex() for x in want]
+
+    def test_array_code_is_literal(self, entry):
+        """Manifold.evaluate equals (==) each tree operation applied
+        literally to arrays and Jets, a square by ** as the code was once
+        printed: the values and the 1- and 2-jets of the metric and of each
+        vector and form of every catalog entry, and the curvature on them.
+        (A zero partial of a product's jet may change its sign.)"""
+        M = entry.manifold
+        reference = Manifold(M.chart, M.metric, M.params, M.signature)
+
+        def compiled(components):
+            roots = [exprkit.tree(c) for c in np.asarray(components, dtype=object).flat]
+            return lambda *xs: [literal(r, {**M.params, **dict(zip(M.chart.coords, xs))},
+                                        exprkit.ARRAY_FUNCTIONS, lambda a: a ** 2) for r in roots]
+        reference.compiled = compiled
+        pts = sample_points(M.chart, 7, seed=3)
+        for T in (M.metric_field(), *entry.vectors.values(), *entry.forms.values()):
+            for order in (0, 1, 2):
+                assert np.array_equal(M.evaluate(T.components, pts, order),
+                                      reference.evaluate(T.components, pts, order))
+        assert np.array_equal(M.riemann(pts), reference.riemann(pts), equal_nan=True)
+
+
 class TestFloatFunctions:
     def test_powers_that_are_not_integers_use_pow(self):
         source = codegen([parse("x^(1/2) + x^y + x^2 + x^-3")], ["x", "y"], {})
-        assert source.count("pow(") == 2 and "x0**2" in source and "x0**(-3)" in source
+        assert source.count("pow(") == 2 and "x0*x0" in source and "x0**(-3)" in source
 
     def test_domain_errors_raise(self):
         f = compiled_function([parse("x^(3/2)"), parse("log(x)"), parse("sqrt(x)")], ["x"], {},

@@ -1,8 +1,10 @@
 import ast
 import csv
 import json
+import math
 import os
 import random
+import re
 
 import numpy as np
 import pytest
@@ -190,9 +192,8 @@ class TestFlatGeodesics:
                            {"x1": 0.1, "x2": 0.05, "x3": -0.02})
         cfg = IntegratorConfig(step=0.01, t_span=(0.0, 5.0), stride=50)
         traj = integrate(flat3, s0, cfg)
-        for t, state in zip(traj.times, traj.states):
-            assert abs(state.position["x1"] - 0.1 * t) < 1e-12
-            assert abs(state.position["x2"] - 0.05 * t) < 1e-12
+        assert np.all(np.abs(traj.positions[:, 0] - 0.1 * traj.times) < 1e-12)
+        assert np.all(np.abs(traj.positions[:, 1] - 0.05 * traj.times) < 1e-12)
 
     def test_initial_point_outside_box_rejected(self, flat3):
         s0 = GeodesicState({"x1": 99.0, "x2": 0.0, "x3": 0.0},
@@ -205,7 +206,7 @@ class TestFlatGeodesics:
                            {"x1": 1.0, "x2": 0.0, "x3": 0.0})
         traj = integrate(flat3, s0, IntegratorConfig(step=0.01, t_span=(0, 5)))
         assert traj.exited_domain
-        assert traj.states[-1].position["x1"] <= 2.0 + 1e-9
+        assert traj.positions[-1, 0] <= 2.0 + 1e-9
 
     def test_start_on_a_singular_point_exits(self):
         """ds^2 = dx^2 + x^2 dy^2 degenerates at x = 0: an orbit started there
@@ -237,61 +238,58 @@ class TestFlatGeodesics:
         s0 = GeodesicState({"x": 0.5, "y": 0.0}, {"x": -1.0, "y": 0.3})
         traj = integrate(M, s0, IntegratorConfig(method=method, step=0.01, t_span=(0, 2)))
         assert traj.exited_domain and 1 < len(traj) < 10
-        assert all(state.position["x"] >= 0 for state in traj.states)
+        assert np.all(traj.positions[:, 0] >= 0)
 
 
 class TestArrayReference:
     """The Python-float RK4 against the numpy-array RK4 with a numpy-compiled
     spray (tests/array_rk4.py): the same times and states within 1e-13
     relative, on the criterion-4 Taub-NUT orbit and on orbits from the chart
-    centre of sphere2 and the pseudo-sphere."""
+    centre of every other catalog entry and of the file with negative
+    parameters."""
 
     TOL = 1e-13
 
-    @pytest.fixture(params=["taub-nut", "sphere2", "pseudo-sphere"])
+    @pytest.fixture(params=[*catalog.names(), "negative-parameters"])
     def case(self, request):
         if request.param == "taub-nut":
             return (request.getfixturevalue("tn").manifold, _ORBIT,
                     IntegratorConfig(step=1e-3, t_span=(0.0, 10.0), stride=10))
         M = (request.getfixturevalue("ps") if request.param == "pseudo-sphere"
-             else catalog.sphere2()).manifold
+             else _negative_entry() if request.param == "negative-parameters"
+             else catalog.get(request.param)).manifold
         centre = {c: (lo + hi) / 2 for c, (lo, hi) in M.chart.box.items()}
         velocity = {c: 0.1 * (i + 1) for i, c in enumerate(M.chart.coords)}
         return M, GeodesicState(centre, velocity), IntegratorConfig(
             step=1e-3, t_span=(0.0, 3.0), stride=1)
 
     @staticmethod
-    def _mismatch(traj, ref, M):
+    def _mismatch(traj, ref):
         """Largest relative difference of the states, inf unless the times and
         the exit flags are equal."""
-        if traj.times != ref.times or traj.exited_domain != ref.exited_domain:
+        if not np.array_equal(traj.times, ref.times) or traj.exited_domain != ref.exited_domain:
             return np.inf
-
-        def rows(t):
-            return np.array([[s.position[c] for c in M.chart.coords]
-                             + [s.velocity[c] for c in M.chart.coords] for s in t.states])
-        a, b = rows(traj), rows(ref)
+        a, b = (np.hstack([t.positions, t.velocities]) for t in (traj, ref))
         return float(np.max(np.abs(a - b) / np.maximum(1.0, np.abs(b))))
 
     def test_matches_array_reference(self, case):
         M, s0, cfg = case
         traj = integrate(M, s0, cfg)
         assert not traj.exited_domain and len(traj) > 1000
-        assert self._mismatch(traj, integrate_arrays(M, s0, cfg), M) <= self.TOL
+        assert self._mismatch(traj, integrate_arrays(M, s0, cfg)) <= self.TOL
 
     def test_planted_k2_weight_fails(self, case):
         """The reference with RK4's k2 weight 2 -> 1 must fail the comparison."""
         M, s0, cfg = case
         planted = integrate_arrays(M, s0, cfg, k2_weight=1)
-        assert not self._mismatch(integrate(M, s0, cfg), planted, M) <= self.TOL
+        assert not self._mismatch(integrate(M, s0, cfg), planted) <= self.TOL
 
 
 def _bits(traj):
     """The exit flag, and each kept time and state as the hex text of its
     floats: equal bits, not just equal values."""
-    return traj.exited_domain, [
-        (t.hex(), [x.hex() for x in (*s.position.values(), *s.velocity.values())])
-        for t, s in zip(traj.times, traj.states)]
+    rows = np.column_stack([traj.times, traj.positions, traj.velocities]).tolist()
+    return traj.exited_domain, [[x.hex() for x in row] for row in rows]
 
 
 def _perturbed_orbits(seed):
@@ -468,22 +466,28 @@ class TestGeneratedNames:
 NEGATIVE = os.path.join(os.path.dirname(__file__), "data", "negative-parameters.json")
 
 
-def _negative_entry():
+def _negative_entry(fourth_power=False):
     """A fresh entry of the file whose parameters a = -2 and b = -1/2 appear
-    under ^, inside exp and in products: nothing compiled is cached on it."""
+    under ^, inside exp and in products: nothing compiled is cached on it.
+    With fourth_power, its b^3 is b^4."""
     with open(NEGATIVE) as fh:
-        return ingest(json.load(fh))
+        doc = json.load(fh)
+    if fourth_power:
+        doc["metric"][1][1] = doc["metric"][1][1].replace("b^3", "b^4")
+    return ingest(doc)
 
 
 def _unparenthesized_literals(monkeypatch):
     """Plant a printer that writes a name's signed literal without
-    parentheses, so that a^2 prints as -2.0**2, which is -4.0."""
-    original = exprkit._print
+    parentheses, so that b^4 prints as -0.5**4, which is -0.0625.  (A
+    square is a product and keeps its sign, and an odd power does not
+    show it: -2.0**3 is (-2.0)**3.)"""
+    original = exprkit._code
 
-    def planted(node, kids, code, names):
-        text, level = original(node, kids, code, names)
-        return (text, 5) if node.op == "name" else (text, level)
-    monkeypatch.setattr(exprkit, "_print", planted)
+    def planted(node, kids, names, store):
+        text, level, negated = original(node, kids, names, store)
+        return (text, 5, negated) if node.op == "name" else (text, level, negated)
+    monkeypatch.setattr(exprkit, "_code", planted)
 
 
 class TestLiteralParameters:
@@ -524,9 +528,11 @@ class TestLiteralParameters:
 
     def test_planted_unparenthesized_literal_fails(self, monkeypatch):
         _unparenthesized_literals(monkeypatch)
-        e = _negative_entry()
+        e = _negative_entry(fourth_power=True)
         M = e.manifold
-        assert "-2.0**2" in exprkit.codegen(list(M.metric.flat), M.chart.coords, M.params)
+        text = exprkit.codegen(list(M.metric.flat), M.chart.coords, M.params)
+        assert "-0.5**4" in text and "-2.0**3" in exprkit.codegen([exprkit.parse("a^3")], [],
+                                                                  {"a": -2.0})
         assert not self._jet_mismatch(e) <= self.TOL
         assert not TestSympyReference._mismatch(M, sympy_spray(M)) <= self.TOL
 
@@ -554,6 +560,47 @@ class TestLiteralParameters:
             assert not names & set(M.params)
 
 
+class TestLoopBudget:
+    """The generated loop's operations, a guard of its step cost: no power
+    (a square is a product), no division by a power-of-two literal (it is a
+    product with the reciprocal), few unary minus (a negation is carried
+    as a sign), and a stage's midpoint only for a coordinate the spray reads."""
+
+    @staticmethod
+    def _midpoints(M):
+        """The coordinates of the stages' midpoints x2_i, x3_i, x4_i."""
+        stages = {}
+        for name in re.findall(r"^ *x([234])_(\d+) = ", geodesic._rk4_text(M), re.M):
+            stages.setdefault(name[0], set()).add(M.chart.coords[int(name[1])])
+        assert len(set(map(frozenset, stages.values()))) <= 1
+        return stages.get("2", set())
+
+    def test_taub_nut_operations(self, tn):
+        text = geodesic._rk4_text(tn.manifold)
+        nodes = list(ast.walk(ast.parse(text)))
+        minus = [node for node in nodes if isinstance(node, ast.UnaryOp)
+                 and isinstance(node.op, ast.USub) and not isinstance(node.operand, ast.Constant)]
+        halved = [node for node in nodes if isinstance(node, ast.BinOp)
+                  and isinstance(node.op, ast.Div) and isinstance(node.right, ast.Constant)
+                  and math.frexp(abs(node.right.value))[0] == 0.5]
+        assert "**" not in text and "pow(" not in text and halved == []
+        assert 0 < len(minus) <= 8
+
+    @pytest.mark.parametrize("name, read", [("taub-nut", {"r", "theta"}), ("sphere2", {"theta"}),
+                                            ("pseudo-sphere", {"rho"}), ("flat3", set())])
+    def test_midpoints_only_where_the_spray_reads(self, name, read, request):
+        M = (request.getfixturevalue({"taub-nut": "tn", "pseudo-sphere": "ps"}[name])
+             if name in ("taub-nut", "pseudo-sphere") else catalog.get(name)).manifold
+        assert self._midpoints(M) == read
+
+    def test_planted_dead_midpoint_fails(self, tn, monkeypatch):
+        """With every coordinate read, Taub-NUT's loop writes the phi and chi
+        midpoints again."""
+        M = tn.manifold
+        monkeypatch.setattr(exprkit, "names", lambda roots: set(M.chart.coords))
+        assert self._midpoints(M) == set(M.chart.coords)
+
+
 class TestSphereGeodesics:
     def _equator(self, sphere, step, t1=6.0):
         s0 = GeodesicState({"theta": np.pi / 2, "phi": 0.2},
@@ -563,8 +610,7 @@ class TestSphereGeodesics:
 
     def test_equator_is_geodesic(self, sphere):
         traj = self._equator(sphere, 0.01)
-        for state in traj.states:
-            assert abs(state.position["theta"] - np.pi / 2) < 1e-10
+        assert np.all(np.abs(traj.positions[:, 0] - np.pi / 2) < 1e-10)
 
     def test_energy_conserved(self, sphere):
         traj = self._equator(sphere, 0.01)
@@ -590,7 +636,7 @@ class TestSphereGeodesics:
             cfg = IntegratorConfig(method=method, step=step,
                                    t_span=(0.0, 2.0), stride=10**9)
             traj = integrate(sphere, s0, cfg)
-            end.append([traj.states[-1].position[c] for c in ("theta", "phi")])
+            end.append(traj.positions[-1])
         assert np.allclose(end[0], end[1], atol=1e-7)
 
 
@@ -604,6 +650,15 @@ class TestInvariants:
         rep = monitor_invariant(traj, sphere.metric_field(), sphere,
                                 name="energy-sk", tol=1e-8)
         assert rep.passed
+
+    def test_one_kept_state_fails(self, flat3):
+        """An orbit that leaves the box at its first step keeps only its start:
+        a drift of 0.0 there measures nothing, and fails."""
+        s0 = GeodesicState({"x1": 1.99, "x2": 0.0, "x3": 0.0}, {"x1": 5.0, "x2": 0.0, "x3": 0.0})
+        traj = integrate(flat3, s0, IntegratorConfig(step=0.01, t_span=(0, 1)))
+        assert traj.exited_domain and len(traj) == 1
+        rep = energy_report(traj, flat3)
+        assert rep.max_drift == 0.0 and not rep.passed
 
     def test_invariant_values_length(self, sphere):
         s0 = GeodesicState({"theta": 1.0, "phi": 0.2},
@@ -626,6 +681,5 @@ class TestExport:
             rows = list(csv.reader(fh))
         assert rows[0] == ["t", "theta", "phi", "dtheta", "dphi"]
         assert len(rows) == len(traj) + 1
-        for row, t, st in zip(rows[1:], traj.times, traj.states):
-            assert [float(v) for v in row] == [t, st.position["theta"], st.position["phi"],
-                                               st.velocity["theta"], st.velocity["phi"]]
+        for row, t, x, v in zip(rows[1:], traj.times, traj.positions, traj.velocities):
+            assert [float(cell) for cell in row] == [t, *x, *v]
