@@ -58,7 +58,7 @@ class Gauss(tuple):
     def __mul__(self, other: Gauss) -> Gauss:
         a, b = self
         c, d = other
-        return Gauss(a * c - b * d, a * d + b * c)
+        return tuple.__new__(Gauss, (a * c - b * d, a * d + b * c))
 
     __rmul__ = __mul__      # so that 2 * z raises, instead of repeating a tuple
 
@@ -86,23 +86,17 @@ def elem(name: str, power: int = 0) -> Element:
     return {(name, power): ONE}
 
 
-def elem_add(a: Element, b: Element) -> Element:
-    out = dict(a)
-    for key, c in b.items():
+def _accumulate(out: Element, a: Element, coeff: Gauss, power: int) -> None:
+    """out += coeff * B^power * a in place, for a non-zero coeff; in a field a
+    product of non-zeros is non-zero, so only a sum can leave a zero to drop."""
+    for (name, p), c in a.items():
+        key = (name, p + power)
         if key not in out:
-            out[key] = c
-        elif s := out[key] + c:
+            out[key] = c * coeff
+        elif s := out[key] + c * coeff:
             out[key] = s
         else:
             del out[key]
-    return out
-
-
-def elem_scale(a: Element, coeff, power: int = 0) -> Element:
-    """coeff * B^power * a; in a field a product of non-zeros is non-zero."""
-    if not coeff:
-        return {}
-    return {(name, p + power): c * coeff for (name, p), c in a.items()}
 
 
 def elem_to_json(a: Element) -> dict:
@@ -151,7 +145,7 @@ def bracket(a: Element, b: Element,
     out: Element = {}
     for (ga, pa), ca in a.items():
         for (gb, pb), cb in b.items():
-            out = elem_add(out, elem_scale(table(ga, gb), ca * cb, pa + pb))
+            _accumulate(out, table(ga, gb), ca * cb, pa + pb)
     return out
 
 
@@ -201,8 +195,8 @@ def quaternion_table_check() -> AlgebraReport:
             failures.append(("associativity", a, b, c))
     for a, b in itertools.product(units, repeat=2):
         cases += 1
-        comm = elem_add(product(elem(a), elem(b)),
-                        elem_scale(product(elem(b), elem(a)), -ONE))
+        comm = product(elem(a), elem(b))
+        _accumulate(comm, product(elem(b), elem(a)), -ONE, 0)
         if comm != bracket_generators(a, b):
             failures.append(("commutator", a, b))
     return AlgebraReport("quaternion-units", not failures, cases, failures)
@@ -240,10 +234,13 @@ def parse_graded(name: str) -> tuple[str, int, int]:
 def graded_bracket(a: str, b: str) -> Element:
     """Loop-algebra table: the families give A when equal and B otherwise,
     and the grades add."""
-    fa, ia, ga = parse_graded(a)
-    fb, ib, gb = parse_graded(b)
-    family = "A" if fa == fb else "B"
-    return _eps_term(ia, ib, f"{family}{{}}_{ga + gb}", 0, 1)
+    return _graded_rule(parse_graded(a), parse_graded(b))
+
+
+def _graded_rule(a: tuple[str, int, int], b: tuple[str, int, int]) -> Element:
+    """graded_bracket of two parsed names."""
+    family = "A" if a[0] == b[0] else "B"
+    return _eps_term(a[1], b[1], f"{family}{{}}_{a[2] + b[2]}", 0, 1)
 
 
 def graded_generators(max_grade: int) -> list[str]:
@@ -255,12 +252,12 @@ def graded_generators(max_grade: int) -> list[str]:
     return out
 
 
-def _lift(name: str) -> Element:
-    """A^i_{2n} -> J_i B^n and B^i_{2n+2} -> K_i B^n."""
-    family, i, grade = parse_graded(name)
-    if family == "A":
-        return elem(f"J{i}", grade // 2)
-    return elem(f"K{i}", grade // 2 - 1)
+def _graded_pairs(cutoff: int) -> tuple[dict, dict]:
+    """Each generator of grade <= 2*cutoff, parsed once, and graded_bracket
+    of every pair of them, in itertools.product order."""
+    parsed = {g: parse_graded(g) for g in graded_generators(2 * cutoff)}
+    return parsed, {(a, b): _graded_rule(pa, pb) for (a, pa), (b, pb)
+                    in itertools.product(parsed.items(), repeat=2)}
 
 
 def _absorb(element: Element) -> Element:
@@ -286,11 +283,13 @@ def grade_absorb(cutoff: int = 10) -> AlgebraReport:
     """
     failures = []
     cases = 0
-    gens = graded_generators(2 * cutoff)
-    for a, b in itertools.product(gens, repeat=2):
+    parsed, table = _graded_pairs(cutoff)
+    # A^i_{2n} -> J_i B^n and B^i_{2n+2} -> K_i B^n, once per generator
+    lifted = {g: elem(f"J{i}", grade // 2) if family == "A" else elem(f"K{i}", grade // 2 - 1)
+              for g, (family, i, grade) in parsed.items()}
+    for (a, b), via_table in table.items():
         cases += 1
-        via_finite = _absorb(bracket(_lift(a), _lift(b)))
-        via_table = graded_bracket(a, b)
+        via_finite = _absorb(bracket(lifted[a], lifted[b]))
         if via_finite != via_table:
             failures.append((a, b, elem_to_json(via_finite),
                              elem_to_json(via_table)))
@@ -300,18 +299,14 @@ def grade_absorb(cutoff: int = 10) -> AlgebraReport:
 def jacobi_check(cutoff: int = 10, table=None) -> AlgebraReport:
     """[[a,b],c] + [[b,c],a] + [[c,a],b] = 0 for all graded triples whose
     total grade is <= 2*cutoff; exact, zero tolerance."""
+    # every bracket of a triple within the cutoff stays within it: one table
+    # of the generators' brackets serves every lookup of this call
     if table is None:
-        # every bracket of a triple within the cutoff stays within it: one
-        # table of the generators' brackets serves every lookup of this call
-        gens = graded_generators(2 * cutoff)
-        brackets = {(a, b): graded_bracket(a, b)
-                    for a, b in itertools.product(gens, repeat=2)}
-
-        def table(a, b):
-            return brackets[a, b]
-        grade = {g: parse_graded(g)[2] for g in gens}
+        parsed, brackets = _graded_pairs(cutoff)
+        grade = {g: p[2] for g, p in parsed.items()}
     else:
         grade = {g: 0 for g in FINITE_GENERATORS if g not in INERT_GENERATORS}
+        brackets = {(a, b): table(a, b) for a, b in itertools.product(grade, repeat=2)}
 
     failures = []
     cases = 0
@@ -319,10 +314,12 @@ def jacobi_check(cutoff: int = 10, table=None) -> AlgebraReport:
         if grade[a] + grade[b] + grade[c] > 2 * cutoff:
             continue
         cases += 1
-        total = {}
+        # [x, y] of two generators is the table entry itself; the three
+        # cyclic terms [[x, y], z] are summed into one map
+        total: Element = {}
         for x, y, z in ((a, b, c), (b, c, a), (c, a, b)):
-            total = elem_add(total, bracket(bracket(elem(x), elem(y), table),
-                                            elem(z), table))
+            for (g, p), coeff in brackets[x, y].items():
+                _accumulate(total, brackets[g, z], coeff, p)
         if total:
             failures.append((a, b, c, elem_to_json(total)))
     return AlgebraReport("jacobi", not failures, cases, failures,

@@ -2,8 +2,9 @@
 and the pseudo-sphere mixed 3-Sasakian fixture.
 
 Each entry is a stored manifold-definition document (hiddensym/data/*.json,
-the format `catalog export` prints and `--manifold` reads) read by cli.ingest,
-so its expressions are exprkit trees and building it loads no sympy.  The
+the format `catalog export` prints and `--manifold` reads) read by
+document.ingest, so its expressions are exprkit trees and building it loads
+no sympy.  The
 sympy constructions the documents were printed from, with Taub-NUT's
 conventions (the chart (r, theta, phi, chi), the +epsilon orientation of its
 rotations, the -raw/2 and raw/2 normalizations of f1..f3 and fY), are the
@@ -14,34 +15,11 @@ functions are written through exp, since the grammar has none.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
 from importlib import resources
 
-import numpy as np
-
-from .cli import ingest
-from .manifold import Manifold, TensorField
-from .sasaki import MixedThreeStructure
+from .document import CatalogEntry, ingest
 
 _NAMES = ("flat3", "flat4", "pseudo-sphere", "sphere2", "taub-nut")
-
-
-@dataclass
-class CatalogEntry:
-    name: str
-    manifold: Manifold
-    vectors: dict[str, TensorField] = field(default_factory=dict)
-    forms: dict[str, TensorField] = field(default_factory=dict)
-    structure: MixedThreeStructure | None = None
-    frame: np.ndarray | None = None            # e^a_mu as object array, rows = a
-    metadata: dict = field(default_factory=dict)
-    manifest: list[dict] = field(default_factory=list)
-
-    def target(self, name: str) -> TensorField:
-        for group in (self.vectors, self.forms):
-            if name in group:
-                return group[name]
-        raise KeyError(f"no object named {name!r} in catalog entry {self.name!r}")
 
 
 def _load(name: str, **parameters: float) -> CatalogEntry:

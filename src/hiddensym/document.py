@@ -1,0 +1,211 @@
+"""Manifold-definition documents, the JSON that `--manifold` reads and
+`catalog export` prints: `ingest` reads one into a catalog entry and `export`
+writes an entry back.  The geometry modules are imported when a document is
+read, and sasaki only for a document that has a mixed 3-structure."""
+
+from __future__ import annotations
+
+import itertools
+import math
+from dataclasses import dataclass, field
+
+import numpy as np
+
+
+class FileFormatError(Exception):
+    pass
+
+
+@dataclass
+class CatalogEntry:
+    name: str
+    manifold: Manifold
+    vectors: dict[str, TensorField] = field(default_factory=dict)
+    forms: dict[str, TensorField] = field(default_factory=dict)
+    structure: MixedThreeStructure | None = None
+    frame: np.ndarray | None = None            # e^a_mu as object array, rows = a
+    metadata: dict = field(default_factory=dict)
+    manifest: list[dict] = field(default_factory=list)
+
+    def target(self, name: str) -> TensorField:
+        for group in (self.vectors, self.forms):
+            if name in group:
+                return group[name]
+        raise KeyError(f"no object named {name!r} in catalog entry {self.name!r}")
+
+
+def _read(src, shape: tuple, leaf, context: str):
+    """src checked against shape, each entry read by leaf(entry, path); a fault
+    raises FileFormatError naming the path, e.g. structures['phi'][0][2].  An
+    item of shape is a list's length (None: any) or dict, for an object."""
+    if not shape:
+        return leaf(src, context)
+    size, where = shape[0], context or "the document"
+    if size is dict:
+        if not isinstance(src, dict):
+            raise FileFormatError(f"{where} must be an object")
+        return {k: _field(src, k, shape[1:], leaf, context=context) for k in src}
+    if not isinstance(src, list) or size not in (None, len(src)):
+        raise FileFormatError(f"{where} must be a list" + (f" of {size}" if size else ""))
+    return [_read(v, shape[1:], leaf, f"{context}[{i}]") for i, v in enumerate(src)]
+
+
+def _field(obj: dict, key: str, shape: tuple, leaf, *default, context: str = ""):
+    """_read of an object's field; a missing one reads as the default, if given."""
+    path = f"{context}[{key!r}]" if context else key
+    if key not in obj and not default:
+        raise FileFormatError(f"missing required field {path}")
+    return _read(obj.get(key, *default), shape, leaf, path)
+
+
+def _leaf(ok, what: str, convert=None):
+    """Leaf giving src, or convert(src), if ok(src) holds."""
+    def read(src, context: str):
+        try:
+            if ok(src):
+                return convert(src) if convert else src
+        except (TypeError, ValueError, OverflowError):
+            pass
+        raise FileFormatError(f"{context} must be {what}, not {src!r}")
+    return read
+
+
+def _numeric(convert, allowed=None):
+    """Leaf giving convert(src) of a finite number src, in allowed if given;
+    a boolean, a fractional int, NaN and Infinity (json.load accepts them) fail."""
+    return _leaf(lambda src: not isinstance(src, bool) and math.isfinite(float(src))
+                 and convert(src) == float(src) and (allowed is None or convert(src) in allowed),
+                 f"a finite {convert.__name__}{f' in {list(allowed)}' if allowed else ''}",
+                 convert)
+
+
+_keep = _leaf(lambda src: True, "anything")
+_text = _leaf(lambda src: isinstance(src, str), "a string")
+_real = _numeric(float)
+
+
+def _name(src, context: str) -> str:
+    """Leaf giving an ASCII identifier that is not a grammar function's name."""
+    from .exprkit import FUNCTIONS
+    return _leaf(lambda s: isinstance(s, str) and s.isascii() and s.isidentifier()
+                 and s not in FUNCTIONS, "a name that is not a function's")(src, context)
+
+
+def _expression(names: set):
+    """Leaf giving an exprkit tree (the grammar, or a finite number) in names."""
+    from fractions import Fraction
+
+    from . import exprkit
+
+    def read(src, context: str) -> exprkit.Expr:
+        try:
+            if not isinstance(src, str):
+                return exprkit.number(Fraction(repr(_real(src, context))))
+            e = exprkit.parse(src)
+        except exprkit.EvalDomainError as exc:     # 1/0, log(0), 0^-1, 0/0, sqrt(-1)
+            raise FileFormatError(f"{context} must be finite and real, not {src!r}") from exc
+        except exprkit.ExprError as exc:
+            raise FileFormatError(f"bad expression in {context}: {exc}") from exc
+        unbound = sorted(exprkit.names([e]) - names)
+        if unbound:
+            raise FileFormatError(f"unbound name(s) {unbound} in {context}")
+        return e
+    return read
+
+
+def ingest(doc) -> CatalogEntry:
+    """Build a catalog entry from a manifold-definition JSON document.  Every
+    field is read by _read, so a fault raises FileFormatError naming it."""
+    from .exprkit import ZERO
+    from .manifold import (Chart, GeometryError, Manifold, TensorField, _perm_sign,
+                           one_form, vector)
+    doc = _read(doc, (dict,), _keep, "")
+    n = _field(doc, "dimension", (), _numeric(int))
+    coords = tuple(_field(doc, "coordinates", (n,), _name))
+    domain = _field(doc, "domain", (dict,), _keep)
+    box = {c: tuple(_field(domain, c, (2,), _real, context="domain")) for c in coords}
+    params = _field(doc, "parameters", (dict,), _real, {})
+    clash = set(_read(list(params), (None,), _name, "parameter names")) & set(coords)
+    if clash:
+        raise FileFormatError(f"parameters {sorted(clash)} share a coordinate's name")
+    signature = tuple(_field(doc, "signature", (n,), _numeric(int, (1, -1)), [1] * n))
+    expr = _expression(set(coords) | set(params))
+    try:    # the chart, the metric and the structure check their own geometry
+        M = Manifold(Chart(coords, box), _field(doc, "metric", (n, n), expr), params=params,
+                     signature=signature, name=_field(doc, "name", (), _text))
+        entry = CatalogEntry(M.name, M, metadata=_field(doc, "metadata", (dict,), _keep, {}),
+                             manifest=_field(doc, "manifest", (None, dict), _keep, []))
+        if "structures" in doc:
+            from .sasaki import MixedThreeStructure
+            block = _field(doc, "structures", (dict,), _keep)
+            phi, xi, eta = (_field(block, key, (3,) + (n,) * rank, expr, context="structures")
+                            for key, rank in (("phi", 2), ("xi", 1), ("eta", 1)))
+            entry.structure = MixedThreeStructure(
+                M, [TensorField(p, "ud") for p in phi], [vector(x) for x in xi],
+                [one_form(e) for e in eta])
+    except GeometryError as exc:
+        raise FileFormatError(str(exc)) from exc
+    _field(entry.metadata, "einstein_constant", (), _real, 0, context="metadata")
+    for vname, comps in _field(doc, "vectors", (dict, n), expr, {}).items():
+        entry.vectors[vname] = vector(comps)
+    for fname, block in _field(doc, "forms", (dict, dict), _keep, {}).items():
+        path = f"forms[{fname!r}]"
+        rank = _field(block, "rank", (), _numeric(int, range(n + 1)), context=path)
+        comp, filled = np.full((n,) * rank, ZERO, dtype=object), set()
+        for key, e in _field(block, "components", (dict,), expr, context=path).items():
+            where = f"key {key!r} of {path}"
+            idx = tuple(_read(key.split(","), (rank,), _numeric(int, range(n)), where))
+            if list(idx) != sorted(set(idx)) or idx in filled:
+                raise FileFormatError(f"{where}: indices must increase strictly, once per form")
+            filled.add(idx)
+            for perm in itertools.permutations(range(rank)):
+                comp[tuple(idx[p] for p in perm)] = e if _perm_sign(perm) > 0 else -e
+        entry.forms[fname] = TensorField(comp, "d" * rank)
+    if "frame" in doc:
+        entry.frame = np.array(_field(doc, "frame", (n, n), expr), dtype=object)
+    return entry
+
+
+def export(entry: CatalogEntry) -> dict:
+    """Render a catalog entry as a manifold-definition JSON document."""
+    from .exprkit import to_source
+    M = entry.manifold
+    n = M.dim
+    doc = {
+        "name": entry.name,
+        "dimension": n,
+        "coordinates": list(M.chart.coords),
+        "domain": {c: [lo, hi] for c, (lo, hi) in M.chart.box.items()},
+        "signature": list(M.signature),
+        "parameters": dict(M.params),
+        "metric": [[to_source(M.metric[i, j]) for j in range(n)]
+                   for i in range(n)],
+        "vectors": {name: [to_source(c) for c in X.components]
+                    for name, X in entry.vectors.items()},
+        "forms": {},
+    }
+    for name, F in entry.forms.items():
+        rank = F.rank
+        comps = {}
+        for idx in itertools.combinations(range(n), rank):
+            e = F.components[idx]
+            if e != 0:
+                comps[",".join(str(i) for i in idx)] = to_source(e)
+        doc["forms"][name] = {"rank": rank, "components": comps}
+    if entry.structure is not None:
+        S = entry.structure
+        doc["structures"] = {
+            "phi": [[[to_source(S.phi[a].components[i, j])
+                      for j in range(n)] for i in range(n)] for a in range(3)],
+            "xi": [[to_source(c) for c in S.xi[a].components]
+                   for a in range(3)],
+            "eta": [[to_source(c) for c in S.eta[a].components]
+                    for a in range(3)],
+        }
+    if entry.frame is not None:
+        doc["frame"] = [[to_source(e) for e in row] for row in entry.frame]
+    if entry.metadata:
+        doc["metadata"] = entry.metadata
+    if entry.manifest:
+        doc["manifest"] = entry.manifest
+    return doc

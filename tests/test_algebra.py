@@ -7,14 +7,33 @@ import pytest
 from hypothesis import find, given, settings, strategies as st
 from sympy import QQ_I
 
+from hiddensym import algebra
 from hiddensym.algebra import (FINITE_GENERATORS, INERT_GENERATORS, ONE, AlgebraError,
                                Gauss, UnspecifiedBracketError, bracket,
-                               bracket_generators, elem,
-                               elem_add, elem_scale, elem_to_json,
+                               bracket_generators, elem, elem_to_json,
                                grade_absorb, graded_bracket, graded_generators, graded_name,
                                jacobi_check, parse_graded,
                                quaternion_product, quaternion_table_check,
                                structure_table_json)
+
+
+def elem_add(a, b):
+    """a + b as a new map, with no zero entry: the add, copying a, that the
+    bilinear extension once made per term."""
+    out = dict(a)
+    for key, c in b.items():
+        if key not in out:
+            out[key] = c
+        elif s := out[key] + c:
+            out[key] = s
+        else:
+            del out[key]
+    return out
+
+
+def elem_scale(a, coeff):
+    """coeff * a; in a field a product of non-zeros is non-zero."""
+    return {key: c * coeff for key, c in a.items()} if coeff else {}
 
 
 def _i_times(name, power=0, scale=1):
@@ -130,6 +149,78 @@ class TestBilinearExtension:
         assert lhs == rhs
 
 
+def _bracket_by_copies(a, b, table):
+    """The bilinear extension as it was once written, the oracle for the one
+    that accumulates in place: each term scaled into a new map and added to
+    a copy of the result."""
+    out = {}
+    for (ga, pa), ca in a.items():
+        for (gb, pb), cb in b.items():
+            coeff = ca * cb
+            out = elem_add(out, {(g, p + pa + pb): c * coeff
+                                     for (g, p), c in table(ga, gb).items()})
+    return out
+
+
+# small parts, so that products of different terms often coincide and cancel
+_small = st.sampled_from([0, 1, -1, 2, Fraction(1, 2), Fraction(-2, 3)])
+_TABLES = {"finite": (bracket_generators, [g for g in FINITE_GENERATORS
+                                           if g not in INERT_GENERATORS]),
+           "graded": (graded_bracket, graded_generators(4)),
+           "quaternion": (quaternion_product, ["I", "Q1", "Q2", "Q3"])}
+
+
+def _elements(names):
+    return st.dictionaries(st.tuples(st.sampled_from(names), st.integers(0, 3)),
+                           st.builds(Gauss, _small, _small).filter(bool), max_size=5)
+
+
+class TestInPlaceBracket:
+    """bracket accumulates every term into one map; the oracle copies the
+    map per term."""
+
+    @pytest.mark.parametrize("which", list(_TABLES))
+    @settings(max_examples=100, deadline=None)
+    @given(data=st.data())
+    def test_equals_the_copying_oracle(self, which, data):
+        table, names = _TABLES[which]
+        a = data.draw(_elements(names))
+        b = data.draw(st.one_of(_elements(names), st.just(a)))
+        got = bracket(a, b, table)
+        assert got == _bracket_by_copies(a, b, table)
+        assert all(got.values())        # no zero entry is left
+
+    def test_cancelling_terms_leave_no_entry(self):
+        a = {("J1", 0): ONE, ("J2", 1): Gauss(Fraction(1, 2), -1)}
+        assert bracket(a, a) == {} == _bracket_by_copies(a, a, bracket_generators)
+        b, c = elem_add(elem("J1"), elem("J2")), elem_add(elem("J1", 1), elem("J2", 1))
+        assert bracket(b, c) == {}       # i J3 B - i J3 B
+
+
+class TestPlantedTableFaults:
+    """A wrong row of the one rule table is seen by the exact checks, which
+    name a case it breaks."""
+
+    def test_flipped_epsilon_sign(self, monkeypatch):
+        """[J_i, K_j] = -i eps_ijk K_k."""
+        monkeypatch.setitem(algebra._RULES, "JK", ("K", 0, -1))
+        jacobi, absorb = jacobi_check(0, table=bracket_generators), grade_absorb(1)
+        assert not jacobi.passed and not absorb.passed
+        assert jacobi.failures[0] == ("J1", "J2", "K1", {"K2": {"0": ["2", "0"]}})
+        assert absorb.failures[0] == ("A1_0", "B2_2", {"B3_2": {"0": ["0", "-1"]}},
+                                      {"B3_2": {"0": ["0", "1"]}})
+
+    def test_kk_power_one(self, monkeypatch):
+        """[K_i, K_j] = i eps_ijk J_k B: Jacobi on K, K, Q then mixes B^1 and B^2
+        terms, and the lifted [B_2, B_2] lands on grade 2, not 4."""
+        monkeypatch.setitem(algebra._RULES, "KK", ("J", 1, 1))
+        jacobi, absorb = jacobi_check(0, table=bracket_generators), grade_absorb(1)
+        assert not jacobi.passed and not absorb.passed
+        assert jacobi.failures[0][:3] == ("K1", "K2", "Q1")
+        assert absorb.failures[0] == ("B1_2", "B2_2", {"A3_2": {"0": ["0", "1"]}},
+                                      {"A3_4": {"0": ["0", "1"]}})
+
+
 class TestQuaternionUnits:
     def test_square_is_identity(self):
         assert quaternion_product("Q1", "Q1") == {("I", 0): ONE}
@@ -211,7 +302,7 @@ class TestStructuralInvariants:
                  for k in range(5)]
         assert len(cases) == 405
         assert [(a, b, k) for a, b, k in cases if bracket(elem(a), elem(b, k))
-                != elem_scale(bracket_generators(a, b), ONE, k)] == []
+                != {(g, p + k): c for (g, p), c in bracket_generators(a, b).items()}] == []
 
     def test_jacobi_finite_table(self):
         rep = jacobi_check(0, table=bracket_generators)

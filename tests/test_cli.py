@@ -1,4 +1,9 @@
 import json
+import os
+import shutil
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -351,6 +356,25 @@ class TestCheckCommand:
             assert code == 1, check
             assert reports[0]["pass"] is False, check
             assert reports[0]["extra"]["non_finite_points"] > 0, check
+
+    def test_faulty_catalog_document_gives_exit_two(self, tmp_path):
+        """A fault in a stored catalog document is a file error under
+        `python -m hiddensym.cli` too.  Reading the documents once loaded a
+        second copy of the CLI module, whose FileFormatError the running
+        copy did not know: exit 3 and 'internal error: FileFormatError'."""
+        package = tmp_path / "hiddensym"
+        shutil.copytree(Path(__file__).resolve().parents[1] / "src" / "hiddensym", package,
+                        ignore=shutil.ignore_patterns("__pycache__"))
+        stored = package / "data" / "flat3.json"
+        doc = json.loads(stored.read_text())
+        doc["metric"][0][0] = "1 +"
+        stored.write_text(json.dumps(doc))
+        done = subprocess.run([sys.executable, "-m", "hiddensym.cli", "check", "killing-vector",
+                               "--catalog", "flat3", "--target", "dilation"],
+                              cwd=tmp_path, env=dict(os.environ, PYTHONPATH=str(tmp_path)),
+                              capture_output=True, text=True, timeout=120)
+        assert (done.returncode, done.stdout) == (2, "")
+        assert done.stderr.startswith("error: bad expression in metric[0][0]")
 
     def test_unknown_catalog_gives_exit_two(self, capsys):
         code, _ = run(capsys, "check", "ky", "--catalog", "nope",

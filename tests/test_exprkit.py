@@ -464,6 +464,85 @@ class TestExactRewrites:
         assert np.array_equal(M.riemann(pts), reference.riemann(pts), equal_nan=True)
 
 
+def _exact_values(trees, point: dict) -> dict:
+    """Each node of the trees at the point (names to floats), every tree
+    operation applied exactly: (q, sign), q the exact Fraction and sign that
+    of the float IEEE 754 gives, the sign of a zero included (a sum of
+    zeros is -0.0 only when both are, a product's or quotient's sign is
+    that of its operands' product); None for a division by zero and any
+    node above one.  Only -a, +, -, *, / and a^2 are taken."""
+    done: dict = {}
+    for node in exprkit.postorder(list(trees)):
+        kids = [done[k] for k in node.kids]
+        if None in kids or node.op == "/" and kids[1][0] == 0:
+            done[node] = None
+        elif node.op in ("num", "name"):
+            v = point[node.value] if node.op == "name" else node.value
+            done[node] = Fraction(v), math.copysign(1.0, v)
+        elif node.op == "neg":
+            done[node] = -kids[0][0], -kids[0][1]
+        elif node.op in "+-":
+            (qa, sa), (qb, sb) = kids
+            if node.op == "-":
+                qb, sb = -qb, -sb
+            q = qa + qb
+            both = qa == qb == 0 and sa == sb
+            done[node] = q, math.copysign(1.0, q) if q else sa if both else 1.0
+        else:
+            assert node.op in "*/" or node.kids[1] == 2, node.op
+            (qa, sa), (qb, sb) = kids if node.op != "^" else [kids[0]] * 2
+            done[node] = qa * qb if node.op != "/" else qa / qb, sa * sb
+    return done
+
+
+def _two_operation_trees() -> set:
+    """Every tree of at most two nested operations -a, a^2, a + b, a - b,
+    a*b and a/b over the leaves x, y and -2: each pair of leaves, a name
+    repeated (x*x, (x - y)*x) and the literal's sign folding included."""
+    trees = {X, Y, number(-2)}
+    for _ in range(2):
+        level = list(trees)
+        trees |= {f(a) for a in level for f in (lambda a: -a, lambda a: a ** 2)}
+        trees |= {_build(op, a, b) for op in "+-*/" for a in level for b in level} - {None}
+    return trees
+
+
+# dyadic points, so each operation of a leaf on a leaf is exact in binary
+# floating point and a tree's float is its exact value rounded once
+_DYADIC = [(x, y) for x in (-1.0, -0.0, 0.0, 0.5, 1.0, 2.0) for y in (-1.0, -0.0, 0.0, 1.0, 2.0)]
+
+
+def _exact_mismatches(trees) -> list:
+    """(tree, point, generated code's float, exact value) for each tree
+    whose float code differs from its exact value, rounded once, at a
+    dyadic point: by float.hex, so -0.0 is not 0.0, or raising on one side."""
+    code = {e: compiled_function([e], ["x", "y"], {}, exprkit.FLOAT_FUNCTIONS) for e in trees}
+    out = []
+    for point in _DYADIC:
+        exact = _exact_values(trees, dict(zip("xy", point)))
+        for e in trees:
+            want = "raises" if exact[e] is None else math.copysign(
+                float(exact[e][0]), exact[e][1]).hex()
+            try:
+                got = code[e](*point)[0].hex()
+            except ZeroDivisionError:
+                got = "raises"
+            if got != want:
+                out.append((to_source(e), point, got, want))
+    return out
+
+
+class TestExactValues:
+    """Generated float code against each tree's exact value, over every tree
+    of two nested operations; a hypothesis draw of exprkit trees is mostly
+    a leaf and misses printer faults this enumeration finds."""
+
+    def test_every_two_operation_tree_is_exact(self):
+        trees = _two_operation_trees()
+        assert len(trees) > 5000
+        assert _exact_mismatches(trees) == []
+
+
 class TestFloatFunctions:
     def test_powers_that_are_not_integers_use_pow(self):
         source = codegen([parse("x^(1/2) + x^y + x^2 + x^-3")], ["x", "y"], {})

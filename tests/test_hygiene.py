@@ -5,8 +5,10 @@ exprkit calls sympy's trigsimp, no library module calls sympy's lambdify, no
 module outside manifold.py calls the symbolic tensor algebra, every default
 of a library function that a call reaches is set by some call, no library
 module imports sympy at its module level, neither the library's import nor
-any command but the emitted symbolic components loads sympy, and only
-geodesic's loop builder and exprkit's code generator run code from text."""
+any command but the emitted symbolic components loads sympy, no library
+module imports the CLI, a command loads only the library modules it runs,
+and only geodesic's loop builder and exprkit's code generator run code from
+text."""
 
 import ast
 import json
@@ -455,6 +457,30 @@ def imported_modules(source: str, package: str, whole: bool) -> list[tuple[int, 
     return out
 
 
+def cli_imports(source: str) -> list[int]:
+    """Lines that import hiddensym.cli, or a name from it, anywhere."""
+    return sorted({line for line, m in imported_modules(source, "hiddensym", True)
+                   if m.startswith("hiddensym.cli.") or m == "hiddensym.cli"})
+
+
+@pytest.mark.parametrize("path", sorted(p for p in SRC.glob("*.py") if p.name != "cli.py"),
+                         ids=lambda p: p.name)
+def test_library_does_not_import_the_cli(path):
+    """The front end imports the library, never the reverse: under `python -m
+    hiddensym.cli` an import of hiddensym.cli runs a second copy of it, with
+    its own FileFormatError that the running copy does not catch."""
+    assert cli_imports(path.read_text()) == []
+
+
+def test_cli_import_checker_sees_each_spelling():
+    source = ("from .cli import ingest\nfrom . import algebra, cli\nimport hiddensym.cli\n"
+              "from hiddensym.cli import main as m\ndef f():\n    from . import cli as c\n"
+              "importlib.import_module('hiddensym.cli')\nfrom .clifford import x\n"
+              "from . import client\nimport hiddensym.clip\n")
+    assert cli_imports(source) == [1, 2, 3, 4, 6, 7]
+    assert cli_imports((SRC / "cli.py").read_text()) == []
+
+
 def sympy_based_modules() -> set[str]:
     """The hiddensym modules whose import loads sympy: those importing sympy,
     or such a module, at their module level."""
@@ -512,37 +538,32 @@ def test_sympy_import_checker_sees_each_spelling():
         "line 12: sympy", "line 14: hiddensym.sasaki", "line 15: sympy", "line 16: sympy"]
 
 
+def _loaded_after(argv, cwd, modules=("sympy",)) -> tuple[str, str]:
+    """Runs the command as `python -m hiddensym.cli` does; returns its stdout
+    and 'exit N, loaded: [...]', the modules of `modules` that were loaded
+    when the command ended.  The command runs as __main__, so hiddensym.cli
+    is among them only if something imported it a second time."""
+    script = ("import runpy, sys\n"
+              "names, sys.argv = sys.argv[1].split(','), ['hiddensym', *sys.argv[2:]]\n"
+              "try:\n    runpy.run_module('hiddensym.cli', run_name='__main__', alter_sys=True)\n"
+              "except SystemExit as exc:\n    code = exc.code\n"
+              "sys.stderr.write(f'exit {code}, loaded: {[n for n in names if n in sys.modules]}')\n")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(ROOT / "src"), *filter(None, [os.environ.get("PYTHONPATH")])]))
+    done = subprocess.run([sys.executable, "-c", script, ",".join(modules), *argv], env=env,
+                          cwd=cwd, capture_output=True, text=True, timeout=300)
+    return done.stdout, done.stderr
+
+
 @pytest.mark.parametrize("argv", [["table", "--cutoff", "2"], ["jacobi", "--cutoff", "3"]],
                          ids=["table", "jacobi"])
-def test_algebra_commands_do_not_load_sympy(argv):
-    """Runs the command as `python -m hiddensym.cli` does and reports whether
-    sympy was loaded when it ended."""
-    script = ("import runpy, sys\n"
-              "sys.argv = ['hiddensym', *sys.argv[1:]]\n"
-              "try:\n    runpy.run_module('hiddensym.cli', run_name='__main__', alter_sys=True)\n"
-              "except SystemExit as exc:\n    code = exc.code\n"
-              "sys.stderr.write(f'exit {code}, sympy loaded: {\"sympy\" in sys.modules}')\n")
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        [str(ROOT / "src"), *filter(None, [os.environ.get("PYTHONPATH")])]))
-    done = subprocess.run([sys.executable, "-c", script, "algebra", *argv], env=env,
-                          capture_output=True, text=True, timeout=120)
-    assert done.stderr == "exit 0, sympy loaded: False"
-    assert json.loads(done.stdout.splitlines()[0])
-
-
-def _sympy_loaded_after(argv, cwd) -> tuple[str, str]:
-    """Runs the command as `python -m hiddensym.cli` does; returns its stdout
-    and 'exit N, sympy loaded: B' as it was when the command ended."""
-    script = ("import runpy, sys\n"
-              "sys.argv = ['hiddensym', *sys.argv[1:]]\n"
-              "try:\n    runpy.run_module('hiddensym.cli', run_name='__main__', alter_sys=True)\n"
-              "except SystemExit as exc:\n    code = exc.code\n"
-              "sys.stderr.write(f'exit {code}, sympy loaded: {\"sympy\" in sys.modules}')\n")
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        [str(ROOT / "src"), *filter(None, [os.environ.get("PYTHONPATH")])]))
-    done = subprocess.run([sys.executable, "-c", script, *argv], env=env, cwd=cwd,
-                          capture_output=True, text=True, timeout=300)
-    return done.stdout, done.stderr
+def test_algebra_commands_do_not_load_sympy(argv, tmp_path):
+    """The algebra commands load no sympy.  They do load numpy, through the
+    document reader the CLI imports: without it `algebra table` ends within
+    the benchmark's 40 ms host-speed probe interval, which it cannot time."""
+    out, status = _loaded_after(["algebra", *argv], tmp_path, ("sympy", "numpy"))
+    assert status == "exit 0, loaded: ['numpy']"
+    assert json.loads(out.splitlines()[0])
 
 
 TAUB_NUT = ["--catalog", "taub-nut"]
@@ -568,10 +589,24 @@ def test_only_symbolic_derivations_load_sympy(argv, loaded, tmp_path):
     """The checks, the spin and Sasaki suites, the export and the geodesic
     runs read their expressions as trees and run generated code; only the
     emitted symbolic components load sympy."""
-    out, _ = _sympy_loaded_after(["catalog", "export", *TAUB_NUT], tmp_path)
+    out, _ = _loaded_after(["catalog", "export", *TAUB_NUT], tmp_path)
     (tmp_path / "taub-nut.json").write_text(out)
-    out, status = _sympy_loaded_after(argv, tmp_path)
-    assert status == f"exit 0, sympy loaded: {loaded}"
+    out, status = _loaded_after(argv, tmp_path)
+    assert status == f"exit 0, loaded: {['sympy'] if loaded else []}"
+    assert json.loads(out.splitlines()[0])
+
+
+@pytest.mark.parametrize("argv, loaded", [
+    (["check", "killing-vector", *TAUB_NUT, "--target", "k1"], []),
+    (["sasaki", "verify", "--catalog", "pseudo-sphere", *POINTS], ["hiddensym.sasaki"]),
+], ids=["check", "sasaki"])
+def test_commands_load_only_the_modules_they_run(argv, loaded, tmp_path):
+    """A Taub-NUT check loads neither the exact algebra nor the mixed
+    3-structures, and no second copy of the CLI; a Sasaki suite loads its
+    module."""
+    out, status = _loaded_after(argv, tmp_path,
+                                ("hiddensym.cli", "hiddensym.algebra", "hiddensym.sasaki"))
+    assert status == f"exit 0, loaded: {loaded}"
     assert json.loads(out.splitlines()[0])
 
 
