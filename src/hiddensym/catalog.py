@@ -58,7 +58,3 @@ def get(name: str) -> CatalogEntry:
     if name not in _NAMES:
         raise KeyError(f"unknown catalog entry {name!r}; choices: {', '.join(_NAMES)}")
     return _load(name)
-
-
-def names() -> list[str]:
-    return list(_NAMES)

@@ -20,10 +20,10 @@ class FileFormatError(Exception):
 class CatalogEntry:
     name: str
     manifold: Manifold
-    vectors: dict[str, TensorField] = field(default_factory=dict)
-    forms: dict[str, TensorField] = field(default_factory=dict)
-    structure: MixedThreeStructure | None = None
-    frame: np.ndarray | None = None            # e^a_mu as object array, rows = a
+    vectors: dict[str, TensorField] = field(init=False, default_factory=dict)
+    forms: dict[str, TensorField] = field(init=False, default_factory=dict)
+    structure: MixedThreeStructure | None = field(init=False, default=None)
+    frame: np.ndarray | None = field(init=False, default=None)   # e^a_mu, rows = a
     metadata: dict = field(default_factory=dict)
     manifest: list[dict] = field(default_factory=list)
 

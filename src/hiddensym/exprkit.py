@@ -575,12 +575,18 @@ ARRAY_FUNCTIONS = {name: getattr(np, name) for name in FUNCTIONS}
 FLOAT_FUNCTIONS = {**{name: getattr(math, name) for name in FUNCTIONS}, "pow": math.pow}
 
 
-def compiled_function(roots, arguments, params: Mapping[str, float], functions: Mapping):
-    """codegen(roots, arguments, params) compiled, calling the given functions
-    (ARRAY_FUNCTIONS or FLOAT_FUNCTIONS), its literal subexpressions folded."""
+def run_source(text: str, name: str, functions: Mapping):
+    """The function `name` that generated text defines, compiled once, its
+    literal subexpressions folded, calling the given functions
+    (ARRAY_FUNCTIONS or FLOAT_FUNCTIONS): the one place code runs from text."""
     namespace = dict(functions)
-    exec(compile(codegen(roots, arguments, params), "<generated>", "exec"), namespace)
-    return namespace["f"]
+    exec(compile(text, "<generated>", "exec"), namespace)
+    return namespace[name]
+
+
+def compiled_function(roots, arguments, params: Mapping[str, float], functions: Mapping):
+    """codegen(roots, arguments, params) run by run_source."""
+    return run_source(codegen(roots, arguments, params), "f", functions)
 
 
 # ---------------------------------------------------------------------------

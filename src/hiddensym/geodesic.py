@@ -248,9 +248,7 @@ def _rk4_text(M: Manifold) -> str:
 def _rk4_loop(M: Manifold):
     """_rk4_text(M) compiled once, cached on M, with math's functions."""
     if "rk4" not in M._cache:
-        namespace = dict(exprkit.FLOAT_FUNCTIONS)
-        exec(compile(_rk4_text(M), "<rk4 loop>", "exec"), namespace)
-        M._cache["rk4"] = namespace["rk4"]
+        M._cache["rk4"] = exprkit.run_source(_rk4_text(M), "rk4", exprkit.FLOAT_FUNCTIONS)
     return M._cache["rk4"]
 
 
@@ -327,7 +325,7 @@ def monitor_invariant(traj: Trajectory, Q: TensorField, M: Manifold,
 
 
 def energy_report(traj: Trajectory, M: Manifold, tol: float = 1e-8) -> ConservationReport:
-    return monitor_invariant(traj, M.metric_field(), M, name="energy", tol=tol)
+    return monitor_invariant(traj, TensorField(M.metric, "dd"), M, name="energy", tol=tol)
 
 
 def export_csv(traj: Trajectory, M: Manifold, path: str) -> None:

@@ -150,15 +150,23 @@ def conformal_killing_factor(X: TensorField, M: Manifold, points=None, seed=0,
 # ---------------------------------------------------------------------------
 # Staeckel-Killing / Killing-Yano / conformal Killing-Yano
 
-def _guarded_nabla(T, M: Manifold, pts, project, message: str) -> np.ndarray:
-    """grad T from T.jet and Gamma's values; GeometryError(message) unless
-    project(values, 1), a batched projector, fixes T's values at every point
-    to 1e-12 relative.  Overflowed values pass the guard and fail the report."""
+def _require_covariant(T, what: str) -> None:
+    """GeometryError unless every slot of T is covariant."""
+    if set(T.variance) - {"d"}:
+        raise GeometryError(f"{what} needs covariant slots, not variance {T.variance!r}")
+
+
+def _guarded_nabla(T, M: Manifold, pts, project, check: str, shape: str) -> np.ndarray:
+    """grad T from T.jet and Gamma's values for the named check; a
+    GeometryError unless T is covariant and has the shape: project(values, 1),
+    a batched projector, fixes T's values at every point to 1e-12 relative.
+    Overflowed values pass the guard and fail the report."""
+    _require_covariant(T, check)
     jet = T.jet(M, pts, 1)
     vals = jet[:, -1]
     with np.errstate(invalid="ignore", over="ignore"):
         if np.any(_max_abs(vals - project(vals, 1)) > 1e-12 * np.maximum(1.0, _max_abs(vals))):
-            raise GeometryError(message)
+            raise GeometryError(f"{check} requires {shape}")
     return _covariant(jet, M.christoffel(pts)[:, -1], T.variance)
 
 
@@ -166,7 +174,7 @@ def sk_residual(K: TensorField, M: Manifold, points=None, seed=0,
                 tol=DEFAULT_TOL) -> ResidualReport:
     """Fully symmetrized covariant derivative of a symmetric tensor or S-K square."""
     pts = _default_points(M, points, seed)
-    nabla = _guarded_nabla(K, M, pts, symmetrize, "sk_residual requires a symmetric tensor")
+    nabla = _guarded_nabla(K, M, pts, symmetrize, "sk_residual", "a symmetric tensor")
     return _report("staeckel-killing", pts, _max_abs(symmetrize(nabla, 1)),
                    _max_abs(nabla), tol)
 
@@ -185,7 +193,7 @@ def ky_residual(f: TensorField, M: Manifold, points=None, seed=0,
     """Symmetric part of grad f, and deviation of grad f from its alternation."""
     pts = _default_points(M, points, seed)
     return _ky_report(_guarded_nabla(f, M, pts, antisymmetrize,
-                                     "ky_residual requires an antisymmetric form"),
+                                     "ky_residual", "an antisymmetric form"),
                       pts, tol)
 
 
@@ -202,10 +210,10 @@ def cky_residual(f: TensorField, M: Manifold, points=None, seed=0,
         raise GeometryError("cky_residual needs 1 <= p <= n-1")
     pts = _default_points(M, points, seed)
     nabla = _guarded_nabla(f, M, pts, antisymmetrize,
-                           "cky_residual requires an antisymmetric form")
+                           "cky_residual", "an antisymmetric form")
     df = (p + 1) * antisymmetrize(nabla, 1)     # the connection is torsion-free
     g = M.evaluate(M.metric, pts)
-    codf = -np.einsum("plm,plm...->p...", M.inverse_metric_values(pts), nabla)
+    codf = -np.einsum("plm,plm...->p...", M.inverse_metric_jet(pts)[:, -1], nabla)
     # (X* wedge d*f) for X = coordinate basis vector mu, X*_nu = g_{mu nu}: a
     # signed sum over the p positions the factor g_{mu .} can take
     outer = np.einsum("pma,p...->pma...", g, codf)
@@ -234,18 +242,26 @@ class SKSquare:
     variance = "dd"
     rank = 2
 
+    def __post_init__(self):
+        _require_covariant(self.form, "the S-K square")
+
+    @property
+    def subscripts(self) -> str:
+        """K's einsum subscripts, for the numbers and the symbolic square alike."""
+        inner, outer = "abcdef"[:self.form.rank - 1], "qrstuv"[:self.form.rank - 1]
+        return ",".join([f"m{inner}", *map("".join, zip(inner, outer)), f"{outer}n"]) + "->mn"
+
     def jet(self, M: Manifold, points, order: int = 0) -> np.ndarray:
         """Values (order 0) or 1-jet (order 1) of K at the points: the
-        symmetrized product of f's jet and g^-1's (Leibniz at order 1)."""
-        inner, outer = "abcdef"[:self.form.rank - 1], "qrstuv"[:self.form.rank - 1]
-        subscripts = ",".join([f"m{inner}", *map("".join, zip(inner, outer)),
-                               f"{outer}n"]) + "->mn"
+        symmetrized product of f's jet and g^-1's (Leibniz at order 1).  The
+        values invert the metric's values here, since per_batch does not key
+        a trajectory's positions array."""
         if order:
-            ginv, product = _inverse(M.metric_jet(points)[:, :, -1]), _product
+            ginv, product = M.inverse_metric_jet(points), _product
         else:
-            ginv, product = M.inverse_metric_values(points), _pointwise
+            ginv, product = _inverse(M.evaluate(M.metric, points)[:, None])[:, -1], _pointwise
         f = self.form.jet(M, points, order)
-        K = product(subscripts, f, *[ginv] * len(inner), f)
+        K = product(self.subscripts, f, *[ginv] * (self.form.rank - 1), f)
         return (K + np.swapaxes(K, -1, -2)) / 2
 
 
@@ -258,31 +274,18 @@ def associated_sk(f: TensorField, M: Manifold) -> SKSquare:
 def associated_sk_symbolic(f: TensorField, M: Manifold) -> TensorField:
     """associated_sk(f, M) as expressions in rational normal form over the
     symbolic g^-1 (exact 0 where sin^2 + cos^2 = 1 alone cancels), for
-    `construct assoc-sk --emit-components` and the tests."""
+    `construct assoc-sk --emit-components` and the tests: the numbers'
+    einsum on sympy object arrays."""
     import sympy as sp
-    p = f.rank
-    n = M.dim
-    ginv = M.inverse_metric_matrix()
+    ginv = np.array(M.inverse_metric_matrix(), dtype=object)
     comp = _symbolic(f.components)
-    out = np.empty((n, n), dtype=object)
-    inner_shape = (n,) * (p - 1)
-    # K is symmetric: build the upper triangle and mirror it
-    for mu in range(n):
-        for nu in range(mu, n):
-            total = sp.Integer(0)
-            for a_idx in np.ndindex(inner_shape):
-                for b_idx in np.ndindex(inner_shape):
-                    factor = sp.Integer(1)
-                    for a, b in zip(a_idx, b_idx):
-                        factor *= ginv[a, b]
-                    if factor == 0:
-                        continue
-                    total += comp[(mu,) + a_idx] * factor * comp[b_idx + (nu,)]
-            e = sp.cancel(sp.together(total))
-            # zero by sin^2 + cos^2 = 1 alone, which cancel does not use: exact 0
-            out[mu, nu] = out[nu, mu] = (
-                0 if e != 0 and sp.expand(e.rewrite(sp.exp)) == 0 else e)
-    return TensorField(out, "dd")
+    K = np.einsum(associated_sk(f, M).subscripts, comp, *[ginv] * (f.rank - 1), comp)
+    # K is symmetric: take the upper triangle and mirror it
+    for mu, nu in zip(*np.triu_indices(M.dim)):
+        e = sp.cancel(sp.together(K[mu, nu]))
+        # zero by sin^2 + cos^2 = 1 alone, which cancel does not use: exact 0
+        K[mu, nu] = K[nu, mu] = 0 if e != 0 and sp.expand(e.rewrite(sp.exp)) == 0 else e
+    return TensorField(K, "dd")
 
 
 @_quiet
@@ -291,9 +294,10 @@ def unit_root_check(f: TensorField, M: Manifold, points=None, seed=0,
     """f^mu_a f_{mu b} vs g_{ab}, both strict (c=1) and with fitted scale c."""
     if f.rank != 2:
         raise GeometryError("unit_root_check needs a 2-form")
+    _require_covariant(f, "unit_root_check")
     pts = _default_points(M, points, seed)
     g = M.evaluate(M.metric, pts)
-    ginv = M.inverse_metric_values(pts)
+    ginv = M.inverse_metric_jet(pts)[:, -1]
     F = M.evaluate(f.components, pts)
     singular = np.abs(np.linalg.det(F)) < 1e-12
     if singular.any():
@@ -315,8 +319,10 @@ def quaternion_relations_check(f1: TensorField, f2: TensorField, f3: TensorField
                                M: Manifold, points=None, seed=0,
                                tol=DEFAULT_TOL) -> ResidualReport:
     """f^i f^j + f^j f^i = -2 delta_ij, f^i f^j - f^j f^i = -2 eps_ijk f^k."""
+    for f in (f1, f2, f3):
+        _require_covariant(f, "quaternion_relations_check")
     pts = _default_points(M, points, seed)
-    ginv = M.inverse_metric_values(pts)
+    ginv = M.inverse_metric_jet(pts)[:, -1]
     E = [ginv @ M.evaluate(f.components, pts) for f in (f1, f2, f3)]  # (f^i)^mu_nu
     ident = np.eye(M.dim)
     terms = []

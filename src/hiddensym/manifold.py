@@ -209,10 +209,8 @@ def per_batch(method):
         if key not in memo:
             if len(memo) >= 16:
                 del memo[next(iter(memo))]
-            result = method(self, points)
-            for arr in result if isinstance(result, tuple) else (result,):
-                arr.flags.writeable = False
-            memo[key] = result
+            memo[key] = method(self, points)
+            memo[key].flags.writeable = False
         return memo[key]
     return cached
 
@@ -319,9 +317,6 @@ class Manifold:
         import sympy as sp
         return [sp.Symbol(c) for c in self.chart.coords]
 
-    def metric_field(self) -> TensorField:
-        return TensorField(self.metric, "dd")
-
     def inverse_metric_matrix(self):
         """g^-1 = adj(g) / det g as a sympy Matrix, each entry in rational
         normal form: the one symbolic inverse, for the symbolic square of
@@ -350,12 +345,19 @@ class Manifold:
         in (mu, nu), at the points, shape (P, n + 1, n, n, n):
         Gamma^rho_{mu nu} = g^{rho lam} (d_mu g_{lam nu} + d_nu g_{lam mu} - d_lam g_{mu nu}) / 2.
         A point where the metric is singular gets NaN."""
-        g2 = self.metric_jet(points)
-        dg = g2[:, :, :-1]             # dg[p, j, k, i, l] = d_j d_k g_il
+        dg = self.metric_jet(points)[:, :, :-1]    # dg[p, j, k, i, l] = d_j d_k g_il
         with np.errstate(invalid="ignore", over="ignore"):
             lowered = (np.einsum("pjmln->pjlmn", dg) + np.einsum("pjnlm->pjlmn", dg)
                        - dg) / 2
-            return _product("rl,lmn->rmn", _inverse(g2[:, :, -1]), lowered)
+            return _product("rl,lmn->rmn", self.inverse_metric_jet(points), lowered)
+
+    @per_batch
+    def inverse_metric_jet(self, points) -> np.ndarray:
+        """1-jet of g^-1 at the points, shape (P, n + 1, n, n), from the
+        metric's 2-jet; its values are [:, -1].  A point where the metric is
+        singular or not finite gets NaN, for the reports to fail closed there."""
+        with np.errstate(invalid="ignore", over="ignore"):
+            return _inverse(self.metric_jet(points)[:, :, -1])
 
     @per_batch
     def riemann(self, points) -> np.ndarray:
@@ -424,12 +426,6 @@ class Manifold:
             else:
                 values[(slice(None),) + (n,) * order + (i,)] = e
         return values.reshape((count,) + (n + 1,) * order + arr.shape)
-
-    def inverse_metric_values(self, points) -> np.ndarray:
-        """Numeric inverse metric at each point, shape (P, n, n).  A point where
-        the metric is singular or not finite gets NaN, for the reports to
-        fail closed there."""
-        return _inverse(self.evaluate(self.metric, points)[:, None])[:, -1]
 
     def check_signature(self, points: list[Point]) -> bool:
         """True when the metric has the declared signature at every point where

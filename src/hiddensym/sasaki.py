@@ -17,7 +17,7 @@ from .exprkit import symbol
 from .killing import (ResidualReport, _default_points, _killing_terms, _ky_report,
                       _max_abs, _quiet, _report, conformal_killing_factor, DEFAULT_TOL)
 from .manifold import (Chart, GeometryError, Manifold, TensorField, TensorValues,
-                       _covariant, _inverse, _pointwise, _product, antisymmetrize,
+                       _covariant, _pointwise, _product, antisymmetrize,
                        covariant_derivative)
 
 EPS = (1, -1, -1)
@@ -288,9 +288,8 @@ def reverse_cone(C: ConeManifold, pts) -> list[tuple[np.ndarray, np.ndarray, np.
     to r = 1, as phi_a's values, xi_a's values and eta_a's 1-jet: xi_a = J_a(d_r),
     eta_a = g xi_a and phi^i_mu = g^{i nu} (d eta_a)_{mu nu} / 2, xi_a being
     Killing on a Sasakian base.  A singular base metric gives NaN."""
-    n = C.base.manifold.dim
-    g1 = C.base.manifold.metric_jet(pts)[:, :, -1]
-    ginv = _inverse(g1[:, -1:])[:, -1]
+    base = C.base.manifold
+    n, g1, ginv = base.dim, base.metric_jet(pts)[:, :, -1], base.inverse_metric_jet(pts)[:, -1]
     lifted = [{**p, RADIAL: 1.0} for p in pts]
     out = []
     for Ja in C.J:

@@ -89,25 +89,27 @@ def canonical_gamma(eta: tuple[int, ...]) -> np.ndarray:
 # on the jets of spinor fields and compose by the Leibniz rule in numpy.
 
 SpinorField = np.ndarray      # object array of trees, length = spinor size
+_QUARTER_SIGN = -1            # X_k's quarter term: -1 makes [D_s, X_k] = 0
 
 
 @dataclass
 class OperatorSpec:
     """kind in {standard-dirac, killing-op, dirac-type}; payload is the
-    Killing vector (contravariant) or the Killing-Yano two-form (covariant).
-    quarter_sign is the sign of the killing-op's quarter term,
-    X_k = -i (R^mu grad_mu + quarter_sign * (1/4) gamma^mu gamma^nu R_{mu;nu});
-    -1 makes [D_s, X_k] = 0 hold on every verified Killing payload."""
+    Killing vector (contravariant) or the Killing-Yano two-form (covariant),
+    a payload of another variance a GeometryError."""
 
     kind: str
     payload: TensorField | None = None
-    quarter_sign: int = -1
 
     def __post_init__(self):
         if self.kind not in ("standard-dirac", "killing-op", "dirac-type"):
             raise ValueError(f"unknown operator kind {self.kind!r}")
         if self.kind != "standard-dirac" and self.payload is None:
             raise ValueError(f"{self.kind} needs a payload")
+        if self.kind == "killing-op" and self.payload.variance != "u":
+            raise GeometryError("killing-op payload must be a vector field")
+        if self.kind == "dirac-type" and self.payload.variance != "dd":
+            raise GeometryError("dirac-type payload must be a covariant two-form")
 
 
 class SpinContext:
@@ -186,10 +188,6 @@ def build_operator(spec: OperatorSpec, ctx: SpinContext, points, frames) -> Line
     """D_s, X_k, or D_f on the given spin context at the points, its coefficient
     jet formed from the 2-jet of the payload and frames = ctx.frame_jets(points)."""
     M = ctx.M
-    if spec.kind == "killing-op" and spec.payload.variance != "u":
-        raise ValueError("killing-op payload must be a vector field")
-    if spec.kind == "dirac-type" and spec.payload.variance != "dd":
-        raise ValueError("dirac-type payload must be a covariant two-form")
     gam, conn = frames
 
     if spec.kind == "standard-dirac":
@@ -197,21 +195,20 @@ def build_operator(spec: OperatorSpec, ctx: SpinContext, points, frames) -> Line
         return LinearOperator(1j * _coefficient_jet(gam, _product("mst,mtu->su", gam, conn)))
 
     if spec.kind == "killing-op":
-        # X_k = -i (R^mu grad_mu + quarter_sign/4 gamma^mu gamma^nu R_{mu;nu})
+        # X_k = -i (R^mu grad_mu + _QUARTER_SIGN/4 gamma^mu gamma^nu R_{mu;nu})
         r2 = M.evaluate(spec.payload.components, points, order=2)
         r = r2[:, :, -1]
         # dr[nu, mu] = R_{mu;nu} = g_{mu lam} grad_nu R^lam
         dr = _product("ml,nl->nm", M.metric_jet(points)[:, :, -1],
                       _covariant(r2, M.christoffel(points), "u"))
         c0 = (_product("m,mst->st", r, conn)
-              + spec.quarter_sign / 4 * _product("mst,ntu,nm->su", gam, gam, dr))
+              + _QUARTER_SIGN / 4 * _product("mst,ntu,nm->su", gam, gam, dr))
         eye = np.eye(ctx._gamma.shape[1])
         return LinearOperator(-1j * _coefficient_jet(np.einsum("pjm,st->pjmst", r, eye), c0))
 
     # dirac-type: D_f = i gamma^mu (f_mu^nu grad_nu - (1/6) gamma^nu gamma^rho f_{mu nu;rho})
     f2 = M.evaluate(spec.payload.components, points, order=2)
-    ginv = _inverse(M.metric_jet(points)[:, :, -1])
-    fm = _product("ml,ln->mn", f2[:, :, -1], ginv)            # f_mu{}^nu
+    fm = _product("ml,ln->mn", f2[:, :, -1], M.inverse_metric_jet(points))   # f_mu{}^nu
     df = _covariant(f2, M.christoffel(points), "dd")          # df[rho, mu, nu] = f_{mu nu;rho}
     c0 = (_product("mn,mst,ntu->su", fm, gam, conn)
           - _product("rmn,mst,ntu,ruv->sv", df, gam, gam, gam) / 6)
@@ -245,8 +242,6 @@ def _bilinear_report(check, specs, terms, ctx, bank, points, seed, tol) -> Resid
     scaled by the largest |X Y psi| and 1.  Each spec is built once, on shared frame jets."""
     M = ctx.M
     pts = _default_points(M, points, seed)
-    if bank is None:
-        bank = spinor_bank(M, 5, seed)
     jet = M.evaluate(list(bank), pts, order=2)
     frames = ctx.frame_jets(pts)
     ops = [build_operator(spec, ctx, pts, frames) for spec in specs]
@@ -264,7 +259,7 @@ def _bilinear_report(check, specs, terms, ctx, bank, points, seed, tol) -> Resid
 
 
 def anticommutator_residual(specA: OperatorSpec, specB: OperatorSpec,
-                            ctx: SpinContext, bank=None, points=None, seed=0,
+                            ctx: SpinContext, bank, points=None, seed=0,
                             tol=1e-8) -> ResidualReport:
     """Residual of (AB + BA) psi over the bank, relative to |ABpsi|, |BApsi|."""
     return _bilinear_report("anticommutator", [specA, specB], [(1, 0, 1), (1, 1, 0)],
@@ -272,14 +267,14 @@ def anticommutator_residual(specA: OperatorSpec, specB: OperatorSpec,
 
 
 def commutator_residual(specA: OperatorSpec, specB: OperatorSpec,
-                        ctx: SpinContext, bank=None, points=None, seed=0,
+                        ctx: SpinContext, bank, points=None, seed=0,
                         tol=1e-8) -> ResidualReport:
     """Residual of (AB - BA) psi over the bank."""
     return _bilinear_report("commutator", [specA, specB], [(1, 0, 1), (-1, 1, 0)],
                             ctx, bank, points, seed, tol)
 
 
-def square_compare(spec_f: OperatorSpec, ctx: SpinContext, bank=None,
+def square_compare(spec_f: OperatorSpec, ctx: SpinContext, bank,
                    points=None, seed=0, tol=1e-8) -> ResidualReport:
     """Residual of (D_f^2 - D_s^2) psi over the bank."""
     if spec_f.kind != "dirac-type":

@@ -166,6 +166,11 @@ ORACLES = {"flat3": lambda: flat(3), "flat4": lambda: flat(4), "pseudo-sphere": 
            "sphere2": sphere2, "taub-nut": taub_nut}
 
 
+def names() -> list[str]:
+    """The catalog's entry names, in its order."""
+    return list(ORACLES)
+
+
 def text(e) -> str:
     """e printed in the file grammar, as `catalog export` printed the sympy
     entries: the hyperbolics rewritten through exp."""

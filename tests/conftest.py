@@ -4,6 +4,8 @@ import pytest
 
 from hiddensym import catalog, spin
 
+from catalog_oracle import names
+
 
 @pytest.fixture(scope="session")
 def tn():
@@ -15,7 +17,7 @@ def ps():
     return catalog.pseudo_sphere_fixture()
 
 
-@pytest.fixture(params=catalog.names())
+@pytest.fixture(params=names())
 def entry(request):
     """Each catalog entry in turn; the expensive ones are the session fixtures."""
     shared = {"taub-nut": "tn", "pseudo-sphere": "ps"}

@@ -409,13 +409,68 @@ class TestCheckCommand:
 class TestConstructCommand:
     @pytest.mark.parametrize("target, want", [
         ("f1", "0d5880cfdd19b160"), ("f2", "685a8e0169937b32"),
-        ("f3", "57a02bb0af172a98"), ("fY", "d3afc5f06ac4e153")])
+        ("f3", "57a02bb0af172a98"), ("fY", "d3afc5f06ac4e153"),
+        ("f1_raw", "a993a3c37b496d89"), ("f2_raw", "2884ed0df16c199e"),
+        ("f3_raw", "23dc0600456b2437"), ("fY_raw", "cd05c129600d35bf"),
+        ("eta1", "d98e46e4465283bf"), ("eta2", "74d11bc16942f334"),
+        ("eta3", "3bad0d72816bb3f7")])
     def test_emitted_components_are_pinned(self, capsys, target, want):
-        """The text of the square's components, as --emit-components prints it."""
+        """The text of the square's components, as --emit-components prints it,
+        for every catalog form: Taub-NUT's and the pseudo-sphere's one-forms."""
+        catalog = "pseudo-sphere" if target.startswith("eta") else "taub-nut"
         code, (report, emitted) = run(capsys, "construct", "assoc-sk", "--catalog",
-                                      "taub-nut", "--target", target, "--emit-components")
+                                      catalog, "--target", target, "--emit-components")
         assert code == 0 and report["pass"]
         assert digest(emitted) == want
+
+
+class TestWrongKindTarget:
+    """A target of the wrong kind for the check or operator is a usage
+    error: exit 2, an error line, nothing on stdout.  Each of these once
+    exited 3 on an internal ValueError, or printed a report on the wrong
+    tensor (a vector's KY, CKY and S-K reports, and its square)."""
+
+    CASES = [
+        (["spin", "anticommute", "--catalog", "taub-nut", "--target", "kchi"],
+         "dirac-type payload must be a covariant two-form"),
+        (["spin", "commute", "--catalog", "taub-nut", "--target", "f1"],
+         "killing-op payload must be a vector field"),
+        (["spin", "square", "--catalog", "flat4", "--target", "translation"],
+         "dirac-type payload must be a covariant two-form"),
+        (["check", "quaternion", "--catalog", "taub-nut", "--target", "kchi,k1,k2"],
+         "quaternion_relations_check needs covariant slots, not variance 'u'"),
+        (["check", "ky", "--catalog", "taub-nut", "--target", "k1"],
+         "ky_residual needs covariant slots, not variance 'u'"),
+        (["check", "ky", "--catalog", "flat3", "--target", "translation"],
+         "ky_residual needs covariant slots, not variance 'u'"),
+        (["check", "cky", "--catalog", "flat3", "--target", "translation"],
+         "cky_residual needs covariant slots, not variance 'u'"),
+        (["check", "sk", "--catalog", "flat3", "--target", "translation"],
+         "sk_residual needs covariant slots, not variance 'u'"),
+        (["construct", "assoc-sk", "--catalog", "flat3", "--target", "translation"],
+         "the S-K square needs covariant slots, not variance 'u'"),
+        (["check", "unit-root", "--catalog", "sphere2", "--target", "dphi"],
+         "unit_root_check needs a 2-form"),
+    ]
+
+    @pytest.mark.parametrize("argv, message", CASES,
+                             ids=["-".join(argv[:2] + argv[3::2]) for argv, _ in CASES])
+    def test_wrong_kind_gives_exit_two(self, capsys, argv, message):
+        code = main(argv)
+        out, err = capsys.readouterr()
+        assert (code, out, err) == (2, "", f"error: {message}\n")
+
+
+class TestPrettyFlag:
+    def test_pretty_prints_the_report_indented(self, capsys):
+        """--pretty prints each report as indented JSON, the same object as
+        the default line."""
+        argv = ["check", "unit-root", "--catalog", "taub-nut", "--target", "fY", "--points", "5"]
+        code, (line,) = run(capsys, *argv)
+        assert main(argv + ["--pretty"]) == code == 0
+        out = capsys.readouterr().out
+        assert out.startswith('{\n  "check": "unit-root",\n') and json.loads(out) == line
+        assert line["expected_pass"] is False and line["meets_expectation"] is True
 
 
 class TestJsonFlag:
@@ -509,6 +564,20 @@ class TestGeodesicCommand:
                       "--velocity", "theta=0.2,phi=0.4")
         assert code == 2
 
+    @pytest.mark.parametrize("invariant, initial", [("assoc-sk:fY", -2.74908420012149),
+                                                    ("kchi", 0.6087863484455498)])
+    def test_invariant_is_monitored(self, capsys, invariant, initial):
+        """--invariant monitors an S-K square (assoc-sk:FORM) or a Killing
+        vector, lowered by the metric, along the criterion-4 orbit."""
+        code, reports = run(capsys, "geodesic", "run", "--catalog", "taub-nut",
+                            "--position", "r=2.0,theta=1.5,phi=0.5,chi=6.0",
+                            "--velocity", "r=-0.5,theta=0.02,phi=0.2,chi=0.1",
+                            "--t1", "2", "--step", "0.01", "--invariant", invariant)
+        assert code == 0
+        assert [r["invariant"] for r in reports] == ["energy", invariant]
+        assert reports[1]["initial"] == initial
+        assert reports[1]["pass"] and reports[1]["relative_drift"] < 1e-10
+
 
 class TestSasakiCommand:
     def test_einstein(self, capsys):
@@ -519,6 +588,18 @@ class TestSasakiCommand:
     def test_structure_required(self, capsys):
         code, _ = run(capsys, "sasaki", "verify", "--catalog", "sphere2")
         assert code == 2
+
+    def test_witness(self, capsys):
+        """The witness report finds (grad_X phi_a) X != 0 for each alpha, and
+        each xi_a is Killing, as the conformal-to-Killing corollary says."""
+        code, reports = run(capsys, "sasaki", "witness", "--catalog", "pseudo-sphere",
+                            "--points", "5")
+        assert code == 0
+        assert [r["check"] for r in reports] == ["phi-not-killing-witness"] + [
+            "conformal-to-killing"] * 3
+        assert [w["alpha"] for w in reports[0]["extra"]["witnesses"]] == [1, 2, 3]
+        assert all(r["pass"] and r["seed"] == 0 for r in reports)
+        assert [r["extra"]["status"] for r in reports[1:]] == ["killing"] * 3
 
     def test_cone_reports_honour_points(self, capsys):
         code, reports = run(capsys, "sasaki", "cone",
@@ -533,6 +614,15 @@ class TestSpinCommand:
                             "--target", "kchi")
         assert code == 0
         assert reports[0]["pass"] is True
+
+    def test_entry_without_a_frame_takes_the_diagonal_one(self, capsys):
+        """flat4 carries no frame: the diagonal orthonormal frame of its
+        metric is taken, and a translation commutes with D_s exactly."""
+        code, reports = run(capsys, "spin", "commute", "--catalog", "flat4",
+                            "--target", "translation")
+        assert code == 0
+        assert reports[0]["check"] == "commutator" and reports[0]["pass"]
+        assert reports[0]["max_residual"] == 0.0 and reports[0]["extra"]["bank_size"] == 5
 
     def test_non_unit_root_square_is_an_expected_failure(self, capsys):
         code, reports = run(capsys, "spin", "square", "--catalog", "taub-nut",

@@ -10,7 +10,7 @@ import sympy as sp
 from hypothesis import assume, example, given, settings, strategies as st
 
 from hiddensym import exprkit, geodesic
-from hiddensym.manifold import Manifold, sample_points
+from hiddensym.manifold import Manifold, TensorField, sample_points
 from hiddensym.exprkit import (EvalDomainError, ExprError, ParseError, UnknownFunctionError,
                                codegen, compiled_function, derivative, function, number,
                                parse, simplify, symbol, to_source, to_sympy, tree)
@@ -457,7 +457,7 @@ class TestExactRewrites:
                                         exprkit.ARRAY_FUNCTIONS, lambda a: a ** 2) for r in roots]
         reference.compiled = compiled
         pts = sample_points(M.chart, 7, seed=3)
-        for T in (M.metric_field(), *entry.vectors.values(), *entry.forms.values()):
+        for T in (TensorField(M.metric, "dd"), *entry.vectors.values(), *entry.forms.values()):
             for order in (0, 1, 2):
                 assert np.array_equal(M.evaluate(T.components, pts, order),
                                       reference.evaluate(T.components, pts, order))

@@ -16,9 +16,10 @@ from hiddensym.cli import ingest, main
 from hiddensym.geodesic import (GeodesicState, IntegratorConfig, Trajectory,
                                 energy_report, export_csv, integrate,
                                 invariant_values, monitor_invariant)
-from hiddensym.manifold import Chart, Manifold, sample_points, vector
+from hiddensym.manifold import Chart, Manifold, TensorField, sample_points, vector
 
 from array_rk4 import integrate_arrays, integrate_lists, sympy_spray
+from catalog_oracle import names
 from lambdify_reference import lambdified_jet
 from test_acceptance import _ORBIT
 
@@ -146,7 +147,7 @@ class TestSympyReference:
             worst = max(worst, np.max(np.abs(got - want)) / max(1.0, np.max(np.abs(want))))
         return worst
 
-    @pytest.mark.parametrize("name", [*catalog.names(), "cone", "dense"])
+    @pytest.mark.parametrize("name", [*names(), "cone", "dense"])
     def test_matches_sympy_spray(self, name, request):
         M = self._manifold(request, name)
         assert self._mismatch(M, sympy_spray(M)) <= self.TOL
@@ -250,7 +251,7 @@ class TestArrayReference:
 
     TOL = 1e-13
 
-    @pytest.fixture(params=[*catalog.names(), "negative-parameters"])
+    @pytest.fixture(params=[*names(), "negative-parameters"])
     def case(self, request):
         if request.param == "taub-nut":
             return (request.getfixturevalue("tn").manifold, _ORBIT,
@@ -311,7 +312,7 @@ def _centre_orbit(M):
 FINE = IntegratorConfig(step=1e-3, t_span=(0.0, 10.0), stride=10)
 LIST_CASES = (["criterion-4", "halving-0.04", "halving-0.02"]
               + [f"perturbed-seed{seed}-{i}" for seed in (0, 3) for i in range(3)]
-              + [f"centre-{name}" for name in catalog.names()])
+              + [f"centre-{name}" for name in names()])
 
 
 class TestListReference:
@@ -536,7 +537,7 @@ class TestLiteralParameters:
         assert not self._jet_mismatch(e) <= self.TOL
         assert not TestSympyReference._mismatch(M, sympy_spray(M)) <= self.TOL
 
-    @pytest.mark.parametrize("name", [*catalog.names(), "negative-parameters"])
+    @pytest.mark.parametrize("name", [*names(), "negative-parameters"])
     def test_generated_code_takes_no_parameter(self, name, monkeypatch):
         """The RK4 loop's signature is the state, the span, the step, the
         counts and the box, and no generated text names a parameter."""
@@ -549,7 +550,7 @@ class TestLiteralParameters:
             return texts[-1]
         monkeypatch.setattr(exprkit, "codegen", recorded)
         pts = sample_points(M.chart, 3, seed=0)
-        for T in (M.metric_field(), *e.vectors.values(), *e.forms.values()):
+        for T in (TensorField(M.metric, "dd"), *e.vectors.values(), *e.forms.values()):
             M.evaluate(T.components, pts, order=2)
         geodesic.spray(M)
         texts.append(geodesic._rk4_text(M))
@@ -647,7 +648,7 @@ class TestInvariants:
         cfg = IntegratorConfig(step=0.005, t_span=(0.0, 4.0), stride=10)
         traj = integrate(sphere, s0, cfg)
         # quadratic invariant from the metric itself
-        rep = monitor_invariant(traj, sphere.metric_field(), sphere,
+        rep = monitor_invariant(traj, TensorField(sphere.metric, "dd"), sphere,
                                 name="energy-sk", tol=1e-8)
         assert rep.passed
 
@@ -665,7 +666,7 @@ class TestInvariants:
                            {"theta": 0.0, "phi": 0.5})
         traj = integrate(sphere, s0,
                          IntegratorConfig(step=0.01, t_span=(0, 1), stride=10))
-        vals = invariant_values(traj, sphere.metric_field(), sphere)
+        vals = invariant_values(traj, TensorField(sphere.metric, "dd"), sphere)
         assert len(vals) == len(traj)
 
 

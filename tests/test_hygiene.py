@@ -1,14 +1,14 @@
 """Source hygiene: every name a library module imports is used in it, every
 definition in a library module is referenced by the library or the benchmark
-(tests alone do not count), no library module calls exprkit.simplify, only
+(tests alone do not count; a module-level function only by a reference that
+can resolve to it), no library module calls exprkit.simplify, only
 exprkit calls sympy's trigsimp, no library module calls sympy's lambdify, no
 module outside manifold.py calls the symbolic tensor algebra, every default
-of a library function that a call reaches is set by some call, no library
-module imports sympy at its module level, neither the library's import nor
-any command but the emitted symbolic components loads sympy, no library
-module imports the CLI, a command loads only the library modules it runs,
-and only geodesic's loop builder and exprkit's code generator run code from
-text."""
+of a library function or dataclass that a call reaches is set by some call,
+no library module imports sympy at its module level, neither the library's
+import nor any command but the emitted symbolic components loads sympy, no
+library module imports the CLI, a command loads only the library modules
+it runs, and only exprkit.run_source runs code from text."""
 
 import ast
 import json
@@ -81,12 +81,45 @@ def references(source: str, strings: bool = False) -> set[str]:
     return out
 
 
-def unreferenced(source: str, corpus: list[str], by_name: list[str] = ()) -> list[str]:
+def _last(node) -> str | None:
+    """The last name of a dotted expression: m of m, and of pkg.m."""
+    return node.id if isinstance(node, ast.Name) else getattr(node, "attr", None)
+
+
+def function_references(source: str, module: str) -> set[str]:
+    """The names the source reads that can resolve to a module-level
+    function of `module`: an import of the name from it, or an attribute of
+    it, by its own name or an alias an import binds to it."""
+    tree = ast.parse(source)
+    imports = [node for node in ast.walk(tree) if isinstance(node, (ast.Import, ast.ImportFrom))]
+    aliases = {module} | {a.asname for node in imports for a in node.names
+                          if a.asname and a.name.split(".")[-1] == module}
+    out = {a.name for node in imports if isinstance(node, ast.ImportFrom)
+           and (node.module or "").split(".")[-1] == module for a in node.names}
+    return out | {node.attr for node in ast.walk(tree)
+                  if isinstance(node, ast.Attribute) and _last(node.value) in aliases}
+
+
+def unreferenced(source: str, corpus: list[str], by_name: list[str] = (),
+                 module: str | None = None) -> list[str]:
     """Definitions in `source` that no source in `corpus` references, nor
-    any source in `by_name`, whose string constants count as references."""
+    any source in `by_name`, whose string constants count as references.
+    Given the source's module name, a module-level function counts only
+    references that can resolve to it: a use in the source itself, an
+    import of it or an attribute of its module (function_references), or
+    a string in `by_name` that is its name, as a tracer wraps it by name."""
     used = set().union(*map(references, corpus), *(references(s, True) for s in by_name))
+    functions = set()
+    if module is not None:
+        functions = {(node.lineno, node.name) for node in ast.parse(source).body
+                     if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))}
+        resolved = set().union(
+            {node.id for node in ast.walk(ast.parse(source)) if isinstance(node, ast.Name)},
+            *(function_references(s, module) for s in [*corpus, *by_name]),
+            *({node.value for node in ast.walk(ast.parse(s)) if isinstance(node, ast.Constant)
+               and isinstance(node.value, str) and node.value.isidentifier()} for s in by_name))
     return [f"line {line}: {name}" for line, name in definitions(source)
-            if name not in used]
+            if name not in (resolved if (line, name) in functions else used)]
 
 
 @pytest.fixture(scope="module")
@@ -99,7 +132,7 @@ def library_sources() -> tuple[list[str], list[str]]:
 @pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
 def test_no_unreferenced_definitions(path, library_sources):
     """A definition only the tests reach belongs in tests/, as their oracle."""
-    assert unreferenced(path.read_text(), *library_sources) == []
+    assert unreferenced(path.read_text(), *library_sources, module=path.stem) == []
 
 
 def test_reference_checker_sees_an_unreferenced_definition():
@@ -115,6 +148,29 @@ def test_reference_checker_sees_an_unreferenced_definition():
     # a string constant counts only where functions are wrapped by name
     assert unreferenced(source, corpus + [tracer]) == dead + ["line 14: traced",
                                                              "line 16: oracle"]
+
+
+def test_reference_checker_resolves_module_functions():
+    """A module-level function counts only references that can reach it: a
+    catalog.names() reached only as exprkit.names(...), a same-named
+    function of another module, fails; an import or an attribute of its
+    module, under any alias, passes."""
+    source = "def names():\n    return []\nclass Entry:\n    def names(self):\n        pass\n"
+    other = ("from . import exprkit\nexprkit.names(roots)\nfrom .exprkit import names\n"
+             "Entry().names()\n")
+    assert unreferenced(source, [source, other], module="catalog") == ["line 1: names"]
+    assert unreferenced(source, [source, other]) == []
+    for reaching in ("from . import catalog\ncatalog.names()\n",
+                     "from .catalog import names as entry_names\n",
+                     "import hiddensym.catalog as c\nc.names()\n",
+                     "import hiddensym.catalog\nhiddensym.catalog.names()\n"):
+        assert unreferenced(source, [source, other, reaching], module="catalog") == []
+    used_here = source + "NAMES = names()\n"
+    assert unreferenced(used_here, [used_here, other], module="catalog") == []
+    assert unreferenced(source, [source, other], ["wrap(catalog, 'names')\n"],
+                        module="catalog") == []
+    prose = ["def f(names):\n    '''Wraps names.'''\n    return names\n"]
+    assert unreferenced(source, [source, other], prose, module="catalog") == ["line 1: names"]
 
 
 def test_reference_checker_reads_the_library_not_the_tests(library_sources):
@@ -314,15 +370,12 @@ def code_from_text(source: str) -> list[str]:
 
 
 def test_only_the_rk4_loop_builder_runs_code_from_text():
-    """geodesic._rk4_loop compiles and runs the RK4 loop it generates, and
-    exprkit.compiled_function the code it generates from trees; no other
-    library code compiles or runs text."""
+    """exprkit.run_source is the one place that compiles and runs text: the
+    RK4 loop geodesic generates and the code exprkit generates from trees
+    both go through it; no other library code compiles or runs text."""
     uses = {p.name: code_from_text(p.read_text()) for p in sorted(SRC.glob("*.py"))}
-    for module, owner in (("geodesic.py", "_rk4_loop"), ("exprkit.py", "compiled_function")):
-        found = uses.pop(module)
-        builder = [u for u in found if f": {owner} -> " in u]
-        assert builder and {u.split(" -> ")[1] for u in builder} == {"exec", "compile"}
-        assert [u for u in found if u not in builder] == []
+    found = uses.pop("exprkit.py")
+    assert {u.split(": ")[1] for u in found} == {"run_source -> exec", "run_source -> compile"}
     assert {name: found for name, found in uses.items() if found} == {}
 
 
@@ -373,9 +426,37 @@ def defaulted_parameters(source: str) -> list[tuple[str, int | None, str]]:
                 add(child, name, bool(in_class))
                 visit(child, None)
             else:
+                if isinstance(child, ast.ClassDef) and is_dataclass(child):
+                    out.extend((child.name, position, name)
+                               for position, name, default in dataclass_fields(child) if default)
                 visit(child, child.name if isinstance(child, ast.ClassDef) else None)
 
     visit(ast.parse(source), None)
+    return out
+
+
+def is_dataclass(cls: ast.ClassDef) -> bool:
+    """Whether a dataclass decorator, called or not, decorates the class."""
+    return any(_last(d.func if isinstance(d, ast.Call) else d) == "dataclass"
+               for d in cls.decorator_list)
+
+
+def dataclass_fields(cls: ast.ClassDef) -> list[tuple[int, str, bool]]:
+    """(position, name, has a default) of each parameter of a dataclass's
+    generated __init__: its annotated fields in order, but not a
+    field(init=False, ...); a field(...) without default or default_factory
+    has none."""
+    out = []
+    for node in cls.body:
+        if not (isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name)):
+            continue
+        call = node.value if (isinstance(node.value, ast.Call)
+                              and _last(node.value.func) == "field") else None
+        keywords = {k.arg: k.value for k in call.keywords} if call else {}
+        if getattr(keywords.get("init"), "value", True) is False:
+            continue
+        default = call is not None and bool({"default", "default_factory"} & set(keywords))
+        out.append((len(out), node.target.id, default or (call is None and node.value is not None)))
     return out
 
 
@@ -411,7 +492,8 @@ def unset_defaults(sources: list[str], callers: list[str]) -> list[str]:
 
 
 def test_every_default_is_set_by_a_caller():
-    """A parameter no caller sets is a constant: no option without a caller."""
+    """A parameter or dataclass field no caller sets is a constant: no
+    option without a caller."""
     sources = [p.read_text() for p in sorted(SRC.glob("*.py"))]
     callers = sources + [p.read_text() for p in sorted((ROOT / "perfbench").rglob("*.py"))]
     assert unset_defaults(sources, callers) == []
@@ -425,6 +507,24 @@ def test_default_checker_sees_each_unset_default():
               "    def read(self, n=0, m=0):\n        pass\n")
     callers = [source, "f(1)\nf(1, c=3)\ng(**kw)\nBox(1)\nbox.read(5)\n"]
     assert unset_defaults([source], callers) == ["f(b)", "Box(size)", "read(m)"]
+
+
+def test_default_checker_sees_dataclass_fields():
+    """A dataclass field with a default is a parameter of the class's call:
+    one no call sets fails, by position or keyword; a field(init=False, ...),
+    which the caller cannot set, and a class attribute are not parameters."""
+    source = ("from dataclasses import dataclass, field\n"
+              "@dataclass(frozen=True)\nclass Spec:\n    kind: str\n"
+              "    payload: object = None\n    sign: int = -1\n"
+              "    cache: dict = field(init=False, default_factory=dict)\n"
+              "    extra: dict = field(default_factory=dict)\n    needed: int = field()\n"
+              "    rank = 2\n"
+              "@dataclasses.dataclass\nclass Plain:\n    size: int = 1\n"
+              "class NotData:\n    size: int = 1\n")
+    callers = [source, "Spec('a', p)\nSpec('b', extra={}, needed=1)\nPlain()\nNotData()\n"]
+    assert unset_defaults([source], callers) == ["Spec(sign)", "Plain(size)"]
+    callers.append("Spec('c', None, 1)\n")
+    assert unset_defaults([source], callers) == ["Plain(size)"]
 
 
 def imported_modules(source: str, package: str, whole: bool) -> list[tuple[int, str]]:

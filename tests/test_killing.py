@@ -183,7 +183,7 @@ class TestAssociatedSK:
         assert sk_residual(K, flat4).passed
 
     def test_metric_itself_is_sk(self, sphere):
-        assert sk_residual(sphere.metric_field(), sphere).passed
+        assert sk_residual(TensorField(sphere.metric, "dd"), sphere).passed
 
     @pytest.mark.parametrize("name", ["f1", "f2", "f3", "fY"])
     def test_taub_nut_square_is_f_ginv_f(self, tn, name):

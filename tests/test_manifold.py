@@ -10,6 +10,7 @@ from hiddensym.manifold import (Chart, GeometryError, Manifold, TensorField,
                                 covariant_derivative, exterior_derivative,
                                 one_form, sample_points, symmetrize, vector)
 from hiddensym.spin import spinor_bank
+from catalog_oracle import names
 from lambdify_reference import lambdified, lambdified_jet
 from symbolic_geometry import (lie_bracket, lower_index, raise_index, symbolic_christoffel,
                                symbolic_ricci, symbolic_riemann)
@@ -99,7 +100,7 @@ class TestChristoffel:
 
     def test_metric_is_covariantly_constant(self, sphere):
         pts = sample_points(sphere.chart, 5, seed=0)
-        nabla = covariant_derivative(sphere.metric_field(), sphere, pts)
+        nabla = covariant_derivative(TensorField(sphere.metric, "dd"), sphere, pts)
         assert nabla.components.shape == (5, 2, 2, 2)
         assert np.max(np.abs(nabla.components)) < 1e-14
 
@@ -246,7 +247,26 @@ class TestNumericEvaluation:
     def test_inverse_metric_at(self, sphere):
         p = {"theta": 0.7, "phi": 2.0}
         g = sphere.evaluate(sphere.metric, [p])[0]
-        assert np.allclose(g @ sphere.inverse_metric_values([p])[0], np.eye(2), atol=1e-12)
+        assert np.allclose(g @ sphere.inverse_metric_jet([p])[0, -1], np.eye(2), atol=1e-12)
+
+    def test_unbound_name_is_a_geometry_error(self, sphere):
+        """A name that is neither a coordinate nor a parameter raises
+        GeometryError naming it, at every order; a document names none (its
+        reader refuses one first), so only library callers reach this."""
+        pts = sample_points(sphere.chart, 2, seed=0)
+        for order in (0, 1, 2):
+            with pytest.raises(GeometryError, match=r"^unbound name\(s\) r, z$"):
+                sphere.evaluate([exprkit.parse("theta + z"), exprkit.parse("r")], pts, order)
+        assert sphere.evaluate([exprkit.parse("theta")], pts).shape == (2, 1)
+
+    def test_inverse_metric_values_are_those_of_the_metric_values(self, entry):
+        """The value row of inverse_metric_jet, from the metric's 2-jet, is
+        bitwise the inverse of the metric's order-0 values, so the checks
+        that read it report what an order-0 inverse gave."""
+        M = entry.manifold
+        pts = sample_points(M.chart, 20, seed=3)
+        assert np.array_equal(M.inverse_metric_jet(pts)[:, -1],
+                              np.linalg.inv(M.evaluate(M.metric, pts)))
 
     def test_symbolic_inverse_times_metric_is_identity(self, entry):
         M = entry.manifold
@@ -310,7 +330,7 @@ class TestBatchEvaluation:
         self._assert_oracle(tn.manifold, arr, sample_points(tn.manifold.chart, 4, seed=1))
 
     def test_one_field_on_two_parameter_values(self, tn):
-        T = tn.manifold.metric_field()
+        T = TensorField(tn.manifold.metric, "dd")
         other = catalog.taub_nut(2.0).manifold
         p = sample_points(tn.manifold.chart, 1, seed=0)[0]
         values = []
@@ -326,7 +346,7 @@ class TestBatchEvaluation:
         Taub-NUT frame and of a spinor bank equal the lambdified symbolic
         tangents; the 1-jet is the 2-jet's value row."""
         cases = [(tn.manifold, tn.frame), (tn.manifold, spinor_bank(tn.manifold, 3))]
-        for name in catalog.names():
+        for name in names():
             e = tn if name == "taub-nut" else catalog.get(name)
             cases += [(e.manifold, e.manifold.metric)]
             cases += [(e.manifold, T.components)

@@ -3,7 +3,8 @@ import pytest
 import sympy as sp
 
 from hiddensym import catalog, spin
-from hiddensym.manifold import TensorField, _symbolic, _tangent, sample_points, vector
+from hiddensym.manifold import (GeometryError, TensorField, _symbolic, _tangent, sample_points,
+                                vector)
 from hiddensym.spin import (Frame, FrameError, OperatorSpec, SpinContext,
                             anticommutator_residual, canonical_gamma,
                             commutator_residual, frame_residual,
@@ -136,12 +137,12 @@ class TestOperatorSpecs:
         with pytest.raises(ValueError):
             OperatorSpec("killing-op")
 
-    def test_payload_variance_checked(self, flat4, flat4_ctx):
-        bad = OperatorSpec("killing-op", TensorField([[0, 1, 0, 0], [-1, 0, 0, 0],
-                                                      [0, 0, 0, 0], [0, 0, 0, 0]], "dd"))
-        pts = sample_points(flat4.chart, 3)
-        with pytest.raises(ValueError):
-            spin.build_operator(bad, flat4_ctx, pts, flat4_ctx.frame_jets(pts))
+    def test_payload_variance_checked(self):
+        two_form = TensorField([[0, 1, 0, 0], [-1, 0, 0, 0], [0, 0, 0, 0], [0, 0, 0, 0]], "dd")
+        with pytest.raises(GeometryError, match="killing-op payload must be a vector field"):
+            OperatorSpec("killing-op", two_form)
+        with pytest.raises(GeometryError, match="dirac-type payload must be a covariant"):
+            OperatorSpec("dirac-type", vector([1, 0, 0, 0]))
 
 
 class TestFlatIdentities:
@@ -205,7 +206,7 @@ class TestCurvedIdentities:
             sphere_ctx, bank=spinor_bank(M, 2), points=4)
         assert rep.passed
 
-    def test_quarter_term_sign_matters(self, sphere_ctx):
+    def test_quarter_term_sign_matters(self, sphere_ctx, monkeypatch):
         """With the curvature quarter-term sign flipped, the commutator
         with a rotation generator no longer vanishes."""
         M = sphere_ctx.M
@@ -215,8 +216,9 @@ class TestCurvedIdentities:
             OperatorSpec("standard-dirac"), OperatorSpec("killing-op", k),
             sphere_ctx, bank=spinor_bank(M, 2), points=4)
         assert rep.passed
+        monkeypatch.setattr(spin, "_QUARTER_SIGN", +1)
         rep2 = commutator_residual(
-            OperatorSpec("standard-dirac"), OperatorSpec("killing-op", k, quarter_sign=+1),
+            OperatorSpec("standard-dirac"), OperatorSpec("killing-op", k),
             sphere_ctx, bank=spinor_bank(M, 2), points=4)
         assert not rep2.passed
 
