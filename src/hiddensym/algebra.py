@@ -30,6 +30,7 @@ attempt to bracket them raises UnspecifiedBracketError.
 
 from __future__ import annotations
 
+import bisect
 import itertools
 from dataclasses import dataclass, field
 
@@ -308,34 +309,36 @@ def jacobi_check(cutoff: int = 10, table=None) -> AlgebraReport:
         grade = {g: 0 for g in FINITE_GENERATORS if g not in INERT_GENERATORS}
         brackets = {(a, b): table(a, b) for a, b in itertools.product(grade, repeat=2)}
 
+    # fits[t]: the indices of the generators of grade <= t, ascending, so the
+    # loops visit only the triples i <= j <= k within the cutoff, in order
+    names, limit = list(grade), 2 * cutoff
+    fits = [[k for k, g in enumerate(names) if grade[g] <= t] for t in range(limit + 1)]
     failures = []
     cases = 0
-    for a, b, c in itertools.combinations_with_replacement(grade, 3):
-        if grade[a] + grade[b] + grade[c] > 2 * cutoff:
-            continue
-        cases += 1
-        # [x, y] of two generators is the table entry itself; the three
-        # cyclic terms [[x, y], z] are summed into one map
-        total: Element = {}
-        for x, y, z in ((a, b, c), (b, c, a), (c, a, b)):
-            for (g, p), coeff in brackets[x, y].items():
-                _accumulate(total, brackets[g, z], coeff, p)
-        if total:
-            failures.append((a, b, c, elem_to_json(total)))
+    for i, a in enumerate(names):
+        for j in (js := fits[limit - grade[a]])[bisect.bisect_left(js, i):]:
+            for k in (ks := fits[limit - grade[a] - grade[names[j]]])[bisect.bisect_left(ks, j):]:
+                b, c = names[j], names[k]
+                cases += 1
+                # [x, y] of two generators is the table entry itself; the three
+                # cyclic terms [[x, y], z] are summed into one map
+                total: Element = {}
+                for x, y, z in ((a, b, c), (b, c, a), (c, a, b)):
+                    for (g, p), coeff in brackets[x, y].items():
+                        _accumulate(total, brackets[g, z], coeff, p)
+                if total:
+                    failures.append((a, b, c, elem_to_json(total)))
     return AlgebraReport("jacobi", not failures, cases, failures,
                          extra={"cutoff": cutoff})
 
 
 def structure_table_json(cutoff: int = 2) -> dict:
     """Full structure-constant table (finite and graded) for emission."""
-    finite = {}
     pool = [g for g in FINITE_GENERATORS if g not in INERT_GENERATORS]
-    for a, b in itertools.product(pool, repeat=2):
-        finite[f"[{a},{b}]"] = elem_to_json(bracket_generators(a, b))
-    graded = {}
-    gens = graded_generators(2 * cutoff)
-    for a, b in itertools.product(gens, repeat=2):
-        graded[f"[{a},{b}]"] = elem_to_json(graded_bracket(a, b))
+    finite = {f"[{a},{b}]": elem_to_json(bracket_generators(a, b))
+              for a, b in itertools.product(pool, repeat=2)}
+    graded = {f"[{a},{b}]": elem_to_json(graded_bracket(a, b))
+              for a, b in itertools.product(graded_generators(2 * cutoff), repeat=2)}
     return {"finite": finite, "graded": graded,
             "inert": list(INERT_GENERATORS),
             "note": "brackets involving inert generators are unspecified"}

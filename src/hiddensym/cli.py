@@ -4,9 +4,9 @@ emission, and machine-readable reports (hiddensym.document reads the files).
 Reports are emitted one JSON object per line (deterministic key order);
 --pretty switches to an indented human-readable rendering.
 
-Exit codes: 0 all requested checks meet their expectations (expected
-failures count as success); 1 check failure; 2 file/parse/usage error;
-3 internal error.
+Exit codes: 0 every check meets its expectation (an expected failure
+counts as success); 1 a check failure; 2 a file, parse or usage error or an
+input the library refuses, with nothing printed before it; 3 internal error.
 
 The library modules are imported by the handlers that use them.  Sympy is
 loaded only where a command derives symbolically, by `construct assoc-sk
@@ -33,6 +33,15 @@ def _emit(obj: dict, pretty: bool):
     else:
         print(json.dumps(obj, sort_keys=True, separators=(",", ":"), default=str,
                          allow_nan=False))
+
+
+def _write(path: str, write) -> None:
+    """write(fh) on path opened for text; an OSError is a file error naming the path."""
+    try:
+        with open(path, "w", newline="") as fh:
+            write(fh)
+    except OSError as exc:
+        raise FileFormatError(f"cannot write {path}: {exc.strerror}") from exc
 
 
 def _load_entry(args) -> CatalogEntry:
@@ -127,15 +136,15 @@ def _cmd_construct(args) -> int:
     K = killing.associated_sk(f, M)
     report = killing.sk_residual(K, M, points=args.points, seed=args.seed,
                                  tol=args.tol)
-    ok = _finalize(report, entry, "sk", args.target, args)
-    if args.emit_components:
-        n = M.dim
+    if args.emit_components:    # formed before anything is printed
         from .exprkit import to_source
         exprs = killing.associated_sk_symbolic(f, M).components
-        comp = {f"{i},{j}": to_source(exprs[i, j])
-                for i in range(n) for j in range(i, n) if exprs[i, j] != 0}
-        _emit({"constructed": "associated-sk", "source": args.target,
-               "components": comp}, args.pretty)
+        emitted = {"constructed": "associated-sk", "source": args.target, "components": {
+            f"{i},{j}": to_source(exprs[i, j])
+            for i in range(M.dim) for j in range(i, M.dim) if exprs[i, j] != 0}}
+    ok = _finalize(report, entry, "sk", args.target, args)
+    if args.emit_components:
+        _emit(emitted, args.pretty)
     return 0 if ok else 1
 
 
@@ -162,25 +171,20 @@ def _cmd_geodesic(args) -> int:
         raise FileFormatError("--position lies outside the chart's domain box")
     cfg = geodesic.IntegratorConfig(method=args.method, step=args.step,
                                     t_span=(0.0, args.t1), stride=args.stride)
+    if args.invariant:      # resolved, and an S-K square built, before any work
+        Q = entry.target(args.invariant.removeprefix("assoc-sk:"))
+        Q = killing.associated_sk(Q, M) if args.invariant.startswith("assoc-sk:") else Q
     traj = geodesic.integrate(M, s0, cfg)
-    rep = geodesic.energy_report(traj, M, tol=args.tol)
-    obj = rep.to_json()
-    obj["steps_kept"] = len(traj)
-    obj["exited_domain"] = traj.exited_domain
-    _emit(obj, args.pretty)
-    ok = rep.passed
+    reports = [geodesic.energy_report(traj, M, tol=args.tol)]
     if args.invariant:
-        if args.invariant.startswith("assoc-sk:"):
-            Q = killing.associated_sk(entry.target(args.invariant[9:]), M)
-        else:
-            Q = entry.target(args.invariant)
-        rep = geodesic.monitor_invariant(traj, Q, M, name=args.invariant,
-                                         tol=args.invariant_tol)
-        _emit(rep.to_json(), args.pretty)
-        ok = ok and rep.passed
+        reports.append(geodesic.monitor_invariant(traj, Q, M, name=args.invariant,
+                                                  tol=args.invariant_tol))
     if args.csv:
-        geodesic.export_csv(traj, M, args.csv)
-    return 0 if ok else 1
+        _write(args.csv, lambda fh: geodesic.export_csv(traj, M, fh))
+    kept = {"steps_kept": len(traj), "exited_domain": traj.exited_domain}
+    for rep, extra in zip(reports, [kept, {}]):
+        _emit(rep.to_json() | extra, args.pretty)
+    return 0 if all(rep.passed for rep in reports) else 1
 
 
 def _cmd_spin(args) -> int:
@@ -278,13 +282,10 @@ def _cmd_sasaki(args) -> int:
 
 
 def _cmd_catalog(args) -> int:
-    entry = _load_entry(args)
-    doc = export(entry)
-    text = json.dumps(doc, indent=2 if args.pretty else None, sort_keys=True,
+    text = json.dumps(export(_load_entry(args)), indent=2 if args.pretty else None, sort_keys=True,
                       allow_nan=False)
     if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(text + "\n")
+        _write(args.out, lambda fh: fh.write(text + "\n"))
     else:
         print(text)
     return 0
@@ -400,10 +401,10 @@ def main(argv=None) -> int:
 
 
 def _file_errors() -> tuple:
-    """The exceptions that are file, parse or value errors (exit 2).  The
-    expression and geometry errors are looked up only where their module is
-    loaded: a command that never loaded it cannot have raised them, and the
-    lookup must not load a module the command did not need."""
+    """The exceptions that refuse an input (exit 2), GeometryError the
+    library's.  The expression and geometry errors are looked up only where
+    their module is loaded: a command that never loaded it cannot have raised
+    them, and the lookup must not load a module the command did not need."""
     errors = [FileFormatError, KeyError]
     for module, name in (("exprkit", "ExprError"), ("manifold", "GeometryError")):
         if (loaded := sys.modules.get(f"{__package__}.{module}")) is not None:
@@ -412,5 +413,4 @@ def _file_errors() -> tuple:
 
 
 if __name__ == "__main__":
-    return_code = main()
-    sys.exit(return_code)
+    sys.exit(main())

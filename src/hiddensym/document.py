@@ -185,13 +185,9 @@ def export(entry: CatalogEntry) -> dict:
         "forms": {},
     }
     for name, F in entry.forms.items():
-        rank = F.rank
-        comps = {}
-        for idx in itertools.combinations(range(n), rank):
-            e = F.components[idx]
-            if e != 0:
-                comps[",".join(str(i) for i in idx)] = to_source(e)
-        doc["forms"][name] = {"rank": rank, "components": comps}
+        comps = {",".join(map(str, idx)): to_source(F.components[idx])
+                 for idx in itertools.combinations(range(n), F.rank) if F.components[idx] != 0}
+        doc["forms"][name] = {"rank": F.rank, "components": comps}
     if entry.structure is not None:
         S = entry.structure
         doc["structures"] = {

@@ -28,8 +28,8 @@ from numbers import Integral
 import numpy as np
 
 from . import exprkit
-from .killing import _quiet, finite_or_null
-from .manifold import Manifold, SingularMetricError, TensorField
+from .killing import _guard, _quiet, finite_or_null
+from .manifold import GeometryError, Manifold, SingularMetricError, TensorField, symmetrize
 
 RK45_TOLERANCE = 1e-10         # rk45 rtol and atol
 
@@ -49,15 +49,15 @@ class IntegratorConfig:
 
     def __post_init__(self):
         if not all(math.isfinite(t) for t in self.t_span):
-            raise ValueError(f"t_span must be finite, not {self.t_span!r}")
+            raise GeometryError(f"t_span must be finite, not {self.t_span!r}")
         if not (self.step > 0 and self.t_span[1] > self.t_span[0]):
-            raise ValueError("step and the length of t_span must be positive")
+            raise GeometryError("step and the length of t_span must be positive")
         if not math.isfinite((self.t_span[1] - self.t_span[0]) / self.step):
-            raise ValueError(f"t_span over step {self.step!r} is not a finite number of steps")
+            raise GeometryError(f"t_span over step {self.step!r} is not a finite number of steps")
         if self.method not in ("rk4", "rk45"):
-            raise ValueError(f"unknown method {self.method!r}")
+            raise GeometryError(f"unknown method {self.method!r}")
         if isinstance(self.stride, bool) or not isinstance(self.stride, Integral) or self.stride < 1:
-            raise ValueError(f"stride must be an integer >= 1, not {self.stride!r}")
+            raise GeometryError(f"stride must be an integer >= 1, not {self.stride!r}")
 
 
 @dataclass
@@ -257,7 +257,7 @@ def integrate(M: Manifold, s0: GeodesicState, cfg: IntegratorConfig) -> Trajecto
     n = M.dim
     coords = M.chart.coords
     if not M.chart.contains(s0.position):
-        raise ValueError("initial position outside the domain box")
+        raise GeometryError("initial position outside the domain box")
     y = [float(s0.position[c]) for c in coords] + [float(s0.velocity[c]) for c in coords]
     t0, t1 = cfg.t_span
 
@@ -297,16 +297,17 @@ def integrate(M: Manifold, s0: GeodesicState, cfg: IntegratorConfig) -> Trajecto
 def invariant_values(traj: Trajectory, Q: TensorField, M: Manifold) -> list[float]:
     """Q contracted with velocities along the trajectory.
 
-    Vector fields give the rank-1 Killing invariant g(Q, xdot); symmetric
-    tensors, also the S-K squares of killing.associated_sk, give
-    K_{m1..mr} xdot^{m1}..xdot^{mr}.  Q's values come from Q.jet at the
-    trajectory's positions.
+    Vector fields give the rank-1 Killing invariant g(Q, xdot), and covariant
+    tensors that killing._guard finds symmetric, such as the S-K squares,
+    K_{m1..mr} xdot^{m1}..xdot^{mr}; any other Q, a form (its contraction
+    vanishes identically) among them, is a GeometryError.  Q's values come
+    from Q.jet at the trajectory's positions.
     """
-    if Q.variance != "u" and set(Q.variance) - {"d"}:
-        raise ValueError("invariant spec must be fully covariant or a vector field")
     val = Q.jet(M, traj.positions)
     if Q.variance == "u":       # lowered: Q_mu = g_{mu nu} Q^nu
         val = np.einsum("pmn,pn->pm", M.evaluate(M.metric, traj.positions), val)
+    else:
+        _guard(Q, val, symmetrize, "a geodesic invariant", "a vector field or a symmetric tensor")
     for _ in range(Q.rank):
         val = np.einsum("pi...,pi->p...", val, traj.velocities)
     return val.tolist()
@@ -328,10 +329,9 @@ def energy_report(traj: Trajectory, M: Manifold, tol: float = 1e-8) -> Conservat
     return monitor_invariant(traj, TensorField(M.metric, "dd"), M, name="energy", tol=tol)
 
 
-def export_csv(traj: Trajectory, M: Manifold, path: str) -> None:
-    """Write t, the coordinates and the velocities per column."""
+def export_csv(traj: Trajectory, M: Manifold, fh) -> None:
+    """Write t, the coordinates and the velocities per column to fh (newline="")."""
     coords = M.chart.coords
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["t", *coords, *(f"d{c}" for c in coords)])
-        writer.writerows(np.column_stack([traj.times, traj.positions, traj.velocities]).tolist())
+    writer = csv.writer(fh)
+    writer.writerow(["t", *coords, *(f"d{c}" for c in coords)])
+    writer.writerows(np.column_stack([traj.times, traj.positions, traj.velocities]).tolist())

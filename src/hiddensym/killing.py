@@ -156,17 +156,20 @@ def _require_covariant(T, what: str) -> None:
         raise GeometryError(f"{what} needs covariant slots, not variance {T.variance!r}")
 
 
-def _guarded_nabla(T, M: Manifold, pts, project, check: str, shape: str) -> np.ndarray:
-    """grad T from T.jet and Gamma's values for the named check; a
-    GeometryError unless T is covariant and has the shape: project(values, 1),
-    a batched projector, fixes T's values at every point to 1e-12 relative.
-    Overflowed values pass the guard and fail the report."""
+def _guard(T, vals: np.ndarray, project, check: str, shape: str) -> None:
+    """A GeometryError unless T is covariant and has the shape: project(vals, 1),
+    a batched projector, fixes T's values vals, (P, ...), at every point to
+    1e-12 relative.  Overflowed values pass the guard and fail the report."""
     _require_covariant(T, check)
-    jet = T.jet(M, pts, 1)
-    vals = jet[:, -1]
     with np.errstate(invalid="ignore", over="ignore"):
         if np.any(_max_abs(vals - project(vals, 1)) > 1e-12 * np.maximum(1.0, _max_abs(vals))):
             raise GeometryError(f"{check} requires {shape}")
+
+
+def _guarded_nabla(T, M: Manifold, pts, project, check: str, shape: str) -> np.ndarray:
+    """grad T from T.jet and Gamma's values for the named check, T passing _guard."""
+    jet = T.jet(M, pts, 1)
+    _guard(T, jet[:, -1], project, check, shape)
     return _covariant(jet, M.christoffel(pts)[:, -1], T.variance)
 
 

@@ -26,8 +26,8 @@ from . import exprkit
 from .exprkit import Point, to_sympy, tree
 
 
-class GeometryError(Exception):
-    pass
+class GeometryError(ValueError):
+    """An input the library cannot serve (exit 2 on the command line)."""
 
 
 class SingularMetricError(GeometryError):
@@ -62,12 +62,9 @@ class Chart:
 def sample_points(chart: Chart, count: int, seed: int = 0) -> list[dict[str, float]]:
     """Deterministic uniform points in the domain box; same seed, same points."""
     if count < 1:
-        raise ValueError("count must be >= 1")
+        raise GeometryError("count must be >= 1")
     rng = random.Random(seed)
-    points = []
-    for _ in range(count):
-        points.append({c: rng.uniform(*chart.box[c]) for c in chart.coords})
-    return points
+    return [{c: rng.uniform(*chart.box[c]) for c in chart.coords} for _ in range(count)]
 
 
 def trees(components) -> np.ndarray:
@@ -405,7 +402,7 @@ class Manifold:
         and fail.
         """
         if order not in (0, 1, 2):
-            raise ValueError(f"jets of order {order} are not supported (0, 1 or 2)")
+            raise GeometryError(f"jets of order {order} are not supported (0, 1 or 2)")
         arr = np.asarray(components, dtype=object)
         count, n = len(points), self.dim
         if not isinstance(points, np.ndarray):

@@ -77,7 +77,7 @@ def canonical_gamma(eta: tuple[int, ...]) -> np.ndarray:
     elif n == 4:
         base = [np.kron(s, _SIGMA[0]) for s in _SIGMA] + [np.kron(np.eye(2), _SIGMA[1])]
     else:
-        raise ValueError("gamma representations provided for dimensions 2-4")
+        raise GeometryError(f"gamma representations provided for dimensions 2-4, not {n}")
     return np.array([g if e == 1 else 1j * g for e, g in zip(eta, base)], dtype=complex)
 
 
@@ -103,9 +103,9 @@ class OperatorSpec:
 
     def __post_init__(self):
         if self.kind not in ("standard-dirac", "killing-op", "dirac-type"):
-            raise ValueError(f"unknown operator kind {self.kind!r}")
+            raise GeometryError(f"unknown operator kind {self.kind!r}")
         if self.kind != "standard-dirac" and self.payload is None:
-            raise ValueError(f"{self.kind} needs a payload")
+            raise GeometryError(f"{self.kind} needs a payload")
         if self.kind == "killing-op" and self.payload.variance != "u":
             raise GeometryError("killing-op payload must be a vector field")
         if self.kind == "dirac-type" and self.payload.variance != "dd":
@@ -278,6 +278,6 @@ def square_compare(spec_f: OperatorSpec, ctx: SpinContext, bank,
                    points=None, seed=0, tol=1e-8) -> ResidualReport:
     """Residual of (D_f^2 - D_s^2) psi over the bank."""
     if spec_f.kind != "dirac-type":
-        raise ValueError("square_compare expects a dirac-type operator")
+        raise GeometryError("square_compare expects a dirac-type operator")
     return _bilinear_report("square-compare", [spec_f, OperatorSpec("standard-dirac")],
                             [(1, 0, 0), (-1, 1, 1)], ctx, bank, points, seed, tol)

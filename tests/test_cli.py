@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import shutil
@@ -9,6 +10,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from hiddensym import geodesic
 from hiddensym.cli import FileFormatError, export, ingest, main
 from hiddensym.manifold import sample_points
 from test_algebra import digest
@@ -459,6 +461,104 @@ class TestWrongKindTarget:
         code = main(argv)
         out, err = capsys.readouterr()
         assert (code, out, err) == (2, "", f"error: {message}\n")
+
+
+# a flat five-dimensional document: well formed, with a vector and a 2-form,
+# in a dimension the spin layer has no gamma representation for
+FLAT5 = dict(MINIMAL, name="flat5", dimension=5, coordinates=list("abcde"), signature=[1] * 5,
+             domain={c: [-1.0, 1.0] for c in "abcde"}, vectors={"t": ["1", "0", "0", "0", "0"]},
+             metric=[["1" if i == j else "0" for j in range(5)] for i in range(5)],
+             forms={"w": {"rank": 2, "components": {"0,1": "1"}}})
+
+TN_ORBIT = ["geodesic", "run", "--catalog", "taub-nut",
+            "--position", "r=2.0,theta=1.5,phi=0.5,chi=6.0",
+            "--velocity", "r=-0.5,theta=0.02,phi=0.2,chi=0.1"]
+
+
+class TestRefusals:
+    """An input the library cannot serve exits 2 with one error line and
+    nothing on stdout, and writes no output file.  Before this rule a
+    2-form as --invariant passed on a contraction that antisymmetry makes
+    zero (exit 0), an unknown or wrong-kind invariant was refused only after
+    the orbit's energy line was printed, an unwritable --csv or --out exited
+    3 (FileNotFoundError, after the energy line for --csv), and a spin
+    command on a 5-D manifold exited 3 (ValueError)."""
+
+    SHORT = TN_ORBIT + ["--t1", "2", "--step", "0.01"]
+    CASES = {
+        "invariant-f1": (SHORT + ["--invariant", "f1"],
+                         "a geodesic invariant requires a vector field or a symmetric tensor"),
+        "invariant-f1_raw": (SHORT + ["--invariant", "f1_raw"],
+                             "a geodesic invariant requires a vector field or a symmetric tensor"),
+        "invariant-nosuch": (SHORT + ["--invariant", "nosuch"],
+                             "\"no object named 'nosuch' in catalog entry 'taub-nut'\""),
+        "invariant-assoc-sk-kchi": (SHORT + ["--invariant", "assoc-sk:kchi"],
+                                    "the S-K square needs covariant slots, not variance 'u'"),
+        "csv-unwritable": (SHORT + ["--csv", "{missing}/x.csv"],
+                           "cannot write {missing}/x.csv: No such file or directory"),
+        "out-unwritable": (["catalog", "export", "--catalog", "taub-nut", "--out",
+                            "{missing}/x.json"],
+                           "cannot write {missing}/x.json: No such file or directory"),
+        "spin-commute-5d": (["spin", "commute", "--manifold", "{flat5}", "--target", "t"],
+                            "gamma representations provided for dimensions 2-4, not 5"),
+        "spin-anticommute-5d": (["spin", "anticommute", "--manifold", "{flat5}", "--target", "w"],
+                                "gamma representations provided for dimensions 2-4, not 5"),
+    }
+
+    @pytest.mark.parametrize("argv, message", CASES.values(), ids=CASES.keys())
+    def test_refused_input_prints_nothing(self, capsys, tmp_path, argv, message):
+        (tmp_path / "flat5.json").write_text(json.dumps(FLAT5))
+        where = {"missing": str(tmp_path / "missing"), "flat5": str(tmp_path / "flat5.json")}
+        code = main([arg.format(**where) for arg in argv])
+        out, err = capsys.readouterr()
+        assert (code, out, err) == (2, "", f"error: {message.format(**where)}\n")
+
+    @pytest.mark.parametrize("invariant", ["nosuch", "assoc-sk:kchi"])
+    def test_invariant_refused_before_integrating(self, capsys, monkeypatch, invariant):
+        def refuse(*args):
+            raise AssertionError("integrated an orbit for a refused invariant")
+
+        monkeypatch.setattr(geodesic, "integrate", refuse)
+        assert main(self.SHORT + ["--invariant", invariant]) == 2
+        assert capsys.readouterr().out == ""
+
+    def test_refused_form_writes_no_csv(self, capsys, tmp_path):
+        csv_path = tmp_path / "orbit.csv"
+        assert main(self.SHORT + ["--invariant", "f1", "--csv", str(csv_path)]) == 2
+        assert capsys.readouterr().out == "" and not csv_path.exists()
+
+
+class TestGeodesicOutputs:
+    """What the geodesic command prints and writes, as before the refusal rule."""
+
+    def test_readme_orbit_unchanged(self, capsys, tmp_path):
+        """The README's geodesic command: the energy line, then the invariant
+        line, and the CSV, byte for byte."""
+        csv_path = tmp_path / "orbit.csv"
+        code = main(TN_ORBIT + ["--t1", "10", "--step", "0.001", "--invariant", "assoc-sk:fY",
+                                "--csv", str(csv_path)])
+        out, err = capsys.readouterr()
+        assert (code, err) == (0, "")
+        assert out == (
+            '{"exited_domain":false,"initial":1.3018896025691695,"invariant":"energy",'
+            '"max_drift":1.7541523789077473e-14,"pass":true,'
+            '"relative_drift":1.3473894986533998e-14,"steps_kept":1001,"tolerance":1e-08}\n'
+            '{"initial":-2.74908420012149,"invariant":"assoc-sk:fY",'
+            '"max_drift":2.842170943040401e-14,"pass":true,'
+            '"relative_drift":1.0338610010252858e-14,"tolerance":1e-06}\n')
+        assert hashlib.sha256(csv_path.read_bytes()).hexdigest() == (
+            "9e7279b4bc6c1ac37bfa3b7b6f610a13da25cbf18d7c7c1877da9fbb09f121fe")
+
+    def test_csv_written_when_the_drift_check_fails(self, capsys, tmp_path):
+        """An orbit that leaves the chart at its first step fails its drift
+        check (exit 1), and its one kept state is still written."""
+        csv_path = tmp_path / "orbit.csv"
+        code, reports = run(capsys, "geodesic", "run", "--catalog", "sphere2",
+                            "--position", "theta=1.0,phi=1.0", "--velocity", "theta=1e100,phi=0.1",
+                            "--t1", "1", "--step", "0.01", "--csv", str(csv_path))
+        assert code == 1 and [r["pass"] for r in reports] == [False]
+        assert csv_path.read_text().splitlines() == [
+            "t,theta,phi,dtheta,dphi", "0.0,1.0,1.0,1e+100,0.1"]
 
 
 class TestPrettyFlag:

@@ -16,7 +16,9 @@ from hiddensym.cli import ingest, main
 from hiddensym.geodesic import (GeodesicState, IntegratorConfig, Trajectory,
                                 energy_report, export_csv, integrate,
                                 invariant_values, monitor_invariant)
-from hiddensym.manifold import Chart, Manifold, TensorField, sample_points, vector
+from hiddensym.killing import associated_sk
+from hiddensym.manifold import (Chart, GeometryError, Manifold, TensorField, sample_points,
+                                vector)
 
 from array_rk4 import integrate_arrays, integrate_lists, sympy_spray
 from catalog_oracle import names
@@ -670,6 +672,49 @@ class TestInvariants:
         assert len(vals) == len(traj)
 
 
+class TestInvariantKinds:
+    """An invariant is a vector field, or a covariant tensor symmetric at the
+    trajectory's positions (the S-K squares and the metric); a form, whose
+    contraction with two velocities vanishes identically, and a tensor of
+    mixed variance are refused with GeometryError."""
+
+    @pytest.fixture(scope="class")
+    def orbit(self, tn):
+        return integrate(tn.manifold, _ORBIT, IntegratorConfig(step=0.01, t_span=(0.0, 2.0)))
+
+    @pytest.mark.parametrize("name", ["metric", "assoc-sk:fY", "kchi"])
+    def test_accepted(self, tn, orbit, name):
+        M = tn.manifold
+        Q = {"metric": TensorField(M.metric, "dd"), "kchi": tn.vectors["kchi"],
+             "assoc-sk:fY": associated_sk(tn.forms["fY"], M)}[name]
+        assert monitor_invariant(orbit, Q, M).passed
+
+    @staticmethod
+    def refuses_form(tn, orbit) -> bool:
+        try:
+            monitor_invariant(orbit, tn.forms["f1"], tn.manifold)
+        except GeometryError as exc:
+            return str(exc) == "a geodesic invariant requires a vector field or a symmetric tensor"
+        return False
+
+    def test_form_refused(self, tn, orbit):
+        assert self.refuses_form(tn, orbit)
+
+    def test_mixed_variance_refused(self, tn, orbit):
+        M = tn.manifold
+        with pytest.raises(GeometryError, match="^a geodesic invariant needs covariant slots, "
+                                                "not variance 'ud'$"):
+            monitor_invariant(orbit, TensorField(M.metric, "ud"), M)
+
+    def test_planted_guard_bypass_passes_a_form(self, tn, orbit, monkeypatch):
+        """With the symmetry guard bypassed, the form's zero invariant passes
+        again, and the refusal test fails."""
+        monkeypatch.setattr(geodesic, "_guard", lambda *args: None)
+        rep = monitor_invariant(orbit, tn.forms["f1"], tn.manifold)
+        assert rep.passed and abs(rep.initial_value) < 1e-15
+        assert not self.refuses_form(tn, orbit)
+
+
 class TestExport:
     def test_csv_written(self, sphere, tmp_path):
         s0 = GeodesicState({"theta": 1.0, "phi": 0.2},
@@ -677,7 +722,8 @@ class TestExport:
         traj = integrate(sphere, s0,
                          IntegratorConfig(step=0.01, t_span=(0, 1), stride=10))
         path = os.fspath(tmp_path / "traj.csv")
-        export_csv(traj, sphere, path)
+        with open(path, "w", newline="") as fh:
+            export_csv(traj, sphere, fh)
         with open(path) as fh:
             rows = list(csv.reader(fh))
         assert rows[0] == ["t", "theta", "phi", "dtheta", "dphi"]
