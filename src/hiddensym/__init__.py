@@ -7,3 +7,7 @@ Euclidean Taub-NUT space built in.
 """
 
 __version__ = "0.1.0"
+
+
+class InputError(ValueError):
+    """An input the library cannot serve: exit 2 on the command line."""

@@ -34,8 +34,10 @@ import bisect
 import itertools
 from dataclasses import dataclass, field
 
+from . import InputError
 
-class AlgebraError(Exception):
+
+class AlgebraError(InputError):
     pass
 
 

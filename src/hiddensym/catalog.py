@@ -17,7 +17,7 @@ from __future__ import annotations
 import json
 from importlib import resources
 
-from .document import CatalogEntry, ingest
+from .document import CatalogEntry, FileFormatError, ingest
 
 _NAMES = ("flat3", "flat4", "pseudo-sphere", "sphere2", "taub-nut")
 
@@ -42,7 +42,8 @@ def sphere2() -> CatalogEntry:
 def taub_nut(m_value: float = 1.0) -> CatalogEntry:
     """Euclidean Taub-NUT with NUT parameter m > 0 and its symmetry objects."""
     if m_value <= 0:
-        raise ValueError("NUT parameter m must be positive")
+        from .manifold import GeometryError     # here: importing catalog loads no geometry
+        raise GeometryError("NUT parameter m must be positive")
     return _load("taub-nut", m=float(m_value))
 
 
@@ -56,5 +57,5 @@ def pseudo_sphere_fixture() -> CatalogEntry:
 
 def get(name: str) -> CatalogEntry:
     if name not in _NAMES:
-        raise KeyError(f"unknown catalog entry {name!r}; choices: {', '.join(_NAMES)}")
+        raise FileFormatError(f"unknown catalog entry {name!r}; choices: {', '.join(_NAMES)}")
     return _load(name)

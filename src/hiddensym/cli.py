@@ -1,12 +1,14 @@
 """Command-line front end: check execution, geodesic runs, algebra table
 emission, and machine-readable reports (hiddensym.document reads the files).
 
-Reports are emitted one JSON object per line (deterministic key order);
---pretty switches to an indented human-readable rendering.
+Each handler returns its outputs, (JSON object or text, passed) pairs, and
+main alone formats and then prints them: one JSON object per line
+(deterministic key order), or indented with --pretty.
 
-Exit codes: 0 every check meets its expectation (an expected failure
-counts as success); 1 a check failure; 2 a file, parse or usage error or an
-input the library refuses, with nothing printed before it; 3 internal error.
+Exit codes: 0 every output passed (a check meeting its expectation, an
+expected failure too); 1 a check failure; 2 a usage error or a
+hiddensym.InputError (a file, a parse or an input the library refuses); 3
+an internal error.  Nothing is printed on stdout before an exit 2 or 3.
 
 The library modules are imported by the handlers that use them.  Sympy is
 loaded only where a command derives symbolically, by `construct assoc-sk
@@ -21,19 +23,12 @@ import json
 import math
 import sys
 
+from . import InputError
 from .document import FileFormatError, _real, export, ingest
 
 
 # ---------------------------------------------------------------------------
-# report output
-
-def _emit(obj: dict, pretty: bool):
-    if pretty:
-        print(json.dumps(obj, indent=2, sort_keys=True, default=str, allow_nan=False))
-    else:
-        print(json.dumps(obj, sort_keys=True, separators=(",", ":"), default=str,
-                         allow_nan=False))
-
+# inputs and outputs
 
 def _write(path: str, write) -> None:
     """write(fh) on path opened for text; an OSError is a file error naming the path."""
@@ -54,10 +49,7 @@ def _load_entry(args) -> CatalogEntry:
         return ingest(doc)
     if getattr(args, "catalog", None):
         from . import catalog
-        try:
-            return catalog.get(args.catalog)
-        except KeyError as exc:
-            raise FileFormatError(str(exc)) from exc
+        return catalog.get(args.catalog)
     raise FileFormatError("one of --manifold FILE or --catalog NAME is required")
 
 
@@ -68,16 +60,15 @@ def _expectation(entry: CatalogEntry, check: str, target: str) -> bool:
     return True
 
 
-def _finalize(report, entry, check, target, args) -> bool:
-    """Emit the report and return whether it meets the manifest expectation."""
+def _finalize(report, entry, check, target, args) -> tuple[dict, bool]:
+    """The report's output, passed when it meets the manifest expectation."""
     expected = _expectation(entry, check, target)
     obj = report.to_json()
     obj["target"] = target
     obj["seed"] = args.seed
     obj["expected_pass"] = expected
     obj["meets_expectation"] = (report.passed == expected)
-    _emit(obj, args.pretty)
-    return obj["meets_expectation"]
+    return obj, obj["meets_expectation"]
 
 
 def _check_signature(M, args) -> None:
@@ -97,7 +88,7 @@ _CHECKS = ("killing-vector", "cky", "ky", "sk", "covconst", "unit-root",
            "quaternion")
 
 
-def _cmd_check(args) -> int:
+def _cmd_check(args) -> list:
     from . import killing
     entry = _load_entry(args)
     M = entry.manifold
@@ -110,8 +101,7 @@ def _cmd_check(args) -> int:
             raise FileFormatError("quaternion check needs three comma-separated targets")
         fs = [entry.target(t) for t in targets]
         report = killing.quaternion_relations_check(*fs, M, **kw)
-        ok = _finalize(report, entry, "quaternion", ",".join(targets), args)
-        return 0 if ok else 1
+        return [_finalize(report, entry, "quaternion", ",".join(targets), args)]
     if not args.target:
         raise FileFormatError("--target NAME is required for this check")
     T = entry.target(args.target)
@@ -123,11 +113,10 @@ def _cmd_check(args) -> int:
         "covconst": killing.covariant_constancy_residual,
         "unit-root": killing.unit_root_check,
     }[name]
-    report = fn(T, M, **kw)
-    return 0 if _finalize(report, entry, name, args.target, args) else 1
+    return [_finalize(fn(T, M, **kw), entry, name, args.target, args)]
 
 
-def _cmd_construct(args) -> int:
+def _cmd_construct(args) -> list:
     from . import killing
     entry = _load_entry(args)
     M = entry.manifold
@@ -136,16 +125,14 @@ def _cmd_construct(args) -> int:
     K = killing.associated_sk(f, M)
     report = killing.sk_residual(K, M, points=args.points, seed=args.seed,
                                  tol=args.tol)
-    if args.emit_components:    # formed before anything is printed
+    outputs = [_finalize(report, entry, "sk", args.target, args)]
+    if args.emit_components:
         from .exprkit import to_source
         exprs = killing.associated_sk_symbolic(f, M).components
-        emitted = {"constructed": "associated-sk", "source": args.target, "components": {
+        outputs.append(({"constructed": "associated-sk", "source": args.target, "components": {
             f"{i},{j}": to_source(exprs[i, j])
-            for i in range(M.dim) for j in range(i, M.dim) if exprs[i, j] != 0}}
-    ok = _finalize(report, entry, "sk", args.target, args)
-    if args.emit_components:
-        _emit(emitted, args.pretty)
-    return 0 if ok else 1
+            for i in range(M.dim) for j in range(i, M.dim) if exprs[i, j] != 0}}, True))
+    return outputs
 
 
 def _parse_state(src: str, coords, flag: str) -> dict:
@@ -157,7 +144,7 @@ def _parse_state(src: str, coords, flag: str) -> dict:
     return state
 
 
-def _cmd_geodesic(args) -> int:
+def _cmd_geodesic(args) -> list:
     if not math.isfinite(args.t1 / args.step):
         raise FileFormatError(f"--t1 {args.t1} over --step {args.step} is not a finite "
                               "number of steps")
@@ -171,9 +158,11 @@ def _cmd_geodesic(args) -> int:
         raise FileFormatError("--position lies outside the chart's domain box")
     cfg = geodesic.IntegratorConfig(method=args.method, step=args.step,
                                     t_span=(0.0, args.t1), stride=args.stride)
-    if args.invariant:      # resolved, and an S-K square built, before any work
+    if args.invariant:      # resolved, built and read at the start, before any work
         Q = entry.target(args.invariant.removeprefix("assoc-sk:"))
         Q = killing.associated_sk(Q, M) if args.invariant.startswith("assoc-sk:") else Q
+        geodesic.invariant_values([s0.position], [[s0.velocity[c] for c in M.chart.coords]],
+                                  Q, M)
     traj = geodesic.integrate(M, s0, cfg)
     reports = [geodesic.energy_report(traj, M, tol=args.tol)]
     if args.invariant:
@@ -182,12 +171,10 @@ def _cmd_geodesic(args) -> int:
     if args.csv:
         _write(args.csv, lambda fh: geodesic.export_csv(traj, M, fh))
     kept = {"steps_kept": len(traj), "exited_domain": traj.exited_domain}
-    for rep, extra in zip(reports, [kept, {}]):
-        _emit(rep.to_json() | extra, args.pretty)
-    return 0 if all(rep.passed for rep in reports) else 1
+    return [(rep.to_json() | extra, rep.passed) for rep, extra in zip(reports, [kept, {}])]
 
 
-def _cmd_spin(args) -> int:
+def _cmd_spin(args) -> list:
     from . import spin
     entry = _load_entry(args)
     M = entry.manifold
@@ -206,40 +193,29 @@ def _cmd_spin(args) -> int:
     bank = spin.spinor_bank(entry.manifold, args.bank, args.seed)
     kw = dict(bank=bank, points=args.points, seed=args.seed, tol=args.tol)
     Ds = spin.OperatorSpec("standard-dirac")
-    if args.mode == "anticommute":
-        spec = spin.OperatorSpec("dirac-type", entry.target(args.target))
-        report = spin.anticommutator_residual(Ds, spec, ctx, **kw)
-        check = "spin-anticommute"
-    elif args.mode == "commute":
-        spec = spin.OperatorSpec("killing-op", entry.target(args.target))
-        report = spin.commutator_residual(Ds, spec, ctx, **kw)
-        check = "spin-commute"
-    else:
-        spec = spin.OperatorSpec("dirac-type", entry.target(args.target))
-        report = spin.square_compare(spec, ctx, **kw)
-        check = "spin-square"
-    return 0 if _finalize(report, entry, check, args.target, args) else 1
+    kind, report = {    # the target's operator kind, and the report on that operator
+        "anticommute": ("dirac-type", lambda D: spin.anticommutator_residual(Ds, D, ctx, **kw)),
+        "commute": ("killing-op", lambda D: spin.commutator_residual(Ds, D, ctx, **kw)),
+        "square": ("dirac-type", lambda D: spin.square_compare(D, ctx, **kw)),
+    }[args.mode]
+    spec = spin.OperatorSpec(kind, entry.target(args.target))
+    return [_finalize(report(spec), entry, f"spin-{args.mode}", args.target, args)]
 
 
-def _cmd_algebra(args) -> int:
+def _cmd_algebra(args) -> list:
     from . import algebra
     if args.mode == "table":
-        _emit(algebra.structure_table_json(args.cutoff), args.pretty)
-        return 0
+        return [(algebra.structure_table_json(args.cutoff), True)]
     if args.mode == "jacobi":
         reports = [algebra.jacobi_check(args.cutoff),
                    algebra.jacobi_check(0, table=algebra.bracket_generators),
                    algebra.grade_absorb(args.cutoff)]
     else:
         reports = [algebra.quaternion_table_check()]
-    ok = True
-    for rep in reports:
-        _emit(rep.to_json(), args.pretty)
-        ok = ok and rep.passed
-    return 0 if ok else 1
+    return [(rep.to_json(), rep.passed) for rep in reports]
 
 
-def _cmd_sasaki(args) -> int:
+def _cmd_sasaki(args) -> list:
     from . import sasaki
     entry = _load_entry(args)
     S = entry.structure
@@ -247,7 +223,6 @@ def _cmd_sasaki(args) -> int:
         raise FileFormatError("entry carries no mixed 3-structure block")
     _check_signature(S.manifold, args)
     kw = dict(points=args.points, seed=args.seed, tol=args.tol)
-    ok = True
     if args.mode == "verify":
         reports = [
             sasaki.structure_identity_suite(S, **kw),
@@ -273,22 +248,16 @@ def _cmd_sasaki(args) -> int:
                                                   seed=args.seed)]
         for a in range(3):
             reports.append(sasaki.conformal_to_killing_check(S, S.xi[a], **kw))
-    for rep in reports:
-        obj = rep.to_json()
-        obj["seed"] = args.seed
-        _emit(obj, args.pretty)
-        ok = ok and rep.passed
-    return 0 if ok else 1
+    return [(rep.to_json() | {"seed": args.seed}, rep.passed) for rep in reports]
 
 
-def _cmd_catalog(args) -> int:
+def _cmd_catalog(args) -> list:
     text = json.dumps(export(_load_entry(args)), indent=2 if args.pretty else None, sort_keys=True,
                       allow_nan=False)
     if args.out:
         _write(args.out, lambda fh: fh.write(text + "\n"))
-    else:
-        print(text)
-    return 0
+        return []
+    return [(text, True)]
 
 
 # ---------------------------------------------------------------------------
@@ -390,26 +359,21 @@ def main(argv=None) -> int:
         args = ap.parse_args(argv)
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
+    layout = {"indent": 2} if args.pretty else {"separators": (",", ":")}
     try:
-        return args.func(args)
-    except Exception as exc:   # noqa: BLE001 - contract: 2 on a file error, else 3
-        if isinstance(exc, _file_errors()):
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
+        outputs = args.func(args)
+        texts = [out if isinstance(out, str) else
+                 json.dumps(out, sort_keys=True, default=str, allow_nan=False, **layout)
+                 for out, _ in outputs]
+    except InputError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except Exception as exc:   # noqa: BLE001 - contract: anything else is exit 3
         print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 3
-
-
-def _file_errors() -> tuple:
-    """The exceptions that refuse an input (exit 2), GeometryError the
-    library's.  The expression and geometry errors are looked up only where
-    their module is loaded: a command that never loaded it cannot have raised
-    them, and the lookup must not load a module the command did not need."""
-    errors = [FileFormatError, KeyError]
-    for module, name in (("exprkit", "ExprError"), ("manifold", "GeometryError")):
-        if (loaded := sys.modules.get(f"{__package__}.{module}")) is not None:
-            errors.append(getattr(loaded, name))
-    return tuple(errors)
+    for text in texts:
+        print(text)
+    return 0 if all(passed for _, passed in outputs) else 1
 
 
 if __name__ == "__main__":

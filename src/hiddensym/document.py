@@ -11,9 +11,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import InputError
 
-class FileFormatError(Exception):
-    pass
+
+class FileFormatError(InputError):
+    """A manifold file, a catalog name or an output path that cannot be used."""
 
 
 @dataclass
@@ -31,7 +33,7 @@ class CatalogEntry:
         for group in (self.vectors, self.forms):
             if name in group:
                 return group[name]
-        raise KeyError(f"no object named {name!r} in catalog entry {self.name!r}")
+        raise FileFormatError(f"no object named {name!r} in catalog entry {self.name!r}")
 
 
 def _read(src, shape: tuple, leaf, context: str):

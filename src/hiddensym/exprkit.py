@@ -33,6 +33,8 @@ from typing import Mapping
 
 import numpy as np
 
+from . import InputError
+
 Point = Mapping[str, float]
 
 FUNCTIONS = ("sin", "cos", "tan", "exp", "log", "sqrt")
@@ -48,7 +50,7 @@ MAX_DEPTH, MAX_BITS = 100, 1023
 MAX_INLINE = 50
 
 
-class ExprError(Exception):
+class ExprError(InputError):
     pass
 
 

@@ -294,22 +294,23 @@ def integrate(M: Manifold, s0: GeodesicState, cfg: IntegratorConfig) -> Trajecto
                       sol.status != 0)
 
 
-def invariant_values(traj: Trajectory, Q: TensorField, M: Manifold) -> list[float]:
-    """Q contracted with velocities along the trajectory.
+def invariant_values(positions, velocities, Q: TensorField, M: Manifold) -> list[float]:
+    """Q contracted with the velocities, (P, n), at the positions, a batch of
+    points as Manifold.evaluate takes them.
 
     Vector fields give the rank-1 Killing invariant g(Q, xdot), and covariant
     tensors that killing._guard finds symmetric, such as the S-K squares,
     K_{m1..mr} xdot^{m1}..xdot^{mr}; any other Q, a form (its contraction
     vanishes identically) among them, is a GeometryError.  Q's values come
-    from Q.jet at the trajectory's positions.
+    from Q.jet at the positions.
     """
-    val = Q.jet(M, traj.positions)
+    val = Q.jet(M, positions)
     if Q.variance == "u":       # lowered: Q_mu = g_{mu nu} Q^nu
-        val = np.einsum("pmn,pn->pm", M.evaluate(M.metric, traj.positions), val)
+        val = np.einsum("pmn,pn->pm", M.evaluate(M.metric, positions), val)
     else:
         _guard(Q, val, symmetrize, "a geodesic invariant", "a vector field or a symmetric tensor")
     for _ in range(Q.rank):
-        val = np.einsum("pi...,pi->p...", val, traj.velocities)
+        val = np.einsum("pi...,pi->p...", val, velocities)
     return val.tolist()
 
 
@@ -318,7 +319,7 @@ def monitor_invariant(traj: Trajectory, Q: TensorField, M: Manifold,
                       name: str = "invariant", tol: float = 1e-6) -> ConservationReport:
     """The drift of Q's invariant from its initial value along the trajectory;
     it fails with fewer than two kept states, where nothing was measured."""
-    values = np.array(invariant_values(traj, Q, M))
+    values = np.array(invariant_values(traj.positions, traj.velocities, Q, M))
     q0 = float(values[0])
     drift = float(np.max(np.abs(values - q0)))
     rel = drift / max(1.0, abs(q0))

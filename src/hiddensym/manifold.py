@@ -22,12 +22,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import exprkit
+from . import InputError, exprkit
 from .exprkit import Point, to_sympy, tree
 
 
-class GeometryError(ValueError):
-    """An input the library cannot serve (exit 2 on the command line)."""
+class GeometryError(InputError):
+    """A chart, metric, tensor or structure the library cannot serve."""
 
 
 class SingularMetricError(GeometryError):

@@ -12,8 +12,9 @@ import sympy as sp
 
 from hiddensym import catalog, cli, exprkit
 from hiddensym.exprkit import parse, to_source, to_sympy
+from hiddensym.document import FileFormatError
 from hiddensym.killing import killing_vector_residual, ky_residual
-from hiddensym.manifold import sample_points
+from hiddensym.manifold import GeometryError, sample_points
 from hiddensym.sasaki import build_cone
 
 import catalog_oracle
@@ -30,13 +31,16 @@ class TestRegistry:
                                                    "sphere2", "taub-nut"]
 
     def test_get_unknown(self):
-        with pytest.raises(KeyError):
+        with pytest.raises(FileFormatError, match="^unknown catalog entry 'nonexistent'; "
+                                                  "choices: flat3, flat4, pseudo-sphere, "
+                                                  "sphere2, taub-nut$"):
             catalog.get("nonexistent")
 
     def test_target_lookup(self, tn):
         assert tn.target("kchi") is tn.vectors["kchi"]
         assert tn.target("f1") is tn.forms["f1"]
-        with pytest.raises(KeyError):
+        with pytest.raises(FileFormatError, match="^no object named 'nonexistent' in catalog "
+                                                  "entry 'taub-nut'$"):
             tn.target("nonexistent")
 
 
@@ -63,7 +67,7 @@ class TestSphere2:
 
 class TestTaubNut:
     def test_parameter_validation(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(GeometryError, match="^NUT parameter m must be positive$"):
             catalog.taub_nut(-1.0)
 
     def test_f_times_g_is_one(self):

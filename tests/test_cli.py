@@ -491,7 +491,12 @@ class TestRefusals:
         "invariant-f1_raw": (SHORT + ["--invariant", "f1_raw"],
                              "a geodesic invariant requires a vector field or a symmetric tensor"),
         "invariant-nosuch": (SHORT + ["--invariant", "nosuch"],
-                             "\"no object named 'nosuch' in catalog entry 'taub-nut'\""),
+                             "no object named 'nosuch' in catalog entry 'taub-nut'"),
+        "target-nosuch": (["check", "ky", "--catalog", "taub-nut", "--target", "nosuch"],
+                          "no object named 'nosuch' in catalog entry 'taub-nut'"),
+        "catalog-nosuch": (["check", "ky", "--catalog", "nosuch", "--target", "f1"],
+                           "unknown catalog entry 'nosuch'; choices: flat3, flat4, "
+                           "pseudo-sphere, sphere2, taub-nut"),
         "invariant-assoc-sk-kchi": (SHORT + ["--invariant", "assoc-sk:kchi"],
                                     "the S-K square needs covariant slots, not variance 'u'"),
         "csv-unwritable": (SHORT + ["--csv", "{missing}/x.csv"],
@@ -513,8 +518,10 @@ class TestRefusals:
         out, err = capsys.readouterr()
         assert (code, out, err) == (2, "", f"error: {message.format(**where)}\n")
 
-    @pytest.mark.parametrize("invariant", ["nosuch", "assoc-sk:kchi"])
+    @pytest.mark.parametrize("invariant", ["nosuch", "assoc-sk:kchi", "f1", "f1_raw"])
     def test_invariant_refused_before_integrating(self, capsys, monkeypatch, invariant):
+        """An unknown name and a vector's S-K square are refused where they are
+        built, and a form by the invariant's guard at the start state."""
         def refuse(*args):
             raise AssertionError("integrated an orbit for a refused invariant")
 

@@ -668,7 +668,8 @@ class TestInvariants:
                            {"theta": 0.0, "phi": 0.5})
         traj = integrate(sphere, s0,
                          IntegratorConfig(step=0.01, t_span=(0, 1), stride=10))
-        vals = invariant_values(traj, TensorField(sphere.metric, "dd"), sphere)
+        vals = invariant_values(traj.positions, traj.velocities,
+                                TensorField(sphere.metric, "dd"), sphere)
         assert len(vals) == len(traj)
 
 

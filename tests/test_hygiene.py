@@ -8,17 +8,23 @@ of a library function or dataclass that a call reaches is set by some call,
 no library module imports sympy at its module level, neither the library's
 import nor any command but the emitted symbolic components loads sympy, no
 library module imports the CLI, a command loads only the library modules
-it runs, and only exprkit.run_source runs code from text."""
+it runs, only exprkit.run_source runs code from text, every exception class
+of the library derives from hiddensym.InputError, and only cli.main prints,
+after every output is formatted."""
 
 import ast
+import importlib
 import json
 import os
 import re
 import subprocess
 import sys
+import types
 from pathlib import Path
 
 import pytest
+
+from hiddensym import InputError, cli
 
 ROOT = Path(__file__).resolve().parents[1]
 SRC = ROOT / "src" / "hiddensym"
@@ -719,3 +725,102 @@ def test_library_import_does_not_load_sympy():
     done = subprocess.run([sys.executable, "-c", script], env=env,
                           capture_output=True, text=True, timeout=120)
     assert done.stderr == "sympy loaded: False"
+
+
+def stray_exceptions(module) -> list[str]:
+    """The exception classes the module defines that do not derive from
+    hiddensym.InputError, the one base the CLI refuses with exit 2."""
+    return [name for name, value in vars(module).items()
+            if isinstance(value, type) and issubclass(value, BaseException)
+            and value.__module__ == module.__name__ and not issubclass(value, InputError)]
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_every_exception_is_an_input_error(path):
+    """A refusal is an InputError, whatever module raises it; an exception
+    of another class is an internal error (exit 3)."""
+    name = "hiddensym" if path.stem == "__init__" else f"hiddensym.{path.stem}"
+    assert stray_exceptions(importlib.import_module(name)) == []
+
+
+def test_exception_checker_sees_each_stray_class():
+    planted = types.ModuleType("planted")
+    exec("from hiddensym import InputError\n"
+         "from hiddensym.manifold import GeometryError\n"
+         "class Refusal(InputError):\n    pass\n"
+         "class Stray(Exception):\n    pass\n"
+         "class StrayChild(Stray):\n    pass\n"
+         "class Warned(UserWarning):\n    pass\n"
+         "class Plain:\n    pass\n"
+         "Lookup = KeyError\n", vars(planted))
+    assert stray_exceptions(planted) == ["Stray", "StrayChild", "Warned"]
+
+
+def printers(source: str) -> list[str]:
+    """'line N: owner' for each print, sys.stdout and sys.stderr in the
+    source, owner the top-level function or class around it."""
+    out = []
+    for top in ast.parse(source).body:
+        owner = getattr(top, "name", "<module>")
+        out.extend(f"line {node.lineno}: {owner}" for node in ast.walk(top)
+                   if isinstance(node, ast.Name) and node.id == "print"
+                   or isinstance(node, ast.Attribute) and node.attr in ("print", "stdout",
+                                                                        "stderr"))
+    return out
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_only_cli_main_prints(path):
+    """The handlers return their outputs and the library returns values;
+    cli.main alone writes to stdout and stderr."""
+    owners = {line.split(": ")[1] for line in printers(path.read_text())}
+    assert owners == ({"main"} if path.name == "cli.py" else set())
+
+
+def test_print_checker_sees_each_spelling():
+    source = ("import builtins, sys\n"
+              "print('module')\n"
+              "def _cmd_check(args):\n    print(args)\n"
+              "def _write(text):\n    sys.stdout.write(text)\n"
+              "def helper():\n    def inner():\n        builtins.print(1)\n    return inner\n"
+              "class Report:\n    def show(self):\n        emit = print\n"
+              "def warn():\n    sys.stderr.write('x')\n"
+              "def main():\n    print('fine')\n")
+    assert printers(source) == ["line 2: <module>", "line 4: _cmd_check", "line 6: _write",
+                                "line 9: helper", "line 13: Report", "line 15: warn",
+                                "line 17: main"]
+
+
+def _main_with_handler(monkeypatch, capsys, handler) -> tuple[int, str, str]:
+    """cli.main on a command whose handler is replaced: exit code, stdout, stderr."""
+    monkeypatch.setattr(cli, "_cmd_algebra", handler)
+    code = cli.main(["algebra", "table"])
+    return (code, *capsys.readouterr())
+
+
+def _raise(exc):
+    raise exc
+
+
+@pytest.mark.parametrize("handler, want", [
+    (lambda args: [({"b": 1.5, "a": None}, True), ({"c": [1]}, False)],
+     (1, '{"a":null,"b":1.5}\n{"c":[1]}\n', "")),
+    (lambda args: [({"first": 1.0}, True), ({"second": float("nan")}, True)],
+     (3, "", "internal error: ValueError: Out of range float values are not JSON compliant\n")),
+    (lambda args: _raise(InputError("refused")), (2, "", "error: refused\n")),
+    (lambda args: _raise(KeyError("name")), (3, "", "internal error: KeyError: 'name'\n")),
+], ids=["printed", "unformattable-second", "input-error", "key-error"])
+def test_main_prints_only_formed_outputs(monkeypatch, capsys, handler, want):
+    """main formats every output before it prints any, so an output that is
+    not strict JSON exits 3 with nothing on stdout; InputError alone exits 2."""
+    assert _main_with_handler(monkeypatch, capsys, handler) == want
+
+
+def test_planted_eager_print_is_seen(monkeypatch, capsys):
+    """A handler that prints its first output itself leaves it on stdout
+    before the exit 3, and the test above would fail on it."""
+    def eager(args):
+        print(json.dumps({"first": 1.0}, separators=(",", ":")))
+        return [({"first": 1.0}, True), ({"second": float("nan")}, True)]
+    code, out, _ = _main_with_handler(monkeypatch, capsys, eager)
+    assert (code, out) == (3, '{"first":1.0}\n')
