@@ -7,9 +7,10 @@ generated as one Python function (exprkit.codegen) once per manifold, cached
 under the array's interned entries, and evaluated over a whole batch of
 points in one call.  Jets are forward-mode numpy: the k-jets (k <= 2) come
 from the same function run on jet numbers, and the connection, the curvature
-and covariant derivatives are numpy on them.  Sympy is imported only by the
-symbolic inverse metric, the zero test of the metric's symmetry and the
-symbolic exterior derivative at the end of this module.
+and covariant derivatives are numpy on them.  The exterior derivative at
+the end of this module differentiates the component trees with
+exprkit.derivative.  Sympy is imported only by the symbolic inverse metric
+and the zero test of the metric's symmetry.
 """
 
 from __future__ import annotations
@@ -212,15 +213,6 @@ def per_batch(method):
     return cached
 
 
-def _tangent(arr, xs) -> np.ndarray:
-    """Symbolic 1-jet of an object array, as sympy expressions: a new leading
-    jet axis."""
-    import sympy as sp
-    arr = _symbolic(arr)
-    diff = np.frompyfunc(sp.diff, 2, 1)
-    return np.stack([diff(arr, x) for x in xs] + [arr])
-
-
 def _pointwise(subscripts: str, *values) -> np.ndarray:
     """einsum at each point of (P, ...) arrays; the subscripts name the axes
     after the point axis and must not use p."""
@@ -307,12 +299,6 @@ class Manifold:
     @property
     def dim(self) -> int:
         return self.chart.dim
-
-    @property
-    def coord_symbols(self) -> list:
-        """The coordinates as sympy symbols, for the symbolic derivations."""
-        import sympy as sp
-        return [sp.Symbol(c) for c in self.chart.coords]
 
     def inverse_metric_matrix(self):
         """g^-1 = adj(g) / det g as a sympy Matrix, each entry in rational
@@ -494,14 +480,16 @@ def covariant_derivative(T: TensorField, M: Manifold, points) -> TensorValues:
 
 
 def exterior_derivative(T: TensorField, M: Manifold) -> TensorField:
-    """(df)_{lam mu1..mup} = (p+1) * Alt(partial f); d o d = 0."""
+    """(df)_{lam mu1..mup} = (p+1) * Alt(partial f), each partial a tree by
+    exprkit.derivative; d o d = 0."""
     if set(T.variance) - {"d"}:
         raise GeometryError("exterior derivative needs a fully covariant form")
     n = M.dim
     p = T.rank
     if p >= n:
         return TensorField(np.zeros((n,) * (p + 1), dtype=object), "d" * (p + 1))
-    out = (p + 1) * antisymmetrize(_tangent(T.components, M.coord_symbols)[:-1])
+    diff = np.frompyfunc(exprkit.derivative, 2, 1)
+    out = (p + 1) * antisymmetrize(np.stack([diff(T.components, c) for c in M.chart.coords]))
     return TensorField(out, "d" * (p + 1))
 
 

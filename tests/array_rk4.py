@@ -22,13 +22,14 @@ import sympy as sp
 
 from hiddensym.geodesic import GeodesicState, Trajectory, spray as manifold_spray
 from hiddensym.manifold import _symbolic
+from symbolic_geometry import coord_symbols
 
 
 def sympy_spray(M, modules=("math", np), half=sp.Rational(1, 2)):
     """a^rho = -g^{rho lam} w_lam with w_lam = (d_mu g_{lam nu} - half d_lam g_{mu nu})
     v^mu v^nu, lambdified for the modules with common-subexpression
     elimination: a function of the coordinates, then the velocities."""
-    n, g, xs = M.dim, _symbolic(M.metric), M.coord_symbols
+    n, g, xs = M.dim, _symbolic(M.metric), coord_symbols(M)
     v = [sp.Dummy(f"v_{c}") for c in M.chart.coords]
     w = [sum((sp.diff(g[lam, nu], xs[mu]) - half * sp.diff(g[mu, nu], xs[lam]))
              * v[mu] * v[nu] for mu in range(n) for nu in range(n))

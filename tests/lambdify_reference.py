@@ -12,7 +12,8 @@ own derivatives, so forward-mode jets are checked against symbolic ones.
 import numpy as np
 import sympy as sp
 
-from hiddensym.manifold import _symbolic, _tangent
+from hiddensym.manifold import _symbolic
+from symbolic_geometry import coord_symbols, tangent
 
 
 def lambdified(M, arr, pts, dtype=float) -> np.ndarray:
@@ -20,7 +21,7 @@ def lambdified(M, arr, pts, dtype=float) -> np.ndarray:
     (P, *shape)."""
     arr = _symbolic(arr)
     params = sorted(M.params)
-    f = sp.lambdify([sp.Symbol(p) for p in params] + M.coord_symbols, list(arr.flat),
+    f = sp.lambdify([sp.Symbol(p) for p in params] + coord_symbols(M), list(arr.flat),
                     modules="numpy", cse=True)
     x = [np.array([p[c] for p in pts], dtype=float) for c in M.chart.coords]
     out = np.zeros((len(pts), arr.size), dtype=complex)
@@ -38,5 +39,5 @@ def lambdified_jet(M, arr, pts, order: int) -> np.ndarray:
     gives it (a 2-jet's two jet axes are symmetric)."""
     arr = _symbolic(arr)
     for _ in range(order):
-        arr = _tangent(arr, M.coord_symbols)
+        arr = tangent(arr, coord_symbols(M))
     return lambdified(M, arr, pts)

@@ -6,11 +6,12 @@ exprkit calls sympy's trigsimp, no library module calls sympy's lambdify, no
 module outside manifold.py calls the symbolic tensor algebra, every default
 of a library function or dataclass that a call reaches is set by some call,
 no library module imports sympy at its module level, neither the library's
-import nor any command but the emitted symbolic components loads sympy, no
-library module imports the CLI, a command loads only the library modules
-it runs, only exprkit.run_source runs code from text, every exception class
-of the library derives from hiddensym.InputError, and only cli.main prints,
-after every output is formatted."""
+import nor any command but the emitted symbolic components nor a tensor-suite
+benchmark pass loads sympy, no library module imports the CLI, a command
+loads only the library modules it runs, only exprkit.run_source runs code
+from text, every exception class of the library derives from
+hiddensym.InputError, and only cli.main prints, after every output is
+formatted."""
 
 import ast
 import importlib
@@ -670,6 +671,23 @@ def test_algebra_commands_do_not_load_sympy(argv, tmp_path):
     out, status = _loaded_after(["algebra", *argv], tmp_path, ("sympy", "numpy"))
     assert status == "exit 0, loaded: ['numpy']"
     assert json.loads(out.splitlines()[0])
+
+
+def test_tensor_suite_pass_loads_no_sympy():
+    """A tensor-suite benchmark pass at seed 0, set up and run as perfbench's
+    worker runs it but without the worker's version report, passes every
+    operation and never loads sympy.  No bytecode is written."""
+    script = ("import json, sys\nsys.path[:0] = sys.argv[1:]\nimport workloads\n"
+              "workloads.import_library('tensor-suite')\n"
+              "env = workloads.build('tensor-suite')\nrec = workloads.Recorder()\n"
+              "workloads.tensor_suite(rec, env, 0)\n"
+              "print(json.dumps({'ops': rec.ops, 'sympy': 'sympy' in sys.modules}))\n")
+    done = subprocess.run([sys.executable, "-B", "-c", script, str(ROOT / "perfbench"),
+                           str(ROOT / "src")], capture_output=True, text=True, timeout=300)
+    assert done.returncode == 0, done.stderr
+    result = json.loads(done.stdout.splitlines()[-1])
+    assert result["ops"] and [op for op in result["ops"] if op["problems"]] == []
+    assert result["sympy"] is False
 
 
 TAUB_NUT = ["--catalog", "taub-nut"]

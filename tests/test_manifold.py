@@ -6,14 +6,15 @@ from hypothesis import example, given, settings, strategies as st
 from hiddensym import catalog, exprkit, manifold
 from hiddensym.exprkit import EvalDomainError, to_sympy
 from hiddensym.manifold import (Chart, GeometryError, Manifold, TensorField,
-                                _covariant, _symbolic, _tangent, antisymmetrize,
+                                _covariant, _symbolic, antisymmetrize,
                                 covariant_derivative, exterior_derivative,
                                 one_form, sample_points, symmetrize, vector)
 from hiddensym.spin import spinor_bank
 from catalog_oracle import names
 from lambdify_reference import lambdified, lambdified_jet
-from symbolic_geometry import (lie_bracket, lower_index, raise_index, symbolic_christoffel,
-                               symbolic_ricci, symbolic_riemann)
+from symbolic_geometry import (coord_symbols, lie_bracket, lower_index, raise_index,
+                               symbolic_christoffel, symbolic_exterior_derivative,
+                               symbolic_ricci, symbolic_riemann, tangent)
 
 
 class UnboundNameError(exprkit.ExprError):
@@ -134,7 +135,7 @@ class TestNumericGeometry:
     def test_matches_symbolic_christoffel_and_riemann(self, entry):
         M = entry.manifold
         pts = sample_points(M.chart, 5, seed=2)
-        want = lambdified(M, _tangent(symbolic_christoffel(M), M.coord_symbols), pts)
+        want = lambdified(M, tangent(symbolic_christoffel(M), coord_symbols(M)), pts)
         assert _rel(M.christoffel(pts), want) < 1e-12          # values and partials
         assert _rel(M.riemann(pts), lambdified(M, symbolic_riemann(M), pts)) < 1e-12
 
@@ -204,6 +205,57 @@ class TestExteriorCalculus:
         w = one_form([2 * x, 0, 0])
         dw = exterior_derivative(w, flat3)
         assert all(sp.simplify(to_sympy(e)) == 0 for e in dw.components.flatten())
+
+
+def _d_mismatch(T, M) -> float:
+    """Largest difference between the 1-jets (values and partials) of
+    exterior_derivative and of the sympy reference at 10 seeded points,
+    relative to max(1, max |d|)."""
+    pts = sample_points(M.chart, 10, seed=4)
+    got = M.evaluate(exterior_derivative(T, M).components, pts, order=1)
+    want = M.evaluate(symbolic_exterior_derivative(T, M).components, pts, order=1)
+    return float(np.max(np.abs(got - want)) / max(1.0, np.max(np.abs(want))))
+
+
+class TestExteriorDerivativeOracle:
+    """d on the component trees against sympy's d, the path it replaced."""
+
+    TOL = 1e-13
+
+    def test_every_catalog_one_and_two_form(self, tn, ps):
+        shared = {"taub-nut": tn, "pseudo-sphere": ps}
+        errors = {}
+        for name in names():
+            e = shared.get(name) or catalog.get(name)
+            M = e.manifold
+            for key, T in e.forms.items():
+                if T.variance in ("d", "dd"):
+                    errors[name, key] = _d_mismatch(T, M)
+            if e.structure is not None:
+                for a, eta in enumerate(e.structure.eta):
+                    errors[name, f"structure eta{a + 1}"] = _d_mismatch(eta, M)
+        assert len(errors) == 14
+        assert {k: v for k, v in errors.items() if v > self.TOL} == {}
+
+    def test_function(self, tn):
+        r, theta, chi, m = sp.symbols("r theta chi m")
+        f = TensorField(r * sp.sin(theta) ** 2 + sp.exp(-chi) / (r + m), "")
+        assert _d_mismatch(f, tn.manifold) <= self.TOL
+
+    def test_top_rank_form_has_zero_d(self, sphere):
+        theta = sp.Symbol("theta")
+        vol = TensorField([[0, sp.sin(theta)], [-sp.sin(theta), 0]], "dd")
+        d = exterior_derivative(vol, sphere)
+        assert d.variance == "ddd" and d.components.shape == (2, 2, 2)
+        assert all(e is exprkit.ZERO for e in d.components.flat)
+        assert _d_mismatch(vol, sphere) == 0
+
+    def test_comparison_sees_a_sign_error_in_the_alternation(self, tn, ps, monkeypatch):
+        """d built as -(p + 1) Alt(partial f) fails on forms that are not closed."""
+        alternate = manifold.antisymmetrize
+        monkeypatch.setattr(manifold, "antisymmetrize", lambda arr: -alternate(arr))
+        assert _d_mismatch(ps.structure.eta[0], ps.manifold) > 0.5
+        assert _d_mismatch(tn.forms["fY"], tn.manifold) > 0.5
 
 
 class TestLieBracket:
@@ -362,17 +414,19 @@ class TestBatchEvaluation:
                 assert np.max(np.abs(jet - oracle)) <= self.TOL * scale
 
     def test_jets_differentiate_nothing_symbolically(self, monkeypatch):
-        """Jets and the geometry built on them never ask sympy for a derivative."""
+        """Jets, the geometry built on them and the exterior derivative never
+        ask sympy for a derivative."""
         e = catalog.taub_nut()
 
         def forbidden(*args, **kwargs):
             raise AssertionError("symbolic differentiation on the numeric path")
-        for owner, name in ((sp, "diff"), (sp.Expr, "diff"), (manifold, "_tangent")):
-            monkeypatch.setattr(owner, name, forbidden)
+        for owner in (sp, sp.Expr):
+            monkeypatch.setattr(owner, "diff", forbidden)
         pts = sample_points(e.manifold.chart, 3, seed=0)
         e.manifold.riemann(pts)
         covariant_derivative(e.forms["fY"], e.manifold, pts)
         e.manifold.evaluate(e.frame, pts, order=2)
+        e.manifold.evaluate(exterior_derivative(e.forms["fY"], e.manifold).components, pts)
 
     def test_equal_components_are_compiled_once(self, monkeypatch):
         """The compiled function is cached under the components' content and
@@ -429,7 +483,7 @@ class TestJets:
     def _oracle(M, exprs, pts, order):
         arr = np.array(exprs, dtype=object)
         for _ in range(order):
-            arr = _tangent(arr, M.coord_symbols)
+            arr = tangent(arr, coord_symbols(M))
         return np.moveaxis(lambdified(M, arr, pts), -1, 0)
 
     def _rule_error(self, M, case, order):

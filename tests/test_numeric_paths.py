@@ -1,10 +1,12 @@
 """Each numeric formula a checker uses in place of a symbolic helper, against
 that helper evaluated at the same 20 points: index lowering, the exterior
-derivative, the Lie bracket and the odd-rank Killing-Yano tower."""
+derivative, the Lie bracket and the odd-rank Killing-Yano tower; and the
+exterior derivative against the d eta that tower forms."""
 
 import numpy as np
 import pytest
 
+from hiddensym import sasaki
 from hiddensym.killing import _max_abs, _nabla_flat
 from hiddensym.manifold import (_covariant, antisymmetrize, covariant_derivative,
                                 exterior_derivative, sample_points)
@@ -48,6 +50,22 @@ def test_exterior_derivative_from_grad(catalogs, entry, name):
     nabla = covariant_derivative(f, M, pts).components
     assert _close((f.rank + 1) * antisymmetrize(nabla, 1),
                   M.evaluate(exterior_derivative(f, M).components, pts))
+
+
+@pytest.mark.parametrize("alpha", [0, 1, 2])
+def test_exterior_derivative_against_the_tower(ps, monkeypatch, alpha):
+    """exterior_derivative(eta_a) against the d eta_a = d_lam eta_mu - d_mu eta_lam
+    that _odd_rank_tower forms from eta_a's 2-jet, taken where it enters the
+    wedge: values and partials to 1e-13 relative to max(1, max |d eta|)."""
+    S, M = ps.structure, ps.manifold
+    pts = sample_points(M.chart, 20, seed=0)
+    seen = []
+    monkeypatch.setattr(sasaki, "_wedge", lambda a, b: seen.append(b) or _wedge(a, b))
+    _odd_rank_tower(S, alpha, 1, pts)
+    (deta,) = seen
+    got = M.evaluate(exterior_derivative(S.eta[alpha], M).components, pts, order=1)
+    assert got.shape == deta.shape
+    assert np.max(np.abs(got - deta)) <= 1e-13 * max(1.0, np.max(np.abs(deta)))
 
 
 @pytest.mark.parametrize("entry, pair", [("taub-nut", ("k1", "k2")),

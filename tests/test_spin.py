@@ -3,14 +3,13 @@ import pytest
 import sympy as sp
 
 from hiddensym import catalog, spin
-from hiddensym.manifold import (GeometryError, TensorField, _symbolic, _tangent, sample_points,
-                                vector)
+from hiddensym.manifold import GeometryError, TensorField, _symbolic, sample_points, vector
 from hiddensym.spin import (Frame, FrameError, OperatorSpec, SpinContext,
                             anticommutator_residual, canonical_gamma,
                             commutator_residual, frame_residual,
                             orthonormal_frame, spinor_bank, square_compare)
 from lambdify_reference import lambdified
-from symbolic_geometry import symbolic_christoffel
+from symbolic_geometry import coord_symbols, symbolic_christoffel, tangent
 
 
 @pytest.fixture(scope="module")
@@ -74,7 +73,7 @@ def symbolic_omega(F: Frame, M) -> np.ndarray:
     """omega[mu, a, b] = -eta_a (d_mu e^a_nu - Gamma^lam_{mu nu} e^a_lam) e_b^nu,
     built in sympy from the exact inverse of the frame, independently of the
     numeric connection jets."""
-    n, xs, gamma = M.dim, M.coord_symbols, symbolic_christoffel(M)
+    n, xs, gamma = M.dim, coord_symbols(M), symbolic_christoffel(M)
     e = sp.Matrix(_symbolic(F.vierbein))
     einv = e.inv()                       # einv[nu, b] = e_b^nu
     omega = np.empty((n, n, n), dtype=object)
@@ -111,7 +110,7 @@ class TestSpinConnection:
         omega built from the exact inverse frame."""
         M = tn.manifold
         pts = sample_points(M.chart, 5, seed=0)
-        expected = lambdified(M, _tangent(symbolic_omega(tn_ctx.F, M), M.coord_symbols), pts)
+        expected = lambdified(M, tangent(symbolic_omega(tn_ctx.F, M), coord_symbols(M)), pts)
         _, got = tn_ctx.connection(pts)
         assert np.max(np.abs(got - expected)) <= 1e-12 * np.max(np.abs(expected))
 
@@ -252,7 +251,7 @@ class TestTaubNutOracles:
         M, ctx = tn.manifold, tn_ctx
         eta = ctx.F.eta
         gam = [sp.Matrix(g.tolist()).applyfunc(sp.nsimplify) for g in canonical_gamma(eta)]
-        n, xs, s = M.dim, M.coord_symbols, gam[0].shape[0]
+        n, xs, s = M.dim, coord_symbols(M), gam[0].shape[0]
         omega = symbolic_omega(ctx.F, M)
         conn = [sum((sp.Rational(1, 4) * omega[mu, a, b] * eta[a] * eta[b]
                      * gam[a] * gam[b] for a in range(n) for b in range(n)),
