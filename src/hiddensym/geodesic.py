@@ -237,7 +237,9 @@ def _rk4_text(M: Manifold) -> str:
                    "v{i} = v{i} + sixth * (a{i} + 2.0 * a2_{i} + 2.0 * a3_{i} + a4_{i})")
             + f"        except (ArithmeticError, ValueError):\n"
               f"            return kept, True\n"
-              f"        t = min(t0 + k * h, t1)\n"
+              f"        t = t0 + k * h\n"
+              f"        if t > t1:\n"
+              f"            t = t1\n"
               f"        if not ({box}):\n"
               f"            return kept, True\n"
               f"        if k % stride == 0 or k == steps:\n"

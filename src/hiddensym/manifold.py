@@ -215,9 +215,12 @@ def per_batch(method):
 
 def _pointwise(subscripts: str, *values) -> np.ndarray:
     """einsum at each point of (P, ...) arrays; the subscripts name the axes
-    after the point axis and must not use p."""
+    after the point axis and must not use p.  Three or more operands follow
+    numpy's optimized path, pairwise where no intermediate outgrows the
+    largest operand; two are numpy's one plain call, a loop over all indices."""
     ins, out = subscripts.split("->")
-    return np.einsum(",".join("p" + s for s in ins.split(",")) + "->p" + out, *values)
+    return np.einsum(",".join("p" + s for s in ins.split(",")) + "->p" + out, *values,
+                     optimize=len(values) > 2)
 
 
 def _product(subscripts: str, *jets) -> np.ndarray:

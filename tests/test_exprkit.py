@@ -1,4 +1,5 @@
 import ast
+import functools
 import math
 import operator
 import tracemalloc
@@ -321,22 +322,31 @@ class TestDerivative:
         assert derivative(parse(src), "x") is want
 
 
+_BINARY = {"+": operator.add, "-": operator.sub, "*": operator.mul, "/": operator.truediv}
+
+
+@functools.lru_cache(maxsize=1)
+def _postorder(e):
+    """e's nodes in postorder, walked once for the run of points at which
+    literal evaluates one tree."""
+    return exprkit.postorder([e])
+
+
 def literal(e, env, functions, square):
     """e's value by each tree operation applied literally: a constant as a
     float, a name's value from env, -a, a + b, a - b, a*b and a/b as they are
     written, square(a) for a^2, a**k for another integer k, pow(a, b) (the
     functions' own, or Python's) for any other power, and each function from
     functions."""
-    binary = {"+": operator.add, "-": operator.sub, "*": operator.mul, "/": operator.truediv}
     done = {}
-    for node in exprkit.postorder([e]):
+    for node in _postorder(e):
         args = [done[k] for k in node.kids]
         if node.op in ("num", "name"):
             done[node] = float(node.value) if node.op == "num" else env[node.value]
         elif node.op == "neg":
             done[node] = -args[0]
-        elif node.op in binary:
-            done[node] = binary[node.op](*args)
+        elif node.op in _BINARY:
+            done[node] = _BINARY[node.op](*args)
         elif node.op in exprkit.FUNCTIONS:
             done[node] = functions[node.op](*args)
         elif node.kids[1] == 2:

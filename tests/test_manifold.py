@@ -1,3 +1,6 @@
+import ast
+from pathlib import Path
+
 import numpy as np
 import pytest
 import sympy as sp
@@ -5,6 +8,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from hiddensym import catalog, exprkit, manifold
 from hiddensym.exprkit import EvalDomainError, to_sympy
+from hiddensym.killing import SKSquare
 from hiddensym.manifold import (Chart, GeometryError, Manifold, TensorField,
                                 _covariant, _symbolic, antisymmetrize,
                                 covariant_derivative, exterior_derivative,
@@ -15,6 +19,9 @@ from lambdify_reference import lambdified, lambdified_jet
 from symbolic_geometry import (coord_symbols, lie_bracket, lower_index, raise_index,
                                symbolic_christoffel, symbolic_exterior_derivative,
                                symbolic_ricci, symbolic_riemann, tangent)
+
+
+SRC = Path(__file__).resolve().parents[1] / "src" / "hiddensym"
 
 
 class UnboundNameError(exprkit.ExprError):
@@ -566,3 +573,68 @@ class TestJets:
     def test_order_above_two_raises(self, plane):
         with pytest.raises(ValueError, match="order 3"):
             plane.evaluate([_X ** 4], sample_points(plane.chart, 2, seed=0), order=3)
+
+
+def _sk_subscripts(rank: int) -> str:
+    return SKSquare(TensorField(np.zeros((2,) * rank, dtype=int).tolist(), "d" * rank)).subscripts
+
+
+def _literal_subscripts(name: str) -> set[str]:
+    """The subscripts written as a string literal in every call of name in src/."""
+    found = set()
+    for path in SRC.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                    and node.func.id == name and node.args
+                    and isinstance(node.args[0], ast.Constant)):
+                found.add(node.args[0].value)
+    return found
+
+
+class TestContractionRule:
+    """_pointwise against numpy's one-loop einsum: every contraction of three
+    or more operands that src/ makes, on seeded arrays with each axis of
+    length 4, so that a swap of two output axes keeps the shape."""
+
+    TOL = 1e-13
+    SPIN = ["mst,ntu,nm->su", "mn,mst,ntu->su", "rmn,mst,ntu,ruv->sv"]
+
+    @staticmethod
+    def _operands(subscripts, P):
+        rng = np.random.default_rng(P)
+        return [rng.normal(size=(P,) + (4,) * len(s)) for s in subscripts.split("->")[0].split(",")]
+
+    @staticmethod
+    def _with_points(subscripts):
+        ins, out = subscripts.split("->")
+        return ",".join("p" + s for s in ins.split(",")) + "->p" + out
+
+    def _error(self, subscripts, P, pointwise=manifold._pointwise):
+        values = self._operands(subscripts, P)
+        ref = np.einsum(self._with_points(subscripts), *values, optimize=False)
+        got = pointwise(subscripts, *values)
+        assert got.shape == ref.shape
+        return np.max(np.abs(got - ref)) / max(1.0, np.max(np.abs(ref)))
+
+    def test_every_contraction_of_three_or_more_is_here(self):
+        written = {s for s in _literal_subscripts("_product") | _literal_subscripts("_pointwise")
+                   if s.count(",") >= 2}
+        assert written == set(self.SPIN)
+
+    @pytest.mark.parametrize("P", [1, 10, 1001])
+    @pytest.mark.parametrize("subscripts", [_sk_subscripts(2), _sk_subscripts(3), *SPIN])
+    def test_matches_the_one_loop_einsum(self, subscripts, P):
+        assert self._error(subscripts, P) <= self.TOL
+
+    @pytest.mark.parametrize("subscripts", ["ab,b->a", "mst,mtu->su", "ml,ln->mn"])
+    def test_two_operands_are_numpys_plain_call(self, subscripts):
+        values = self._operands(subscripts, 10)
+        plain = np.einsum(self._with_points(subscripts), *values)
+        assert np.array_equal(manifold._pointwise(subscripts, *values), plain)
+
+    def test_comparison_sees_a_swap_of_two_output_axes(self):
+        def swapped(subscripts, *values):
+            return np.swapaxes(manifold._pointwise(subscripts, *values), -1, -2)
+        for subscripts in [_sk_subscripts(2), *self.SPIN]:
+            assert self._error(subscripts, 10) <= self.TOL
+            assert self._error(subscripts, 10, swapped) > 0.1
