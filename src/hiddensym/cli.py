@@ -19,12 +19,13 @@ their expressions as exprkit trees and evaluate them as generated code.
 from __future__ import annotations
 
 import argparse
+import importlib
 import json
 import math
 import sys
 
 from . import InputError
-from .document import FileFormatError, _real, export, ingest
+from .document import CLAIMS, FileFormatError, _real, export, ingest
 
 
 # ---------------------------------------------------------------------------
@@ -53,24 +54,6 @@ def _load_entry(args) -> CatalogEntry:
     raise FileFormatError("one of --manifold FILE or --catalog NAME is required")
 
 
-def _expectation(entry: CatalogEntry, check: str, target: str) -> bool:
-    for item in entry.manifest:
-        if item.get("check") == check and item.get("target") == target:
-            return bool(item.get("expect_pass", True))
-    return True
-
-
-def _finalize(report, entry, check, target, args) -> tuple[dict, bool]:
-    """The report's output, passed when it meets the manifest expectation."""
-    expected = _expectation(entry, check, target)
-    obj = report.to_json()
-    obj["target"] = target
-    obj["seed"] = args.seed
-    obj["expected_pass"] = expected
-    obj["meets_expectation"] = (report.passed == expected)
-    return obj, obj["meets_expectation"]
-
-
 def _check_signature(M, args) -> None:
     """A metric whose signature differs from the declared one at a finite,
     non-degenerate point among the report's points is a file error; a
@@ -81,54 +64,60 @@ def _check_signature(M, args) -> None:
                               f"{list(M.signature)} at the sample points")
 
 
+def _claim(entry, check: str, target, args, build=lambda T: T) -> tuple[dict, bool]:
+    """The output of the claim `check` on build(T) of each object T `target` names,
+    by the report CLAIMS names, passed if it meets the manifest; a signature or (for
+    spin) a frame not giving the metric is refused first, a singular point left."""
+    claim = CLAIMS[check]
+    module = importlib.import_module(f".{claim.module}", __package__)
+    M = context = entry.manifold
+    kw = dict(points=args.points, seed=args.seed, tol=args.tol)
+    if not claim.kinds:
+        _check_signature(M, args)
+    target = target or claim.default
+    if not target or len(target.split(",")) != claim.targets:
+        raise FileFormatError(f"{check} needs --target naming {claim.targets} object(s), "
+                              "comma-separated")
+    objects = [build(entry.target(name)) for name in target.split(",")]
+    if claim.kinds:     # the spin context, and the operators the report takes
+        from . import spin
+        F = (spin.Frame(entry.frame, tuple(M.signature)) if entry.frame is not None
+             else spin.orthonormal_frame(M))
+        frame = spin.frame_residual(F, M, points=args.points, seed=args.seed)
+        if not frame.passed and math.isfinite(frame.max_rel_residual):
+            raise FileFormatError(f"the frame does not give the metric: relative residual "
+                                  f"{frame.max_rel_residual:.3g} at {frame.worst_point}")
+        context = spin.SpinContext(M, F)
+        kw["bank"] = spin.spinor_bank(M, args.bank, args.seed)
+        objects = [spin.OperatorSpec(kind) if kind == "standard-dirac" else
+                   spin.OperatorSpec(kind, *objects) for kind in claim.kinds]
+    report = getattr(module, claim.report)(*objects, context, **kw)
+    expected = next((item.get("expect_pass", True) for item in entry.manifest
+                     if (item["check"], item["target"]) == (check, target)), True)
+    obj = report.to_json() | {"target": target, "seed": args.seed, "expected_pass": expected,
+                              "meets_expectation": report.passed == expected}
+    return obj, obj["meets_expectation"]
+
+
 # ---------------------------------------------------------------------------
 # subcommands
 
-_CHECKS = ("killing-vector", "cky", "ky", "sk", "covconst", "unit-root",
-           "quaternion")
-
-
 def _cmd_check(args) -> list:
-    from . import killing
-    entry = _load_entry(args)
-    M = entry.manifold
-    _check_signature(M, args)
-    kw = dict(points=args.points, seed=args.seed, tol=args.tol)
-    name = args.check
-    if name == "quaternion":
-        targets = args.target.split(",") if args.target else ["f1", "f2", "f3"]
-        if len(targets) != 3:
-            raise FileFormatError("quaternion check needs three comma-separated targets")
-        fs = [entry.target(t) for t in targets]
-        report = killing.quaternion_relations_check(*fs, M, **kw)
-        return [_finalize(report, entry, "quaternion", ",".join(targets), args)]
-    if not args.target:
-        raise FileFormatError("--target NAME is required for this check")
-    T = entry.target(args.target)
-    fn = {
-        "killing-vector": killing.killing_vector_residual,
-        "cky": killing.cky_residual,
-        "ky": killing.ky_residual,
-        "sk": killing.sk_residual,
-        "covconst": killing.covariant_constancy_residual,
-        "unit-root": killing.unit_root_check,
-    }[name]
-    return [_finalize(fn(T, M, **kw), entry, name, args.target, args)]
+    return [_claim(_load_entry(args), args.check, args.target, args)]
+
+
+def _cmd_spin(args) -> list:
+    return [_claim(_load_entry(args), f"spin-{args.mode}", args.target, args)]
 
 
 def _cmd_construct(args) -> list:
     from . import killing
     entry = _load_entry(args)
     M = entry.manifold
-    _check_signature(M, args)
-    f = entry.target(args.target)
-    K = killing.associated_sk(f, M)
-    report = killing.sk_residual(K, M, points=args.points, seed=args.seed,
-                                 tol=args.tol)
-    outputs = [_finalize(report, entry, "sk", args.target, args)]
+    outputs = [_claim(entry, "sk", args.target, args, lambda f: killing.associated_sk(f, M))]
     if args.emit_components:
         from .exprkit import to_source
-        exprs = killing.associated_sk_symbolic(f, M).components
+        exprs = killing.associated_sk_symbolic(entry.target(args.target), M).components
         outputs.append(({"constructed": "associated-sk", "source": args.target, "components": {
             f"{i},{j}": to_source(exprs[i, j])
             for i in range(M.dim) for j in range(i, M.dim) if exprs[i, j] != 0}}, True))
@@ -145,10 +134,10 @@ def _parse_state(src: str, coords, flag: str) -> dict:
 
 
 def _cmd_geodesic(args) -> list:
-    if not math.isfinite(args.t1 / args.step):
-        raise FileFormatError(f"--t1 {args.t1} over --step {args.step} is not a finite "
-                              "number of steps")
     from . import geodesic, killing
+    if not args.t1 / args.step <= geodesic.MAX_STEPS:    # refused before the entry loads
+        raise geodesic.GeometryError(f"--t1 {args.t1} over --step {args.step} is not a finite "
+                                     f"number of steps (at most {geodesic.MAX_STEPS})")
     entry = _load_entry(args)
     M = entry.manifold
     _check_signature(M, args)
@@ -172,34 +161,6 @@ def _cmd_geodesic(args) -> list:
         _write(args.csv, lambda fh: geodesic.export_csv(traj, M, fh))
     kept = {"steps_kept": len(traj), "exited_domain": traj.exited_domain}
     return [(rep.to_json() | extra, rep.passed) for rep, extra in zip(reports, [kept, {}])]
-
-
-def _cmd_spin(args) -> list:
-    from . import spin
-    entry = _load_entry(args)
-    M = entry.manifold
-    if entry.frame is not None:
-        F = spin.Frame(entry.frame, tuple(M.signature))
-    else:
-        F = spin.orthonormal_frame(M)
-    # a frame that does not give the metric is a file error; a non-finite
-    # residual (a singular point) is left to the report
-    frame = spin.frame_residual(F, M, points=args.points, seed=args.seed)
-    if not frame.passed and math.isfinite(frame.max_rel_residual):
-        raise FileFormatError(
-            f"the frame does not give the metric: relative residual "
-            f"{frame.max_rel_residual:.3g} at {frame.worst_point}")
-    ctx = spin.SpinContext(M, F)
-    bank = spin.spinor_bank(entry.manifold, args.bank, args.seed)
-    kw = dict(bank=bank, points=args.points, seed=args.seed, tol=args.tol)
-    Ds = spin.OperatorSpec("standard-dirac")
-    kind, report = {    # the target's operator kind, and the report on that operator
-        "anticommute": ("dirac-type", lambda D: spin.anticommutator_residual(Ds, D, ctx, **kw)),
-        "commute": ("killing-op", lambda D: spin.commutator_residual(Ds, D, ctx, **kw)),
-        "square": ("dirac-type", lambda D: spin.square_compare(D, ctx, **kw)),
-    }[args.mode]
-    spec = spin.OperatorSpec(kind, entry.target(args.target))
-    return [_finalize(report(spec), entry, f"spin-{args.mode}", args.target, args)]
 
 
 def _cmd_algebra(args) -> list:
@@ -301,7 +262,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = ap.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("check", help="run a residual check")
-    p.add_argument("check", choices=_CHECKS)
+    p.add_argument("check", choices=[name for name, claim in CLAIMS.items() if not claim.kinds])
     _add_common(p)
     p.set_defaults(func=_cmd_check)
 
@@ -326,7 +287,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_geodesic, tol=1e-8)
 
     p = sub.add_parser("spin", help="spinor operator identities")
-    p.add_argument("mode", choices=["anticommute", "commute", "square"])
+    p.add_argument("mode", choices=[n.removeprefix("spin-") for n, c in CLAIMS.items() if c.kinds])
     _add_common(p)
     p.add_argument("--bank", type=_count, default=5)
     p.set_defaults(func=_cmd_spin, tol=1e-8, points=10)

@@ -1,13 +1,14 @@
 """Manifold-definition documents, the JSON that `--manifold` reads and
-`catalog export` prints: `ingest` reads one into a catalog entry and `export`
-writes an entry back.  The geometry modules are imported when a document is
-read, and sasaki only for a document that has a mixed 3-structure."""
+`catalog export` prints: `ingest` reads one into a catalog entry, each manifest
+item checked against the claim table CLAIMS, and `export` writes an entry back.
+The geometry modules are imported when a document is read, sasaki for a mixed 3-structure."""
 
 from __future__ import annotations
 
 import itertools
 import math
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -27,13 +28,37 @@ class CatalogEntry:
     structure: MixedThreeStructure | None = field(init=False, default=None)
     frame: np.ndarray | None = field(init=False, default=None)   # e^a_mu, rows = a
     metadata: dict = field(default_factory=dict)
-    manifest: list[dict] = field(default_factory=list)
+    manifest: list[dict] = field(init=False, default_factory=list)
 
     def target(self, name: str) -> TensorField:
         for group in (self.vectors, self.forms):
             if name in group:
                 return group[name]
         raise FileFormatError(f"no object named {name!r} in catalog entry {self.name!r}")
+
+
+class Claim(NamedTuple):
+    """What decides a manifest check name."""
+    module: str                     # a hiddensym module and its report, by name: the
+    report: str                     # report is looked up when the claim runs
+    targets: int = 1                # comma-separated objects the target names,
+    default: str | None = None      # and the target when none is given
+    kinds: tuple[str, ...] = ()     # a spin report's operators, the target their payload
+
+
+CLAIMS = {      # the claim table: every manifest check name
+    "killing-vector": Claim("killing", "killing_vector_residual"),
+    "cky": Claim("killing", "cky_residual"),
+    "ky": Claim("killing", "ky_residual"),
+    "sk": Claim("killing", "sk_residual"),
+    "covconst": Claim("killing", "covariant_constancy_residual"),
+    "unit-root": Claim("killing", "unit_root_check"),
+    "quaternion": Claim("killing", "quaternion_relations_check", 3, "f1,f2,f3"),
+    "spin-anticommute": Claim("spin", "anticommutator_residual",
+                              kinds=("standard-dirac", "dirac-type")),
+    "spin-commute": Claim("spin", "commutator_residual", kinds=("standard-dirac", "killing-op")),
+    "spin-square": Claim("spin", "square_compare", kinds=("dirac-type",)),
+}
 
 
 def _read(src, shape: tuple, leaf, context: str):
@@ -135,8 +160,7 @@ def ingest(doc) -> CatalogEntry:
     try:    # the chart, the metric and the structure check their own geometry
         M = Manifold(Chart(coords, box), _field(doc, "metric", (n, n), expr), params=params,
                      signature=signature, name=_field(doc, "name", (), _text))
-        entry = CatalogEntry(M.name, M, metadata=_field(doc, "metadata", (dict,), _keep, {}),
-                             manifest=_field(doc, "manifest", (None, dict), _keep, []))
+        entry = CatalogEntry(M.name, M, metadata=_field(doc, "metadata", (dict,), _keep, {}))
         if "structures" in doc:
             from .sasaki import MixedThreeStructure
             block = _field(doc, "structures", (dict,), _keep)
@@ -165,6 +189,19 @@ def ingest(doc) -> CatalogEntry:
         entry.forms[fname] = TensorField(comp, "d" * rank)
     if "frame" in doc:
         entry.frame = np.array(_field(doc, "frame", (n, n), expr), dtype=object)
+    objects = entry.vectors.keys() | entry.forms.keys()
+    entry.manifest = _field(doc, "manifest", (None, dict), _keep, [])
+    for i, item in enumerate(entry.manifest):   # a claim of CLAIMS on the document's objects
+        where = f"manifest[{i}]"
+        if set(item) - {"check", "target", "expect_pass"}:
+            raise FileFormatError(f"{where} has a field other than check, target and expect_pass")
+        claim = CLAIMS[_field(item, "check", (), _leaf(CLAIMS.__contains__,
+                                                       f"one of {list(CLAIMS)}"), context=where)]
+        _field(item, "target", (), _leaf(
+            lambda s: len(str.split(s, ",")) == claim.targets and set(s.split(",")) <= objects,
+            f"{claim.targets} comma-separated name(s) of its vectors and forms"), context=where)
+        _field(item, "expect_pass", (), _leaf(lambda s: isinstance(s, bool), "a boolean"), True,
+               context=where)
     return entry
 
 

@@ -32,6 +32,7 @@ from .killing import _guard, _quiet, finite_or_null
 from .manifold import GeometryError, Manifold, SingularMetricError, TensorField, symmetrize
 
 RK45_TOLERANCE = 1e-10         # rk45 rtol and atol
+MAX_STEPS = 10**7              # the most steps t_span over step may give
 
 
 @dataclass
@@ -52,8 +53,9 @@ class IntegratorConfig:
             raise GeometryError(f"t_span must be finite, not {self.t_span!r}")
         if not (self.step > 0 and self.t_span[1] > self.t_span[0]):
             raise GeometryError("step and the length of t_span must be positive")
-        if not math.isfinite((self.t_span[1] - self.t_span[0]) / self.step):
-            raise GeometryError(f"t_span over step {self.step!r} is not a finite number of steps")
+        if not (self.t_span[1] - self.t_span[0]) / self.step <= MAX_STEPS:
+            raise GeometryError(f"t_span over step {self.step!r} is not a finite number of steps "
+                                f"(at most {MAX_STEPS})")
         if self.method not in ("rk4", "rk45"):
             raise GeometryError(f"unknown method {self.method!r}")
         if isinstance(self.stride, bool) or not isinstance(self.stride, Integral) or self.stride < 1:

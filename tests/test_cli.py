@@ -1,17 +1,20 @@
 import hashlib
+import importlib
 import json
 import os
 import shutil
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from hiddensym import geodesic
+from hiddensym import catalog, cli, geodesic
 from hiddensym.cli import FileFormatError, export, ingest, main
+from hiddensym.document import CLAIMS
 from hiddensym.manifold import sample_points
 from test_algebra import digest
 
@@ -208,6 +211,43 @@ class TestIngest:
                    forms={"bad": {"rank": 2, "components": {"0,5": "1"}}})
         with pytest.raises(FileFormatError):
             ingest(doc)
+
+    CLAIM = {"check": "killing-vector", "target": "rot", "expect_pass": True}
+
+    @pytest.mark.parametrize("item, message", [
+        (dict(CLAIM, check="kiling-vector"), r"manifest\[1\]\['check'\] must be one of \["),
+        (dict(CLAIM, check=["ky"]), r"manifest\[1\]\['check'\] must be one of"),
+        (dict(CLAIM, target="nosuch"), r"manifest\[1\]\['target'\] must be 1 comma-separated"),
+        (dict(CLAIM, target="rot,dil"), r"manifest\[1\]\['target'\]"),
+        (dict(CLAIM, target=5), r"manifest\[1\]\['target'\]"),
+        (dict(CLAIM, check="quaternion", target="area,area"),
+         r"manifest\[1\]\['target'\] must be 3 comma-separated"),
+        (dict(CLAIM, check="quaternion", target="area,area,nosuch"), r"manifest\[1\]\['target'\]"),
+        ({"check": "ky", "expect_pass": True}, r"missing required field manifest\[1\]\['target'\]"),
+        ({"target": "rot"}, r"missing required field manifest\[1\]\['check'\]"),
+        (dict(CLAIM, expect_pass="yes"), r"manifest\[1\]\['expect_pass'\] must be a boolean"),
+        (dict(CLAIM, expect_pas=False), r"manifest\[1\] has a field other than"),
+    ], ids=["misspelled-check", "list-check", "unknown-target", "two-targets", "number-target",
+            "quaternion-two", "quaternion-unknown", "no-target", "no-check", "string-expectation",
+            "misspelled-field"])
+    def test_manifest_item_refused(self, capsys, tmp_path, item, message):
+        """A manifest item must name a check of the claim table and as many of
+        the document's objects as the check takes; once such an item was never
+        read, and the claim it meant reported expected_pass true."""
+        doc = dict(MINIMAL, manifest=[self.CLAIM, item])
+        with pytest.raises(FileFormatError, match=message):
+            ingest(doc)
+        path = tmp_path / "m.json"
+        path.write_text(json.dumps(doc))
+        assert main(["check", "killing-vector", "--manifold", str(path), "--target", "rot"]) == 2
+        assert capsys.readouterr().out == ""
+
+    def test_manifest_items_read(self):
+        """Each check of the table is accepted on objects of the document, and
+        expect_pass may be left out."""
+        items = [{"check": name, "target": ",".join(["area"] * claim.targets)}
+                 for name, claim in CLAIMS.items()]
+        assert ingest(dict(MINIMAL, manifest=items)).manifest == items
 
 
 def component_arrays(entry) -> dict:
@@ -665,6 +705,17 @@ class TestGeodesicCommand:
         assert code == 2 and out == ""
         assert "over --step 1e-320 is not a finite number of steps" in err
 
+    def test_step_count_above_the_bound_rejected(self, capsys):
+        """--step 1e-300 over --t1 1 is a finite count of 1e300 steps, which
+        once started the loop and ran without end."""
+        start = time.perf_counter()
+        code = main(TN_ORBIT + ["--t1", "1", "--step", "1e-300"])
+        out, err = capsys.readouterr()
+        assert time.perf_counter() - start < 1.0
+        assert (code, out) == (2, "")
+        assert err == ("error: --t1 1.0 over --step 1e-300 is not a finite number of steps "
+                       f"(at most {geodesic.MAX_STEPS})\n")
+
     def test_bad_coordinate_rejected(self, capsys):
         code, _ = run(capsys, "geodesic", "run", "--catalog", "sphere2",
                       "--position", "q=1.0,phi=0.5",
@@ -777,6 +828,62 @@ class TestSpinCommand:
         reports = _strict(capsys.readouterr().out)
         assert code == 1
         assert reports[0]["extra"]["non_finite_points"] == 3
+
+
+def manifest_argv(item) -> list[str]:
+    """The command of a manifest item: spin MODE for spin-MODE, else check NAME."""
+    check = item["check"]
+    head = ["spin", check.removeprefix("spin-")] if CLAIMS[check].kinds else ["check", check]
+    return head + ["--target", item["target"]]
+
+
+class TestClaimTable:
+    @pytest.mark.parametrize("name", catalog._NAMES)
+    def test_every_manifest_claim_meets_its_expectation(self, capsys, name):
+        """Each item of the entry's manifest, run as its command at the
+        command's default points, exits 0 with meets_expectation."""
+        for item in catalog.get(name).manifest:
+            code, (report,) = run(capsys, *manifest_argv(item), "--catalog", name)
+            assert (code, report["meets_expectation"]) == (0, True), item
+            assert report["expected_pass"] is item["expect_pass"], item
+
+    def test_flipped_expectation_exits_one(self, capsys, tmp_path):
+        doc = export(catalog.get("flat3"))
+        item = doc["manifest"][1]
+        assert item == {"check": "killing-vector", "expect_pass": False, "target": "dilation"}
+        item["expect_pass"] = True
+        path = tmp_path / "flat3.json"
+        path.write_text(json.dumps(doc))
+        code, (report,) = run(capsys, *manifest_argv(item), "--manifold", str(path))
+        assert code == 1
+        assert report["pass"] is False and report["meets_expectation"] is False
+
+    def test_every_report_is_named_in_its_module(self):
+        """A renamed report fails here, not when its claim first runs."""
+        for name, claim in CLAIMS.items():
+            assert callable(getattr(importlib.import_module(f"hiddensym.{claim.module}"),
+                                    claim.report)), name
+
+    def test_command_choices_are_the_table(self):
+        """`check` takes each tensor claim of the table, `spin` each spin identity."""
+        parser = cli.build_parser()
+        for name in CLAIMS:
+            args = parser.parse_args(manifest_argv({"check": name, "target": "t"}))
+            assert (args.check if args.command == "check" else f"spin-{args.mode}") == name
+        for argv in (["check", "spin-square"], ["spin", "ky"]):
+            with pytest.raises(SystemExit):
+                parser.parse_args(argv)
+
+    def test_cli_import_loads_no_geometry_module(self):
+        """The table holds names: importing the CLI loads the document reader
+        alone of the library's modules."""
+        code = "import sys, hiddensym.cli; print(sorted(m for m in sys.modules if 'hidden' in m))"
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            [str(Path(__file__).resolve().parents[1] / "src"),
+             *filter(None, [os.environ.get("PYTHONPATH")])]))
+        done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                              text=True, timeout=120)
+        assert done.stdout == "['hiddensym', 'hiddensym.cli', 'hiddensym.document']\n"
 
 
 class TestSignatureCheck:

@@ -69,6 +69,25 @@ class TestConfig:
             integrate(flat3, GeodesicState({c: 0.0 for c in flat3.chart.coords},
                                            {c: 0.1 for c in flat3.chart.coords}), cfg)
 
+    @pytest.mark.parametrize("step, t_span", [(1e-300, (0.0, 1.0)), (1.0, (0.0, 2e7)),
+                                              (1e-3, (0.0, 1e4 + 1e-3))])
+    def test_step_count_is_bounded(self, step, t_span):
+        """A finite count of more than MAX_STEPS steps (1e300 once started a
+        loop without end) is refused."""
+        with pytest.raises(GeometryError, match=r"\(at most 10000000\)$"):
+            IntegratorConfig(step=step, t_span=t_span)
+
+    @pytest.mark.parametrize("method, step, t1", [
+        ("rk4", 1e-3, 10.0),    # the README's orbit and criterion 4's, 10^4 steps
+        ("rk4", 0.04, 10.0), ("rk4", 0.02, 10.0), ("rk4", 1e-3, 3.0), ("rk4", 0.01, 5.0),
+        ("rk4", 0.08, 4.0), ("rk4", 0.005, 4.0), ("rk45", 1e-3, 2.0), ("rk4", 1.0, 1e7)])
+    def test_orbits_up_to_the_bound_accepted(self, method, step, t1):
+        """The orbits of the README, the acceptance criteria, the benchmark and
+        these tests (at most 10^4 steps) are accepted, and so is one of exactly
+        MAX_STEPS steps."""
+        assert geodesic.MAX_STEPS == 10**7
+        assert IntegratorConfig(method=method, step=step, t_span=(0.0, t1)).step == step
+
     @pytest.mark.parametrize("stride", [0, -1, 2.0, 0.5, True, "10", None])
     def test_stride_must_be_a_positive_integer(self, stride):
         """stride=0 once raised ZeroDivisionError inside integrate, and
