@@ -137,7 +137,7 @@ def _cmd_geodesic(args) -> list:
     from . import geodesic, killing
     if not args.t1 / args.step <= geodesic.MAX_STEPS:    # refused before the entry loads
         raise geodesic.GeometryError(f"--t1 {args.t1} over --step {args.step} is not a finite "
-                                     f"number of steps (at most {geodesic.MAX_STEPS})")
+                                     f"number of steps up to {geodesic.MAX_STEPS}")
     entry = _load_entry(args)
     M = entry.manifold
     _check_signature(M, args)

@@ -41,23 +41,34 @@ class Claim(NamedTuple):
     """What decides a manifest check name."""
     module: str                     # a hiddensym module and its report, by name: the
     report: str                     # report is looked up when the claim runs
+    takes: str                      # what each target must be, a key of TAKES
     targets: int = 1                # comma-separated objects the target names,
     default: str | None = None      # and the target when none is given
     kinds: tuple[str, ...] = ()     # a spin report's operators, the target their payload
 
 
 CLAIMS = {      # the claim table: every manifest check name
-    "killing-vector": Claim("killing", "killing_vector_residual"),
-    "cky": Claim("killing", "cky_residual"),
-    "ky": Claim("killing", "ky_residual"),
-    "sk": Claim("killing", "sk_residual"),
-    "covconst": Claim("killing", "covariant_constancy_residual"),
-    "unit-root": Claim("killing", "unit_root_check"),
-    "quaternion": Claim("killing", "quaternion_relations_check", 3, "f1,f2,f3"),
-    "spin-anticommute": Claim("spin", "anticommutator_residual",
+    "killing-vector": Claim("killing", "killing_vector_residual", "vectors"),
+    "cky": Claim("killing", "cky_residual", "forms of rank 1 to n-1"),
+    "ky": Claim("killing", "ky_residual", "forms of rank 1 or more"),
+    "sk": Claim("killing", "sk_residual", "symmetric tensors (forms of rank 0 or 1)"),
+    "covconst": Claim("killing", "covariant_constancy_residual", "vectors and forms"),
+    "unit-root": Claim("killing", "unit_root_check", "2-forms"),
+    "quaternion": Claim("killing", "quaternion_relations_check", "2-forms", 3, "f1,f2,f3"),
+    "spin-anticommute": Claim("spin", "anticommutator_residual", "2-forms",
                               kinds=("standard-dirac", "dirac-type")),
-    "spin-commute": Claim("spin", "commutator_residual", kinds=("standard-dirac", "killing-op")),
-    "spin-square": Claim("spin", "square_compare", kinds=("dirac-type",)),
+    "spin-commute": Claim("spin", "commutator_residual", "vectors",
+                          kinds=("standard-dirac", "killing-op")),
+    "spin-square": Claim("spin", "square_compare", "2-forms", kinds=("dirac-type",)),
+}
+
+TAKES = {       # whether a document's object T (a vector, or a form) on n coordinates fits
+    "vectors": lambda T, n: T.variance == "u",
+    "vectors and forms": lambda T, n: True,
+    "forms of rank 1 or more": lambda T, n: T.variance.startswith("d"),
+    "forms of rank 1 to n-1": lambda T, n: T.variance.startswith("d") and T.rank < n,
+    "2-forms": lambda T, n: T.variance == "dd",
+    "symmetric tensors (forms of rank 0 or 1)": lambda T, n: T.variance in ("", "d"),
 }
 
 
@@ -189,7 +200,6 @@ def ingest(doc) -> CatalogEntry:
         entry.forms[fname] = TensorField(comp, "d" * rank)
     if "frame" in doc:
         entry.frame = np.array(_field(doc, "frame", (n, n), expr), dtype=object)
-    objects = entry.vectors.keys() | entry.forms.keys()
     entry.manifest = _field(doc, "manifest", (None, dict), _keep, [])
     for i, item in enumerate(entry.manifest):   # a claim of CLAIMS on the document's objects
         where = f"manifest[{i}]"
@@ -197,9 +207,11 @@ def ingest(doc) -> CatalogEntry:
             raise FileFormatError(f"{where} has a field other than check, target and expect_pass")
         claim = CLAIMS[_field(item, "check", (), _leaf(CLAIMS.__contains__,
                                                        f"one of {list(CLAIMS)}"), context=where)]
+        fits = {k for k in entry.vectors.keys() | entry.forms.keys()
+                if TAKES[claim.takes](entry.target(k), n)}
         _field(item, "target", (), _leaf(
-            lambda s: len(str.split(s, ",")) == claim.targets and set(s.split(",")) <= objects,
-            f"{claim.targets} comma-separated name(s) of its vectors and forms"), context=where)
+            lambda s: len(str.split(s, ",")) == claim.targets and set(s.split(",")) <= fits,
+            f"{claim.targets} comma-separated name(s) of its {claim.takes}"), context=where)
         _field(item, "expect_pass", (), _leaf(lambda s: isinstance(s, bool), "a boolean"), True,
                context=where)
     return entry

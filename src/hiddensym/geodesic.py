@@ -55,7 +55,7 @@ class IntegratorConfig:
             raise GeometryError("step and the length of t_span must be positive")
         if not (self.t_span[1] - self.t_span[0]) / self.step <= MAX_STEPS:
             raise GeometryError(f"t_span over step {self.step!r} is not a finite number of steps "
-                                f"(at most {MAX_STEPS})")
+                                f"up to {MAX_STEPS}")
         if self.method not in ("rk4", "rk45"):
             raise GeometryError(f"unknown method {self.method!r}")
         if isinstance(self.stride, bool) or not isinstance(self.stride, Integral) or self.stride < 1:

@@ -227,9 +227,17 @@ class TestIngest:
         ({"target": "rot"}, r"missing required field manifest\[1\]\['check'\]"),
         (dict(CLAIM, expect_pass="yes"), r"manifest\[1\]\['expect_pass'\] must be a boolean"),
         (dict(CLAIM, expect_pas=False), r"manifest\[1\] has a field other than"),
+        (dict(CLAIM, target="area"), r"manifest\[1\]\['target'\] must be 1 comma-separated "
+                                     r"name\(s\) of its vectors, not 'area'"),
+        (dict(CLAIM, check="sk", target="area"), r"of its symmetric tensors \(forms of rank 0 or 1"),
+        (dict(CLAIM, check="spin-commute", target="area"), r"of its vectors, not 'area'"),
+        (dict(CLAIM, check="unit-root", target="rot"), r"of its 2-forms, not 'rot'"),
+        (dict(CLAIM, check="quaternion", target="area,area,rot"), r"of its 2-forms"),
+        (dict(CLAIM, check="cky", target="area"), r"of its forms of rank 1 to n-1"),
     ], ids=["misspelled-check", "list-check", "unknown-target", "two-targets", "number-target",
             "quaternion-two", "quaternion-unknown", "no-target", "no-check", "string-expectation",
-            "misspelled-field"])
+            "misspelled-field", "form-for-vector", "sk-on-two-form", "spin-commute-on-form",
+            "unit-root-on-vector", "quaternion-on-vector", "cky-on-top-form"])
     def test_manifest_item_refused(self, capsys, tmp_path, item, message):
         """A manifest item must name a check of the claim table and as many of
         the document's objects as the check takes; once such an item was never
@@ -242,12 +250,37 @@ class TestIngest:
         assert main(["check", "killing-vector", "--manifold", str(path), "--target", "rot"]) == 2
         assert capsys.readouterr().out == ""
 
+    # MINIMAL with a scalar and a 1-form: an object of each kind a claim takes
+    KINDS = dict(MINIMAL, forms=MINIMAL["forms"] | {"s": {"rank": 0, "components": {}},
+                                                    "dx": {"rank": 1, "components": {"0": "1"}}})
+
     def test_manifest_items_read(self):
-        """Each check of the table is accepted on objects of the document, and
-        expect_pass may be left out."""
-        items = [{"check": name, "target": ",".join(["area"] * claim.targets)}
-                 for name, claim in CLAIMS.items()]
-        assert ingest(dict(MINIMAL, manifest=items)).manifest == items
+        """Each check of the table is accepted on objects of the document it
+        takes, and expect_pass may be left out."""
+        targets = {"killing-vector": "rot", "cky": "dx", "ky": "area", "sk": "dx",
+                   "covconst": "rot", "unit-root": "area", "quaternion": "area,area,area",
+                   "spin-anticommute": "area", "spin-commute": "rot", "spin-square": "area"}
+        assert targets.keys() == CLAIMS.keys()
+        items = [{"check": name, "target": target} for name, target in targets.items()]
+        assert ingest(dict(self.KINDS, manifest=items)).manifest == items
+
+    def test_manifest_accepts_what_its_command_decides(self, capsys, tmp_path):
+        """Ingest accepts a claim on an object exactly when the claim's command
+        on that object reaches a verdict (exit 0 or 1): each check of the
+        table on each of a vector, a scalar, a 1-form and a 2-form."""
+        path = tmp_path / "kinds.json"
+        path.write_text(json.dumps(self.KINDS))
+        for name, claim in CLAIMS.items():
+            for target in ("rot", "s", "dx", "area"):
+                item = {"check": name, "target": ",".join([target] * claim.targets)}
+                try:
+                    accepted = bool(ingest(dict(self.KINDS, manifest=[item])))
+                except FileFormatError:
+                    accepted = False
+                argv = manifest_argv(item) + ["--manifold", str(path), "--points", "3"]
+                code = main(argv + (["--bank", "1"] if claim.kinds else []))
+                capsys.readouterr()
+                assert accepted == (code in (0, 1)), (item, code)
 
 
 def component_arrays(entry) -> dict:
@@ -714,7 +747,7 @@ class TestGeodesicCommand:
         assert time.perf_counter() - start < 1.0
         assert (code, out) == (2, "")
         assert err == ("error: --t1 1.0 over --step 1e-300 is not a finite number of steps "
-                       f"(at most {geodesic.MAX_STEPS})\n")
+                       f"up to {geodesic.MAX_STEPS}\n")
 
     def test_bad_coordinate_rejected(self, capsys):
         code, _ = run(capsys, "geodesic", "run", "--catalog", "sphere2",

@@ -383,27 +383,17 @@ def _rewritten_trees(levels):
 _GRID = [(x, y) for x in (-1.0, -0.0, 0.0, 1.0, 2.0) for y in (-1.0, -0.0, 0.0, 1.0, 2.0)]
 
 
-def _float_codes(trees, params) -> list:
-    """The float code of each tree of x and y, the function compiled_function
-    gives, all compiled as one generated module with one function per tree:
-    an enumeration of thousands of trees compiles once."""
-    text = "".join(codegen([e], ["x", "y"], params).replace("def f(", f"def f{i}(", 1)
-                   for i, e in enumerate(trees))
-    listed = ", ".join(f"f{i}" for i in range(len(trees)))
-    return exprkit.run_source(f"{text}codes = [{listed}]\n", "codes", exprkit.FLOAT_FUNCTIONS)
-
-
-def _float_mismatch(e, points, theta, code=None):
+def _float_mismatch(e, points, theta):
     """None when, at each (x, y) of the points, the float code of e (theta
-    written as its literal; `code`, if given) and e applied literally with
-    x*x for a square give the same float.hex (so that -0.0 differs from 0.0)
-    or both raise, else the first point's two outcomes."""
+    written as its literal) and e applied literally with x*x for a square
+    give the same float.hex (so that -0.0 differs from 0.0) or both raise,
+    else the first point's two outcomes."""
     def outcome(f):
         try:
             return f().hex()
         except (ArithmeticError, ValueError):
             return "raises"
-    code = code or compiled_function([e], ["x", "y"], {"theta": theta}, exprkit.FLOAT_FUNCTIONS)
+    code = compiled_function([e], ["x", "y"], {"theta": theta}, exprkit.FLOAT_FUNCTIONS)
     for x, y in points:
         got = outcome(lambda: code(x, y)[0])
         want = outcome(lambda: literal(e, {"x": x, "y": y, "theta": theta},
@@ -431,11 +421,9 @@ class TestExactRewrites:
     def test_every_small_tree_is_literal(self, theta):
         """Each tree of up to two nested rewritten operations, with theta a
         signed literal, at every point of the grid."""
-        trees = list(_rewritten_trees(2))
+        trees = _rewritten_trees(2)
         assert len(trees) > 5000
-        codes = _float_codes(trees, {"theta": theta})
-        assert [e for e, code in zip(trees, codes)
-                if _float_mismatch(e, _GRID, theta, code) is not None] == []
+        assert [e for e in trees if _float_mismatch(e, _GRID, theta) is not None] == []
 
     def test_planted_non_identity_fails(self, monkeypatch):
         """(-a) - b written as -(a + b) flips the sign of a zero at a = -b:
@@ -538,8 +526,7 @@ def _exact_mismatches(trees) -> list:
     """(tree, point, generated code's float, exact value) for each tree
     whose float code differs from its exact value, rounded once, at a
     dyadic point: by float.hex, so -0.0 is not 0.0, or raising on one side."""
-    trees = list(trees)
-    code = dict(zip(trees, _float_codes(trees, {})))
+    code = {e: compiled_function([e], ["x", "y"], {}, exprkit.FLOAT_FUNCTIONS) for e in trees}
     out = []
     for point in _DYADIC:
         exact = _exact_values(trees, dict(zip("xy", point)))
