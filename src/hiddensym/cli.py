@@ -25,7 +25,7 @@ import math
 import sys
 
 from . import InputError
-from .document import CLAIMS, FileFormatError, _real, export, ingest
+from .document import CLAIMS, DERIVED, FileFormatError, _real, export, ingest
 
 
 # ---------------------------------------------------------------------------
@@ -64,10 +64,10 @@ def _check_signature(M, args) -> None:
                               f"{list(M.signature)} at the sample points")
 
 
-def _claim(entry, check: str, target, args, build=lambda T: T) -> tuple[dict, bool]:
-    """The output of the claim `check` on build(T) of each object T `target` names,
-    by the report CLAIMS names, passed if it meets the manifest; a signature or (for
-    spin) a frame not giving the metric is refused first, a singular point left."""
+def _claim(entry, check: str, target, args) -> tuple[dict, bool]:
+    """The output of the claim `check` on each object `target` names, by the report
+    CLAIMS names, passed if it meets the manifest; a signature or (for spin) a
+    frame not giving the metric is refused first, a singular point left."""
     claim = CLAIMS[check]
     module = importlib.import_module(f".{claim.module}", __package__)
     M = context = entry.manifold
@@ -78,7 +78,7 @@ def _claim(entry, check: str, target, args, build=lambda T: T) -> tuple[dict, bo
     if not target or len(target.split(",")) != claim.targets:
         raise FileFormatError(f"{check} needs --target naming {claim.targets} object(s), "
                               "comma-separated")
-    objects = [build(entry.target(name)) for name in target.split(",")]
+    objects = [entry.target(name) for name in target.split(",")]
     if claim.kinds:     # the spin context, and the operators the report takes
         from . import spin
         F = (spin.Frame(entry.frame, tuple(M.signature)) if entry.frame is not None
@@ -111,11 +111,12 @@ def _cmd_spin(args) -> list:
 
 
 def _cmd_construct(args) -> list:
-    from . import killing
     entry = _load_entry(args)
     M = entry.manifold
-    outputs = [_claim(entry, "sk", args.target, args, lambda f: killing.associated_sk(f, M))]
+    obj, passed = _claim(entry, "sk", args.target and f"{args.what}:{args.target}", args)
+    outputs = [(obj | {"target": args.target}, passed)]
     if args.emit_components:
+        from . import killing
         from .exprkit import to_source
         exprs = killing.associated_sk_symbolic(entry.target(args.target), M).components
         outputs.append(({"constructed": "associated-sk", "source": args.target, "components": {
@@ -134,22 +135,18 @@ def _parse_state(src: str, coords, flag: str) -> dict:
 
 
 def _cmd_geodesic(args) -> list:
-    from . import geodesic, killing
-    if not args.t1 / args.step <= geodesic.MAX_STEPS:    # refused before the entry loads
-        raise geodesic.GeometryError(f"--t1 {args.t1} over --step {args.step} is not a finite "
-                                     f"number of steps up to {geodesic.MAX_STEPS}")
-    entry = _load_entry(args)
+    from . import geodesic
+    cfg = geodesic.IntegratorConfig(method=args.method, step=args.step,
+                                    t_span=(0.0, args.t1), stride=args.stride)
+    entry = _load_entry(args)       # once the config took the step count
     M = entry.manifold
     _check_signature(M, args)
     s0 = geodesic.GeodesicState(_parse_state(args.position, M.chart.coords, "--position"),
                                 _parse_state(args.velocity, M.chart.coords, "--velocity"))
     if not M.chart.contains(s0.position):
         raise FileFormatError("--position lies outside the chart's domain box")
-    cfg = geodesic.IntegratorConfig(method=args.method, step=args.step,
-                                    t_span=(0.0, args.t1), stride=args.stride)
     if args.invariant:      # resolved, built and read at the start, before any work
-        Q = entry.target(args.invariant.removeprefix("assoc-sk:"))
-        Q = killing.associated_sk(Q, M) if args.invariant.startswith("assoc-sk:") else Q
+        Q = entry.target(args.invariant)
         geodesic.invariant_values([s0.position], [[s0.velocity[c] for c in M.chart.coords]],
                                   Q, M)
     traj = geodesic.integrate(M, s0, cfg)
@@ -281,7 +278,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--step", type=_positive, default=1e-3)
     p.add_argument("--stride", type=_count, default=10)
     p.add_argument("--method", choices=["rk4", "rk45"], default="rk4")
-    p.add_argument("--invariant", help="tensor name or assoc-sk:FORM")
+    p.add_argument("--invariant", help=f"tensor name or {'|'.join(DERIVED)}FORM")
     p.add_argument("--invariant-tol", type=_positive, default=1e-6)
     p.add_argument("--csv", help="trajectory CSV output path")
     p.set_defaults(func=_cmd_geodesic, tol=1e-8)

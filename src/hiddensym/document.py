@@ -1,10 +1,11 @@
 """Manifold-definition documents, the JSON that `--manifold` reads and
 `catalog export` prints: `ingest` reads one into a catalog entry, each manifest
-item checked against the claim table CLAIMS, and `export` writes an entry back.
-The geometry modules are imported when a document is read, sasaki for a mixed 3-structure."""
+item checked against the claim and derived-kind tables, and `export` writes it
+back.  The geometry modules are imported when a document is read, sasaki for a mixed 3-structure."""
 
 from __future__ import annotations
 
+import importlib
 import itertools
 import math
 from dataclasses import dataclass, field
@@ -30,11 +31,17 @@ class CatalogEntry:
     metadata: dict = field(default_factory=dict)
     manifest: list[dict] = field(init=False, default_factory=list)
 
-    def target(self, name: str) -> TensorField:
-        for group in (self.vectors, self.forms):
-            if name in group:
-                return group[name]
-        raise FileFormatError(f"no object named {name!r} in catalog entry {self.name!r}")
+    def target(self, name: str) -> TensorField | SKSquare:
+        """The vector or form NAME, or for PREFIX + NAME what DERIVED[PREFIX] builds of it."""
+        prefix = next((p for p in DERIVED if name.startswith(p)), "")
+        base = name.removeprefix(prefix)
+        T = (self.forms | self.vectors).get(base)
+        if T is None:
+            raise FileFormatError(f"no object named {base!r} in catalog entry {self.name!r}")
+        if prefix:
+            module, build, _, _ = DERIVED[prefix]
+            T = getattr(importlib.import_module(f".{module}", __package__), build)(T, self.manifold)
+        return T
 
 
 class Claim(NamedTuple):
@@ -51,8 +58,8 @@ CLAIMS = {      # the claim table: every manifest check name
     "killing-vector": Claim("killing", "killing_vector_residual", "vectors"),
     "cky": Claim("killing", "cky_residual", "forms of rank 1 to n-1"),
     "ky": Claim("killing", "ky_residual", "forms of rank 1 or more"),
-    "sk": Claim("killing", "sk_residual", "symmetric tensors (forms of rank 0 or 1)"),
-    "covconst": Claim("killing", "covariant_constancy_residual", "vectors and forms"),
+    "sk": Claim("killing", "sk_residual", "symmetric tensors (forms of rank 0 or 1, S-K squares)"),
+    "covconst": Claim("killing", "covariant_constancy_residual", "vectors, forms and S-K squares"),
     "unit-root": Claim("killing", "unit_root_check", "2-forms"),
     "quaternion": Claim("killing", "quaternion_relations_check", "2-forms", 3, "f1,f2,f3"),
     "spin-anticommute": Claim("spin", "anticommutator_residual", "2-forms",
@@ -62,13 +69,18 @@ CLAIMS = {      # the claim table: every manifest check name
     "spin-square": Claim("spin", "square_compare", "2-forms", kinds=("dirac-type",)),
 }
 
-TAKES = {       # whether a document's object T (a vector, or a form) on n coordinates fits
-    "vectors": lambda T, n: T.variance == "u",
-    "vectors and forms": lambda T, n: True,
-    "forms of rank 1 or more": lambda T, n: T.variance.startswith("d"),
-    "forms of rank 1 to n-1": lambda T, n: T.variance.startswith("d") and T.rank < n,
-    "2-forms": lambda T, n: T.variance == "dd",
-    "symmetric tensors (forms of rank 0 or 1)": lambda T, n: T.variance in ("", "d"),
+DERIVED = {     # the derived-kind table, PREFIX: (module, build, takes, kind): PREFIX + NAME is
+    # module.build(T, M) of the object T named NAME that TAKES[takes] fits ("sym dd": symmetric)
+    "assoc-sk:": ("killing", "associated_sk", "forms of rank 1 or more", "sym dd"),
+}
+
+TAKES = {       # whether a target of kind k on n coordinates fits: k is a document object's
+    "vectors": lambda k, n: k == "u",           # variance, or a DERIVED row's kind
+    "vectors, forms and S-K squares": lambda k, n: True,
+    "forms of rank 1 or more": lambda k, n: k.startswith("d"),
+    "forms of rank 1 to n-1": lambda k, n: k.startswith("d") and len(k) < n,
+    "2-forms": lambda k, n: k == "dd",
+    "symmetric tensors (forms of rank 0 or 1, S-K squares)": lambda k, n: k in ("", "d", "sym dd"),
 }
 
 
@@ -201,14 +213,16 @@ def ingest(doc) -> CatalogEntry:
     if "frame" in doc:
         entry.frame = np.array(_field(doc, "frame", (n, n), expr), dtype=object)
     entry.manifest = _field(doc, "manifest", (None, dict), _keep, [])
-    for i, item in enumerate(entry.manifest):   # a claim of CLAIMS on the document's objects
+    kinds = {k: T.variance for k, T in (entry.forms | entry.vectors).items()}
+    kinds |= {p + k: kind for p, (_, _, takes, kind) in DERIVED.items() for k, v in kinds.items()
+              if TAKES[takes](v, n)}
+    for i, item in enumerate(entry.manifest):   # a claim of CLAIMS on the targets of kinds
         where = f"manifest[{i}]"
         if set(item) - {"check", "target", "expect_pass"}:
             raise FileFormatError(f"{where} has a field other than check, target and expect_pass")
         claim = CLAIMS[_field(item, "check", (), _leaf(CLAIMS.__contains__,
                                                        f"one of {list(CLAIMS)}"), context=where)]
-        fits = {k for k in entry.vectors.keys() | entry.forms.keys()
-                if TAKES[claim.takes](entry.target(k), n)}
+        fits = {k for k, v in kinds.items() if TAKES[claim.takes](v, n)}
         _field(item, "target", (), _leaf(
             lambda s: len(str.split(s, ",")) == claim.targets and set(s.split(",")) <= fits,
             f"{claim.targets} comma-separated name(s) of its {claim.takes}"), context=where)

@@ -54,8 +54,8 @@ class IntegratorConfig:
         if not (self.step > 0 and self.t_span[1] > self.t_span[0]):
             raise GeometryError("step and the length of t_span must be positive")
         if not (self.t_span[1] - self.t_span[0]) / self.step <= MAX_STEPS:
-            raise GeometryError(f"t_span over step {self.step!r} is not a finite number of steps "
-                                f"up to {MAX_STEPS}")
+            raise GeometryError(f"t_span {self.t_span!r} over step {self.step!r} is not a finite "
+                                f"number of steps up to {MAX_STEPS}")
         if self.method not in ("rk4", "rk45"):
             raise GeometryError(f"unknown method {self.method!r}")
         if isinstance(self.stride, bool) or not isinstance(self.stride, Integral) or self.stride < 1:

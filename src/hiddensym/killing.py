@@ -194,6 +194,8 @@ def _ky_report(nabla: np.ndarray, pts, tol: float) -> ResidualReport:
 def ky_residual(f: TensorField, M: Manifold, points=None, seed=0,
                 tol=DEFAULT_TOL) -> ResidualReport:
     """Symmetric part of grad f, and deviation of grad f from its alternation."""
+    if f.rank < 1:
+        raise GeometryError("ky_residual needs a form of rank p >= 1")
     pts = _default_points(M, points, seed)
     return _ky_report(_guarded_nabla(f, M, pts, antisymmetrize,
                                      "ky_residual", "an antisymmetric form"),
@@ -247,6 +249,12 @@ class SKSquare:
 
     def __post_init__(self):
         _require_covariant(self.form, "the S-K square")
+        if self.form.rank < 1:
+            raise GeometryError("the S-K square needs a form of rank p >= 1")
+
+    @property
+    def components(self):       # a check that reads components refuses the square
+        raise GeometryError("the S-K square has no components; sk and invariants read its jets")
 
     @property
     def subscripts(self) -> str:
@@ -324,6 +332,8 @@ def quaternion_relations_check(f1: TensorField, f2: TensorField, f3: TensorField
     """f^i f^j + f^j f^i = -2 delta_ij, f^i f^j - f^j f^i = -2 eps_ijk f^k."""
     for f in (f1, f2, f3):
         _require_covariant(f, "quaternion_relations_check")
+        if f.rank != 2:
+            raise GeometryError("quaternion_relations_check needs 2-forms")
     pts = _default_points(M, points, seed)
     ginv = M.inverse_metric_jet(pts)[:, -1]
     E = [ginv @ M.evaluate(f.components, pts) for f in (f1, f2, f3)]  # (f^i)^mu_nu

@@ -121,10 +121,8 @@ class SpinContext:
         self.M = M
         self.F = F
         self._gamma = canonical_gamma(F.eta)
-        # (1/4) eta^{aa} eta^{bb} gamma^a gamma^b; eta^{aa} = eta_{aa} for +-1
-        eta = np.array(F.eta, dtype=float)
-        self._quarter = 0.25 * np.einsum("a,b,ast,btu->absu", eta, eta,
-                                         self._gamma, self._gamma)
+        # (1/4) gamma^a gamma^b, no eta: connection() lowers both frame indices of omega
+        self._quarter = 0.25 * np.einsum("ast,btu->absu", self._gamma, self._gamma)
 
     def connection(self, points) -> tuple[np.ndarray, np.ndarray]:
         """1-jets of the inverse frame einv[mu, a] = e_a^mu, shape

@@ -13,7 +13,7 @@ import sympy as sp
 from hiddensym import catalog, cli, exprkit
 from hiddensym.exprkit import parse, to_source, to_sympy
 from hiddensym.document import FileFormatError
-from hiddensym.killing import killing_vector_residual, ky_residual
+from hiddensym.killing import SKSquare, killing_vector_residual, ky_residual
 from hiddensym.manifold import GeometryError, sample_points
 from hiddensym.sasaki import build_cone
 
@@ -42,6 +42,16 @@ class TestRegistry:
         with pytest.raises(FileFormatError, match="^no object named 'nonexistent' in catalog "
                                                   "entry 'taub-nut'$"):
             tn.target("nonexistent")
+
+    def test_derived_target_lookup(self, tn):
+        """assoc-sk:F names F's S-K square, built on each lookup; a derived
+        name of an unknown object, or of a derived one, names nothing."""
+        K = tn.target("assoc-sk:fY")
+        assert isinstance(K, SKSquare) and K.form is tn.forms["fY"]
+        for name, missing in [("assoc-sk:nosuch", "nosuch"),
+                              ("assoc-sk:assoc-sk:fY", "assoc-sk:fY"), ("assoc-sk:", "")]:
+            with pytest.raises(FileFormatError, match=f"^no object named {missing!r} in"):
+                tn.target(name)
 
 
 class TestFlat:
@@ -91,6 +101,7 @@ class TestTaubNut:
             assert ("ky", name) in checks
             assert ("covconst", name) in checks
             assert ("spin-square", name) in checks
+            assert ("sk", f"assoc-sk:{name}") in checks
         for name in ("f1", "f2", "f3"):
             assert ("spin-anticommute", name) in checks
         for name in ("kchi", "k1", "k2", "k3"):
@@ -125,7 +136,7 @@ class TestTaubNutForms:
     so the printed export and the compiled code do not change."""
 
     def test_export_digest_pinned(self, tn):
-        assert digest(cli.export(tn)) == "4aa3400048b70fab"
+        assert digest(cli.export(tn)) == "699821ffa42077cc"
 
     def test_forms_match_the_wedge_construction(self, tn):
         raw, normalized = taub_nut_forms_by_wedge()
@@ -150,23 +161,30 @@ class TestPseudoSphere:
         targets = {i["target"] for i in ps.manifest if i["check"] == "cky"}
         assert targets == {"eta1", "eta2", "eta3"}
 
+    def test_manifest_spin_commute_entries(self, ps):
+        """The indefinite signature's Killing vectors commute with the Dirac operator."""
+        items = [i for i in ps.manifest if i["check"] == "spin-commute"]
+        assert items == [{"check": "spin-commute", "expect_pass": True, "target": f"xi{a}"}
+                         for a in (1, 2, 3)]
+
     def test_signature(self, ps):
         assert ps.manifold.signature == (-1, 1, -1)
 
     def test_export_digest_pinned(self, ps):
         """The printed form of the closed-form fixture, which is what the
         checks compile: a change to any expression changes the digest."""
-        assert digest(cli.export(ps)) == "46fbdadc26b0e191"
+        assert digest(cli.export(ps)) == "7bddf48780cc20de"
 
 
 # sha256 of `catalog export --catalog NAME` as printed before the entries
-# became stored documents
+# became stored documents, Taub-NUT's and the pseudo-sphere's since their
+# manifests gained the S-K square and spin-commute items
 EXPORT_SHA256 = {
-    "taub-nut": "f7542ead7bb4f7f74a7c127741b71aa453f1771d9333f467b573a2ebdc99291a",
+    "taub-nut": "4bffd16f714d95901a40fb18812a6648be061fcf163525aa1966b7c2c90a0cca",
     "flat3": "2a42a29a06bc15da5f32eb313413d1957f2339f66e3c6dabd4a96268dad0f189",
     "flat4": "0cdd634fcb40802b36153cfdfa6737646e243e28be295a26f016442f2bb34cc2",
     "sphere2": "2cdf5f3dfae99005935bb9ad39d25d1ec600f2b822b5c12dfd8c9ffcc76ef632",
-    "pseudo-sphere": "69b366e0732d462dc42b2188954d91754c30bc60ee1f6c9cc1ab4a44aec3dd6e",
+    "pseudo-sphere": "b8aac4a6464d2b054d301c9a2aeb7ba231d47eec57ca7ec9d85f6441b6844f56",
 }
 
 

@@ -234,10 +234,20 @@ class TestIngest:
         (dict(CLAIM, check="unit-root", target="rot"), r"of its 2-forms, not 'rot'"),
         (dict(CLAIM, check="quaternion", target="area,area,rot"), r"of its 2-forms"),
         (dict(CLAIM, check="cky", target="area"), r"of its forms of rank 1 to n-1"),
+        (dict(CLAIM, check="unit-root", target="assoc-sk:area"),
+         r"of its 2-forms, not 'assoc-sk:area'"),
+        (dict(CLAIM, check="spin-square", target="assoc-sk:area"),
+         r"of its 2-forms, not 'assoc-sk:area'"),
+        (dict(CLAIM, check="ky", target="assoc-sk:area"), r"of its forms of rank 1 or more, not"),
+        (dict(CLAIM, check="sk", target="assoc-sk:rot"), r"S-K squares\), not 'assoc-sk:rot'"),
+        (dict(CLAIM, check="sk", target="assoc-sk:nosuch"),
+         r"S-K squares\), not 'assoc-sk:nosuch'"),
+        (dict(CLAIM, check="sk", target="assoc-sk:assoc-sk:area"), r"S-K squares\), not"),
     ], ids=["misspelled-check", "list-check", "unknown-target", "two-targets", "number-target",
             "quaternion-two", "quaternion-unknown", "no-target", "no-check", "string-expectation",
             "misspelled-field", "form-for-vector", "sk-on-two-form", "spin-commute-on-form",
-            "unit-root-on-vector", "quaternion-on-vector", "cky-on-top-form"])
+            "unit-root-on-vector", "quaternion-on-vector", "cky-on-top-form", "unit-root-on-sk",
+            "spin-square-on-sk", "ky-on-sk", "sk-of-vector", "sk-of-unknown", "sk-of-sk"])
     def test_manifest_item_refused(self, capsys, tmp_path, item, message):
         """A manifest item must name a check of the claim table and as many of
         the document's objects as the check takes; once such an item was never
@@ -262,16 +272,20 @@ class TestIngest:
                    "spin-anticommute": "area", "spin-commute": "rot", "spin-square": "area"}
         assert targets.keys() == CLAIMS.keys()
         items = [{"check": name, "target": target} for name, target in targets.items()]
+        items += [{"check": "sk", "target": "assoc-sk:dx"},
+                  {"check": "sk", "target": "assoc-sk:area"}]
         assert ingest(dict(self.KINDS, manifest=items)).manifest == items
 
     def test_manifest_accepts_what_its_command_decides(self, capsys, tmp_path):
         """Ingest accepts a claim on an object exactly when the claim's command
         on that object reaches a verdict (exit 0 or 1): each check of the
-        table on each of a vector, a scalar, a 1-form and a 2-form."""
+        table on each of a vector, a scalar, a 1-form and a 2-form, and on the
+        S-K square (assoc-sk:) of each, which only a form of rank 1 or more has."""
         path = tmp_path / "kinds.json"
         path.write_text(json.dumps(self.KINDS))
         for name, claim in CLAIMS.items():
-            for target in ("rot", "s", "dx", "area"):
+            for target in ("rot", "s", "dx", "area", "assoc-sk:rot", "assoc-sk:s", "assoc-sk:dx",
+                           "assoc-sk:area"):
                 item = {"check": name, "target": ",".join([target] * claim.targets)}
                 try:
                     accepted = bool(ingest(dict(self.KINDS, manifest=[item])))
@@ -280,7 +294,7 @@ class TestIngest:
                 argv = manifest_argv(item) + ["--manifold", str(path), "--points", "3"]
                 code = main(argv + (["--bank", "1"] if claim.kinds else []))
                 capsys.readouterr()
-                assert accepted == (code in (0, 1)), (item, code)
+                assert code != 3 and accepted == (code in (0, 1)), (item, code)
 
 
 def component_arrays(entry) -> dict:
@@ -499,6 +513,19 @@ class TestConstructCommand:
         assert digest(emitted) == want
 
 
+class TestDerivedTarget:
+    def test_check_sk_on_a_derived_target_is_construct(self, capsys):
+        """`check sk` on assoc-sk:fY is the report `construct assoc-sk` gives for
+        fY, the target name aside: one resolver builds the square for both."""
+        code, (checked,) = run(capsys, "check", "sk", "--catalog", "taub-nut",
+                               "--target", "assoc-sk:fY")
+        assert code == 0 and checked["pass"] and checked["target"] == "assoc-sk:fY"
+        code, (constructed,) = run(capsys, "construct", "assoc-sk", "--catalog", "taub-nut",
+                                   "--target", "fY")
+        assert code == 0 and constructed["target"] == "fY"
+        assert checked | {"target": "fY"} == constructed
+
+
 class TestWrongKindTarget:
     """A target of the wrong kind for the check or operator is a usage
     error: exit 2, an error line, nothing on stdout.  Each of these once
@@ -526,6 +553,16 @@ class TestWrongKindTarget:
          "the S-K square needs covariant slots, not variance 'u'"),
         (["check", "unit-root", "--catalog", "sphere2", "--target", "dphi"],
          "unit_root_check needs a 2-form"),
+        (["check", "ky", "--catalog", "taub-nut", "--target", "assoc-sk:f1"],
+         "ky_residual requires an antisymmetric form"),
+        (["check", "unit-root", "--catalog", "taub-nut", "--target", "assoc-sk:f1"],
+         "the S-K square has no components; sk and invariants read its jets"),
+        (["check", "quaternion", "--catalog", "taub-nut", "--target", "assoc-sk:f1,f2,f3"],
+         "the S-K square has no components; sk and invariants read its jets"),
+        (["spin", "square", "--catalog", "taub-nut", "--target", "assoc-sk:f1"],
+         "the S-K square has no components; sk and invariants read its jets"),
+        (["spin", "commute", "--catalog", "taub-nut", "--target", "assoc-sk:f1"],
+         "killing-op payload must be a vector field"),
     ]
 
     @pytest.mark.parametrize("argv, message", CASES,
@@ -554,8 +591,10 @@ class TestRefusals:
     2-form as --invariant passed on a contraction that antisymmetry makes
     zero (exit 0), an unknown or wrong-kind invariant was refused only after
     the orbit's energy line was printed, an unwritable --csv or --out exited
-    3 (FileNotFoundError, after the energy line for --csv), and a spin
-    command on a 5-D manifold exited 3 (ValueError)."""
+    3 (FileNotFoundError, after the energy line for --csv), a spin command on
+    a 5-D manifold exited 3 (ValueError), and so did `check ky` on a scalar
+    (AxisError), `check quaternion` on 1-forms and `construct assoc-sk` on a
+    scalar (ValueError)."""
 
     SHORT = TN_ORBIT + ["--t1", "2", "--step", "0.01"]
     CASES = {
@@ -581,12 +620,20 @@ class TestRefusals:
                             "gamma representations provided for dimensions 2-4, not 5"),
         "spin-anticommute-5d": (["spin", "anticommute", "--manifold", "{flat5}", "--target", "w"],
                                 "gamma representations provided for dimensions 2-4, not 5"),
+        "ky-rank-0": (["check", "ky", "--manifold", "{kinds}", "--target", "s"],
+                      "ky_residual needs a form of rank p >= 1"),
+        "quaternion-rank-1": (["check", "quaternion", "--manifold", "{kinds}", "--target",
+                               "dx,dx,dx"], "quaternion_relations_check needs 2-forms"),
+        "assoc-sk-rank-0": (["construct", "assoc-sk", "--manifold", "{kinds}", "--target", "s"],
+                            "the S-K square needs a form of rank p >= 1"),
     }
 
     @pytest.mark.parametrize("argv, message", CASES.values(), ids=CASES.keys())
     def test_refused_input_prints_nothing(self, capsys, tmp_path, argv, message):
         (tmp_path / "flat5.json").write_text(json.dumps(FLAT5))
-        where = {"missing": str(tmp_path / "missing"), "flat5": str(tmp_path / "flat5.json")}
+        (tmp_path / "kinds.json").write_text(json.dumps(TestIngest.KINDS))
+        where = {"missing": str(tmp_path / "missing"), "flat5": str(tmp_path / "flat5.json"),
+                 "kinds": str(tmp_path / "kinds.json")}
         code = main([arg.format(**where) for arg in argv])
         out, err = capsys.readouterr()
         assert (code, out, err) == (2, "", f"error: {message.format(**where)}\n")
@@ -721,22 +768,24 @@ class TestGeodesicCommand:
     @pytest.mark.parametrize("method", ["rk4", "rk45"])
     def test_overflowing_step_count_rejected(self, capsys, method):
         """--t1 1e300 and --step 1e-300 each pass their own check, but their
-        step count is not finite: once exit 3 (OverflowError)."""
+        step count is not finite: once exit 3 (OverflowError).  IntegratorConfig
+        names both in its refusal."""
         code = main(["geodesic", "run", "--catalog", "sphere2", "--position", "theta=1.0,phi=0.5",
                      "--velocity", "theta=0.2,phi=0.4", "--t1", "1e300", "--step", "1e-300",
                      "--method", method])
         out, err = capsys.readouterr()
         assert code == 2 and out == ""
-        assert "--t1" in err and "--step" in err
+        assert err == ("error: t_span (0.0, 1e+300) over step 1e-300 is not a finite number of "
+                       f"steps up to {geodesic.MAX_STEPS}\n")
 
     def test_subnormal_step_rejected(self, capsys):
         """--step 1e-320 over the default --t1 is not a finite step count:
-        the command's own message, exit 2, before IntegratorConfig refuses it."""
+        IntegratorConfig's message, exit 2, built from the flags before the entry loads."""
         code = main(["geodesic", "run", "--catalog", "sphere2", "--position", "theta=1.0,phi=0.5",
                      "--velocity", "theta=0.2,phi=0.4", "--step", "1e-320"])
         out, err = capsys.readouterr()
         assert code == 2 and out == ""
-        assert "over --step 1e-320 is not a finite number of steps" in err
+        assert "t_span (0.0, 10.0) over step 1e-320 is not a finite number of steps" in err
 
     def test_step_count_above_the_bound_rejected(self, capsys):
         """--step 1e-300 over --t1 1 is a finite count of 1e300 steps, which
@@ -746,8 +795,8 @@ class TestGeodesicCommand:
         out, err = capsys.readouterr()
         assert time.perf_counter() - start < 1.0
         assert (code, out) == (2, "")
-        assert err == ("error: --t1 1.0 over --step 1e-300 is not a finite number of steps "
-                       f"up to {geodesic.MAX_STEPS}\n")
+        assert err == ("error: t_span (0.0, 1.0) over step 1e-300 is not a finite number of "
+                       f"steps up to {geodesic.MAX_STEPS}\n")
 
     def test_bad_coordinate_rejected(self, capsys):
         code, _ = run(capsys, "geodesic", "run", "--catalog", "sphere2",
@@ -917,6 +966,19 @@ class TestClaimTable:
         done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                               text=True, timeout=120)
         assert done.stdout == "['hiddensym', 'hiddensym.cli', 'hiddensym.document']\n"
+
+    def test_ingest_checks_derived_targets_without_building_them(self):
+        """Taub-NUT's manifest holds sk items on assoc-sk: targets; reading it
+        checks their kind by name, so neither killing nor sympy is loaded."""
+        code = ("import sys\nfrom hiddensym import catalog\n"
+                "assert any(':' in i['target'] for i in catalog.get('taub-nut').manifest)\n"
+                "print([m for m in ('hiddensym.killing', 'sympy') if m in sys.modules])")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            [str(Path(__file__).resolve().parents[1] / "src"),
+             *filter(None, [os.environ.get("PYTHONPATH")])]))
+        done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                              text=True, timeout=120)
+        assert (done.stdout, done.stderr) == ("[]\n", "")
 
 
 class TestSignatureCheck:

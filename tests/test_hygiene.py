@@ -10,8 +10,8 @@ import nor any command but the emitted symbolic components nor a tensor-suite
 benchmark pass loads sympy, no library module imports the CLI, a command
 loads only the library modules it runs, only exprkit.run_source runs code
 from text, every exception class of the library derives from
-hiddensym.InputError, and only cli.main prints, after every output is
-formatted."""
+hiddensym.InputError, only cli.main prints, after every output is
+formatted, and only the derived-kind table spells a derived target's prefix."""
 
 import ast
 import importlib
@@ -26,6 +26,7 @@ from pathlib import Path
 import pytest
 
 from hiddensym import InputError, cli
+from hiddensym.document import DERIVED
 
 ROOT = Path(__file__).resolve().parents[1]
 SRC = ROOT / "src" / "hiddensym"
@@ -842,3 +843,38 @@ def test_planted_eager_print_is_seen(monkeypatch, capsys):
         return [({"first": 1.0}, True), ({"second": float("nan")}, True)]
     code, out, _ = _main_with_handler(monkeypatch, capsys, eager)
     assert (code, out) == (3, '{"first":1.0}\n')
+
+
+def derived_prefix_literals(source: str) -> list[str]:
+    """'line N: owner' for each string literal (a docstring or a part of an
+    f-string too) holding a prefix of document.DERIVED, owner the top-level function
+    or class around it, the name a module-level assignment binds, or <module>."""
+    out = []
+    for top in ast.parse(source).body:
+        owner = getattr(top, "name", None) or next(
+            (t.id for t in getattr(top, "targets", []) if isinstance(t, ast.Name)), "<module>")
+        out.extend(f"line {node.lineno}: {owner}" for node in ast.walk(top)
+                   if isinstance(node, ast.Constant) and isinstance(node.value, str)
+                   and any(prefix in node.value for prefix in DERIVED))
+    return out
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_derived_prefix_only_in_its_table(path):
+    """document.DERIVED alone spells a derived target's prefix (assoc-sk:), and
+    CatalogEntry.target alone reads it, so no other code parses such a name
+    a second way; once the CLI's geodesic handler stripped the prefix itself."""
+    owners = {line.split(": ")[1] for line in derived_prefix_literals(path.read_text())}
+    assert owners == ({"DERIVED"} if path.name == "document.py" else set())
+
+
+def test_derived_prefix_checker_sees_each_spelling():
+    source = ('"""Names such as assoc-sk:F."""\n'
+              'DERIVED = {"assoc-sk:": 1}\n'
+              'def resolve(name):\n    return name.removeprefix("assoc-sk:")\n'
+              'class Parser:\n    def run(self, name):\n        return f"assoc-sk:{name}"\n'
+              'HELP = "tensor name or assoc-sk:FORM"\n'
+              'WHAT = ["assoc-sk"]\n')
+    assert derived_prefix_literals(source) == ["line 1: <module>", "line 2: DERIVED",
+                                               "line 4: resolve", "line 7: Parser",
+                                               "line 8: HELP"]
