@@ -1,7 +1,8 @@
 """Manifold-definition documents, the JSON that `--manifold` reads and
 `catalog export` prints: `ingest` reads one into a catalog entry, each manifest
-item checked against the claim and derived-kind tables, and `export` writes it
-back.  The geometry modules are imported when a document is read, sasaki for a mixed 3-structure."""
+item checked against the claim and derived-kind tables, and keeps the document
+as it read it, which `export` prints.  The geometry modules are imported when a
+document is read, sasaki for a mixed 3-structure."""
 
 from __future__ import annotations
 
@@ -24,6 +25,7 @@ class FileFormatError(InputError):
 class CatalogEntry:
     name: str
     manifold: Manifold
+    document: dict      # what ingest read: defaults filled in, each expression a tree
     vectors: dict[str, TensorField] = field(init=False, default_factory=dict)
     forms: dict[str, TensorField] = field(init=False, default_factory=dict)
     structure: MixedThreeStructure | None = field(init=False, default=None)
@@ -165,7 +167,10 @@ def _expression(names: set):
 
 def ingest(doc) -> CatalogEntry:
     """Build a catalog entry from a manifold-definition JSON document.  Every
-    field is read by _read, so a fault raises FileFormatError naming it."""
+    field is read by _read, so a fault raises FileFormatError naming it.  The
+    entry keeps the document as read: each default filled in, each expression
+    its tree, a form's nonzero components under increasing index keys, and
+    structures, frame, metadata and manifest only when given and non-empty."""
     from .exprkit import ZERO
     from .manifold import (Chart, GeometryError, Manifold, TensorField, _perm_sign,
                            one_form, vector)
@@ -181,38 +186,48 @@ def ingest(doc) -> CatalogEntry:
     signature = tuple(_field(doc, "signature", (n,), _numeric(int, (1, -1)), [1] * n))
     expr = _expression(set(coords) | set(params))
     try:    # the chart, the metric and the structure check their own geometry
-        M = Manifold(Chart(coords, box), _field(doc, "metric", (n, n), expr), params=params,
-                     signature=signature, name=_field(doc, "name", (), _text))
-        entry = CatalogEntry(M.name, M, metadata=_field(doc, "metadata", (dict,), _keep, {}))
+        M = Manifold(Chart(coords, box), metric := _field(doc, "metric", (n, n), expr),
+                     params=params, signature=signature, name=_field(doc, "name", (), _text))
+        kept = {"name": M.name, "dimension": n, "coordinates": list(coords),
+                "domain": {c: list(ends) for c, ends in box.items()}, "signature": list(signature),
+                "parameters": params, "metric": metric, "vectors": {}, "forms": {}}
+        entry = CatalogEntry(M.name, M, kept,
+                             metadata=_field(doc, "metadata", (dict,), _keep, {}))
         if "structures" in doc:
             from .sasaki import MixedThreeStructure
             block = _field(doc, "structures", (dict,), _keep)
-            phi, xi, eta = (_field(block, key, (3,) + (n,) * rank, expr, context="structures")
-                            for key, rank in (("phi", 2), ("xi", 1), ("eta", 1)))
+            kept["structures"] = {key: _field(block, key, (3,) + (n,) * rank, expr,
+                                              context="structures")
+                                  for key, rank in (("phi", 2), ("xi", 1), ("eta", 1))}
+            phi, xi, eta = kept["structures"].values()
             entry.structure = MixedThreeStructure(
                 M, [TensorField(p, "ud") for p in phi], [vector(x) for x in xi],
                 [one_form(e) for e in eta])
     except GeometryError as exc:
         raise FileFormatError(str(exc)) from exc
     _field(entry.metadata, "einstein_constant", (), _real, 0, context="metadata")
-    for vname, comps in _field(doc, "vectors", (dict, n), expr, {}).items():
-        entry.vectors[vname] = vector(comps)
+    kept["vectors"] = _field(doc, "vectors", (dict, n), expr, {})
+    entry.vectors = {vname: vector(comps) for vname, comps in kept["vectors"].items()}
     for fname, block in _field(doc, "forms", (dict, dict), _keep, {}).items():
         path = f"forms[{fname!r}]"
         rank = _field(block, "rank", (), _numeric(int, range(n + 1)), context=path)
-        comp, filled = np.full((n,) * rank, ZERO, dtype=object), set()
+        comp, given = np.full((n,) * rank, ZERO, dtype=object), {}
         for key, e in _field(block, "components", (dict,), expr, context=path).items():
             where = f"key {key!r} of {path}"
             idx = tuple(_read(key.split(","), (rank,), _numeric(int, range(n)), where))
-            if list(idx) != sorted(set(idx)) or idx in filled:
+            if list(idx) != sorted(set(idx)) or idx in given:
                 raise FileFormatError(f"{where}: indices must increase strictly, once per form")
-            filled.add(idx)
+            given[idx] = e
             for perm in itertools.permutations(range(rank)):
                 comp[tuple(idx[p] for p in perm)] = e if _perm_sign(perm) > 0 else -e
         entry.forms[fname] = TensorField(comp, "d" * rank)
+        kept["forms"][fname] = {"rank": rank, "components": {
+            ",".join(map(str, idx)): e for idx, e in sorted(given.items()) if e != 0}}
     if "frame" in doc:
-        entry.frame = np.array(_field(doc, "frame", (n, n), expr), dtype=object)
+        kept["frame"] = _field(doc, "frame", (n, n), expr)
+        entry.frame = np.array(kept["frame"], dtype=object)
     entry.manifest = _field(doc, "manifest", (None, dict), _keep, [])
+    kept |= {key: v for key, v in (("metadata", entry.metadata), ("manifest", entry.manifest)) if v}
     kinds = {k: T.variance for k, T in (entry.forms | entry.vectors).items()}
     kinds |= {p + k: kind for p, (_, _, takes, kind) in DERIVED.items() for k, v in kinds.items()
               if TAKES[takes](v, n)}
@@ -232,41 +247,13 @@ def ingest(doc) -> CatalogEntry:
 
 
 def export(entry: CatalogEntry) -> dict:
-    """Render a catalog entry as a manifold-definition JSON document."""
-    from .exprkit import to_source
-    M = entry.manifold
-    n = M.dim
-    doc = {
-        "name": entry.name,
-        "dimension": n,
-        "coordinates": list(M.chart.coords),
-        "domain": {c: [lo, hi] for c, (lo, hi) in M.chart.box.items()},
-        "signature": list(M.signature),
-        "parameters": dict(M.params),
-        "metric": [[to_source(M.metric[i, j]) for j in range(n)]
-                   for i in range(n)],
-        "vectors": {name: [to_source(c) for c in X.components]
-                    for name, X in entry.vectors.items()},
-        "forms": {},
-    }
-    for name, F in entry.forms.items():
-        comps = {",".join(map(str, idx)): to_source(F.components[idx])
-                 for idx in itertools.combinations(range(n), F.rank) if F.components[idx] != 0}
-        doc["forms"][name] = {"rank": F.rank, "components": comps}
-    if entry.structure is not None:
-        S = entry.structure
-        doc["structures"] = {
-            "phi": [[[to_source(S.phi[a].components[i, j])
-                      for j in range(n)] for i in range(n)] for a in range(3)],
-            "xi": [[to_source(c) for c in S.xi[a].components]
-                   for a in range(3)],
-            "eta": [[to_source(c) for c in S.eta[a].components]
-                    for a in range(3)],
-        }
-    if entry.frame is not None:
-        doc["frame"] = [[to_source(e) for e in row] for row in entry.frame]
-    if entry.metadata:
-        doc["metadata"] = entry.metadata
-    if entry.manifest:
-        doc["manifest"] = entry.manifest
-    return doc
+    """The document ingest kept for the entry, each tree printed in the file grammar."""
+    from .exprkit import Expr, to_source
+
+    def printed(v):
+        if isinstance(v, dict):
+            return {k: printed(x) for k, x in v.items()}
+        if isinstance(v, list):
+            return [printed(x) for x in v]
+        return to_source(v) if isinstance(v, Expr) else v
+    return printed(entry.document)

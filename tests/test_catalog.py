@@ -12,7 +12,7 @@ import sympy as sp
 
 from hiddensym import catalog, cli, exprkit
 from hiddensym.exprkit import parse, to_source, to_sympy
-from hiddensym.document import FileFormatError
+from hiddensym.document import FileFormatError, ingest
 from hiddensym.killing import SKSquare, killing_vector_residual, ky_residual
 from hiddensym.manifold import GeometryError, sample_points
 from hiddensym.sasaki import build_cone
@@ -188,6 +188,19 @@ EXPORT_SHA256 = {
 }
 
 
+# test_algebra.digest of export() of each catalog entry without a pin of its
+# own and of each test document under tests/data
+EXPORT_DIGEST = {
+    "flat3": "6c2d47e6956ebac8",
+    "flat4": "163279fbc4d94ebc",
+    "sphere2": "dde88c83dfbec63e",
+    "negative-parameters": "92bf8bf1ebdedff5",
+    "ds2": "2ec9b317670c40c0",
+    "ads3": "c4c3ddfb0700e18f",
+}
+DATA = ROOT / "tests" / "data"
+
+
 def _stored(name: str) -> dict:
     return json.loads((resources.files("hiddensym") / "data" / f"{name}.json").read_text())
 
@@ -208,6 +221,17 @@ def _leaves(doc) -> list[str]:
     for form in doc["forms"].values():
         walk(form["components"])
     return out
+
+
+class TestExportDigests:
+    def test_every_test_document_is_pinned(self):
+        assert {path.stem for path in DATA.glob("*.json")} <= EXPORT_DIGEST.keys()
+
+    @pytest.mark.parametrize("name", list(EXPORT_DIGEST))
+    def test_export_digest_pinned(self, name):
+        entry = (catalog.get(name) if name in catalog._NAMES
+                 else ingest(json.loads((DATA / f"{name}.json").read_text())))
+        assert digest(cli.export(entry)) == EXPORT_DIGEST[name]
 
 
 class TestStoredDocuments:

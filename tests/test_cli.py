@@ -327,7 +327,69 @@ def largest_relative_gap(entry, other, points=10) -> float:
     return max(gaps)
 
 
+# MINIMAL with every optional field a document may give
+RICH = dict(MINIMAL, parameters={"a": 2.0}, frame=[["1", "0"], ["0", "1"]],
+            metadata={"source": "a test"}, manifest=[{"check": "killing-vector", "target": "rot"}])
+OPTIONAL = ["parameters", "signature", "vectors", "forms", "frame", "metadata", "manifest"]
+
+
+def export_fault(doc: dict, export) -> str | None:
+    """None when the export of a document that ingest accepts holds every
+    field the document gave (an empty metadata or manifest may be left out)
+    and the defaults parameters and signature, keeps the name, coordinates,
+    metadata and manifest as given, and comes back unchanged when it is
+    ingested and exported again; else what is wrong."""
+    out = export(ingest(doc))
+    given_fields = {k for k, v in doc.items() if v or k not in ("metadata", "manifest")}
+    missing = sorted((given_fields | {"parameters", "signature"}) - out.keys())
+    if missing:
+        return f"the export lacks {missing}"
+    changed = [k for k in ("name", "coordinates", "metadata", "manifest")
+               if k in given_fields and out[k] != doc[k]]
+    if changed:
+        return f"the export changes {changed}"
+    return None if export(ingest(out)) == out else "re-ingesting the export changes it"
+
+
 class TestExportRoundTrip:
+    @settings(max_examples=300, deadline=None)
+    @given(st.sampled_from(list(paths(RICH))), JSON_VALUES, st.sets(st.sampled_from(OPTIONAL)))
+    def test_export_holds_what_ingest_read(self, path, value, dropped):
+        """Whatever document ingest accepts, one value planted at any depth and
+        optional fields left out, its export holds every field it gave."""
+        doc = planted(RICH, path, value)
+        if isinstance(doc, dict):
+            doc = {k: v for k, v in doc.items() if k not in dropped}
+        try:
+            ingest(doc)
+        except FileFormatError:
+            return
+        assert export_fault(doc, export) is None
+
+    def test_planted_export_without_frame_fails(self):
+        assert export_fault(RICH, export) is None
+        assert export_fault(RICH, lambda e: {k: v for k, v in export(e).items()
+                                             if k != "frame"}) == "the export lacks ['frame']"
+
+    def test_document_is_kept_in_one_form(self):
+        """Defaults filled in, the domain of the coordinates alone, each
+        expression printed from its tree, a form's nonzero components under
+        increasing index keys in index order, and an empty metadata and
+        manifest left out."""
+        metric = [["1", "0", "0"], ["0", "1", "0"], ["0", "0", "1"]]
+        doc = {"name": "flat", "dimension": 3, "coordinates": ["x", "y", "z"], "metric": metric,
+               "domain": {"x": [-1, 1], "y": [-1, 1.5], "z": [0, 1], "w": [0, 1]},
+               "vectors": {"rot": ["-(y)", "x", 0]}, "metadata": {}, "manifest": [],
+               "forms": {"f": {"rank": 2, "components": {"1, 2": "(z)", "00,01": "x", "0,2": 0}}}}
+        out = export(ingest(doc))
+        assert out == {
+            "name": "flat", "dimension": 3, "coordinates": ["x", "y", "z"], "metric": metric,
+            "domain": {"x": [-1.0, 1.0], "y": [-1.0, 1.5], "z": [0.0, 1.0]},
+            "signature": [1, 1, 1], "parameters": {}, "vectors": {"rot": ["-y", "x", "0"]},
+            "forms": {"f": {"rank": 2, "components": {"0,1": "x", "1,2": "z"}}}}
+        assert list(out["forms"]["f"]["components"]) == ["0,1", "1,2"]
+
+
     def test_every_field_survives(self, entry):
         """ingest(export(entry)) carries the entry's chart, signature and, to
         roundoff, every array it has: the rewritten hyperbolics included."""
@@ -928,6 +990,18 @@ class TestClaimTable:
             code, (report,) = run(capsys, *manifest_argv(item), "--catalog", name)
             assert (code, report["meets_expectation"]) == (0, True), item
             assert report["expected_pass"] is item["expect_pass"], item
+
+    @pytest.mark.parametrize("name", ["ds2", "ads3"])
+    def test_every_test_document_claim_meets_its_expectation(self, capsys, name):
+        """On de Sitter dS2 and anti-de Sitter AdS3 every Killing vector
+        commutes with the Dirac operator, whether its covariant derivative
+        pairs frame directions of opposite signs (each of dS2's, AdS3's dt)
+        or of one sign (AdS3's dphi), and the non-Killing control does not."""
+        path = Path(__file__).parent / "data" / f"{name}.json"
+        for item in ingest(json.loads(path.read_text())).manifest:
+            code, (report,) = run(capsys, *manifest_argv(item), "--manifold", str(path))
+            assert (code, report["meets_expectation"]) == (0, True), item
+            assert report["pass"] is item["expect_pass"], item
 
     def test_flipped_expectation_exits_one(self, capsys, tmp_path):
         doc = export(catalog.get("flat3"))

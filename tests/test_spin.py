@@ -1,3 +1,6 @@
+import json
+from pathlib import Path
+
 import numpy as np
 import pytest
 import sympy as sp
@@ -11,7 +14,7 @@ from hiddensym.spin import (Frame, FrameError, OperatorSpec, SpinContext,
                             commutator_residual, frame_residual,
                             orthonormal_frame, spinor_bank, square_compare)
 from lambdify_reference import lambdified
-from symbolic_geometry import coord_symbols, symbolic_christoffel, tangent
+from symbolic_geometry import coord_symbols, symbolic_christoffel, symbolic_ricci, tangent
 
 
 @pytest.fixture(scope="module")
@@ -290,39 +293,74 @@ class TestIndefiniteSignature:
         assert rep.max_rel_residual < 1e-12
 
 
+def data_entry(name: str):
+    """The catalog entry of a test document under tests/data."""
+    return ingest(json.loads((Path(__file__).parent / "data" / f"{name}.json").read_text()))
+
+
+def lichnerowicz_gap(entry, weighted: bool = False) -> float:
+    """D_s^2 psi against -g^{mu nu}(grad_mu grad_nu - Gamma^lam_{mu nu} grad_lam) psi
+    + R/4 psi for a bank of two spinors at five points: the largest difference,
+    relative to the right side's largest entry and 1.  The right side is built
+    here symbolically from the spin connection (1/4) omega_{mu a b} gamma^a
+    gamma^b, both frame indices of omega lowered, and the scalar curvature
+    g^{sigma nu} R_{sigma nu}, independently of the operator coefficient jets;
+    weighted multiplies each term of the connection by eta_a eta_b, which
+    lowers the gammas a second time (a planted fault)."""
+    M = entry.manifold
+    F = Frame(entry.frame, M.signature) if entry.frame is not None else orthonormal_frame(M)
+    gam = [sp.Matrix(g.tolist()).applyfunc(sp.nsimplify) for g in canonical_gamma(F.eta)]
+    n, xs, s = M.dim, coord_symbols(M), gam[0].shape[0]
+    omega = symbolic_omega(F, M)
+    weight = [[F.eta[a] * F.eta[b] if weighted else 1 for b in range(n)] for a in range(n)]
+    conn = [sum((sp.Rational(1, 4) * omega[mu, a, b] * weight[a][b] * gam[a] * gam[b]
+                 for a in range(n) for b in range(n)), sp.zeros(s, s)) for mu in range(n)]
+    christoffel, ginv = symbolic_christoffel(M), M.inverse_metric_matrix()
+    ricci = symbolic_ricci(M)
+    scalar = sum(ginv[i, j] * ricci[i, j] for i in range(n) for j in range(n))
+    bank = spinor_bank(M, 2, seed=0)
+    sides = []
+    for psi in bank:
+        psi = sp.Matrix(_symbolic(psi))
+        grad = [psi.diff(x) + conn[mu] * psi for mu, x in enumerate(xs)]
+        side = scalar / 4 * psi
+        for mu in range(n):
+            for nu in range(n):
+                hess = (grad[nu].diff(xs[mu]) + conn[mu] * grad[nu]
+                        - sum((christoffel[lam, mu, nu] * grad[lam]
+                               for lam in range(n)), sp.zeros(s, 1)))
+                side -= ginv[mu, nu] * hess
+        sides.append(list(side))
+    pts = sample_points(M.chart, 5, seed=0)
+    expected = lambdified(M, np.array(sides, dtype=object), pts, dtype=complex)
+    ctx = SpinContext(M, F)
+    Ds = spin.build_operator(OperatorSpec("standard-dirac"), ctx, pts, ctx.frame_jets(pts))
+    got = Ds.compose(Ds).apply(M.evaluate(list(bank), pts, order=2))
+    return np.max(np.abs(got - expected)) / max(1.0, np.max(np.abs(expected)))
+
+
+class TestLichnerowicz:
+    """D_s^2 = -nabla^2 + R/4 on spinors in every signature: the pseudo-sphere
+    (-1, 1, -1), de Sitter dS2 (-1, 1) and anti-de Sitter AdS3 (1, -1, 1),
+    whose scalar curvatures are nonzero and whose frame pairs mix signs."""
+
+    @pytest.mark.parametrize("name", ["ds2", "ads3"])
+    def test_formula_on_test_documents(self, name):
+        assert lichnerowicz_gap(data_entry(name)) <= 1e-12
+
+    def test_formula_on_the_pseudo_sphere(self, ps):
+        assert lichnerowicz_gap(ps) <= 1e-12
+
+    def test_planted_eta_weighted_quarter_fails(self, ps):
+        """The connection lowering the gammas again flips each term with
+        eta_aa eta_bb = -1; Riemannian Taub-NUT cannot show it."""
+        assert lichnerowicz_gap(ps, weighted=True) > 0.1
+
+
 class TestTaubNutOracles:
-    def test_lichnerowicz_formula(self, tn, tn_ctx):
-        """On Ricci-flat Taub-NUT, D_s^2 = -g^{mu nu}(grad_mu grad_nu
-        - Gamma^lam_{mu nu} grad_lam) on spinors, with the right side built
-        here symbolically from the spin connection, independently of the
-        operator coefficient jets."""
-        M, ctx = tn.manifold, tn_ctx
-        eta = ctx.F.eta
-        gam = [sp.Matrix(g.tolist()).applyfunc(sp.nsimplify) for g in canonical_gamma(eta)]
-        n, xs, s = M.dim, coord_symbols(M), gam[0].shape[0]
-        omega = symbolic_omega(ctx.F, M)
-        conn = [sum((sp.Rational(1, 4) * omega[mu, a, b] * eta[a] * eta[b]
-                     * gam[a] * gam[b] for a in range(n) for b in range(n)),
-                    sp.zeros(s, s)) for mu in range(n)]
-        christoffel, ginv = symbolic_christoffel(M), M.inverse_metric_matrix()
-        bank = spinor_bank(M, 2, seed=0)
-        laplacians = []
-        for psi in bank:
-            psi = sp.Matrix(_symbolic(psi))
-            grad = [psi.diff(x) + conn[mu] * psi for mu, x in enumerate(xs)]
-            lap = sp.zeros(s, 1)
-            for mu in range(n):
-                for nu in range(n):
-                    hess = (grad[nu].diff(xs[mu]) + conn[mu] * grad[nu]
-                            - sum((christoffel[lam, mu, nu] * grad[lam]
-                                   for lam in range(n)), sp.zeros(s, 1)))
-                    lap -= ginv[mu, nu] * hess
-            laplacians.append(list(lap))
-        pts = sample_points(M.chart, 5, seed=0)
-        expected = lambdified(M, np.array(laplacians, dtype=object), pts, dtype=complex)
-        Ds = spin.build_operator(OperatorSpec("standard-dirac"), ctx, pts, ctx.frame_jets(pts))
-        got = Ds.compose(Ds).apply(M.evaluate(list(bank), pts, order=2))
-        assert np.max(np.abs(got - expected)) <= 1e-12 * max(1.0, np.max(np.abs(expected)))
+    def test_lichnerowicz_formula(self, tn):
+        """On Ricci-flat Taub-NUT, with the frame the catalog stores."""
+        assert lichnerowicz_gap(tn) <= 1e-12
 
     def test_fy_square_keeps_symbolic_composition_numbers(self, tn, tn_ctx):
         """D_fY^2 against D_s^2 as computed when the coefficients were
