@@ -89,13 +89,17 @@ TAKES = {       # whether a target of kind k on n coordinates fits: k is a docum
 def _read(src, shape: tuple, leaf, context: str):
     """src checked against shape, each entry read by leaf(entry, path); a fault
     raises FileFormatError naming the path, e.g. structures['phi'][0][2].  An
-    item of shape is a list's length (None: any) or dict, for an object."""
+    item of shape is a list's length (None: any), dict for an object, or the
+    set of an object's fields, any other field refused."""
     if not shape:
         return leaf(src, context)
     size, where = shape[0], context or "the document"
-    if size is dict:
+    if size is dict or isinstance(size, set):
         if not isinstance(src, dict):
             raise FileFormatError(f"{where} must be an object")
+        unknown = [k for k in src if size is not dict and k not in size]
+        if unknown:
+            raise FileFormatError(f"{where} has unknown field(s) {unknown}")
         return {k: _field(src, k, shape[1:], leaf, context=context) for k in src}
     if not isinstance(src, list) or size not in (None, len(src)):
         raise FileFormatError(f"{where} must be a list" + (f" of {size}" if size else ""))
@@ -174,10 +178,12 @@ def ingest(doc) -> CatalogEntry:
     from .exprkit import ZERO
     from .manifold import (Chart, GeometryError, Manifold, TensorField, _perm_sign,
                            one_form, vector)
-    doc = _read(doc, (dict,), _keep, "")
+    doc = _read(doc, ({"name", "dimension", "coordinates", "domain", "parameters", "signature",
+                       "metric", "vectors", "forms", "structures", "frame", "metadata",
+                       "manifest"},), _keep, "")
     n = _field(doc, "dimension", (), _numeric(int))
     coords = tuple(_field(doc, "coordinates", (n,), _name))
-    domain = _field(doc, "domain", (dict,), _keep)
+    domain = _field(doc, "domain", (set(coords),), _keep)
     box = {c: tuple(_field(domain, c, (2,), _real, context="domain")) for c in coords}
     params = _field(doc, "parameters", (dict,), _real, {})
     clash = set(_read(list(params), (None,), _name, "parameter names")) & set(coords)
@@ -195,7 +201,7 @@ def ingest(doc) -> CatalogEntry:
                              metadata=_field(doc, "metadata", (dict,), _keep, {}))
         if "structures" in doc:
             from .sasaki import MixedThreeStructure
-            block = _field(doc, "structures", (dict,), _keep)
+            block = _field(doc, "structures", ({"phi", "xi", "eta"},), _keep)
             kept["structures"] = {key: _field(block, key, (3,) + (n,) * rank, expr,
                                               context="structures")
                                   for key, rank in (("phi", 2), ("xi", 1), ("eta", 1))}
@@ -208,7 +214,7 @@ def ingest(doc) -> CatalogEntry:
     _field(entry.metadata, "einstein_constant", (), _real, 0, context="metadata")
     kept["vectors"] = _field(doc, "vectors", (dict, n), expr, {})
     entry.vectors = {vname: vector(comps) for vname, comps in kept["vectors"].items()}
-    for fname, block in _field(doc, "forms", (dict, dict), _keep, {}).items():
+    for fname, block in _field(doc, "forms", (dict, {"rank", "components"}), _keep, {}).items():
         path = f"forms[{fname!r}]"
         rank = _field(block, "rank", (), _numeric(int, range(n + 1)), context=path)
         comp, given = np.full((n,) * rank, ZERO, dtype=object), {}
@@ -226,15 +232,13 @@ def ingest(doc) -> CatalogEntry:
     if "frame" in doc:
         kept["frame"] = _field(doc, "frame", (n, n), expr)
         entry.frame = np.array(kept["frame"], dtype=object)
-    entry.manifest = _field(doc, "manifest", (None, dict), _keep, [])
+    entry.manifest = _field(doc, "manifest", (None, {"check", "target", "expect_pass"}), _keep, [])
     kept |= {key: v for key, v in (("metadata", entry.metadata), ("manifest", entry.manifest)) if v}
     kinds = {k: T.variance for k, T in (entry.forms | entry.vectors).items()}
     kinds |= {p + k: kind for p, (_, _, takes, kind) in DERIVED.items() for k, v in kinds.items()
               if TAKES[takes](v, n)}
     for i, item in enumerate(entry.manifest):   # a claim of CLAIMS on the targets of kinds
         where = f"manifest[{i}]"
-        if set(item) - {"check", "target", "expect_pass"}:
-            raise FileFormatError(f"{where} has a field other than check, target and expect_pass")
         claim = CLAIMS[_field(item, "check", (), _leaf(CLAIMS.__contains__,
                                                        f"one of {list(CLAIMS)}"), context=where)]
         fits = {k for k, v in kinds.items() if TAKES[claim.takes](v, n)}

@@ -93,6 +93,7 @@ class Expr:
 # every live node under its (op, value, *kids); a node no one holds is dropped
 _TABLE = weakref.WeakValueDictionary()
 _LEVEL = {"+": 1, "-": 1, "*": 2, "/": 2, "^": 4}
+_SIGN = 3       # a unary sign's level: looser than a power, tighter than a product
 
 
 def _intern(op: str, kids: tuple = (), value=None) -> Expr:
@@ -301,100 +302,68 @@ def derivative(e: Expr, name: str) -> Expr:
 # ---------------------------------------------------------------------------
 # parsing
 
-_SPACE = re.compile(r"\s*")
-_TOKEN = re.compile(r"(?P<num>\d+\.?\d*|\.\d+)|(?P<name>[^\W\d]\w*)|(?P<op>[-+*/^(),])")
-
-
-def _tokenize(src: str):
-    """(kind, text, offset) tokens, the last ("end", "", len(src))."""
-    tokens, i = [], _SPACE.match(src).end()
-    while i < len(src):
-        m = _TOKEN.match(src, i)
-        if m is None:
-            raise ParseError(f"unexpected character {src[i]!r}", i)
-        tokens.append((m.lastgroup, m.group(), i))
-        i = _SPACE.match(src, m.end()).end()
-    return tokens + [("end", "", len(src))]
-
-
-class _Parser:
-    """Recursive descent over the grammar: + - * / ^ (right-assoc), f(x)."""
-
-    def __init__(self, src: str):
-        self.tokens = _tokenize(src)
-        self.pos = 0
-
-    def peek(self):
-        return self.tokens[self.pos]
-
-    def next(self):
-        tok = self.tokens[self.pos]
-        self.pos += 1
-        return tok
-
-    def expect(self, text: str):
-        kind, tok, off = self.next()
-        if tok != text:
-            raise ParseError(f"expected {text!r}, found {tok!r}", off)
-
-    def parse(self) -> Expr:
-        e = self.expr()
-        kind, tok, off = self.peek()
-        if kind != "end":
-            raise ParseError(f"unexpected trailing input {tok!r}", off)
-        return e
-
-    def chain(self, operand, builds: dict) -> Expr:
-        """operand (op operand)*, left-associative, for the ops in builds."""
-        e = operand()
-        while self.peek()[1] in builds:
-            e = builds[self.next()[1]](e, operand())
-        return e
-
-    def expr(self) -> Expr:
-        return self.chain(self.term, {"+": add, "-": sub})
-
-    def term(self) -> Expr:
-        return self.chain(self.factor, {"*": mul, "/": div})
-
-    def factor(self) -> Expr:
-        tok = self.peek()[1]
-        if tok in ("-", "+"):
-            self.next()
-            return neg(self.factor()) if tok == "-" else self.factor()
-        base = self.atom()
-        if self.peek()[1] == "^":
-            self.next()
-            # right-associative; exponent may carry a unary sign
-            return power(base, self.factor())
-        return base
-
-    def atom(self) -> Expr:
-        kind, tok, off = self.next()
-        if tok == "(":
-            e = self.expr()
-            self.expect(")")
-            return e
-        if kind == "num":
-            return number(Fraction(tok))
-        if kind == "name":
-            if self.peek()[1] == "(":
-                if tok not in FUNCTIONS:
-                    raise UnknownFunctionError(f"unknown function {tok!r}", off)
-                self.next()
-                arg = self.expr()
-                self.expect(")")
-                return function(tok, arg)
-            return symbol(tok)
-        raise ParseError(f"unexpected token {tok!r}", off)
+# a token after any whitespace, of the kind of the group that matched: "bad"
+# for a character that starts no token
+_TOKEN = re.compile(r"\s*(?:(?P<num>\d+\.?\d*|\.\d+)|(?P<name>[^\W\d]\w*)"
+                    r"|(?P<op>[-+*/^(),])|(?P<end>\Z)|(?P<bad>.))", re.S)
+_BUILD = {"+": add, "-": sub, "*": mul, "/": div, "^": power}
 
 
 def parse(src: str) -> Expr:
-    """Parse infix source into a tree.  A tree deeper than MAX_DEPTH, or with
-    a constant of more than MAX_BITS bits, is a ParseError; 1/0, 0^-1, log of
-    a non-positive constant and the root of a negative one are EvalDomainErrors."""
+    """Parse infix source into a tree, by precedence climbing over _LEVEL:
+    + - * / left-associative, ^ right-associative with a signed exponent, and
+    a unary sign binding at _SIGN, so -x^2 is -(x^2) and -x*y is (-x)*y.  A
+    tree deeper than MAX_DEPTH, or with a constant of more than MAX_BITS
+    bits, is a ParseError; 1/0, 0^-1, log of a non-positive constant and the
+    root of a negative one are EvalDomainErrors."""
+    tokens = []     # (kind, text, offset), the last ("end", "", len(src))
+    for m in _TOKEN.finditer(src):
+        kind = m.lastgroup
+        if kind == "bad":
+            raise ParseError(f"unexpected character {m[kind]!r}", m.start(kind))
+        tokens.append((kind, m[kind], m.start(kind)))
+        if kind == "end":
+            break
+    pos = 0
+
+    def take(text=None):
+        nonlocal pos
+        kind, tok, off = tokens[pos]
+        if text is not None and tok != text:
+            raise ParseError(f"expected {text!r}, found {tok!r}", off)
+        pos += 1
+        return kind, tok, off
+
+    def climb(least: int) -> Expr:
+        """An operand, then each operator binding at least as tightly as least
+        with the operand after it."""
+        kind, tok, off = take()
+        if tok in ("-", "+"):
+            e = neg(climb(_SIGN)) if tok == "-" else climb(_SIGN)
+        elif tok == "(":
+            e = climb(1)
+            take(")")
+        elif kind == "name" and tokens[pos][1] == "(":
+            if tok not in FUNCTIONS:
+                raise UnknownFunctionError(f"unknown function {tok!r}", off)
+            take()
+            arg = climb(1)
+            take(")")       # before function() folds: log(0 is a missing ), not log of 0
+            e = function(tok, arg)
+        elif kind in ("num", "name"):
+            e = number(Fraction(tok)) if kind == "num" else symbol(tok)
+        else:
+            raise ParseError(f"unexpected token {tok!r}", off)
+        while _LEVEL.get(tokens[pos][1], 0) >= least:
+            op = take()[1]
+            e = _BUILD[op](e, climb(_LEVEL[op] + (op != "^")))
+        return e
+
     try:
-        e = _Parser(src).parse()
+        e = climb(1)
+        kind, tok, off = tokens[pos]
+        if kind != "end":
+            raise ParseError(f"unexpected trailing input {tok!r}", off)
         if e.depth <= MAX_DEPTH:
             return e
     except RecursionError:
@@ -406,9 +375,9 @@ def parse(src: str) -> Expr:
 # printing and compiling
 #
 # Each node's text comes with its binding level (1 sums, 2 products and
-# quotients, 3 unary minus and signed literals, 4 powers, 5 atoms), and an
-# operand is parenthesized when it binds looser than its place allows, or when
-# it starts with a sign and is not leftmost.  The grammar prints every node as
+# quotients, _SIGN = 3 unary minus and signed literals, 4 powers, 5 atoms),
+# and an operand is parenthesized when it binds looser than its place allows,
+# or when it starts with a sign and is not leftmost.  The grammar prints every node as
 # it is (to_source).  Python code (statements) computes each node's float with
 # fewer operations, by rewrites that IEEE 754 makes exact, signed zeros
 # included, so that it gives the bits of the tree's operations applied
@@ -445,13 +414,13 @@ def _print(node: Expr, kids: list[tuple[str, int]]) -> tuple[str, int]:
     """The node's text in the grammar and its binding level, from its kids'."""
     op, v = node.op, node.value
     if op == "num":
-        return str(v), 2 if v.denominator > 1 else 3 if v < 0 else 5
+        return str(v), 2 if v.denominator > 1 else _SIGN if v < 0 else 5
     if op == "name":
         return v, 5
     if op in FUNCTIONS:
         return f"{op}({kids[0][0]})", 5
     if op == "neg":
-        return "-" + _operand(*kids[0], 3), 3
+        return "-" + _operand(*kids[0], _SIGN), _SIGN
     return _binary(kids[0], op, kids[1], _LEVEL[op])
 
 
@@ -462,8 +431,8 @@ def _signed(text: str, level: int, negated: bool) -> tuple[str, int]:
     if not negated:
         return text, level
     if level >= 2 and text[0] != "-":
-        return "-" + text, min(level, 3)
-    return f"-({text})", 3
+        return "-" + text, min(level, _SIGN)
+    return f"-({text})", _SIGN
 
 
 def _reciprocal(c: Fraction) -> str | None:
@@ -483,7 +452,7 @@ def _code(node: Expr, kids: list, names: Mapping[str, str], store) -> tuple[str,
     op, v = node.op, node.value
     if op in ("num", "name"):
         text = repr(float(v)) if op == "num" else names[v]
-        return text, 3 if text[0] == "-" else 5, False
+        return text, _SIGN if text[0] == "-" else 5, False
     if op in FUNCTIONS:
         return f"{op}({_signed(*kids[0])[0]})", 5, False
     if op == "neg":

@@ -2,6 +2,7 @@ import hashlib
 import importlib
 import json
 import os
+import shlex
 import shutil
 import subprocess
 import sys
@@ -195,6 +196,19 @@ class TestIngest:
         with pytest.raises(FileFormatError, match=field):
             ingest(planted(STRUCTURED, path, value))
 
+    @pytest.mark.parametrize("doc, path, message", [
+        (MINIMAL, ("frames",), r"the document has unknown field\(s\) \['frames'\]"),
+        (MINIMAL, ("domain", "z"), r"domain has unknown field\(s\) \['z'\]"),
+        (MINIMAL, ("forms", "area", "comps"),
+         r"forms\['area'\] has unknown field\(s\) \['comps'\]"),
+        (STRUCTURED, ("structures", "zeta"), r"structures has unknown field\(s\) \['zeta'\]"),
+    ], ids=["misspelled-frame", "domain-of-no-coordinate", "form-block", "structures-block"])
+    def test_unknown_field_refused(self, doc, path, message):
+        """A field the format does not have is refused, naming where it is:
+        once a misspelled frame was dropped without a word."""
+        with pytest.raises(FileFormatError, match=message):
+            ingest(planted(doc, path, [["1", "0"], ["0", "1"]]))
+
     @settings(max_examples=300, deadline=None)
     @given(st.sampled_from(list(paths(dict(MINIMAL, frame=[["1", "0"], ["0", "1"]])))),
            JSON_VALUES)
@@ -226,7 +240,7 @@ class TestIngest:
         ({"check": "ky", "expect_pass": True}, r"missing required field manifest\[1\]\['target'\]"),
         ({"target": "rot"}, r"missing required field manifest\[1\]\['check'\]"),
         (dict(CLAIM, expect_pass="yes"), r"manifest\[1\]\['expect_pass'\] must be a boolean"),
-        (dict(CLAIM, expect_pas=False), r"manifest\[1\] has a field other than"),
+        (dict(CLAIM, expect_pas=False), r"manifest\[1\] has unknown field\(s\) \['expect_pas'\]"),
         (dict(CLAIM, target="area"), r"manifest\[1\]\['target'\] must be 1 comma-separated "
                                      r"name\(s\) of its vectors, not 'area'"),
         (dict(CLAIM, check="sk", target="area"), r"of its symmetric tensors \(forms of rank 0 or 1"),
@@ -372,13 +386,12 @@ class TestExportRoundTrip:
                                              if k != "frame"}) == "the export lacks ['frame']"
 
     def test_document_is_kept_in_one_form(self):
-        """Defaults filled in, the domain of the coordinates alone, each
-        expression printed from its tree, a form's nonzero components under
-        increasing index keys in index order, and an empty metadata and
-        manifest left out."""
+        """Defaults filled in, each expression printed from its tree, a form's
+        nonzero components under increasing index keys in index order, and an
+        empty metadata and manifest left out."""
         metric = [["1", "0", "0"], ["0", "1", "0"], ["0", "0", "1"]]
         doc = {"name": "flat", "dimension": 3, "coordinates": ["x", "y", "z"], "metric": metric,
-               "domain": {"x": [-1, 1], "y": [-1, 1.5], "z": [0, 1], "w": [0, 1]},
+               "domain": {"x": [-1, 1], "y": [-1, 1.5], "z": [0, 1]},
                "vectors": {"rot": ["-(y)", "x", 0]}, "metadata": {}, "manifest": [],
                "forms": {"f": {"rank": 2, "components": {"1, 2": "(z)", "00,01": "x", "0,2": 0}}}}
         out = export(ingest(doc))
@@ -748,6 +761,28 @@ class TestGeodesicOutputs:
         assert code == 1 and [r["pass"] for r in reports] == [False]
         assert csv_path.read_text().splitlines() == [
             "t,theta,phi,dtheta,dphi", "0.0,1.0,1.0,1e+100,0.1"]
+
+
+def readme_commands() -> list[list[str]]:
+    """The arguments of each `hiddensym ...` line of the README's usage block,
+    its backslash continuations joined and its comments dropped."""
+    text = (Path(__file__).parents[1] / "README.md").read_text()
+    block = text.split("## Command-line usage")[1].split("```sh\n")[1].split("```")[0]
+    lines = [shlex.split(line, comments=True) for line in block.replace("\\\n", " ").splitlines()]
+    return [words[1:] for words in lines if words]
+
+
+class TestReadmeUsage:
+    def test_every_command_exits_zero(self, capsys, monkeypatch, tmp_path):
+        """Each command of the README runs, in order in one directory, and exits
+        0: an expected failure meets its manifest expectation.  A renamed
+        subcommand, flag or target fails here, not for a reader."""
+        commands = readme_commands()
+        assert len(commands) == 21
+        monkeypatch.chdir(tmp_path)
+        for argv in commands:
+            assert main(argv) == 0, f"hiddensym {' '.join(argv)}: {capsys.readouterr().err}"
+        assert capsys.readouterr().err == ""
 
 
 class TestPrettyFlag:
